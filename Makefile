@@ -5,9 +5,9 @@
 
 GO ?= go
 
-.PHONY: check build vet test race obs-race serve-race cache-race par-race loadgen-race adaptive-race opt-race engine-race bench bench-placement bench-cache bench-parallel bench-serve bench-adaptive bench-opt bench-opt-check bench-engine figures trace-demo
+.PHONY: check build vet test race bench bench-placement bench-cache bench-parallel bench-serve bench-adaptive bench-opt bench-opt-check bench-engine figures trace-demo
 
-check: build vet race obs-race serve-race cache-race par-race loadgen-race adaptive-race opt-race engine-race bench-opt-check
+check: build vet race bench-opt-check
 
 build:
 	$(GO) build ./...
@@ -18,65 +18,13 @@ vet:
 test:
 	$(GO) test ./...
 
+# The one concurrency gate: every package's tests, fresh (-count=1)
+# under the race detector. The hammers over shared state (recorders,
+# serve cache/batching/controller/Close, Workers identity, concurrent
+# plan searches, the engine's clone fan-out, the memoized Schedule.JSON)
+# are ordinary tests of their packages, so they all run here.
 race:
-	$(GO) test -race ./...
-
-# The observability layer and the engine's error paths, re-run with a
-# fresh (-count=1) race pass: these tests attach shared recorders to the
-# parallel clone runner and the experiments worker pool.
-obs-race:
-	$(GO) test -race -count=1 ./internal/obs ./internal/engine ./internal/experiments
-
-# The scheduling service's concurrency gate: admission control, window
-# batching, cancellation, and the HTTP layer, fresh under the race
-# detector (the acceptance tests drive 32+ concurrent requests).
-serve-race:
-	$(GO) test -race -count=1 ./internal/serve ./cmd/mdrs-serve
-
-# The caching layer's correctness gate: the cost-model memo, the plan
-# fingerprint, and the serve-layer schedule cache (LRU + singleflight),
-# fresh under the race detector — the hammer tests race many goroutines
-# over shared caches and assert byte-identical schedules.
-cache-race:
-	$(GO) test -race -count=1 -run 'Cache|Fingerprint' ./internal/costmodel ./internal/sched ./internal/serve ./cmd/mdrs-serve
-
-# The deterministic-parallelism gate: the Workers knob must produce
-# byte-identical schedules and traces for every pool width, survive
-# mid-placement cancellation, and keep the bounded pools race-free —
-# fresh under the race detector.
-par-race:
-	$(GO) test -race -count=1 -run 'Par|Workers|Sharded|Hammer' ./internal/sched ./internal/sim ./internal/par
-
-# The load-harness gate: the open-loop generator, the pooled request
-# path, the sharded cache hammers, and the Close-race fallback, fresh
-# under the race detector.
-loadgen-race:
-	$(GO) test -race -count=1 ./cmd/mdrs-loadgen
-	$(GO) test -race -count=1 -run 'Hammer|Counter|Shard|Follower|Oversized' ./internal/serve ./cmd/mdrs-serve
-
-# The adaptive-controller gate: the controller-off invariance tests
-# (knobs never move, schedules byte-identical to a controller-free
-# build), the MaxDegree fingerprint/cache-staleness tests, and the knob
-# hammer racing live retunes against concurrent Schedule/Close — fresh
-# under the race detector.
-adaptive-race:
-	$(GO) test -race -count=1 -run 'Controller|MaxDegree|Knob|Tuning|RetryAfter|SoloMargin|Closing|Degree' ./internal/serve ./internal/sched ./internal/costmodel ./cmd/mdrs-serve
-
-# The plan-search gate: the bound-pruned optimizer's identity corpus
-# (pruned == unpruned, byte-identical winning schedules, pool-width
-# invisibility), the OPTBOUND soundness sweep, and the concurrent-search
-# hammer racing shared caches against mid-search cancellation — fresh
-# under the race detector.
-opt-race:
-	$(GO) test -race -count=1 ./internal/optimizer ./internal/query ./internal/opt
-
-# The vectorized-engine gate: the flat data path (radix partitioning,
-# dense flat tables, the pooled tuple arena, bounded clone fan-out),
-# fresh under the race detector — the golden-Report identity corpus
-# (flat vs reference executor, byte-for-byte), the degree-512 goroutine
-# hammer, and the skew-drift test.
-engine-race:
-	$(GO) test -race -count=1 -run 'Identity|Flat|Arena|Radix|Table|Bounded|Degree512|Skewed|LeafTuples|WarmRuns' ./internal/engine
+	$(GO) test -race -count=1 ./...
 
 # Placement micro-benchmark tracked in BENCH_sched.json.
 bench-placement:

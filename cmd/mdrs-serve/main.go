@@ -245,13 +245,18 @@ func newHandler(svc *mdrs.SchedulingService, met *mdrs.Metrics, maxBody int64) h
 			writeScheduleError(w, svc, err)
 			return
 		}
-		data, err := mdrs.EncodeScheduleJSON(res.Schedule)
+		// The schedule may be shared with a cache entry or the other
+		// members of a batch, and so is its memoized rendering: only the
+		// first response for a schedule encodes, and the bytes are written,
+		// never modified.
+		data, err := res.Schedule.JSON()
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
 		}
 		h := w.Header()
 		h.Set("Content-Type", "application/json")
+		h.Set("Content-Length", strconv.Itoa(len(data)))
 		h.Set("X-Mdrs-Batch-Size", strconv.Itoa(len(res.Group)))
 		h.Set("X-Mdrs-Batch-Index", strconv.Itoa(res.Index))
 		h.Set("X-Mdrs-Solo", strconv.FormatBool(res.Solo))

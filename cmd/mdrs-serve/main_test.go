@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -352,5 +353,118 @@ func TestScheduleErrorDerivesRetryAfterFromService(t *testing.T) {
 	}
 	if got, want := rec.Header().Get("Retry-After"), retryAfterSeconds(svc.RetryAfter()); got != want {
 		t.Fatalf("Retry-After %q, want service-derived %q", got, want)
+	}
+}
+
+// sliceWriter is a ResponseWriter that keeps the very slices the
+// handler passes to Write instead of copying them, so a test can tell
+// whether two responses were written from one backing array.
+type sliceWriter struct {
+	header http.Header
+	code   int
+	writes [][]byte
+}
+
+func newSliceWriter() *sliceWriter { return &sliceWriter{header: http.Header{}, code: http.StatusOK} }
+
+func (w *sliceWriter) Header() http.Header  { return w.header }
+func (w *sliceWriter) WriteHeader(code int) { w.code = code }
+func (w *sliceWriter) Write(p []byte) (int, error) {
+	w.writes = append(w.writes, p)
+	return len(p), nil
+}
+
+// body returns the single slice a successful /schedule response is
+// written from, after checking the status and the Content-Length.
+func (w *sliceWriter) body(t *testing.T) []byte {
+	t.Helper()
+	if w.code != http.StatusOK || len(w.writes) != 1 {
+		t.Fatalf("status %d with %d writes", w.code, len(w.writes))
+	}
+	if got, want := w.header.Get("Content-Length"), strconv.Itoa(len(w.writes[0])); got != want {
+		t.Fatalf("Content-Length = %q, want %q", got, want)
+	}
+	return w.writes[0]
+}
+
+// A schedule is encoded once, however many responses carry it: a miss
+// and the hits that follow are written from the same bytes, those bytes
+// are what EncodeScheduleJSON yields, and Content-Length is explicit.
+func TestScheduleEndpointHitsShareOneEncoding(t *testing.T) {
+	o := testOptions()
+	o.cacheSize = 8
+	h, _ := newTestHandler(t, o)
+	plan := encodePlan(t, 11, 6)
+
+	p, err := mdrs.DecodePlan(plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct, err := mdrs.ScheduleQuery(p, mdrs.Options{Sites: o.sites, Epsilon: o.eps, F: o.f})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := mdrs.EncodeScheduleJSON(direct)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var first []byte
+	for round := 0; round < 3; round++ {
+		w := newSliceWriter()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/schedule", bytes.NewReader(plan)))
+		body := w.body(t)
+		if got, want := w.header.Get("X-Mdrs-Cached"), strconv.FormatBool(round > 0); got != want {
+			t.Fatalf("round %d: X-Mdrs-Cached = %q, want %q", round, got, want)
+		}
+		if !bytes.Equal(body, want) {
+			t.Fatalf("round %d: body differs from EncodeScheduleJSON", round)
+		}
+		if round == 0 {
+			first = body
+		} else if &body[0] != &first[0] {
+			t.Fatalf("round %d: a cache hit was encoded again", round)
+		}
+	}
+}
+
+// With the cache off, the eight members of one batch all receive the
+// same combined schedule and share one encoding of it; the next batch
+// gets its own.
+func TestScheduleEndpointBatchSharesOneEncoding(t *testing.T) {
+	const members = 8
+	// The window never expires within the test: a group dispatches when
+	// its eighth member arrives.
+	h, _ := newTestHandler(t, options{
+		sites: 12, eps: 0.5, f: 0.7,
+		maxInFlight: members, maxBatch: members, batchWindow: time.Minute,
+	})
+	batch := func() []byte {
+		writers := make([]*sliceWriter, members)
+		var wg sync.WaitGroup
+		for i := range writers {
+			writers[i] = newSliceWriter()
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				plan := encodePlan(t, int64(i+1), 3)
+				h.ServeHTTP(writers[i], httptest.NewRequest(http.MethodPost, "/schedule", bytes.NewReader(plan)))
+			}(i)
+		}
+		wg.Wait()
+		first := writers[0].body(t)
+		for i, w := range writers {
+			body := w.body(t)
+			if got := w.header.Get("X-Mdrs-Batch-Size"); got != strconv.Itoa(members) {
+				t.Fatalf("member %d: X-Mdrs-Batch-Size = %q, want %d", i, got, members)
+			}
+			if &body[0] != &first[0] {
+				t.Fatalf("member %d was encoded separately from member 0", i)
+			}
+		}
+		return first
+	}
+	if a, b := batch(), batch(); &a[0] == &b[0] {
+		t.Fatal("two batches share one encoding with the cache off")
 	}
 }

@@ -2,6 +2,7 @@ package mdrs_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
 	"math/rand"
 	"testing"
@@ -156,6 +157,80 @@ func FuzzOperatorSchedule(f *testing.F) {
 		if res.Response < lb-1e-9 || res.Response > sched.PerformanceRatioBound(d)*lb+1e-9 {
 			t.Fatalf("response %g outside [LB, (2d+1)LB] = [%g, %g]",
 				res.Response, lb, sched.PerformanceRatioBound(d)*lb)
+		}
+	})
+}
+
+// FuzzEncodeJSON asserts the hand-written schedule encoder is
+// json.MarshalIndent over the document's mirror structs, byte for byte
+// and error for error, for whatever operator name, numbers and array
+// shapes the fuzzer invents (internal/sched's render_test.go pins the
+// same identity over real schedules).
+func FuzzEncodeJSON(f *testing.F) {
+	f.Add("scan(R3)", 1.5, 0.25, 3.0, int64(7), uint8(0b0110_1011))
+	f.Add(`a"b\c<d>&e`+" \xff\x00\t", 1e-7, 1e21, -0.0, int64(-1), uint8(0xff))
+	f.Add("", 5e-324, math.MaxFloat64, math.NaN(), int64(math.MinInt64), uint8(0))
+	f.Add("\xe2\x80", math.Inf(1), 9.999999e-7, 123456789.12345679, int64(1<<40), uint8(0b1000_0100))
+	f.Fuzz(func(t *testing.T, name string, a, b, c float64, n int64, shape uint8) {
+		type placement struct {
+			Operator string      `json:"operator"`
+			OpID     int         `json:"op_id"`
+			Kind     string      `json:"kind"`
+			Degree   int         `json:"degree"`
+			Rooted   bool        `json:"rooted"`
+			TPar     float64     `json:"t_par_seconds"`
+			Sites    []int       `json:"sites"`
+			Clones   [][]float64 `json:"clone_work_vectors"`
+		}
+		type phase struct {
+			Index      int         `json:"index"`
+			Response   float64     `json:"response_seconds"`
+			Placements []placement `json:"placements"`
+		}
+		type document struct {
+			Response float64 `json:"response_seconds"`
+			Sites    int     `json:"sites"`
+			Phases   []phase `json:"phases"`
+		}
+
+		// shape: bits 0-1 clones, bits 2-3 components per clone, bit 4
+		// nil (not empty) sites, bit 5 rooted, bits 6-7 phases.
+		op := &mdrs.Operator{ID: int(n), Name: name, Kind: mdrs.OpKind(shape % 5)}
+		pl := &sched.OpPlacement{Op: op, Degree: int(n >> 8), Rooted: shape&32 != 0, TPar: c}
+		mirror := placement{Operator: name, OpID: op.ID, Kind: op.Kind.String(),
+			Degree: pl.Degree, Rooted: pl.Rooted, TPar: c, Clones: [][]float64{}}
+		if shape&16 == 0 {
+			pl.Sites, mirror.Sites = []int{}, []int{}
+		}
+		for k := 0; k < int(shape&3); k++ {
+			w := mdrs.Vector{a, b, c}[:shape>>2&3]
+			pl.Sites, mirror.Sites = append(pl.Sites, int(n)+k), append(mirror.Sites, int(n)+k)
+			pl.Clones, mirror.Clones = append(pl.Clones, w), append(mirror.Clones, append([]float64(nil), w...))
+		}
+		s := &sched.Schedule{Response: a, P: int(n)}
+		doc := document{Response: a, Sites: int(n)}
+		for i := 0; i < int(shape>>6); i++ {
+			ph := &sched.PhaseSchedule{Index: i, Response: b}
+			mph := phase{Index: i, Response: b}
+			for j := 0; j < i; j++ { // phase 0 has no placements
+				ph.Placements, mph.Placements = append(ph.Placements, pl), append(mph.Placements, mirror)
+			}
+			s.Phases, doc.Phases = append(s.Phases, ph), append(doc.Phases, mph)
+		}
+
+		want, wantErr := json.MarshalIndent(doc, "", "  ")
+		got, gotErr := mdrs.EncodeScheduleJSON(s)
+		if wantErr != nil || gotErr != nil {
+			if wantErr == nil || gotErr == nil || gotErr.Error() != wantErr.Error() {
+				t.Fatalf("error %v, MarshalIndent's %v", gotErr, wantErr)
+			}
+			return
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("encoding differs from MarshalIndent:\n got  %s\n want %s", got, want)
+		}
+		if memo, err := s.JSON(); err != nil || !bytes.Equal(memo, want) {
+			t.Fatalf("memoized rendering differs from MarshalIndent (err %v)", err)
 		}
 	})
 }

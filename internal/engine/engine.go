@@ -203,7 +203,6 @@ func (e Engine) RunCtx(ctx context.Context, ds *Dataset, s *sched.Schedule) (*Re
 	defer func() {
 		if e.Rec != nil {
 			e.Rec.Count("engine.runs", 1)
-			e.Rec.Count("engine.run_ns", time.Since(start).Nanoseconds())
 			e.Rec.Observe("engine.run_seconds", time.Since(start).Seconds())
 			if st.ar != nil {
 				e.Rec.Count("engine.arena_reuses", st.ar.reuses)

@@ -134,6 +134,13 @@ type Schedule struct {
 	// phase never pays for the index.
 	placeOnce sync.Once
 	placeIdx  map[*plan.Operator]*OpPlacement
+
+	// jsonOnce lazily fills jsonData/jsonErr the first time JSON is
+	// called (render.go); a schedule that is never rendered, or only
+	// through EncodeJSON, holds no bytes.
+	jsonOnce sync.Once
+	jsonData []byte
+	jsonErr  error
 }
 
 // Placement returns the placement of the given operator, or nil. The
