@@ -1,13 +1,14 @@
 # Development targets for the mdrs reproduction. `make check` is the
-# gate future PRs must keep green: build, vet, and the full test suite
-# under the race detector (which also exercises the experiments worker
-# pool for data races).
+# gate future PRs must keep green: build, vet, the full test suite under
+# the race detector (which also exercises the experiments worker pool
+# for data races), the optimizer ledger replay, and the benchmark
+# harness's own vet and tests against this tree.
 
 GO ?= go
 
-.PHONY: check build vet test race bench bench-placement bench-cache bench-parallel bench-serve bench-adaptive bench-opt bench-opt-check bench-engine figures trace-demo
+.PHONY: check build vet test race harness-check benchmark bench bench-serve bench-adaptive bench-opt bench-opt-check figures trace-demo
 
-check: build vet race bench-opt-check
+check: build vet race bench-opt-check harness-check
 
 build:
 	$(GO) build ./...
@@ -26,20 +27,17 @@ test:
 race:
 	$(GO) test -race -count=1 ./...
 
-# Placement micro-benchmark tracked in BENCH_sched.json.
-bench-placement:
-	$(GO) test ./internal/sched -run '^$$' -bench BenchmarkOperatorSchedulePlacement -benchmem
+# bench/ is a nested module that compiles against this tree's internal
+# packages: vet and test it here (~10 s) so a change that breaks the API
+# the harness uses fails the gate instead of the benchmark pipeline.
+harness-check:
+	cd bench && $(GO) vet . && $(GO) test .
 
-# Regenerate BENCH_cache.json: the schedule cache's warm/cold serve
-# latencies and the placement loop's allocs/op next to the pinned seed
-# baseline.
-bench-cache:
-	$(GO) run ./cmd/mdrs-bench -cache-bench BENCH_cache.json
-
-# Regenerate BENCH_parallel.json: TreeSchedule at Workers=1 vs
-# Workers=N (cold and warm) plus the live workers-invariance verdict.
-bench-parallel:
-	$(GO) run ./cmd/mdrs-bench -par-bench BENCH_parallel.json
+# The one regenerate target for performance numbers: all four
+# BENCHMARK.json workloads plus the traced per-layer pass, written with
+# host, cores and commit to bench/out/result.json.
+benchmark:
+	bash bench/run.sh --seed 1
 
 # Regenerate BENCH_serve.json: the serving layer's open-loop load curve
 # (goodput, shed rate, p50/p99/p999 latency, cache rates at three
@@ -74,20 +72,12 @@ bench-opt:
 bench-opt-check:
 	$(GO) run ./cmd/mdrs-bench -opt-check BENCH_optimizer.json
 
-# Regenerate BENCH_engine.json: the flat engine vs the preserved
-# reference executor (cold/warm ns/op, allocs/op, tuples/sec) over
-# joins∈{3,5,8} × tuple scales × Parallel on/off × skew∈{0,1.2}, with
-# the live old-vs-new Report byte-identity verdict and the joins=8
-# acceptance summary (≥3× tuples/sec, ≥5× fewer allocs/op).
-bench-engine:
-	$(GO) run ./cmd/mdrs-bench -engine-bench BENCH_engine.json
-
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...
 
-# Regenerate every Section 6 figure with per-figure timings.
+# Regenerate every Section 6 figure as CSV on stdout.
 figures:
-	$(GO) run ./cmd/mdrs-bench -csv -benchjson BENCH_figures.json
+	$(GO) run ./cmd/mdrs-bench -csv
 
 # Schedule one seeded 6-join plan and pretty-print its decision trace.
 trace-demo:

@@ -17,14 +17,13 @@
 // BENCH_optimizer.json-format JSON to its argument, then exits;
 // -opt-check replays the committed file's check corpus and fails on an
 // identity or ledger regression. -cpuprofile and -memprofile write
-// runtime/pprof profiles of any mode. -benchjson additionally records per-figure
-// regeneration wall times to FILE as JSON (the BENCH_sched.json format
-// tracked at the repository root), so successive PRs can compare the
-// harness's performance trajectory mechanically. -metrics attaches an
-// observability recorder to the run and writes its counters and timing
-// histograms to FILE as JSON; -debug-addr serves net/http/pprof and
-// expvar (including the live metrics under the "mdrs" var) while the
-// figures regenerate.
+// runtime/pprof profiles of any mode. -benchjson additionally records
+// per-figure regeneration wall times to FILE as JSON (the benchReport
+// struct below); per-layer speed is recorded by bench/, not here.
+// -metrics attaches an observability recorder to the run and writes its
+// counters and timing histograms to FILE as JSON; -debug-addr serves
+// net/http/pprof and expvar (including the live metrics under the "mdrs"
+// var) while the figures regenerate.
 package main
 
 import (
@@ -90,12 +89,8 @@ func main() {
 	workers := flag.Int("workers", 0, "trial worker pool size (0 = GOMAXPROCS)")
 	benchJSON := flag.String("benchjson", "", "write per-figure timings as JSON to this file")
 	metricsJSON := flag.String("metrics", "", "write run counters and timing histograms as JSON to this file")
-	cacheBench := flag.String("cache-bench", "", "measure the schedule cache and placement loop, write JSON to this file, and exit")
-	parBench := flag.String("par-bench", "", "measure scheduler Workers=1 vs Workers=N and the invariance verdict, write JSON to this file, and exit")
 	optBench := flag.String("opt-bench", "", "measure the plan-search arms across a join sweep, write JSON to this file, and exit")
 	optCheck := flag.String("opt-check", "", "replay this committed BENCH_optimizer.json's check corpus and fail on identity or ledger regression, then exit")
-	engineBench := flag.String("engine-bench", "", "measure the flat engine vs the reference executor, write JSON to this file, and exit")
-	schedWorkers := flag.Int("sched-workers", 0, "workers arm for -par-bench (0 = GOMAXPROCS, raised to at least 2)")
 	debugAddr := flag.String("debug-addr", "", "serve /debug/pprof and /debug/vars on this address")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile at exit to this file")
@@ -108,25 +103,9 @@ func main() {
 	}
 	defer stopProfiles()
 
-	if *cacheBench != "" {
-		cacheBenchMain(*cacheBench, *quick, *seed)
-		return
-	}
-	if *parBench != "" {
-		parBenchMain(*parBench, *quick, *seed, *schedWorkers)
-		return
-	}
 	if *optBench != "" {
 		if err := runOptBench(*optBench, *quick, *seed); err != nil {
 			fmt.Fprintf(os.Stderr, "mdrs-bench: opt-bench: %v\n", err)
-			stopProfiles()
-			os.Exit(1)
-		}
-		return
-	}
-	if *engineBench != "" {
-		if err := runEngineBench(*engineBench, *quick, *seed); err != nil {
-			fmt.Fprintf(os.Stderr, "mdrs-bench: engine-bench: %v\n", err)
 			stopProfiles()
 			os.Exit(1)
 		}

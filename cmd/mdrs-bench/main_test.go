@@ -113,7 +113,7 @@ func TestWriteReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "BENCH_sched.json")
+	path := filepath.Join(t.TempDir(), "figures.json")
 	if err := writeReport(path, report); err != nil {
 		t.Fatal(err)
 	}

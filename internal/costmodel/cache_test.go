@@ -109,7 +109,7 @@ func TestCacheBounded(t *testing.T) {
 }
 
 // Concurrent lookups over a shared cache must agree with the model;
-// run under -race by the cache-race make target.
+// run under -race by make race.
 func TestCacheConcurrent(t *testing.T) {
 	m := Default()
 	c := m.Cached()

@@ -163,7 +163,7 @@ func TestResultContentIsExactlyTheCarrierRelation(t *testing.T) {
 		}
 		// Re-run the dataflow manually to inspect the root output.
 		eng := testEngine(false)
-		st := newRunState(false, 4)
+		st := newRunState(4)
 		rep := &Report{JoinResults: map[int]int{}}
 		for _, ph := range s.Phases {
 			for _, pl := range ph.Placements {

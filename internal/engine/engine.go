@@ -26,13 +26,6 @@ type Engine struct {
 	// the internal/par pool — a degree-512 operator no longer spawns
 	// 512 goroutines — while the lowest-index-error contract holds.
 	Parallel bool
-	// Reference selects the pre-vectorization executor: map-based hash
-	// tables, append-per-tuple partitioning, per-tuple ds.Key lookups,
-	// full-copy concats, and one goroutine per clone in Parallel mode.
-	// Its Report is byte-identical to the flat path's — the identity
-	// corpus and mdrs-bench -engine-bench enforce it live — so it
-	// serves as the oracle and the "before" arm of BENCH_engine.json.
-	Reference bool
 	// Rec, when non-nil, receives execution counters (tuples, clone
 	// runs, arena reuse/alloc tallies, flat-table layout tallies), the
 	// run/phase timers, and exec_phase trace events. Recorders must be
@@ -45,6 +38,12 @@ type Engine struct {
 	// can inject clone failures into otherwise-infallible arms (the
 	// regression tests for the once-dropped Scan error path).
 	failClone func(op *plan.Operator, clone int) error
+
+	// runOp, when non-nil, executes every placed operator in place of
+	// runOperator. It exists so tests can run a schedule through the
+	// reference executor (reference_test.go), the identity oracle and
+	// benchmark baseline of the flat data path.
+	runOp func(e Engine, pl *sched.OpPlacement, ds *Dataset, st *runState, rep *Report) ([]*cloneMeter, error)
 
 	// ctx is the run's cancellation context, set by RunCtx on its local
 	// receiver copy (Engine methods take value receivers, so it never
@@ -118,33 +117,27 @@ func (c *cloneMeter) addNetTuples(tuples int, p costmodel.Params) {
 }
 
 // runState is the per-run execution state: the dataflow outputs, the
-// live build tables, and (on the flat path) the buffer arena plus the
-// ownership set that lets consumed intermediates recycle.
+// live build tables, and the buffer arena plus the ownership set that
+// lets consumed intermediates recycle.
 type runState struct {
 	outputs map[*plan.Operator][]Tuple
-	// ar / owned / tables drive the flat data path. owned marks outputs
-	// whose backing came from the arena (probe results and store
-	// pass-throughs) — scan outputs alias the dataset's cached leaf
-	// slices and must never be recycled.
+	// owned marks outputs whose backing came from the arena (probe
+	// results and store pass-throughs) — scan outputs alias the dataset's
+	// cached leaf slices and must never be recycled.
 	ar     *arena
 	owned  map[*plan.Operator]bool
 	tables map[int]*joinTables
-	// refTables is the Reference path's join ID -> per-clone map tables.
-	refTables map[int][]map[int32][]Tuple
 	// flat-table layout tallies, flushed to the recorder after the run.
 	nDirect, nCSR, nOA int64
 }
 
-func newRunState(reference bool, nOps int) *runState {
-	st := &runState{outputs: make(map[*plan.Operator][]Tuple, nOps)}
-	if reference {
-		st.refTables = make(map[int][]map[int32][]Tuple)
-	} else {
-		st.ar = arenaPool.Get().(*arena)
-		st.owned = make(map[*plan.Operator]bool)
-		st.tables = make(map[int]*joinTables)
+func newRunState(nOps int) *runState {
+	return &runState{
+		outputs: make(map[*plan.Operator][]Tuple, nOps),
+		ar:      arenaPool.Get().(*arena),
+		owned:   make(map[*plan.Operator]bool),
+		tables:  make(map[int]*joinTables),
 	}
-	return st
 }
 
 // release recycles op's output buffer after its single pipeline
@@ -198,30 +191,29 @@ func (e Engine) RunCtx(ctx context.Context, ds *Dataset, s *sched.Schedule) (*Re
 	}
 
 	rep := &Report{JoinResults: make(map[int]int), Predicted: s.Response}
-	st := newRunState(e.Reference, nOps)
+	st := newRunState(nOps)
+	runOp := Engine.runOperator
+	if e.runOp != nil {
+		runOp = e.runOp
+	}
 	start := time.Now()
 	defer func() {
 		if e.Rec != nil {
 			e.Rec.Count("engine.runs", 1)
 			e.Rec.Observe("engine.run_seconds", time.Since(start).Seconds())
-			if st.ar != nil {
-				e.Rec.Count("engine.arena_reuses", st.ar.reuses)
-				e.Rec.Count("engine.arena_allocs", st.ar.allocs)
-				e.Rec.Count("engine.tables_direct", st.nDirect)
-				e.Rec.Count("engine.tables_csr", st.nCSR)
-				e.Rec.Count("engine.tables_oa", st.nOA)
-			}
+			e.Rec.Count("engine.arena_reuses", st.ar.reuses)
+			e.Rec.Count("engine.arena_allocs", st.ar.allocs)
+			e.Rec.Count("engine.tables_direct", st.nDirect)
+			e.Rec.Count("engine.tables_csr", st.nCSR)
+			e.Rec.Count("engine.tables_oa", st.nOA)
 		}
-		if st.ar != nil {
-			// Reclaim whatever owned outputs remain (normally just the
-			// root's), then hand the arena to the next run.
-			for op := range st.owned {
-				st.ar.putTuples(st.outputs[op])
-			}
-			st.ar.resetStats()
-			arenaPool.Put(st.ar)
-			st.ar = nil
+		// Reclaim whatever owned outputs remain (normally just the
+		// root's), then hand the arena to the next run.
+		for op := range st.owned {
+			st.ar.putTuples(st.outputs[op])
 		}
+		st.ar.resetStats()
+		arenaPool.Put(st.ar)
 	}()
 
 	for phaseIdx, ph := range s.Phases {
@@ -242,13 +234,7 @@ func (e Engine) RunCtx(ctx context.Context, ds *Dataset, s *sched.Schedule) (*Re
 		}
 
 		for _, pl := range placements {
-			var meters []*cloneMeter
-			var err error
-			if e.Reference {
-				meters, err = e.runOperatorRef(pl, ds, st.outputs, st.refTables, rep)
-			} else {
-				meters, err = e.runOperator(pl, ds, st, rep)
-			}
+			meters, err := runOp(e, pl, ds, st, rep)
 			if err != nil {
 				return nil, fmt.Errorf("engine: %s: %w", pl.Op.Name, err)
 			}

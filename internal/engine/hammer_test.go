@@ -35,7 +35,7 @@ func degreeSchedule(t *testing.T, p *query.PlanNode, degree int) *sched.Schedule
 // bounded internal/par pool (clamped to GOMAXPROCS) instead of the 512
 // goroutines the engine used to spawn. The failClone hook samples the
 // live goroutine count from inside the clone bodies. Run under -race
-// by the engine-race gate.
+// by make race.
 func TestParallelCloneGoroutinesAreBounded(t *testing.T) {
 	const degree = 512
 	lp := leaf("R", 64000)
@@ -82,8 +82,7 @@ func TestDegree512JoinMatchesReference(t *testing.T) {
 	ds := MustGenerate(p, 11)
 	s := degreeSchedule(t, p, degree)
 
-	ref := testEngine(true)
-	ref.Reference = true
+	ref := reference(testEngine(true))
 	repRef, err := ref.Run(ds, s)
 	if err != nil {
 		t.Fatal(err)

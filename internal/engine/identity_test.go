@@ -73,8 +73,7 @@ func TestReportByteIdentity(t *testing.T) {
 						}
 						s := scheduleFor(t, p, sites)
 
-						ref := testEngine(parallel)
-						ref.Reference = true
+						ref := reference(testEngine(parallel))
 						repRef, err := ref.Run(ds, s)
 						if err != nil {
 							t.Fatal(err)
@@ -115,8 +114,7 @@ func TestReportByteIdentityMaterialized(t *testing.T) {
 	}
 	s := scheduleForTree(t, plan.MustNewTaskTree(ot), 6)
 	for _, parallel := range []bool{false, true} {
-		ref := testEngine(parallel)
-		ref.Reference = true
+		ref := reference(testEngine(parallel))
 		repRef, err := ref.Run(ds, s)
 		if err != nil {
 			t.Fatal(err)
@@ -152,4 +150,65 @@ func TestFlatRunsAreRepeatable(t *testing.T) {
 			t.Fatalf("run %d diverged from the first:\nfirst: %+v\ngot:   %+v", i, first, rep)
 		}
 	}
+}
+
+// fuzzPlan decodes a join tree from fuzz bytes: joins+1 leaves sized
+// 1+40·sizes[i] (cycled), merged pairwise until one tree remains, byte j
+// of merges (cycled) naming the adjacent pair the j-th join combines.
+// Always merging pair 0 gives a left-deep chain, always the last pair a
+// right-deep one, anything else a bushy plan.
+func fuzzPlan(joins int, sizes, merges []byte) *query.PlanNode {
+	at := func(b []byte, i int) int {
+		if len(b) == 0 {
+			return 0
+		}
+		return int(b[i%len(b)])
+	}
+	forest := make([]*query.PlanNode, joins+1)
+	for i := range forest {
+		forest[i] = leaf(fmt.Sprintf("L%d", i), 1+40*at(sizes, i))
+	}
+	for j := 0; len(forest) > 1; j++ {
+		i := at(merges, j) % (len(forest) - 1)
+		forest[i] = join(forest[i], forest[i+1])
+		forest = append(forest[:i+1], forest[i+2:]...)
+	}
+	return forest[0]
+}
+
+// FuzzFlatMatchesReference is the identity corpus as a generator: over
+// random plan shapes (1–6 joins), leaf sizes, site counts, skews and
+// Parallel modes the flat data path and the reference executor must
+// return equal Reports, or fail with the same error.
+func FuzzFlatMatchesReference(f *testing.F) {
+	// The four shapes of identityPlans, chain8 cut to the six-join
+	// ceiling; the first argument is joins-1.
+	f.Add(uint8(2), []byte{100, 37, 150, 55}, []byte{0}, uint8(3), uint8(0), false, int64(71))
+	f.Add(uint8(5), []byte{125, 50, 175, 30, 160, 70, 225}, []byte{0}, uint8(7), uint8(3), true, int64(71))
+	f.Add(uint8(2), []byte{100, 37, 87, 22}, []byte{0, 1, 0}, uint8(7), uint8(0), true, int64(71))
+	f.Add(uint8(1), []byte{25, 150, 50}, []byte{255}, uint8(3), uint8(3), false, int64(71))
+	f.Fuzz(func(t *testing.T, joins uint8, sizes, merges []byte, sites, skew uint8, parallel bool, seed int64) {
+		p := fuzzPlan(1+int(joins)%6, sizes, merges)
+		opts := GenOptions{Seed: seed}
+		if s := skew % 8; s > 0 {
+			opts.SkewS = 1 + float64(s)/10
+		}
+		ds, err := GenerateOpts(p, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := scheduleFor(t, p, 1+int(sites)%16)
+
+		repRef, errRef := reference(testEngine(parallel)).Run(ds, s)
+		repFlat, errFlat := testEngine(parallel).Run(ds, s)
+		if errRef != nil || errFlat != nil {
+			if errRef == nil || errFlat == nil || errRef.Error() != errFlat.Error() {
+				t.Fatalf("errors diverge:\nref:  %v\nflat: %v", errRef, errFlat)
+			}
+			return
+		}
+		if !reflect.DeepEqual(repRef, repFlat) {
+			t.Fatalf("reports diverge:\nref:  %+v\nflat: %+v", repRef, repFlat)
+		}
+	})
 }

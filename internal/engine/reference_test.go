@@ -3,12 +3,11 @@
 // append-per-tuple map partitioning, resolves every tuple's key through
 // the per-tuple ds.Key map lookup, copies every concat, regenerates
 // leaf tuple slices per scan, and spawns one goroutine per clone in
-// Parallel mode. It exists for two reasons: it is the "before" arm of
-// mdrs-bench -engine-bench (BENCH_engine.json's speedup and allocs
-// ratios are measured against it, so it must keep paying the old
-// allocation costs honestly), and it is the byte-identity oracle the
-// golden-Report corpus and the in-bench verdict compare the flat path
-// against. Selected with Engine.Reference.
+// Parallel mode. It exists for two reasons: it is the byte-identity
+// oracle the golden-Report corpus and FuzzFlatMatchesReference compare
+// the flat path against, and it is the baseline of
+// BenchmarkEngineRun/reference (so it must keep paying the old
+// allocation costs honestly). Selected with reference().
 package engine
 
 import (
@@ -21,6 +20,18 @@ import (
 	"mdrs/internal/query"
 	"mdrs/internal/sched"
 )
+
+// reference returns e with the reference executor hooked in through
+// Engine.runOp. The hook owns the map tables of the joins in flight, so
+// concurrent runs each need their own reference() value.
+func reference(e Engine) Engine {
+	tables := make(map[int][]map[int32][]Tuple)
+	e.runOp = func(e Engine, pl *sched.OpPlacement, ds *Dataset, st *runState,
+		rep *Report) ([]*cloneMeter, error) {
+		return e.runOperatorRef(pl, ds, st.outputs, tables, rep)
+	}
+	return e
+}
 
 // runOperatorRef executes one placed operator through the reference
 // data path and returns its per-clone meters (aligned with pl.Sites).
@@ -182,8 +193,8 @@ func (e Engine) runOperatorRef(pl *sched.OpPlacement, ds *Dataset,
 }
 
 // leafTuplesRef regenerates leaf i's identity tuples per call — the
-// pre-cache behavior, kept so the reference arm of the benchmark still
-// pays the O(rows) allocation every scan used to.
+// pre-cache behavior, kept so the reference sub-benchmark still pays
+// the O(rows) allocation every scan used to.
 func leafTuplesRef(ds *Dataset, i int32) []Tuple {
 	ld := ds.leaves[i]
 	out := make([]Tuple, ld.rel.Tuples)

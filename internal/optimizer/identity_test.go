@@ -226,8 +226,8 @@ func TestSharedCacheIdentity(t *testing.T) {
 
 // Concurrent searches over one shared cache, racing a mid-search
 // cancellation: every call must return either a valid result or a
-// context error, with no data races (the Makefile opt-race gate runs
-// this under -race).
+// context error, with no data races (make race runs this under
+// -race).
 func TestConcurrentSearchHammerWithCancellation(t *testing.T) {
 	cache := costmodel.NewCache(costmodel.Default())
 	const goroutines = 8

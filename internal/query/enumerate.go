@@ -24,9 +24,8 @@ const MaxEnumerateRelations = 8
 // search target.
 const MaxStreamRelations = 10
 
-// validateEnumerate shares the relation checks between the materializing
-// and streaming enumerators. max is the relation-count ceiling to
-// enforce.
+// validateEnumerate checks the relations against the caller's
+// relation-count ceiling max.
 func validateEnumerate(rels []*Relation, max int) error {
 	if len(rels) == 0 {
 		return errors.New("query: no relations")
@@ -88,46 +87,17 @@ func bushyCounts(n int) []int64 {
 // only read plans); callers must not mutate the returned trees.
 //
 // Errors mirror PlanOver's validation plus the MaxEnumerateRelations
-// guard.
+// guard. It is EnumerateBushyFunc with no prune hook, collected.
 func EnumerateBushy(rels []*Relation) ([]*PlanNode, error) {
 	if err := validateEnumerate(rels, MaxEnumerateRelations); err != nil {
 		return nil, err
 	}
-	n := len(rels)
-	full := (1 << n) - 1
-	// Per-mask result sizes are known exactly from the T(k) recurrence,
-	// so every slice is allocated once at its final length.
-	counts := bushyCounts(n)
-	// trees[mask] holds every distinct bushy subtree over the relation
-	// subset mask selects, built bottom-up by popcount.
-	trees := make([][]*PlanNode, full+1)
-	for i, rel := range rels {
-		trees[1<<i] = []*PlanNode{{Relation: rel, Tuples: rel.Tuples}}
-	}
-	for mask := 1; mask <= full; mask++ {
-		k := bits.OnesCount(uint(mask))
-		if k < 2 {
-			continue
-		}
-		out := make([]*PlanNode, 0, counts[k])
-		// Each subtree's root split into (outer, inner) is unique, so
-		// iterating every proper submask as the outer side generates
-		// every tree exactly once.
-		for sub := (mask - 1) & mask; sub > 0; sub = (sub - 1) & mask {
-			inner := mask &^ sub
-			for _, o := range trees[sub] {
-				for _, in := range trees[inner] {
-					t := o.Tuples
-					if in.Tuples > t {
-						t = in.Tuples
-					}
-					out = append(out, &PlanNode{Outer: o, Inner: in, Tuples: t})
-				}
-			}
-		}
-		trees[mask] = out
-	}
-	return trees[full], nil
+	plans := make([]*PlanNode, 0, CountBushy(len(rels)))
+	err := EnumerateBushyFunc(rels, nil, func(p *PlanNode, _ int64) error {
+		plans = append(plans, p)
+		return nil
+	})
+	return plans, err
 }
 
 // streamNode pairs a surviving subtree with its ordinal in the unpruned

@@ -127,7 +127,7 @@ func (ts TreeScheduler) ScheduleBatchCtx(ctx context.Context, trees []*plan.Task
 				Ops: len(ops), Clones: clones,
 			})
 		}
-		res, err := operatorSchedule(ctx, ts.P, resource.Dims, ts.Overlap, ops, true, ts.Rec, phaseIdx, sc, w)
+		res, err := operatorSchedule(ctx, ts.P, resource.Dims, ts.Overlap, ops, true, ts.Rec, phaseIdx, sc)
 		if err != nil {
 			if ctx.Err() != nil {
 				return nil, ctx.Err()

@@ -108,7 +108,7 @@ type Result struct {
 // (e.g. min{N_max(op, f), P} via the cost model); rooted operators carry
 // their fixed homes.
 func OperatorSchedule(p, d int, ov resource.Overlap, ops []*Op) (*Result, error) {
-	return operatorSchedule(context.Background(), p, d, ov, ops, true, nil, 0, nil, 1)
+	return operatorSchedule(context.Background(), p, d, ov, ops, true, nil, 0, nil)
 }
 
 // OperatorScheduleCtx is OperatorSchedule with a cancellation context:
@@ -119,7 +119,7 @@ func OperatorSchedule(p, d int, ov resource.Overlap, ops []*Op) (*Result, error)
 // packing: a run that completes returns exactly the OperatorSchedule
 // result.
 func OperatorScheduleCtx(ctx context.Context, p, d int, ov resource.Overlap, ops []*Op) (*Result, error) {
-	return operatorSchedule(ctx, p, d, ov, ops, true, nil, 0, nil, 1)
+	return operatorSchedule(ctx, p, d, ov, ops, true, nil, 0, nil)
 }
 
 // OperatorScheduleObserved is OperatorSchedule with a recorder attached:
@@ -129,7 +129,7 @@ func OperatorScheduleCtx(ctx context.Context, p, d int, ov resource.Overlap, ops
 // influences a placement.
 func OperatorScheduleObserved(p, d int, ov resource.Overlap, ops []*Op,
 	rec obs.Recorder, phase int) (*Result, error) {
-	return operatorSchedule(context.Background(), p, d, ov, ops, true, rec, phase, nil, 1)
+	return operatorSchedule(context.Background(), p, d, ov, ops, true, rec, phase, nil)
 }
 
 // OperatorScheduleUnordered applies the same packing rule but feeds the
@@ -137,7 +137,7 @@ func OperatorScheduleObserved(p, d int, ov resource.Overlap, ops []*Op,
 // for the list-order ablation; the Theorem 5.1 bound is proved for the
 // sorted order only.
 func OperatorScheduleUnordered(p, d int, ov resource.Overlap, ops []*Op) (*Result, error) {
-	return operatorSchedule(context.Background(), p, d, ov, ops, false, nil, 0, nil, 1)
+	return operatorSchedule(context.Background(), p, d, ov, ops, false, nil, 0, nil)
 }
 
 // ctxCheckStride bounds how many clone placements run between two
@@ -147,7 +147,7 @@ func OperatorScheduleUnordered(p, d int, ov resource.Overlap, ops []*Op) (*Resul
 const ctxCheckStride = 64
 
 func operatorSchedule(ctx context.Context, p, d int, ov resource.Overlap, ops []*Op, sorted bool,
-	rec obs.Recorder, phase int, sc *scratch, workers int) (*Result, error) {
+	rec obs.Recorder, phase int, sc *scratch) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -256,29 +256,9 @@ func operatorSchedule(ctx context.Context, p, d int, ov resource.Overlap, ops []
 	// Remaining ties break on the site index. The siteIndex keeps the
 	// sites ordered by exactly that (l, sum, id) key, so one placement is
 	// a short prefix walk plus an ordered re-insertion instead of a full
-	// O(P·d) rescan per clone.
-	//
-	// For large systems the argmin itself is the cost, so with workers > 1
-	// and P past the shardMinSites gate the loop hands each pick to the
-	// sharded picker instead: identical (l, sum, id) argmin, computed by
-	// shard-local scans plus a keyLess reduction (see parallel.go). Both
-	// paths are exact, so which one runs is invisible in the output.
-	var (
-		ix *siteIndex
-		sp *shardedPicker
-	)
-	if w := shardWorkers(workers, p); w > 1 && p >= shardMinSites && len(list) > 0 {
-		sp = newShardedPicker(sys, w, sc)
-		defer sp.close()
-		if rec != nil {
-			rec.Count("sched.par.picks_sharded", int64(len(list)))
-		}
-	} else {
-		ix = sc.ix.reset(sys)
-		if rec != nil && len(list) > 0 {
-			rec.Count("sched.par.picks_serial", int64(len(list)))
-		}
-	}
+	// O(P·d) rescan per clone. Each pick depends on the previous
+	// placement, so the loop is serial whatever TreeScheduler.Workers says.
+	ix := sc.ix.reset(sys)
 	for i, it := range list {
 		if i%ctxCheckStride == 0 {
 			if err := ctx.Err(); err != nil {
@@ -286,15 +266,9 @@ func operatorSchedule(ctx context.Context, p, d int, ov resource.Overlap, ops []
 			}
 		}
 		var best, skipped int
-		switch {
-		case sp != nil && rec == nil:
-			best = sp.pick(it.bans)
-		case sp != nil:
-			best = sp.pick(it.bans)
-			skipped = sp.countSkips(it.bans, best)
-		case rec == nil:
+		if rec == nil {
 			best = ix.pick(it.bans)
-		default:
+		} else {
 			best, skipped = ix.pickSkips(it.bans)
 		}
 		if rec != nil && skipped > 0 {
@@ -316,11 +290,7 @@ func operatorSchedule(ctx context.Context, p, d int, ov resource.Overlap, ops []
 			})
 		}
 		sys.Site(best).Assign(it.op.Clones[it.clone])
-		if sp != nil {
-			sp.update(sys, best)
-		} else {
-			ix.update(sys, best)
-		}
+		ix.update(sys, best)
 		it.bans[best] = true
 		res.Sites[it.op.ID][it.clone] = best
 	}

@@ -1,30 +1,20 @@
 // Deterministic intra-schedule parallelism for the Figure 3/Figure 4
-// schedulers. Two costs dominate a TreeSchedule run, and both decompose
-// into independent work without touching the greedy placement order the
-// Theorem 5.1 proof depends on:
-//
-//   - Cost preparation. Every operator's work-vector construction
-//     (Cost, CG_f Degree, Clones, T^par) is a pure function of its spec
-//     and the already-fixed homes of previous phases, so the per-phase
-//     prepare pass fans across a bounded pool (par.For) with results
-//     written by operator index. In ScheduleBatch the pass spans all
-//     trees of a global phase at once. With a costmodel.Cache attached
-//     the workers share it; concurrent misses for one spec may compute
-//     the derivation twice, but both results are bit-identical, so
-//     whichever insert wins is indistinguishable.
-//
-//   - Site selection. The placement inner loop's argmin over the P
-//     sites is sharded: each worker scans a contiguous slice of the
-//     site array for its local best (l, Σ, id) key, and the coordinator
-//     reduces the shard winners lexicographically. keyLess is a strict
-//     total order (site ids are distinct) and the reduction is
-//     associative, so the winner is the exact argmin the serial sorted
-//     index returns — the schedule is byte-identical for every worker
-//     count, pinned by the parallel identity tests.
+// schedulers. One cost of a TreeSchedule run decomposes into independent
+// work without touching the greedy placement order the Theorem 5.1 proof
+// depends on: cost preparation. Every operator's work-vector
+// construction (Cost, CG_f Degree, Clones, T^par) is a pure function of
+// its spec and the already-fixed homes of previous phases, so the
+// per-phase prepare pass fans across a bounded pool (par.For) with
+// results written by operator index. In ScheduleBatch the pass spans all
+// trees of a global phase at once. With a costmodel.Cache attached the
+// workers share it; concurrent misses for one spec may compute the
+// derivation twice, but both results are bit-identical, so whichever
+// insert wins is indistinguishable.
 //
 // The pool never reorders anything observable: list order, tie-breaks,
 // trace events, and error selection are all fixed by index before any
-// goroutine runs.
+// goroutine runs. Site selection stays serial — each pick of the
+// Figure 3 list depends on the previous placement (DESIGN.md §11).
 
 package sched
 
@@ -32,28 +22,7 @@ import (
 	"mdrs/internal/obs"
 	"mdrs/internal/par"
 	"mdrs/internal/plan"
-	"mdrs/internal/resource"
 )
-
-// shardMinSites gates the sharded argmin. Below this system size the
-// serial sorted index's prefix walk (usually O(ban set) per pick) beats
-// the per-pick synchronization of handing shards to workers, so small
-// systems always take the serial path regardless of Workers.
-const shardMinSites = 256
-
-// shardMinPerWorker bounds how thin a shard may be sliced: a worker
-// scanning fewer sites than this costs more in channel hand-off than it
-// saves, so the effective picker width is clamped to P/shardMinPerWorker.
-const shardMinPerWorker = 32
-
-// shardWorkers clamps the configured worker count to the widest pool
-// worth running for a P-site placement problem.
-func shardWorkers(workers, p int) int {
-	if w := p / shardMinPerWorker; workers > w {
-		workers = w
-	}
-	return workers
-}
 
 // prepJob is one operator awaiting cost preparation: the plan operator,
 // the homes map of its tree (fixed for the duration of the phase — the
@@ -91,143 +60,6 @@ func (ts TreeScheduler) prepareAll(jobs []prepJob, w int, sc *scratch) []prepOut
 		ts.Rec.Count(name, int64(len(jobs)))
 	}
 	return out
-}
-
-// shardedPicker parallelizes the placement argmin. It keeps one flat
-// key per site (no global order to maintain, so an update after a
-// placement is O(1)); at each pick every worker scans its contiguous
-// shard for the local minimum and the coordinator reduces the shard
-// winners with the same keyLess every serial pick uses.
-//
-// Synchronization is a strict request/response cycle per pick: the
-// coordinator owns keys and the ban rows between picks (its writes
-// happen-before the workers' reads via the request channel send, and
-// the workers' result writes happen-before the coordinator's reads via
-// the done channel), so the picker is race-free without a single lock
-// on the hot state.
-type shardedPicker struct {
-	keys []siteKey // keys[id]; coordinator-owned between picks
-	lo   []int     // shard bounds: worker g scans [lo[g], hi[g])
-	hi   []int
-	req  []chan []bool // per-worker pick request carrying the ban row
-	out  []int         // out[g]: worker g's local best id, -1 if none
-	done chan struct{} // one token per worker per pick
-}
-
-// newShardedPicker snapshots the post-rooted site loads and starts w
-// shard workers. Callers must close() the picker to reap them.
-func newShardedPicker(sys *resource.System, w int, sc *scratch) *shardedPicker {
-	p := sys.P()
-	sp := &shardedPicker{
-		keys: sc.shardKeys(p),
-		lo:   make([]int, w),
-		hi:   make([]int, w),
-		req:  make([]chan []bool, w),
-		out:  make([]int, w),
-		done: make(chan struct{}, w),
-	}
-	for id := 0; id < p; id++ {
-		s := sys.Site(id)
-		sp.keys[id] = siteKey{l: s.LoadLength(), sum: s.LoadSum(), id: id}
-	}
-	// Contiguous shards, the remainder spread over the leading workers.
-	size, rem := p/w, p%w
-	start := 0
-	for g := 0; g < w; g++ {
-		n := size
-		if g < rem {
-			n++
-		}
-		sp.lo[g], sp.hi[g] = start, start+n
-		start += n
-		sp.req[g] = make(chan []bool, 1)
-		go sp.worker(g)
-	}
-	return sp
-}
-
-// worker serves pick requests for shard g until its request channel is
-// closed.
-func (sp *shardedPicker) worker(g int) {
-	lo, hi := sp.lo[g], sp.hi[g]
-	for bans := range sp.req[g] {
-		best := -1
-		for id := lo; id < hi; id++ {
-			if bans[id] {
-				continue
-			}
-			if best < 0 || keyLess(sp.keys[id], sp.keys[best]) {
-				best = id
-			}
-		}
-		sp.out[g] = best
-		sp.done <- struct{}{}
-	}
-}
-
-// pick returns the least-key unbanned site, or -1 if the ban set covers
-// every site. The result is the exact global argmin — each shard
-// reports its local argmin and keyLess reduces them; with distinct site
-// ids the order is strict and total, so the reduction is associative
-// and the winner is the one the serial sorted-index walk returns.
-func (sp *shardedPicker) pick(bans []bool) int {
-	for _, c := range sp.req {
-		c <- bans
-	}
-	for range sp.req {
-		<-sp.done
-	}
-	best := -1
-	for _, id := range sp.out {
-		if id < 0 {
-			continue
-		}
-		if best < 0 || keyLess(sp.keys[id], sp.keys[best]) {
-			best = id
-		}
-	}
-	return best
-}
-
-// countSkips reports how many banned sites hold keys strictly smaller
-// than the chosen site's — exactly the count the serial pickSkips walk
-// produces (in sorted order, every entry before the first unbanned site
-// is banned with a smaller key). Only the traced path pays this O(P)
-// pass; untraced picks skip it entirely.
-func (sp *shardedPicker) countSkips(bans []bool, best int) int {
-	if best < 0 {
-		// Every site banned: the serial walk skips all of them.
-		n := 0
-		for _, b := range bans {
-			if b {
-				n++
-			}
-		}
-		return n
-	}
-	skipped := 0
-	bk := sp.keys[best]
-	for id := range sp.keys {
-		if bans[id] && keyLess(sp.keys[id], bk) {
-			skipped++
-		}
-	}
-	return skipped
-}
-
-// update re-keys site id after new work was assigned to it. With no
-// global order to maintain this is a single store; the next pick's
-// request send publishes it to the workers.
-func (sp *shardedPicker) update(sys *resource.System, id int) {
-	s := sys.Site(id)
-	sp.keys[id] = siteKey{l: s.LoadLength(), sum: s.LoadSum(), id: id}
-}
-
-// close retires the shard workers. The picker must not be used after.
-func (sp *shardedPicker) close() {
-	for _, c := range sp.req {
-		close(c)
-	}
 }
 
 // Re-export the knob resolution so the tree/batch schedulers and the

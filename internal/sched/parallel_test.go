@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"math/rand"
-	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -28,25 +27,9 @@ func parTree(t testing.TB, seed int64, joins int) *plan.TaskTree {
 	return plan.MustNewTaskTree(plan.MustExpand(p))
 }
 
-func TestShardWorkersClamp(t *testing.T) {
-	cases := []struct{ workers, p, want int }{
-		{8, 512, 8},    // wide system: no clamp
-		{8, 256, 8},    // exactly 32 sites per shard
-		{8, 128, 4},    // thin shards: halve the pool
-		{8, 40, 1},     // 40/32 = 1: forced serial
-		{1, 100000, 1}, // explicit serial stays serial
-		{16, 300, 9},   // clamp to P/shardMinPerWorker
-	}
-	for _, c := range cases {
-		if got := shardWorkers(c.workers, c.p); got != c.want {
-			t.Errorf("shardWorkers(%d, %d) = %d, want %d", c.workers, c.p, got, c.want)
-		}
-	}
-}
-
 // The tentpole invariant: TreeSchedule output is byte-identical for
-// every Workers value, with and without a cost cache, at system sizes
-// on both sides of the sharded-argmin gate.
+// every Workers value, with and without a cost cache, at small and
+// large system sizes.
 func TestTreeScheduleWorkersInvariance(t *testing.T) {
 	for _, p := range []int{16, 300, 512} {
 		for _, joins := range []int{6, 12, 18} {
@@ -123,110 +106,41 @@ func TestScheduleBatchWorkersInvariance(t *testing.T) {
 	}
 }
 
-// Direct sharded-vs-serial check on operatorSchedule, past the gate and
-// with rooted operators in the mix: identical site assignments and
-// response for every pool width.
-func TestOperatorScheduleShardedMatchesSerial(t *testing.T) {
-	for _, p := range []int{256, 384, 512} {
-		r := rand.New(rand.NewSource(int64(p)))
-		ops := randomOps(r, 40, 64, 3)
-		// Root a few operators at random distinct sites.
-		for i := 0; i < 5; i++ {
-			op := ops[i*7]
-			perm := r.Perm(p)
-			op.Home = append([]int(nil), perm[:len(op.Clones)]...)
-		}
-		ref, err := operatorSchedule(context.Background(), p, 3, ov(0.5), ops, true, nil, 0, nil, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, w := range parWorkersGrid[1:] {
-			got, err := operatorSchedule(context.Background(), p, 3, ov(0.5), ops, true, nil, 0, nil, w)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.Response != ref.Response {
-				t.Fatalf("P=%d workers=%d: response %g != %g", p, w, got.Response, ref.Response)
-			}
-			if !reflect.DeepEqual(got.Sites, ref.Sites) {
-				t.Fatalf("P=%d workers=%d: site assignment differs", p, w)
-			}
-		}
-	}
-}
-
-// The decision trace must be byte-identical too: the sharded path's
-// skip counting and event emission reproduce the serial walk exactly,
-// down to sequence numbers.
-func TestShardedTraceIdenticalToSerial(t *testing.T) {
-	tt := parTree(t, 11, 14)
-	traces := make([][]obs.Event, 2)
-	for i, w := range []int{1, 8} {
-		cap := obs.NewCapture()
+// The pool must actually engage: with Workers > 1 the parallel prepare
+// counter and the effective pool width appear in the metrics, at large
+// and small P alike; with Workers = 1 the serial counter appears instead.
+func TestParallelCountersRecorded(t *testing.T) {
+	tt := parTree(t, 21, 12)
+	for _, p := range []int{300, 16} {
+		met := obs.NewMetrics()
 		ts := TreeScheduler{
 			Model: costmodel.Default(), Overlap: resource.MustOverlap(0.5),
-			P: 300, F: 0.7, Rec: cap, Workers: w,
+			P: p, F: 0.7, Rec: met, Workers: 4,
 		}
 		if _, err := ts.Schedule(tt); err != nil {
 			t.Fatal(err)
 		}
-		traces[i] = cap.Events()
-	}
-	if len(traces[0]) == 0 {
-		t.Fatal("no events captured")
-	}
-	if !reflect.DeepEqual(traces[0], traces[1]) {
-		if len(traces[0]) != len(traces[1]) {
-			t.Fatalf("event counts differ: %d vs %d", len(traces[0]), len(traces[1]))
+		snap := met.Snapshot()
+		if snap.Counters["sched.par.prepare_ops_parallel"] == 0 {
+			t.Errorf("P=%d: prepare_ops_parallel not counted: %v", p, snap.Counters)
 		}
-		for i := range traces[0] {
-			if traces[0][i] != traces[1][i] {
-				t.Fatalf("event %d differs:\nserial:  %+v\nsharded: %+v", i, traces[0][i], traces[1][i])
-			}
+		if _, ok := snap.Histograms["sched.par.workers"]; !ok {
+			t.Errorf("P=%d: sched.par.workers histogram missing", p)
+		}
+
+		met = obs.NewMetrics()
+		ts.Rec, ts.Workers = met, 1
+		if _, err := ts.Schedule(tt); err != nil {
+			t.Fatal(err)
+		}
+		snap = met.Snapshot()
+		if snap.Counters["sched.par.prepare_ops_serial"] == 0 || snap.Counters["sched.par.prepare_ops_parallel"] != 0 {
+			t.Errorf("P=%d workers=1: prepare counters %v", p, snap.Counters)
 		}
 	}
 }
 
-// The pool must actually engage: with Workers > 1 on a P ≥ shardMinSites
-// system both the parallel prepare counter and the sharded pick counter
-// appear in the metrics.
-func TestParallelCountersRecorded(t *testing.T) {
-	tt := parTree(t, 21, 12)
-	met := obs.NewMetrics()
-	ts := TreeScheduler{
-		Model: costmodel.Default(), Overlap: resource.MustOverlap(0.5),
-		P: 300, F: 0.7, Rec: met, Workers: 4,
-	}
-	if _, err := ts.Schedule(tt); err != nil {
-		t.Fatal(err)
-	}
-	snap := met.Snapshot()
-	if snap.Counters["sched.par.prepare_ops_parallel"] == 0 {
-		t.Errorf("prepare_ops_parallel not counted: %v", snap.Counters)
-	}
-	if snap.Counters["sched.par.picks_sharded"] == 0 {
-		t.Errorf("picks_sharded not counted: %v", snap.Counters)
-	}
-	if _, ok := snap.Histograms["sched.par.workers"]; !ok {
-		t.Error("sched.par.workers histogram missing")
-	}
-
-	// And on a small system the serial pick counter appears instead.
-	met2 := obs.NewMetrics()
-	ts.P, ts.Rec = 16, met2
-	if _, err := ts.Schedule(tt); err != nil {
-		t.Fatal(err)
-	}
-	snap2 := met2.Snapshot()
-	if snap2.Counters["sched.par.picks_serial"] == 0 {
-		t.Errorf("picks_serial not counted below the gate: %v", snap2.Counters)
-	}
-	if snap2.Counters["sched.par.picks_sharded"] != 0 {
-		t.Errorf("picks_sharded counted below the gate: %v", snap2.Counters)
-	}
-}
-
-// Race hammer (run under -race via the Makefile par-race gate): many
+// Race hammer (run under -race by make race): many
 // concurrent ScheduleCtx calls with Workers=4 on a shared cache, a
 // fraction cancelled mid-placement. Completed runs must be byte-equal
 // to the reference; cancelled runs must return ctx.Err().

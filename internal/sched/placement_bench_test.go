@@ -28,8 +28,7 @@ func placementOps(seed int64, m, maxDeg int) []*Op {
 
 // BenchmarkOperatorSchedulePlacement isolates the Figure 3 placement
 // loop (step 3) cost across system sizes. The P >= 100 cases are the
-// ones the incremental site index must speed up; BENCH_sched.json at the
-// repo root records the before/after numbers for this benchmark.
+// ones the incremental site index must speed up.
 func BenchmarkOperatorSchedulePlacement(b *testing.B) {
 	o := resource.MustOverlap(0.5)
 	for _, pc := range []struct{ p, m, deg int }{

@@ -32,9 +32,6 @@ type scratch struct {
 	// results the pool writes. Reused between phases.
 	jobs []prepJob
 	prep []prepOut
-	// keys is the sharded picker's flat per-site key array, reused when
-	// consecutive phases of one run take the sharded path.
-	keys []siteKey
 }
 
 // item is one floating clone vector on the step-2 list.
@@ -112,13 +109,4 @@ func (sc *scratch) prepOuts(n int) []prepOut {
 		sc.prep[i] = prepOut{}
 	}
 	return sc.prep
-}
-
-// shardKeys returns the sharded picker's key array for p sites. Every
-// entry is overwritten by newShardedPicker, so no clearing is needed.
-func (sc *scratch) shardKeys(p int) []siteKey {
-	if cap(sc.keys) < p {
-		sc.keys = make([]siteKey, p)
-	}
-	return sc.keys[:p]
 }

@@ -45,15 +45,9 @@ type siteIndex struct {
 	pos   []int     // pos[id] = current index of site id in order
 }
 
-// newSiteIndex snapshots the system's current loads (rooted operators
-// are already placed when the floating pass starts).
-func newSiteIndex(sys *resource.System) *siteIndex {
-	ix := &siteIndex{}
-	return ix.reset(sys)
-}
-
-// reset rebuilds the index over the system's current loads, reusing the
-// receiver's slices when they are large enough (the scratch path).
+// reset rebuilds the index over the system's current loads (rooted
+// operators are already placed when the floating pass starts), reusing
+// the receiver's slices when they are large enough.
 func (ix *siteIndex) reset(sys *resource.System) *siteIndex {
 	p := sys.P()
 	if cap(ix.order) < p {
@@ -121,23 +115,4 @@ func (ix *siteIndex) update(sys *resource.System, id int) {
 	}
 	ix.order[i] = k
 	ix.pos[id] = i
-}
-
-// pickScan is the reference linear scan over all sites with the same
-// (l, sum, id) ordering. operatorSchedule uses the index; this is kept
-// as the oracle the equivalence tests check the index against.
-func pickScan(sys *resource.System, bans []bool) int {
-	best := -1
-	var bestKey siteKey
-	for j := 0; j < sys.P(); j++ {
-		if bans[j] {
-			continue
-		}
-		s := sys.Site(j)
-		k := siteKey{l: s.LoadLength(), sum: s.LoadSum(), id: j}
-		if best < 0 || keyLess(k, bestKey) {
-			best, bestKey = j, k
-		}
-	}
-	return best
 }

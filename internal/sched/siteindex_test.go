@@ -2,11 +2,38 @@ package sched
 
 import (
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 
 	"mdrs/internal/resource"
 	"mdrs/internal/vector"
 )
+
+// newSiteIndex builds a standalone index over the system's current
+// loads; production code reuses the scratch's through reset.
+func newSiteIndex(sys *resource.System) *siteIndex {
+	return new(siteIndex).reset(sys)
+}
+
+// pickScan is the oracle the index is checked against: the naive
+// Figure 3 rule, a linear scan over all P sites with the same
+// (l, sum, id) ordering.
+func pickScan(sys *resource.System, bans []bool) int {
+	best := -1
+	var bestKey siteKey
+	for j := 0; j < sys.P(); j++ {
+		if bans[j] {
+			continue
+		}
+		s := sys.Site(j)
+		k := siteKey{l: s.LoadLength(), sum: s.LoadSum(), id: j}
+		if best < 0 || keyLess(k, bestKey) {
+			best, bestKey = j, k
+		}
+	}
+	return best
+}
 
 // The index must agree with the reference linear scan after every
 // mutation, for arbitrary load states and ban sets: pick == pickScan is
@@ -60,6 +87,78 @@ func TestSiteIndexAllBanned(t *testing.T) {
 	}
 	if got := pickScan(sys, bans); got != -1 {
 		t.Fatalf("scan over full ban set = %d, want -1", got)
+	}
+}
+
+// scheduleByScan is the Figure 3 rule written the naive way — rooted
+// clones first, then the floating list in (l desc, op ID, clone) order,
+// each clone on whatever pickScan says — with none of
+// operatorSchedule's scratch or index machinery.
+func scheduleByScan(p, d int, ov resource.Overlap, ops []*Op) (map[int][]int, float64) {
+	sys := resource.NewSystem(p, d, ov)
+	sites := make(map[int][]int, len(ops))
+	bans := make(map[int][]bool, len(ops))
+	type clone struct {
+		op  *Op
+		k   int
+		len float64
+	}
+	var list []clone
+	for _, op := range ops {
+		sites[op.ID] = make([]int, len(op.Clones))
+		for k, w := range op.Clones {
+			if op.Rooted() {
+				sys.Site(op.Home[k]).Assign(w)
+				sites[op.ID][k] = op.Home[k]
+				continue
+			}
+			list = append(list, clone{op, k, w.Length()})
+		}
+		bans[op.ID] = make([]bool, p)
+	}
+	sort.Slice(list, func(i, j int) bool {
+		a, b := list[i], list[j]
+		if a.len != b.len {
+			return a.len > b.len
+		}
+		if a.op.ID != b.op.ID {
+			return a.op.ID < b.op.ID
+		}
+		return a.k < b.k
+	})
+	for _, c := range list {
+		s := pickScan(sys, bans[c.op.ID])
+		sys.Site(s).Assign(c.op.Clones[c.k])
+		bans[c.op.ID][s] = true
+		sites[c.op.ID][c.k] = s
+	}
+	return sites, sys.MaxTSite()
+}
+
+// Whole-run check at large P, with rooted operators in the mix: the
+// indexed placement loop and the naive scan loop assign every clone to
+// the same site and report the same response.
+func TestOperatorScheduleMatchesScanLargeP(t *testing.T) {
+	for _, p := range []int{256, 384, 512} {
+		r := rand.New(rand.NewSource(int64(p)))
+		ops := randomOps(r, 40, 64, 3)
+		// Root a few operators at random distinct sites.
+		for i := 0; i < 5; i++ {
+			op := ops[i*7]
+			perm := r.Perm(p)
+			op.Home = append([]int(nil), perm[:len(op.Clones)]...)
+		}
+		got, err := OperatorSchedule(p, 3, ov(0.5), ops)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantSites, wantResp := scheduleByScan(p, 3, ov(0.5), ops)
+		if got.Response != wantResp {
+			t.Fatalf("P=%d: response %g != scan's %g", p, got.Response, wantResp)
+		}
+		if !reflect.DeepEqual(got.Sites, wantSites) {
+			t.Fatalf("P=%d: site assignment differs from the scan's", p)
+		}
 	}
 }
 

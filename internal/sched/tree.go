@@ -54,10 +54,9 @@ type TreeScheduler struct {
 	// scheduling calls.
 	Cache *costmodel.Cache
 	// Workers bounds the intra-schedule parallelism of one scheduling
-	// call: the per-phase cost-preparation fan-out and, for systems past
-	// the shardMinSites gate, the sharded placement argmin (parallel.go).
-	// Zero or negative means runtime.GOMAXPROCS(0); 1 forces the fully
-	// serial pre-parallel code path with no goroutines at all. The
+	// call: the per-phase cost-preparation fan-out (parallel.go); the
+	// placement loop is always serial. Zero or negative means
+	// runtime.GOMAXPROCS(0); 1 runs with no goroutines at all. The
 	// schedule is byte-identical for every value — Workers only changes
 	// wall-clock time — which is why Fingerprint excludes it, like Rec
 	// and Cache. Each concurrent Schedule/ScheduleBatch call may run up
@@ -238,7 +237,7 @@ func (ts TreeScheduler) ScheduleCtx(ctx context.Context, tt *plan.TaskTree) (*Sc
 			})
 		}
 		stop := obs.StartTimer(ts.Rec, "sched.phase_seconds")
-		res, err := operatorSchedule(ctx, ts.P, resource.Dims, ts.Overlap, ops, true, ts.Rec, phaseIdx, sc, w)
+		res, err := operatorSchedule(ctx, ts.P, resource.Dims, ts.Overlap, ops, true, ts.Rec, phaseIdx, sc)
 		stop()
 		if err != nil {
 			if ctx.Err() != nil {

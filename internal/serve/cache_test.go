@@ -52,7 +52,7 @@ func TestCacheHitIdenticalToDirectSchedule(t *testing.T) {
 	}
 }
 
-// The cache hammer (part of `make cache-race`): many goroutines racing
+// The cache hammer (part of `make race`): many goroutines racing
 // on a small set of distinct plans. Every result must be correct, and
 // the counters must add up — with singleflight, each distinct plan is
 // computed at least once and at most once per moment, and everything

@@ -283,7 +283,7 @@ func mustJSON(t *testing.T, s *sched.Schedule) []byte {
 
 // The knob hammer: live retunes racing concurrent Schedule calls,
 // cached and batched paths both engaged, ending in a Close racing the
-// final requests. Run under -race (the adaptive-race gate), this pins
+// final requests. Run under -race (make race), this pins
 // that every knob read on the hot path is atomic — no torn reads, no
 // locks, no lost requests.
 func TestKnobRetuneHammerUnderLoad(t *testing.T) {

@@ -241,8 +241,7 @@ func TestCounterArithmetic(t *testing.T) {
 // TestCachedSingletonHammerRacesClose drives the cached-singleton path
 // (leader admission → spawnGroup → deliver) while Close races it, so
 // the spawnGroup-returns-false → inline-runGroup fallback is exercised
-// under the race detector. Part of `make cache-race` and the loadgen
-// race gate: every request must end in a classified outcome — success,
+// under the race detector. Part of `make race`: every request must end in a classified outcome — success,
 // ErrClosed, ErrOverloaded, or its own ctx error — and the counter
 // arithmetic must balance after the dust settles.
 func TestCachedSingletonHammerRacesClose(t *testing.T) {

@@ -45,7 +45,7 @@ func mustService(t testing.TB, cfg Config) *Service {
 
 // TestConcurrentRequestsBoundedAndIdentical is the service's core
 // contract, run with ≥32 goroutines racing through admission, batching,
-// and scheduling (the suite is part of `make serve-race`):
+// and scheduling (the suite is part of `make race`):
 //
 //	(a) in-flight requests never exceed MaxInFlight,
 //	(b) every admitted request succeeds, and

@@ -295,11 +295,10 @@ type Options struct {
 	// with or without it.
 	Rec Recorder
 	// SchedWorkers bounds the scheduler's intra-call parallelism (the
-	// concurrent cost-preparation pass and, for large systems, the
-	// sharded placement argmin). Zero or negative means
-	// runtime.GOMAXPROCS(0); 1 forces the fully serial path. The
-	// schedule is byte-identical for every value — the knob only trades
-	// wall-clock time against goroutines.
+	// concurrent cost-preparation pass; placement is always serial).
+	// Zero or negative means runtime.GOMAXPROCS(0); 1 runs without
+	// goroutines. The schedule is byte-identical for every value — the
+	// knob only trades wall-clock time against goroutines.
 	SchedWorkers int
 }
 
