@@ -1,20 +1,24 @@
 # Development targets for the mdrs reproduction. `make check` is the
-# gate future PRs must keep green: build, vet, the full test suite under
-# the race detector (which also exercises the experiments worker pool
-# for data races), the optimizer ledger replay, and the benchmark
-# harness's own vet and tests against this tree.
+# gate future PRs must keep green: build, vet, gofmt, the full test
+# suite under the race detector (which also exercises the experiments
+# worker pool for data races), the optimizer ledger replay, and the
+# benchmark harness's own vet and tests against this tree.
 
 GO ?= go
 
-.PHONY: check build vet test race harness-check benchmark bench bench-serve bench-adaptive bench-opt bench-opt-check figures trace-demo
+.PHONY: check build vet fmt-check test race harness-check benchmark bench bench-serve bench-adaptive bench-opt bench-opt-check figures trace-demo
 
-check: build vet race bench-opt-check harness-check
+check: build vet fmt-check race bench-opt-check harness-check
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# Every Go file outside the benchmark's build directory is gofmt-clean.
+fmt-check:
+	test -z "$$(gofmt -l . | grep -v '^bench/out')"
 
 test:
 	$(GO) test ./...

@@ -94,9 +94,9 @@ type optBenchArm struct {
 // candidates. The ledger is workers-invariant and seed-determined, so
 // any regression beyond the tolerance is a real behavior change.
 type optBenchCheck struct {
-	Joins     []int           `json:"joins"`
-	Queries   int             `json:"queries"`
-	Seed      int64           `json:"seed"`
+	Joins     []int            `json:"joins"`
+	Queries   int              `json:"queries"`
+	Seed      int64            `json:"seed"`
 	Scheduled map[string]int64 `json:"scheduled"`
 }
 
@@ -380,4 +380,3 @@ func runOptCheck(path string) error {
 	fmt.Println("mdrs-bench: opt-check: identity verified, ledger within tolerance")
 	return nil
 }
-

@@ -284,27 +284,29 @@ func (m Model) NMax(c OpCost, f float64) int {
 // Clones returns the per-clone work vectors of an N-site execution
 // under EA1: each clone receives W_p/N on CPU and disk and β·D/N on the
 // network interface; clone 0 (the coordinator) additionally carries the
-// full startup α·N, split equally between CPU and network.
+// full startup α·N, split equally between CPU and network. The n
+// vectors are disjoint d-wide windows of one backing array.
 func (m Model) Clones(c OpCost, n int) []vector.Vector {
 	if n < 1 {
 		panic(fmt.Sprintf("costmodel: non-positive degree of parallelism %d", n))
 	}
+	const d = resource.Dims
 	p := m.Params
-	base := vector.New(resource.Dims)
 	nf := float64(n)
-	base[resource.CPU] = c.Processing[resource.CPU] / nf
-	base[resource.Disk] = c.Processing[resource.Disk] / nf
-	base[resource.Net] = p.Beta * c.D / nf
+	cpu := c.Processing[resource.CPU] / nf
+	disk := c.Processing[resource.Disk] / nf
+	net := p.Beta * c.D / nf
 
 	out := make([]vector.Vector, n)
-	coord := base.Clone()
-	startup := p.Alpha * nf / 2
-	coord[resource.CPU] += startup
-	coord[resource.Net] += startup
-	out[0] = coord
-	for k := 1; k < n; k++ {
-		out[k] = base.Clone()
+	back := make([]float64, n*d)
+	for k := range out {
+		w := back[k*d : (k+1)*d : (k+1)*d]
+		w[resource.CPU], w[resource.Disk], w[resource.Net] = cpu, disk, net
+		out[k] = w
 	}
+	startup := p.Alpha * nf / 2
+	out[0][resource.CPU] += startup
+	out[0][resource.Net] += startup
 	return out
 }
 

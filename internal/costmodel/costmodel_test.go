@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"mdrs/internal/resource"
 	"mdrs/internal/vector"
@@ -267,6 +268,66 @@ func TestClonesStructure(t *testing.T) {
 	wantCoord := wantBase.Add(vector.Of(s, 0, s))
 	if !clones[0].ApproxEqual(wantCoord, 1e-12) {
 		t.Errorf("coordinator = %v, want %v", clones[0], wantCoord)
+	}
+}
+
+// clonesByCopy is Clones as it was before the vectors shared a backing
+// array: a base vector cloned once per site, startup added to clone 0.
+func clonesByCopy(m Model, c OpCost, n int) []vector.Vector {
+	p := m.Params
+	base := vector.New(resource.Dims)
+	nf := float64(n)
+	base[resource.CPU] = c.Processing[resource.CPU] / nf
+	base[resource.Disk] = c.Processing[resource.Disk] / nf
+	base[resource.Net] = p.Beta * c.D / nf
+
+	out := make([]vector.Vector, n)
+	coord := base.Clone()
+	startup := p.Alpha * nf / 2
+	coord[resource.CPU] += startup
+	coord[resource.Net] += startup
+	out[0] = coord
+	for k := 1; k < n; k++ {
+		out[k] = base.Clone()
+	}
+	return out
+}
+
+// TestClonesSlabLayout checks the one-array layout of Clones: every
+// component is bit-equal to the per-clone construction, consecutive
+// vectors occupy disjoint ascending windows, and no vector has spare
+// capacity reaching into its neighbour.
+func TestClonesSlabLayout(t *testing.T) {
+	m := Default()
+	r := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 200; trial++ {
+		c := m.Cost(OpSpec{
+			Kind:         OpKind(r.Intn(4)),
+			InTuples:     1 + r.Intn(100000),
+			ResultTuples: 1 + r.Intn(100000),
+			NetIn:        r.Intn(2) == 0,
+			NetOut:       r.Intn(2) == 0,
+		})
+		n := 1 + r.Intn(140)
+		got, want := m.Clones(c, n), clonesByCopy(m, c, n)
+		if len(got) != n {
+			t.Fatalf("len(Clones) = %d, want %d", len(got), n)
+		}
+		const d = resource.Dims
+		for k := range got {
+			if len(got[k]) != d || cap(got[k]) != d {
+				t.Fatalf("clone %d has len %d cap %d, want %d/%d", k, len(got[k]), cap(got[k]), d, d)
+			}
+			for i := range got[k] {
+				if math.Float64bits(got[k][i]) != math.Float64bits(want[k][i]) {
+					t.Fatalf("n = %d clone %d component %d = %v, per-clone construction gives %v",
+						n, k, i, got[k][i], want[k][i])
+				}
+			}
+			if k+1 < n && uintptr(unsafe.Pointer(&got[k][d-1])) >= uintptr(unsafe.Pointer(&got[k+1][0])) {
+				t.Fatalf("n = %d: clone %d overlaps clone %d", n, k, k+1)
+			}
+		}
 	}
 }
 

@@ -10,6 +10,7 @@ package engine
 
 import (
 	"fmt"
+	"math/bits"
 
 	"mdrs/internal/query"
 )
@@ -140,10 +141,12 @@ type buildTable struct {
 	// END of key's row group and the start is off[key-1] (0 for key 0).
 	off  []int32
 	rows []int32
-	// tableOA: key -1 marks an empty slot (generated keys are >= 0).
-	keys []int32
-	vals []int32
-	mask uint32
+	// tableOA: key -1 marks an empty slot (generated keys are >= 0);
+	// len(keys) is 1<<(32-shift) and mask is one less.
+	keys  []int32
+	vals  []int32
+	mask  uint32
+	shift uint32
 
 	domain int
 }
@@ -196,14 +199,8 @@ func newJoinTables(ar *arena, ds *Dataset, join *query.PlanNode, rp radixParts, 
 			t.off = ar.getInt32(jc.domain + 1)
 			t.rows = ar.getInt32(m)
 		default:
-			t.kind = tableOA
-			size := roundUpPow2(2 * m)
-			if size < 8 {
-				size = 8
-			}
-			t.keys = ar.getInt32(size)
-			t.vals = ar.getInt32(size)
-			t.mask = uint32(size - 1)
+			size := oaSize(m)
+			t.setOA(ar.getInt32(size), ar.getInt32(size))
 		}
 	}
 	return jt
@@ -230,6 +227,30 @@ func (jt *joinTables) release(ar *arena) {
 		}
 		jt.clones[k] = buildTable{}
 	}
+}
+
+// oaSize is the slot count of a tableOA over m build tuples: a power of
+// two that keeps the load at or below one half.
+func oaSize(m int) int {
+	return max(8, roundUpPow2(2*m))
+}
+
+// setOA makes t an open-addressing table over the given slot arrays,
+// whose common length is a power of two.
+func (t *buildTable) setOA(keys, vals []int32) {
+	t.kind = tableOA
+	t.keys, t.vals = keys, vals
+	t.mask = uint32(len(keys) - 1)
+	t.shift = uint32(32 - bits.TrailingZeros32(uint32(len(keys))))
+}
+
+// home is a key's first slot in a tableOA: the top log2(size) bits of
+// its multiplicative hash (Fibonacci hashing, Knuth 6.4). The low bits
+// will not do: partitionOf chose this partition by the same hash mod n,
+// so at a power-of-two degree every key here agrees on its low log2(n)
+// bits and hash&mask reaches only one home slot in n.
+func (t *buildTable) home(key int32) uint32 {
+	return (uint32(key) * hashMul) >> t.shift
 }
 
 // insert fills the table from one build partition (run inside the
@@ -279,7 +300,7 @@ func (t *buildTable) insert(part []Tuple, keys []int32) error {
 			t.keys[i] = -1
 		}
 		for i, key := range keys {
-			j := (uint32(key) * hashMul) & t.mask
+			j := t.home(key)
 			for t.keys[j] != -1 {
 				j = (j + 1) & t.mask
 			}
@@ -323,7 +344,7 @@ func (t *buildTable) probePresence(part []Tuple, keys []int32, res []Tuple) ([]T
 		}
 	case tableOA:
 		for i, key := range keys {
-			j := (uint32(key) * hashMul) & t.mask
+			j := t.home(key)
 			for t.keys[j] != -1 {
 				if t.keys[j] == key {
 					res = append(res, part[i])
@@ -368,7 +389,7 @@ func (t *buildTable) probeMatches(keys []int32, res []Tuple) ([]Tuple, error) {
 		}
 	case tableOA:
 		for _, key := range keys {
-			j := (uint32(key) * hashMul) & t.mask
+			j := t.home(key)
 			for t.keys[j] != -1 {
 				if t.keys[j] == key {
 					res = append(res, Tuple{Leaf: t.leaf, Row: t.vals[j]})

@@ -225,6 +225,24 @@ type Candidate struct {
 	Schedule *sched.Schedule
 	// Pruned marks candidates discarded by the bound without scheduling.
 	Pruned bool
+
+	// tree is Plan expanded, set once the candidate has been bounded.
+	tree *plan.TaskTree
+}
+
+// TaskTree returns the task tree the candidate's bound and schedule
+// were computed from; nil for a candidate that was never priced. The
+// tree is shared and must be treated as read-only.
+func (c Candidate) TaskTree() *plan.TaskTree { return c.tree }
+
+// taskTree expands a candidate plan into the task tree that OPTBOUND
+// and TreeSchedule price.
+func taskTree(p *query.PlanNode) (*plan.TaskTree, error) {
+	ot, err := plan.Expand(p)
+	if err != nil {
+		return nil, err
+	}
+	return plan.NewTaskTree(ot)
 }
 
 // Result of a search: the winner plus the retained candidates in
@@ -326,8 +344,7 @@ func (s Search) BestCtx(ctx context.Context, r *rand.Rand, rels []*query.Relatio
 	}
 	w := par.Workers(s.Workers)
 
-	trees, err := s.boundCandidates(cache, cands)
-	if err != nil {
+	if err := s.boundCandidates(cache, cands); err != nil {
 		return nil, err
 	}
 
@@ -372,7 +389,7 @@ func (s Search) BestCtx(ctx context.Context, r *rand.Rand, rels []*query.Relatio
 				Model: s.Model, Overlap: s.Overlap, P: s.P, F: s.F,
 				MaxDegree: s.MaxDegree, Cache: cache, Workers: 1,
 			}
-			sc, err := ts.ScheduleCtx(ctx, trees[i])
+			sc, err := ts.ScheduleCtx(ctx, cands[i].tree)
 			if err != nil {
 				cerrs[j] = err
 				return
@@ -452,13 +469,12 @@ func (s Search) record(out *Result) {
 // boundCandidates prices every candidate with the cheap OPTBOUND,
 // fanned positionally across the pool: no placement loop runs here,
 // only per-operator cost derivations, all landing in the shared memo.
-// It fills each Candidate.Bound and returns the expanded task trees.
-func (s Search) boundCandidates(cache *costmodel.Cache, cands []Candidate) ([]*plan.TaskTree, error) {
+// It fills each candidate's Bound and expanded task tree.
+func (s Search) boundCandidates(cache *costmodel.Cache, cands []Candidate) error {
 	w := par.Workers(s.Workers)
-	trees := make([]*plan.TaskTree, len(cands))
 	errs := make([]error, len(cands))
 	par.For(w, len(cands), func(i int) {
-		tt, err := plan.NewTaskTree(plan.MustExpand(cands[i].Plan))
+		tt, err := taskTree(cands[i].Plan)
 		if err != nil {
 			errs[i] = err
 			return
@@ -468,14 +484,14 @@ func (s Search) boundCandidates(cache *costmodel.Cache, cands []Candidate) ([]*p
 			errs[i] = err
 			return
 		}
-		trees[i], cands[i].Bound = tt, b
+		cands[i].tree, cands[i].Bound = tt, b
 	})
 	for _, err := range errs {
 		if err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return trees, nil
+	return nil
 }
 
 // enumerate builds the candidate pool: the full systematic bushy

@@ -10,7 +10,6 @@ import (
 
 	"mdrs/internal/costmodel"
 	"mdrs/internal/opt"
-	"mdrs/internal/plan"
 	"mdrs/internal/query"
 	"mdrs/internal/sched"
 )
@@ -41,7 +40,7 @@ func (h streamFrontier) Less(a, b int) bool {
 	}
 	return h[a].index < h[b].index
 }
-func (h streamFrontier) Swap(a, b int)      { h[a], h[b] = h[b], h[a] }
+func (h streamFrontier) Swap(a, b int)       { h[a], h[b] = h[b], h[a] }
 func (h *streamFrontier) Push(x interface{}) { *h = append(*h, x.(streamItem)) }
 func (h *streamFrontier) Pop() interface{} {
 	old := *h
@@ -81,41 +80,44 @@ func (st *streamState) prunable(bound float64, idx int64) bool {
 	return st.incIdx >= 0 && (bound > st.incResp || (bound == st.incResp && idx > st.incIdx))
 }
 
-// process fully prices one surviving candidate: warm hook first, then
-// TreeSchedule, then the incumbent update. The candidate is recorded
-// with its bound and original index.
+// process expands one surviving plan of the systematic stream and
+// prices it under its bound and original enumeration index.
 func (st *streamState) process(p *query.PlanNode, idx int64, bound float64) error {
-	if err := st.ctx.Err(); err != nil {
-		return err
-	}
-	tt, err := plan.NewTaskTree(plan.MustExpand(p))
+	tt, err := taskTree(p)
 	if err != nil {
 		return err
 	}
-	cand := Candidate{Index: int(idx), Plan: p, Shape: query.RandomBushy, Bound: bound}
-	var sc *sched.Schedule
+	return st.price(Candidate{Index: int(idx), Plan: p, Shape: query.RandomBushy, Bound: bound, tree: tt})
+}
+
+// price fully prices one bounded candidate: warm hook first, then
+// TreeSchedule, then the incumbent update.
+func (st *streamState) price(c Candidate) error {
+	if err := st.ctx.Err(); err != nil {
+		return err
+	}
 	if st.s.Warm != nil {
-		if warm, ok := st.s.Warm(tt); ok && warm != nil {
-			sc = warm
+		if warm, ok := st.s.Warm(c.tree); ok && warm != nil {
+			c.Schedule = warm
 			st.warmHits++
 		}
 	}
-	if sc == nil {
+	if c.Schedule == nil {
 		ts := sched.TreeScheduler{
 			Model: st.s.Model, Overlap: st.s.Overlap, P: st.s.P, F: st.s.F,
 			MaxDegree: st.s.MaxDegree, Cache: st.cache, Workers: st.s.Workers,
 		}
-		sc, err = ts.ScheduleCtx(st.ctx, tt)
+		sc, err := ts.ScheduleCtx(st.ctx, c.tree)
 		if err != nil {
 			return err
 		}
+		c.Schedule = sc
 		st.scheduled++
 	}
-	cand.Schedule = sc
-	st.priced = append(st.priced, cand)
-	if st.incIdx < 0 || sc.Response < st.incResp ||
-		(sc.Response == st.incResp && idx < st.incIdx) {
-		st.incResp, st.incIdx, st.best = sc.Response, idx, cand
+	st.priced = append(st.priced, c)
+	resp, idx := c.Schedule.Response, int64(c.Index)
+	if st.incIdx < 0 || resp < st.incResp || (resp == st.incResp && idx < st.incIdx) {
+		st.incResp, st.incIdx, st.best = resp, idx, c
 	}
 	return nil
 }
@@ -155,13 +157,12 @@ func (s Search) streamSampled(st *streamState, r *rand.Rand, rels []*query.Relat
 	if err != nil {
 		return nil, err
 	}
-	trees, err := s.boundCandidates(st.cache, cands)
-	if err != nil {
+	if err := s.boundCandidates(st.cache, cands); err != nil {
 		return nil, err
 	}
 	// The two-phase strawman seeds the incumbent, exactly as in the
 	// pool search's first flush.
-	if err := st.processPriced(&cands[0], trees[0]); err != nil {
+	if err := st.price(cands[0]); err != nil {
 		return nil, err
 	}
 	order := make([]int, 0, len(cands)-1)
@@ -181,7 +182,7 @@ func (s Search) streamSampled(st *streamState, r *rand.Rand, rels []*query.Relat
 			pruned++
 			continue
 		}
-		if err := st.processPriced(&cands[i], trees[i]); err != nil {
+		if err := st.price(cands[i]); err != nil {
 			return nil, err
 		}
 	}
@@ -197,41 +198,6 @@ func (s Search) streamSampled(st *streamState, r *rand.Rand, rels []*query.Relat
 		Enumerated:   int64(len(cands)),
 		PeakResident: len(cands),
 	}, nil
-}
-
-// processPriced is process for candidates whose bound and task tree are
-// already computed (the sampled pool).
-func (st *streamState) processPriced(c *Candidate, tt *plan.TaskTree) error {
-	if err := st.ctx.Err(); err != nil {
-		return err
-	}
-	var sc *sched.Schedule
-	if st.s.Warm != nil {
-		if warm, ok := st.s.Warm(tt); ok && warm != nil {
-			sc = warm
-			st.warmHits++
-		}
-	}
-	if sc == nil {
-		ts := sched.TreeScheduler{
-			Model: st.s.Model, Overlap: st.s.Overlap, P: st.s.P, F: st.s.F,
-			MaxDegree: st.s.MaxDegree, Cache: st.cache, Workers: st.s.Workers,
-		}
-		var err error
-		sc, err = ts.ScheduleCtx(st.ctx, tt)
-		if err != nil {
-			return err
-		}
-		st.scheduled++
-	}
-	c.Schedule = sc
-	st.priced = append(st.priced, *c)
-	idx := int64(c.Index)
-	if st.incIdx < 0 || sc.Response < st.incResp ||
-		(sc.Response == st.incResp && idx < st.incIdx) {
-		st.incResp, st.incIdx, st.best = sc.Response, idx, *c
-	}
-	return nil
 }
 
 // streamSystematic is the bound-interleaved systematic search. The

@@ -373,3 +373,60 @@ func TestStreamingSharedCacheIdentity(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkSearchCold is the search layer's share of the harness's
+// optimize workload: streaming searches over catalogs of 4 to 8
+// relations at P = 64, each catalog seen once per 512, one cost-model
+// memo shared by all of them.
+func BenchmarkSearchCold(b *testing.B) {
+	r := rand.New(rand.NewSource(1))
+	cats := make([][]*query.Relation, 512)
+	for i := range cats {
+		rels, err := RandomRelations(r, 4+i%5, 1_000, 100_000)
+		if err != nil {
+			b.Fatal(err)
+		}
+		cats[i] = rels
+	}
+	s := testSearch(64, 0)
+	s.Streaming = true
+	s.Cache = costmodel.NewCache(s.Model)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i % len(cats)
+		if _, err := s.Best(rand.New(rand.NewSource(int64(k))), cats[k]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestSearchAllocs gates what one streaming search allocates once the
+// scheduler's pooled scratch and the cost-model memo are warm: the
+// candidate plans, their task trees and one O(phases) schedule per
+// surviving candidate. The ceiling is about 1.3 times the count at the
+// time of writing (1,088); before the candidates' schedules shared one
+// site system it was 7,219.
+func TestSearchAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops scratches under the race detector")
+	}
+	rels, err := RandomRelations(rand.New(rand.NewSource(1)), 6, 1_000, 100_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := testSearch(64, 0)
+	s.Streaming = true
+	s.Cache = costmodel.NewCache(s.Model)
+	run := func() {
+		if _, err := s.Best(rand.New(rand.NewSource(1)), rels); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	allocs := testing.AllocsPerRun(20, run)
+	t.Logf("warm allocs/search = %.0f", allocs)
+	if allocs > 1400 {
+		t.Fatalf("warm search allocates %.0f times, want <= 1400", allocs)
+	}
+}

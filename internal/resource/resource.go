@@ -163,13 +163,15 @@ func (s *Site) Reset() {
 
 // System is a fixed-size collection of identical sites.
 type System struct {
-	sites []*Site
+	sites []Site
 	ov    Overlap
 	d     int
 }
 
 // NewSystem creates P empty d-dimensional sites sharing one overlap
-// model. It panics if P <= 0 or d <= 0.
+// model. The sites are one slab and their load vectors d-wide windows
+// of a second, so a system is three objects whatever P is. It panics if
+// P <= 0 or d <= 0.
 func NewSystem(p, d int, ov Overlap) *System {
 	if p <= 0 {
 		panic(fmt.Sprintf("resource: non-positive site count %d", p))
@@ -177,9 +179,10 @@ func NewSystem(p, d int, ov Overlap) *System {
 	if d <= 0 {
 		panic(fmt.Sprintf("resource: non-positive dimensionality %d", d))
 	}
-	sys := &System{ov: ov, d: d, sites: make([]*Site, p)}
+	sys := &System{ov: ov, d: d, sites: make([]Site, p)}
+	loads := make([]float64, p*d)
 	for i := range sys.sites {
-		sys.sites[i] = NewSite(i, d, ov)
+		sys.sites[i] = Site{ID: i, load: loads[i*d : (i+1)*d : (i+1)*d], ov: ov}
 	}
 	return sys
 }
@@ -194,18 +197,14 @@ func (sys *System) Dim() int { return sys.d }
 func (sys *System) Overlap() Overlap { return sys.ov }
 
 // Site returns site j. It panics on an out-of-range index.
-func (sys *System) Site(j int) *Site { return sys.sites[j] }
-
-// Sites returns the underlying site slice (read-mostly; callers may
-// Assign through the sites but must not reorder the slice).
-func (sys *System) Sites() []*Site { return sys.sites }
+func (sys *System) Site(j int) *Site { return &sys.sites[j] }
 
 // MaxTSite returns max_j T^site(s_j), the response time of the current
 // assignment per Equation 3's right-hand form.
 func (sys *System) MaxTSite() float64 {
 	m := 0.0
-	for _, s := range sys.sites {
-		if t := s.TSite(); t > m {
+	for i := range sys.sites {
+		if t := sys.sites[i].TSite(); t > m {
 			m = t
 		}
 	}
@@ -216,17 +215,19 @@ func (sys *System) MaxTSite() float64 {
 // resource demand.
 func (sys *System) MaxLoadLength() float64 {
 	m := 0.0
-	for _, s := range sys.sites {
-		if t := s.LoadLength(); t > m {
+	for i := range sys.sites {
+		if t := sys.sites[i].LoadLength(); t > m {
 			m = t
 		}
 	}
 	return m
 }
 
-// Reset empties every site.
+// Reset empties every site. The sites keep the capacity of their clone
+// lists, so a system that is reset and refilled stops allocating once
+// every site has held its largest load.
 func (sys *System) Reset() {
-	for _, s := range sys.sites {
-		s.Reset()
+	for i := range sys.sites {
+		sys.sites[i].Reset()
 	}
 }

@@ -6,9 +6,7 @@ import (
 	"math/rand"
 
 	"mdrs/internal/costmodel"
-	"mdrs/internal/obs"
 	"mdrs/internal/plan"
-	"mdrs/internal/resource"
 )
 
 // ScheduleBatch schedules several independent queries as one workload:
@@ -39,8 +37,6 @@ func (ts TreeScheduler) ScheduleBatchCtx(ctx context.Context, trees []*plan.Task
 	if len(trees) == 0 {
 		return nil, fmt.Errorf("sched: empty batch")
 	}
-	perTree := make([][][]*plan.Task, len(trees))
-	maxPhases := 0
 	for i, tt := range trees {
 		if tt == nil {
 			return nil, fmt.Errorf("sched: batch query %d: nil task tree", i)
@@ -48,6 +44,18 @@ func (ts TreeScheduler) ScheduleBatchCtx(ctx context.Context, trees []*plan.Task
 		if err := tt.Validate(); err != nil {
 			return nil, fmt.Errorf("sched: batch query %d: %w", i, err)
 		}
+	}
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	return ts.scheduleBatch(ctx, sc, trees)
+}
+
+// scheduleBatch is ScheduleBatchCtx on the given scratch, after
+// validation.
+func (ts TreeScheduler) scheduleBatch(ctx context.Context, sc *scratch, trees []*plan.TaskTree) (*Schedule, error) {
+	perTree := make([][][]*plan.Task, len(trees))
+	maxPhases := 0
+	for i, tt := range trees {
 		perTree[i] = tt.PhasesBy(ts.Policy)
 		if len(perTree[i]) > maxPhases {
 			maxPhases = len(perTree[i])
@@ -65,88 +73,42 @@ func (ts TreeScheduler) ScheduleBatchCtx(ctx context.Context, trees []*plan.Task
 		}
 	}
 
-	out := &Schedule{P: ts.P}
-	// Build→probe homes are keyed per batch entry, not per *plan.Operator
-	// alone: the same *plan.TaskTree (or one sharing operator pointers)
-	// may legally appear at several batch positions, and a shared map
-	// would let entry j's build overwrite entry i's home, silently rooting
-	// entry i's probe at entry j's hash-table sites.
-	homes := make([]map[*plan.Operator][]int, len(trees))
-	for i := range homes {
-		homes[i] = make(map[*plan.Operator][]int)
-	}
-	// One scratch serves every global phase (see ScheduleCtx).
-	sc := new(scratch)
+	sc.resetHomes()
 	w := ts.workers()
 	ts.observeWorkers(w)
-	for phaseIdx := 0; phaseIdx < maxPhases; phaseIdx++ {
+	out := newSchedule(ts.P, maxPhases)
+	for phaseIdx, ph := range out.Phases {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		// One preparation fan-out spans the global phase across every
-		// tree of the batch — the widest parallel section available,
-		// since each job carries its own entry's homes map. Jobs are
-		// listed in (batch entry, task, operator) order and consumed in
-		// that order, so the batch is byte-identical for every pool
-		// width; the per-entry ID offset is applied after the pool joins.
-		var tasks []*plan.Task
-		jobs := sc.prepJobs(0)
+		// tree of the batch — the widest parallel section available.
+		// Jobs are listed in (batch entry, task, operator) order and
+		// consumed in that order, so the batch is byte-identical for
+		// every pool width.
+		n := 0
+		for i := range trees {
+			if phaseIdx < len(perTree[i]) {
+				n += len(perTree[i][phaseIdx])
+			}
+		}
+		ph.Tasks = make([]*plan.Task, 0, n)
+		jobs := sc.jobs[:0]
 		for i := range trees {
 			if phaseIdx >= len(perTree[i]) {
 				continue
 			}
 			for _, tk := range perTree[i][phaseIdx] {
-				tasks = append(tasks, tk)
+				ph.Tasks = append(ph.Tasks, tk)
 				for _, p := range tk.Ops {
-					jobs = append(jobs, prepJob{p: p, homes: homes[i], tree: i})
+					jobs = append(jobs, prepJob{p: p, tree: i, id: p.ID + offsets[i]})
 				}
 			}
 		}
 		sc.jobs = jobs
-		preps := ts.prepareAll(jobs, w, sc)
-		ops := make([]*Op, 0, len(jobs))
-		placements := make(map[int]*OpPlacement, len(jobs))
-		treeOf := make(map[int]int, len(jobs)) // offset operator ID -> batch entry
-		for j, pr := range preps {
-			if pr.err != nil {
-				return nil, fmt.Errorf("sched: batch phase %d: %w", phaseIdx, pr.err)
-			}
-			op := pr.op
-			op.ID += offsets[jobs[j].tree]
-			ops = append(ops, op)
-			placements[op.ID] = pr.pl
-			treeOf[op.ID] = jobs[j].tree
+		if err := ts.runPhase(ctx, sc, w, ph, true); err != nil {
+			return nil, err
 		}
-		if ts.Rec != nil {
-			clones := 0
-			for _, op := range ops {
-				clones += len(op.Clones)
-			}
-			ts.Rec.Event(obs.Event{
-				Type: obs.EvPhaseOpen, Phase: phaseIdx,
-				Ops: len(ops), Clones: clones,
-			})
-		}
-		res, err := operatorSchedule(ctx, ts.P, resource.Dims, ts.Overlap, ops, true, ts.Rec, phaseIdx, sc)
-		if err != nil {
-			if ctx.Err() != nil {
-				return nil, ctx.Err()
-			}
-			return nil, fmt.Errorf("sched: batch phase %d: %w", phaseIdx, err)
-		}
-		if ts.Rec != nil {
-			ts.Rec.Event(obs.Event{
-				Type: obs.EvPhaseClose, Phase: phaseIdx, Response: res.Response,
-			})
-		}
-		ph := &PhaseSchedule{Index: phaseIdx, Tasks: tasks, Response: res.Response}
-		for _, op := range ops {
-			pl := placements[op.ID]
-			pl.Sites = res.Sites[op.ID]
-			homes[treeOf[op.ID]][pl.Op] = pl.Sites
-			ph.Placements = append(ph.Placements, pl)
-		}
-		out.Phases = append(out.Phases, ph)
 		out.Response += ph.Response
 	}
 	return out, nil

@@ -108,7 +108,7 @@ type Result struct {
 // (e.g. min{N_max(op, f), P} via the cost model); rooted operators carry
 // their fixed homes.
 func OperatorSchedule(p, d int, ov resource.Overlap, ops []*Op) (*Result, error) {
-	return operatorSchedule(context.Background(), p, d, ov, ops, true, nil, 0, nil)
+	return operatorSchedule(context.Background(), p, d, ov, ops, true, nil, 0)
 }
 
 // OperatorScheduleCtx is OperatorSchedule with a cancellation context:
@@ -119,7 +119,7 @@ func OperatorSchedule(p, d int, ov resource.Overlap, ops []*Op) (*Result, error)
 // packing: a run that completes returns exactly the OperatorSchedule
 // result.
 func OperatorScheduleCtx(ctx context.Context, p, d int, ov resource.Overlap, ops []*Op) (*Result, error) {
-	return operatorSchedule(ctx, p, d, ov, ops, true, nil, 0, nil)
+	return operatorSchedule(ctx, p, d, ov, ops, true, nil, 0)
 }
 
 // OperatorScheduleObserved is OperatorSchedule with a recorder attached:
@@ -129,7 +129,7 @@ func OperatorScheduleCtx(ctx context.Context, p, d int, ov resource.Overlap, ops
 // influences a placement.
 func OperatorScheduleObserved(p, d int, ov resource.Overlap, ops []*Op,
 	rec obs.Recorder, phase int) (*Result, error) {
-	return operatorSchedule(context.Background(), p, d, ov, ops, true, rec, phase, nil)
+	return operatorSchedule(context.Background(), p, d, ov, ops, true, rec, phase)
 }
 
 // OperatorScheduleUnordered applies the same packing rule but feeds the
@@ -137,7 +137,7 @@ func OperatorScheduleObserved(p, d int, ov resource.Overlap, ops []*Op,
 // for the list-order ablation; the Theorem 5.1 bound is proved for the
 // sorted order only.
 func OperatorScheduleUnordered(p, d int, ov resource.Overlap, ops []*Op) (*Result, error) {
-	return operatorSchedule(context.Background(), p, d, ov, ops, false, nil, 0, nil)
+	return operatorSchedule(context.Background(), p, d, ov, ops, false, nil, 0)
 }
 
 // ctxCheckStride bounds how many clone placements run between two
@@ -146,41 +146,68 @@ func OperatorScheduleUnordered(p, d int, ov resource.Overlap, ops []*Op) (*Resul
 // is invisible next to a placement's prefix walk.
 const ctxCheckStride = 64
 
+// operatorSchedule is the public entry points' body: it runs the
+// placement on a scratch of its own, because Result.System goes to the
+// caller and a pooled system would be refilled under them, and builds
+// the Result.Sites map the tree schedulers do without.
 func operatorSchedule(ctx context.Context, p, d int, ov resource.Overlap, ops []*Op, sorted bool,
-	rec obs.Recorder, phase int, sc *scratch) (*Result, error) {
-	if err := ctx.Err(); err != nil {
+	rec obs.Recorder, phase int) (*Result, error) {
+	total := 0
+	for _, op := range ops {
+		total += len(op.Clones)
+	}
+	slab := make([]int, total)
+	sites := make([][]int, len(ops))
+	for i, op := range ops {
+		n := len(op.Clones)
+		sites[i], slab = slab[:n:n], slab[n:]
+	}
+	sc := new(scratch)
+	resp, err := sc.operatorSchedule(ctx, p, d, ov, ops, sites, sorted, rec, phase)
+	if err != nil {
 		return nil, err
 	}
+	res := &Result{Sites: make(map[int][]int, len(ops)), Response: resp, System: sc.sys}
+	for i, op := range ops {
+		res.Sites[op.ID] = sites[i]
+	}
+	return res, nil
+}
+
+// operatorSchedule runs Figure 3 on the scratch's site system, which it
+// leaves loaded in sc.sys, and returns the Equation 3 response. The
+// site of operator ops[i]'s clone k is written to sites[i][k]; the
+// caller sizes each row to the operator's degree.
+func (sc *scratch) operatorSchedule(ctx context.Context, p, d int, ov resource.Overlap, ops []*Op,
+	sites [][]int, sorted bool, rec obs.Recorder, phase int) (float64, error) {
+	if err := ctx.Err(); err != nil {
+		return 0, err
+	}
 	if p <= 0 {
-		return nil, fmt.Errorf("sched: non-positive site count %d", p)
+		return 0, fmt.Errorf("sched: non-positive site count %d", p)
 	}
 	if d <= 0 {
-		return nil, fmt.Errorf("sched: non-positive dimensionality %d", d)
-	}
-	if sc == nil {
-		sc = new(scratch)
+		return 0, fmt.Errorf("sched: non-positive dimensionality %d", d)
 	}
 	sc.resetIDs(len(ops))
 	for _, op := range ops {
 		if sc.ids[op.ID] {
-			return nil, fmt.Errorf("sched: duplicate operator ID %d", op.ID)
+			return 0, fmt.Errorf("sched: duplicate operator ID %d", op.ID)
 		}
 		sc.ids[op.ID] = true
 		if err := op.validate(p, d, sc); err != nil {
-			return nil, err
+			return 0, err
 		}
 	}
 
-	sys := resource.NewSystem(p, d, ov)
-	res := &Result{Sites: make(map[int][]int, len(ops)), System: sys}
+	sys := sc.system(p, d, ov)
 
 	// Step 1 (Figure 3): place the work vectors of all rooted operators
 	// at their respective sites.
-	for _, op := range ops {
+	for i, op := range ops {
 		if !op.Rooted() {
 			continue
 		}
-		sites := make([]int, len(op.Clones))
 		for k, w := range op.Clones {
 			s := sys.Site(op.Home[k])
 			if rec != nil {
@@ -191,9 +218,8 @@ func operatorSchedule(ctx context.Context, p, d int, ov resource.Overlap, ops []
 				})
 			}
 			s.Assign(w)
-			sites[k] = op.Home[k]
+			sites[i][k] = op.Home[k]
 		}
-		res.Sites[op.ID] = sites
 	}
 
 	// Step 2: the list L of all floating clone vectors in non-increasing
@@ -213,15 +239,14 @@ func operatorSchedule(ctx context.Context, p, d int, ov resource.Overlap, ops []
 	bans := sc.banRows(floating, p)
 	list := sc.cloneList(total)
 	row := 0
-	for _, op := range ops {
+	for i, op := range ops {
 		if op.Rooted() {
 			continue
 		}
-		res.Sites[op.ID] = make([]int, len(op.Clones))
 		opBans := bans[row*p : (row+1)*p]
 		row++
 		for k, w := range op.Clones {
-			list = append(list, item{op: op, clone: k, len: w.Length(), bans: opBans})
+			list = append(list, item{op: op, clone: k, len: w.Length(), bans: opBans, sites: sites[i]})
 		}
 	}
 	sc.list = list
@@ -262,7 +287,7 @@ func operatorSchedule(ctx context.Context, p, d int, ov resource.Overlap, ops []
 	for i, it := range list {
 		if i%ctxCheckStride == 0 {
 			if err := ctx.Err(); err != nil {
-				return nil, err
+				return 0, err
 			}
 		}
 		var best, skipped int
@@ -280,7 +305,7 @@ func operatorSchedule(ctx context.Context, p, d int, ov resource.Overlap, ops []
 		}
 		if best < 0 {
 			// Unreachable given validate(): degree <= P and distinct homes.
-			return nil, fmt.Errorf("sched: no allowable site for op %d clone %d", it.op.ID, it.clone)
+			return 0, fmt.Errorf("sched: no allowable site for op %d clone %d", it.op.ID, it.clone)
 		}
 		if rec != nil {
 			s := sys.Site(best)
@@ -292,10 +317,10 @@ func operatorSchedule(ctx context.Context, p, d int, ov resource.Overlap, ops []
 		sys.Site(best).Assign(it.op.Clones[it.clone])
 		ix.update(sys, best)
 		it.bans[best] = true
-		res.Sites[it.op.ID][it.clone] = best
+		it.sites[it.clone] = best
 	}
 
-	res.Response = sys.MaxTSite()
+	response := sys.MaxTSite()
 	if rec != nil {
 		total := 0
 		for _, op := range ops {
@@ -304,9 +329,9 @@ func operatorSchedule(ctx context.Context, p, d int, ov resource.Overlap, ops []
 		rec.Count("sched.ops", int64(len(ops)))
 		rec.Count("sched.clones_floating", int64(len(list)))
 		rec.Count("sched.clones_rooted", int64(total-len(list)))
-		rec.Observe("sched.phase_response", res.Response)
+		rec.Observe("sched.phase_response", response)
 	}
-	return res, nil
+	return response, nil
 }
 
 // LowerBound returns LB(N) = max{ l(S(N))/P, h(N) } (Section 7): the

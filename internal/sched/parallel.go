@@ -25,32 +25,25 @@ import (
 )
 
 // prepJob is one operator awaiting cost preparation: the plan operator,
-// the homes map of its tree (fixed for the duration of the phase — the
-// workers only read it), and the batch entry it belongs to.
+// the batch entry it belongs to (0 outside a batch) and the ID it is
+// scheduled under, unique within the phase.
 type prepJob struct {
-	p     *plan.Operator
-	homes map[*plan.Operator][]int
-	tree  int
+	p    *plan.Operator
+	tree int
+	id   int
 }
 
-// prepOut is the result of preparing one job, index-aligned with the
-// job list.
-type prepOut struct {
-	op  *Op
-	pl  *OpPlacement
-	err error
-}
-
-// prepareAll runs ts.prepare over every job across at most w workers and
-// returns the results in job order. Each worker writes only its own
-// index, and callers consume the slice serially, so the outcome —
-// including which job's error is reported first — is identical for every
-// pool width. The output slice comes from the scratch and is only valid
-// until the next prepareAll call on the same scratch.
-func (ts TreeScheduler) prepareAll(jobs []prepJob, w int, sc *scratch) []prepOut {
-	out := sc.prepOuts(len(jobs))
+// prepareAll runs ts.prepare over the scratch's jobs across at most w
+// workers, filling the scratch's operator slab and pls by job index, and
+// returns the first job's error in job order. Each worker writes only
+// its own index and only reads the homes of earlier phases, so the
+// outcome — including which job's error is reported — is identical for
+// every pool width.
+func (ts TreeScheduler) prepareAll(sc *scratch, pls []OpPlacement, w int) error {
+	jobs := sc.jobs
+	sc.phaseSlabs(len(jobs))
 	par.For(w, len(jobs), func(i int) {
-		out[i].op, out[i].pl, out[i].err = ts.prepare(jobs[i].p, jobs[i].homes)
+		sc.errs[i] = ts.prepare(jobs[i], sc.homes, &sc.ops[i], &pls[i])
 	})
 	if ts.Rec != nil {
 		name := "sched.par.prepare_ops_serial"
@@ -59,7 +52,12 @@ func (ts TreeScheduler) prepareAll(jobs []prepJob, w int, sc *scratch) []prepOut
 		}
 		ts.Rec.Count(name, int64(len(jobs)))
 	}
-	return out
+	for _, err := range sc.errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Re-export the knob resolution so the tree/batch schedulers and the

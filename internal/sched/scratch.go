@@ -1,16 +1,27 @@
 package sched
 
-// scratch holds the placement loop's reusable working memory. One
-// TreeSchedule (or ScheduleBatch) run allocates a single scratch and
-// threads it through every phase's operatorSchedule call, so the
-// per-phase cost of the ban sets, the clone list, and the site index is
-// a handful of slice clears instead of fresh heap allocations — the
-// schedulers' outputs (Result.Sites, placements, the loaded System)
-// still get their own memory, because they escape to the caller.
+import (
+	"sync"
+
+	"mdrs/internal/plan"
+	"mdrs/internal/resource"
+)
+
+// scratch holds everything a scheduling call needs and no caller keeps:
+// the site system the placement loop fills, the ban sets, the clone
+// list, the site index, the per-phase operator slab and the build→probe
+// homes. ScheduleCtx and ScheduleBatchCtx draw one from scratchPool and
+// thread it through every phase, so the candidates of one plan search
+// and back-to-back requests of a service all fill the same memory; what
+// escapes — placements and their site slices — is allocated per phase.
+// The public OperatorSchedule entry points hand Result.System to their
+// caller, so they take a scratch of their own and never pool it.
 //
 // A scratch is single-threaded state: each scheduling call owns its
 // own. The zero value is ready to use.
 type scratch struct {
+	// sys is the site system of the current phase; see system.
+	sys *resource.System
 	// list is the step-2 clone list L, reused between phases.
 	list []item
 	// bans is the flattened ban matrix: floating operator i's row is
@@ -27,11 +38,51 @@ type scratch struct {
 	// validated. The generation trick makes per-operator reset O(1).
 	homeSeen []int
 	gen      int
-	// jobs/prep carry one phase's cost-preparation fan-out (parallel.go):
+	// jobs/errs carry one phase's cost-preparation fan-out (parallel.go):
 	// the job list built serially in operator order and the index-aligned
-	// results the pool writes. Reused between phases.
-	jobs []prepJob
-	prep []prepOut
+	// errors the pool writes. ops is the slab the pool fills, opPtrs and
+	// dst the per-operator views of it and of the phase's site slab that
+	// operatorSchedule takes. All are reused between phases.
+	jobs   []prepJob
+	errs   []error
+	ops    []Op
+	opPtrs []*Op
+	dst    [][]int
+	// homes holds the sites of every operator scheduled so far in this
+	// call, for rooting probes at their builds (Section 5.5).
+	homes map[homeKey][]int
+}
+
+// homeKey identifies a scheduled operator within one call. The batch
+// entry is part of the key because one *plan.TaskTree (or two sharing
+// operator pointers) may legally appear at several batch positions, and
+// entry j's build must not overwrite entry i's home.
+type homeKey struct {
+	tree int
+	op   *plan.Operator
+}
+
+// scratchPool recycles scratches across scheduling calls.
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// resetHomes empties the homes for a new scheduling call: they are the
+// one piece of scratch state a call reads before it has written it.
+func (sc *scratch) resetHomes() {
+	if sc.homes == nil {
+		sc.homes = make(map[homeKey][]int)
+	}
+	clear(sc.homes)
+}
+
+// system returns an empty system of p d-dimensional sites under ov: the
+// scratch's own, reset, when it has that shape, a new one otherwise.
+func (sc *scratch) system(p, d int, ov resource.Overlap) *resource.System {
+	if s := sc.sys; s != nil && s.P() == p && s.Dim() == d && s.Overlap() == ov {
+		s.Reset()
+		return s
+	}
+	sc.sys = resource.NewSystem(p, d, ov)
+	return sc.sys
 }
 
 // item is one floating clone vector on the step-2 list.
@@ -39,9 +90,11 @@ type item struct {
 	op    *Op
 	clone int
 	len   float64
-	// bans is the operator's ban row, shared by all the operator's
-	// items; carrying it here keeps step 3 free of per-pick lookups.
-	bans []bool
+	// bans is the operator's ban row and sites its destination row,
+	// shared by all the operator's items; carrying them here keeps
+	// step 3 free of per-pick lookups.
+	bans  []bool
+	sites []int
 }
 
 // resetIDs prepares the duplicate-ID set for a validation pass.
@@ -86,27 +139,17 @@ func (sc *scratch) cloneList(n int) []item {
 	return sc.list[:0]
 }
 
-// prepJobs returns the empty cost-preparation job list with capacity
-// for n jobs.
-func (sc *scratch) prepJobs(n int) []prepJob {
-	if cap(sc.jobs) < n {
-		sc.jobs = make([]prepJob, 0, n)
+// phaseSlabs sizes the per-operator working slices for a phase of n
+// operators; the prepare pass overwrites every entry it will read.
+func (sc *scratch) phaseSlabs(n int) {
+	if cap(sc.ops) < n {
+		sc.errs = make([]error, n)
+		sc.ops = make([]Op, n)
+		sc.opPtrs = make([]*Op, n)
+		sc.dst = make([][]int, n)
+		for i := range sc.ops {
+			sc.opPtrs[i] = &sc.ops[i]
+		}
 	}
-	return sc.jobs[:0]
-}
-
-// prepOuts returns a zeroed result slice for n preparation jobs. The
-// zeroing matters: stale pointers from a previous phase must not leak
-// into a phase whose pool writes fail or race-free-but-partial tests
-// inspect the slice.
-func (sc *scratch) prepOuts(n int) []prepOut {
-	if cap(sc.prep) < n {
-		sc.prep = make([]prepOut, n)
-		return sc.prep
-	}
-	sc.prep = sc.prep[:n]
-	for i := range sc.prep {
-		sc.prep[i] = prepOut{}
-	}
-	return sc.prep
+	sc.errs, sc.ops, sc.opPtrs, sc.dst = sc.errs[:n], sc.ops[:n], sc.opPtrs[:n], sc.dst[:n]
 }

@@ -185,100 +185,135 @@ func (ts TreeScheduler) ScheduleCtx(ctx context.Context, tt *plan.TaskTree) (*Sc
 	if err := tt.Validate(); err != nil {
 		return nil, err
 	}
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	return ts.schedule(ctx, sc, tt)
+}
 
-	out := &Schedule{P: ts.P}
-	// Home of each already-scheduled operator, for rooting probes.
-	homes := make(map[*plan.Operator][]int)
-	// One scratch serves every phase: the placement loop's ban sets,
-	// clone list, and site index are reused instead of reallocated.
-	sc := new(scratch)
+// schedule is ScheduleCtx on the given scratch, after validation.
+func (ts TreeScheduler) schedule(ctx context.Context, sc *scratch, tt *plan.TaskTree) (*Schedule, error) {
+	sc.resetHomes()
 	w := ts.workers()
 	ts.observeWorkers(w)
 
-	for phaseIdx, tasks := range tt.PhasesBy(ts.Policy) {
+	phases := tt.PhasesBy(ts.Policy)
+	out := newSchedule(ts.P, len(phases))
+	for phaseIdx, tasks := range phases {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		// Fan the phase's cost preparation across the pool: the job list
-		// is built serially in operator order, results land by index, and
-		// the error check below walks them in that same order, so the
-		// phase — including which prepare error surfaces — is identical
-		// for every pool width.
-		n := 0
-		for _, tk := range tasks {
-			n += len(tk.Ops)
-		}
-		jobs := sc.prepJobs(n)
+		jobs := sc.jobs[:0]
 		for _, tk := range tasks {
 			for _, p := range tk.Ops {
-				jobs = append(jobs, prepJob{p: p, homes: homes})
+				jobs = append(jobs, prepJob{p: p, id: p.ID})
 			}
 		}
 		sc.jobs = jobs
-		preps := ts.prepareAll(jobs, w, sc)
-		ops := make([]*Op, 0, len(jobs))
-		placements := make(map[int]*OpPlacement, len(jobs))
-		for _, pr := range preps {
-			if pr.err != nil {
-				return nil, fmt.Errorf("sched: phase %d: %w", phaseIdx, pr.err)
-			}
-			ops = append(ops, pr.op)
-			placements[pr.op.ID] = pr.pl
+		ph := out.Phases[phaseIdx]
+		ph.Tasks = tasks
+		if err := ts.runPhase(ctx, sc, w, ph, false); err != nil {
+			return nil, err
 		}
-
-		if ts.Rec != nil {
-			clones := 0
-			for _, op := range ops {
-				clones += len(op.Clones)
-			}
-			ts.Rec.Event(obs.Event{
-				Type: obs.EvPhaseOpen, Phase: phaseIdx,
-				Ops: len(ops), Clones: clones,
-			})
-		}
-		stop := obs.StartTimer(ts.Rec, "sched.phase_seconds")
-		res, err := operatorSchedule(ctx, ts.P, resource.Dims, ts.Overlap, ops, true, ts.Rec, phaseIdx, sc)
-		stop()
-		if err != nil {
-			if ctx.Err() != nil {
-				return nil, ctx.Err()
-			}
-			return nil, fmt.Errorf("sched: phase %d: %w", phaseIdx, err)
-		}
-		if ts.Rec != nil {
-			ts.Rec.Count("sched.phases", 1)
-			ts.Rec.Event(obs.Event{
-				Type: obs.EvPhaseClose, Phase: phaseIdx, Response: res.Response,
-			})
-		}
-
-		ph := &PhaseSchedule{Index: phaseIdx, Tasks: tasks, Response: res.Response}
-		for _, op := range ops {
-			pl := placements[op.ID]
-			pl.Sites = res.Sites[op.ID]
-			homes[pl.Op] = pl.Sites
-			ph.Placements = append(ph.Placements, pl)
-		}
-		out.Phases = append(out.Phases, ph)
 		out.Response += ph.Response
 	}
 	return out, nil
 }
 
+// newSchedule returns a schedule for p sites whose n phases, indexed and
+// otherwise empty, are one slab.
+func newSchedule(p, n int) *Schedule {
+	out := &Schedule{P: p, Phases: make([]*PhaseSchedule, n)}
+	slab := make([]PhaseSchedule, n)
+	for i := range slab {
+		slab[i].Index = i
+		out.Phases[i] = &slab[i]
+	}
+	return out
+}
+
+// runPhase schedules the operators listed in sc.jobs as phase ph.Index
+// and fills in ph's placements and response. The jobs are in the order
+// the placements are listed in. Cost preparation fans across w workers
+// into slabs indexed by job, OperatorSchedule writes every clone's site
+// into one slab that the placements' Sites are windows of, and the
+// homes of the phase's operators are recorded for the probes of later
+// phases. What the phase leaves behind is three allocations: the
+// placements, the pointers to them and the sites. batch selects
+// ScheduleBatch's error wording and leaves out the per-phase timer and
+// counter that only TreeSchedule records.
+func (ts TreeScheduler) runPhase(ctx context.Context, sc *scratch, w int, ph *PhaseSchedule, batch bool) error {
+	label := "phase"
+	if batch {
+		label = "batch phase"
+	}
+	jobs := sc.jobs
+	pls := make([]OpPlacement, len(jobs))
+	if err := ts.prepareAll(sc, pls, w); err != nil {
+		return fmt.Errorf("sched: %s %d: %w", label, ph.Index, err)
+	}
+	clones := 0
+	for i := range pls {
+		clones += pls[i].Degree
+	}
+	slab := make([]int, clones)
+	for i := range pls {
+		n := pls[i].Degree
+		pls[i].Sites, slab = slab[:n:n], slab[n:]
+		sc.dst[i] = pls[i].Sites
+	}
+
+	if ts.Rec != nil {
+		ts.Rec.Event(obs.Event{
+			Type: obs.EvPhaseOpen, Phase: ph.Index,
+			Ops: len(jobs), Clones: clones,
+		})
+	}
+	stop := func() {}
+	if !batch {
+		stop = obs.StartTimer(ts.Rec, "sched.phase_seconds")
+	}
+	resp, err := sc.operatorSchedule(ctx, ts.P, resource.Dims, ts.Overlap, sc.opPtrs, sc.dst, true, ts.Rec, ph.Index)
+	stop()
+	if err != nil {
+		if ctx.Err() != nil {
+			return ctx.Err()
+		}
+		return fmt.Errorf("sched: %s %d: %w", label, ph.Index, err)
+	}
+	if ts.Rec != nil {
+		if !batch {
+			ts.Rec.Count("sched.phases", 1)
+		}
+		ts.Rec.Event(obs.Event{
+			Type: obs.EvPhaseClose, Phase: ph.Index, Response: resp,
+		})
+	}
+
+	ph.Response = resp
+	ph.Placements = make([]*OpPlacement, len(pls))
+	for i := range pls {
+		ph.Placements[i] = &pls[i]
+		sc.homes[homeKey{jobs[i].tree, jobs[i].p}] = pls[i].Sites
+	}
+	return nil
+}
+
 // prepare determines an operator's degree of parallelism and clone
-// vectors, and whether it is rooted. With a Cache attached, every
+// vectors, and whether it is rooted, and writes them to op and pl (pl's
+// Sites are the placement loop's to fill). With a Cache attached, every
 // derivation is memoized by the operator's spec, so structurally
 // repeated scans/builds/probes across phases, trees, and batch entries
 // are costed once.
-func (ts TreeScheduler) prepare(p *plan.Operator, homes map[*plan.Operator][]int) (*Op, *OpPlacement, error) {
+func (ts TreeScheduler) prepare(j prepJob, homes map[homeKey][]int, op *Op, pl *OpPlacement) error {
+	p := j.p
 	var home []int
 	switch {
 	case p.BuildOp != nil:
 		// A probe executes at the sites holding the hash table: the home
 		// of its build, with the same clone layout (coordinator aligned).
-		h, ok := homes[p.BuildOp]
+		h, ok := homes[homeKey{j.tree, p.BuildOp}]
 		if !ok {
-			return nil, nil, fmt.Errorf("operator %q scheduled before its build %q",
+			return fmt.Errorf("operator %q scheduled before its build %q",
 				p.Name, p.BuildOp.Name)
 		}
 		home = h
@@ -314,15 +349,15 @@ func (ts TreeScheduler) prepare(p *plan.Operator, homes map[*plan.Operator][]int
 		tpar = ts.Model.TPar(cost, n, ts.Overlap)
 	}
 
-	op := &Op{ID: p.ID, Clones: clones, Home: home}
-	pl := &OpPlacement{
+	*op = Op{ID: j.id, Clones: clones, Home: home}
+	*pl = OpPlacement{
 		Op:     p,
 		Degree: n,
 		Clones: clones,
 		Rooted: home != nil,
 		TPar:   tpar,
 	}
-	return op, pl, nil
+	return nil
 }
 
 // degree resolves a floating operator's degree of parallelism through

@@ -47,3 +47,31 @@ func BenchmarkTreeSchedule(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkScheduleBatchMiss is the placement layer's share of the
+// harness's schedule_miss workload: groups of one over plans of 10 to
+// 30 joins at P = 128 with the cost-model memo warm, the call the serve
+// layer makes for every schedule its cache does not hold.
+func BenchmarkScheduleBatchMiss(b *testing.B) {
+	r := rand.New(rand.NewSource(1))
+	trees := make([]*plan.TaskTree, 64)
+	for i := range trees {
+		p := query.MustRandom(r, query.DefaultGenConfig(10+i%21))
+		trees[i] = plan.MustNewTaskTree(plan.MustExpand(p))
+	}
+	ts := TreeScheduler{
+		Model:   costmodel.Default(),
+		Overlap: resource.MustOverlap(0.5),
+		P:       128,
+		F:       0.7,
+	}
+	ts.Cache = costmodel.NewCache(ts.Model)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i % len(trees)
+		if _, err := ts.ScheduleBatch(trees[k : k+1]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

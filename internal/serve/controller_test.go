@@ -312,7 +312,7 @@ func TestKnobRetuneHammerUnderLoad(t *testing.T) {
 			default:
 			}
 			// Walk every knob through the values the controller would.
-			svc.knobs.maxDegree.Store(int64(i%5) * 2)          // 0,2,4,6,8
+			svc.knobs.maxDegree.Store(int64(i%5) * 2) // 0,2,4,6,8
 			svc.knobs.batchWindow.Store(int64(i%3) * int64(time.Millisecond))
 			svc.knobs.soloMargin.Store(int64(4*time.Millisecond) + int64(i%7)*int64(time.Millisecond))
 			svc.knobs.maxBatch.Store(int64(1 + i%4))

@@ -109,12 +109,11 @@ func (s *Service) Optimize(ctx context.Context, r *rand.Rand, rels []*query.Rela
 	obs.Count(rec, "serve.optimize_pruned", int64(res.Pruned))
 
 	// Write the winner back: its schedule was computed (or warm-served)
-	// under exactly ts, so it is the fingerprint's canonical schedule.
-	if s.cache != nil && res.Best.Schedule != nil {
-		if tt, terr := plan.NewTaskTree(plan.MustExpand(res.Best.Plan)); terr == nil {
-			if ev := s.cache.put(ts.Fingerprint(tt), res.Best.Schedule, tt); ev > 0 {
-				obs.Count(rec, "serve.cache_evictions", int64(ev))
-			}
+	// under exactly ts from this tree, so it is the fingerprint's
+	// canonical schedule.
+	if tt := res.Best.TaskTree(); s.cache != nil && res.Best.Schedule != nil && tt != nil {
+		if ev := s.cache.put(ts.Fingerprint(tt), res.Best.Schedule, tt); ev > 0 {
+			obs.Count(rec, "serve.cache_evictions", int64(ev))
 		}
 	}
 	obs.Count(rec, "serve.optimize_delivered", 1)
