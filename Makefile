@@ -1,14 +1,15 @@
 # Development targets for the mdrs reproduction. `make check` is the
 # gate future PRs must keep green: build, vet, gofmt, the full test
 # suite under the race detector (which also exercises the experiments
-# worker pool for data races), the optimizer ledger replay, and the
-# benchmark harness's own vet and tests against this tree.
+# worker pool for data races), one iteration of the per-layer Go
+# benchmarks, the optimizer ledger replay, and the benchmark harness's
+# own vet and tests against this tree.
 
 GO ?= go
 
-.PHONY: check build vet fmt-check test race harness-check benchmark bench bench-serve bench-adaptive bench-opt bench-opt-check figures trace-demo
+.PHONY: check build vet fmt-check test race bench-smoke harness-check benchmark bench bench-serve bench-adaptive bench-opt bench-opt-check figures trace-demo
 
-check: build vet fmt-check race bench-opt-check harness-check
+check: build vet fmt-check race bench-smoke bench-opt-check harness-check
 
 build:
 	$(GO) build ./...
@@ -30,6 +31,12 @@ test:
 # are ordinary tests of their packages, so they all run here.
 race:
 	$(GO) test -race -count=1 ./...
+
+# One iteration of the per-layer benchmarks the docs quote, so that one
+# which stops compiling or starts failing breaks the gate, not the next
+# measurement.
+bench-smoke:
+	$(GO) test -run '^$$' -bench 'BenchmarkEngineRun|BenchmarkSearchCold' -benchtime 1x ./internal/...
 
 # bench/ is a nested module that compiles against this tree's internal
 # packages: vet and test it here (~10 s) so a change that breaks the API

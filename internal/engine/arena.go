@@ -1,6 +1,9 @@
 package engine
 
-import "sync"
+import (
+	"runtime"
+	"sync"
+)
 
 // arena is a Run-scoped free list of tuple and int32 buffers: the
 // partition backings, scattered key columns, flat-table arrays, and
@@ -11,7 +14,7 @@ import "sync"
 // The arena is single-owner: only the run's coordinating goroutine
 // calls get/put (clone bodies receive pre-carved buffers and never
 // touch the free lists), so no locking is needed. Arenas themselves
-// are recycled across runs through arenaPool.
+// are recycled across runs through getArena/putArena.
 type arena struct {
 	tupleFree [][]Tuple
 	intFree   [][]int32
@@ -23,7 +26,43 @@ type arena struct {
 	allocs int64
 }
 
-var arenaPool = sync.Pool{New: func() any { return new(arena) }}
+// idle holds the arenas no run is using, at most GOMAXPROCS of them
+// (more runs than that gain nothing from running at once). It is a
+// plain free list and not a sync.Pool, which loses what it is there to
+// keep: a Pool is emptied by every second garbage collection and hides
+// an item put back on one P from a Get on another, and a query that
+// generates or loads its data between two runs collects and migrates
+// all the time — with a Pool, four runs in ten of a run-after-generate
+// loop started on a brand-new arena and allocated every buffer again.
+// The price is that an arena's buffers stay allocated for the life of
+// the process.
+var idle struct {
+	sync.Mutex
+	arenas []*arena
+}
+
+// getArena hands out an idle arena, or a new one.
+func getArena() *arena {
+	idle.Lock()
+	defer idle.Unlock()
+	n := len(idle.arenas)
+	if n == 0 {
+		return new(arena)
+	}
+	a := idle.arenas[n-1]
+	idle.arenas[n-1] = nil
+	idle.arenas = idle.arenas[:n-1]
+	return a
+}
+
+// putArena takes back the arena of a finished run.
+func putArena(a *arena) {
+	idle.Lock()
+	defer idle.Unlock()
+	if len(idle.arenas) < runtime.GOMAXPROCS(0) {
+		idle.arenas = append(idle.arenas, a)
+	}
+}
 
 // roundUpPow2 rounds n up to a power of two so buffers recycle across
 // operators with slightly different sizes instead of fragmenting the

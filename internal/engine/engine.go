@@ -1,9 +1,11 @@
 package engine
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"time"
 
 	"mdrs/internal/costmodel"
@@ -104,8 +106,6 @@ type cloneMeter struct {
 	work vector.Vector
 }
 
-func newMeter() *cloneMeter { return &cloneMeter{work: vector.New(resource.Dims)} }
-
 func (c *cloneMeter) addCPU(instr float64, p costmodel.Params) {
 	c.work[resource.CPU] += instr / (p.MIPS * 1e6)
 }
@@ -127,14 +127,15 @@ type runState struct {
 	ar     *arena
 	owned  map[*plan.Operator]bool
 	tables map[int]*joinTables
-	// flat-table layout tallies, flushed to the recorder after the run.
-	nDirect, nCSR, nOA int64
+	// flat-table layout tallies by tableKind, flushed to the recorder
+	// after the run.
+	layouts [3]int64
 }
 
 func newRunState(nOps int) *runState {
 	return &runState{
 		outputs: make(map[*plan.Operator][]Tuple, nOps),
-		ar:      arenaPool.Get().(*arena),
+		ar:      getArena(),
 		owned:   make(map[*plan.Operator]bool),
 		tables:  make(map[int]*joinTables),
 	}
@@ -203,17 +204,21 @@ func (e Engine) RunCtx(ctx context.Context, ds *Dataset, s *sched.Schedule) (*Re
 			e.Rec.Observe("engine.run_seconds", time.Since(start).Seconds())
 			e.Rec.Count("engine.arena_reuses", st.ar.reuses)
 			e.Rec.Count("engine.arena_allocs", st.ar.allocs)
-			e.Rec.Count("engine.tables_direct", st.nDirect)
-			e.Rec.Count("engine.tables_csr", st.nCSR)
-			e.Rec.Count("engine.tables_oa", st.nOA)
+			e.Rec.Count("engine.tables_bits", st.layouts[tableBits])
+			e.Rec.Count("engine.tables_rank", st.layouts[tableRank])
+			e.Rec.Count("engine.tables_oa", st.layouts[tableOA])
 		}
 		// Reclaim whatever owned outputs remain (normally just the
-		// root's), then hand the arena to the next run.
+		// root's) and the build tables a failed or cancelled run left
+		// unprobed, then hand the arena to the next run.
 		for op := range st.owned {
 			st.ar.putTuples(st.outputs[op])
 		}
+		for _, jt := range st.tables {
+			jt.release(st.ar)
+		}
 		st.ar.resetStats()
-		arenaPool.Put(st.ar)
+		putArena(st.ar)
 	}()
 
 	for phaseIdx, ph := range s.Phases {
@@ -224,14 +229,10 @@ func (e Engine) RunCtx(ctx context.Context, ds *Dataset, s *sched.Schedule) (*Re
 		sys := resource.NewSystem(s.P, resource.Dims, e.Overlap)
 		// Producers have smaller IDs than consumers (post-order
 		// expansion), so ID order is a valid pipeline topological order.
-		placements := append([]*sched.OpPlacement(nil), ph.Placements...)
-		for i := 0; i < len(placements); i++ {
-			for j := i + 1; j < len(placements); j++ {
-				if placements[j].Op.ID < placements[i].Op.ID {
-					placements[i], placements[j] = placements[j], placements[i]
-				}
-			}
-		}
+		placements := slices.Clone(ph.Placements)
+		slices.SortFunc(placements, func(a, b *sched.OpPlacement) int {
+			return cmp.Compare(a.Op.ID, b.Op.ID)
+		})
 
 		for _, pl := range placements {
 			meters, err := runOp(e, pl, ds, st, rep)
@@ -297,9 +298,15 @@ func checkPlacement(pl *sched.OpPlacement) error {
 // startup: clone 0 pays α·N, split evenly between CPU and network,
 // exactly as the cost model plans it.
 func newMeters(n int, p costmodel.Params) []*cloneMeter {
+	// One slab of meters and one of work vectors, each meter's vector a
+	// cap-limited window of the second.
+	const d = resource.Dims
+	slab := make([]cloneMeter, n)
+	work := make([]float64, n*d)
 	meters := make([]*cloneMeter, n)
 	for k := range meters {
-		meters[k] = newMeter()
+		slab[k].work = work[k*d : (k+1)*d : (k+1)*d]
+		meters[k] = &slab[k]
 	}
 	startup := p.Alpha * float64(n) / 2
 	meters[0].work[resource.CPU] += startup
@@ -318,191 +325,240 @@ func (e Engine) runOperator(pl *sched.OpPlacement, ds *Dataset, st *runState,
 	if err := checkPlacement(pl); err != nil {
 		return nil, err
 	}
-	n := pl.Degree
-	op := pl.Op
-	p := e.Model.Params
-	meters := newMeters(n, p)
-
-	switch op.Kind {
+	meters := newMeters(pl.Degree, e.Model.Params)
+	var err error
+	switch pl.Op.Kind {
 	case costmodel.Scan:
-		leafIdx, err := ds.LeafIndex(op.Source)
-		if err != nil {
-			return nil, err
-		}
-		all := ds.LeafTuples(leafIdx)
-		parts := splitContiguous(all, n)
-		err = e.eachClone(op, n, func(k int) error {
-			rows := parts[k]
-			pages := p.Pages(len(rows))
-			meters[k].addDiskPages(pages, p)
-			meters[k].addCPU(float64(pages)*p.ReadPageInstr+float64(len(rows))*p.ExtractInstr, p)
-			if op.Spec.NetOut {
-				meters[k].addNetTuples(len(rows), p)
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		// The contiguous parts tile the cached leaf slice in order, so
-		// the scan's output IS that slice — no concat copy, no
-		// ownership (the cache outlives the run).
-		st.outputs[op] = all
-		obs.Count(e.Rec, "engine.tuples_scanned", int64(len(all)))
-
+		err = e.runScan(pl, ds, st, meters)
 	case costmodel.Build:
-		in, prod, err := e.producerInput(op, st.outputs)
-		if err != nil {
-			return nil, err
-		}
-		rp, err := radixPartition(st.ar, ds, op.Source, in, n)
-		if err != nil {
-			return nil, err
-		}
-		jt := newJoinTables(st.ar, ds, op.Source, rp, n, OuterIsCarrier(op.Source))
-		for k := range jt.clones {
-			switch jt.clones[k].kind {
-			case tableDirect:
-				st.nDirect++
-			case tableCSR:
-				st.nCSR++
-			default:
-				st.nOA++
-			}
-		}
-		err = e.eachClone(op, n, func(k int) error {
-			if err := jt.clones[k].insert(rp.tuples[k], rp.keys[k]); err != nil {
-				return err
-			}
-			if op.Spec.NetIn {
-				meters[k].addNetTuples(len(rp.tuples[k]), p)
-			}
-			meters[k].addCPU(float64(len(rp.tuples[k]))*(p.ExtractInstr+p.HashInstr), p)
-			return nil
-		})
-		if err != nil {
-			jt.release(st.ar)
-			rp.release(st.ar)
-			return nil, err
-		}
-		st.tables[op.JoinID] = jt
-		// The tables hold bare row numbers: the scattered tuples are no
-		// longer needed, and neither is the producer's output.
-		rp.release(st.ar)
-		st.release(prod)
-		st.outputs[op] = nil // the table is the output; nothing streams on
-		obs.Count(e.Rec, "engine.tuples_built", int64(len(in)))
-
+		err = e.runBuild(pl, ds, st, meters)
 	case costmodel.Probe:
-		jt, ok := st.tables[op.JoinID]
-		if !ok {
-			return nil, fmt.Errorf("probing join %d before its build", op.JoinID)
-		}
-		if len(jt.clones) != n {
-			return nil, fmt.Errorf("probe degree %d != build degree %d", n, len(jt.clones))
-		}
-		in, prod, err := e.producerInput(op, st.outputs)
-		if err != nil {
-			return nil, err
-		}
-		rp, err := radixPartition(st.ar, ds, op.Source, in, n)
-		if err != nil {
-			return nil, err
-		}
-		outerCarrier := OuterIsCarrier(op.Source)
-		out := make([][]Tuple, n)
-		for k := 0; k < n; k++ {
-			// Capacity hints: presence probes emit at most their input;
-			// match probes emit (under the FK discipline) exactly the
-			// build partition's size. Either way append can still grow.
-			hint := len(rp.tuples[k])
-			if !outerCarrier {
-				hint = int(jt.clones[k].n)
-			}
-			out[k] = st.ar.getTuples(hint)[:0]
-		}
-		err = e.eachClone(op, n, func(k int) error {
-			var res []Tuple
-			var perr error
-			if outerCarrier {
-				res, perr = jt.clones[k].probePresence(rp.tuples[k], rp.keys[k], out[k])
-			} else {
-				res, perr = jt.clones[k].probeMatches(rp.keys[k], out[k])
-			}
-			if perr != nil {
-				return perr
-			}
-			out[k] = res
-			if op.Spec.NetIn {
-				meters[k].addNetTuples(len(rp.tuples[k]), p)
-			}
-			if op.Spec.NetOut {
-				meters[k].addNetTuples(len(res), p)
-			}
-			meters[k].addCPU(float64(len(rp.tuples[k]))*p.ProbeInstr+float64(len(res))*p.ExtractInstr, p)
-			return nil
-		})
-		if err != nil {
-			for k := range out {
-				st.ar.putTuples(out[k])
-			}
-			rp.release(st.ar)
-			return nil, err
-		}
-		total := 0
-		for k := range out {
-			total += len(out[k])
-		}
-		result := st.ar.getTuples(total)[:0]
-		for k := range out {
-			result = append(result, out[k]...)
-			st.ar.putTuples(out[k])
-		}
-		rp.release(st.ar)
-		st.release(prod)
-		jt.release(st.ar)
-		delete(st.tables, op.JoinID)
-		rep.JoinResults[op.JoinID] = len(result)
-		if len(result) != op.Spec.ResultTuples {
-			return nil, fmt.Errorf("join %d produced %d tuples, expected %d",
-				op.JoinID, len(result), op.Spec.ResultTuples)
-		}
-		st.outputs[op] = result
-		st.owned[op] = true
-		obs.Count(e.Rec, "engine.tuples_probed", int64(len(in)))
-		obs.Count(e.Rec, "engine.tuples_joined", int64(len(result)))
-
+		err = e.runProbe(pl, ds, st, rep, meters)
 	case costmodel.Store:
-		in, prod, err := e.producerInput(op, st.outputs)
-		if err != nil {
-			return nil, err
-		}
-		parts := splitContiguous(in, n)
-		err = e.eachClone(op, n, func(k int) error {
-			pages := p.Pages(len(parts[k]))
-			meters[k].addDiskPages(pages, p)
-			meters[k].addCPU(float64(pages)*p.WritePageInstr, p)
-			if op.Spec.NetIn {
-				meters[k].addNetTuples(len(parts[k]), p)
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		st.outputs[op] = in // materialization preserves the stream
-		// Ownership of the producer's buffer transfers to the store's
-		// aliased output.
-		if st.owned[prod] {
-			delete(st.owned, prod)
-			st.owned[op] = true
-		}
-		obs.Count(e.Rec, "engine.tuples_stored", int64(len(in)))
-
+		err = e.runStore(pl, st, meters)
 	default:
-		return nil, fmt.Errorf("unsupported operator kind %v", op.Kind)
+		err = fmt.Errorf("unsupported operator kind %v", pl.Op.Kind)
+	}
+	if err != nil {
+		return nil, err
 	}
 	return meters, nil
+}
+
+// runScan meters a partitioned scan of one leaf.
+func (e Engine) runScan(pl *sched.OpPlacement, ds *Dataset, st *runState, meters []*cloneMeter) error {
+	op, n, p := pl.Op, pl.Degree, e.Model.Params
+	leafIdx, err := ds.LeafIndex(op.Source)
+	if err != nil {
+		return err
+	}
+	all := ds.LeafTuples(leafIdx)
+	parts := splitContiguous(all, n)
+	err = e.eachClone(op, n, func(k int) error {
+		rows := parts[k]
+		pages := p.Pages(len(rows))
+		meters[k].addDiskPages(pages, p)
+		meters[k].addCPU(float64(pages)*p.ReadPageInstr+float64(len(rows))*p.ExtractInstr, p)
+		if op.Spec.NetOut {
+			meters[k].addNetTuples(len(rows), p)
+		}
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	// The contiguous parts tile the cached leaf slice in order, so
+	// the scan's output IS that slice — no concat copy, no
+	// ownership (the cache outlives the run).
+	st.outputs[op] = all
+	obs.Count(e.Rec, "engine.tuples_scanned", int64(len(all)))
+	return nil
+}
+
+// exchange radix-partitions the stream feeding op on op's join key,
+// scattering the given payload. A stream that comes straight from a
+// Scan is that leaf's identity slice, which radixPartition is told so
+// it can read the keys from the leaf's column in place.
+func (e Engine) exchange(op *plan.Operator, ds *Dataset, st *runState, n int,
+	pay payload) (radixParts, *plan.Operator, error) {
+
+	in, prod, err := e.producerInput(op, st.outputs)
+	if err != nil {
+		return radixParts{}, nil, err
+	}
+	scanLeaf := int32(-1)
+	if prod.Kind == costmodel.Scan {
+		if scanLeaf, err = ds.LeafIndex(prod.Source); err != nil {
+			return radixParts{}, nil, err
+		}
+	}
+	rp, err := radixPartition(st.ar, ds, op.Source, in, scanLeaf, n, pay)
+	return rp, prod, err
+}
+
+// runBuild partitions the build side and fills one flat table per
+// clone. An outer-carrier join's probe only asks whether a key is
+// there, so its build ships and stores keys alone.
+func (e Engine) runBuild(pl *sched.OpPlacement, ds *Dataset, st *runState, meters []*cloneMeter) error {
+	op, n, p := pl.Op, pl.Degree, e.Model.Params
+	outerCarrier := OuterIsCarrier(op.Source)
+	pay := payRows
+	if outerCarrier {
+		pay = payKeys
+	}
+	rp, prod, err := e.exchange(op, ds, st, n, pay)
+	if err != nil {
+		return err
+	}
+	jt := newJoinTables(st.ar, ds, op.Source, &rp, n, outerCarrier)
+	for k := range jt.clones {
+		st.layouts[jt.clones[k].kind]++
+	}
+	err = e.eachClone(op, n, func(k int) error {
+		var rows []int32
+		if !outerCarrier {
+			rows = rp.rows(k)
+		}
+		if err := jt.clones[k].insert(rows, rp.keys(k)); err != nil {
+			return err
+		}
+		if op.Spec.NetIn {
+			meters[k].addNetTuples(rp.size(k), p)
+		}
+		meters[k].addCPU(float64(rp.size(k))*(p.ExtractInstr+p.HashInstr), p)
+		return nil
+	})
+	built := int64(len(rp.keyback))
+	// The tables hold what they need of the partitions.
+	rp.release(st.ar)
+	if err != nil {
+		jt.release(st.ar)
+		return err
+	}
+	st.tables[op.JoinID] = jt
+	st.release(prod)
+	st.outputs[op] = nil // the table is the output; nothing streams on
+	obs.Count(e.Rec, "engine.tuples_built", built)
+	return nil
+}
+
+// runProbe partitions the probe side, probes each clone's table and
+// concatenates the clones' results in clone order. An outer-carrier
+// probe passes its own matching tuples on; an inner-carrier probe emits
+// the build side's, so it ships keys alone.
+func (e Engine) runProbe(pl *sched.OpPlacement, ds *Dataset, st *runState, rep *Report,
+	meters []*cloneMeter) error {
+
+	op, n, p := pl.Op, pl.Degree, e.Model.Params
+	jt, ok := st.tables[op.JoinID]
+	if !ok {
+		return fmt.Errorf("probing join %d before its build", op.JoinID)
+	}
+	if len(jt.clones) != n {
+		return fmt.Errorf("probe degree %d != build degree %d", n, len(jt.clones))
+	}
+	outerCarrier := OuterIsCarrier(op.Source)
+	pay := payKeys
+	if outerCarrier {
+		pay = payTuples
+	}
+	rp, prod, err := e.exchange(op, ds, st, n, pay)
+	if err != nil {
+		return err
+	}
+	out := make([][]Tuple, n)
+	for k := 0; k < n; k++ {
+		// Capacity hints: presence probes emit at most their input;
+		// match probes emit (under the FK discipline) exactly the
+		// build partition's size. Either way append can still grow.
+		hint := rp.size(k)
+		if !outerCarrier {
+			hint = int(jt.clones[k].n)
+		}
+		out[k] = st.ar.getTuples(hint)[:0]
+	}
+	err = e.eachClone(op, n, func(k int) error {
+		var res []Tuple
+		var perr error
+		if outerCarrier {
+			res, perr = jt.clones[k].probePresence(rp.tuples(k), rp.keys(k), out[k])
+		} else {
+			res, perr = jt.clones[k].probeMatches(rp.keys(k), out[k])
+		}
+		if perr != nil {
+			return perr
+		}
+		out[k] = res
+		if op.Spec.NetIn {
+			meters[k].addNetTuples(rp.size(k), p)
+		}
+		if op.Spec.NetOut {
+			meters[k].addNetTuples(len(res), p)
+		}
+		meters[k].addCPU(float64(rp.size(k))*p.ProbeInstr+float64(len(res))*p.ExtractInstr, p)
+		return nil
+	})
+	probed := int64(len(rp.keyback))
+	rp.release(st.ar)
+	if err != nil {
+		for k := range out {
+			st.ar.putTuples(out[k])
+		}
+		return err
+	}
+	total := 0
+	for k := range out {
+		total += len(out[k])
+	}
+	result := st.ar.getTuples(total)[:0]
+	for k := range out {
+		result = append(result, out[k]...)
+		st.ar.putTuples(out[k])
+	}
+	st.release(prod)
+	jt.release(st.ar)
+	delete(st.tables, op.JoinID)
+	rep.JoinResults[op.JoinID] = len(result)
+	if len(result) != op.Spec.ResultTuples {
+		return fmt.Errorf("join %d produced %d tuples, expected %d",
+			op.JoinID, len(result), op.Spec.ResultTuples)
+	}
+	st.outputs[op] = result
+	st.owned[op] = true
+	obs.Count(e.Rec, "engine.tuples_probed", probed)
+	obs.Count(e.Rec, "engine.tuples_joined", int64(len(result)))
+	return nil
+}
+
+// runStore meters a materialization, which passes its input on.
+func (e Engine) runStore(pl *sched.OpPlacement, st *runState, meters []*cloneMeter) error {
+	op, n, p := pl.Op, pl.Degree, e.Model.Params
+	in, prod, err := e.producerInput(op, st.outputs)
+	if err != nil {
+		return err
+	}
+	parts := splitContiguous(in, n)
+	err = e.eachClone(op, n, func(k int) error {
+		pages := p.Pages(len(parts[k]))
+		meters[k].addDiskPages(pages, p)
+		meters[k].addCPU(float64(pages)*p.WritePageInstr, p)
+		if op.Spec.NetIn {
+			meters[k].addNetTuples(len(parts[k]), p)
+		}
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	st.outputs[op] = in // materialization preserves the stream
+	// Ownership of the producer's buffer transfers to the store's
+	// aliased output.
+	if st.owned[prod] {
+		delete(st.owned, prod)
+		st.owned[op] = true
+	}
+	obs.Count(e.Rec, "engine.tuples_stored", int64(len(in)))
+	return nil
 }
 
 // producerInput resolves op's pipeline producer and returns that
@@ -533,13 +589,6 @@ func producerOf(op *plan.Operator) *plan.Operator {
 		}
 	}
 	return nil
-}
-
-// partitionOf maps a join key to a partition in [0, n) with a
-// multiplicative mix so that structured key sets still spread evenly.
-func partitionOf(key int32, n int) int {
-	h := uint32(key) * hashMul // Knuth's multiplicative hash constant
-	return int(h % uint32(n))
 }
 
 // splitContiguous divides tuples into n near-equal contiguous ranges,

@@ -35,7 +35,7 @@ func testEngine(parallel bool) Engine {
 	}
 }
 
-func scheduleFor(t *testing.T, p *query.PlanNode, sites int) *sched.Schedule {
+func scheduleFor(t testing.TB, p *query.PlanNode, sites int) *sched.Schedule {
 	t.Helper()
 	tt := plan.MustNewTaskTree(plan.MustExpand(p))
 	s, err := sched.TreeScheduler{
@@ -368,38 +368,42 @@ func TestSplitContiguous(t *testing.T) {
 	}
 }
 
-// BenchmarkEngineRun times one warm run of a 3-join plan through the
-// flat data path and through the reference executor it replaced; the
-// /flat ÷ /reference ratio of ns/op and allocs/op is the old-vs-new
-// engine comparison.
+// e2ePlan is the shape of the benchmark's query_e2e workload: six joins
+// over relations of 10k to 50k tuples, carrier sides alternating.
+func e2ePlan() *query.PlanNode {
+	return chainPlan([]int{30000, 12000, 45000, 18000, 50000, 10000, 38000})
+}
+
+// BenchmarkEngineRun times one warm run through the flat data path and
+// through the reference executor it replaced, on a 3-join plan at P = 8
+// and (/e2e) on the query_e2e shape at P = 16; the /flat ÷ /reference
+// ratio of ns/op and allocs/op is the old-vs-new engine comparison.
 func BenchmarkEngineRun(b *testing.B) {
-	p := join(join(leaf("A", 20000), leaf("B", 10000)), leaf("C", 15000))
-	ds := MustGenerate(p, 1)
-	ot := plan.MustExpand(p)
-	tt := plan.MustNewTaskTree(ot)
-	s, err := sched.TreeScheduler{
-		Model:   costmodel.Default(),
-		Overlap: resource.MustOverlap(0.5),
-		P:       8,
-		F:       0.7,
-	}.Schedule(tt)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, arm := range []struct {
-		name string
-		eng  Engine
+	for _, shape := range []struct {
+		prefix string
+		plan   *query.PlanNode
+		sites  int
 	}{
-		{"flat", testEngine(true)},
-		{"reference", reference(testEngine(true))},
+		{"", join(join(leaf("A", 20000), leaf("B", 10000)), leaf("C", 15000)), 8},
+		{"e2e/", e2ePlan(), 16},
 	} {
-		b.Run(arm.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := arm.eng.Run(ds, s); err != nil {
-					b.Fatal(err)
+		ds := MustGenerate(shape.plan, 1)
+		s := scheduleFor(b, shape.plan, shape.sites)
+		for _, arm := range []struct {
+			name string
+			eng  Engine
+		}{
+			{"flat", testEngine(true)},
+			{"reference", reference(testEngine(true))},
+		} {
+			b.Run(shape.prefix+arm.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := arm.eng.Run(ds, s); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-		})
+			})
+		}
 	}
 }

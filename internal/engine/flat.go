@@ -1,11 +1,12 @@
 // Flat, cache-friendly operator state: two-pass radix partitioning
-// into one contiguous backing array, and dense flat hash tables that
-// exploit the generator's key discipline (smaller-side keys are
-// distinct 0..s−1) instead of Go maps. The rewritten data path keeps
-// every Report field byte-identical to the reference (pre-flat)
-// executor: partition contents and intra-partition order match the
-// old append-per-tuple map partitioning exactly, and every table
-// layout yields probe matches in the same order the map tables did.
+// that scatters only what the consumer reads, and per-clone build tables
+// sized to the partition instead of the join's key domain — a presence
+// bitmap, a bitmap-ranked CSR, or an open-addressing fallback — in
+// place of Go maps. The data path keeps every Report field
+// byte-identical to the reference (pre-flat) executor: partition
+// contents and intra-partition order match the old append-per-tuple map
+// partitioning exactly, and every table layout yields probe matches in
+// the same order the map tables did.
 package engine
 
 import (
@@ -15,115 +16,206 @@ import (
 	"mdrs/internal/query"
 )
 
-// hashMul is Knuth's multiplicative constant, shared by partitionOf
-// and the open-addressing table.
+// hashMul is Knuth's multiplicative constant, shared by the partition
+// hash and the open-addressing table.
 const hashMul = 2654435761
 
-// radixParts is one radix partitioning: n contiguous runs of a single
-// arena backing plus the co-scattered key of every tuple, so clone
-// bodies index keys directly and never re-resolve the join's column
-// slot or re-hash a tuple.
+// payload names what radixPartition scatters beside the join keys: the
+// exchange ships only the bytes its consumer reads.
+type payload uint8
+
+const (
+	// payKeys scatters the keys alone: an outer-carrier build keeps only
+	// presence, and an inner-carrier probe emits build tuples, never its
+	// own.
+	payKeys payload = iota
+	// payRows adds the bare row numbers: an inner-carrier build stores
+	// them and reconstitutes Tuples with the stream's one carrier leaf.
+	payRows
+	// payTuples adds the tuples themselves: an outer-carrier probe passes
+	// the matching ones on.
+	payTuples
+)
+
+// radixParts is one radix partitioning: partition k is the window
+// [starts[k], starts[k+1]) of each co-scattered arena backing the
+// payload asked for, so clone bodies index keys directly and never
+// re-resolve the join's column slot or re-hash a tuple.
 type radixParts struct {
-	tuples  [][]Tuple
-	keys    [][]int32
-	backing []Tuple
+	starts  []int32 // n+1 partition boundaries
 	keyback []int32
+	rowback []int32 // payRows only
+	backing []Tuple // payTuples only
+	// leaf is the stream's carrier leaf (its first tuple's), -1 when the
+	// stream is empty.
+	leaf int32
 }
+
+func (rp *radixParts) size(k int) int       { return int(rp.starts[k+1] - rp.starts[k]) }
+func (rp *radixParts) keys(k int) []int32   { return rp.keyback[rp.starts[k]:rp.starts[k+1]] }
+func (rp *radixParts) rows(k int) []int32   { return rp.rowback[rp.starts[k]:rp.starts[k+1]] }
+func (rp *radixParts) tuples(k int) []Tuple { return rp.backing[rp.starts[k]:rp.starts[k+1]] }
 
 // release returns the partitioning's arena buffers.
 func (rp *radixParts) release(ar *arena) {
-	ar.putTuples(rp.backing)
+	ar.putInt32(rp.starts)
 	ar.putInt32(rp.keyback)
-	rp.backing, rp.keyback = nil, nil
-	rp.tuples, rp.keys = nil, nil
+	ar.putInt32(rp.rowback)
+	ar.putTuples(rp.backing)
+	*rp = radixParts{}
+}
+
+// reciprocalOf returns the multiplier with which partitionBy replaces
+// the hardware divide of h % n (Lemire, Kaser and Kurz, "Faster
+// remainder by direct computation", 2019): exact for every 32-bit h
+// and n.
+func reciprocalOf(n int) uint64 { return ^uint64(0)/uint64(n) + 1 }
+
+// partitionBy maps a join key to a partition in [0, n) with a
+// multiplicative mix so that structured key sets still spread evenly:
+// (key·hashMul mod 2³²) mod n, the mod taken by recip = reciprocalOf(n).
+func partitionBy(key int32, recip, n uint64) int32 {
+	h := uint32(key) * hashMul
+	hi, _ := bits.Mul64(recip*uint64(h), n)
+	return int32(hi)
 }
 
 // radixPartition hash-partitions tuples on their key for the given
 // join into n buckets — the exchange (repartitioning) operator of
-// assumption A5 — in two passes: count per partition, then scatter
-// into one preallocated backing array. The join's key column is
-// resolved once per leaf (an array index per tuple) instead of through
-// the per-tuple ds.Key map lookup the reference path pays. Partition
-// assignment (partitionOf) and intra-partition order (input order) are
+// assumption A5 — in two passes: count per partition, then scatter the
+// keys and the requested payload into preallocated backing arrays.
+// scanLeaf >= 0 says that in is that leaf's identity slice (the
+// producer is a Scan), so the keys are the leaf's column in place: no
+// gather, and in is never read. Otherwise the key column is resolved
+// once per run of equal leaves (an array index per tuple) instead of
+// through the per-tuple ds.Key map lookup the reference path pays.
+// Partition assignment and intra-partition order (input order) are
 // identical to the reference path's append-per-tuple map partitioning.
-func radixPartition(ar *arena, ds *Dataset, join *query.PlanNode, in []Tuple, n int) (radixParts, error) {
+func radixPartition(ar *arena, ds *Dataset, join *query.PlanNode, in []Tuple,
+	scanLeaf int32, n int, pay payload) (radixParts, error) {
+
 	jc := ds.joins[join]
 	if jc == nil {
 		return radixParts{}, fmt.Errorf("dataset carries no key columns for the requested join")
 	}
 	m := len(in)
-	keyIn := ar.getInt32(m)
 	pids := ar.getInt32(m)
 	counts := ar.getInt32(n)
-	for k := range counts {
-		counts[k] = 0
+	clear(counts)
+	recip, un := reciprocalOf(n), uint64(n)
+
+	rp := radixParts{leaf: -1}
+	if m > 0 {
+		rp.leaf = in[0].Leaf
 	}
-	for i, t := range in {
-		col := jc.cols[t.Leaf]
-		if col == nil {
-			ar.putInt32(keyIn)
+	var keyIn, gathered []int32
+	if scanLeaf >= 0 && m > 0 {
+		if keyIn = jc.cols[scanLeaf]; keyIn == nil {
 			ar.putInt32(pids)
 			ar.putInt32(counts)
-			return radixParts{}, fmt.Errorf("leaf %s carries no key for the requested join",
-				ds.leaves[t.Leaf].rel.Name)
+			return radixParts{}, foreignLeaf(ds, scanLeaf)
 		}
-		key := col[t.Row]
-		keyIn[i] = key
-		p := int32(partitionOf(key, n))
-		pids[i] = p
-		counts[p]++
+		for i, key := range keyIn[:m] {
+			p := partitionBy(key, recip, un)
+			pids[i] = p
+			counts[p]++
+		}
+	} else {
+		gathered = ar.getInt32(m)
+		keyIn = gathered
+		leaf, col := int32(-1), []int32(nil)
+		for i, t := range in {
+			if t.Leaf != leaf {
+				if col = jc.cols[t.Leaf]; col == nil {
+					ar.putInt32(gathered)
+					ar.putInt32(pids)
+					ar.putInt32(counts)
+					return radixParts{}, foreignLeaf(ds, t.Leaf)
+				}
+				leaf = t.Leaf
+			}
+			key := col[t.Row]
+			keyIn[i] = key
+			p := partitionBy(key, recip, un)
+			pids[i] = p
+			counts[p]++
+		}
 	}
 
-	starts := ar.getInt32(n + 1)
+	rp.starts = ar.getInt32(n + 1)
 	sum := int32(0)
 	for k := 0; k < n; k++ {
-		starts[k] = sum
+		rp.starts[k] = sum
 		sum += counts[k]
-		counts[k] = starts[k] // reuse as scatter cursors
+		counts[k] = rp.starts[k] // reuse as scatter cursors
 	}
-	starts[n] = sum
+	rp.starts[n] = sum
 
-	rp := radixParts{
-		backing: ar.getTuples(m),
-		keyback: ar.getInt32(m),
-		tuples:  make([][]Tuple, n),
-		keys:    make([][]int32, n),
+	rp.keyback = ar.getInt32(m)
+	switch pay {
+	case payKeys:
+		for i, p := range pids {
+			pos := counts[p]
+			counts[p] = pos + 1
+			rp.keyback[pos] = keyIn[i]
+		}
+	case payRows:
+		rp.rowback = ar.getInt32(m)
+		for i, p := range pids {
+			pos := counts[p]
+			counts[p] = pos + 1
+			rp.keyback[pos] = keyIn[i]
+			if scanLeaf >= 0 {
+				rp.rowback[pos] = int32(i)
+			} else {
+				rp.rowback[pos] = in[i].Row
+			}
+		}
+	case payTuples:
+		rp.backing = ar.getTuples(m)
+		for i, p := range pids {
+			pos := counts[p]
+			counts[p] = pos + 1
+			rp.keyback[pos] = keyIn[i]
+			if scanLeaf >= 0 {
+				rp.backing[pos] = Tuple{Leaf: scanLeaf, Row: int32(i)}
+			} else {
+				rp.backing[pos] = in[i]
+			}
+		}
 	}
-	for i, t := range in {
-		p := pids[i]
-		pos := counts[p]
-		counts[p] = pos + 1
-		rp.backing[pos] = t
-		rp.keyback[pos] = keyIn[i]
-	}
-	for k := 0; k < n; k++ {
-		rp.tuples[k] = rp.backing[starts[k]:starts[k+1]]
-		rp.keys[k] = rp.keyback[starts[k]:starts[k+1]]
-	}
-	ar.putInt32(keyIn)
+	ar.putInt32(gathered)
 	ar.putInt32(pids)
 	ar.putInt32(counts)
-	ar.putInt32(starts)
 	return rp, nil
+}
+
+// foreignLeaf is the error for a tuple whose carrier leaf holds no key
+// column for the join being partitioned.
+func foreignLeaf(ds *Dataset, leaf int32) error {
+	return fmt.Errorf("leaf %s carries no key for the requested join", ds.leaves[leaf].rel.Name)
 }
 
 // tableKind selects one of the three build-table layouts.
 type tableKind uint8
 
 const (
-	// tableDirect is a direct-indexed array over the key domain:
-	// slot[key] holds the matching build row or -1 — the match slot and
-	// the presence bitmap in one load. Used when the build side carries
-	// distinct keys (the join's smaller side, i.e. the outer operand is
-	// the carrier) and the domain is dense relative to the partition.
-	tableDirect tableKind = iota
-	// tableCSR is a dense group-by-key layout for duplicate build keys
-	// (the build side is the join's larger operand): off[] offsets into
-	// rows[], rows grouped by key in partition input order.
-	tableCSR
+	// tableBits is a presence bitmap over the key domain, one bit per
+	// key in domain/32 words: all an outer-carrier probe asks of its
+	// build side (the join's smaller operand, distinct keys) is whether
+	// the key is there — a semi-join. It stores no rows, so its only
+	// probe is probePresence.
+	tableBits tableKind = iota
+	// tableRank is the same bitmap plus a per-word prefix popcount, which
+	// ranks a key among the partition's own distinct keys, and a CSR
+	// (off, rows) over that rank: rows grouped by key in partition input
+	// order, for the duplicate build keys of an inner-carrier join. The
+	// CSR is sized to the partition, not to the domain.
+	tableRank
 	// tableOA is the open-addressing (key,row) multimap fallback when
-	// the domain is too sparse for a dense layout: linear probing, no
-	// deletions, equal keys collected in insertion order.
+	// even a bit per domain key dwarfs the partition: linear probing, no
+	// deletions, equal keys collected in insertion order. Built without
+	// rows (vals nil) it answers presence only.
 	tableOA
 )
 
@@ -135,10 +227,12 @@ type buildTable struct {
 	leaf int32
 	n    int32 // entries (build partition size)
 
-	// tableDirect
-	slot []int32
-	// tableCSR: after the cursor-advancing scatter, off[key] is the
-	// END of key's row group and the start is off[key-1] (0 for key 0).
+	// tableBits, tableRank: bit key&31 of words[key>>5] is set when key
+	// is present.
+	words []int32
+	// tableRank: rank[w] counts the set bits of words[:w]; the rows of
+	// the key of rank r are rows[off[r]:off[r+1]].
+	rank []int32
 	off  []int32
 	rows []int32
 	// tableOA: key -1 marks an empty slot (generated keys are >= 0);
@@ -151,82 +245,87 @@ type buildTable struct {
 	domain int
 }
 
-// denseOK reports whether a dense O(domain) layout is worth the
-// footprint for a partition of m build tuples.
-func denseOK(domain, m int) bool {
-	return domain <= 8*m+1024
+// bitmapOK reports whether a bit per domain key is worth the footprint
+// for a partition of m build tuples: the one rule that picks between
+// the bitmap layouts and open addressing.
+func bitmapOK(domain, m int) bool {
+	return domain/32 <= 8*m+1024
 }
 
+// bitmapWords is the word count of a bitmap over [0, domain).
+func bitmapWords(domain int) int { return (domain + 31) / 32 }
+
 // joinTables is the per-clone flat tables of one join, alive from the
-// build until its probe consumes (and releases) them.
+// build until its probe consumes (and releases) them. Every clone's
+// arrays are windows of one arena slab.
 type joinTables struct {
 	clones []buildTable
+	slab   []int32
 }
 
 // newJoinTables sizes one flat table per clone on the run's
 // coordinating goroutine (clone bodies only fill their own arrays).
 // outerCarrier selects the layout family: when the outer (probe-side)
-// operand is the carrier, the build side is the join's smaller operand
-// and carries distinct keys, so presence is all a probe needs
-// (tableDirect); otherwise every build tuple must be emitted per match
-// (tableCSR). Sparse domains fall back to open addressing either way.
-func newJoinTables(ar *arena, ds *Dataset, join *query.PlanNode, rp radixParts, n int, outerCarrier bool) *joinTables {
-	jc := ds.joins[join]
-	leaf := int32(-1)
-	for k := range rp.tuples {
-		if len(rp.tuples[k]) > 0 {
-			leaf = rp.tuples[k][0].Leaf
-			break
+// operand is the carrier, presence is all a probe needs (tableBits);
+// otherwise every build tuple must be emitted per match (tableRank).
+// Sparse domains fall back to open addressing either way.
+func newJoinTables(ar *arena, ds *Dataset, join *query.PlanNode, rp *radixParts, n int, outerCarrier bool) *joinTables {
+	domain := ds.joins[join].domain
+	nw := bitmapWords(domain)
+	// layout picks a partition's table kind and the lengths of its (up
+	// to four) arrays, in the order the struct declares them.
+	bitmap := tableRank
+	if outerCarrier {
+		bitmap = tableBits
+	}
+	layout := func(m int) (tableKind, [4]int) {
+		switch {
+		case m == 0:
+			return bitmap, [4]int{} // no arrays; probes find nothing
+		case !bitmapOK(domain, m) && outerCarrier:
+			return tableOA, [4]int{oaSize(m)}
+		case !bitmapOK(domain, m):
+			return tableOA, [4]int{oaSize(m), oaSize(m)}
+		case outerCarrier:
+			return tableBits, [4]int{nw}
+		default:
+			return tableRank, [4]int{nw, nw, min(m, domain) + 1, m}
 		}
 	}
-	jt := &joinTables{clones: make([]buildTable, n)}
+	total := 0
 	for k := 0; k < n; k++ {
-		m := len(rp.tuples[k])
+		_, sz := layout(rp.size(k))
+		total += sz[0] + sz[1] + sz[2] + sz[3]
+	}
+	jt := &joinTables{clones: make([]buildTable, n), slab: ar.getInt32(total)}
+	rest := jt.slab
+	carve := func(sz int) []int32 {
+		if sz == 0 {
+			return nil
+		}
+		b := rest[:sz:sz]
+		rest = rest[sz:]
+		return b
+	}
+	for k := 0; k < n; k++ {
+		m := rp.size(k)
+		kind, sz := layout(m)
 		t := &jt.clones[k]
-		t.leaf = leaf
-		t.n = int32(m)
-		t.domain = jc.domain
-		if m == 0 {
-			t.kind = tableDirect // nil slot; probes find nothing
+		*t = buildTable{kind: kind, leaf: rp.leaf, n: int32(m), domain: domain}
+		if kind == tableOA {
+			t.setOA(carve(sz[0]), carve(sz[1]))
 			continue
 		}
-		switch {
-		case outerCarrier && denseOK(jc.domain, m):
-			t.kind = tableDirect
-			t.slot = ar.getInt32(jc.domain)
-		case !outerCarrier && denseOK(jc.domain, m):
-			t.kind = tableCSR
-			t.off = ar.getInt32(jc.domain + 1)
-			t.rows = ar.getInt32(m)
-		default:
-			size := oaSize(m)
-			t.setOA(ar.getInt32(size), ar.getInt32(size))
-		}
+		t.words, t.rank, t.off, t.rows = carve(sz[0]), carve(sz[1]), carve(sz[2]), carve(sz[3])
 	}
 	return jt
 }
 
-// release returns every clone's arrays to the arena.
+// release returns the tables' slab to the arena.
 func (jt *joinTables) release(ar *arena) {
-	for k := range jt.clones {
-		t := &jt.clones[k]
-		if t.slot != nil {
-			ar.putInt32(t.slot)
-		}
-		if t.off != nil {
-			ar.putInt32(t.off)
-		}
-		if t.rows != nil {
-			ar.putInt32(t.rows)
-		}
-		if t.keys != nil {
-			ar.putInt32(t.keys)
-		}
-		if t.vals != nil {
-			ar.putInt32(t.vals)
-		}
-		jt.clones[k] = buildTable{}
-	}
+	ar.putInt32(jt.slab)
+	jt.slab = nil
+	clear(jt.clones)
 }
 
 // oaSize is the slot count of a tableOA over m build tuples: a power of
@@ -236,7 +335,8 @@ func oaSize(m int) int {
 }
 
 // setOA makes t an open-addressing table over the given slot arrays,
-// whose common length is a power of two.
+// whose common length is a power of two; nil vals makes it
+// presence-only.
 func (t *buildTable) setOA(keys, vals []int32) {
 	t.kind = tableOA
 	t.keys, t.vals = keys, vals
@@ -246,55 +346,71 @@ func (t *buildTable) setOA(keys, vals []int32) {
 
 // home is a key's first slot in a tableOA: the top log2(size) bits of
 // its multiplicative hash (Fibonacci hashing, Knuth 6.4). The low bits
-// will not do: partitionOf chose this partition by the same hash mod n,
+// will not do: the exchange chose this partition by the same hash mod n,
 // so at a power-of-two degree every key here agrees on its low log2(n)
 // bits and hash&mask reaches only one home slot in n.
 func (t *buildTable) home(key int32) uint32 {
 	return (uint32(key) * hashMul) >> t.shift
 }
 
+// presenceOnly reports whether the table was built without rows, so
+// that only probePresence can be answered from it.
+func (t *buildTable) presenceOnly() bool {
+	return t.kind == tableBits || t.kind == tableOA && t.vals == nil
+}
+
+// outside reports whether key lies outside the table's domain — a
+// dataflow bug, not a miss.
+func (t *buildTable) outside(key int32) bool {
+	return uint(key) >= uint(t.domain)
+}
+
 // insert fills the table from one build partition (run inside the
-// clone body; the arrays were carved on the coordinator). part and
-// keys are the partition's co-scattered tuples and join keys.
-func (t *buildTable) insert(part []Tuple, keys []int32) error {
+// clone body; the arrays were carved on the coordinator). keys are the
+// partition's co-scattered join keys and rows its row numbers, which a
+// presence-only table does not read.
+func (t *buildTable) insert(rows, keys []int32) error {
+	if t.n == 0 {
+		return nil // empty partition
+	}
 	switch t.kind {
-	case tableDirect:
-		if t.slot == nil {
-			return nil // empty partition
-		}
-		for i := range t.slot {
-			t.slot[i] = -1
-		}
-		for i, key := range keys {
-			if key < 0 || int(key) >= t.domain {
-				return fmt.Errorf("build key %d outside domain [0, %d)", key, t.domain)
-			}
-			t.slot[key] = part[i].Row
-		}
-	case tableCSR:
-		off := t.off
-		for i := range off {
-			off[i] = 0
-		}
+	case tableBits, tableRank:
+		words := t.words
+		clear(words)
 		for _, key := range keys {
-			if key < 0 || int(key) >= t.domain {
+			if t.outside(key) {
 				return fmt.Errorf("build key %d outside domain [0, %d)", key, t.domain)
 			}
-			off[key]++
+			words[key>>5] |= 1 << (key & 31)
+		}
+		if t.kind == tableBits {
+			return nil
 		}
 		sum := int32(0)
-		for k := 0; k < t.domain; k++ {
-			c := off[k]
-			off[k] = sum
+		for w, word := range words {
+			t.rank[w] = sum
+			sum += int32(bits.OnesCount32(uint32(word)))
+		}
+		// Count into off[r+1], turn the counts into group starts, then
+		// scatter with off[r+1] as key r's cursor: it ends at the END of
+		// the group, which is the start of the next, and off[0] stays 0.
+		off := t.off[:sum+1]
+		clear(off)
+		for _, key := range keys {
+			off[t.rankOf(key)+1]++
+		}
+		sum = 0
+		for r := 1; r < len(off); r++ {
+			c := off[r]
+			off[r] = sum
 			sum += c
 		}
-		off[t.domain] = sum
 		for i, key := range keys {
-			pos := off[key]
-			off[key] = pos + 1
-			t.rows[pos] = part[i].Row
+			r := t.rankOf(key) + 1
+			pos := off[r]
+			off[r] = pos + 1
+			t.rows[pos] = rows[i]
 		}
-		// off[key] is now the END of key's group; start is off[key-1].
 	case tableOA:
 		for i := range t.keys {
 			t.keys[i] = -1
@@ -305,10 +421,24 @@ func (t *buildTable) insert(part []Tuple, keys []int32) error {
 				j = (j + 1) & t.mask
 			}
 			t.keys[j] = key
-			t.vals[j] = part[i].Row
+			if t.vals != nil {
+				t.vals[j] = rows[i]
+			}
 		}
 	}
 	return nil
+}
+
+// has reports whether an in-domain key is in the bitmap.
+func (t *buildTable) has(key int32) bool {
+	return uint32(t.words[key>>5])>>(key&31)&1 != 0
+}
+
+// rankOf is the number of distinct partition keys below a present key:
+// the set bits of the words before its own, plus those below it there.
+func (t *buildTable) rankOf(key int32) int32 {
+	below := uint32(t.words[key>>5]) & (1<<(key&31) - 1)
+	return t.rank[key>>5] + int32(bits.OnesCount32(below))
 }
 
 // probePresence appends each probe tuple whose key has at least one
@@ -320,25 +450,12 @@ func (t *buildTable) probePresence(part []Tuple, keys []int32, res []Tuple) ([]T
 		return res, nil
 	}
 	switch t.kind {
-	case tableDirect:
+	case tableBits, tableRank:
 		for i, key := range keys {
-			if key < 0 || int(key) >= t.domain {
+			if t.outside(key) {
 				return res, fmt.Errorf("probe key %d outside domain [0, %d)", key, t.domain)
 			}
-			if t.slot[key] >= 0 {
-				res = append(res, part[i])
-			}
-		}
-	case tableCSR:
-		for i, key := range keys {
-			if key < 0 || int(key) >= t.domain {
-				return res, fmt.Errorf("probe key %d outside domain [0, %d)", key, t.domain)
-			}
-			lo := int32(0)
-			if key > 0 {
-				lo = t.off[key-1]
-			}
-			if t.off[key] > lo {
+			if t.has(key) {
 				res = append(res, part[i])
 			}
 		}
@@ -359,32 +476,28 @@ func (t *buildTable) probePresence(part []Tuple, keys []int32, res []Tuple) ([]T
 
 // probeMatches appends every matching build tuple per probe key — the
 // inner-carrier arm. Match order per key is the build partition's
-// input order, exactly as the reference path's map-append produced.
+// input order, exactly as the reference path's map-append produced. A
+// presence-only table holds no rows to emit, which is an error, not an
+// empty result.
 func (t *buildTable) probeMatches(keys []int32, res []Tuple) ([]Tuple, error) {
+	if t.presenceOnly() {
+		return res, fmt.Errorf("match probe of a presence-only build table")
+	}
 	if t.n == 0 {
 		return res, nil
 	}
 	switch t.kind {
-	case tableDirect:
+	case tableRank:
 		for _, key := range keys {
-			if key < 0 || int(key) >= t.domain {
+			if t.outside(key) {
 				return res, fmt.Errorf("probe key %d outside domain [0, %d)", key, t.domain)
 			}
-			if r := t.slot[key]; r >= 0 {
-				res = append(res, Tuple{Leaf: t.leaf, Row: r})
+			if !t.has(key) {
+				continue
 			}
-		}
-	case tableCSR:
-		for _, key := range keys {
-			if key < 0 || int(key) >= t.domain {
-				return res, fmt.Errorf("probe key %d outside domain [0, %d)", key, t.domain)
-			}
-			lo := int32(0)
-			if key > 0 {
-				lo = t.off[key-1]
-			}
-			for _, r := range t.rows[lo:t.off[key]] {
-				res = append(res, Tuple{Leaf: t.leaf, Row: r})
+			r := t.rankOf(key)
+			for _, row := range t.rows[t.off[r]:t.off[r+1]] {
+				res = append(res, Tuple{Leaf: t.leaf, Row: row})
 			}
 		}
 	case tableOA:

@@ -1,10 +1,12 @@
 package engine
 
 import (
+	"reflect"
 	"runtime"
 	"sync/atomic"
 	"testing"
 
+	"mdrs/internal/obs"
 	"mdrs/internal/plan"
 	"mdrs/internal/query"
 	"mdrs/internal/sched"
@@ -72,30 +74,42 @@ func TestParallelCloneGoroutinesAreBounded(t *testing.T) {
 	}
 }
 
-// TestDegree512JoinMatchesReference runs a whole join at degree 512 —
-// partitions far smaller than the key domain, forcing the
-// open-addressing table fallback — and checks the flat path still
-// mirrors the reference executor exactly.
+// TestDegree512JoinMatchesReference runs whole joins at degree 512 over
+// a key domain of 10⁵ — partitions of some two hundred tuples, for
+// which even a bit per domain key is too much, forcing the
+// open-addressing fallback (presence-only under the outer carrier, with
+// rows under the inner one) — and checks the flat path still mirrors
+// the reference executor exactly.
 func TestDegree512JoinMatchesReference(t *testing.T) {
 	const degree = 512
-	p := join(leaf("A", 30000), leaf("B", 8000))
-	ds := MustGenerate(p, 11)
-	s := degreeSchedule(t, p, degree)
+	for name, p := range map[string]*query.PlanNode{
+		"outer carrier": join(leaf("A", 101000), leaf("B", 100000)),
+		"inner carrier": join(leaf("A", 100000), leaf("B", 101000)),
+	} {
+		ds := MustGenerate(p, 11)
+		s := degreeSchedule(t, p, degree)
 
-	ref := reference(testEngine(true))
-	repRef, err := ref.Run(ds, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	repFlat, err := testEngine(true).Run(ds, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if repRef.ResultTuples != 30000 || repFlat.ResultTuples != repRef.ResultTuples {
-		t.Fatalf("cardinality mismatch: ref %d, flat %d", repRef.ResultTuples, repFlat.ResultTuples)
-	}
-	if repRef.Measured != repFlat.Measured {
-		t.Fatalf("measured diverges at degree %d: ref %g, flat %g",
-			degree, repRef.Measured, repFlat.Measured)
+		ref := reference(testEngine(true))
+		repRef, err := ref.Run(ds, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		met := obs.NewMetrics()
+		flat := testEngine(true)
+		flat.Rec = met
+		repFlat, err := flat.Run(ds, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if repRef.ResultTuples != 101000 || repFlat.ResultTuples != repRef.ResultTuples {
+			t.Fatalf("%s: cardinality mismatch: ref %d, flat %d", name, repRef.ResultTuples, repFlat.ResultTuples)
+		}
+		if !reflect.DeepEqual(repRef, repFlat) {
+			t.Fatalf("%s: reports diverge at degree %d:\nref:  %+v\nflat: %+v", name, degree, repRef, repFlat)
+		}
+		if c := met.Snapshot().Counters; c["engine.tables_oa"] != degree {
+			t.Fatalf("%s: %d of %d tables open-addressing (%d bits, %d rank); the test no longer reaches the fallback",
+				name, c["engine.tables_oa"], degree, c["engine.tables_bits"], c["engine.tables_rank"])
+		}
 	}
 }

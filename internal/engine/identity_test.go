@@ -16,7 +16,7 @@ import (
 // chainPlan builds a left-deep chain over the given leaf sizes. Mixing
 // ascending and descending sizes flips the carrier side join by join,
 // so both the presence-probe (outer carrier) and match-probe (inner
-// carrier) arms — and thus both the direct and CSR table layouts —
+// carrier) arms — and thus both the bitmap and ranked-CSR table layouts —
 // execute.
 func chainPlan(sizes []int) *query.PlanNode {
 	p := leaf("L0", sizes[0])

@@ -204,6 +204,16 @@ func leafTuplesRef(ds *Dataset, i int32) []Tuple {
 	return out
 }
 
+// partitionOf maps a join key to a partition in [0, n) with a
+// multiplicative mix so that structured key sets still spread evenly.
+// It is the partition function as the reference path computes it, with
+// the hardware divide; the flat path's partitionBy must agree with it
+// on every key and degree.
+func partitionOf(key int32, n int) int {
+	h := uint32(key) * hashMul // Knuth's multiplicative hash constant
+	return int(h % uint32(n))
+}
+
 // partitionByKey hash-partitions tuples on their key for the given join
 // into n buckets with the reference path's append-per-tuple loop and
 // per-tuple ds.Key map lookup. Build and probe use the same function,

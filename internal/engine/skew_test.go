@@ -27,20 +27,20 @@ func TestSkewedRunDriftsAbovePrediction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ar := arenaPool.Get().(*arena)
-	rp, err := radixPartition(ar, ds, p, ds.LeafTuples(aIdx), sites)
+	ar := getArena()
+	rp, err := radixPartition(ar, ds, p, ds.LeafTuples(aIdx), aIdx, sites, payTuples)
 	if err != nil {
 		t.Fatal(err)
 	}
 	maxSz, total := 0, 0
-	for k := range rp.tuples {
-		if len(rp.tuples[k]) > maxSz {
-			maxSz = len(rp.tuples[k])
+	for k := 0; k < sites; k++ {
+		if rp.size(k) > maxSz {
+			maxSz = rp.size(k)
 		}
-		total += len(rp.tuples[k])
+		total += rp.size(k)
 	}
 	rp.release(ar)
-	arenaPool.Put(ar)
+	putArena(ar)
 	if total != 40000 {
 		t.Fatalf("partitions cover %d of 40000 tuples", total)
 	}
