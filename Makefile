@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: check build vet fmt-check test race bench-smoke harness-check benchmark bench bench-serve bench-adaptive bench-opt bench-opt-check figures trace-demo
+.PHONY: check build vet fmt-check test race bench-smoke harness-check benchmark bench bench-serve bench-adaptive bench-opt bench-opt-check figures trace-demo loc
 
 check: build vet fmt-check race bench-smoke bench-opt-check harness-check
 
@@ -93,3 +93,8 @@ figures:
 # Schedule one seeded 6-join plan and pretty-print its decision trace.
 trace-demo:
 	$(GO) run ./cmd/mdrs-plangen -joins 6 -seed 1 | $(GO) run ./cmd/mdrs-sched -sites 16 -trace-text
+
+# The size ROADMAP tracks: non-test Go lines of the root module (the
+# nested bench/ module excluded).
+loc:
+	@git ls-files '*.go' | grep -v _test.go | grep -v '^bench/' | xargs cat | wc -l

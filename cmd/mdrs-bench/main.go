@@ -4,11 +4,10 @@
 //
 // Usage:
 //
-//	mdrs-bench [-fig 5a|5b|6a|6b|malleable|order|shelf|contention|memory|
-//	            shape|plansearch|pipeline|batch|decluster|all] [-table2]
-//	           [-queries N] [-seed S] [-quick] [-workers N]
-//	           [-benchjson FILE]
+//	mdrs-bench [-fig NAME|all] [-table2] [-queries N] [-seed S] [-quick]
+//	           [-workers N] [-benchjson FILE]
 //
+// The figure names are the IDs of experiments.Figures; -h lists them.
 // -workers bounds the goroutine pool that fans out each figure's
 // per-query trials (0 = GOMAXPROCS); the output is byte-identical for
 // every worker count. -opt-bench measures the plan-search arms
@@ -34,33 +33,12 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 	"time"
 
 	"mdrs/internal/experiments"
 	"mdrs/internal/obs"
 )
-
-// figures maps figure names to their generators, in canonical order.
-var figures = map[string]func(experiments.Config) (*experiments.Figure, error){
-	"5a":         experiments.Fig5a,
-	"5b":         experiments.Fig5b,
-	"6a":         experiments.Fig6a,
-	"6b":         experiments.Fig6b,
-	"malleable":  experiments.Malleable,
-	"order":      experiments.OrderAblation,
-	"shelf":      experiments.ShelfAblation,
-	"contention": experiments.ContentionAblation,
-	"memory":     experiments.MemoryAblation,
-	"shape":      experiments.ShapeAblation,
-	"plansearch": experiments.PlanSearchAblation,
-	"pipeline":   experiments.PipelineAblation,
-	"batch":      experiments.BatchAblation,
-	"decluster":  experiments.DeclusterAblation,
-}
-
-var figureOrder = []string{"5a", "5b", "6a", "6b", "malleable", "order",
-	"shelf", "contention", "memory", "shape", "plansearch", "pipeline",
-	"batch", "decluster"}
 
 // benchReport is the machine-readable timing record written by
 // -benchjson: configuration knobs that affect the numbers plus one wall
@@ -80,7 +58,7 @@ type figureTiming struct {
 }
 
 func main() {
-	fig := flag.String("fig", "all", "figure to regenerate (see usage) or all")
+	fig := flag.String("fig", "all", "figure to regenerate: "+figureNames()+" or all")
 	table2 := flag.Bool("table2", false, "print Table 2 (experiment parameter settings)")
 	queries := flag.Int("queries", 0, "override queries per data point (default: paper's 20)")
 	seed := flag.Int64("seed", 0, "override workload seed")
@@ -235,35 +213,44 @@ func writeMetrics(path string, m *obs.Metrics) error {
 	return f.Close()
 }
 
+// figureNames lists the -fig values experiments.Figures accepts.
+func figureNames() string {
+	names := make([]string, len(experiments.Figures))
+	for i, f := range experiments.Figures {
+		names[i] = f.ID
+	}
+	return strings.Join(names, "|")
+}
+
 // emit regenerates one figure (or all of them) into w, as aligned text
 // or CSV, timing each regeneration for the bench report. On error the
 // report is still returned, holding the figures completed so far.
 func emit(w io.Writer, cfg experiments.Config, name string, asCSV bool) (*benchReport, error) {
-	names := []string{name}
-	if name == "all" {
-		names = figureOrder
-	}
 	report := &benchReport{Queries: cfg.Queries, Seed: cfg.Seed, Workers: cfg.Workers}
-	for _, n := range names {
-		fn, ok := figures[n]
-		if !ok {
-			return report, fmt.Errorf("unknown figure %q", n)
+	write := experiments.WriteText
+	if asCSV {
+		write = experiments.WriteCSV
+	}
+	known := name == "all"
+	for _, f := range experiments.Figures {
+		if name != "all" && name != f.ID {
+			continue
 		}
+		known = true
 		start := time.Now()
-		f, err := fn(cfg)
+		fig, err := f.Generate(cfg)
 		if err != nil {
-			return report, fmt.Errorf("%s: %w", n, err)
+			return report, fmt.Errorf("%s: %w", f.ID, err)
 		}
 		secs := time.Since(start).Seconds()
-		report.Figures = append(report.Figures, figureTiming{Figure: n, Seconds: secs})
+		report.Figures = append(report.Figures, figureTiming{Figure: f.ID, Seconds: secs})
 		report.TotalSeconds += secs
-		write := experiments.WriteText
-		if asCSV {
-			write = experiments.WriteCSV
-		}
-		if err := write(w, f); err != nil {
+		if err := write(w, fig); err != nil {
 			return report, err
 		}
+	}
+	if !known {
+		return report, fmt.Errorf("unknown figure %q (want %s or all)", name, figureNames())
 	}
 	return report, nil
 }

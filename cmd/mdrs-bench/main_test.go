@@ -37,8 +37,13 @@ func TestEmitSingleFigure(t *testing.T) {
 
 func TestEmitUnknownFigure(t *testing.T) {
 	var sb strings.Builder
-	if _, err := emit(&sb, testConfig(), "9z", false); err == nil {
+	_, err := emit(&sb, testConfig(), "9z", false)
+	if err == nil {
 		t.Fatal("unknown figure accepted")
+	}
+	// The error names the valid figures, from the table.
+	if last := experiments.Figures[len(experiments.Figures)-1].ID; !strings.Contains(err.Error(), last) {
+		t.Fatalf("unknown-figure error %q does not list the figures", err)
 	}
 }
 
@@ -73,16 +78,13 @@ func TestEmitAllCoversEveryRegisteredFigure(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := sb.String()
-	for _, name := range figureOrder {
-		if !strings.Contains(out, "Figure "+name) {
-			t.Fatalf("all-run missing figure %s", name)
+	for _, f := range experiments.Figures {
+		if !strings.Contains(out, "Figure "+f.ID) {
+			t.Fatalf("all-run missing figure %s", f.ID)
 		}
 	}
-	if len(figures) != len(figureOrder) {
-		t.Fatalf("registry has %d figures, order lists %d", len(figures), len(figureOrder))
-	}
-	if len(report.Figures) != len(figureOrder) {
-		t.Fatalf("report covers %d figures, want %d", len(report.Figures), len(figureOrder))
+	if len(report.Figures) != len(experiments.Figures) {
+		t.Fatalf("report covers %d figures, want %d", len(report.Figures), len(experiments.Figures))
 	}
 }
 

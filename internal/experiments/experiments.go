@@ -1,10 +1,11 @@
 // Package experiments regenerates every figure of the paper's
 // experimental evaluation (Section 6) plus the ablations listed in
-// DESIGN.md. Each figure function sweeps the paper's parameters over a
-// fixed, seeded workload of random bushy plans and reports average
-// response times, exactly as the paper does: twenty random queries per
-// size, 3-dimensional sites (CPU, disk, network interface), and the
-// Table 2 cost parameters.
+// DESIGN.md. Each figure sweeps the paper's parameters over a fixed,
+// seeded workload of random bushy plans and reports average response
+// times, exactly as the paper does: twenty random queries per size,
+// 3-dimensional sites (CPU, disk, network interface), and the Table 2
+// cost parameters. Every figure is the same experiment, so each is a
+// recipe handed to one sweep driver (Config.sweep); Figures lists them.
 package experiments
 
 import (
@@ -16,7 +17,6 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
-	"sync"
 
 	"mdrs/internal/baseline"
 	"mdrs/internal/contention"
@@ -26,6 +26,7 @@ import (
 	"mdrs/internal/obs"
 	"mdrs/internal/opt"
 	"mdrs/internal/optimizer"
+	"mdrs/internal/par"
 	"mdrs/internal/pipesim"
 	"mdrs/internal/plan"
 	"mdrs/internal/query"
@@ -50,10 +51,11 @@ type Config struct {
 	// independent (randomized trials derive a private per-query seed) and
 	// per-point aggregation always reduces in query order.
 	Workers int
-	// Rec, when non-nil, receives counters and timing histograms for the
-	// regeneration run (figures regenerated, schedules computed, per-point
-	// and per-figure wall clock). It is strictly observational: figures
-	// and their CSV renderings are byte-identical with or without it.
+	// Rec, when non-nil, receives counters and a timing histogram for the
+	// regeneration run (figures regenerated, schedules computed — one per
+	// raw value a trial reports — and per-figure wall clock). It is
+	// strictly observational: figures and their CSV renderings are
+	// byte-identical with or without it.
 	Rec obs.Recorder
 }
 
@@ -99,14 +101,6 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// workers returns the effective trial-pool width.
-func (c Config) workers() int {
-	if c.Workers > 0 {
-		return c.Workers
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
 // seedStride separates the derived per-query seed streams from the
 // per-point `c.Seed + joins` / `c.Seed + p` workload seeds, so no two
 // trials (and no trial and workload) ever share a generator state.
@@ -116,79 +110,6 @@ const seedStride = 1_000_003
 // identified by base (a figure-specific function of the data point).
 func (c Config) trialSeed(base, q int64) int64 {
 	return c.Seed + base + (q+1)*seedStride
-}
-
-// forEach runs fn(0..n-1) across the worker pool and returns the
-// lowest-index error. With one worker (or n <= 1) it degenerates to the
-// plain serial loop. Callers communicate results positionally through
-// slices indexed by i, so the aggregate — and therefore every figure —
-// is identical for any pool width.
-func (c Config) forEach(n int, fn func(i int) error) error {
-	w := c.workers()
-	if w > n {
-		w = n
-	}
-	if w <= 1 {
-		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	errs := make([]error, n)
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	wg.Add(w)
-	for g := 0; g < w; g++ {
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				errs[i] = fn(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// observe brackets one figure regeneration: it counts the run and
-// returns a stop func recording the figure's wall-clock seconds. With
-// no recorder it returns a no-op, keeping figure code branch-free.
-func (c Config) observe(id string) func() {
-	if c.Rec == nil {
-		return func() {}
-	}
-	c.Rec.Count("experiments.figures", 1)
-	c.Rec.Count("experiments.fig."+id, 1)
-	return obs.StartTimer(c.Rec, "experiments.figure_seconds")
-}
-
-// counted reports n completed schedules to the recorder.
-func (c Config) counted(n int) {
-	if c.Rec != nil {
-		c.Rec.Count("experiments.schedules", int64(n))
-	}
-}
-
-// mean reduces per-trial responses in query order; fixing the float
-// summation order is what keeps parallel figures bit-equal to serial
-// ones.
-func mean(ys []float64) float64 {
-	sum := 0.0
-	for _, y := range ys {
-		sum += y
-	}
-	return sum / float64(len(ys))
 }
 
 // Series is one curve of a figure.
@@ -208,6 +129,120 @@ type Figure struct {
 	Series []Series
 }
 
+// Figures is the one list of the figures, in the order `mdrs-bench -fig
+// all` prints them. A new figure is one recipe below and one row here.
+var Figures = []struct {
+	ID       string
+	Generate func(Config) (*Figure, error)
+}{
+	{"5a", Fig5a},
+	{"5b", Fig5b},
+	{"6a", Fig6a},
+	{"6b", Fig6b},
+	{"malleable", Malleable},
+	{"order", OrderAblation},
+	{"shelf", ShelfAblation},
+	{"contention", ContentionAblation},
+	{"memory", MemoryAblation},
+	{"shape", ShapeAblation},
+	{"plansearch", PlanSearchAblation},
+	{"pipeline", PipelineAblation},
+	{"batch", BatchAblation},
+	{"decluster", DeclusterAblation},
+}
+
+// trialFunc runs trial i of one data point and fills out, its own row of
+// raw values. Trials of a point are independent and may run concurrently.
+type trialFunc func(i int, out []float64) error
+
+// recipe is one figure as data: what the axes and curves are called,
+// which x values the sweep visits, and what one trial at one x measures.
+type recipe struct {
+	id, title, xlabel, ylabel string
+
+	series []string  // curve names, in output order
+	xs     []float64 // the x-axis every series shares; nil means c.Sites
+	joins  []int     // query sizes whose workloads are generated before the sweep
+	cols   int       // raw values per trial; zero means one per series
+	// point prepares data point xi — trees[k] is the workload of joins[k] —
+	// and returns its trial count and trial body.
+	point func(xi int, trees [][]*plan.TaskTree) (n int, trial trialFunc, err error)
+	// derive turns the column sums over n trials into one y per series;
+	// nil means the column means.
+	derive func(sums []float64, n int) []float64
+}
+
+// sweep is the one experiment loop: validate, generate the workloads,
+// and at every x run the point's trials across the worker pool, reduce
+// them in trial order and append one y to every series. Trials hand
+// their values back positionally and the sums are taken serially, so a
+// figure — and which of several trial errors is reported, the one with
+// the lowest index — is identical for any pool width.
+func (c Config) sweep(r recipe) (*Figure, error) {
+	if err := c.Validate(); err != nil {
+		return nil, err
+	}
+	obs.Count(c.Rec, "experiments.figures", 1)
+	obs.Count(c.Rec, "experiments.fig."+r.id, 1)
+	defer obs.StartTimer(c.Rec, "experiments.figure_seconds")()
+
+	trees := make([][]*plan.TaskTree, len(r.joins))
+	for k, joins := range r.joins {
+		var err error
+		if trees[k], err = c.workload(joins); err != nil {
+			return nil, err
+		}
+	}
+	xs, cols := r.xs, r.cols
+	if xs == nil {
+		for _, p := range c.Sites {
+			xs = append(xs, float64(p))
+		}
+	}
+	if cols == 0 {
+		cols = len(r.series)
+	}
+	fig := &Figure{ID: r.id, Title: r.title, XLabel: r.xlabel, YLabel: r.ylabel}
+	for _, name := range r.series {
+		fig.Series = append(fig.Series, Series{Name: name, X: append([]float64(nil), xs...)})
+	}
+	for xi := range xs {
+		n, trial, err := r.point(xi, trees)
+		if err != nil {
+			return nil, err
+		}
+		raw := make([]float64, n*cols)
+		errs := make([]error, n)
+		par.For(par.Workers(c.Workers), n, func(i int) {
+			errs[i] = trial(i, raw[i*cols:(i+1)*cols])
+		})
+		for _, err := range errs {
+			if err != nil {
+				return nil, err
+			}
+		}
+		obs.Count(c.Rec, "experiments.schedules", int64(n*cols))
+		sums := make([]float64, cols)
+		for i := 0; i < n; i++ {
+			for k := range sums {
+				sums[k] += raw[i*cols+k]
+			}
+		}
+		ys := sums
+		if r.derive != nil {
+			ys = r.derive(sums, n)
+		} else {
+			for k := range ys {
+				ys[k] /= float64(n)
+			}
+		}
+		for k := range fig.Series {
+			fig.Series[k].Y = append(fig.Series[k].Y, ys[k])
+		}
+	}
+	return fig, nil
+}
+
 // workload returns the fixed plan set for a query size. All figures
 // share plans for a given (seed, joins), so curves are comparable.
 func (c Config) workload(joins int) ([]*plan.TaskTree, error) {
@@ -216,206 +251,141 @@ func (c Config) workload(joins int) ([]*plan.TaskTree, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Plan generation above stays serial (one shared generator keeps the
-	// plan set identical to the paper runs); the deterministic expansion
-	// of each plan into a task tree fans out across the pool.
 	trees := make([]*plan.TaskTree, len(plans))
-	err = c.forEach(len(plans), func(i int) error {
-		ot, err := plan.Expand(plans[i])
+	for i, p := range plans {
+		ot, err := plan.Expand(p)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		trees[i], err = plan.NewTaskTree(ot)
-		return err
-	})
-	if err != nil {
-		return nil, err
+		if trees[i], err = plan.NewTaskTree(ot); err != nil {
+			return nil, err
+		}
 	}
 	return trees, nil
 }
 
-// avgTree returns the mean TreeSchedule response over the workload.
-func (c Config) avgTree(trees []*plan.TaskTree, p int, eps, f float64) (float64, error) {
-	ts := sched.TreeScheduler{
-		Model: c.Model, Overlap: resource.MustOverlap(eps), P: p, F: f,
+// seriesNames formats one series name per value.
+func seriesNames(format string, vs []float64) []string {
+	names := make([]string, len(vs))
+	for i, v := range vs {
+		names[i] = fmt.Sprintf(format, v)
 	}
-	ys := make([]float64, len(trees))
-	err := c.forEach(len(trees), func(i int) error {
-		s, err := ts.Schedule(trees[i])
-		if err != nil {
-			return err
-		}
-		ys[i] = s.Response
-		return nil
-	})
-	if err != nil {
-		return 0, err
-	}
-	c.counted(len(trees))
-	return mean(ys), nil
+	return names
 }
 
-// avgSync returns the mean SYNCHRONOUS response over the workload.
-func (c Config) avgSync(trees []*plan.TaskTree, p int, eps float64) (float64, error) {
-	b := baseline.Synchronous{Model: c.Model, Overlap: resource.MustOverlap(eps), P: p}
-	ys := make([]float64, len(trees))
-	err := c.forEach(len(trees), func(i int) error {
-		s, err := b.Schedule(trees[i])
-		if err != nil {
-			return err
-		}
-		ys[i] = s.Response
-		return nil
-	})
-	if err != nil {
-		return 0, err
-	}
-	c.counted(len(trees))
-	return mean(ys), nil
+// treeScheduler is the TreeSchedule configuration of one data point.
+func (c Config) treeScheduler(p int, eps, f float64) sched.TreeScheduler {
+	return sched.TreeScheduler{Model: c.Model, Overlap: resource.MustOverlap(eps), P: p, F: f}
 }
 
-// avgBound returns the mean OPTBOUND over the workload.
-func (c Config) avgBound(trees []*plan.TaskTree, p int, eps, f float64) (float64, error) {
-	ov := resource.MustOverlap(eps)
-	ys := make([]float64, len(trees))
-	err := c.forEach(len(trees), func(i int) error {
-		b, err := opt.Bound(trees[i], c.Model, ov, p, f)
-		if err != nil {
-			return err
-		}
-		ys[i] = b
-		return nil
-	})
+// treeResponse is the TreeSchedule response time of one tree.
+func treeResponse(ts sched.TreeScheduler, tt *plan.TaskTree) (float64, error) {
+	s, err := ts.Schedule(tt)
 	if err != nil {
 		return 0, err
 	}
-	c.counted(len(trees))
-	return mean(ys), nil
+	return s.Response, nil
+}
+
+// syncResponse is the SYNCHRONOUS response time of one tree.
+func (c Config) syncResponse(tt *plan.TaskTree, p int, eps float64) (float64, error) {
+	s, err := baseline.Synchronous{Model: c.Model, Overlap: resource.MustOverlap(eps), P: p}.Schedule(tt)
+	if err != nil {
+		return 0, err
+	}
+	return s.Response, nil
 }
 
 // Fig5a regenerates Figure 5(a): the effect of the granularity
 // parameter f on TREESCHEDULE for 40-join queries at 30% resource
 // overlap, against SYNCHRONOUS (which f does not affect).
 func Fig5a(c Config) (*Figure, error) {
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
-	defer c.observe("5a")()
 	const joins, eps = 40, 0.3
-	trees, err := c.workload(joins)
-	if err != nil {
-		return nil, err
-	}
-	fig := &Figure{
-		ID:     "5a",
-		Title:  fmt.Sprintf("Effect of granularity parameter f (%d joins, ε = %.1f)", joins, eps),
-		XLabel: "sites",
-		YLabel: "avg response time (s)",
-	}
-	for _, f := range []float64{0.3, 0.5, 0.7, 0.9} {
-		s := Series{Name: fmt.Sprintf("TreeSchedule f=%.1f", f)}
-		for _, p := range c.Sites {
-			y, err := c.avgTree(trees, p, eps, f)
-			if err != nil {
-				return nil, err
-			}
-			s.X = append(s.X, float64(p))
-			s.Y = append(s.Y, y)
-		}
-		fig.Series = append(fig.Series, s)
-	}
-	s := Series{Name: "Synchronous"}
-	for _, p := range c.Sites {
-		y, err := c.avgSync(trees, p, eps)
-		if err != nil {
-			return nil, err
-		}
-		s.X = append(s.X, float64(p))
-		s.Y = append(s.Y, y)
-	}
-	fig.Series = append(fig.Series, s)
-	return fig, nil
+	fs := []float64{0.3, 0.5, 0.7, 0.9}
+	return c.sweep(recipe{
+		id:     "5a",
+		title:  fmt.Sprintf("Effect of granularity parameter f (%d joins, ε = %.1f)", joins, eps),
+		xlabel: "sites", ylabel: "avg response time (s)",
+		series: append(seriesNames("TreeSchedule f=%.1f", fs), "Synchronous"),
+		joins:  []int{joins},
+		point: func(xi int, w [][]*plan.TaskTree) (int, trialFunc, error) {
+			p, trees := c.Sites[xi], w[0]
+			return len(trees), func(i int, out []float64) (err error) {
+				for k, f := range fs {
+					if out[k], err = treeResponse(c.treeScheduler(p, eps, f), trees[i]); err != nil {
+						return err
+					}
+				}
+				out[len(fs)], err = c.syncResponse(trees[i], p, eps)
+				return err
+			}, nil
+		},
+	})
 }
 
 // Fig5b regenerates Figure 5(b): the effect of the resource overlap
 // parameter ε on both algorithms, with f fixed at 0.7 (40-join queries).
 func Fig5b(c Config) (*Figure, error) {
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
-	defer c.observe("5b")()
 	const joins, f = 40, 0.7
-	trees, err := c.workload(joins)
-	if err != nil {
-		return nil, err
+	epss := []float64{0.1, 0.3, 0.5, 0.7}
+	var names []string
+	for _, eps := range epss {
+		names = append(names, fmt.Sprintf("TreeSchedule ε=%.1f", eps), fmt.Sprintf("Synchronous ε=%.1f", eps))
 	}
-	fig := &Figure{
-		ID:     "5b",
-		Title:  fmt.Sprintf("Effect of resource overlap ε (%d joins, f = %.1f)", joins, f),
-		XLabel: "sites",
-		YLabel: "avg response time (s)",
-	}
-	for _, eps := range []float64{0.1, 0.3, 0.5, 0.7} {
-		st := Series{Name: fmt.Sprintf("TreeSchedule ε=%.1f", eps)}
-		ss := Series{Name: fmt.Sprintf("Synchronous ε=%.1f", eps)}
-		for _, p := range c.Sites {
-			yt, err := c.avgTree(trees, p, eps, f)
-			if err != nil {
-				return nil, err
-			}
-			ys, err := c.avgSync(trees, p, eps)
-			if err != nil {
-				return nil, err
-			}
-			st.X = append(st.X, float64(p))
-			st.Y = append(st.Y, yt)
-			ss.X = append(ss.X, float64(p))
-			ss.Y = append(ss.Y, ys)
-		}
-		fig.Series = append(fig.Series, st, ss)
-	}
-	return fig, nil
+	return c.sweep(recipe{
+		id:     "5b",
+		title:  fmt.Sprintf("Effect of resource overlap ε (%d joins, f = %.1f)", joins, f),
+		xlabel: "sites", ylabel: "avg response time (s)",
+		series: names,
+		joins:  []int{joins},
+		point: func(xi int, w [][]*plan.TaskTree) (int, trialFunc, error) {
+			p, trees := c.Sites[xi], w[0]
+			return len(trees), func(i int, out []float64) (err error) {
+				for k, eps := range epss {
+					if out[2*k], err = treeResponse(c.treeScheduler(p, eps, f), trees[i]); err != nil {
+						return err
+					}
+					if out[2*k+1], err = c.syncResponse(trees[i], p, eps); err != nil {
+						return err
+					}
+				}
+				return nil
+			}, nil
+		},
+	})
 }
 
 // Fig6a regenerates Figure 6(a): the effect of query size for two
 // system sizes (20 and 80 sites) at ε = 0.5, f = 0.7.
 func Fig6a(c Config) (*Figure, error) {
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
-	defer c.observe("6a")()
 	const eps, f = 0.5, 0.7
-	joinsSweep := []int{10, 20, 30, 40, 50}
-	fig := &Figure{
-		ID:     "6a",
-		Title:  "Effect of query size (ε = 0.5, f = 0.7)",
-		XLabel: "joins",
-		YLabel: "avg response time (s)",
+	ps := []int{20, 80}
+	var names []string
+	for _, p := range ps {
+		names = append(names, fmt.Sprintf("TreeSchedule P=%d", p), fmt.Sprintf("Synchronous P=%d", p))
 	}
-	for _, p := range []int{20, 80} {
-		st := Series{Name: fmt.Sprintf("TreeSchedule P=%d", p)}
-		ss := Series{Name: fmt.Sprintf("Synchronous P=%d", p)}
-		for _, joins := range joinsSweep {
-			trees, err := c.workload(joins)
-			if err != nil {
-				return nil, err
-			}
-			yt, err := c.avgTree(trees, p, eps, f)
-			if err != nil {
-				return nil, err
-			}
-			ys, err := c.avgSync(trees, p, eps)
-			if err != nil {
-				return nil, err
-			}
-			st.X = append(st.X, float64(joins))
-			st.Y = append(st.Y, yt)
-			ss.X = append(ss.X, float64(joins))
-			ss.Y = append(ss.Y, ys)
-		}
-		fig.Series = append(fig.Series, st, ss)
-	}
-	return fig, nil
+	return c.sweep(recipe{
+		id:     "6a",
+		title:  "Effect of query size (ε = 0.5, f = 0.7)",
+		xlabel: "joins", ylabel: "avg response time (s)",
+		series: names,
+		xs:     []float64{10, 20, 30, 40, 50},
+		joins:  []int{10, 20, 30, 40, 50},
+		point: func(xi int, w [][]*plan.TaskTree) (int, trialFunc, error) {
+			trees := w[xi]
+			return len(trees), func(i int, out []float64) (err error) {
+				for k, p := range ps {
+					if out[2*k], err = treeResponse(c.treeScheduler(p, eps, f), trees[i]); err != nil {
+						return err
+					}
+					if out[2*k+1], err = c.syncResponse(trees[i], p, eps); err != nil {
+						return err
+					}
+				}
+				return nil
+			}, nil
+		},
+	})
 }
 
 // Fig6b regenerates Figure 6(b): average TREESCHEDULE performance
@@ -423,44 +393,44 @@ func Fig6a(c Config) (*Figure, error) {
 // 20- and 40-join queries (f = 0.7, ε = 0.5). A ratio series per query
 // size makes the near-optimality immediately readable.
 func Fig6b(c Config) (*Figure, error) {
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
-	defer c.observe("6b")()
 	const eps, f = 0.5, 0.7
-	fig := &Figure{
-		ID:     "6b",
-		Title:  "TreeSchedule vs optimal lower bound (f = 0.7, ε = 0.5)",
-		XLabel: "sites",
-		YLabel: "avg response time (s); ratio series unitless",
+	sizes := []int{20, 40}
+	var names []string
+	for _, joins := range sizes {
+		names = append(names, fmt.Sprintf("TreeSchedule %dJ", joins),
+			fmt.Sprintf("OptBound %dJ", joins), fmt.Sprintf("ratio %dJ", joins))
 	}
-	for _, joins := range []int{20, 40} {
-		trees, err := c.workload(joins)
-		if err != nil {
-			return nil, err
-		}
-		st := Series{Name: fmt.Sprintf("TreeSchedule %dJ", joins)}
-		sb := Series{Name: fmt.Sprintf("OptBound %dJ", joins)}
-		sr := Series{Name: fmt.Sprintf("ratio %dJ", joins)}
-		for _, p := range c.Sites {
-			yt, err := c.avgTree(trees, p, eps, f)
-			if err != nil {
-				return nil, err
+	return c.sweep(recipe{
+		id:     "6b",
+		title:  "TreeSchedule vs optimal lower bound (f = 0.7, ε = 0.5)",
+		xlabel: "sites", ylabel: "avg response time (s); ratio series unitless",
+		series: names,
+		joins:  sizes,
+		cols:   2 * len(sizes),
+		point: func(xi int, w [][]*plan.TaskTree) (int, trialFunc, error) {
+			p := c.Sites[xi]
+			return c.Queries, func(i int, out []float64) (err error) {
+				for k, trees := range w {
+					if out[2*k], err = treeResponse(c.treeScheduler(p, eps, f), trees[i]); err != nil {
+						return err
+					}
+					if out[2*k+1], err = opt.Bound(trees[i], c.Model, resource.MustOverlap(eps), p, f); err != nil {
+						return err
+					}
+				}
+				return nil
+			}, nil
+		},
+		// The ratio is mean response ÷ mean bound, not a mean of ratios.
+		derive: func(sums []float64, n int) []float64 {
+			var ys []float64
+			for k := range sizes {
+				yt, yb := sums[2*k]/float64(n), sums[2*k+1]/float64(n)
+				ys = append(ys, yt, yb, yt/yb)
 			}
-			yb, err := c.avgBound(trees, p, eps, f)
-			if err != nil {
-				return nil, err
-			}
-			st.X = append(st.X, float64(p))
-			st.Y = append(st.Y, yt)
-			sb.X = append(sb.X, float64(p))
-			sb.Y = append(sb.Y, yb)
-			sr.X = append(sr.X, float64(p))
-			sr.Y = append(sr.Y, yt/yb)
-		}
-		fig.Series = append(fig.Series, st, sb, sr)
-	}
-	return fig, nil
+			return ys
+		},
+	})
 }
 
 // Malleable regenerates ablation A1: the Section 7 malleable scheduler
@@ -468,66 +438,40 @@ func Fig6b(c Config) (*Figure, error) {
 // operators (one set per workload plan: the floating operators of its
 // first phase).
 func Malleable(c Config) (*Figure, error) {
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
-	defer c.observe("malleable")()
 	const joins, eps, f = 20, 0.5, 0.7
-	trees, err := c.workload(joins)
-	if err != nil {
-		return nil, err
-	}
-	fig := &Figure{
-		ID:     "malleable",
-		Title:  fmt.Sprintf("Malleable (Section 7) vs CG_f parallelization (%d joins, ε = %.1f, f = %.1f)", joins, eps, f),
-		XLabel: "sites",
-		YLabel: "avg response time of first phase (s)",
-	}
-	sm := Series{Name: "Malleable GF"}
-	sc := Series{Name: fmt.Sprintf("CoarseGrain f=%.1f", f)}
-	sl := Series{Name: "LB of chosen N"}
-	for _, p := range c.Sites {
-		ms := malleable.Scheduler{Model: c.Model, Overlap: resource.MustOverlap(eps), P: p}
-		ym := make([]float64, len(trees))
-		yc := make([]float64, len(trees))
-		yl := make([]float64, len(trees))
-		err := c.forEach(len(trees), func(i int) error {
-			ops := firstPhaseOperators(c.Model, trees[i])
-			resM, err := ms.Schedule(ops)
-			if err != nil {
-				return err
-			}
-			resC, err := ms.ScheduleFixed(ops, ms.CoarseGrainParallelization(ops, f))
-			if err != nil {
-				return err
-			}
-			ym[i] = resM.Schedule.Response
-			yc[i] = resC.Schedule.Response
-			yl[i] = resM.LB
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		sm.X = append(sm.X, float64(p))
-		sm.Y = append(sm.Y, mean(ym))
-		sc.X = append(sc.X, float64(p))
-		sc.Y = append(sc.Y, mean(yc))
-		sl.X = append(sl.X, float64(p))
-		sl.Y = append(sl.Y, mean(yl))
-	}
-	fig.Series = append(fig.Series, sm, sc, sl)
-	return fig, nil
+	return c.sweep(recipe{
+		id:     "malleable",
+		title:  fmt.Sprintf("Malleable (Section 7) vs CG_f parallelization (%d joins, ε = %.1f, f = %.1f)", joins, eps, f),
+		xlabel: "sites", ylabel: "avg response time of first phase (s)",
+		series: []string{"Malleable GF", fmt.Sprintf("CoarseGrain f=%.1f", f), "LB of chosen N"},
+		joins:  []int{joins},
+		point: func(xi int, w [][]*plan.TaskTree) (int, trialFunc, error) {
+			ms := malleable.Scheduler{Model: c.Model, Overlap: resource.MustOverlap(eps), P: c.Sites[xi]}
+			return len(w[0]), func(i int, out []float64) error {
+				var ops []malleable.Operator
+				for _, op := range firstPhase(w[0][i]) {
+					ops = append(ops, malleable.Operator{ID: op.ID, Cost: c.Model.Cost(op.Spec)})
+				}
+				resM, err := ms.Schedule(ops)
+				if err != nil {
+					return err
+				}
+				resC, err := ms.ScheduleFixed(ops, ms.CoarseGrainParallelization(ops, f))
+				if err != nil {
+					return err
+				}
+				out[0], out[1], out[2] = resM.Schedule.Response, resC.Schedule.Response, resM.LB
+				return nil
+			}, nil
+		},
+	})
 }
 
-// firstPhaseOperators extracts the first phase's operators of a task
-// tree as independent malleable operators.
-func firstPhaseOperators(m costmodel.Model, tt *plan.TaskTree) []malleable.Operator {
-	var ops []malleable.Operator
+// firstPhase lists the operators of a task tree's first phase.
+func firstPhase(tt *plan.TaskTree) []*plan.Operator {
+	var ops []*plan.Operator
 	for _, tk := range tt.Phases()[0] {
-		for _, op := range tk.Ops {
-			ops = append(ops, malleable.Operator{ID: op.ID, Cost: m.Cost(op.Spec)})
-		}
+		ops = append(ops, tk.Ops...)
 	}
 	return ops
 }
@@ -537,230 +481,125 @@ func firstPhaseOperators(m costmodel.Model, tt *plan.TaskTree) []malleable.Opera
 // paper's LPT-style order against the same packing rule fed in raw
 // operator order, on the first phase of each workload plan.
 func OrderAblation(c Config) (*Figure, error) {
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
-	defer c.observe("order")()
 	const joins, eps, f = 40, 0.5, 0.7
-	trees, err := c.workload(joins)
-	if err != nil {
-		return nil, err
-	}
 	ov := resource.MustOverlap(eps)
-	fig := &Figure{
-		ID:     "order",
-		Title:  "List-order ablation: sorted vs arrival order (first phase)",
-		XLabel: "sites",
-		YLabel: "avg response time (s)",
-	}
-	sSorted := Series{Name: "sorted (paper)"}
-	sRaw := Series{Name: "arrival order"}
-	for _, p := range c.Sites {
-		ysort := make([]float64, len(trees))
-		yraw := make([]float64, len(trees))
-		err := c.forEach(len(trees), func(i int) error {
-			ops := firstPhaseSchedOps(c.Model, ov, trees[i], p, f)
-			rs, err := sched.OperatorSchedule(p, resource.Dims, ov, ops)
-			if err != nil {
-				return err
-			}
-			rr, err := sched.OperatorScheduleUnordered(p, resource.Dims, ov, ops)
-			if err != nil {
-				return err
-			}
-			ysort[i] = rs.Response
-			yraw[i] = rr.Response
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		sSorted.X = append(sSorted.X, float64(p))
-		sSorted.Y = append(sSorted.Y, mean(ysort))
-		sRaw.X = append(sRaw.X, float64(p))
-		sRaw.Y = append(sRaw.Y, mean(yraw))
-	}
-	fig.Series = append(fig.Series, sSorted, sRaw)
-	return fig, nil
-}
-
-// firstPhaseSchedOps builds the sched.Op set of a tree's first phase
-// with CG_f degrees.
-func firstPhaseSchedOps(m costmodel.Model, ov resource.Overlap, tt *plan.TaskTree, p int, f float64) []*sched.Op {
-	var ops []*sched.Op
-	for _, tk := range tt.Phases()[0] {
-		for _, op := range tk.Ops {
-			c := m.Cost(op.Spec)
-			n := m.Degree(c, f, p, ov)
-			ops = append(ops, &sched.Op{ID: op.ID, Clones: m.Clones(c, n)})
-		}
-	}
-	return ops
+	return c.sweep(recipe{
+		id:     "order",
+		title:  "List-order ablation: sorted vs arrival order (first phase)",
+		xlabel: "sites", ylabel: "avg response time (s)",
+		series: []string{"sorted (paper)", "arrival order"},
+		joins:  []int{joins},
+		point: func(xi int, w [][]*plan.TaskTree) (int, trialFunc, error) {
+			p, trees := c.Sites[xi], w[0]
+			return len(trees), func(i int, out []float64) error {
+				var ops []*sched.Op // the first phase's operators at their CG_f degrees
+				for _, op := range firstPhase(trees[i]) {
+					cost := c.Model.Cost(op.Spec)
+					n := c.Model.Degree(cost, f, p, ov)
+					ops = append(ops, &sched.Op{ID: op.ID, Clones: c.Model.Clones(cost, n)})
+				}
+				rs, err := sched.OperatorSchedule(p, resource.Dims, ov, ops)
+				if err != nil {
+					return err
+				}
+				rr, err := sched.OperatorScheduleUnordered(p, resource.Dims, ov, ops)
+				if err != nil {
+					return err
+				}
+				out[0], out[1] = rs.Response, rr.Response
+				return nil
+			}, nil
+		},
+	})
 }
 
 // ShelfAblation regenerates ablation A7: the MinShelf (paper) phase
 // policy against the EarliestShelf alternative, under TreeSchedule.
 func ShelfAblation(c Config) (*Figure, error) {
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
-	defer c.observe("shelf")()
 	const joins, eps, f = 30, 0.5, 0.7
-	trees, err := c.workload(joins)
-	if err != nil {
-		return nil, err
-	}
-	fig := &Figure{
-		ID:     "shelf",
-		Title:  fmt.Sprintf("Phase policy ablation: MinShelf vs EarliestShelf (%d joins, ε = %.1f, f = %.1f)", joins, eps, f),
-		XLabel: "sites",
-		YLabel: "avg response time (s)",
-	}
-	sMin := Series{Name: "MinShelf (paper)"}
-	sEarly := Series{Name: "EarliestShelf"}
-	for _, p := range c.Sites {
-		ymin := make([]float64, len(trees))
-		yearly := make([]float64, len(trees))
-		err := c.forEach(len(trees), func(i int) error {
-			base := sched.TreeScheduler{
-				Model: c.Model, Overlap: resource.MustOverlap(eps), P: p, F: f,
-			}
-			sm, err := base.Schedule(trees[i])
-			if err != nil {
+	return c.sweep(recipe{
+		id:     "shelf",
+		title:  fmt.Sprintf("Phase policy ablation: MinShelf vs EarliestShelf (%d joins, ε = %.1f, f = %.1f)", joins, eps, f),
+		xlabel: "sites", ylabel: "avg response time (s)",
+		series: []string{"MinShelf (paper)", "EarliestShelf"},
+		joins:  []int{joins},
+		point: func(xi int, w [][]*plan.TaskTree) (int, trialFunc, error) {
+			minShelf := c.treeScheduler(c.Sites[xi], eps, f)
+			earliest := minShelf
+			earliest.Policy = plan.EarliestShelf
+			return len(w[0]), func(i int, out []float64) (err error) {
+				if out[0], err = treeResponse(minShelf, w[0][i]); err != nil {
+					return err
+				}
+				out[1], err = treeResponse(earliest, w[0][i])
 				return err
-			}
-			base.Policy = plan.EarliestShelf
-			se, err := base.Schedule(trees[i])
-			if err != nil {
-				return err
-			}
-			ymin[i] = sm.Response
-			yearly[i] = se.Response
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		sMin.X = append(sMin.X, float64(p))
-		sMin.Y = append(sMin.Y, mean(ymin))
-		sEarly.X = append(sEarly.X, float64(p))
-		sEarly.Y = append(sEarly.Y, mean(yearly))
-	}
-	fig.Series = append(fig.Series, sMin, sEarly)
-	return fig, nil
+			}, nil
+		},
+	})
 }
 
 // ContentionAblation regenerates ablation A8: the cost of assumption
 // A2's free time-sharing when disks share poorly (γ on the disk
 // dimension), and how much a penalty-aware evaluation recovers.
 func ContentionAblation(c Config) (*Figure, error) {
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
-	defer c.observe("contention")()
 	const joins, eps, f = 20, 0.5, 0.7
-	trees, err := c.workload(joins)
-	if err != nil {
-		return nil, err
-	}
 	ov := resource.MustOverlap(eps)
-	fig := &Figure{
-		ID:     "contention",
-		Title:  fmt.Sprintf("Disk time-sharing penalty (%d joins, ε = %.1f, f = %.1f)", joins, eps, f),
-		XLabel: "sites",
-		YLabel: "avg response time (s)",
-	}
 	gammas := []float64{0, 0.1, 0.3}
-	series := make([]Series, len(gammas))
-	for i, g := range gammas {
-		series[i] = Series{Name: fmt.Sprintf("TreeSchedule @ γ_disk=%.1f", g)}
-	}
-	for _, p := range c.Sites {
-		ys := make([][]float64, len(gammas))
-		for i := range ys {
-			ys[i] = make([]float64, len(trees))
-		}
-		err := c.forEach(len(trees), func(t int) error {
-			s, err := sched.TreeScheduler{Model: c.Model, Overlap: ov, P: p, F: f}.Schedule(trees[t])
-			if err != nil {
-				return err
-			}
-			for i, g := range gammas {
-				r, err := contention.EvalSchedule(ov, contention.DiskOnly(resource.Dims, g), s)
+	return c.sweep(recipe{
+		id:     "contention",
+		title:  fmt.Sprintf("Disk time-sharing penalty (%d joins, ε = %.1f, f = %.1f)", joins, eps, f),
+		xlabel: "sites", ylabel: "avg response time (s)",
+		series: seriesNames("TreeSchedule @ γ_disk=%.1f", gammas),
+		joins:  []int{joins},
+		point: func(xi int, w [][]*plan.TaskTree) (int, trialFunc, error) {
+			ts := c.treeScheduler(c.Sites[xi], eps, f)
+			return len(w[0]), func(i int, out []float64) error {
+				s, err := ts.Schedule(w[0][i])
 				if err != nil {
 					return err
 				}
-				ys[i][t] = r
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		for i := range gammas {
-			series[i].X = append(series[i].X, float64(p))
-			series[i].Y = append(series[i].Y, mean(ys[i]))
-		}
-	}
-	fig.Series = append(fig.Series, series...)
-	return fig, nil
+				for k, g := range gammas {
+					if out[k], err = contention.EvalSchedule(ov, contention.DiskOnly(resource.Dims, g), s); err != nil {
+						return err
+					}
+				}
+				return nil
+			}, nil
+		},
+	})
 }
 
 // MemoryAblation regenerates ablation A9: response time of the
 // memory-aware TreeSchedule (internal/memsched) as per-site memory
 // shrinks from infinite (assumption A1) to 1 MB.
 func MemoryAblation(c Config) (*Figure, error) {
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
-	defer c.observe("memory")()
-	const joins, eps, f, p = 20, 0.5, 0.7, 32
-	trees, err := c.workload(joins)
-	if err != nil {
-		return nil, err
-	}
-	fig := &Figure{
-		ID:     "memory",
-		Title:  fmt.Sprintf("Memory-aware scheduling (%d joins, P = %d, ε = %.1f, f = %.1f)", joins, p, eps, f),
-		XLabel: "per-site memory (MB)",
-		YLabel: "avg response time (s); spill series in MB",
-	}
+	const joins, eps, f, p, mb = 20, 0.5, 0.7, 32, 1 << 20
 	caps := []float64{1, 2, 4, 8, 16, 64, math.Inf(1)}
-	sResp := Series{Name: "response"}
-	sSpill := Series{Name: "spilled (MB)"}
-	for _, mb := range caps {
-		s := memsched.Scheduler{
-			Model: c.Model, Overlap: resource.MustOverlap(eps),
-			P: p, F: f, MemoryBytes: mb * (1 << 20),
-		}
-		if math.IsInf(mb, 1) {
-			s.MemoryBytes = math.Inf(1)
-		}
-		yresp := make([]float64, len(trees))
-		yspill := make([]float64, len(trees))
-		err := c.forEach(len(trees), func(i int) error {
-			res, err := s.Schedule(trees[i])
-			if err != nil {
-				return err
+	return c.sweep(recipe{
+		id:     "memory",
+		title:  fmt.Sprintf("Memory-aware scheduling (%d joins, P = %d, ε = %.1f, f = %.1f)", joins, p, eps, f),
+		xlabel: "per-site memory (MB)", ylabel: "avg response time (s); spill series in MB",
+		series: []string{"response", "spilled (MB)"},
+		xs:     []float64{1, 2, 4, 8, 16, 64, 1024}, // the A1 point is plotted at the right edge
+		joins:  []int{joins},
+		point: func(xi int, w [][]*plan.TaskTree) (int, trialFunc, error) {
+			s := memsched.Scheduler{
+				Model: c.Model, Overlap: resource.MustOverlap(eps),
+				P: p, F: f, MemoryBytes: caps[xi] * mb,
 			}
-			yresp[i] = res.Response
-			yspill[i] = res.TotalSpilledBytes
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		x := mb
-		if math.IsInf(mb, 1) {
-			x = 1024 // plot the A1 point at the right edge
-		}
-		sResp.X = append(sResp.X, x)
-		sResp.Y = append(sResp.Y, mean(yresp))
-		sSpill.X = append(sSpill.X, x)
-		sSpill.Y = append(sSpill.Y, mean(yspill)/(1<<20))
-	}
-	fig.Series = append(fig.Series, sResp, sSpill)
-	return fig, nil
+			return len(w[0]), func(i int, out []float64) error {
+				res, err := s.Schedule(w[0][i])
+				if err != nil {
+					return err
+				}
+				out[0], out[1] = res.Response, res.TotalSpilledBytes
+				return nil
+			}, nil
+		},
+		derive: func(sums []float64, n int) []float64 {
+			return []float64{sums[0] / float64(n), sums[1] / float64(n) / mb}
+		},
+	})
 }
 
 // ShapeAblation regenerates ablation A10: TreeSchedule and Synchronous
@@ -768,61 +607,35 @@ func MemoryAblation(c Config) (*Figure, error) {
 // fixed query size — the bushy-vs-deep debate of the paper's related
 // work, priced under the multi-dimensional model.
 func ShapeAblation(c Config) (*Figure, error) {
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
-	defer c.observe("shape")()
 	const joins, eps, f, p = 20, 0.5, 0.7, 40
-	fig := &Figure{
-		ID:     "shape",
-		Title:  fmt.Sprintf("Plan shape ablation (%d joins, P = %d, ε = %.1f, f = %.1f)", joins, p, eps, f),
-		XLabel: "shape (0=bushy 1=left-deep 2=right-deep 3=balanced)",
-		YLabel: "avg response time (s)",
-	}
 	shapes := []query.Shape{query.RandomBushy, query.LeftDeep, query.RightDeep, query.Balanced}
-	st := Series{Name: "TreeSchedule"}
-	ss := Series{Name: "Synchronous"}
-	for xi, shape := range shapes {
-		yt := make([]float64, c.Queries)
-		ys := make([]float64, c.Queries)
-		// Each trial owns a derived seed, so plan generation is
-		// independent of its neighbors and identical at any pool width.
-		err := c.forEach(c.Queries, func(q int) error {
-			r := rand.New(rand.NewSource(c.trialSeed(int64(joins)+int64(xi), int64(q))))
-			pl, err := query.RandomShaped(r, query.DefaultGenConfig(joins), shape)
-			if err != nil {
+	return c.sweep(recipe{
+		id:     "shape",
+		title:  fmt.Sprintf("Plan shape ablation (%d joins, P = %d, ε = %.1f, f = %.1f)", joins, p, eps, f),
+		xlabel: "shape (0=bushy 1=left-deep 2=right-deep 3=balanced)", ylabel: "avg response time (s)",
+		series: []string{"TreeSchedule", "Synchronous"},
+		xs:     []float64{0, 1, 2, 3},
+		point: func(xi int, _ [][]*plan.TaskTree) (int, trialFunc, error) {
+			// Each trial owns a derived seed, so plan generation is
+			// independent of its neighbors and identical at any pool width.
+			return c.Queries, func(q int, out []float64) error {
+				r := rand.New(rand.NewSource(c.trialSeed(int64(joins)+int64(xi), int64(q))))
+				pl, err := query.RandomShaped(r, query.DefaultGenConfig(joins), shapes[xi])
+				if err != nil {
+					return err
+				}
+				tt, err := plan.NewTaskTree(plan.MustExpand(pl))
+				if err != nil {
+					return err
+				}
+				if out[0], err = treeResponse(c.treeScheduler(p, eps, f), tt); err != nil {
+					return err
+				}
+				out[1], err = c.syncResponse(tt, p, eps)
 				return err
-			}
-			tt, err := plan.NewTaskTree(plan.MustExpand(pl))
-			if err != nil {
-				return err
-			}
-			sTree, err := sched.TreeScheduler{
-				Model: c.Model, Overlap: resource.MustOverlap(eps), P: p, F: f,
-			}.Schedule(tt)
-			if err != nil {
-				return err
-			}
-			sSync, err := baseline.Synchronous{
-				Model: c.Model, Overlap: resource.MustOverlap(eps), P: p,
-			}.Schedule(tt)
-			if err != nil {
-				return err
-			}
-			yt[q] = sTree.Response
-			ys[q] = sSync.Response
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		st.X = append(st.X, float64(xi))
-		st.Y = append(st.Y, mean(yt))
-		ss.X = append(ss.X, float64(xi))
-		ss.Y = append(ss.Y, mean(ys))
-	}
-	fig.Series = append(fig.Series, st, ss)
-	return fig, nil
+			}, nil
+		},
+	})
 }
 
 // PlanSearchAblation regenerates ablation A11 with four arms: two-phase
@@ -836,102 +649,61 @@ func ShapeAblation(c Config) (*Figure, error) {
 // unpruned winner, so the figure doubles as a continuous identity
 // check.
 func PlanSearchAblation(c Config) (*Figure, error) {
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
-	defer c.observe("plansearch")()
 	const joins, eps, f, k = 15, 0.5, 0.7, 8
-	fig := &Figure{
-		ID:     "plansearch",
-		Title:  fmt.Sprintf("Bound-pruned plan search, best of %d (%d joins, ε = %.1f, f = %.1f)", k, joins, eps, f),
-		XLabel: "sites",
-		YLabel: "avg response time (s); pruned-fraction series unitless",
-	}
-	sFirst := Series{Name: "first plan (two-phase)"}
-	sBest := Series{Name: fmt.Sprintf("best of %d (unpruned)", k)}
-	sPruned := Series{Name: fmt.Sprintf("best of %d (bound-pruned)", k)}
-	sStream := Series{Name: fmt.Sprintf("best of %d (streaming)", k)}
-	sFrac := Series{Name: "pruned fraction"}
-	sSchedFrac := Series{Name: "streaming scheduled fraction"}
-	for _, p := range c.Sites {
-		unpruned := optimizer.Search{
-			Model: c.Model, Overlap: resource.MustOverlap(eps),
-			P: p, F: f, Candidates: k, NoPrune: true,
-		}
-		pruned := unpruned
-		pruned.NoPrune = false
-		streaming := pruned
-		streaming.Streaming = true
-		yfirst := make([]float64, c.Queries)
-		ybest := make([]float64, c.Queries)
-		ypruned := make([]float64, c.Queries)
-		ystream := make([]float64, c.Queries)
-		yfrac := make([]float64, c.Queries)
-		yschedfrac := make([]float64, c.Queries)
-		err := c.forEach(c.Queries, func(q int) error {
-			// The trial's generator feeds both the relation catalog and
-			// the plan search; re-seeding it per arm hands both searches
-			// the identical candidate pool.
-			seed := c.trialSeed(int64(p), int64(q))
-			r := rand.New(rand.NewSource(seed))
-			rels, err := optimizer.RandomRelations(r, joins+1, 1_000, 100_000)
-			if err != nil {
-				return err
+	return c.sweep(recipe{
+		id:     "plansearch",
+		title:  fmt.Sprintf("Bound-pruned plan search, best of %d (%d joins, ε = %.1f, f = %.1f)", k, joins, eps, f),
+		xlabel: "sites", ylabel: "avg response time (s); pruned-fraction series unitless",
+		series: []string{
+			"first plan (two-phase)",
+			fmt.Sprintf("best of %d (unpruned)", k),
+			fmt.Sprintf("best of %d (bound-pruned)", k),
+			fmt.Sprintf("best of %d (streaming)", k),
+			"pruned fraction",
+			"streaming scheduled fraction",
+		},
+		point: func(xi int, _ [][]*plan.TaskTree) (int, trialFunc, error) {
+			p := c.Sites[xi]
+			unpruned := optimizer.Search{
+				Model: c.Model, Overlap: resource.MustOverlap(eps),
+				P: p, F: f, Candidates: k, NoPrune: true,
 			}
-			full, err := unpruned.Best(r, rels)
-			if err != nil {
-				return err
-			}
-			r = rand.New(rand.NewSource(seed))
-			if _, err := optimizer.RandomRelations(r, joins+1, 1_000, 100_000); err != nil {
-				return err
-			}
-			fast, err := pruned.Best(r, rels)
-			if err != nil {
-				return err
-			}
-			if fast.Best.Index != full.Best.Index {
-				return fmt.Errorf("experiments: pruned search winner %d != unpruned %d (P=%d q=%d)",
-					fast.Best.Index, full.Best.Index, p, q)
-			}
-			r = rand.New(rand.NewSource(seed))
-			if _, err := optimizer.RandomRelations(r, joins+1, 1_000, 100_000); err != nil {
-				return err
-			}
-			stream, err := streaming.Best(r, rels)
-			if err != nil {
-				return err
-			}
-			if stream.Best.Index != full.Best.Index {
-				return fmt.Errorf("experiments: streaming search winner %d != unpruned %d (P=%d q=%d)",
-					stream.Best.Index, full.Best.Index, p, q)
-			}
-			yfirst[q] = full.Candidates[0].Schedule.Response
-			ybest[q] = full.Best.Schedule.Response
-			ypruned[q] = fast.Best.Schedule.Response
-			ystream[q] = stream.Best.Schedule.Response
-			yfrac[q] = float64(fast.Pruned) / float64(len(fast.Candidates))
-			yschedfrac[q] = float64(stream.Scheduled) / float64(stream.Enumerated)
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		sFirst.X = append(sFirst.X, float64(p))
-		sFirst.Y = append(sFirst.Y, mean(yfirst))
-		sBest.X = append(sBest.X, float64(p))
-		sBest.Y = append(sBest.Y, mean(ybest))
-		sPruned.X = append(sPruned.X, float64(p))
-		sPruned.Y = append(sPruned.Y, mean(ypruned))
-		sStream.X = append(sStream.X, float64(p))
-		sStream.Y = append(sStream.Y, mean(ystream))
-		sFrac.X = append(sFrac.X, float64(p))
-		sFrac.Y = append(sFrac.Y, mean(yfrac))
-		sSchedFrac.X = append(sSchedFrac.X, float64(p))
-		sSchedFrac.Y = append(sSchedFrac.Y, mean(yschedfrac))
-	}
-	fig.Series = append(fig.Series, sFirst, sBest, sPruned, sStream, sFrac, sSchedFrac)
-	return fig, nil
+			pruned := unpruned
+			pruned.NoPrune = false
+			streaming := pruned
+			streaming.Streaming = true
+			arms := [3]optimizer.Search{unpruned, pruned, streaming}
+			names := [3]string{"unpruned", "pruned", "streaming"}
+			return c.Queries, func(q int, out []float64) error {
+				// The trial's generator feeds both the relation catalog and
+				// the plan search; re-seeding it per arm hands every search
+				// the identical candidate pool.
+				var res [3]*optimizer.Result
+				for a, search := range arms {
+					r := rand.New(rand.NewSource(c.trialSeed(int64(p), int64(q))))
+					rels, err := optimizer.RandomRelations(r, joins+1, 1_000, 100_000)
+					if err != nil {
+						return err
+					}
+					if res[a], err = search.Best(r, rels); err != nil {
+						return err
+					}
+					if res[a].Best.Index != res[0].Best.Index {
+						return fmt.Errorf("experiments: %s search winner %d != unpruned %d (P=%d q=%d)",
+							names[a], res[a].Best.Index, res[0].Best.Index, p, q)
+					}
+				}
+				full, fast, stream := res[0], res[1], res[2]
+				out[0] = full.Candidates[0].Schedule.Response
+				out[1] = full.Best.Schedule.Response
+				out[2] = fast.Best.Schedule.Response
+				out[3] = stream.Best.Schedule.Response
+				out[4] = float64(fast.Pruned) / float64(len(fast.Candidates))
+				out[5] = float64(stream.Scheduled) / float64(stream.Enumerated)
+				return nil
+			}, nil
+		},
+	})
 }
 
 // PipelineAblation regenerates ablation A12: the error of the paper's
@@ -939,181 +711,103 @@ func PlanSearchAblation(c Config) (*Figure, error) {
 // TreeSchedule schedules through the explicit dataflow simulator of
 // internal/pipesim.
 func PipelineAblation(c Config) (*Figure, error) {
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
-	defer c.observe("pipeline")()
 	const joins, eps, f = 15, 0.5, 0.7
-	trees, err := c.workload(joins)
-	if err != nil {
-		return nil, err
-	}
-	ov := resource.MustOverlap(eps)
-	fig := &Figure{
-		ID:     "pipeline",
-		Title:  fmt.Sprintf("Pipeline-abstraction error (%d joins, ε = %.1f, f = %.1f)", joins, eps, f),
-		XLabel: "sites",
-		YLabel: "avg response time (s); ratio series unitless",
-	}
-	sa := Series{Name: "analytic (Eq. 3)"}
-	sp := Series{Name: "pipeline dataflow sim"}
-	sr := Series{Name: "ratio"}
-	for _, p := range c.Sites {
-		ya := make([]float64, len(trees))
-		yp := make([]float64, len(trees))
-		err := c.forEach(len(trees), func(i int) error {
-			s, err := sched.TreeScheduler{Model: c.Model, Overlap: ov, P: p, F: f}.Schedule(trees[i])
-			if err != nil {
-				return err
-			}
-			res, err := pipesim.Simulate(ov, s, pipesim.Config{Steps: 400})
-			if err != nil {
-				return err
-			}
-			ya[i] = res.Analytic
-			yp[i] = res.Simulated
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		sumA, sumP := 0.0, 0.0
-		for i := range ya {
-			sumA += ya[i]
-			sumP += yp[i]
-		}
-		q := float64(len(trees))
-		sa.X = append(sa.X, float64(p))
-		sa.Y = append(sa.Y, sumA/q)
-		sp.X = append(sp.X, float64(p))
-		sp.Y = append(sp.Y, sumP/q)
-		sr.X = append(sr.X, float64(p))
-		sr.Y = append(sr.Y, sumP/sumA)
-	}
-	fig.Series = append(fig.Series, sa, sp, sr)
-	return fig, nil
+	return c.sweep(recipe{
+		id:     "pipeline",
+		title:  fmt.Sprintf("Pipeline-abstraction error (%d joins, ε = %.1f, f = %.1f)", joins, eps, f),
+		xlabel: "sites", ylabel: "avg response time (s); ratio series unitless",
+		series: []string{"analytic (Eq. 3)", "pipeline dataflow sim", "ratio"},
+		joins:  []int{joins},
+		cols:   2,
+		point: func(xi int, w [][]*plan.TaskTree) (int, trialFunc, error) {
+			ts := c.treeScheduler(c.Sites[xi], eps, f)
+			return len(w[0]), func(i int, out []float64) error {
+				s, err := ts.Schedule(w[0][i])
+				if err != nil {
+					return err
+				}
+				res, err := pipesim.Simulate(ts.Overlap, s, pipesim.Config{Steps: 400})
+				if err != nil {
+					return err
+				}
+				out[0], out[1] = res.Analytic, res.Simulated
+				return nil
+			}, nil
+		},
+		// The ratio is total simulated ÷ total analytic time.
+		derive: func(sums []float64, n int) []float64 {
+			return []float64{sums[0] / float64(n), sums[1] / float64(n), sums[1] / sums[0]}
+		},
+	})
 }
 
 // BatchAblation regenerates ablation A13: scheduling a batch of Q
 // independent queries together (inter-query resource sharing) against
 // running them back to back.
 func BatchAblation(c Config) (*Figure, error) {
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
-	defer c.observe("batch")()
 	const joins, eps, f, batch = 10, 0.5, 0.7, 4
-	trees, err := c.workload(joins)
-	if err != nil {
-		return nil, err
-	}
-	fig := &Figure{
-		ID:     "batch",
-		Title:  fmt.Sprintf("Multi-query batches of %d (%d joins each, ε = %.1f, f = %.1f)", batch, joins, eps, f),
-		XLabel: "sites",
-		YLabel: "avg makespan of one batch (s)",
-	}
-	sSerial := Series{Name: "back-to-back"}
-	sBatch := Series{Name: fmt.Sprintf("batched (%d queries)", batch)}
-	for _, p := range c.Sites {
-		ts := sched.TreeScheduler{
-			Model: c.Model, Overlap: resource.MustOverlap(eps), P: p, F: f,
-		}
-		groups := len(trees) / batch
-		if groups == 0 {
-			return nil, fmt.Errorf("experiments: need at least %d queries for the batch ablation", batch)
-		}
-		yserial := make([]float64, groups)
-		ybatch := make([]float64, groups)
-		err := c.forEach(groups, func(g int) error {
-			group := trees[g*batch : (g+1)*batch]
-			serial := 0.0
-			for _, tt := range group {
-				s, err := ts.Schedule(tt)
+	return c.sweep(recipe{
+		id:     "batch",
+		title:  fmt.Sprintf("Multi-query batches of %d (%d joins each, ε = %.1f, f = %.1f)", batch, joins, eps, f),
+		xlabel: "sites", ylabel: "avg makespan of one batch (s)",
+		series: []string{"back-to-back", fmt.Sprintf("batched (%d queries)", batch)},
+		joins:  []int{joins},
+		point: func(xi int, w [][]*plan.TaskTree) (int, trialFunc, error) {
+			trees := w[0]
+			if len(trees) < batch {
+				return 0, nil, fmt.Errorf("experiments: need at least %d queries for the batch ablation", batch)
+			}
+			ts := c.treeScheduler(c.Sites[xi], eps, f)
+			return len(trees) / batch, func(g int, out []float64) error {
+				group := trees[g*batch : (g+1)*batch]
+				for _, tt := range group {
+					y, err := treeResponse(ts, tt)
+					if err != nil {
+						return err
+					}
+					out[0] += y
+				}
+				b, err := ts.ScheduleBatch(group)
 				if err != nil {
 					return err
 				}
-				serial += s.Response
-			}
-			b, err := ts.ScheduleBatch(group)
-			if err != nil {
-				return err
-			}
-			yserial[g] = serial
-			ybatch[g] = b.Response
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		sSerial.X = append(sSerial.X, float64(p))
-		sSerial.Y = append(sSerial.Y, mean(yserial))
-		sBatch.X = append(sBatch.X, float64(p))
-		sBatch.Y = append(sBatch.Y, mean(ybatch))
-	}
-	fig.Series = append(fig.Series, sSerial, sBatch)
-	return fig, nil
+				out[1] = b.Response
+				return nil
+			}, nil
+		},
+	})
 }
 
 // DeclusterAblation regenerates ablation A14: the cost of data
 // placement constraints — base relations pre-declustered at random
 // homes (rooted scans) against scheduler-chosen scan placement.
 func DeclusterAblation(c Config) (*Figure, error) {
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
-	defer c.observe("decluster")()
 	const joins, eps, f = 20, 0.5, 0.7
-	trees, err := c.workload(joins)
-	if err != nil {
-		return nil, err
-	}
-	fig := &Figure{
-		ID:     "decluster",
-		Title:  fmt.Sprintf("Rooted (pre-declustered) vs floating scans (%d joins, ε = %.1f, f = %.1f)", joins, eps, f),
-		XLabel: "sites",
-		YLabel: "avg response time (s)",
-	}
-	sFloat := Series{Name: "floating scans"}
-	sRooted := Series{Name: "declustered scans"}
-	for _, p := range c.Sites {
-		ts := sched.TreeScheduler{
-			Model: c.Model, Overlap: resource.MustOverlap(eps), P: p, F: f,
-		}
-		yfloat := make([]float64, len(trees))
-		yrooted := make([]float64, len(trees))
-		err := c.forEach(len(trees), func(i int) error {
-			sf, err := ts.Schedule(trees[i])
-			if err != nil {
+	return c.sweep(recipe{
+		id:     "decluster",
+		title:  fmt.Sprintf("Rooted (pre-declustered) vs floating scans (%d joins, ε = %.1f, f = %.1f)", joins, eps, f),
+		xlabel: "sites", ylabel: "avg response time (s)",
+		series: []string{"floating scans", "declustered scans"},
+		joins:  []int{joins},
+		point: func(xi int, w [][]*plan.TaskTree) (int, trialFunc, error) {
+			p, trees := c.Sites[xi], w[0]
+			ts := c.treeScheduler(p, eps, f)
+			return len(trees), func(i int, out []float64) (err error) {
+				if out[0], err = treeResponse(ts, trees[i]); err != nil {
+					return err
+				}
+				// Each tree draws its random declustering from a private
+				// derived generator so trials stay order-independent.
+				r := rand.New(rand.NewSource(c.trialSeed(int64(p), int64(i))))
+				rooted := ts
+				if rooted.Homes, err = ts.RandomDeclustering(r, trees[i]); err != nil {
+					return err
+				}
+				out[1], err = treeResponse(rooted, trees[i])
 				return err
-			}
-			// Each tree draws its random declustering from a private
-			// derived generator so trials stay order-independent.
-			r := rand.New(rand.NewSource(c.trialSeed(int64(p), int64(i))))
-			homes, err := ts.RandomDeclustering(r, trees[i])
-			if err != nil {
-				return err
-			}
-			rooted := ts
-			rooted.Homes = homes
-			sr, err := rooted.Schedule(trees[i])
-			if err != nil {
-				return err
-			}
-			yfloat[i] = sf.Response
-			yrooted[i] = sr.Response
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		sFloat.X = append(sFloat.X, float64(p))
-		sFloat.Y = append(sFloat.Y, mean(yfloat))
-		sRooted.X = append(sRooted.X, float64(p))
-		sRooted.Y = append(sRooted.Y, mean(yrooted))
-	}
-	fig.Series = append(fig.Series, sFloat, sRooted)
-	return fig, nil
+			}, nil
+		},
+	})
 }
 
 // Table2 renders the experiment parameter settings, mirroring the

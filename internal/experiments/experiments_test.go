@@ -381,13 +381,9 @@ func TestTable2Rendering(t *testing.T) {
 }
 
 func TestFiguresRejectInvalidConfig(t *testing.T) {
-	bad := Config{}
-	for name, fn := range map[string]func(Config) (*Figure, error){
-		"5a": Fig5a, "5b": Fig5b, "6a": Fig6a, "6b": Fig6b,
-		"malleable": Malleable, "order": OrderAblation,
-	} {
-		if _, err := fn(bad); err == nil {
-			t.Errorf("%s accepted invalid config", name)
+	for _, f := range Figures {
+		if _, err := f.Generate(Config{}); err == nil {
+			t.Errorf("%s accepted invalid config", f.ID)
 		}
 	}
 }

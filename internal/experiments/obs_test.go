@@ -37,6 +37,16 @@ func TestRecorderDoesNotChangeFigures(t *testing.T) {
 	if h.Count != 1 || h.Sum <= 0 {
 		t.Fatalf("figure timer missing: %+v", h)
 	}
+
+	// The ablations count too: 2 policies * 2 sites * 2 queries.
+	met = obs.NewMetrics()
+	traced.Rec = met
+	if _, err := ShelfAblation(traced); err != nil {
+		t.Fatal(err)
+	}
+	if got := met.Snapshot().Counters["experiments.schedules"]; got != 2*2*2 {
+		t.Fatalf("shelf ablation schedule counter %d != 8", got)
+	}
 }
 
 // TestRecorderSafeUnderWorkerPool runs a figure with many workers and a

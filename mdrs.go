@@ -10,7 +10,6 @@ import (
 	"mdrs/internal/contention"
 	"mdrs/internal/costmodel"
 	"mdrs/internal/engine"
-	"mdrs/internal/experiments"
 	"mdrs/internal/malleable"
 	"mdrs/internal/memsched"
 	"mdrs/internal/obs"
@@ -39,19 +38,10 @@ type (
 	OpKind = costmodel.OpKind
 	// OpSpec describes one operator instance for costing.
 	OpSpec = costmodel.OpSpec
-	// OpCost is a costed operator: processing vector plus interconnect bytes.
-	OpCost = costmodel.OpCost
 	// CostCache memoizes a cost model's derivations by operator spec.
 	CostCache = costmodel.Cache
-	// PlanFingerprint digests (scheduler config, task tree); equal
-	// fingerprints imply byte-identical schedules.
-	PlanFingerprint = sched.Fingerprint
 	// Overlap is the resource-overlap model ε of assumption EA2.
 	Overlap = resource.Overlap
-	// System is a set of P identical d-dimensional sites.
-	System = resource.System
-	// Site is one multi-resource site with its assigned clones.
-	Site = resource.Site
 	// Relation is a base relation of the catalog.
 	Relation = query.Relation
 	// PlanNode is a node of a bushy hash-join execution plan.
@@ -62,8 +52,6 @@ type (
 	Operator = plan.Operator
 	// OperatorTree is the macro-expanded form of an execution plan.
 	OperatorTree = plan.OperatorTree
-	// Task is a query task (maximal pipelined subgraph).
-	Task = plan.Task
 	// TaskTree is the query task tree with its synchronized phases.
 	TaskTree = plan.TaskTree
 	// SchedOp is an operator instance presented to OperatorSchedule.
@@ -74,41 +62,21 @@ type (
 	TreeScheduler = sched.TreeScheduler
 	// Schedule is a complete phased parallel schedule.
 	Schedule = sched.Schedule
-	// PhaseSchedule is the schedule of one synchronized phase.
-	PhaseSchedule = sched.PhaseSchedule
-	// OpPlacement records one operator's degree, sites, and clones.
-	OpPlacement = sched.OpPlacement
 	// MalleableScheduler is the Section 7 malleable-operator scheduler.
 	MalleableScheduler = malleable.Scheduler
 	// MalleableOperator is one malleable floating operator.
 	MalleableOperator = malleable.Operator
-	// Parallelization is a degree-of-parallelism vector.
-	Parallelization = malleable.Parallelization
-	// SynchronousScheduler is the one-dimensional baseline.
-	SynchronousScheduler = baseline.Synchronous
 	// SynchronousResult is the baseline's placement and response.
 	SynchronousResult = baseline.Result
 	// Dataset holds generated synthetic relations for one plan.
 	Dataset = engine.Dataset
 	// Engine executes scheduled plans over a Dataset.
 	Engine = engine.Engine
-	// EngineReport summarizes one engine execution.
-	EngineReport = engine.Report
-	// Tuple is one row flowing through the engine.
-	Tuple = engine.Tuple
 	// SiteComparison pairs analytic and fluid-simulated response times.
 	SiteComparison = sim.SiteComparison
-	// ExperimentConfig scales the Section 6 experiment harness.
-	ExperimentConfig = experiments.Config
-	// Figure is a regenerated evaluation figure.
-	Figure = experiments.Figure
-	// Series is one curve of a Figure.
-	Series = experiments.Series
 	// MemoryScheduler is the memory-aware TreeSchedule extension
 	// (non-preemptable resources, the paper's first open problem).
 	MemoryScheduler = memsched.Scheduler
-	// MemoryResult is the memory-aware schedule with spill accounting.
-	MemoryResult = memsched.Result
 	// ContentionPenalty holds per-resource time-sharing penalties γ_i
 	// (the paper's second open problem: imperfect preemptability).
 	ContentionPenalty = contention.Penalty
@@ -121,18 +89,11 @@ type (
 	// running incumbent are never fully scheduled, and the outcome is
 	// provably identical to scheduling every candidate.
 	PlanSearch = optimizer.Search
-	// PlanSearchResult holds the winning plan, every candidate, and the
-	// pruned/scheduled ledger.
-	PlanSearchResult = optimizer.Result
 	// PlanCandidate is one candidate of a PlanSearchResult: its plan,
 	// lower bound, and (unless pruned) full schedule.
 	PlanCandidate = optimizer.Candidate
 	// Shape selects an execution-plan tree shape for generation.
 	Shape = query.Shape
-	// PhasePolicy selects how tasks pack into synchronized phases.
-	PhasePolicy = plan.PhasePolicy
-	// ScheduleStatsSummary summarizes a schedule's resource economics.
-	ScheduleStatsSummary = sched.Stats
 	// Recorder receives counters, timing samples, and decision-trace
 	// events from the schedulers and the engine. A nil Recorder is the
 	// fully-disabled (and essentially free) default.
@@ -143,8 +104,6 @@ type (
 	Tracer = obs.Tracer
 	// Metrics is a Recorder aggregating counters and histograms.
 	Metrics = obs.Metrics
-	// MetricsSnapshot is a point-in-time copy of a Metrics recorder.
-	MetricsSnapshot = obs.Snapshot
 	// TraceCapture is a Recorder buffering events in memory.
 	TraceCapture = obs.Capture
 	// PlaceKey identifies one clone placement in a replayed trace.
@@ -158,15 +117,6 @@ type (
 	// ServeControllerConfig configures the adaptive inter/intra-query
 	// parallelism controller of a SchedulingService (ServeConfig.Controller).
 	ServeControllerConfig = serve.ControllerConfig
-	// ServeTuning is a point-in-time copy of a SchedulingService's live
-	// knob values (SchedulingService.Tuning).
-	ServeTuning = serve.Tuning
-	// ServeResult is one request's outcome from a SchedulingService.
-	ServeResult = serve.Result
-	// ServeOptimizerConfig enables SchedulingService.Optimize, the
-	// serve-layer streaming plan search warm-started from the schedule
-	// cache (ServeConfig.Optimizer).
-	ServeOptimizerConfig = serve.OptimizerConfig
 )
 
 // Typed scheduling-service errors, for errors.Is dispatch.
@@ -181,12 +131,6 @@ var (
 	// ErrPlanSearchTooFewRelations reports a PlanSearch over fewer than
 	// two relations.
 	ErrPlanSearchTooFewRelations = optimizer.ErrTooFewRelations
-	// ErrPlanSearchEnumerate reports that a PlanSearch failed while
-	// enumerating or sampling candidate plans (wraps the cause).
-	ErrPlanSearchEnumerate = optimizer.ErrEnumerate
-	// ErrServeNoOptimizer reports an Optimize call on a
-	// SchedulingService configured without ServeConfig.Optimizer.
-	ErrServeNoOptimizer = serve.ErrNoOptimizer
 )
 
 // Plan shapes.
@@ -197,11 +141,9 @@ const (
 	Balanced    = query.Balanced
 )
 
-// Phase policies.
-const (
-	MinShelf      = plan.MinShelf
-	EarliestShelf = plan.EarliestShelf
-)
+// EarliestShelf is the ASAP phase policy (TreeScheduler.Policy); the
+// zero value is the paper's MinShelf.
+const EarliestShelf = plan.EarliestShelf
 
 // Resource dimensions of the experimental 3-dimensional sites.
 const (
@@ -212,12 +154,11 @@ const (
 	Dims = resource.Dims
 )
 
-// Operator kinds.
+// Operator kinds of a streamed (non-materialized) plan.
 const (
 	Scan  = costmodel.Scan
 	Build = costmodel.Build
 	Probe = costmodel.Probe
-	Store = costmodel.Store
 )
 
 // DefaultParams returns the paper's Table 2 parameter settings.
@@ -225,9 +166,6 @@ func DefaultParams() Params { return costmodel.DefaultParams() }
 
 // DefaultCostModel returns a cost model over DefaultParams.
 func DefaultCostModel() CostModel { return costmodel.Default() }
-
-// NewCostModel validates params and returns a cost model.
-func NewCostModel(p Params) (CostModel, error) { return costmodel.New(p) }
 
 // NewCostCache wraps a cost model in a memoizing cache, pluggable into
 // TreeScheduler.Cache. Every cached answer is bit-identical to the
@@ -249,16 +187,6 @@ func MustRandomPlan(r *rand.Rand, cfg GenConfig) *PlanNode { return query.MustRa
 
 // DecodePlan parses and validates a JSON-encoded plan.
 func DecodePlan(data []byte) (*PlanNode, error) { return query.Decode(data) }
-
-// Expand macro-expands an execution plan into its operator tree.
-func Expand(p *PlanNode) (*OperatorTree, error) { return plan.Expand(p) }
-
-// ExpandMaterialized is Expand with a Store operator at the root: the
-// result is written to disk instead of streamed to the client.
-func ExpandMaterialized(p *PlanNode) (*OperatorTree, error) { return plan.ExpandMaterialized(p) }
-
-// NewTaskTree groups an operator tree into query tasks and phases.
-func NewTaskTree(ot *OperatorTree) (*TaskTree, error) { return plan.NewTaskTree(ot) }
 
 // PrepareQuery expands a plan and builds its task tree in one step.
 func PrepareQuery(p *PlanNode) (*OperatorTree, *TaskTree, error) {
@@ -287,7 +215,7 @@ type Options struct {
 	// partitioned parallelism at min{N_max, N_opt, P, MaxDegree}
 	// (TreeSchedule only). Zero means uncapped. Unlike SchedWorkers the
 	// cap changes the schedule itself, so it participates in
-	// PlanFingerprint — schedules cached under different caps never
+	// the schedule fingerprint — schedules cached under different caps never
 	// alias. The serve layer's adaptive controller tunes this knob live.
 	MaxDegree int
 	// Rec, when non-nil, receives the scheduler's decision trace and
@@ -437,11 +365,6 @@ func EnumerateBushyPlansFunc(rels []*Relation, prune func(*PlanNode) bool, yield
 // plans over n relations (0 outside the supported range 1..10).
 func CountBushyPlans(n int) int64 { return query.CountBushy(n) }
 
-// FirstBushyPlan returns the first plan of the bushy enumeration order
-// (a left-deep chain) without enumerating — the streaming search's
-// strawman incumbent.
-func FirstBushyPlan(rels []*Relation) (*PlanNode, error) { return query.FirstBushy(rels) }
-
 // OperatorSchedule exposes the paper's Figure 3 list-scheduling rule for
 // a set of independent operators with predetermined clone vectors.
 func OperatorSchedule(p, d int, ov Overlap, ops []*SchedOp) (*SchedResult, error) {
@@ -542,10 +465,3 @@ func StartDebug(addr string) (string, func(context.Context) error, error) {
 // PublishExpvar exposes a Metrics recorder's live snapshot as the named
 // expvar, visible at /debug/vars on the ServeDebug server.
 func PublishExpvar(name string, m *Metrics) { obs.PublishExpvar(name, m) }
-
-// DefaultExperiments returns the paper-scale experiment configuration
-// (20 queries per point, 10–140 sites).
-func DefaultExperiments() ExperimentConfig { return experiments.Default() }
-
-// QuickExperiments returns a scaled-down experiment configuration.
-func QuickExperiments() ExperimentConfig { return experiments.Quick() }
