@@ -1,15 +1,16 @@
 # Development targets for the mdrs reproduction. `make check` is the
-# gate future PRs must keep green: build, vet, gofmt, the full test
-# suite under the race detector (which also exercises the experiments
-# worker pool for data races), one iteration of the per-layer Go
-# benchmarks, the optimizer ledger replay, and the benchmark harness's
-# own vet and tests against this tree.
+# gate future PRs must keep green, in six steps: build, vet, gofmt, the
+# full test suite under the race detector (which also exercises the
+# experiments worker pool for data races, and holds the plan-search
+# ledger to internal/optimizer/testdata/ledger.golden), one iteration of
+# the per-layer Go benchmarks, and the benchmark harness's own vet and
+# tests against this tree.
 
 GO ?= go
 
-.PHONY: check build vet fmt-check test race bench-smoke harness-check benchmark bench bench-serve bench-adaptive bench-opt bench-opt-check figures trace-demo loc
+.PHONY: check build vet fmt-check test race bench-smoke harness-check benchmark bench bench-serve bench-adaptive figures trace-demo loc
 
-check: build vet fmt-check race bench-smoke bench-opt-check harness-check
+check: build vet fmt-check race bench-smoke harness-check
 
 build:
 	$(GO) build ./...
@@ -68,21 +69,6 @@ bench-serve:
 bench-adaptive:
 	$(GO) run ./cmd/mdrs-loadgen -compare-controller -cache 0 -templates 512 -joins 6 -sites 128 -rps 50,200,800 -duration 5s -out BENCH_adaptive.json
 
-# Regenerate BENCH_optimizer.json: the four plan-search arms (two-phase
-# strawman, unpruned pool, bound-pruned pool, streaming
-# bound-interleaved) across a join-count sweep — per-arm wall clock, the
-# enumerated/pruned/scheduled ledger with peak candidate residency, the
-# dual identity verdicts, and the streaming-schedules-fewer verdict.
-bench-opt:
-	$(GO) run ./cmd/mdrs-bench -opt-bench BENCH_optimizer.json
-
-# Replay the committed BENCH_optimizer.json's deterministic check
-# corpus: fails if the committed identity verdict is false, the live
-# streaming winner diverges from the unpruned oracle, or the live
-# scheduled-count ledger regresses more than 10% over the committed one.
-bench-opt-check:
-	$(GO) run ./cmd/mdrs-bench -opt-check BENCH_optimizer.json
-
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...
 
@@ -95,6 +81,8 @@ trace-demo:
 	$(GO) run ./cmd/mdrs-plangen -joins 6 -seed 1 | $(GO) run ./cmd/mdrs-sched -sites 16 -trace-text
 
 # The size ROADMAP tracks: non-test Go lines of the root module (the
-# nested bench/ module excluded).
+# nested bench/ module excluded), then the same count for the system
+# alone — without the packages that only reproduce paper sections.
 loc:
 	@git ls-files '*.go' | grep -v _test.go | grep -v '^bench/' | xargs cat | wc -l
+	@git ls-files '*.go' | grep -v _test.go | grep -v '^bench/' | grep -vE '^(internal/(baseline|memsched|malleable|pipesim|contention|sim|experiments)|cmd/mdrs-bench)/' | xargs cat | wc -l

@@ -5,28 +5,19 @@
 // Usage:
 //
 //	mdrs-bench [-fig NAME|all] [-table2] [-queries N] [-seed S] [-quick]
-//	           [-workers N] [-benchjson FILE]
+//	           [-csv] [-workers N] [-metrics FILE]
 //
 // The figure names are the IDs of experiments.Figures; -h lists them.
 // -workers bounds the goroutine pool that fans out each figure's
 // per-query trials (0 = GOMAXPROCS); the output is byte-identical for
-// every worker count. -opt-bench measures the plan-search arms
-// (two-phase strawman, unpruned pool, bound-pruned pool, streaming
-// bound-interleaved) across a join-count sweep and writes
-// BENCH_optimizer.json-format JSON to its argument, then exits;
-// -opt-check replays the committed file's check corpus and fails on an
-// identity or ledger regression. -cpuprofile and -memprofile write
-// runtime/pprof profiles of any mode. -benchjson additionally records
-// per-figure regeneration wall times to FILE as JSON (the benchReport
-// struct below); per-layer speed is recorded by bench/, not here.
-// -metrics attaches an observability recorder to the run and writes its
-// counters and timing histograms to FILE as JSON; -debug-addr serves
-// net/http/pprof and expvar (including the live metrics under the "mdrs"
-// var) while the figures regenerate.
+// every worker count. -cpuprofile and -memprofile write runtime/pprof
+// profiles of the run. -metrics attaches an observability recorder to
+// the run and writes its counters and timing histograms (per-figure
+// wall time is experiments.figure_seconds) to FILE as JSON; per-layer
+// speed is recorded by bench/, not here.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -34,28 +25,10 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"strings"
-	"time"
 
 	"mdrs/internal/experiments"
 	"mdrs/internal/obs"
 )
-
-// benchReport is the machine-readable timing record written by
-// -benchjson: configuration knobs that affect the numbers plus one wall
-// time per regenerated figure.
-type benchReport struct {
-	Queries      int            `json:"queries"`
-	Seed         int64          `json:"seed"`
-	Workers      int            `json:"workers"`
-	Quick        bool           `json:"quick"`
-	Figures      []figureTiming `json:"figures"`
-	TotalSeconds float64        `json:"total_seconds"`
-}
-
-type figureTiming struct {
-	Figure  string  `json:"figure"`
-	Seconds float64 `json:"seconds"`
-}
 
 func main() {
 	fig := flag.String("fig", "all", "figure to regenerate: "+figureNames()+" or all")
@@ -65,11 +38,7 @@ func main() {
 	quick := flag.Bool("quick", false, "use the scaled-down Quick configuration")
 	asCSV := flag.Bool("csv", false, "emit CSV instead of aligned text")
 	workers := flag.Int("workers", 0, "trial worker pool size (0 = GOMAXPROCS)")
-	benchJSON := flag.String("benchjson", "", "write per-figure timings as JSON to this file")
 	metricsJSON := flag.String("metrics", "", "write run counters and timing histograms as JSON to this file")
-	optBench := flag.String("opt-bench", "", "measure the plan-search arms across a join sweep, write JSON to this file, and exit")
-	optCheck := flag.String("opt-check", "", "replay this committed BENCH_optimizer.json's check corpus and fail on identity or ledger regression, then exit")
-	debugAddr := flag.String("debug-addr", "", "serve /debug/pprof and /debug/vars on this address")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile at exit to this file")
 	flag.Parse()
@@ -80,23 +49,6 @@ func main() {
 		os.Exit(1)
 	}
 	defer stopProfiles()
-
-	if *optBench != "" {
-		if err := runOptBench(*optBench, *quick, *seed); err != nil {
-			fmt.Fprintf(os.Stderr, "mdrs-bench: opt-bench: %v\n", err)
-			stopProfiles()
-			os.Exit(1)
-		}
-		return
-	}
-	if *optCheck != "" {
-		if err := runOptCheck(*optCheck); err != nil {
-			fmt.Fprintf(os.Stderr, "mdrs-bench: opt-check: %v\n", err)
-			stopProfiles()
-			os.Exit(1)
-		}
-		return
-	}
 
 	cfg := experiments.Default()
 	if *quick {
@@ -111,18 +63,9 @@ func main() {
 	cfg.Workers = *workers
 
 	var met *obs.Metrics
-	if *metricsJSON != "" || *debugAddr != "" {
+	if *metricsJSON != "" {
 		met = obs.NewMetrics()
 		cfg.Rec = met
-	}
-	if *debugAddr != "" {
-		addr, err := obs.ServeDebug(*debugAddr)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mdrs-bench: %v\n", err)
-			os.Exit(1)
-		}
-		obs.PublishExpvar("mdrs", met)
-		fmt.Fprintf(os.Stderr, "mdrs-bench: debug server on http://%s/debug/pprof/\n", addr)
 	}
 
 	if *table2 {
@@ -130,22 +73,14 @@ func main() {
 		fmt.Println()
 	}
 
-	// Write the report and metrics sinks even when a figure fails:
-	// exiting first would discard the timings of the figures that did
-	// finish and every counter the recorder collected, leaving partial
+	// Write the metrics sink even when a figure fails: exiting first
+	// would discard every counter the recorder collected, leaving partial
 	// runs with nothing to diagnose from.
-	report, err := emit(os.Stdout, cfg, *fig, *asCSV)
+	err = emit(os.Stdout, cfg, *fig, *asCSV)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "mdrs-bench: %v\n", err)
 	}
 	failed := err != nil
-	if *benchJSON != "" {
-		report.Quick = *quick
-		if werr := writeReport(*benchJSON, report); werr != nil {
-			fmt.Fprintf(os.Stderr, "mdrs-bench: %v\n", werr)
-			failed = true
-		}
-	}
 	if *metricsJSON != "" {
 		if werr := writeMetrics(*metricsJSON, met); werr != nil {
 			fmt.Fprintf(os.Stderr, "mdrs-bench: %v\n", werr)
@@ -223,10 +158,8 @@ func figureNames() string {
 }
 
 // emit regenerates one figure (or all of them) into w, as aligned text
-// or CSV, timing each regeneration for the bench report. On error the
-// report is still returned, holding the figures completed so far.
-func emit(w io.Writer, cfg experiments.Config, name string, asCSV bool) (*benchReport, error) {
-	report := &benchReport{Queries: cfg.Queries, Seed: cfg.Seed, Workers: cfg.Workers}
+// or CSV.
+func emit(w io.Writer, cfg experiments.Config, name string, asCSV bool) error {
 	write := experiments.WriteText
 	if asCSV {
 		write = experiments.WriteCSV
@@ -237,29 +170,16 @@ func emit(w io.Writer, cfg experiments.Config, name string, asCSV bool) (*benchR
 			continue
 		}
 		known = true
-		start := time.Now()
 		fig, err := f.Generate(cfg)
 		if err != nil {
-			return report, fmt.Errorf("%s: %w", f.ID, err)
+			return fmt.Errorf("%s: %w", f.ID, err)
 		}
-		secs := time.Since(start).Seconds()
-		report.Figures = append(report.Figures, figureTiming{Figure: f.ID, Seconds: secs})
-		report.TotalSeconds += secs
 		if err := write(w, fig); err != nil {
-			return report, err
+			return err
 		}
 	}
 	if !known {
-		return report, fmt.Errorf("unknown figure %q (want %s or all)", name, figureNames())
+		return fmt.Errorf("unknown figure %q (want %s or all)", name, figureNames())
 	}
-	return report, nil
-}
-
-// writeReport marshals the timing report to path.
-func writeReport(path string, r *benchReport) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	return nil
 }

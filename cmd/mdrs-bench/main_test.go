@@ -20,24 +20,20 @@ func testConfig() experiments.Config {
 
 func TestEmitSingleFigure(t *testing.T) {
 	var sb strings.Builder
-	report, err := emit(&sb, testConfig(), "6b", false)
-	if err != nil {
+	if err := emit(&sb, testConfig(), "6b", false); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(sb.String(), "Figure 6b") {
 		t.Fatalf("output missing figure header:\n%s", sb.String()[:100])
 	}
-	if len(report.Figures) != 1 || report.Figures[0].Figure != "6b" {
-		t.Fatalf("report figures = %+v, want one entry for 6b", report.Figures)
-	}
-	if report.Figures[0].Seconds < 0 || report.TotalSeconds < report.Figures[0].Seconds {
-		t.Fatalf("implausible timings: %+v total %g", report.Figures, report.TotalSeconds)
+	if strings.Count(sb.String(), "Figure ") != 1 {
+		t.Fatalf("-fig 6b emitted more than one figure:\n%s", sb.String())
 	}
 }
 
 func TestEmitUnknownFigure(t *testing.T) {
 	var sb strings.Builder
-	_, err := emit(&sb, testConfig(), "9z", false)
+	err := emit(&sb, testConfig(), "9z", false)
 	if err == nil {
 		t.Fatal("unknown figure accepted")
 	}
@@ -47,34 +43,12 @@ func TestEmitUnknownFigure(t *testing.T) {
 	}
 }
 
-// A failing emit still returns the report accumulated so far, so main
-// can write the -benchjson and -metrics sinks before exiting non-zero.
-func TestEmitReturnsReportOnError(t *testing.T) {
-	var sb strings.Builder
-	cfg := testConfig()
-	report, err := emit(&sb, cfg, "9z", false)
-	if err == nil {
-		t.Fatal("unknown figure accepted")
-	}
-	if report == nil {
-		t.Fatal("failed emit discarded the bench report")
-	}
-	if report.Queries != cfg.Queries || report.Seed != cfg.Seed {
-		t.Fatalf("partial report lost its config: %+v", report)
-	}
-	path := filepath.Join(t.TempDir(), "partial.json")
-	if err := writeReport(path, report); err != nil {
-		t.Fatalf("partial report not writable: %v", err)
-	}
-}
-
 func TestEmitAllCoversEveryRegisteredFigure(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full figure sweep")
 	}
 	var sb strings.Builder
-	report, err := emit(&sb, testConfig(), "all", false)
-	if err != nil {
+	if err := emit(&sb, testConfig(), "all", false); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
@@ -83,14 +57,11 @@ func TestEmitAllCoversEveryRegisteredFigure(t *testing.T) {
 			t.Fatalf("all-run missing figure %s", f.ID)
 		}
 	}
-	if len(report.Figures) != len(experiments.Figures) {
-		t.Fatalf("report covers %d figures, want %d", len(report.Figures), len(experiments.Figures))
-	}
 }
 
 func TestEmitCSV(t *testing.T) {
 	var sb strings.Builder
-	if _, err := emit(&sb, testConfig(), "6b", true); err != nil {
+	if err := emit(&sb, testConfig(), "6b", true); err != nil {
 		t.Fatal(err)
 	}
 	first := strings.SplitN(sb.String(), "\n", 2)[0]
@@ -101,37 +72,8 @@ func TestEmitCSV(t *testing.T) {
 
 func TestEmitRejectsInvalidConfig(t *testing.T) {
 	var sb strings.Builder
-	if _, err := emit(&sb, experiments.Config{}, "5a", false); err == nil {
+	if err := emit(&sb, experiments.Config{}, "5a", false); err == nil {
 		t.Fatal("invalid config accepted")
-	}
-}
-
-// The -benchjson report must round-trip as machine-readable JSON with
-// the fields future PRs diff against.
-func TestWriteReport(t *testing.T) {
-	var sb strings.Builder
-	cfg := testConfig()
-	report, err := emit(&sb, cfg, "order", false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "figures.json")
-	if err := writeReport(path, report); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got benchReport
-	if err := json.Unmarshal(data, &got); err != nil {
-		t.Fatalf("report is not valid JSON: %v", err)
-	}
-	if got.Queries != cfg.Queries || got.Seed != cfg.Seed {
-		t.Fatalf("report config = %+v, want queries %d seed %d", got, cfg.Queries, cfg.Seed)
-	}
-	if len(got.Figures) != 1 || got.Figures[0].Figure != "order" {
-		t.Fatalf("report figures = %+v", got.Figures)
 	}
 }
 
@@ -142,7 +84,7 @@ func TestWriteMetrics(t *testing.T) {
 	cfg := testConfig()
 	cfg.Rec = met
 	var sb strings.Builder
-	if _, err := emit(&sb, cfg, "5a", false); err != nil {
+	if err := emit(&sb, cfg, "5a", false); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "metrics.json")

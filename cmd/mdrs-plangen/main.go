@@ -5,7 +5,6 @@
 // Usage:
 //
 //	mdrs-plangen [-joins N] [-seed S] [-min T] [-max T] [-shape bushy|left|right|balanced]
-//	             [-debug-addr ADDR]
 package main
 
 import (
@@ -23,17 +22,7 @@ func main() {
 	minT := flag.Int("min", 1_000, "minimum relation cardinality (tuples)")
 	maxT := flag.Int("max", 100_000, "maximum relation cardinality (tuples)")
 	shape := flag.String("shape", "bushy", "plan shape: bushy, left, right, balanced")
-	debugAddr := flag.String("debug-addr", "", "serve /debug/pprof and /debug/vars on this address")
 	flag.Parse()
-
-	if *debugAddr != "" {
-		addr, err := mdrs.ServeDebug(*debugAddr)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mdrs-plangen: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "mdrs-plangen: debug server on http://%s/debug/pprof/\n", addr)
-	}
 
 	data, err := generate(*joins, *seed, *minT, *maxT, *shape)
 	if err != nil {

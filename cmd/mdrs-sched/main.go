@@ -16,7 +16,9 @@
 // -optimize discards the input plan's join order and re-optimizes its
 // relation catalog with the bound-pruned scheduler-in-the-loop search
 // (see -opt-candidates, -opt-seed, -opt-no-prune, -opt-exhaustive-joins);
-// -json, -v, and -chart then describe the winning candidate's schedule.
+// -json, -v, and -chart then describe the winning candidate's schedule;
+// -trace and -trace-text are rejected, because the search attaches no
+// recorder to its per-candidate schedulers.
 // -opt-stream switches to the streaming bound-interleaved variant:
 // candidates are bounded and pruned as they are enumerated, with
 // O(frontier) peak memory and the provably identical winner, reaching
@@ -25,11 +27,10 @@
 // Batch mode honors the same output flags as single-query mode: -json
 // emits the combined batch schedule, -v lists its placements, -trace
 // and -trace-text record the batch scheduling decisions.
-//
-// -debug-addr serves net/http/pprof and expvar for profiling long runs.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -80,17 +81,7 @@ func main() {
 	flag.BoolVar(&o.optNoPrune, "opt-no-prune", false, "disable bound pruning: fully schedule every candidate (identical winner, more work)")
 	flag.IntVar(&o.optExJoins, "opt-exhaustive-joins", 0, "largest join count enumerated systematically instead of sampled (0 = search default)")
 	flag.BoolVar(&o.optStream, "opt-stream", false, "use the streaming bound-interleaved search: prune during enumeration with O(frontier) memory (identical winner)")
-	debugAddr := flag.String("debug-addr", "", "serve /debug/pprof and /debug/vars on this address")
 	flag.Parse()
-
-	if *debugAddr != "" {
-		addr, err := mdrs.ServeDebug(*debugAddr)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mdrs-sched: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "mdrs-sched: debug server on http://%s/debug/pprof/\n", addr)
-	}
 
 	if flag.NArg() > 0 {
 		if o.optimize {
@@ -277,6 +268,9 @@ func readPlan(o options) (*mdrs.PlanNode, error) {
 // the running incumbent are fully scheduled. The winner is provably the
 // same plan the unpruned search would pick.
 func runOptimize(w io.Writer, o options) error {
+	if o.tracePath != "" || o.traceText {
+		return errors.New("-optimize records no decision trace (drop -trace and -trace-text)")
+	}
 	p, err := readPlan(o)
 	if err != nil {
 		return err

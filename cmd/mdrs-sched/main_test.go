@@ -371,4 +371,19 @@ func TestRunOptimizeErrors(t *testing.T) {
 	if err := runOptimize(&sb, o); err == nil {
 		t.Error("negative candidate count accepted")
 	}
+	// The search attaches no recorder to its per-candidate schedulers, so
+	// a trace flag would be dropped silently: refuse it, writing no file.
+	trace := filepath.Join(t.TempDir(), "t.jsonl")
+	for _, o := range []options{
+		{planPath: path, sites: 8, eps: 0.5, f: 0.7, optimize: true, optCandidates: 8, optSeed: 1, tracePath: trace},
+		{planPath: path, sites: 8, eps: 0.5, f: 0.7, optimize: true, optCandidates: 8, optSeed: 1, traceText: true},
+	} {
+		sb.Reset()
+		if err := runOptimize(&sb, o); err == nil || !strings.Contains(err.Error(), "-trace") || sb.Len() != 0 {
+			t.Errorf("-optimize with a trace flag: err = %v, output %q", err, sb.String())
+		}
+	}
+	if _, err := os.Stat(trace); err == nil {
+		t.Error("rejected -optimize -trace still created the trace file")
+	}
 }

@@ -9,25 +9,18 @@ import (
 	"time"
 )
 
-// ServeDebug starts an HTTP server on addr exposing the stdlib
+// StartDebug starts an HTTP server on addr exposing the stdlib
 // diagnostics endpoints — /debug/pprof/* (net/http/pprof) and
 // /debug/vars (expvar) — and returns the bound address (useful with a
-// ":0" listener). The server runs on its own goroutine for the life of
-// the process; commands gate it behind a -debug-addr flag, so nothing
-// listens unless explicitly requested. A dedicated mux is used instead
-// of http.DefaultServeMux so importing this package never mutates
-// global handler state.
-func ServeDebug(addr string) (string, error) {
-	bound, _, err := StartDebug(addr)
-	return bound, err
-}
-
-// StartDebug is ServeDebug with a shutdown handle: the returned stop
-// function gracefully drains the debug server (long-running servers
-// call it on SIGTERM so the diagnostics listener does not outlive the
-// service it observes). The debug surface is read-only diagnostics, so
-// its ReadHeaderTimeout guards against idle connection exhaustion
-// without limiting a long pprof profile stream.
+// ":0" listener). The server runs on its own goroutine; the command
+// gates it behind a -debug-addr flag, so nothing listens unless
+// explicitly requested. A dedicated mux is used instead of
+// http.DefaultServeMux so importing this package never mutates global
+// handler state. The returned stop function gracefully drains the
+// server (the service calls it on SIGTERM so the diagnostics listener
+// does not outlive what it observes). The debug surface is read-only
+// diagnostics, so its ReadHeaderTimeout guards against idle connection
+// exhaustion without limiting a long pprof profile stream.
 func StartDebug(addr string) (string, func(context.Context) error, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -272,16 +273,17 @@ func TestConcurrentRecording(t *testing.T) {
 	wg.Wait()
 }
 
-func TestServeDebugExposesPprofAndExpvar(t *testing.T) {
+func TestStartDebugExposesPprofAndExpvar(t *testing.T) {
 	m := NewMetrics()
 	m.Count("hits", 42)
 	PublishExpvar("mdrs_test_metrics", m)
 	PublishExpvar("mdrs_test_metrics", m) // second publish must not panic
 
-	addr, err := ServeDebug("127.0.0.1:0")
+	addr, stop, err := StartDebug("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer stop(context.Background())
 	for _, path := range []string{"/debug/vars", "/debug/pprof/cmdline"} {
 		resp, err := http.Get("http://" + addr + path)
 		if err != nil {
@@ -296,7 +298,7 @@ func TestServeDebugExposesPprofAndExpvar(t *testing.T) {
 			t.Fatalf("expvar output missing published metrics:\n%s", body)
 		}
 	}
-	if _, err := ServeDebug(addr); err == nil {
+	if _, _, err := StartDebug(addr); err == nil {
 		t.Fatal("double listen on same address succeeded")
 	}
 }

@@ -19,10 +19,14 @@ import (
 
 // corpusCase is one seeded search instance of the identity corpus:
 // small join counts exercise the systematic-enumeration path, larger
-// ones the shape-cycled sampling path.
+// ones the shape-cycled sampling path. With queries > 0 the case is a
+// sweep of that many instances: query q draws its catalog and then its
+// search from one generator seeded seed+q. Zero is a single instance,
+// catalog from seed and search from seed+1.
 type corpusCase struct {
 	joins, p int
 	seed     int64
+	queries  int
 }
 
 func corpus() []corpusCase {
@@ -42,6 +46,36 @@ func (c corpusCase) relations(t *testing.T) []*query.Relation {
 		t.Fatal(err)
 	}
 	return rels
+}
+
+// instance returns query q of the case: the generator its search draws
+// from and its catalog.
+func (c corpusCase) instance(t *testing.T, q int) (*rand.Rand, []*query.Relation) {
+	t.Helper()
+	if c.queries == 0 {
+		return rand.New(rand.NewSource(c.seed + 1)), c.relations(t)
+	}
+	r := rand.New(rand.NewSource(c.seed + int64(q)))
+	rels, err := RandomRelations(r, c.joins+1, 1000, 100000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r, rels
+}
+
+// run searches every instance of the case with s, so each arm a test
+// runs sees the same catalogs and the same candidate streams.
+func (c corpusCase) run(t *testing.T, s Search) []*Result {
+	t.Helper()
+	out := make([]*Result, max(c.queries, 1))
+	for q := range out {
+		res, err := s.Best(c.instance(t, q))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[q] = res
+	}
+	return out
 }
 
 func (c corpusCase) search(k int) Search {

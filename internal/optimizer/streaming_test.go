@@ -4,7 +4,11 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
+	"os"
+	"strconv"
+	"strings"
 	"testing"
 
 	"mdrs/internal/costmodel"
@@ -15,93 +19,156 @@ import (
 
 // streamCorpus extends the identity corpus with joins = 9 (10
 // relations — past the materializing enumeration ceiling, sampled by
-// both searches).
+// both searches) and with the 24-query sweeps at P = 64 whose ledger
+// totals DESIGN.md §15 and EXPERIMENTS.md A11 quote: 3 joins
+// systematic, 5, 8 and 9 joins sampled.
 func streamCorpus() []corpusCase {
 	cs := corpus()
 	for _, p := range []int{10, 100} {
 		cs = append(cs, corpusCase{joins: 9, p: p, seed: int64(1000*9 + p)})
 	}
+	for _, joins := range []int{3, 5, 8, 9} {
+		cs = append(cs, corpusCase{joins: joins, p: 64, seed: int64(1000*joins + 7), queries: 24})
+	}
 	return cs
+}
+
+const ledgerHeader = "# K = 8, eps = 0.5, f = 0.7; counts are summed over a case's queries, peak_resident is their maximum"
+
+// ledgerLine renders one arm's plan-search ledger over a corpus case.
+func ledgerLine(c corpusCase, arm string, results []*Result) string {
+	var enumerated, subtree int64
+	var pruned, scheduled, peak int
+	winners := make([]string, len(results))
+	for q, res := range results {
+		enumerated += res.Enumerated
+		subtree += res.SubtreePruned
+		pruned += res.Pruned
+		scheduled += res.Scheduled
+		peak = max(peak, res.PeakResident)
+		winners[q] = strconv.Itoa(res.Best.Index)
+	}
+	return fmt.Sprintf("joins=%d P=%d queries=%d %s enumerated=%d pruned=%d scheduled=%d subtree_pruned=%d peak_resident=%d winners=%s",
+		c.joins, c.p, len(results), arm, enumerated, pruned, scheduled, subtree, peak, strings.Join(winners, ","))
+}
+
+// checkLedger holds a ledger to testdata/ledger.golden exactly, naming
+// the case, arm and first differing column of every line that differs.
+// A change that means to move the ledger replaces the file with the
+// lines this prints.
+func checkLedger(t *testing.T, workers int, got []string) {
+	t.Helper()
+	got = append([]string{ledgerHeader}, got...)
+	data, err := os.ReadFile("testdata/ledger.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
+	failed := len(got) != len(want)
+	if failed {
+		t.Errorf("Workers=%d: ledger has %d lines, testdata/ledger.golden %d", workers, len(got), len(want))
+	}
+	for i := 0; i < min(len(got), len(want)); i++ {
+		g, w := strings.Fields(got[i]), strings.Fields(want[i])
+		if len(g) != len(w) {
+			t.Errorf("Workers=%d line %d: %q, golden %q", workers, i+1, got[i], want[i])
+			failed = true
+			continue
+		}
+		for j := range g {
+			if g[j] != w[j] {
+				t.Errorf("Workers=%d: %s: %s, golden %s", workers, strings.Join(g[:4], " "), g[j], w[j])
+				failed = true
+				break
+			}
+		}
+	}
+	if failed {
+		t.Logf("Workers=%d ledger:\n%s", workers, strings.Join(got, "\n"))
+	}
 }
 
 // The streaming tentpole contract: the streaming bound-interleaved
 // search returns the identical winning plan, with a byte-identical
 // schedule, as the unpruned pool oracle — for every corpus entry and
 // every Workers width — while never scheduling more candidates than
-// the PR 8 pruned pool search.
+// the PR 8 pruned pool search. Both arms' ledgers are pinned exactly,
+// at every width, by testdata/ledger.golden.
 func TestStreamingSearchIdentityAcrossCorpus(t *testing.T) {
 	streamedFewerSomewhere := false
+	widths := []int{1, 4}
+	ledger := map[int][]string{}
 	for _, c := range streamCorpus() {
-		rels := c.relations(t)
-
 		oracle := c.search(8)
 		oracle.NoPrune = true
 		oracle.Workers = 1
-		want, err := oracle.Best(rand.New(rand.NewSource(c.seed+1)), rels)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantBytes := encodeSchedule(t, want.Best.Schedule)
+		wants := c.run(t, oracle)
 
-		pool := c.search(8)
-		pool.Workers = 1
-		pruned, err := pool.Best(rand.New(rand.NewSource(c.seed+1)), rels)
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		for _, workers := range []int{1, 4} {
+		for _, workers := range widths {
+			pool := c.search(8)
+			pool.Workers = workers
+			pruneds := c.run(t, pool)
 			s := c.search(8)
 			s.Streaming = true
 			s.Workers = workers
-			got, err := s.Best(rand.New(rand.NewSource(c.seed+1)), rels)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !got.Streaming {
-				t.Fatalf("joins=%d P=%d: result not marked streaming", c.joins, c.p)
-			}
-			if got.Best.Index != want.Best.Index {
-				t.Fatalf("joins=%d P=%d workers=%d: streaming winner %d, oracle winner %d",
-					c.joins, c.p, workers, got.Best.Index, want.Best.Index)
-			}
-			if !bytes.Equal(encodeSchedule(t, got.Best.Schedule), wantBytes) {
-				t.Fatalf("joins=%d P=%d workers=%d: streaming winner schedule differs from oracle",
-					c.joins, c.p, workers)
-			}
-			if int64(got.Pruned)+int64(got.Scheduled)+int64(got.WarmHits) != got.Enumerated {
-				t.Fatalf("joins=%d P=%d: ledger %d+%d+%d != enumerated %d",
-					c.joins, c.p, got.Pruned, got.Scheduled, got.WarmHits, got.Enumerated)
-			}
-			// The sampled pools are identical, so streaming's
-			// after-every-schedule incumbent can only prune more than the
-			// pool's chunked one. (Systematic streaming covers the same
-			// candidate space through the subset DP; the frontier keeps
-			// its scheduled set comparable but not provably nested, so
-			// the inequality is asserted on sampled cases only.)
-			if !got.Systematic && got.Scheduled > pruned.Scheduled {
-				t.Fatalf("joins=%d P=%d workers=%d: streaming scheduled %d > pool pruned %d",
-					c.joins, c.p, workers, got.Scheduled, pruned.Scheduled)
-			}
-			if got.Scheduled < pruned.Scheduled {
-				streamedFewerSomewhere = true
-			}
-			// Every priced candidate's achieved response respects its
-			// recorded lower bound (tolerance: composed-bound summation
-			// order may differ in the last ulps).
-			for _, cand := range got.Candidates {
-				if cand.Schedule == nil {
-					t.Fatalf("joins=%d P=%d: retained candidate %d has no schedule", c.joins, c.p, cand.Index)
+			gots := c.run(t, s)
+			ledger[workers] = append(ledger[workers], ledgerLine(c, "pool", pruneds), ledgerLine(c, "streaming", gots))
+
+			for q, got := range gots {
+				want, pruned := wants[q], pruneds[q]
+				wantBytes := encodeSchedule(t, want.Best.Schedule)
+				if !got.Streaming {
+					t.Fatalf("joins=%d P=%d: result not marked streaming", c.joins, c.p)
 				}
-				if cand.Schedule.Response < cand.Bound*(1-1e-9) {
-					t.Fatalf("joins=%d P=%d: candidate %d response %.15g below bound %.15g",
-						c.joins, c.p, cand.Index, cand.Schedule.Response, cand.Bound)
+				if got.Best.Index != want.Best.Index {
+					t.Fatalf("joins=%d P=%d q=%d workers=%d: streaming winner %d, oracle winner %d",
+						c.joins, c.p, q, workers, got.Best.Index, want.Best.Index)
+				}
+				if !bytes.Equal(encodeSchedule(t, got.Best.Schedule), wantBytes) {
+					t.Fatalf("joins=%d P=%d q=%d workers=%d: streaming winner schedule differs from oracle",
+						c.joins, c.p, q, workers)
+				}
+				if pruned.Best.Index != want.Best.Index || !bytes.Equal(encodeSchedule(t, pruned.Best.Schedule), wantBytes) {
+					t.Fatalf("joins=%d P=%d q=%d workers=%d: pool winner %d differs from oracle winner %d",
+						c.joins, c.p, q, workers, pruned.Best.Index, want.Best.Index)
+				}
+				if int64(got.Pruned)+int64(got.Scheduled)+int64(got.WarmHits) != got.Enumerated {
+					t.Fatalf("joins=%d P=%d q=%d: ledger %d+%d+%d != enumerated %d",
+						c.joins, c.p, q, got.Pruned, got.Scheduled, got.WarmHits, got.Enumerated)
+				}
+				// The sampled pools are identical, so streaming's
+				// after-every-schedule incumbent can only prune more than the
+				// pool's chunked one. (Systematic streaming covers the same
+				// candidate space through the subset DP; the frontier keeps
+				// its scheduled set comparable but not provably nested, so
+				// the inequality is asserted on sampled cases only.)
+				if !got.Systematic && got.Scheduled > pruned.Scheduled {
+					t.Fatalf("joins=%d P=%d q=%d workers=%d: streaming scheduled %d > pool pruned %d",
+						c.joins, c.p, q, workers, got.Scheduled, pruned.Scheduled)
+				}
+				if got.Scheduled < pruned.Scheduled {
+					streamedFewerSomewhere = true
+				}
+				// Every priced candidate's achieved response respects its
+				// recorded lower bound (tolerance: composed-bound summation
+				// order may differ in the last ulps).
+				for _, cand := range got.Candidates {
+					if cand.Schedule == nil {
+						t.Fatalf("joins=%d P=%d q=%d: retained candidate %d has no schedule", c.joins, c.p, q, cand.Index)
+					}
+					if cand.Schedule.Response < cand.Bound*(1-1e-9) {
+						t.Fatalf("joins=%d P=%d q=%d: candidate %d response %.15g below bound %.15g",
+							c.joins, c.p, q, cand.Index, cand.Schedule.Response, cand.Bound)
+					}
 				}
 			}
 		}
 	}
 	if !streamedFewerSomewhere {
 		t.Error("streaming search never scheduled fewer candidates than the pool search anywhere in the corpus")
+	}
+	for _, workers := range widths {
+		checkLedger(t, workers, ledger[workers])
 	}
 }
 

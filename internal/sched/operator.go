@@ -111,17 +111,6 @@ func OperatorSchedule(p, d int, ov resource.Overlap, ops []*Op) (*Result, error)
 	return operatorSchedule(context.Background(), p, d, ov, ops, true, nil, 0)
 }
 
-// OperatorScheduleCtx is OperatorSchedule with a cancellation context:
-// the placement loop checks ctx periodically and returns ctx.Err() as
-// soon as the context is cancelled or its deadline passes, so a caller
-// serving many concurrent requests never burns scheduler time on a
-// query nobody is waiting for. The context never influences the
-// packing: a run that completes returns exactly the OperatorSchedule
-// result.
-func OperatorScheduleCtx(ctx context.Context, p, d int, ov resource.Overlap, ops []*Op) (*Result, error) {
-	return operatorSchedule(ctx, p, d, ov, ops, true, nil, 0)
-}
-
 // OperatorScheduleObserved is OperatorSchedule with a recorder attached:
 // every placement decision is emitted as a decision-trace event tagged
 // with the given phase index, alongside aggregate counters. A nil

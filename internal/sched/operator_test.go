@@ -350,6 +350,51 @@ func TestQuickRootedFeasibility(t *testing.T) {
 	}
 }
 
+// Property: work has no natural unit. Doubling every clone vector leaves
+// every site assignment where it was and doubles Response and LowerBound
+// exactly — scaling by a power of two commutes with every floating-point
+// add, max and compare the placement performs, so no tolerance applies.
+func TestQuickScaleInvariance(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		p := 1 + r.Intn(12)
+		d := 1 + r.Intn(4)
+		o := ov(r.Float64())
+		ops := randomOps(r, 1+r.Intn(10), p, d)
+		for i, op := range ops {
+			if i%3 == 2 {
+				op.Home = append([]int(nil), r.Perm(p)[:len(op.Clones)]...)
+			}
+		}
+		doubled := make([]*Op, len(ops))
+		for i, op := range ops {
+			clones := make([]vector.Vector, len(op.Clones))
+			for k, w := range op.Clones {
+				clones[k] = vector.New(d)
+				for j := range w {
+					clones[k][j] = 2 * w[j]
+				}
+			}
+			doubled[i] = &Op{ID: op.ID, Clones: clones, Home: op.Home}
+		}
+
+		one, err := OperatorSchedule(p, d, o, ops)
+		if err != nil {
+			return false
+		}
+		two, err := OperatorSchedule(p, d, o, doubled)
+		if err != nil {
+			return false
+		}
+		return reflect.DeepEqual(two.Sites, one.Sites) &&
+			two.Response == 2*one.Response &&
+			LowerBound(p, o, doubled) == 2*LowerBound(p, o, ops)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // Property: adding a site never increases the makespan produced by the
 // heuristic... list scheduling anomalies can violate that in general
 // (Graham), so assert the weaker, always-true property that the

@@ -2,10 +2,10 @@
 //
 // The controller is a periodic feedback loop over the service's own
 // observability stream: each tick it reads the obs.Metrics snapshot the
-// service publishes into, derives three pressure signals — the shed
-// rate (serve.rejected per serve.requests over the tick), the wait-queue
-// occupancy, and the mean request latency over the tick — and retunes
-// three knobs through the service's atomic knob block:
+// service publishes into, derives two pressure signals — the shed rate
+// (serve.rejected per serve.requests over the tick) and the wait-queue
+// occupancy — and retunes three knobs through the service's atomic knob
+// block:
 //
 //   - the batching window (wider under pressure: larger groups amortize
 //     scheduling work over more queries, trading latency for throughput —
@@ -73,17 +73,6 @@ type ControllerConfig struct {
 	HighShed float64
 	LowShed  float64
 
-	// HighQueue and LowQueue band the wait-queue occupancy
-	// (queued / MaxQueue). Defaults: 0.5 and 0.125.
-	HighQueue float64
-	LowQueue  float64
-
-	// HighLatency, when positive, adds a latency trigger: a tick whose
-	// mean serve.request_seconds exceeds it counts as pressure even if
-	// nothing was shed — the early-warning signal, since latency climbs
-	// before the queue overflows. Default (0): disabled.
-	HighLatency time.Duration
-
 	// MinDegree floors the per-query parallelism cap so the controller
 	// can never serialize queries entirely. Default: 1.
 	MinDegree int
@@ -93,6 +82,13 @@ type ControllerConfig struct {
 	// configured window is opportunistic (zero).
 	MaxWindow time.Duration
 }
+
+// highQueue and lowQueue band the wait-queue occupancy (queued /
+// MaxQueue) the way HighShed and LowShed band the shed rate.
+const (
+	highQueue = 0.5
+	lowQueue  = 0.125
+)
 
 // withDefaults resolves the zero-value controller knobs against the
 // service configuration (already itself default-resolved).
@@ -105,12 +101,6 @@ func (c ControllerConfig) withDefaults(svc Config) ControllerConfig {
 	}
 	if c.LowShed <= 0 {
 		c.LowShed = 0.01
-	}
-	if c.HighQueue <= 0 {
-		c.HighQueue = 0.5
-	}
-	if c.LowQueue <= 0 {
-		c.LowQueue = 0.125
 	}
 	if c.MinDegree <= 0 {
 		c.MinDegree = 1
@@ -148,8 +138,6 @@ type controller struct {
 	// Previous tick's cumulative counters, for windowed deltas.
 	prevRequests int64
 	prevRejected int64
-	prevLatCount int64
-	prevLatSum   float64
 }
 
 // newController resolves the controller configuration against the
@@ -207,7 +195,7 @@ func (s *Service) control(c *controller) {
 
 // signals derives the tick's pressure signals from the metrics snapshot
 // and the live gauges.
-func (s *Service) signals(c *controller) (shedRate, queueOcc float64, meanLat time.Duration) {
+func (s *Service) signals(c *controller) (shedRate, queueOcc float64) {
 	snap := c.src.Snapshot()
 	requests := snap.Counters["serve.requests"]
 	rejected := snap.Counters["serve.rejected"]
@@ -217,14 +205,6 @@ func (s *Service) signals(c *controller) (shedRate, queueOcc float64, meanLat ti
 	if dReq > 0 {
 		shedRate = float64(dRej) / float64(dReq)
 	}
-	if h, ok := snap.Histograms["serve.request_seconds"]; ok {
-		dCount := h.Count - c.prevLatCount
-		dSum := h.Sum - c.prevLatSum
-		c.prevLatCount, c.prevLatSum = h.Count, h.Sum
-		if dCount > 0 {
-			meanLat = time.Duration(dSum / float64(dCount) * float64(time.Second))
-		}
-	}
 	if s.cfg.MaxQueue > 0 {
 		queueOcc = float64(s.queued.Load()) / float64(s.cfg.MaxQueue)
 	} else {
@@ -232,19 +212,17 @@ func (s *Service) signals(c *controller) (shedRate, queueOcc float64, meanLat ti
 		// saturated semaphore still registers as pressure.
 		queueOcc = float64(s.inflight.Load()) / float64(s.cfg.MaxInFlight)
 	}
-	return shedRate, queueOcc, meanLat
+	return shedRate, queueOcc
 }
 
 // controlStep runs one AIMD tick: classify the operating point against
 // the hysteresis bands, then tighten, relax, or hold.
 func (s *Service) controlStep(c *controller) {
-	shedRate, queueOcc, meanLat := s.signals(c)
+	shedRate, queueOcc := s.signals(c)
 	rec := s.cfg.Rec
 
-	pressure := shedRate > c.cfg.HighShed || queueOcc > c.cfg.HighQueue ||
-		(c.cfg.HighLatency > 0 && meanLat > c.cfg.HighLatency)
-	idle := shedRate < c.cfg.LowShed && queueOcc < c.cfg.LowQueue &&
-		(c.cfg.HighLatency <= 0 || meanLat <= c.cfg.HighLatency)
+	pressure := shedRate > c.cfg.HighShed || queueOcc > highQueue
+	idle := shedRate < c.cfg.LowShed && queueOcc < lowQueue
 
 	switch {
 	case pressure:

@@ -315,7 +315,6 @@ func TestKnobRetuneHammerUnderLoad(t *testing.T) {
 			svc.knobs.maxDegree.Store(int64(i%5) * 2) // 0,2,4,6,8
 			svc.knobs.batchWindow.Store(int64(i%3) * int64(time.Millisecond))
 			svc.knobs.soloMargin.Store(int64(4*time.Millisecond) + int64(i%7)*int64(time.Millisecond))
-			svc.knobs.maxBatch.Store(int64(1 + i%4))
 			svc.knobs.schedWorkers.Store(int64(1 + i%3))
 			time.Sleep(50 * time.Microsecond)
 		}

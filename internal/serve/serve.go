@@ -260,14 +260,10 @@ func (r *request) unref() {
 // knobs holds the service's dynamically tunable parameters. Every
 // field is read atomically on the request hot path and written only by
 // the adaptive controller (or never, when the controller is disabled),
-// so live retuning cannot race the collector or the request paths —
-// previously the collector read cfg.BatchWindow, cfg.SoloMargin, and
-// cfg.MaxBatch from plain struct fields on every request, which was
-// benign only because nothing mutated them.
+// so live retuning cannot race the collector or the request paths.
 type knobs struct {
 	batchWindow  atomic.Int64 // ns; <= 0 means opportunistic batching
 	soloMargin   atomic.Int64 // ns
-	maxBatch     atomic.Int64 // queries per ScheduleBatch workload
 	maxDegree    atomic.Int64 // per-query parallelism cap; 0 = uncapped
 	schedWorkers atomic.Int64 // TreeScheduler.Workers; 0 = GOMAXPROCS
 }
@@ -306,9 +302,6 @@ func (s *Service) batchWindow() time.Duration {
 func (s *Service) soloMargin() time.Duration {
 	return time.Duration(s.knobs.soloMargin.Load())
 }
-
-// maxBatch reads the live batch-size cap.
-func (s *Service) maxBatch() int { return int(s.knobs.maxBatch.Load()) }
 
 // scheduler returns the configured TreeScheduler with the live knob
 // overlay applied: the current per-query parallelism cap and scheduler
@@ -360,7 +353,6 @@ func New(cfg Config) (*Service, error) {
 	// exactly the static pre-knob service.
 	s.knobs.batchWindow.Store(int64(cfg.BatchWindow))
 	s.knobs.soloMargin.Store(int64(cfg.SoloMargin))
-	s.knobs.maxBatch.Store(int64(cfg.MaxBatch))
 	s.knobs.maxDegree.Store(int64(cfg.Scheduler.MaxDegree))
 	s.knobs.schedWorkers.Store(int64(cfg.Scheduler.Workers))
 	// Surface the effective scheduler pool width so /metricz-style
@@ -419,7 +411,6 @@ func (s *Service) CacheLen() int { return s.cache.Len() }
 type Tuning struct {
 	BatchWindow  time.Duration
 	SoloMargin   time.Duration
-	MaxBatch     int
 	MaxDegree    int
 	SchedWorkers int
 }
@@ -430,7 +421,6 @@ func (s *Service) Tuning() Tuning {
 	return Tuning{
 		BatchWindow:  s.batchWindow(),
 		SoloMargin:   s.soloMargin(),
-		MaxBatch:     s.maxBatch(),
 		MaxDegree:    int(s.knobs.maxDegree.Load()),
 		SchedWorkers: int(s.knobs.schedWorkers.Load()),
 	}
@@ -632,7 +622,7 @@ func (s *Service) scheduleBatched(ctx context.Context, tree *plan.TaskTree) (*Re
 	// context switches per request): run the group of one on the
 	// caller's own goroutine. The buffered response channel makes the
 	// deliver-then-await sequence safe on a single goroutine.
-	if s.maxBatch() == 1 {
+	if s.cfg.MaxBatch == 1 {
 		s.runGroup([]*request{r})
 		return s.await(ctx, r)
 	}
@@ -744,7 +734,7 @@ func (s *Service) collect() {
 			return
 		}
 		group := []*request{first}
-		window, maxBatch := s.batchWindow(), s.maxBatch()
+		window, maxBatch := s.batchWindow(), s.cfg.MaxBatch
 		if window > 0 && maxBatch > 1 {
 			timer := time.NewTimer(window)
 		window:
@@ -787,7 +777,7 @@ func (s *Service) collect() {
 // channel at shutdown — they were admitted before Close, so they are
 // drained gracefully, in groups of up to MaxBatch.
 func (s *Service) drainPending() {
-	maxBatch := s.maxBatch()
+	maxBatch := s.cfg.MaxBatch
 	var group []*request
 	for {
 		select {

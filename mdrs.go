@@ -450,18 +450,15 @@ func WriteTraceText(w io.Writer, events []TraceEvent) error { return obs.WriteTr
 // assignment it recorded.
 func TraceAssignments(events []TraceEvent) map[PlaceKey]int { return obs.TraceAssignments(events) }
 
-// ServeDebug starts an HTTP server on addr exposing net/http/pprof
+// StartDebug starts an HTTP server on addr exposing net/http/pprof
 // under /debug/pprof/ and expvar under /debug/vars, returning the bound
-// address (useful with ":0").
-func ServeDebug(addr string) (string, error) { return obs.ServeDebug(addr) }
-
-// StartDebug is ServeDebug with a graceful-shutdown handle: the
-// returned stop function drains the debug server, so long-running
-// commands can take the diagnostics listener down on SIGTERM.
+// address (useful with ":0") and a stop function that drains the
+// server, so a long-running command can take the diagnostics listener
+// down on SIGTERM.
 func StartDebug(addr string) (string, func(context.Context) error, error) {
 	return obs.StartDebug(addr)
 }
 
 // PublishExpvar exposes a Metrics recorder's live snapshot as the named
-// expvar, visible at /debug/vars on the ServeDebug server.
+// expvar, visible at /debug/vars on the StartDebug server.
 func PublishExpvar(name string, m *Metrics) { obs.PublishExpvar(name, m) }
