@@ -201,25 +201,48 @@ func runBatch(w io.Writer, paths []string, o options) (err error) {
 	if err != nil {
 		return err
 	}
+	return o.writeSchedule(w, batch, capture, func() error {
+		fmt.Fprintf(w, "\nback-to-back: %9.3f s\n", serial)
+		fmt.Fprintf(w, "batched:      %9.3f s  (%.2fx faster via inter-query sharing)\n",
+			batch.Response, serial/batch.Response)
+		return nil
+	})
+}
+
+// writeSchedule prints a schedule the one way every mode does: with
+// -json its encoding and nothing else; otherwise the mode's own summary
+// followed by what -chart, -v and -trace-text (a non-nil capture) add.
+func (o options) writeSchedule(w io.Writer, s *mdrs.Schedule, capture *mdrs.TraceCapture, summary func() error) error {
 	if o.asJSON {
-		data, err := mdrs.EncodeScheduleJSON(batch)
+		data, err := mdrs.EncodeScheduleJSON(s)
 		if err != nil {
 			return err
 		}
 		fmt.Fprintln(w, string(data))
 		return nil
 	}
-	fmt.Fprintf(w, "\nback-to-back: %9.3f s\n", serial)
-	fmt.Fprintf(w, "batched:      %9.3f s  (%.2fx faster via inter-query sharing)\n",
-		batch.Response, serial/batch.Response)
+	if err := summary(); err != nil {
+		return err
+	}
 	if o.chart {
 		fmt.Fprintln(w)
-		if err := mdrs.WriteScheduleText(w, batch); err != nil {
+		if err := mdrs.WriteScheduleText(w, s); err != nil {
 			return err
 		}
 	}
 	if o.verbose {
-		writePlacements(w, batch)
+		for _, ph := range s.Phases {
+			fmt.Fprintf(w, "\nphase %d (%d tasks): response %.3f s\n",
+				ph.Index, len(ph.Tasks), ph.Response)
+			for _, pl := range ph.Placements {
+				tag := "float "
+				if pl.Rooted {
+					tag = "rooted"
+				}
+				fmt.Fprintf(w, "  %-14s %s N=%-3d T^par=%8.3f s  sites=%v\n",
+					pl.Op.Name, tag, pl.Degree, pl.TPar, pl.Sites)
+			}
+		}
 	}
 	if capture != nil {
 		fmt.Fprintf(w, "\ndecision trace (%d events):\n", len(capture.Events()))
@@ -228,22 +251,6 @@ func runBatch(w io.Writer, paths []string, o options) (err error) {
 		}
 	}
 	return nil
-}
-
-// writePlacements lists every operator placement, phase by phase.
-func writePlacements(w io.Writer, s *mdrs.Schedule) {
-	for _, ph := range s.Phases {
-		fmt.Fprintf(w, "\nphase %d (%d tasks): response %.3f s\n",
-			ph.Index, len(ph.Tasks), ph.Response)
-		for _, pl := range ph.Placements {
-			tag := "float "
-			if pl.Rooted {
-				tag = "rooted"
-			}
-			fmt.Fprintf(w, "  %-14s %s N=%-3d T^par=%8.3f s  sites=%v\n",
-				pl.Op.Name, tag, pl.Degree, pl.TPar, pl.Sites)
-		}
-	}
 }
 
 // readPlan loads the -plan input (a file or stdin).
@@ -292,44 +299,27 @@ func runOptimize(w io.Writer, o options) error {
 		return err
 	}
 
-	if o.asJSON {
-		data, err := mdrs.EncodeScheduleJSON(res.Best.Schedule)
-		if err != nil {
-			return err
+	return o.writeSchedule(w, res.Best.Schedule, nil, func() error {
+		mode := "sampled"
+		if res.Systematic {
+			mode = "enumerated systematically"
 		}
-		fmt.Fprintln(w, string(data))
+		if res.Streaming {
+			mode += ", streamed"
+		}
+		fmt.Fprintf(w, "catalog: %d relations (from the %d-join input plan)\n",
+			len(p.Leaves()), p.Joins())
+		fmt.Fprintf(w, "system: P=%d 3-dimensional sites (CPU, disk, net), ε=%.2f, f=%.2f\n",
+			o.sites, o.eps, o.f)
+		fmt.Fprintf(w, "\ncandidates: %d (%s); bound-pruned %d, fully scheduled %d\n",
+			res.Enumerated, mode, res.Pruned, res.Scheduled)
+		fmt.Fprintf(w, "first plan (two-phase) response: %10.3f s\n",
+			res.Candidates[0].Schedule.Response)
+		fmt.Fprintf(w, "best plan (candidate %d) response: %9.3f s  (%.2fx better, bound %.3f s)\n",
+			res.Best.Index, res.Best.Schedule.Response, res.Improvement(), res.Best.Bound)
+		fmt.Fprintf(w, "best schedule: %d phases\n", len(res.Best.Schedule.Phases))
 		return nil
-	}
-
-	mode := "sampled"
-	if res.Systematic {
-		mode = "enumerated systematically"
-	}
-	if res.Streaming {
-		mode += ", streamed"
-	}
-	fmt.Fprintf(w, "catalog: %d relations (from the %d-join input plan)\n",
-		len(p.Leaves()), p.Joins())
-	fmt.Fprintf(w, "system: P=%d 3-dimensional sites (CPU, disk, net), ε=%.2f, f=%.2f\n",
-		o.sites, o.eps, o.f)
-	fmt.Fprintf(w, "\ncandidates: %d (%s); bound-pruned %d, fully scheduled %d\n",
-		res.Enumerated, mode, res.Pruned, res.Scheduled)
-	fmt.Fprintf(w, "first plan (two-phase) response: %10.3f s\n",
-		res.Candidates[0].Schedule.Response)
-	fmt.Fprintf(w, "best plan (candidate %d) response: %9.3f s  (%.2fx better, bound %.3f s)\n",
-		res.Best.Index, res.Best.Schedule.Response, res.Improvement(), res.Best.Bound)
-	fmt.Fprintf(w, "best schedule: %d phases\n", len(res.Best.Schedule.Phases))
-
-	if o.chart {
-		fmt.Fprintln(w)
-		if err := mdrs.WriteScheduleText(w, res.Best.Schedule); err != nil {
-			return err
-		}
-	}
-	if o.verbose {
-		writePlacements(w, res.Best.Schedule)
-	}
-	return nil
+	})
 }
 
 func run(w io.Writer, o options) (err error) {
@@ -353,49 +343,24 @@ func run(w io.Writer, o options) (err error) {
 	if err != nil {
 		return err
 	}
-	if o.asJSON {
-		data, err := mdrs.EncodeScheduleJSON(tree)
+	return o.writeSchedule(w, tree, capture, func() error {
+		sync, err := mdrs.ScheduleQuerySynchronous(p, opts)
 		if err != nil {
 			return err
 		}
-		fmt.Fprintln(w, string(data))
+		bound, err := mdrs.OptBound(p, opts)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "plan: %d joins, result %d tuples\n", p.Joins(), p.Tuples)
+		fmt.Fprintf(w, "system: P=%d 3-dimensional sites (CPU, disk, net), ε=%.2f, f=%.2f\n",
+			o.sites, o.eps, o.f)
+		fmt.Fprintf(w, "\nTreeSchedule response: %10.3f s  (%d phases)\n",
+			tree.Response, len(tree.Phases))
+		fmt.Fprintf(w, "Synchronous  response: %10.3f s  (%.2fx slower)\n",
+			sync.Response, sync.Response/tree.Response)
+		fmt.Fprintf(w, "OPTBOUND lower bound:  %10.3f s  (TreeSchedule within %.2fx)\n",
+			bound, tree.Response/bound)
 		return nil
-	}
-	sync, err := mdrs.ScheduleQuerySynchronous(p, opts)
-	if err != nil {
-		return err
-	}
-	bound, err := mdrs.OptBound(p, opts)
-	if err != nil {
-		return err
-	}
-
-	fmt.Fprintf(w, "plan: %d joins, result %d tuples\n", p.Joins(), p.Tuples)
-	fmt.Fprintf(w, "system: P=%d 3-dimensional sites (CPU, disk, net), ε=%.2f, f=%.2f\n",
-		o.sites, o.eps, o.f)
-	fmt.Fprintf(w, "\nTreeSchedule response: %10.3f s  (%d phases)\n",
-		tree.Response, len(tree.Phases))
-	fmt.Fprintf(w, "Synchronous  response: %10.3f s  (%.2fx slower)\n",
-		sync.Response, sync.Response/tree.Response)
-	fmt.Fprintf(w, "OPTBOUND lower bound:  %10.3f s  (TreeSchedule within %.2fx)\n",
-		bound, tree.Response/bound)
-
-	if o.chart {
-		fmt.Fprintln(w)
-		if err := mdrs.WriteScheduleText(w, tree); err != nil {
-			return err
-		}
-	}
-
-	if o.verbose {
-		writePlacements(w, tree)
-	}
-
-	if capture != nil {
-		fmt.Fprintf(w, "\ndecision trace (%d events):\n", len(capture.Events()))
-		if err := mdrs.WriteTraceText(w, capture.Events()); err != nil {
-			return err
-		}
-	}
-	return nil
+	})
 }

@@ -163,9 +163,9 @@ func newService(o options, rec mdrs.Recorder) (*mdrs.SchedulingService, error) {
 		return nil, err
 	}
 	// The service recorder doubles as the scheduler's: sched.* counters
-	// (parallel prepare/pick engagement, phase timings) land in /metricz
-	// next to the serve.* ones, so scheduler concurrency is observable
-	// without a separate trace run.
+	// (parallel prepare engagement, phase counts and timings) land in
+	// /metricz next to the serve.* ones, so scheduler concurrency is
+	// observable without a separate trace run.
 	ts := mdrs.TreeScheduler{
 		Model:     mdrs.DefaultCostModel(),
 		Overlap:   ov,

@@ -85,6 +85,37 @@ func TestQuickTSeqMonotone(t *testing.T) {
 	}
 }
 
+// More overlap never costs time: for ε ≤ ε' a non-negative work vector
+// has TSeq under ε' at most TSeq under ε, and a site holding the same
+// clones finishes no later.
+func TestQuickTSeqNonIncreasingInEpsilon(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		d := 1 + r.Intn(6)
+		lo := r.Float64()
+		less, more := MustOverlap(lo), MustOverlap(lo+(1-lo)*r.Float64())
+		a, b := NewSite(0, d, less), NewSite(0, d, more)
+		for k := 0; k < 1+r.Intn(8); k++ {
+			w := vector.New(d)
+			for i := range w {
+				w[i] = r.Float64() * 50
+			}
+			if more.TSeq(w) > less.TSeq(w)+1e-9 {
+				return false
+			}
+			a.Assign(w)
+			b.Assign(w)
+			if b.TSite() > a.TSite()+1e-9 {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // The paper's worked example (Section 5.2.2) with ε chosen so that
 // T1^seq = 22 for W1 = [10 15]: ε(15) + (1-ε)(25) = 22 → ε = 0.3.
 // Clone pairs (22,[10 15]) and (10,[10 5]) share a site: the joint load

@@ -50,23 +50,19 @@ func (ts TreeScheduler) ScheduleBatchCtx(ctx context.Context, trees []*plan.Task
 	return ts.scheduleBatch(ctx, sc, trees)
 }
 
-// scheduleBatch is ScheduleBatchCtx on the given scratch, after
-// validation.
+// scheduleBatch is the one phase driver, run on the given scratch after
+// validation: global phase i is phase i of every tree that has one.
+// TreeSchedule (Figure 4) is the batch of one.
 func (ts TreeScheduler) scheduleBatch(ctx context.Context, sc *scratch, trees []*plan.TaskTree) (*Schedule, error) {
-	perTree := make([][][]*plan.Task, len(trees))
-	maxPhases := 0
+	// Operator IDs are dense per tree; offset them so they stay unique
+	// within one OperatorSchedule call.
+	perTree, offsets := sc.batchSlabs(len(trees))
+	maxPhases, next := 0, 0
 	for i, tt := range trees {
 		perTree[i] = tt.PhasesBy(ts.Policy)
 		if len(perTree[i]) > maxPhases {
 			maxPhases = len(perTree[i])
 		}
-	}
-
-	// Operator IDs are dense per tree; offset them so they stay unique
-	// within one OperatorSchedule call.
-	offsets := make([]int, len(trees))
-	next := 0
-	for i, tt := range trees {
 		offsets[i] = next
 		for _, tk := range tt.Tasks {
 			next += len(tk.Ops)
@@ -86,27 +82,36 @@ func (ts TreeScheduler) scheduleBatch(ctx context.Context, sc *scratch, trees []
 		// Jobs are listed in (batch entry, task, operator) order and
 		// consumed in that order, so the batch is byte-identical for
 		// every pool width.
-		n := 0
+		feeders, n := 0, 0
 		for i := range trees {
 			if phaseIdx < len(perTree[i]) {
+				feeders++
 				n += len(perTree[i][phaseIdx])
 			}
 		}
-		ph.Tasks = make([]*plan.Task, 0, n)
+		if feeders > 1 {
+			ph.Tasks = make([]*plan.Task, 0, n)
+		}
 		jobs := sc.jobs[:0]
 		for i := range trees {
 			if phaseIdx >= len(perTree[i]) {
 				continue
 			}
-			for _, tk := range perTree[i][phaseIdx] {
-				ph.Tasks = append(ph.Tasks, tk)
+			own := perTree[i][phaseIdx]
+			if feeders == 1 {
+				// A tree that alone feeds the phase lends its own list.
+				ph.Tasks = own
+			} else {
+				ph.Tasks = append(ph.Tasks, own...)
+			}
+			for _, tk := range own {
 				for _, p := range tk.Ops {
 					jobs = append(jobs, prepJob{p: p, tree: i, id: p.ID + offsets[i]})
 				}
 			}
 		}
 		sc.jobs = jobs
-		if err := ts.runPhase(ctx, sc, w, ph, true); err != nil {
+		if err := ts.runPhase(ctx, sc, w, ph); err != nil {
 			return nil, err
 		}
 		out.Response += ph.Response

@@ -4,12 +4,13 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
 	"mdrs/internal/costmodel"
+	"mdrs/internal/obs"
 	"mdrs/internal/plan"
 	"mdrs/internal/query"
 )
@@ -37,19 +38,55 @@ func TestScheduleBatchValidation(t *testing.T) {
 	}
 }
 
+// A query alone is the batch of one: through either entry point a tree
+// yields the same bytes and the same recorder stream — events, counters
+// and the number of samples under every timer.
 func TestScheduleBatchSingleMatchesSchedule(t *testing.T) {
-	ts := testScheduler(12, 0.5, 0.7)
-	trees := batchTrees(t, 5)
-	single, err := ts.Schedule(trees[0])
-	if err != nil {
-		t.Fatal(err)
+	type stream struct {
+		json     []byte
+		events   []obs.Event
+		counters map[string]int64
+		samples  map[string]int64
 	}
-	batch, err := ts.ScheduleBatch(trees)
-	if err != nil {
-		t.Fatal(err)
+	record := func(tt *plan.TaskTree, batch bool) stream {
+		cap, met := obs.NewCapture(), obs.NewMetrics()
+		ts := testScheduler(12, 0.5, 0.7)
+		ts.Rec = obs.Multi(cap, met)
+		var s *Schedule
+		var err error
+		if batch {
+			s, err = ts.ScheduleBatch([]*plan.TaskTree{tt})
+		} else {
+			s, err = ts.Schedule(tt)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := EncodeJSON(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap := met.Snapshot()
+		out := stream{json: data, events: cap.Events(), counters: snap.Counters, samples: map[string]int64{}}
+		for name, h := range snap.Histograms {
+			out.samples[name] = h.Count
+		}
+		return out
 	}
-	if math.Abs(single.Response-batch.Response) > 1e-9 {
-		t.Fatalf("batch of one %g != single %g", batch.Response, single.Response)
+	for _, tt := range batchTrees(t, 5, 6, 7) {
+		single, batch := record(tt, false), record(tt, true)
+		if !bytes.Equal(single.json, batch.json) {
+			t.Fatal("batch of one encodes differently from Schedule")
+		}
+		if !reflect.DeepEqual(single.events, batch.events) {
+			t.Fatal("batch of one emits a different event stream from Schedule")
+		}
+		if !reflect.DeepEqual(single.counters, batch.counters) {
+			t.Fatalf("counters differ: Schedule %v, batch of one %v", single.counters, batch.counters)
+		}
+		if !reflect.DeepEqual(single.samples, batch.samples) {
+			t.Fatalf("histogram sample counts differ: Schedule %v, batch of one %v", single.samples, batch.samples)
+		}
 	}
 }
 

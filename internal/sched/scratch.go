@@ -51,6 +51,10 @@ type scratch struct {
 	// homes holds the sites of every operator scheduled so far in this
 	// call, for rooting probes at their builds (Section 5.5).
 	homes map[homeKey][]int
+	// phases and offsets are the call's per-tree phase lists and operator
+	// ID offsets, kept here so a lone tree allocates neither.
+	phases  [][][]*plan.Task
+	offsets []int
 }
 
 // homeKey identifies a scheduled operator within one call. The batch
@@ -72,6 +76,16 @@ func (sc *scratch) resetHomes() {
 		sc.homes = make(map[homeKey][]int)
 	}
 	clear(sc.homes)
+}
+
+// batchSlabs returns the per-tree phase lists and ID offsets for a call
+// over n trees; the driver overwrites every entry.
+func (sc *scratch) batchSlabs(n int) ([][][]*plan.Task, []int) {
+	if cap(sc.phases) < n {
+		sc.phases = make([][][]*plan.Task, n)
+		sc.offsets = make([]int, n)
+	}
+	return sc.phases[:n], sc.offsets[:n]
 }
 
 // system returns an empty system of p d-dimensional sites under ov: the

@@ -54,21 +54,19 @@ func scratchCases() []scratchCase {
 	}
 }
 
-// run schedules the case — a TreeSchedule for one tree, a batch for
-// several — on sc, or through the public entry points and their pool
+// run schedules the case on sc, or through the public entry points —
+// a TreeSchedule for one tree, a batch for several — and their pool
 // when sc is nil, and returns the schedule's encoding.
 func (c scratchCase) run(sc *scratch) ([]byte, error) {
 	var s *Schedule
 	var err error
 	switch {
-	case sc == nil && len(c.trees) == 1:
-		s, err = c.ts.Schedule(c.trees[0])
-	case sc == nil:
-		s, err = c.ts.ScheduleBatch(c.trees)
-	case len(c.trees) == 1:
-		s, err = c.ts.schedule(context.Background(), sc, c.trees[0])
-	default:
+	case sc != nil:
 		s, err = c.ts.scheduleBatch(context.Background(), sc, c.trees)
+	case len(c.trees) == 1:
+		s, err = c.ts.Schedule(c.trees[0])
+	default:
+		s, err = c.ts.ScheduleBatch(c.trees)
 	}
 	if err != nil {
 		return nil, err

@@ -167,7 +167,8 @@ func (s *Schedule) Placement(op *plan.Operator) *OpPlacement {
 // Schedule runs TreeSchedule on a task tree: split the plan into
 // synchronized phases (already encoded in the tree, Section 5.4), then
 // schedule each phase's operators with OperatorSchedule, carrying the
-// build→probe home constraint across phases (Section 5.5).
+// build→probe home constraint across phases (Section 5.5). A query
+// alone is the batch of one: the loop is ScheduleBatch's (batch.go).
 func (ts TreeScheduler) Schedule(tt *plan.TaskTree) (*Schedule, error) {
 	return ts.ScheduleCtx(context.Background(), tt)
 }
@@ -187,36 +188,7 @@ func (ts TreeScheduler) ScheduleCtx(ctx context.Context, tt *plan.TaskTree) (*Sc
 	}
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
-	return ts.schedule(ctx, sc, tt)
-}
-
-// schedule is ScheduleCtx on the given scratch, after validation.
-func (ts TreeScheduler) schedule(ctx context.Context, sc *scratch, tt *plan.TaskTree) (*Schedule, error) {
-	sc.resetHomes()
-	w := ts.workers()
-	ts.observeWorkers(w)
-
-	phases := tt.PhasesBy(ts.Policy)
-	out := newSchedule(ts.P, len(phases))
-	for phaseIdx, tasks := range phases {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		jobs := sc.jobs[:0]
-		for _, tk := range tasks {
-			for _, p := range tk.Ops {
-				jobs = append(jobs, prepJob{p: p, id: p.ID})
-			}
-		}
-		sc.jobs = jobs
-		ph := out.Phases[phaseIdx]
-		ph.Tasks = tasks
-		if err := ts.runPhase(ctx, sc, w, ph, false); err != nil {
-			return nil, err
-		}
-		out.Response += ph.Response
-	}
-	return out, nil
+	return ts.scheduleBatch(ctx, sc, []*plan.TaskTree{tt})
 }
 
 // newSchedule returns a schedule for p sites whose n phases, indexed and
@@ -238,18 +210,12 @@ func newSchedule(p, n int) *Schedule {
 // into one slab that the placements' Sites are windows of, and the
 // homes of the phase's operators are recorded for the probes of later
 // phases. What the phase leaves behind is three allocations: the
-// placements, the pointers to them and the sites. batch selects
-// ScheduleBatch's error wording and leaves out the per-phase timer and
-// counter that only TreeSchedule records.
-func (ts TreeScheduler) runPhase(ctx context.Context, sc *scratch, w int, ph *PhaseSchedule, batch bool) error {
-	label := "phase"
-	if batch {
-		label = "batch phase"
-	}
+// placements, the pointers to them and the sites.
+func (ts TreeScheduler) runPhase(ctx context.Context, sc *scratch, w int, ph *PhaseSchedule) error {
 	jobs := sc.jobs
 	pls := make([]OpPlacement, len(jobs))
 	if err := ts.prepareAll(sc, pls, w); err != nil {
-		return fmt.Errorf("sched: %s %d: %w", label, ph.Index, err)
+		return fmt.Errorf("sched: phase %d: %w", ph.Index, err)
 	}
 	clones := 0
 	for i := range pls {
@@ -268,22 +234,17 @@ func (ts TreeScheduler) runPhase(ctx context.Context, sc *scratch, w int, ph *Ph
 			Ops: len(jobs), Clones: clones,
 		})
 	}
-	stop := func() {}
-	if !batch {
-		stop = obs.StartTimer(ts.Rec, "sched.phase_seconds")
-	}
+	stop := obs.StartTimer(ts.Rec, "sched.phase_seconds")
 	resp, err := sc.operatorSchedule(ctx, ts.P, resource.Dims, ts.Overlap, sc.opPtrs, sc.dst, true, ts.Rec, ph.Index)
 	stop()
 	if err != nil {
 		if ctx.Err() != nil {
 			return ctx.Err()
 		}
-		return fmt.Errorf("sched: %s %d: %w", label, ph.Index, err)
+		return fmt.Errorf("sched: phase %d: %w", ph.Index, err)
 	}
 	if ts.Rec != nil {
-		if !batch {
-			ts.Rec.Count("sched.phases", 1)
-		}
+		ts.Rec.Count("sched.phases", 1)
 		ts.Rec.Event(obs.Event{
 			Type: obs.EvPhaseClose, Phase: ph.Index, Response: resp,
 		})

@@ -47,7 +47,7 @@ import (
 )
 
 // ControllerConfig configures the adaptive controller. The zero value
-// disables it; every other field has a default resolved by
+// disables it; the other fields have defaults resolved by
 // newController.
 type ControllerConfig struct {
 	// Enable turns the controller on. Off (the default), no knob is ever
@@ -66,54 +66,21 @@ type ControllerConfig struct {
 	// created and teed into Config.Rec via obs.Multi, so the controller
 	// always observes the service's own counters.
 	Source *obs.Metrics
-
-	// HighShed and LowShed band the shed rate (serve.rejected per
-	// serve.requests over one tick). Above HighShed the controller
-	// tightens; below LowShed it may relax. Defaults: 0.05 and 0.01.
-	HighShed float64
-	LowShed  float64
-
-	// MinDegree floors the per-query parallelism cap so the controller
-	// can never serialize queries entirely. Default: 1.
-	MinDegree int
-
-	// MaxWindow caps how far the controller may widen the batching
-	// window. Default: 8× the configured window, or 16ms when the
-	// configured window is opportunistic (zero).
-	MaxWindow time.Duration
 }
 
-// highQueue and lowQueue band the wait-queue occupancy (queued /
-// MaxQueue) the way HighShed and LowShed band the shed rate.
+// The hysteresis bands and the floor. highShed and lowShed band the
+// shed rate (serve.rejected per serve.requests over one tick): above
+// the high band the controller tightens, below the low band it may
+// relax. highQueue and lowQueue band the wait-queue occupancy (queued /
+// MaxQueue) the same way. minDegree floors the per-query parallelism
+// cap so the controller can never serialize queries entirely.
 const (
+	highShed  = 0.05
+	lowShed   = 0.01
 	highQueue = 0.5
 	lowQueue  = 0.125
+	minDegree = 1
 )
-
-// withDefaults resolves the zero-value controller knobs against the
-// service configuration (already itself default-resolved).
-func (c ControllerConfig) withDefaults(svc Config) ControllerConfig {
-	if c.Interval <= 0 {
-		c.Interval = 100 * time.Millisecond
-	}
-	if c.HighShed <= 0 {
-		c.HighShed = 0.05
-	}
-	if c.LowShed <= 0 {
-		c.LowShed = 0.01
-	}
-	if c.MinDegree <= 0 {
-		c.MinDegree = 1
-	}
-	if c.MaxWindow <= 0 {
-		if svc.BatchWindow > 0 {
-			c.MaxWindow = 8 * svc.BatchWindow
-		} else {
-			c.MaxWindow = 16 * time.Millisecond
-		}
-	}
-	return c
-}
 
 // controller holds the resolved policy plus the per-tick state: the
 // configured base values relaxation recovers toward, and the previous
@@ -124,10 +91,13 @@ type controller struct {
 
 	// Configured values: the relaxed operating point.
 	baseWindow  time.Duration
-	baseSolo    time.Duration
 	baseDegree  int // configured MaxDegree; 0 = uncapped
 	degreeCeil  int // effective ceiling for recovery (baseDegree, or P when uncapped)
 	baseWorkers int // effective configured pool width (par.Workers-resolved)
+
+	// maxWindow caps how far the window may widen: 8× the configured
+	// window, or 16ms when that is opportunistic (zero).
+	maxWindow time.Duration
 
 	// coalesce records whether batching can ever amortize anything:
 	// MaxBatch > 1 and more than one admitted request at a time. When
@@ -146,7 +116,10 @@ type controller struct {
 // private one is teed into cfg.Rec so the controller sees the service's
 // own counters. Callers must therefore use the returned Config.
 func newController(cfg Config) (*controller, Config) {
-	cc := cfg.Controller.withDefaults(cfg)
+	cc := cfg.Controller
+	if cc.Interval <= 0 {
+		cc.Interval = 100 * time.Millisecond
+	}
 	src := cc.Source
 	if src == nil {
 		if m, ok := cfg.Rec.(*obs.Metrics); ok && m != nil {
@@ -162,17 +135,18 @@ func newController(cfg Config) (*controller, Config) {
 		// P (Degree can never exceed it), so halving starts from there.
 		ceil = cfg.Scheduler.P
 	}
-	if ceil < cc.MinDegree {
-		ceil = cc.MinDegree
+	maxWindow := 8 * cfg.BatchWindow
+	if maxWindow <= 0 {
+		maxWindow = 16 * time.Millisecond
 	}
 	return &controller{
 		cfg:         cc,
 		src:         src,
 		baseWindow:  cfg.BatchWindow,
-		baseSolo:    cfg.SoloMargin,
 		baseDegree:  cfg.Scheduler.MaxDegree,
 		degreeCeil:  ceil,
 		baseWorkers: par.Workers(cfg.Scheduler.Workers),
+		maxWindow:   maxWindow,
 		coalesce:    cfg.MaxBatch > 1 && cfg.MaxInFlight > 1,
 	}, cfg
 }
@@ -221,8 +195,8 @@ func (s *Service) controlStep(c *controller) {
 	shedRate, queueOcc := s.signals(c)
 	rec := s.cfg.Rec
 
-	pressure := shedRate > c.cfg.HighShed || queueOcc > highQueue
-	idle := shedRate < c.cfg.LowShed && queueOcc < lowQueue
+	pressure := shedRate > highShed || queueOcc > highQueue
+	idle := shedRate < lowShed && queueOcc < lowQueue
 
 	switch {
 	case pressure:
@@ -255,11 +229,7 @@ func (s *Service) tighten(c *controller) {
 	if cur <= 0 || cur > c.degreeCeil {
 		cur = c.degreeCeil
 	}
-	next := cur / 2
-	if next < c.cfg.MinDegree {
-		next = c.cfg.MinDegree
-	}
-	s.knobs.maxDegree.Store(int64(next))
+	s.knobs.maxDegree.Store(int64(max(cur/2, minDegree)))
 
 	// Batching window: wider groups amortize per-batch scheduling work —
 	// but only when companions can actually arrive (MaxBatch > 1 and
@@ -273,11 +243,7 @@ func (s *Service) tighten(c *controller) {
 		} else {
 			w *= 2
 		}
-		if w > c.cfg.MaxWindow {
-			w = c.cfg.MaxWindow
-		}
-		s.knobs.batchWindow.Store(int64(w))
-		s.retuneSolo(c, w)
+		s.knobs.batchWindow.Store(int64(min(w, c.maxWindow)))
 	}
 
 	// Scheduler pool: shed one worker per pressure tick, floor 1.
@@ -308,25 +274,11 @@ func (s *Service) relax(c *controller) {
 			w = c.baseWindow
 		}
 		s.knobs.batchWindow.Store(int64(w))
-		s.retuneSolo(c, w)
 	}
 
 	if cw := s.effectiveWorkers(); cw < c.baseWorkers {
 		s.knobs.schedWorkers.Store(int64(cw + 1))
 	}
-}
-
-// retuneSolo keeps the deadline-degradation threshold proportional to
-// the live window (the 4× default ratio), never below its configured
-// base: a wider window must push the solo bypass threshold out with it,
-// or every deadline-bearing request would start bypassing the batcher
-// exactly when batching matters most.
-func (s *Service) retuneSolo(c *controller, w time.Duration) {
-	solo := 4 * w
-	if solo < c.baseSolo {
-		solo = c.baseSolo
-	}
-	s.knobs.soloMargin.Store(int64(solo))
 }
 
 // effectiveWorkers resolves the live Workers knob the way the scheduler

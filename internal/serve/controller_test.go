@@ -124,18 +124,18 @@ func TestControllerTightensAndRelaxes(t *testing.T) {
 		t.Fatalf("pressure tick: workers = %d, want below base %d", tun.SchedWorkers, ctl.baseWorkers)
 	}
 
-	// Sustained pressure floors at MinDegree, MaxWindow, one worker.
+	// Sustained pressure floors at minDegree, maxWindow, one worker.
 	for i := 0; i < 20; i++ {
 		met.Count("serve.requests", 100)
 		met.Count("serve.rejected", 50)
 		svc.controlStep(ctl)
 	}
 	tun = svc.Tuning()
-	if tun.MaxDegree != ctl.cfg.MinDegree {
-		t.Fatalf("sustained pressure: MaxDegree = %d, want floor %d", tun.MaxDegree, ctl.cfg.MinDegree)
+	if tun.MaxDegree != minDegree {
+		t.Fatalf("sustained pressure: MaxDegree = %d, want floor %d", tun.MaxDegree, minDegree)
 	}
-	if tun.BatchWindow != ctl.cfg.MaxWindow {
-		t.Fatalf("sustained pressure: window = %v, want cap %v", tun.BatchWindow, ctl.cfg.MaxWindow)
+	if tun.BatchWindow != ctl.maxWindow {
+		t.Fatalf("sustained pressure: window = %v, want cap %v", tun.BatchWindow, ctl.maxWindow)
 	}
 	if tun.SchedWorkers != 1 && ctl.baseWorkers > 1 {
 		t.Fatalf("sustained pressure: workers = %d, want floor 1", tun.SchedWorkers)
@@ -180,8 +180,8 @@ func TestControllerSkipsWindowWhenBatchingCannotCoalesce(t *testing.T) {
 			svc.controlStep(ctl)
 		}
 		tun := svc.Tuning()
-		if tun.MaxDegree != ctl.cfg.MinDegree {
-			t.Fatalf("sustained pressure: MaxDegree = %d, want floor %d", tun.MaxDegree, ctl.cfg.MinDegree)
+		if tun.MaxDegree != minDegree {
+			t.Fatalf("sustained pressure: MaxDegree = %d, want floor %d", tun.MaxDegree, minDegree)
 		}
 		if tun.BatchWindow != 2*time.Millisecond {
 			t.Fatalf("window moved to %v despite nothing to coalesce", tun.BatchWindow)
@@ -207,7 +207,7 @@ func TestControllerHoldsInsideHysteresisBand(t *testing.T) {
 	svc.controlStep(ctl)
 	moved := svc.Tuning()
 
-	// Shed rate 3% sits between LowShed 1% and HighShed 5%: hold.
+	// Shed rate 3% sits between lowShed 1% and highShed 5%: hold.
 	for i := 0; i < 5; i++ {
 		met.Count("serve.requests", 100)
 		met.Count("serve.rejected", 3)
@@ -215,6 +215,32 @@ func TestControllerHoldsInsideHysteresisBand(t *testing.T) {
 		if got := svc.Tuning(); got != moved {
 			t.Fatalf("in-band tick %d moved the knobs: %+v -> %+v", i, moved, got)
 		}
+	}
+}
+
+// The solo margin is derived from the live window, so a tighten/relax
+// cycle ends where it began — also for a configured margin below
+// 4 × BatchWindow, which a stored max(4·w, configured) never restored.
+func TestControllerRestoresConfiguredSoloMargin(t *testing.T) {
+	svc, ctl, met := controllerHarness(t, Config{
+		Scheduler:   testScheduler(16, 0.5, 0.7),
+		MaxInFlight: 2,
+		MaxQueue:    8,
+		BatchWindow: 2 * time.Millisecond,
+		SoloMargin:  time.Millisecond,
+	})
+	met.Count("serve.requests", 100)
+	met.Count("serve.rejected", 50)
+	svc.controlStep(ctl)
+	if tun := svc.Tuning(); tun.BatchWindow != 4*time.Millisecond || tun.SoloMargin != 16*time.Millisecond {
+		t.Fatalf("pressure tick: window %v, solo margin %v, want 4ms and 4×window", tun.BatchWindow, tun.SoloMargin)
+	}
+	for i := 0; i < 3; i++ {
+		met.Count("serve.requests", 100)
+		svc.controlStep(ctl)
+	}
+	if tun := svc.Tuning(); tun.BatchWindow != 2*time.Millisecond || tun.SoloMargin != time.Millisecond {
+		t.Fatalf("after relaxing: window %v, solo margin %v, want the configured 2ms and 1ms", tun.BatchWindow, tun.SoloMargin)
 	}
 }
 
@@ -314,7 +340,6 @@ func TestKnobRetuneHammerUnderLoad(t *testing.T) {
 			// Walk every knob through the values the controller would.
 			svc.knobs.maxDegree.Store(int64(i%5) * 2) // 0,2,4,6,8
 			svc.knobs.batchWindow.Store(int64(i%3) * int64(time.Millisecond))
-			svc.knobs.soloMargin.Store(int64(4*time.Millisecond) + int64(i%7)*int64(time.Millisecond))
 			svc.knobs.schedWorkers.Store(int64(1 + i%3))
 			time.Sleep(50 * time.Microsecond)
 		}

@@ -63,12 +63,16 @@ func (s *Service) Optimize(ctx context.Context, r *rand.Rand, rels []*query.Rela
 	if s.cfg.Optimizer == nil {
 		return nil, ErrNoOptimizer
 	}
-	if err := s.admit(ctx); err != nil {
-		obs.Count(rec, "serve.optimize_rejected", 1)
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	obs.Observe(rec, "serve.inflight", float64(s.inflight.Add(1)))
-	defer s.release(nil)
+	if err := s.admit(ctx); err != nil {
+		if errors.Is(err, ErrOverloaded) {
+			obs.Count(rec, "serve.optimize_rejected", 1)
+		}
+		return nil, err
+	}
+	defer s.release()
 
 	// One scheduler snapshot for the whole search: the fingerprints the
 	// warm hook computes and the schedules the search produces see the

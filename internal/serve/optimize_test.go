@@ -146,29 +146,52 @@ func TestOptimizeWinnerFeedsScheduleCache(t *testing.T) {
 }
 
 // Optimize respects admission control and the closed state like any
-// request.
+// request, and files only a shed under serve.optimize_rejected: a dead
+// context and a closed service are neither shed nor searched.
 func TestOptimizeAdmission(t *testing.T) {
-	ts := testScheduler(8, 0.5, 0.7)
+	met := obs.NewMetrics()
 	svc := mustService(t, Config{
-		Scheduler: ts,
-		Optimizer: &OptimizerConfig{},
+		Scheduler:   testScheduler(8, 0.5, 0.7),
+		MaxInFlight: 1,
+		MaxQueue:    -1, // full means shed
+		Optimizer:   &OptimizerConfig{},
+		Rec:         met,
 	})
-	// Pre-cancelled context dies in admission or in the search's first
-	// ctx check, never panics.
+	optimize := func(ctx context.Context) error {
+		_, err := svc.Optimize(ctx, rand.New(rand.NewSource(1)), optimizeRels(t, 2, 4))
+		return err
+	}
+	counters := func(rejected, searches, inflight int64) {
+		t.Helper()
+		snap := met.Snapshot()
+		cs := snap.Counters
+		if cs["serve.optimize_rejected"] != rejected || cs["serve.optimize_searches"] != searches ||
+			cs["serve.optimize_failed"] != 0 || snap.Histograms["serve.inflight"].Count != inflight {
+			t.Fatalf("rejected=%d searches=%d failed=%d admissions=%d, want %d/%d/0/%d",
+				cs["serve.optimize_rejected"], cs["serve.optimize_searches"], cs["serve.optimize_failed"],
+				snap.Histograms["serve.inflight"].Count, rejected, searches, inflight)
+		}
+	}
+	// A pre-cancelled context never takes an in-flight token.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := svc.Optimize(ctx, rand.New(rand.NewSource(1)), optimizeRels(t, 2, 4)); !errors.Is(err, context.Canceled) {
+	if err := optimize(ctx); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled: err = %v", err)
 	}
-	// Closed service rejects with ErrClosed.
-	svc2, err := New(Config{Scheduler: ts, Optimizer: &OptimizerConfig{}})
-	if err != nil {
-		t.Fatal(err)
+	counters(0, 0, 0)
+	// With the only token taken the call is shed, and counted so.
+	svc.sem <- struct{}{}
+	if err := optimize(context.Background()); !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("full: err = %v", err)
 	}
-	svc2.Close()
-	if _, err := svc2.Optimize(context.Background(), rand.New(rand.NewSource(1)), optimizeRels(t, 2, 4)); !errors.Is(err, ErrClosed) {
+	<-svc.sem
+	counters(1, 0, 0)
+	// Closed service rejects with ErrClosed, which is not a shed.
+	svc.Close()
+	if err := optimize(context.Background()); !errors.Is(err, ErrClosed) {
 		t.Fatalf("closed: err = %v", err)
 	}
+	counters(1, 0, 0)
 }
 
 // Optimize counters: searches, delivered, and the scheduled/pruned

@@ -207,54 +207,18 @@ type Result struct {
 	Wait time.Duration
 }
 
-// request is one in-flight unit: a tree, its caller's context, and the
-// channel its response is delivered on. Requests are pooled: the
-// deliverer and the awaiter each hold one reference, and whoever drops
-// the last one recycles the struct (and its channel) for the next
-// request — the serve hot path allocates no request state at steady
-// load.
+// request is one member of a window group: a tree, its caller's
+// context, and the channel its response is delivered on.
 type request struct {
 	ctx   context.Context
 	tree  *plan.TaskTree
 	resCh chan response // buffered(1); exactly one deliver per request
 	start time.Time
-	solo  bool
-	refs  atomic.Int32 // pool references: deliverer + awaiter
 }
 
 type response struct {
 	res *Result
 	err error
-}
-
-// requestPool recycles request structs (including their buffered
-// response channels) across the service's lifetime.
-var requestPool = sync.Pool{
-	New: func() any { return &request{resCh: make(chan response, 1)} },
-}
-
-// newRequest draws a request from the pool with two references: one
-// for the deliverer (the group runner), one for the awaiter.
-func newRequest(ctx context.Context, tree *plan.TaskTree) *request {
-	r := requestPool.Get().(*request)
-	r.ctx, r.tree, r.start, r.solo = ctx, tree, time.Now(), false
-	r.refs.Store(2)
-	return r
-}
-
-// unref drops one reference; the last holder recycles the request. An
-// awaiter that left on ctx.Done never received the deliverer's
-// response, so the channel is drained before reuse.
-func (r *request) unref() {
-	if r.refs.Add(-1) != 0 {
-		return
-	}
-	select {
-	case <-r.resCh:
-	default:
-	}
-	r.ctx, r.tree = nil, nil
-	requestPool.Put(r)
 }
 
 // knobs holds the service's dynamically tunable parameters. Every
@@ -263,7 +227,6 @@ func (r *request) unref() {
 // so live retuning cannot race the collector or the request paths.
 type knobs struct {
 	batchWindow  atomic.Int64 // ns; <= 0 means opportunistic batching
-	soloMargin   atomic.Int64 // ns
 	maxDegree    atomic.Int64 // per-query parallelism cap; 0 = uncapped
 	schedWorkers atomic.Int64 // TreeScheduler.Workers; 0 = GOMAXPROCS
 }
@@ -287,7 +250,7 @@ type Service struct {
 	mu      sync.Mutex // guards closed and the workers Add-vs-Wait race
 	closed  bool
 	closing atomic.Bool    // set at the start of Close, before the drain
-	workers sync.WaitGroup // collector + controller + group runners
+	workers sync.WaitGroup // collector + controller + groups being scheduled
 
 	inflight atomic.Int64 // admitted and not yet delivered
 	queued   atomic.Int64 // waiting for an in-flight slot
@@ -298,9 +261,17 @@ func (s *Service) batchWindow() time.Duration {
 	return time.Duration(s.knobs.batchWindow.Load())
 }
 
-// soloMargin reads the live deadline-degradation threshold.
+// soloMargin derives the live deadline-degradation threshold: the
+// configured margin while the window is the configured one, and never
+// less than the 4× default ratio of a retuned window — a wider window
+// must push the solo bypass out with it, or every deadline-bearing
+// request would bypass the batcher exactly when batching matters most.
 func (s *Service) soloMargin() time.Duration {
-	return time.Duration(s.knobs.soloMargin.Load())
+	w := s.batchWindow()
+	if w == s.cfg.BatchWindow {
+		return s.cfg.SoloMargin
+	}
+	return max(s.cfg.SoloMargin, 4*w)
 }
 
 // scheduler returns the configured TreeScheduler with the live knob
@@ -352,7 +323,6 @@ func New(cfg Config) (*Service, error) {
 	// controller these stores are the knobs' only writes, so behavior is
 	// exactly the static pre-knob service.
 	s.knobs.batchWindow.Store(int64(cfg.BatchWindow))
-	s.knobs.soloMargin.Store(int64(cfg.SoloMargin))
 	s.knobs.maxDegree.Store(int64(cfg.Scheduler.MaxDegree))
 	s.knobs.schedWorkers.Store(int64(cfg.Scheduler.Workers))
 	// Surface the effective scheduler pool width so /metricz-style
@@ -370,10 +340,11 @@ func New(cfg Config) (*Service, error) {
 }
 
 // Close stops accepting requests and waits for the collector and every
-// running group to finish. Requests already admitted (holding an
-// in-flight token) are still scheduled — Close drains, it does not
-// drop — while requests waiting for admission fail with ErrClosed.
-// Close is idempotent.
+// group being scheduled — a group of one on its caller's goroutine
+// included — to finish. Requests already in a group or in the batching
+// window are still scheduled — Close drains, it does not drop — while
+// requests that have not got that far fail with ErrClosed. Close is
+// idempotent.
 func (s *Service) Close() error {
 	s.closing.Store(true)
 	s.mu.Lock()
@@ -407,7 +378,8 @@ func (s *Service) CacheLen() int { return s.cache.Len() }
 
 // Tuning is a point-in-time copy of the service's live knob values —
 // the configured values until the adaptive controller (if enabled)
-// retunes them.
+// retunes them. SoloMargin is not a knob of its own: it follows
+// BatchWindow (see soloMargin).
 type Tuning struct {
 	BatchWindow  time.Duration
 	SoloMargin   time.Duration
@@ -545,7 +517,11 @@ func (s *Service) scheduleCached(ctx context.Context, tree *plan.TaskTree) (*Res
 		fl, leader := s.cache.flightFor(fp)
 		if leader {
 			obs.Count(rec, "serve.cache_misses", 1)
-			res, err := s.scheduleSingleton(ctx, tree, ts)
+			var res *Result
+			err := s.admit(ctx)
+			if err == nil {
+				res, err = s.scheduleAlone(ctx, ts, tree, false)
+			}
 			if err != nil {
 				s.cache.resolve(fp, fl, nil, nil, err)
 				return nil, err
@@ -588,80 +564,87 @@ func (s *Service) scheduleCached(ctx context.Context, tree *plan.TaskTree) (*Res
 	}
 }
 
-// scheduleSingleton admits one request and schedules it as a group of
-// one with the given scheduler snapshot, bypassing the collector
-// entirely.
-func (s *Service) scheduleSingleton(ctx context.Context, tree *plan.TaskTree, ts sched.TreeScheduler) (*Result, error) {
-	rec := s.cfg.Rec
-	if err := s.admit(ctx); err != nil {
-		return nil, err
-	}
-	r := newRequest(ctx, tree)
-	obs.Observe(rec, "serve.inflight", float64(s.inflight.Add(1)))
-	if !s.spawnGroupAs(ts, []*request{r}) {
-		// The service is closing but this request is already admitted;
-		// finish it inline rather than dropping it.
-		s.runGroupAs(ts, []*request{r})
-	}
-	return s.await(ctx, r)
-}
-
-// scheduleBatched is the original request path: admission, then the
-// batching window (or a solo bypass for deadline-pressed requests).
+// scheduleBatched is the cache-less request path: admission, then the
+// batching window — or, for a request nothing can join, no window.
 func (s *Service) scheduleBatched(ctx context.Context, tree *plan.TaskTree) (*Result, error) {
-	rec := s.cfg.Rec
 	if err := s.admit(ctx); err != nil {
 		return nil, err
 	}
-
-	r := newRequest(ctx, tree)
-	obs.Observe(rec, "serve.inflight", float64(s.inflight.Add(1)))
-
-	// With MaxBatch 1 grouping is impossible, so the collector and a
-	// spawned runner would add nothing but goroutine handoffs (two
-	// context switches per request): run the group of one on the
-	// caller's own goroutine. The buffered response channel makes the
-	// deliver-then-await sequence safe on a single goroutine.
 	if s.cfg.MaxBatch == 1 {
-		s.runGroup([]*request{r})
-		return s.await(ctx, r)
+		return s.scheduleAlone(ctx, s.scheduler(), tree, false)
 	}
-
 	// Deadline-aware degradation: a request that cannot afford the
-	// batching window goes solo, straight past the collector.
+	// batching window goes solo.
 	if dl, ok := ctx.Deadline(); ok && time.Until(dl) < s.soloMargin() {
-		r.solo = true
-		obs.Count(rec, "serve.solo_deadline", 1)
-		if !s.spawnGroup([]*request{r}) {
-			// The service is closing but this request is already
-			// admitted; finish it inline rather than dropping it.
-			s.runGroup([]*request{r})
-		}
-	} else {
-		// Enqueue under the closed-flag lock: after Close flips the flag
-		// nothing new enters pending, so the collector's shutdown drain
-		// observes every admitted request. The send cannot block — each
-		// pending entry holds a distinct in-flight token and the channel
-		// has room for all MaxInFlight of them.
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			s.release(r)
-			// Nobody else ever saw this request; drop both references
-			// and recycle it directly.
-			r.refs.Store(1)
-			r.unref()
-			return nil, ErrClosed
-		}
-		s.pending <- r
-		s.mu.Unlock()
+		obs.Count(s.cfg.Rec, "serve.solo_deadline", 1)
+		return s.scheduleAlone(ctx, s.scheduler(), tree, true)
 	}
 
-	return s.await(ctx, r)
+	r := &request{ctx: ctx, tree: tree, resCh: make(chan response, 1), start: time.Now()}
+	// Enqueue under the closed-flag lock: after Close flips the flag
+	// nothing new enters pending, so the collector's shutdown drain
+	// observes every admitted request. The send cannot block — each
+	// pending entry holds a distinct in-flight token and the channel
+	// has room for all MaxInFlight of them.
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		s.release()
+		return nil, ErrClosed
+	}
+	s.pending <- r
+	s.mu.Unlock()
+
+	// The response channel is buffered and written exactly once, so
+	// leaving early on ctx never blocks the group runner, which still
+	// releases the request's token when the group completes.
+	select {
+	case resp := <-r.resCh:
+		return resp.res, resp.err
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
 }
 
-// admit takes one in-flight token: immediately, else through the
-// bounded wait queue, else the request is shed with ErrOverloaded.
+// scheduleAlone schedules an admitted request that nothing can join —
+// a cache-miss leader, a deadline-pressed request, any request when
+// MaxBatch is 1 — as a group of one on the caller's own goroutine, with
+// the caller's scheduler snapshot. It registers with the service's
+// WaitGroup under the closed-flag lock, as spawnGroup does, so Close
+// waits for it and never races Add against Wait.
+func (s *Service) scheduleAlone(ctx context.Context, ts sched.TreeScheduler, tree *plan.TaskTree, solo bool) (*Result, error) {
+	start := time.Now()
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		s.release()
+		return nil, ErrClosed
+	}
+	s.workers.Add(1)
+	s.mu.Unlock()
+	defer s.workers.Done()
+	defer s.release()
+
+	group := []*plan.TaskTree{tree}
+	schedule, err := s.scheduleGroup(ctx, ts, group)
+	if err != nil {
+		return nil, err
+	}
+	return &Result{Schedule: schedule, Group: group, Solo: solo, Wait: time.Since(start)}, nil
+}
+
+// scheduleGroup is the service's one call into the scheduler.
+func (s *Service) scheduleGroup(ctx context.Context, ts sched.TreeScheduler, trees []*plan.TaskTree) (*sched.Schedule, error) {
+	rec := s.cfg.Rec
+	obs.Count(rec, "serve.batches", 1)
+	obs.Observe(rec, "serve.batch_size", float64(len(trees)))
+	defer obs.StartTimer(rec, "serve.schedule_seconds")()
+	return ts.ScheduleBatchCtx(ctx, trees)
+}
+
+// admit takes one in-flight token, which release returns: immediately,
+// else through the bounded wait queue, else the request is shed with
+// ErrOverloaded.
 func (s *Service) admit(ctx context.Context) error {
 	rec := s.cfg.Rec
 	select {
@@ -695,26 +678,8 @@ func (s *Service) admit(ctx context.Context) error {
 			return ErrOverloaded
 		}
 	}
+	obs.Observe(rec, "serve.inflight", float64(s.inflight.Add(1)))
 	return nil
-}
-
-// await blocks until the request's response arrives or its context
-// dies. The response channel is buffered and written exactly once, so
-// an early ctx return never blocks the group runner; the runner still
-// releases the request's token when the group completes, and the last
-// reference holder recycles the request struct.
-func (s *Service) await(ctx context.Context, r *request) (*Result, error) {
-	select {
-	case resp := <-r.resCh:
-		r.unref()
-		if resp.err != nil {
-			return nil, resp.err
-		}
-		return resp.res, nil
-	case <-ctx.Done():
-		r.unref()
-		return nil, ctx.Err()
-	}
 }
 
 // collect is the batching loop: take the first pending request, hold
@@ -797,17 +762,10 @@ func (s *Service) drainPending() {
 	}
 }
 
-// spawnGroup is spawnGroupAs with the scheduler's live knob overlay
-// captured at spawn time.
+// spawnGroup starts a runner goroutine for the group, registered with
+// the service's WaitGroup under the closed-flag lock so Close never
+// races Add against Wait. Reports false when the service is closed.
 func (s *Service) spawnGroup(group []*request) bool {
-	return s.spawnGroupAs(s.scheduler(), group)
-}
-
-// spawnGroupAs starts a runner goroutine for the group, registered
-// with the service's WaitGroup under the closed-flag lock so Close
-// never races Add against Wait. Reports false when the service is
-// closed.
-func (s *Service) spawnGroupAs(ts sched.TreeScheduler, group []*request) bool {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -817,23 +775,16 @@ func (s *Service) spawnGroupAs(ts sched.TreeScheduler, group []*request) bool {
 	s.mu.Unlock()
 	go func() {
 		defer s.workers.Done()
-		s.runGroupAs(ts, group)
+		s.runGroup(group)
 	}()
 	return true
 }
 
-// runGroup is runGroupAs with the scheduler's live knob overlay
-// captured at call time.
+// runGroup schedules one window group with the scheduler's live knob
+// overlay captured at dispatch: drop members already cancelled, derive
+// a group context that dies only when every member has, schedule, and
+// deliver.
 func (s *Service) runGroup(group []*request) {
-	s.runGroupAs(s.scheduler(), group)
-}
-
-// runGroupAs schedules one group with the given scheduler snapshot:
-// drop members already cancelled, derive a group context that dies
-// only when every member has, run ScheduleBatch, and deliver. Cached
-// singletons pass the snapshot their fingerprint was computed with;
-// batched groups capture the knobs at dispatch.
-func (s *Service) runGroupAs(ts sched.TreeScheduler, group []*request) {
 	live := make([]*request, 0, len(group))
 	for _, r := range group {
 		if err := r.ctx.Err(); err != nil {
@@ -849,14 +800,9 @@ func (s *Service) runGroupAs(ts sched.TreeScheduler, group []*request) {
 	for i, r := range live {
 		trees[i] = r.tree
 	}
-	obs.Count(s.cfg.Rec, "serve.batches", 1)
-	obs.Observe(s.cfg.Rec, "serve.batch_size", float64(len(trees)))
-
 	gctx, cancel := groupContext(live)
 	defer cancel()
-	stop := obs.StartTimer(s.cfg.Rec, "serve.schedule_seconds")
-	schedule, err := ts.ScheduleBatchCtx(gctx, trees)
-	stop()
+	schedule, err := s.scheduleGroup(gctx, s.scheduler(), trees)
 
 	for i, r := range live {
 		switch {
@@ -865,7 +811,6 @@ func (s *Service) runGroupAs(ts sched.TreeScheduler, group []*request) {
 				Schedule: schedule,
 				Group:    trees,
 				Index:    i,
-				Solo:     r.solo,
 				Wait:     time.Since(r.start),
 			}})
 		case r.ctx.Err() != nil:
@@ -912,16 +857,15 @@ func groupContext(group []*request) (context.Context, context.CancelFunc) {
 }
 
 // deliver hands the response to the waiting Schedule call (non-blocking:
-// the channel is buffered and written exactly once), releases the
-// request's in-flight token, and drops the deliverer's pool reference.
+// the channel is buffered and written exactly once) and releases the
+// request's in-flight token.
 func (s *Service) deliver(r *request, resp response) {
 	r.resCh <- resp
-	s.release(r)
-	r.unref()
+	s.release()
 }
 
-// release returns the request's admission token.
-func (s *Service) release(*request) {
+// release returns an admission token.
+func (s *Service) release() {
 	s.inflight.Add(-1)
 	<-s.sem
 }
