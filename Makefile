@@ -36,9 +36,11 @@ race:
 # One iteration of the per-layer benchmarks the docs quote, so that one
 # which stops compiling or starts failing breaks the gate, not the next
 # measurement. BenchmarkTreeSchedule and BenchmarkScheduleBatchMiss are
-# the two the placement core's allocation parity is read from.
+# the two the placement core's allocation parity is read from;
+# BenchmarkOperatorSchedulePlacement is the one that times Figure 3's
+# sort and placement loop alone.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkEngineRun|BenchmarkSearchCold|BenchmarkTreeSchedule$$|BenchmarkScheduleBatchMiss' -benchtime 1x ./internal/...
+	$(GO) test -run '^$$' -bench 'BenchmarkEngineRun|BenchmarkSearchCold|BenchmarkTreeSchedule$$|BenchmarkScheduleBatchMiss|BenchmarkOperatorSchedulePlacement' -benchtime 1x ./internal/...
 
 # bench/ is a nested module that compiles against this tree's internal
 # packages: vet and test it here (~10 s) so a change that breaks the API

@@ -1,6 +1,7 @@
 package opt
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -63,26 +64,47 @@ func TestBoundSingleScan(t *testing.T) {
 	}
 }
 
+// On random trees at random P, ε, f and degree caps: the schedule is
+// well-formed (sched.Verify), OPTBOUND ≤ response, and every phase is
+// inside the Theorem 5.1(a) envelope, response ≤ (2d+1)·LB of the clone
+// vectors it placed.
 func TestBoundIsLowerBoundOnTreeSchedule(t *testing.T) {
 	r := rand.New(rand.NewSource(13))
 	m := costmodel.Default()
-	ov := resource.MustOverlap(0.5)
-	for trial := 0; trial < 15; trial++ {
-		joins := 5 + r.Intn(20)
-		p := 5 + r.Intn(60)
-		plan40 := query.MustRandom(r, query.DefaultGenConfig(joins))
-		tt := taskTree(t, plan40)
-		lb, err := Bound(tt, m, ov, p, 0.7)
-		if err != nil {
-			t.Fatal(err)
+	for trial := 0; trial < 60; trial++ {
+		joins := 1 + r.Intn(24)
+		p := 1 + r.Intn(140)
+		ov := resource.MustOverlap(r.Float64())
+		f := 0.3 + 0.9*r.Float64()
+		maxDeg := []int{0, 1, 4}[r.Intn(3)]
+		tt := taskTree(t, query.MustRandom(r, query.DefaultGenConfig(joins)))
+		at := func() string {
+			return fmt.Sprintf("trial %d: joins=%d P=%d eps=%g f=%g MaxDegree=%d", trial, joins, p, ov.Epsilon, f, maxDeg)
 		}
-		s, err := sched.TreeScheduler{Model: m, Overlap: ov, P: p, F: 0.7}.Schedule(tt)
+		lb, err := Bound(tt, m, ov, p, f)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", at(), err)
+		}
+		s, err := sched.TreeScheduler{Model: m, Overlap: ov, P: p, F: f, MaxDegree: maxDeg}.Schedule(tt)
+		if err != nil {
+			t.Fatalf("%s: %v", at(), err)
+		}
+		if err := sched.Verify(s, ov); err != nil {
+			t.Fatalf("%s: %v", at(), err)
 		}
 		if s.Response < lb-1e-9 {
-			t.Fatalf("TreeSchedule response %g below OPTBOUND %g (joins=%d P=%d)",
-				s.Response, lb, joins, p)
+			t.Fatalf("%s: TreeSchedule response %g below OPTBOUND %g", at(), s.Response, lb)
+		}
+		for _, ph := range s.Phases {
+			ops := make([]*sched.Op, len(ph.Placements))
+			for i, pl := range ph.Placements {
+				ops[i] = &sched.Op{ID: pl.Op.ID, Clones: pl.Clones}
+			}
+			phaseLB := sched.LowerBound(p, ov, ops)
+			if ph.Response < phaseLB-1e-9 || ph.Response > sched.PerformanceRatioBound(resource.Dims)*phaseLB+1e-9 {
+				t.Fatalf("%s: phase %d response %g outside [LB, (2d+1)·LB] = [%g, %g]", at(), ph.Index,
+					ph.Response, phaseLB, sched.PerformanceRatioBound(resource.Dims)*phaseLB)
+			}
 		}
 	}
 }

@@ -472,8 +472,9 @@ func BenchmarkSearchCold(b *testing.B) {
 // scheduler's pooled scratch and the cost-model memo are warm: the
 // candidate plans, their task trees and one O(phases) schedule per
 // surviving candidate. The ceiling is about 1.3 times the count at the
-// time of writing (1,088); before the candidates' schedules shared one
-// site system it was 7,219.
+// time of writing (890; 1,088 while operator names went through
+// fmt.Sprintf and TaskTree.Validate built three maps); before the
+// candidates' schedules shared one site system it was 7,219.
 func TestSearchAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops scratches under the race detector")
@@ -493,7 +494,7 @@ func TestSearchAllocs(t *testing.T) {
 	run()
 	allocs := testing.AllocsPerRun(20, run)
 	t.Logf("warm allocs/search = %.0f", allocs)
-	if allocs > 1400 {
-		t.Fatalf("warm search allocates %.0f times, want <= 1400", allocs)
+	if allocs > 1150 {
+		t.Fatalf("warm search allocates %.0f times, want <= 1150", allocs)
 	}
 }

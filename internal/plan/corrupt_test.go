@@ -106,6 +106,14 @@ func TestTaskTreeValidateDetectsCorruptions(t *testing.T) {
 		{"task pointer mismatch", func(tt *TaskTree) {
 			tt.Tasks[0].Ops[0].Task = tt.Tasks[len(tt.Tasks)-1]
 		}},
+		// The next two made Validate index phases[Height-Level] at -1.
+		{"root level not zero", func(tt *TaskTree) {
+			for _, tk := range tt.Tasks {
+				tk.Level++
+			}
+		}},
+		{"height understates a level", func(tt *TaskTree) { tt.Height-- }},
+		{"height overstates every level", func(tt *TaskTree) { tt.Height++ }},
 	}
 	for _, c := range cases {
 		_, tt := freshTrees(t)

@@ -14,6 +14,7 @@ package plan
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"mdrs/internal/costmodel"
@@ -184,7 +185,7 @@ func ProbeSpec(n *query.PlanNode) costmodel.OpSpec {
 // expand returns the producer operator of the subtree's output stream.
 func (t *OperatorTree) expand(n *query.PlanNode) *Operator {
 	if n.IsLeaf() {
-		return t.newOp(costmodel.Scan, fmt.Sprintf("scan(%s)", n.Relation.Name), -1, n, ScanSpec(n))
+		return t.newOp(costmodel.Scan, "scan("+n.Relation.Name+")", -1, n, ScanSpec(n))
 	}
 
 	inner := t.expand(n.Inner)
@@ -192,8 +193,9 @@ func (t *OperatorTree) expand(n *query.PlanNode) *Operator {
 
 	jid := t.nextJoin
 	t.nextJoin++
-	build := t.newOp(costmodel.Build, fmt.Sprintf("build(J%d)", jid), jid, n, BuildSpec(n))
-	probe := t.newOp(costmodel.Probe, fmt.Sprintf("probe(J%d)", jid), jid, n, ProbeSpec(n))
+	j := strconv.Itoa(jid)
+	build := t.newOp(costmodel.Build, "build(J"+j+")", jid, n, BuildSpec(n))
+	probe := t.newOp(costmodel.Probe, "probe(J"+j+")", jid, n, ProbeSpec(n))
 	probe.BuildOp = build
 
 	inner.Consumer, inner.ConsumerEdge = build, Pipeline
@@ -455,13 +457,21 @@ func (tt *TaskTree) PhasesBy(policy PhasePolicy) [][]*Task {
 }
 
 // Validate checks the task-tree invariants: every operator in exactly
-// one task, levels consistent with parents, and no blocking edge inside
-// a phase.
+// one task, levels consistent with parents and with Height (PhasesBy
+// indexes by Height − Level), and no blocking edge inside a phase.
 func (tt *TaskTree) Validate() error {
 	if tt.Root == nil {
 		return fmt.Errorf("plan: task tree has no root")
 	}
-	seen := map[int]bool{}
+	if tt.Root.Level != 0 {
+		return fmt.Errorf("plan: root task at level %d, want 0", tt.Root.Level)
+	}
+	nOps := 0
+	for _, tk := range tt.Tasks {
+		nOps += len(tk.Ops)
+	}
+	seen := make([]bool, nOps) // by operator ID, dense from 0
+	height := 0
 	for i, tk := range tt.Tasks {
 		if tk.ID != i {
 			return fmt.Errorf("plan: task %d has ID %d", i, tk.ID)
@@ -470,6 +480,9 @@ func (tt *TaskTree) Validate() error {
 			return fmt.Errorf("plan: task %d is empty", i)
 		}
 		for _, op := range tk.Ops {
+			if op.ID < 0 || op.ID >= nOps {
+				return fmt.Errorf("plan: operator %q has ID %d outside [0, %d)", op.Name, op.ID, nOps)
+			}
 			if seen[op.ID] {
 				return fmt.Errorf("plan: operator %q in two tasks", op.Name)
 			}
@@ -478,6 +491,8 @@ func (tt *TaskTree) Validate() error {
 				return fmt.Errorf("plan: operator %q Task pointer mismatch", op.Name)
 			}
 		}
+		// A task sits one level below its parent, so the two never share
+		// a MinShelf phase (phase = Height − Level).
 		if tk.Parent != nil && tk.Level != tk.Parent.Level+1 {
 			return fmt.Errorf("plan: task %d level %d, parent level %d",
 				tk.ID, tk.Level, tk.Parent.Level)
@@ -485,17 +500,13 @@ func (tt *TaskTree) Validate() error {
 		if tk.Parent == nil && tk != tt.Root {
 			return fmt.Errorf("plan: task %d is an orphan", tk.ID)
 		}
+		if tk.Level < 0 || tk.Level > tt.Height {
+			return fmt.Errorf("plan: task %d level %d outside [0, height %d]", tk.ID, tk.Level, tt.Height)
+		}
+		height = max(height, tk.Level)
 	}
-	for _, phase := range tt.Phases() {
-		inPhase := map[*Task]bool{}
-		for _, tk := range phase {
-			inPhase[tk] = true
-		}
-		for _, tk := range phase {
-			if inPhase[tk.Parent] {
-				return fmt.Errorf("plan: task %d and its parent share a phase", tk.ID)
-			}
-		}
+	if height != tt.Height {
+		return fmt.Errorf("plan: height %d but deepest task at level %d", tt.Height, height)
 	}
 	return nil
 }

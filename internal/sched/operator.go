@@ -212,49 +212,57 @@ func (sc *scratch) operatorSchedule(ctx context.Context, p, d int, ov resource.O
 	}
 
 	// Step 2: the list L of all floating clone vectors in non-increasing
-	// order of l(w̄). Ties break on operator ID then clone index so the
-	// schedule is deterministic. The list and the per-operator ban rows
-	// (sites already holding one of the operator's clones) come from the
-	// scratch: one flattened []bool matrix and one []item slice instead
-	// of a map of maps and an append-grown list. Rooted operators need
-	// no ban row — they contribute no floating clones.
-	floating, total := 0, 0
+	// order of l(w̄), ties on operator ID then clone index so the
+	// schedule is deterministic. L is held as runs of consecutive
+	// equal-length clones (see run): sorted by (len desc, op ID, first
+	// clone) and walked in clone order in step 3, they are that same
+	// per-clone sequence. Runs and the per-operator ban rows (sites
+	// already holding one of the operator's clones, one flattened []bool
+	// matrix) come from the scratch. Rooted operators need no ban row —
+	// they contribute no floating clones.
+	floating, total, rooted := 0, 0, 0
 	for _, op := range ops {
-		if !op.Rooted() {
+		if op.Rooted() {
+			rooted += len(op.Clones)
+		} else {
 			floating++
 			total += len(op.Clones)
 		}
 	}
 	bans := sc.banRows(floating, p)
-	list := sc.cloneList(total)
+	list := sc.runList(total)
 	row := 0
 	for i, op := range ops {
 		if op.Rooted() {
 			continue
 		}
-		opBans := bans[row*p : (row+1)*p]
-		row++
+		first := len(list)
 		for k, w := range op.Clones {
-			list = append(list, item{op: op, clone: k, len: w.Length(), bans: opBans, sites: sites[i]})
+			l := w.Length()
+			if last := len(list) - 1; last >= first && list[last].len == l {
+				list[last].count++
+				continue
+			}
+			list = append(list, run{len: l, id: op.ID, first: int32(k), count: 1, op: int32(i), ban: int32(row)})
 		}
+		row++
 	}
 	sc.list = list
 	if sorted {
-		// The (len desc, op ID, clone) key is a strict total order —
-		// (op, clone) pairs are unique — so any correct sort produces
-		// the same permutation; SortFunc just does it without the
-		// reflection overhead of sort.Slice.
-		slices.SortFunc(list, func(a, b item) int {
+		// The (len desc, op ID, first clone) key is a strict total order
+		// — (op, first clone) pairs are unique — so any correct sort
+		// produces the same permutation.
+		slices.SortFunc(list, func(a, b run) int {
 			switch {
 			case a.len != b.len:
 				if a.len > b.len {
 					return -1
 				}
 				return 1
-			case a.op.ID != b.op.ID:
-				return cmp.Compare(a.op.ID, b.op.ID)
+			case a.id != b.id:
+				return cmp.Compare(a.id, b.id)
 			default:
-				return cmp.Compare(a.clone, b.clone)
+				return cmp.Compare(a.first, b.first)
 			}
 		})
 	}
@@ -269,55 +277,58 @@ func (sc *scratch) operatorSchedule(ctx context.Context, p, d int, ov resource.O
 	// resource demands together (the paper's Section 5.2.2 example).
 	// Remaining ties break on the site index. The siteIndex keeps the
 	// sites ordered by exactly that (l, sum, id) key, so one placement is
-	// a short prefix walk plus an ordered re-insertion instead of a full
-	// O(P·d) rescan per clone. Each pick depends on the previous
-	// placement, so the loop is serial whatever TreeScheduler.Workers says.
+	// a prefix walk to a position in it, O(ban set), and a re-key from
+	// there, O(log P) compares and one block move, not an O(P·d) rescan.
+	// Each pick depends on the previous placement, so the loop is serial
+	// whatever TreeScheduler.Workers says. ctxCheckStride counts clones.
 	ix := sc.ix.reset(sys)
-	for i, it := range list {
-		if i%ctxCheckStride == 0 {
-			if err := ctx.Err(); err != nil {
-				return 0, err
+	placed := 0
+	for _, r := range list {
+		op, opBans, dst := ops[r.op], bans[int(r.ban)*p:(int(r.ban)+1)*p], sites[r.op]
+		for k := int(r.first); k < int(r.first+r.count); k++ {
+			if placed%ctxCheckStride == 0 {
+				if err := ctx.Err(); err != nil {
+					return 0, err
+				}
 			}
-		}
-		var best, skipped int
-		if rec == nil {
-			best = ix.pick(it.bans)
-		} else {
-			best, skipped = ix.pickSkips(it.bans)
-		}
-		if rec != nil && skipped > 0 {
-			rec.Count("sched.ban_hits", int64(skipped))
-			rec.Event(obs.Event{
-				Type: obs.EvBanHit, Phase: phase, Op: it.op.ID,
-				Clone: it.clone, Banned: skipped,
-			})
-		}
-		if best < 0 {
-			// Unreachable given validate(): degree <= P and distinct homes.
-			return 0, fmt.Errorf("sched: no allowable site for op %d clone %d", it.op.ID, it.clone)
-		}
-		if rec != nil {
+			placed++
+			var at, skipped int
+			if rec == nil {
+				at = ix.pick(opBans)
+			} else {
+				at, skipped = ix.pickSkips(opBans)
+			}
+			if rec != nil && skipped > 0 {
+				rec.Count("sched.ban_hits", int64(skipped))
+				rec.Event(obs.Event{
+					Type: obs.EvBanHit, Phase: phase, Op: op.ID,
+					Clone: k, Banned: skipped,
+				})
+			}
+			if at < 0 {
+				// Unreachable given validate(): degree <= P and distinct homes.
+				return 0, fmt.Errorf("sched: no allowable site for op %d clone %d", op.ID, k)
+			}
+			best := ix.order[at].id
 			s := sys.Site(best)
-			rec.Event(obs.Event{
-				Type: obs.EvPlace, Phase: phase, Op: it.op.ID, Clone: it.clone,
-				Site: best, L: s.LoadLength(), Sum: s.LoadSum(),
-			})
+			if rec != nil {
+				rec.Event(obs.Event{
+					Type: obs.EvPlace, Phase: phase, Op: op.ID, Clone: k,
+					Site: best, L: s.LoadLength(), Sum: s.LoadSum(),
+				})
+			}
+			s.Assign(op.Clones[k])
+			ix.update(sys, at)
+			opBans[best] = true
+			dst[k] = best
 		}
-		sys.Site(best).Assign(it.op.Clones[it.clone])
-		ix.update(sys, best)
-		it.bans[best] = true
-		it.sites[it.clone] = best
 	}
 
 	response := sys.MaxTSite()
 	if rec != nil {
-		total := 0
-		for _, op := range ops {
-			total += len(op.Clones)
-		}
 		rec.Count("sched.ops", int64(len(ops)))
-		rec.Count("sched.clones_floating", int64(len(list)))
-		rec.Count("sched.clones_rooted", int64(total-len(list)))
+		rec.Count("sched.clones_floating", int64(total))
+		rec.Count("sched.clones_rooted", int64(rooted))
 		rec.Observe("sched.phase_response", response)
 	}
 	return response, nil

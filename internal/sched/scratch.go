@@ -8,7 +8,7 @@ import (
 )
 
 // scratch holds everything a scheduling call needs and no caller keeps:
-// the site system the placement loop fills, the ban sets, the clone
+// the site system the placement loop fills, the ban sets, the run
 // list, the site index, the per-phase operator slab and the build→probe
 // homes. ScheduleCtx and ScheduleBatchCtx draw one from scratchPool and
 // thread it through every phase, so the candidates of one plan search
@@ -22,14 +22,14 @@ import (
 type scratch struct {
 	// sys is the site system of the current phase; see system.
 	sys *resource.System
-	// list is the step-2 clone list L, reused between phases.
-	list []item
+	// list is the step-2 list L, as runs of clones, reused between phases.
+	list []run
 	// bans is the flattened ban matrix: floating operator i's row is
 	// bans[i*p : (i+1)*p], true marking a site already holding one of
 	// the operator's clones. Rows are cleared on reuse.
 	bans []bool
 	// ix is the incremental site-load index rebuilt each call from the
-	// post-rooted system state; its order/pos slices are reused.
+	// post-rooted system state; its order slice is reused.
 	ix siteIndex
 	// ids detects duplicate operator IDs during validation.
 	ids map[int]bool
@@ -99,16 +99,20 @@ func (sc *scratch) system(p, d int, ov resource.Overlap) *resource.System {
 	return sc.sys
 }
 
-// item is one floating clone vector on the step-2 list.
-type item struct {
-	op    *Op
-	clone int
+// run is one entry of the step-2 list L: a maximal stretch of
+// consecutive floating clones of one operator with equal l(w̄) — under
+// EA1 a coordinator vector plus N−1 identical ones, two runs. Sorting
+// runs by (len desc, op ID, first clone) and walking each in clone order
+// is the per-clone (len desc, op ID, clone) order exactly: equal-length
+// clones of one operator already sort by clone index. The operator and
+// its ban row are indices, so the sort moves 32 pointer-free bytes.
+type run struct {
 	len   float64
-	// bans is the operator's ban row and sites its destination row,
-	// shared by all the operator's items; carrying them here keeps
-	// step 3 free of per-pick lookups.
-	bans  []bool
-	sites []int
+	id    int   // Op.ID, the first tie-break
+	first int32 // index of the run's first clone
+	count int32 // clones in the run
+	op    int32 // index of the operator (and its destination row) in ops
+	ban   int32 // index of the operator's row in the ban matrix
 }
 
 // resetIDs prepares the duplicate-ID set for a validation pass.
@@ -145,10 +149,10 @@ func (sc *scratch) banRows(rows, p int) []bool {
 	return sc.bans
 }
 
-// cloneList returns the empty step-2 list with capacity for n items.
-func (sc *scratch) cloneList(n int) []item {
+// runList returns the empty step-2 list with capacity for n runs.
+func (sc *scratch) runList(n int) []run {
 	if cap(sc.list) < n {
-		sc.list = make([]item, 0, n)
+		sc.list = make([]run, 0, n)
 	}
 	return sc.list[:0]
 }

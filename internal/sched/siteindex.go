@@ -3,11 +3,15 @@
 // site minimizing (l(work(s)), Σ work(s), site id) lexicographically;
 // the naive form rescans all P sites per clone, O(n·P) probes with an
 // O(d) load reduction each. The index keeps the sites in a slice sorted
-// by exactly that key, so one placement is a prefix walk that skips the
-// operator's banned sites (usually O(ban set) work) followed by an
-// ordered re-insertion of the single site whose key grew. The walk
-// degrades to the full scan only when the operator's ban set covers the
-// entire index prefix — the same worst case the scan always paid.
+// by exactly that key, so one placement is two steps. The pick is a
+// prefix walk that skips the operator's banned sites and stops at a
+// position in the slice: O(ban set), the full scan only when the ban
+// set covers the entire prefix. The re-key starts from that position:
+// list order puts each clone on the least-loaded site, whose grown key
+// belongs behind about half of the others, so its slot is found by
+// binary search — O(log P) comparisons — and the gap closed with one
+// block move. Nothing maps a site id back to its slot; only the walk
+// needs one, and it has it.
 package sched
 
 import (
@@ -42,45 +46,49 @@ func keyLess(a, b siteKey) bool {
 // siteIndex maintains all P sites in ascending (l, sum, id) order.
 type siteIndex struct {
 	order []siteKey // sites sorted ascending by keyLess
-	pos   []int     // pos[id] = current index of site id in order
 }
 
 // reset rebuilds the index over the system's current loads (rooted
 // operators are already placed when the floating pass starts), reusing
-// the receiver's slices when they are large enough.
+// the receiver's slice when it is large enough.
 func (ix *siteIndex) reset(sys *resource.System) *siteIndex {
 	p := sys.P()
 	if cap(ix.order) < p {
 		ix.order = make([]siteKey, p)
-		ix.pos = make([]int, p)
 	}
 	ix.order = ix.order[:p]
-	ix.pos = ix.pos[:p]
+	// A site no rooted clone loaded has key (0, 0, id): below every
+	// loaded site's, and ascending as filled. Those go to the front, the
+	// loaded ones to the back, and only the back is sorted.
+	lo, hi := 0, p
 	for j := 0; j < p; j++ {
 		s := sys.Site(j)
-		ix.order[j] = siteKey{l: s.LoadLength(), sum: s.LoadSum(), id: j}
+		k := siteKey{l: s.LoadLength(), sum: s.LoadSum(), id: j}
+		if k.l == 0 && k.sum == 0 {
+			ix.order[lo] = k
+			lo++
+		} else {
+			hi--
+			ix.order[hi] = k
+		}
 	}
-	// Strict total order (ids are distinct), so any correct sort yields
-	// the same permutation.
-	slices.SortFunc(ix.order, func(a, b siteKey) int {
+	// A strict total order (ids are distinct): any correct sort will do.
+	slices.SortFunc(ix.order[lo:], func(a, b siteKey) int {
 		if keyLess(a, b) {
 			return -1
 		}
 		return 1
 	})
-	for i, k := range ix.order {
-		ix.pos[k.id] = i
-	}
 	return ix
 }
 
-// pick returns the least-key site whose id is not banned, or -1 if the
-// ban set covers every site. The ban set is a site-indexed []bool row
-// of the scratch's flattened matrix.
+// pick returns the position in order of the least-key site whose id is
+// not banned, or -1 if the ban set covers every site. The ban set is a
+// site-indexed []bool row of the scratch's flattened matrix.
 func (ix *siteIndex) pick(bans []bool) int {
-	for _, k := range ix.order {
+	for i, k := range ix.order {
 		if !bans[k.id] {
-			return k.id
+			return i
 		}
 	}
 	return -1
@@ -90,29 +98,35 @@ func (ix *siteIndex) pick(bans []bool) int {
 // skipped because the ban set held them — the "ban-set hit" count of
 // the decision trace. Kept separate from pick so the untraced hot path
 // does not carry the extra counter.
-func (ix *siteIndex) pickSkips(bans []bool) (site, skipped int) {
-	for _, k := range ix.order {
+func (ix *siteIndex) pickSkips(bans []bool) (i, skipped int) {
+	for j, k := range ix.order {
 		if bans[k.id] {
 			skipped++
 			continue
 		}
-		return k.id, skipped
+		return j, skipped
 	}
 	return -1, skipped
 }
 
-// update re-keys site id after new work was assigned to it. The key can
-// only have grown, so the site bubbles toward the back of the order; the
-// shift distance is the number of sites it overtakes.
-func (ix *siteIndex) update(sys *resource.System, id int) {
+// update re-keys the site at position i of order after new work was
+// assigned to it. The key can only have grown, so its slot is at or
+// behind i: a binary search over order[i+1:] counts the sites it now
+// follows, and one copy moves them up over the old slot.
+func (ix *siteIndex) update(sys *resource.System, i int) {
+	id := ix.order[i].id
 	s := sys.Site(id)
 	k := siteKey{l: s.LoadLength(), sum: s.LoadSum(), id: id}
-	i := ix.pos[id]
-	for i+1 < len(ix.order) && keyLess(ix.order[i+1], k) {
-		ix.order[i] = ix.order[i+1]
-		ix.pos[ix.order[i].id] = i
-		i++
+	rest := ix.order[i+1:]
+	lo, hi := 0, len(rest)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if keyLess(rest[mid], k) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
 	}
-	ix.order[i] = k
-	ix.pos[id] = i
+	copy(ix.order[i:], rest[:lo])
+	ix.order[i+lo] = k
 }

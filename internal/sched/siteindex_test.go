@@ -35,45 +35,168 @@ func pickScan(sys *resource.System, bans []bool) int {
 	return best
 }
 
+// checkIndex holds the index to its invariants against the system it
+// was built over: order is strictly ascending under keyLess, names each
+// site exactly once, and every key is the site's current load.
+func checkIndex(t *testing.T, ix *siteIndex, sys *resource.System) {
+	t.Helper()
+	if len(ix.order) != sys.P() {
+		t.Fatalf("index holds %d sites, system has %d", len(ix.order), sys.P())
+	}
+	seen := make([]bool, sys.P())
+	for i, k := range ix.order {
+		if k.id < 0 || k.id >= sys.P() || seen[k.id] {
+			t.Fatalf("order[%d] names site %d (out of range or twice)", i, k.id)
+		}
+		seen[k.id] = true
+		if s := sys.Site(k.id); k.l != s.LoadLength() || k.sum != s.LoadSum() {
+			t.Fatalf("order[%d] = %+v, site %d carries (%g, %g)", i, k, k.id, s.LoadLength(), s.LoadSum())
+		}
+		if i > 0 && !keyLess(ix.order[i-1], k) {
+			t.Fatalf("order[%d] = %+v not above order[%d] = %+v", i, k, i-1, ix.order[i-1])
+		}
+	}
+}
+
+// pickChecked is one pick held to the scan oracle: pick and pickSkips
+// stop at the same position, that position names pickScan's site, and
+// the skip count is the number of banned sites ahead of it. It returns
+// the position, -1 when every site is banned.
+func pickChecked(t *testing.T, ix *siteIndex, sys *resource.System, bans []bool) int {
+	t.Helper()
+	at := ix.pick(bans)
+	at2, skipped := ix.pickSkips(bans)
+	if at != at2 {
+		t.Fatalf("pick = %d, pickSkips = %d (bans %v)", at, at2, bans)
+	}
+	want := pickScan(sys, bans)
+	if at < 0 {
+		if want != -1 || skipped != sys.P() {
+			t.Fatalf("pick = -1 with scan = %d, %d skipped of %d", want, skipped, sys.P())
+		}
+		return at
+	}
+	if got := ix.order[at].id; got != want {
+		t.Fatalf("pick = site %d, scan = %d (bans %v)", got, want, bans)
+	}
+	ahead := 0
+	for _, k := range ix.order[:at] {
+		if bans[k.id] {
+			ahead++
+		}
+	}
+	if skipped != ahead || ahead != at {
+		t.Fatalf("pickSkips skipped %d, %d banned sites ahead of position %d", skipped, ahead, at)
+	}
+	return at
+}
+
 // The index must agree with the reference linear scan after every
 // mutation, for arbitrary load states and ban sets: pick == pickScan is
-// the exact "least-filled allowable site" contract of Figure 3.
+// the exact "least-filled allowable site" contract of Figure 3, and the
+// re-key after each placement must leave the order what a rebuild from
+// the system would give.
 func TestSiteIndexMatchesScan(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 50; trial++ {
 		p := 1 + r.Intn(40)
 		sys := resource.NewSystem(p, 3, resource.MustOverlap(0.5))
 		// Random pre-load (rooted placements happen before the index is
-		// built).
-		for j := 0; j < p; j++ {
-			for n := r.Intn(3); n > 0; n-- {
-				sys.Site(j).Assign(vector.Of(r.Float64(), r.Float64(), r.Float64()))
+		// built); every third trial starts empty, the shape reset leaves
+		// unsorted.
+		if trial%3 != 0 {
+			for j := 0; j < p; j++ {
+				for n := r.Intn(3); n > 0; n-- {
+					sys.Site(j).Assign(vector.Of(r.Float64(), r.Float64(), r.Float64()))
+				}
 			}
 		}
 		ix := newSiteIndex(sys)
+		checkIndex(t, ix, sys)
 		for step := 0; step < 60; step++ {
 			bans := make([]bool, p)
 			for n := r.Intn(p); n > 0; n-- {
 				bans[r.Intn(p)] = true
 			}
-			got, want := ix.pick(bans), pickScan(sys, bans)
-			if got != want {
-				t.Fatalf("trial %d step %d: pick = %d, scan = %d (bans %v)",
-					trial, step, got, want, bans)
-			}
-			if got < 0 {
+			at := pickChecked(t, ix, sys, bans)
+			if at < 0 {
 				continue // every site banned
 			}
-			sys.Site(got).Assign(vector.Of(r.Float64()*5, r.Float64()*5, r.Float64()*5))
-			ix.update(sys, got)
-			// The pos table must stay the inverse of the order slice.
-			for i, k := range ix.order {
-				if ix.pos[k.id] != i {
-					t.Fatalf("trial %d step %d: pos[%d] = %d, want %d",
-						trial, step, k.id, ix.pos[k.id], i)
-				}
+			// A small component alphabet on every other trial, so keys
+			// tie on l, on (l, sum), and updates land between equals.
+			w := vector.Of(r.Float64()*5, r.Float64()*5, r.Float64()*5)
+			if trial%2 == 1 {
+				w = vector.Of(float64(r.Intn(3)), float64(r.Intn(3)), float64(r.Intn(3)))
+			}
+			sys.Site(ix.order[at].id).Assign(w)
+			ix.update(sys, at)
+			checkIndex(t, ix, sys)
+			if !reflect.DeepEqual(ix.order, newSiteIndex(sys).order) {
+				t.Fatalf("trial %d step %d: order after update differs from a rebuild", trial, step)
 			}
 		}
+	}
+}
+
+// The corners of the position-returning API, one by one.
+func TestSiteIndexCorners(t *testing.T) {
+	ov := resource.MustOverlap(0.5)
+
+	// P = 1: the only site is position 0 and stays there.
+	sys := resource.NewSystem(1, 2, ov)
+	ix := newSiteIndex(sys)
+	if at := pickChecked(t, ix, sys, []bool{false}); at != 0 {
+		t.Fatalf("P=1: pick = %d, want 0", at)
+	}
+	sys.Site(0).Assign(vector.Of(3, 1))
+	ix.update(sys, 0)
+	checkIndex(t, ix, sys)
+	if at := pickChecked(t, ix, sys, []bool{true}); at != -1 {
+		t.Fatalf("P=1 banned: pick = %d, want -1", at)
+	}
+
+	// An all-banned prefix: the walk passes every banned site and stops
+	// at the first allowed one, however far back.
+	sys = resource.NewSystem(6, 2, ov)
+	for j := 0; j < 6; j++ {
+		sys.Site(j).Assign(vector.Of(float64(j), 0))
+	}
+	ix = newSiteIndex(sys)
+	bans := []bool{true, true, true, true, false, true}
+	if at := pickChecked(t, ix, sys, bans); at != 4 || ix.order[at].id != 4 {
+		t.Fatalf("banned prefix: pick = %d, want position 4 (site 4)", at)
+	}
+	// Growing site 4 past site 5 moves exactly one neighbour up.
+	sys.Site(4).Assign(vector.Of(2, 0))
+	ix.update(sys, 4)
+	checkIndex(t, ix, sys)
+	if ix.order[4].id != 5 || ix.order[5].id != 4 {
+		t.Fatalf("after update: tail = sites %d, %d, want 5, 4", ix.order[4].id, ix.order[5].id)
+	}
+
+	// A zero work vector leaves the key, and so the site's slot, as it
+	// was — at the front, in the middle and at the back.
+	for _, at := range []int{0, 3, 5} {
+		before := append([]siteKey(nil), ix.order...)
+		sys.Site(ix.order[at].id).Assign(vector.Of(0, 0))
+		ix.update(sys, at)
+		checkIndex(t, ix, sys)
+		if !reflect.DeepEqual(ix.order, before) {
+			t.Fatalf("zero-vector update at %d moved the order: %v -> %v", at, before, ix.order)
+		}
+	}
+
+	// The grown key ties the next site on (l, sum): id decides, so the
+	// lower id stays in front.
+	sys = resource.NewSystem(3, 2, ov)
+	sys.Site(1).Assign(vector.Of(1, 1))
+	sys.Site(2).Assign(vector.Of(2, 2))
+	ix = newSiteIndex(sys)
+	sys.Site(0).Assign(vector.Of(1, 1))
+	ix.update(sys, 0)
+	checkIndex(t, ix, sys)
+	if ix.order[0].id != 0 || ix.order[1].id != 1 {
+		t.Fatalf("equal (l, sum): front = sites %d, %d, want 0, 1", ix.order[0].id, ix.order[1].id)
 	}
 }
 
