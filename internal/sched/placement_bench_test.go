@@ -26,11 +26,24 @@ func placementOps(seed int64, m, maxDeg int) []*Op {
 	return ops
 }
 
-// BenchmarkOperatorSchedulePlacement isolates the Figure 3 placement
-// loop (step 3) cost across system sizes. The P >= 100 cases are the
-// ones the incremental site index must speed up.
+// BenchmarkOperatorSchedulePlacement isolates Figure 3's steps 2 and 3
+// across system sizes. The P=…/M=… cases draw every clone vector at
+// random, so each run of L is one clone: they time the index per clone.
+// The ea1/… cases are a 20-join plan's operators with the degrees and
+// EA1 clones the tree scheduler derives at that P — runs of up to N−1
+// equal clones, the shape the services place.
 func BenchmarkOperatorSchedulePlacement(b *testing.B) {
 	o := resource.MustOverlap(0.5)
+	run := func(name string, p int, ops []*Op) {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := OperatorSchedule(p, 3, o, ops); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 	for _, pc := range []struct{ p, m, deg int }{
 		{16, 64, 4},
 		{100, 200, 8},
@@ -38,14 +51,9 @@ func BenchmarkOperatorSchedulePlacement(b *testing.B) {
 		{256, 512, 8},
 		{512, 1024, 8},
 	} {
-		ops := placementOps(7, pc.m, pc.deg)
-		b.Run(fmt.Sprintf("P=%d/M=%d", pc.p, pc.m), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := OperatorSchedule(pc.p, 3, o, ops); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+		run(fmt.Sprintf("P=%d/M=%d", pc.p, pc.m), pc.p, placementOps(7, pc.m, pc.deg))
+	}
+	for _, p := range []int{128, 512} {
+		run(fmt.Sprintf("ea1/P=%d", p), p, ea1Ops(7, 20, p))
 	}
 }

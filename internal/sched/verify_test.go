@@ -124,6 +124,22 @@ func TestVerifyDetectsCorruptions(t *testing.T) {
 			},
 			"twice",
 		},
+		// The three below panicked inside Verify before it checked them.
+		{
+			"nil phase",
+			func(s *Schedule) { s.Phases[1] = nil },
+			"phase 1 is nil",
+		},
+		{
+			"nil placement",
+			func(s *Schedule) { s.Phases[0].Placements[0] = nil },
+			"phase 0 placement 0 is nil",
+		},
+		{
+			"clone of the wrong dimension",
+			func(s *Schedule) { s.Phases[0].Placements[0].Clones[0] = vector.Of(1, 2) },
+			"dimension 2",
+		},
 	}
 	for _, c := range corruptions {
 		s, _ := verifiableSchedule(t, 99, 8, 8)
