@@ -8,22 +8,25 @@ import (
 	"mdrs/internal/vector"
 )
 
-// cacheMapLimit bounds each memo map of a Cache. Real workloads carry a
-// small set of distinct OpSpec values (cardinalities repeat across
-// queries drawn from one catalog), so the limit exists only as a
-// backstop against adversarial spec streams: when a map reaches the
+// cacheMapLimit bounds each memo map of a Cache: when a map reaches the
 // limit it is reset wholesale — the next lookups repopulate it — rather
-// than growing without bound. A reset changes nothing observable except
-// timing; every answer is recomputed from the same pure functions.
+// than growing without bound. Queries drawn from one catalog repeat
+// their cardinalities and stay far below it, but a wide template
+// population does not: the harness's schedule_miss workload (2,048
+// templates at P = 128) keeps reaching it, and its traced
+// costmodel.memo_hit_rate reads about 0.46. A reset changes nothing
+// observable except timing; every answer is recomputed from the same
+// pure functions.
 const cacheMapLimit = 1 << 14
 
 // Cache memoizes a Model's cost derivations under canonical struct
-// keys: Cost by the OpSpec value itself, Degree by (spec, f, P, ε), and
-// Clones by (spec, N). All three underlying computations are pure
-// functions of their keys, so a cached answer is bit-identical to a
-// fresh one — the scheduler identity tests pin this — and the cache can
-// be shared freely across phases, trees, batch entries, and concurrent
-// scheduling calls (all methods are safe for concurrent use).
+// keys: Cost by the OpSpec value itself, Degree by (spec, f, P, ε, cap),
+// Clones by (spec, N) and BoundTerm by (spec, f, P, ε). All four
+// underlying computations are pure functions of their keys, so a cached
+// answer is bit-identical to a fresh one — the scheduler identity tests
+// pin this — and the cache can be shared freely across phases, trees,
+// batch entries, and concurrent scheduling calls (all methods are safe
+// for concurrent use).
 //
 // Clone slices are shared between callers: the returned []vector.Vector
 // and the vectors inside it must be treated as read-only, matching the
@@ -85,7 +88,7 @@ func (m Model) Cached() *Cache { return NewCache(m) }
 // Model returns the underlying (uncached) model.
 func (c *Cache) Model() Model { return c.model }
 
-// Stats reports the cumulative hit and miss counts across all three
+// Stats reports the cumulative hit and miss counts across all four
 // memo maps, for tests and capacity tuning.
 func (c *Cache) Stats() (hits, misses int64) {
 	return c.hits.Load(), c.misses.Load()

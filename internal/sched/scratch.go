@@ -29,7 +29,7 @@ type scratch struct {
 	// the operator's clones. Rows are cleared on reuse.
 	bans []bool
 	// ix is the incremental site-load index rebuilt each call from the
-	// post-rooted system state; its order slice is reused.
+	// post-rooted system state; its order and grown slices are reused.
 	ix siteIndex
 	// ids detects duplicate operator IDs during validation.
 	ids map[int]bool
