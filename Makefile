@@ -38,9 +38,10 @@ race:
 # measurement. BenchmarkTreeSchedule and BenchmarkScheduleBatchMiss are
 # the two the placement core's allocation parity is read from;
 # BenchmarkOperatorSchedulePlacement is the one that times Figure 3's
-# sort and placement loop alone.
+# sort and placement loop alone, and BenchmarkSystemAssign one site's
+# Equation 2 bookkeeping.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkEngineRun|BenchmarkSearchCold|BenchmarkTreeSchedule$$|BenchmarkScheduleBatchMiss|BenchmarkOperatorSchedulePlacement' -benchtime 1x ./internal/...
+	$(GO) test -run '^$$' -bench 'BenchmarkEngineRun|BenchmarkSearchCold|BenchmarkTreeSchedule$$|BenchmarkScheduleBatchMiss|BenchmarkOperatorSchedulePlacement|BenchmarkSystemAssign' -benchtime 1x ./internal/...
 
 # bench/ is a nested module that compiles against this tree's internal
 # packages: vet and test it here (~10 s) so a change that breaks the API

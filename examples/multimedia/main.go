@@ -63,8 +63,7 @@ func main() {
 		perServer[s] = append(perServer[s], r.name)
 	}
 	for s := 0; s < servers; s++ {
-		site := res.System.Site(s)
-		load := site.Load()
+		load := res.System.Load(s)
 		fmt.Printf("server %d  (cpu %5.1f  disk %5.1f  net %5.1f s): %v\n",
 			s, load[mdrs.CPU], load[mdrs.Disk], load[mdrs.Net], perServer[s])
 	}
@@ -95,20 +94,7 @@ func main() {
 				clones = append(clones, r.work)
 			}
 		}
-		maxSeq, load := 0.0, mdrs.Vector{0, 0, 0}
-		for _, w := range clones {
-			if t := ov.TSeq(w); t > maxSeq {
-				maxSeq = t
-			}
-			load.AddInPlace(w)
-		}
-		t := maxSeq
-		if l := load.Length(); l > t {
-			t = l
-		}
-		if t > worst {
-			worst = t
-		}
+		worst = max(worst, ov.TSite(clones))
 	}
 	fmt.Printf("one-dimensional (scalar work) packing completes in %.1f s — %.0f%% slower\n",
 		worst, 100*(worst/res.Response-1))

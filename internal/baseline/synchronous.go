@@ -230,7 +230,7 @@ func (s *scheduler) taskTime(tk *plan.Task, pool []int) (float64, error) {
 		n := len(st.sites)
 		clones := s.b.Model.Clones(st.cost, n)
 		for k, site := range st.sites {
-			sys.Site(site).Assign(clones[k])
+			sys.Assign(site, clones[k])
 		}
 		s.homes[st.op] = st.sites
 		s.out.Placements = append(s.out.Placements, &sched.OpPlacement{

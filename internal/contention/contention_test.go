@@ -39,15 +39,12 @@ func TestDiskOnly(t *testing.T) {
 func TestTSiteZeroPenaltyMatchesEquation2(t *testing.T) {
 	ov := resource.MustOverlap(0.3)
 	clones := []vector.Vector{vector.Of(10, 15), vector.Of(10, 5)}
-	s := resource.NewSite(0, 2, ov)
-	for _, w := range clones {
-		s.Assign(w)
+	want := ov.TSite(clones)
+	if got := TSite(ov, nil, clones); math.Abs(got-want) > 1e-12 {
+		t.Fatalf("TSite(γ=0) = %g, Equation 2 = %g", got, want)
 	}
-	if got := TSite(ov, nil, clones); math.Abs(got-s.TSite()) > 1e-12 {
-		t.Fatalf("TSite(γ=0) = %g, Equation 2 = %g", got, s.TSite())
-	}
-	if got := TSite(ov, Penalty{0, 0}, clones); math.Abs(got-s.TSite()) > 1e-12 {
-		t.Fatalf("explicit zero penalty differs: %g vs %g", got, s.TSite())
+	if got := TSite(ov, Penalty{0, 0}, clones); math.Abs(got-want) > 1e-12 {
+		t.Fatalf("explicit zero penalty differs: %g vs %g", got, want)
 	}
 }
 

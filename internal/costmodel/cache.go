@@ -29,8 +29,8 @@ const cacheMapLimit = 1 << 14
 // for concurrent use).
 //
 // Clone slices are shared between callers: the returned []vector.Vector
-// and the vectors inside it must be treated as read-only, matching the
-// convention resource.Site.Assign already requires.
+// and the vectors inside it must be treated as read-only. Schedules
+// keep them as OpPlacement.Clones; placement only reads them.
 type Cache struct {
 	model Model
 

@@ -168,15 +168,28 @@ func (e Engine) RunCtx(ctx context.Context, ds *Dataset, s *sched.Schedule) (*Re
 	if err := e.Model.Params.Validate(); err != nil {
 		return nil, err
 	}
+	if s == nil {
+		return nil, fmt.Errorf("engine: nil schedule")
+	}
+	if s.P <= 0 {
+		return nil, fmt.Errorf("engine: non-positive site count %d", s.P)
+	}
 	e.ctx = ctx
 	// The schedule carries the operator tree; locate the root (the one
-	// operator with no consumer) and sanity-check coverage.
+	// operator with no consumer) and check every placement before any
+	// operator runs.
 	var root *plan.Operator
 	nOps := 0
-	for _, ph := range s.Phases {
+	for i, ph := range s.Phases {
+		if ph == nil {
+			return nil, fmt.Errorf("engine: phase %d is nil", i)
+		}
 		for _, pl := range ph.Placements {
-			if pl.Op == nil {
+			if pl == nil || pl.Op == nil {
 				return nil, fmt.Errorf("engine: schedule has a placement without an operator")
+			}
+			if err := checkPlacement(pl, s.P); err != nil {
+				return nil, fmt.Errorf("engine: %s: %w", pl.Op.Name, err)
 			}
 			nOps++
 			if pl.Op.Consumer == nil {
@@ -241,7 +254,7 @@ func (e Engine) RunCtx(ctx context.Context, ds *Dataset, s *sched.Schedule) (*Re
 			}
 			measured := 0.0
 			for k, m := range meters {
-				sys.Site(pl.Sites[k]).Assign(m.work)
+				sys.Assign(pl.Sites[k], m.work)
 				if t := e.Overlap.TSeq(m.work); t > measured {
 					measured = t
 				}
@@ -280,16 +293,21 @@ func (e Engine) RunCtx(ctx context.Context, ds *Dataset, s *sched.Schedule) (*Re
 	return rep, nil
 }
 
-// checkPlacement rejects the two malformed-placement shapes that used
-// to fail silently: a degree below one (divide-by-zero in partitionOf,
-// empty splits) and a Sites/Degree mismatch (panic on the
-// meter-to-site zip in Run).
-func checkPlacement(pl *sched.OpPlacement) error {
+// checkPlacement rejects the malformed-placement shapes that used to
+// fail silently or panic: a degree below one (divide-by-zero in
+// partitionOf, empty splits), a Sites/Degree mismatch and a clone site
+// outside [0, p) (both panics on the meter-to-site zip in Run).
+func checkPlacement(pl *sched.OpPlacement, p int) error {
 	if pl.Degree < 1 {
 		return fmt.Errorf("placement degree %d < 1", pl.Degree)
 	}
 	if len(pl.Sites) != pl.Degree {
 		return fmt.Errorf("placement has %d sites for %d clones", len(pl.Sites), pl.Degree)
+	}
+	for k, site := range pl.Sites {
+		if site < 0 || site >= p {
+			return fmt.Errorf("clone %d at site %d outside [0, %d)", k, site, p)
+		}
 	}
 	return nil
 }
@@ -322,9 +340,6 @@ func newMeters(n int, p costmodel.Params) []*cloneMeter {
 func (e Engine) runOperator(pl *sched.OpPlacement, ds *Dataset, st *runState,
 	rep *Report) ([]*cloneMeter, error) {
 
-	if err := checkPlacement(pl); err != nil {
-		return nil, err
-	}
 	meters := newMeters(pl.Degree, e.Model.Params)
 	var err error
 	switch pl.Op.Kind {

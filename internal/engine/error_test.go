@@ -180,6 +180,59 @@ func TestSitesDegreeMismatchIsRejected(t *testing.T) {
 	}
 }
 
+// rejectsSite runs a schedule at P = 4 whose first placement has clone
+// 0 at the given site, which used to panic indexing the phase's site
+// system; it must be an error naming the operator.
+func rejectsSite(t *testing.T, site int) {
+	t.Helper()
+	p := join(leaf("A", 800), leaf("B", 300))
+	ds := MustGenerate(p, 13)
+	s := scheduleFor(t, p, 4)
+	pl := s.Phases[0].Placements[0]
+	pl.Sites = append([]int{site}, pl.Sites[1:]...)
+	_, err := testEngine(false).Run(ds, s)
+	if err == nil {
+		t.Fatalf("clone at site %d executed", site)
+	}
+	if !strings.Contains(err.Error(), "outside [0, 4)") || !strings.Contains(err.Error(), pl.Op.Name) {
+		t.Fatalf("site %d: unhelpful error: %v", site, err)
+	}
+}
+
+// The parent panicked with "index out of range [4] with length 4".
+func TestSiteAtPIsRejected(t *testing.T) { rejectsSite(t, 4) }
+
+// The parent panicked with "index out of range [-1]".
+func TestNegativeSiteIsRejected(t *testing.T) { rejectsSite(t, -1) }
+
+// TestNonPositiveSiteCountIsRejected: a schedule with P = 0 used to
+// panic building the phase's site system.
+func TestNonPositiveSiteCountIsRejected(t *testing.T) {
+	p := join(leaf("A", 800), leaf("B", 300))
+	ds := MustGenerate(p, 13)
+	s := scheduleFor(t, p, 4)
+	s.P = 0
+	_, err := testEngine(false).Run(ds, s)
+	if err == nil || !strings.Contains(err.Error(), "non-positive site count 0") {
+		t.Fatalf("P = 0: got %v", err)
+	}
+}
+
+// TestNilPhaseIsRejected: a nil schedule and a nil phase used to be
+// nil-pointer dereferences.
+func TestNilPhaseIsRejected(t *testing.T) {
+	p := join(leaf("A", 800), leaf("B", 300))
+	ds := MustGenerate(p, 13)
+	if _, err := testEngine(false).Run(ds, nil); err == nil || !strings.Contains(err.Error(), "nil schedule") {
+		t.Fatalf("nil schedule: got %v", err)
+	}
+	s := scheduleFor(t, p, 4)
+	s.Phases[1] = nil
+	if _, err := testEngine(false).Run(ds, s); err == nil || !strings.Contains(err.Error(), "phase 1 is nil") {
+		t.Fatalf("nil phase: got %v", err)
+	}
+}
+
 // TestScheduleDatasetMismatchIsAnError runs a schedule against a
 // dataset generated for a different plan.
 func TestScheduleDatasetMismatchIsAnError(t *testing.T) {

@@ -39,9 +39,6 @@ func (e Engine) runOperatorRef(pl *sched.OpPlacement, ds *Dataset,
 	outputs map[*plan.Operator][]Tuple, tables map[int][]map[int32][]Tuple,
 	rep *Report) ([]*cloneMeter, error) {
 
-	if err := checkPlacement(pl); err != nil {
-		return nil, err
-	}
 	n := pl.Degree
 	op := pl.Op
 	p := e.Model.Params

@@ -269,12 +269,11 @@ func (s Scheduler) schedulePhase(phaseIdx int, tasks []*plan.Task,
 	place := func(it item, site int) {
 		pl := placements[it.op]
 		if s.Rec != nil {
-			st := sys.Site(site)
 			s.Rec.Event(obs.Event{
 				Type: obs.EvPlace, Phase: phaseIdx, Op: it.op.ID,
 				Name: it.op.Name, Clone: it.clone, Site: site,
 				Rooted: it.rootedAt >= 0,
-				L:      st.LoadLength(), Sum: st.LoadSum(),
+				L:      sys.LoadLength(site), Sum: sys.LoadSum(site),
 			})
 		}
 		// A build clone that does not fit spills the surplus fraction of
@@ -320,7 +319,7 @@ func (s Scheduler) schedulePhase(phaseIdx int, tasks []*plan.Task,
 				newLive = append(newLive, reservation{site: site, bytes: it.table, until: phaseIdx + 1})
 			}
 		}
-		sys.Site(site).Assign(w)
+		sys.Assign(site, w)
 		used[it.op][site] = true
 		pl.Sites[it.clone] = site
 	}
@@ -359,8 +358,8 @@ func (s Scheduler) schedulePhase(phaseIdx int, tasks []*plan.Task,
 				continue
 			}
 			feasible := it.table == 0 || freeMem[j] >= it.table
-			load := sys.Site(j).LoadLength()
-			sum := sys.Site(j).LoadSum()
+			load := sys.LoadLength(j)
+			sum := sys.LoadSum(j)
 			free := freeMem[j]
 			// Exact lexicographic (feasible, l, sum, free desc, site)
 			// comparison, mirroring internal/sched's placement key: no

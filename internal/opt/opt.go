@@ -127,13 +127,15 @@ func Exhaustive(p, d int, ov resource.Overlap, ops []*sched.Op) (float64, error)
 		k  int
 	}
 	var clones []cloneRef
-	sys := resource.NewSystem(p, d, ov)
+	// work[j] is the multiset work(s_j), pushed and popped as the search
+	// descends and backtracks; a trial is priced by Equation 2 over it.
+	work := make([][]vector.Vector, p)
 	usedBy := make(map[*sched.Op]map[int]bool, len(ops))
 	for _, op := range ops {
 		usedBy[op] = map[int]bool{}
 		if op.Rooted() {
 			for k, s := range op.Home {
-				sys.Site(s).Assign(op.Clones[k])
+				work[s] = append(work[s], op.Clones[k])
 				usedBy[op][s] = true
 			}
 			continue
@@ -157,28 +159,18 @@ func Exhaustive(p, d int, ov resource.Overlap, ops []*sched.Op) (float64, error)
 			if usedBy[c.op][j] {
 				continue
 			}
-			site := sys.Site(j)
-			// Snapshot-free trial: recompute the site's T^site after
-			// adding, recursing with an updated running makespan.
-			prevClones := site.NumClones()
-			site.Assign(c.op.Clones[c.k])
+			work[j] = append(work[j], c.op.Clones[c.k])
 			usedBy[c.op][j] = true
-			next := cur
-			if t := site.TSite(); t > next {
-				next = t
-			}
-			rec(i+1, next)
+			rec(i+1, max(cur, ov.TSite(work[j])))
 			usedBy[c.op][j] = false
-			// Rebuild the site without the last clone (Site has no
-			// remove; reconstruct from the retained slice).
-			old := append([]vector.Vector(nil), site.Clones()[:prevClones]...)
-			site.Reset()
-			for _, w := range old {
-				site.Assign(w)
-			}
+			work[j] = work[j][:len(work[j])-1]
 		}
 	}
-	rec(0, sys.MaxTSite())
+	start := 0.0
+	for _, w := range work {
+		start = max(start, ov.TSite(w))
+	}
+	rec(0, start)
 	return best, nil
 }
 

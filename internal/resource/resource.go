@@ -77,101 +77,40 @@ func (o Overlap) TSeq(w vector.Vector) float64 {
 	return o.Epsilon*w.Length() + (1-o.Epsilon)*w.Sum()
 }
 
-// Site is one shared-nothing site: an identifier plus the multiset of
-// work vectors (operator clones) currently assigned to it, work(s_j) in
-// the paper's notation.
-type Site struct {
-	// ID is the site index in [0, P).
-	ID int
-
-	clones  []vector.Vector // work vectors mapped to this site
-	load    vector.Vector   // running componentwise sum of clones
-	loadLen float64         // cached load.Length(), kept current by Assign/Reset
-	loadSum float64         // cached load.Sum(), kept current by Assign/Reset
-	maxSeq  float64         // max T^seq among clones, under the bound model
-	ov      Overlap
-}
-
-// NewSite returns an empty d-dimensional site evaluated under the given
-// overlap model.
-func NewSite(id, d int, ov Overlap) *Site {
-	return &Site{ID: id, load: vector.New(d), ov: ov}
-}
-
-// Dim returns the site's resource dimensionality.
-func (s *Site) Dim() int { return s.load.Dim() }
-
-// Assign places one operator clone (its work vector) on the site.
-// The vector is not copied; callers must not mutate it afterwards.
-func (s *Site) Assign(w vector.Vector) {
-	s.clones = append(s.clones, w)
-	s.load.AddInPlace(w)
-	// Refresh the cached aggregates from the accumulated load so they are
-	// bit-identical to a from-scratch recomputation (the schedulers'
-	// tie-breaks compare these floats exactly). O(d) per Assign keeps the
-	// schedulers' inner placement loops O(1) per site probe.
-	s.loadLen = s.load.Length()
-	s.loadSum = s.load.Sum()
-	if t := s.ov.TSeq(w); t > s.maxSeq {
-		s.maxSeq = t
+// TSite returns T^site per Equation 2 for one site holding the given
+// clones, work(s): max{ max_W T^seq(W), l(work(s)) }. System keeps the
+// same value per site incrementally; for clones assigned in this order
+// the two agree bit for bit.
+func (o Overlap) TSite(clones []vector.Vector) float64 {
+	maxSeq := 0.0
+	for _, w := range clones {
+		if t := o.TSeq(w); t > maxSeq {
+			maxSeq = t
+		}
 	}
-}
-
-// Clones returns the work vectors assigned to the site. The slice is
-// shared; callers must treat it as read-only.
-func (s *Site) Clones() []vector.Vector { return s.clones }
-
-// NumClones returns |work(s)|.
-func (s *Site) NumClones() int { return len(s.clones) }
-
-// Load returns a copy of the componentwise sum of all assigned vectors.
-func (s *Site) Load() vector.Vector { return s.load.Clone() }
-
-// LoadLength returns l(work(s)), the most congested resource's total
-// demand at this site. This is the list-scheduling key of
-// OperatorSchedule ("least filled bin"). The value is cached by Assign,
-// so calling it in a placement scan costs a field read, not an O(d)
-// reduction.
-func (s *Site) LoadLength() float64 { return s.loadLen }
-
-// LoadSum returns the total work assigned to the site across all
-// resources, Σ_k Σ_{W∈work(s)} W[k]. Cached by Assign, like LoadLength.
-func (s *Site) LoadSum() float64 { return s.loadSum }
-
-// MaxTSeq returns max_{W ∈ work(s)} T^seq(W).
-func (s *Site) MaxTSeq() float64 { return s.maxSeq }
-
-// TSite returns T^site(s) per Equation 2: the time for the site to
-// complete all assigned clones under preemptable time-sharing.
-func (s *Site) TSite() float64 {
-	if s.loadLen > s.maxSeq {
-		return s.loadLen
+	if l := vector.SetLength(clones); l > maxSeq {
+		return l
 	}
-	return s.maxSeq
+	return maxSeq
 }
 
-// Reset removes all clones, returning the site to empty.
-func (s *Site) Reset() {
-	s.clones = s.clones[:0]
-	for i := range s.load {
-		s.load[i] = 0
-	}
-	s.loadLen = 0
-	s.loadSum = 0
-	s.maxSeq = 0
-}
-
-// System is a fixed-size collection of identical sites.
+// System is P identical d-dimensional sites. Equation 2 and Figure 3's
+// placement key read four numbers of a site s_j, not the multiset
+// work(s_j) itself: the summed load vector, its length l(work(s_j)) and
+// sum Σ work(s_j), and the largest T^seq of a clone placed there. The
+// system keeps exactly those, as flat rows indexed by site.
 type System struct {
-	sites []Site
-	ov    Overlap
-	d     int
+	ov     Overlap
+	d      int
+	load   []float64 // P·d: site j's summed load is load[j·d : (j+1)·d]
+	length []float64 // l(work(s_j)), refreshed by Assign
+	sum    []float64 // Σ work(s_j), refreshed by Assign
+	maxSeq []float64 // max T^seq over work(s_j)
 }
 
 // NewSystem creates P empty d-dimensional sites sharing one overlap
-// model. The sites are one slab and their load vectors d-wide windows
-// of a second, so a system is three objects whatever P is. It panics if
-// P <= 0 or d <= 0.
+// model. Its four rows are capacity-limited windows of one allocation,
+// whatever P is. It panics if P <= 0 or d <= 0.
 func NewSystem(p, d int, ov Overlap) *System {
 	if p <= 0 {
 		panic(fmt.Sprintf("resource: non-positive site count %d", p))
@@ -179,16 +118,19 @@ func NewSystem(p, d int, ov Overlap) *System {
 	if d <= 0 {
 		panic(fmt.Sprintf("resource: non-positive dimensionality %d", d))
 	}
-	sys := &System{ov: ov, d: d, sites: make([]Site, p)}
-	loads := make([]float64, p*d)
-	for i := range sys.sites {
-		sys.sites[i] = Site{ID: i, load: loads[i*d : (i+1)*d : (i+1)*d], ov: ov}
+	rows := make([]float64, p*(d+3))
+	n := p * d
+	return &System{
+		ov: ov, d: d,
+		load:   rows[:n:n],
+		length: rows[n : n+p : n+p],
+		sum:    rows[n+p : n+2*p : n+2*p],
+		maxSeq: rows[n+2*p:],
 	}
-	return sys
 }
 
 // P returns the number of sites.
-func (sys *System) P() int { return len(sys.sites) }
+func (sys *System) P() int { return len(sys.length) }
 
 // Dim returns the per-site resource dimensionality d.
 func (sys *System) Dim() int { return sys.d }
@@ -196,38 +138,66 @@ func (sys *System) Dim() int { return sys.d }
 // Overlap returns the system's overlap model.
 func (sys *System) Overlap() Overlap { return sys.ov }
 
-// Site returns site j. It panics on an out-of-range index.
-func (sys *System) Site(j int) *Site { return &sys.sites[j] }
+// row returns site j's summed load in place. Every row is
+// capacity-limited, so a j outside [0, P) panics here.
+func (sys *System) row(j int) vector.Vector {
+	return sys.load[j*sys.d : (j+1)*sys.d : (j+1)*sys.d]
+}
+
+// Assign places one operator clone (its work vector) on site j. The
+// vector is read, not kept. It panics, before writing anything, when j
+// is outside [0, P) or w is not d-dimensional.
+func (sys *System) Assign(j int, w vector.Vector) {
+	row := sys.row(j)
+	row.AddInPlace(w)
+	// Length and sum are recomputed from the accumulated row, so they are
+	// bit-identical to a from-scratch recomputation (the schedulers'
+	// tie-breaks compare these floats exactly). O(d) per Assign keeps a
+	// placement probe a read of two rows.
+	sys.length[j] = row.Length()
+	sys.sum[j] = row.Sum()
+	if t := sys.ov.TSeq(w); t > sys.maxSeq[j] {
+		sys.maxSeq[j] = t
+	}
+}
+
+// Load returns a copy of site j's componentwise sum of assigned vectors.
+func (sys *System) Load(j int) vector.Vector { return sys.row(j).Clone() }
+
+// LoadLength returns l(work(s_j)), the most congested resource's total
+// demand at site j: OperatorSchedule's list-scheduling key ("least
+// filled bin").
+func (sys *System) LoadLength(j int) float64 { return sys.length[j] }
+
+// LoadSum returns the total work assigned to site j across all
+// resources, Σ_k Σ_{W∈work(s_j)} W[k].
+func (sys *System) LoadSum(j int) float64 { return sys.sum[j] }
+
+// TSite returns T^site(s_j) per Equation 2: the time for site j to
+// complete all assigned clones under preemptable time-sharing.
+func (sys *System) TSite(j int) float64 {
+	if sys.length[j] > sys.maxSeq[j] {
+		return sys.length[j]
+	}
+	return sys.maxSeq[j]
+}
 
 // MaxTSite returns max_j T^site(s_j), the response time of the current
 // assignment per Equation 3's right-hand form.
 func (sys *System) MaxTSite() float64 {
 	m := 0.0
-	for i := range sys.sites {
-		if t := sys.sites[i].TSite(); t > m {
+	for j := range sys.length {
+		if t := sys.TSite(j); t > m {
 			m = t
 		}
 	}
 	return m
 }
 
-// MaxLoadLength returns max_j l(work(s_j)), the system's most congested
-// resource demand.
-func (sys *System) MaxLoadLength() float64 {
-	m := 0.0
-	for i := range sys.sites {
-		if t := sys.sites[i].LoadLength(); t > m {
-			m = t
-		}
-	}
-	return m
-}
-
-// Reset empties every site. The sites keep the capacity of their clone
-// lists, so a system that is reset and refilled stops allocating once
-// every site has held its largest load.
+// Reset empties every site.
 func (sys *System) Reset() {
-	for i := range sys.sites {
-		sys.sites[i].Reset()
-	}
+	clear(sys.load)
+	clear(sys.length)
+	clear(sys.sum)
+	clear(sys.maxSeq)
 }

@@ -3,6 +3,7 @@ package resource
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -94,7 +95,7 @@ func TestQuickTSeqNonIncreasingInEpsilon(t *testing.T) {
 		d := 1 + r.Intn(6)
 		lo := r.Float64()
 		less, more := MustOverlap(lo), MustOverlap(lo+(1-lo)*r.Float64())
-		a, b := NewSite(0, d, less), NewSite(0, d, more)
+		a, b := NewSystem(1, d, less), NewSystem(1, d, more)
 		for k := 0; k < 1+r.Intn(8); k++ {
 			w := vector.New(d)
 			for i := range w {
@@ -103,9 +104,9 @@ func TestQuickTSeqNonIncreasingInEpsilon(t *testing.T) {
 			if more.TSeq(w) > less.TSeq(w)+1e-9 {
 				return false
 			}
-			a.Assign(w)
-			b.Assign(w)
-			if b.TSite() > a.TSite()+1e-9 {
+			a.Assign(0, w)
+			b.Assign(0, w)
+			if b.TSite(0) > a.TSite(0)+1e-9 {
 				return false
 			}
 		}
@@ -128,49 +129,53 @@ func TestTSitePaperExample(t *testing.T) {
 		t.Fatalf("T1^seq = %g, want 22 (check ε derivation)", ts)
 	}
 
-	s := NewSite(0, 2, ov)
-	s.Assign(w1)
-	s.Assign(vector.Of(10, 5))
-	if got := s.TSite(); math.Abs(got-22) > 1e-9 {
+	sys := NewSystem(2, 2, ov)
+	sys.Assign(0, w1)
+	sys.Assign(0, vector.Of(10, 5))
+	if got := sys.TSite(0); math.Abs(got-22) > 1e-9 {
 		t.Fatalf("case 1: T^site = %g, want 22", got)
 	}
 
-	s2 := NewSite(1, 2, ov)
-	s2.Assign(w1)
-	s2.Assign(vector.Of(5, 10))
-	if got := s2.TSite(); math.Abs(got-25) > 1e-9 {
+	sys.Assign(1, w1)
+	sys.Assign(1, vector.Of(5, 10))
+	if got := sys.TSite(1); math.Abs(got-25) > 1e-9 {
 		t.Fatalf("case 2: T^site = %g, want 25 (congested resource)", got)
 	}
 }
 
 func TestSiteAccounting(t *testing.T) {
-	s := NewSite(3, 2, MustOverlap(0.5))
-	if s.NumClones() != 0 || s.LoadLength() != 0 || s.TSite() != 0 {
+	sys := NewSystem(4, 2, MustOverlap(0.5))
+	if sys.LoadLength(3) != 0 || sys.LoadSum(3) != 0 || sys.TSite(3) != 0 {
 		t.Fatal("fresh site not empty")
 	}
-	s.Assign(vector.Of(1, 2))
-	s.Assign(vector.Of(3, 1))
-	if s.NumClones() != 2 {
-		t.Fatalf("NumClones = %d", s.NumClones())
+	sys.Assign(3, vector.Of(1, 2))
+	sys.Assign(3, vector.Of(3, 1))
+	if !sys.Load(3).ApproxEqual(vector.Of(4, 3), 1e-12) {
+		t.Fatalf("Load = %v", sys.Load(3))
 	}
-	if !s.Load().ApproxEqual(vector.Of(4, 3), 1e-12) {
-		t.Fatalf("Load = %v", s.Load())
-	}
-	if got := s.LoadLength(); got != 4 {
+	if got := sys.LoadLength(3); got != 4 {
 		t.Fatalf("LoadLength = %g", got)
 	}
-	s.Reset()
-	if s.NumClones() != 0 || s.LoadLength() != 0 || s.MaxTSeq() != 0 {
+	if got := sys.LoadSum(3); got != 7 {
+		t.Fatalf("LoadSum = %g", got)
+	}
+	for j := 0; j < 3; j++ {
+		if sys.TSite(j) != 0 || !sys.Load(j).IsZero() {
+			t.Fatalf("site %d loaded by an Assign to site 3", j)
+		}
+	}
+	sys.Reset()
+	if sys.LoadLength(3) != 0 || sys.LoadSum(3) != 0 || sys.TSite(3) != 0 || !sys.Load(3).IsZero() {
 		t.Fatal("Reset did not clear the site")
 	}
 }
 
 func TestSiteLoadIsCopy(t *testing.T) {
-	s := NewSite(0, 2, MustOverlap(1))
-	s.Assign(vector.Of(1, 1))
-	l := s.Load()
+	sys := NewSystem(2, 2, MustOverlap(1))
+	sys.Assign(0, vector.Of(1, 1))
+	l := sys.Load(0)
 	l[0] = 99
-	if s.LoadLength() != 1 {
+	if sys.LoadLength(0) != 1 || sys.Load(0)[0] != 1 || !sys.Load(1).IsZero() {
 		t.Fatal("Load() leaked internal storage")
 	}
 }
@@ -180,14 +185,9 @@ func TestSystemBasics(t *testing.T) {
 	if sys.P() != 4 || sys.Dim() != 3 {
 		t.Fatalf("P = %d, Dim = %d", sys.P(), sys.Dim())
 	}
-	for j := 0; j < 4; j++ {
-		if sys.Site(j).ID != j {
-			t.Fatalf("site %d has ID %d", j, sys.Site(j).ID)
-		}
-	}
-	sys.Site(2).Assign(vector.Of(5, 1, 1))
-	if got := sys.MaxLoadLength(); got != 5 {
-		t.Fatalf("MaxLoadLength = %g", got)
+	sys.Assign(2, vector.Of(5, 1, 1))
+	if got := sys.LoadLength(2); got != 5 {
+		t.Fatalf("LoadLength = %g", got)
 	}
 	if got := sys.MaxTSite(); math.Abs(got-6) > 1e-12 { // 0.5*5 + 0.5*7
 		t.Fatalf("MaxTSite = %g, want 6", got)
@@ -195,6 +195,16 @@ func TestSystemBasics(t *testing.T) {
 	sys.Reset()
 	if sys.MaxTSite() != 0 {
 		t.Fatal("Reset did not clear system")
+	}
+}
+
+// A system is its struct and one row allocation, whatever P is.
+func TestNewSystemAllocs(t *testing.T) {
+	ov := MustOverlap(0.5)
+	for _, p := range []int{1, 128, 4096} {
+		if got := testing.AllocsPerRun(20, func() { NewSystem(p, 3, ov) }); got != 2 {
+			t.Fatalf("NewSystem(%d, 3) allocates %.0f times, want 2", p, got)
+		}
 	}
 }
 
@@ -211,27 +221,55 @@ func TestNewSystemPanics(t *testing.T) {
 	}
 }
 
-// Property: T^site(s) is exactly max(maxTSeq, loadLength) and is
-// monotone under Assign.
+// An Assign outside [0, P), or of a vector of the wrong dimension,
+// panics before it writes: no row — the neighbouring site's load and
+// the length, sum and T^seq rows behind the loads — changes.
+func TestAssignOutsideSystemPanics(t *testing.T) {
+	const p, d = 4, 3
+	sys := NewSystem(p, d, MustOverlap(0.5))
+	for j := 0; j < p; j++ {
+		sys.Assign(j, vector.Of(float64(j+1), 2, 3))
+	}
+	snapshot := func() (rows [][]float64) {
+		for j := 0; j < p; j++ {
+			rows = append(rows, append(sys.Load(j), sys.LoadLength(j), sys.LoadSum(j), sys.TSite(j)))
+		}
+		return rows
+	}
+	before := snapshot()
+	for _, c := range []struct {
+		j int
+		w vector.Vector
+	}{{p, vector.Of(7, 7, 7)}, {-1, vector.Of(7, 7, 7)}, {p + 1, vector.Of(7, 7, 7)}, {1, vector.Of(7, 7)}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Assign(%d, %v) did not panic", c.j, c.w)
+				}
+			}()
+			sys.Assign(c.j, c.w)
+		}()
+		if got := snapshot(); !reflect.DeepEqual(got, before) {
+			t.Fatalf("Assign(%d, %v) changed the rows: %v, was %v", c.j, c.w, got, before)
+		}
+	}
+}
+
+// Property: T^site(s) is monotone under Assign.
 func TestQuickTSiteMonotoneUnderAssign(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		d := 1 + r.Intn(4)
-		ov := MustOverlap(r.Float64())
-		s := NewSite(0, d, ov)
+		sys := NewSystem(1, d, MustOverlap(r.Float64()))
 		prev := 0.0
 		for k := 0; k < 1+r.Intn(10); k++ {
 			w := vector.New(d)
 			for i := range w {
 				w[i] = r.Float64() * 10
 			}
-			s.Assign(w)
-			cur := s.TSite()
-			if cur < prev-1e-9 {
-				return false
-			}
-			want := math.Max(s.MaxTSeq(), s.LoadLength())
-			if math.Abs(cur-want) > 1e-9 {
+			sys.Assign(0, w)
+			cur := sys.TSite(0)
+			if cur < prev {
 				return false
 			}
 			prev = cur
@@ -243,46 +281,63 @@ func TestQuickTSiteMonotoneUnderAssign(t *testing.T) {
 	}
 }
 
-// Property: the incremental maxSeq/load bookkeeping in Site matches a
-// from-scratch recomputation over Clones().
+// Property: the incremental bookkeeping is Equation 2 recomputed from
+// scratch. After every Assign, to a random site of a random system,
+// that site's TSite and LoadLength equal Overlap.TSite and
+// vector.SetLength over the clones it holds, bit for bit, its LoadSum
+// equals the sum of those clones' sums to rounding, and MaxTSite is the
+// largest Overlap.TSite over all sites.
 func TestQuickSiteBookkeeping(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		d := 1 + r.Intn(4)
+		p, d := 1+r.Intn(6), 1+r.Intn(4)
 		ov := MustOverlap(r.Float64())
-		s := NewSite(0, d, ov)
-		for k := 0; k < r.Intn(12); k++ {
+		sys := NewSystem(p, d, ov)
+		clones := make([][]vector.Vector, p)
+		for k := 0; k < r.Intn(24); k++ {
 			w := vector.New(d)
 			for i := range w {
-				w[i] = r.Float64() * 10
+				if r.Intn(4) > 0 {
+					w[i] = r.Float64() * 10
+				}
 			}
-			s.Assign(w)
-		}
-		maxSeq, load := 0.0, vector.New(d)
-		for _, w := range s.Clones() {
-			if ts := ov.TSeq(w); ts > maxSeq {
-				maxSeq = ts
+			j := r.Intn(p)
+			sys.Assign(j, w)
+			clones[j] = append(clones[j], w)
+			sum := 0.0
+			for _, c := range clones[j] {
+				sum += c.Sum()
 			}
-			load.AddInPlace(w)
+			if sys.TSite(j) != ov.TSite(clones[j]) ||
+				sys.LoadLength(j) != vector.SetLength(clones[j]) ||
+				math.Abs(sys.LoadSum(j)-sum) > 1e-9 {
+				return false
+			}
+			maxT := 0.0
+			for _, cs := range clones {
+				maxT = math.Max(maxT, ov.TSite(cs))
+			}
+			if sys.MaxTSite() != maxT {
+				return false
+			}
 		}
-		return math.Abs(maxSeq-s.MaxTSeq()) < 1e-9 &&
-			load.ApproxEqual(s.Load(), 1e-9)
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func BenchmarkSiteAssign(b *testing.B) {
-	ov := MustOverlap(0.5)
+func BenchmarkSystemAssign(b *testing.B) {
+	sys := NewSystem(1, 3, MustOverlap(0.5))
 	w := vector.Of(1, 2, 3)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s := NewSite(0, 3, ov)
+		sys.Reset()
 		for k := 0; k < 16; k++ {
-			s.Assign(w)
+			sys.Assign(0, w)
 		}
-		_ = s.TSite()
+		_ = sys.TSite(0)
 	}
 }

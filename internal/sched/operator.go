@@ -198,16 +198,16 @@ func (sc *scratch) operatorSchedule(ctx context.Context, p, d int, ov resource.O
 			continue
 		}
 		for k, w := range op.Clones {
-			s := sys.Site(op.Home[k])
+			h := op.Home[k]
 			if rec != nil {
 				rec.Event(obs.Event{
 					Type: obs.EvPlace, Phase: phase, Op: op.ID, Clone: k,
-					Site: op.Home[k], Rooted: true,
-					L: s.LoadLength(), Sum: s.LoadSum(),
+					Site: h, Rooted: true,
+					L: sys.LoadLength(h), Sum: sys.LoadSum(h),
 				})
 			}
-			s.Assign(w)
-			sites[i][k] = op.Home[k]
+			sys.Assign(h, w)
+			sites[i][k] = h
 		}
 	}
 
@@ -307,7 +307,6 @@ func (sc *scratch) operatorSchedule(ctx context.Context, p, d int, ov resource.O
 				return 0, fmt.Errorf("sched: no allowable site for op %d clone %d", op.ID, k)
 			}
 			key := order[at]
-			s := sys.Site(key.id)
 			if rec != nil {
 				// Clone by clone, the index would have re-inserted each
 				// earlier pick of the run, banned, wherever its grown key
@@ -327,11 +326,11 @@ func (sc *scratch) operatorSchedule(ctx context.Context, p, d int, ov resource.O
 				}
 				rec.Event(obs.Event{
 					Type: obs.EvPlace, Phase: phase, Op: op.ID, Clone: k,
-					Site: key.id, L: s.LoadLength(), Sum: s.LoadSum(),
+					Site: key.id, L: key.l, Sum: key.sum,
 				})
 			}
-			s.Assign(op.Clones[k])
-			grown = append(grown, siteKey{l: s.LoadLength(), sum: s.LoadSum(), id: key.id})
+			sys.Assign(key.id, op.Clones[k])
+			grown = append(grown, siteKey{l: sys.LoadLength(key.id), sum: sys.LoadSum(key.id), id: key.id})
 			dst[k] = key.id
 			at++
 		}

@@ -30,7 +30,7 @@ func scanInArrivalOrder(p, d int, ov resource.Overlap, ops []*Op) (map[int][]int
 		sites[op.ID] = make([]int, len(op.Clones))
 		for k, w := range op.Clones {
 			if op.Rooted() {
-				sys.Site(op.Home[k]).Assign(w)
+				sys.Assign(op.Home[k], w)
 				sites[op.ID][k] = op.Home[k]
 			}
 		}
@@ -42,7 +42,7 @@ func scanInArrivalOrder(p, d int, ov resource.Overlap, ops []*Op) (map[int][]int
 		bans := make([]bool, p)
 		for k, w := range op.Clones {
 			s := pickScan(sys, bans)
-			sys.Site(s).Assign(w)
+			sys.Assign(s, w)
 			bans[s] = true
 			sites[op.ID][k] = s
 		}

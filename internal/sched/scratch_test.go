@@ -152,6 +152,26 @@ func TestWarmScheduleAllocs(t *testing.T) {
 	}
 }
 
+// TestOperatorScheduleAllocs gates the public OperatorSchedule path on
+// the EA1 set: what it allocates is slabs, so the count does not grow
+// with P. With a clone list per site it was 785 at P = 128 and 2,065 at
+// P = 512.
+func TestOperatorScheduleAllocs(t *testing.T) {
+	allocs := func(p int) float64 {
+		ops := ea1Ops(7, 20, p)
+		return testing.AllocsPerRun(20, func() {
+			if _, err := OperatorSchedule(p, resource.Dims, ov(0.5), ops); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(128), allocs(512)
+	t.Logf("allocs/OperatorSchedule: P=128 %.0f, P=512 %.0f", small, large)
+	if small != large {
+		t.Fatalf("OperatorSchedule allocates %.0f times at P = 128 and %.0f at P = 512, want equal", small, large)
+	}
+}
+
 // TestOperatorScheduleSystemNotAliased checks that the loaded system a
 // public OperatorSchedule call returns belongs to its caller: later
 // calls of either kind, with the same shape, leave it as it was.
@@ -161,14 +181,9 @@ func TestOperatorScheduleSystemNotAliased(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	type siteState struct {
-		clones int
-		load   vector.Vector
-	}
-	before := make([]siteState, first.System.P())
+	before := make([]vector.Vector, first.System.P())
 	for j := range before {
-		s := first.System.Site(j)
-		before[j] = siteState{clones: s.NumClones(), load: s.Load()}
+		before[j] = first.System.Load(j)
 	}
 
 	second, err := OperatorSchedule(16, 3, ov, placementOps(2, 20, 8))
@@ -184,10 +199,8 @@ func TestOperatorScheduleSystemNotAliased(t *testing.T) {
 	}
 
 	for j, was := range before {
-		s := first.System.Site(j)
-		if s.NumClones() != was.clones || !slices.Equal(s.Load(), was.load) {
-			t.Fatalf("site %d of the first result changed under later calls: %d clones %v, was %d clones %v",
-				j, s.NumClones(), s.Load(), was.clones, was.load)
+		if got := first.System.Load(j); !slices.Equal(got, was) {
+			t.Fatalf("site %d of the first result changed under later calls: load %v, was %v", j, got, was)
 		}
 	}
 	if got := first.System.MaxTSite(); got != first.Response {

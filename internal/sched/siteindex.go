@@ -73,8 +73,7 @@ func (ix *siteIndex) reset(sys *resource.System) *siteIndex {
 	// loaded ones to the back, and only the back is sorted.
 	lo, hi := 0, p
 	for j := 0; j < p; j++ {
-		s := sys.Site(j)
-		k := siteKey{l: s.LoadLength(), sum: s.LoadSum(), id: j}
+		k := siteKey{l: sys.LoadLength(j), sum: sys.LoadSum(j), id: j}
 		if k.l == 0 && k.sum == 0 {
 			ix.order[lo] = k
 			lo++

@@ -57,8 +57,7 @@ func (ix *siteIndex) pickSkips(bans []bool) (i, skipped int) {
 // follows, and one copy moves them up over the old slot.
 func (ix *siteIndex) update(sys *resource.System, i int) {
 	id := ix.order[i].id
-	s := sys.Site(id)
-	k := siteKey{l: s.LoadLength(), sum: s.LoadSum(), id: id}
+	k := siteKey{l: sys.LoadLength(id), sum: sys.LoadSum(id), id: id}
 	rest := ix.order[i+1:]
 	lo, hi := 0, len(rest)
 	for lo < hi {
@@ -83,8 +82,7 @@ func pickScan(sys *resource.System, bans []bool) int {
 		if bans[j] {
 			continue
 		}
-		s := sys.Site(j)
-		k := siteKey{l: s.LoadLength(), sum: s.LoadSum(), id: j}
+		k := siteKey{l: sys.LoadLength(j), sum: sys.LoadSum(j), id: j}
 		if best < 0 || keyLess(k, bestKey) {
 			best, bestKey = j, k
 		}
@@ -106,8 +104,8 @@ func checkIndex(t *testing.T, ix *siteIndex, sys *resource.System) {
 			t.Fatalf("order[%d] names site %d (out of range or twice)", i, k.id)
 		}
 		seen[k.id] = true
-		if s := sys.Site(k.id); k.l != s.LoadLength() || k.sum != s.LoadSum() {
-			t.Fatalf("order[%d] = %+v, site %d carries (%g, %g)", i, k, k.id, s.LoadLength(), s.LoadSum())
+		if l, sum := sys.LoadLength(k.id), sys.LoadSum(k.id); k.l != l || k.sum != sum {
+			t.Fatalf("order[%d] = %+v, site %d carries (%g, %g)", i, k, k.id, l, sum)
 		}
 		if i > 0 && !keyLess(ix.order[i-1], k) {
 			t.Fatalf("order[%d] = %+v not above order[%d] = %+v", i, k, i-1, ix.order[i-1])
@@ -140,9 +138,8 @@ func placeRun(t *testing.T, ix *siteIndex, sys *resource.System, bans []bool, ws
 			t.Fatalf("clone %d of the run: walk took site %d, scan %d", len(sites), id, scan)
 		}
 		want[id] = true
-		s := sys.Site(id)
-		s.Assign(w)
-		grown = append(grown, siteKey{l: s.LoadLength(), sum: s.LoadSum(), id: id})
+		sys.Assign(id, w)
+		grown = append(grown, siteKey{l: sys.LoadLength(id), sum: sys.LoadSum(id), id: id})
 		sites = append(sites, id)
 		at++
 	}
@@ -172,7 +169,7 @@ func TestSiteIndexMatchesScan(t *testing.T) {
 		if trial%3 != 0 {
 			for j := 0; j < p; j++ {
 				for n := r.Intn(3); n > 0; n-- {
-					sys.Site(j).Assign(vector.Of(r.Float64(), r.Float64(), r.Float64()))
+					sys.Assign(j, vector.Of(r.Float64(), r.Float64(), r.Float64()))
 				}
 			}
 		}
@@ -242,7 +239,7 @@ func TestSiteIndexCorners(t *testing.T) {
 	// site 5 moves exactly one neighbour up.
 	sys = resource.NewSystem(6, 2, ov)
 	for j := 0; j < 6; j++ {
-		sys.Site(j).Assign(vector.Of(float64(j), 0))
+		sys.Assign(j, vector.Of(float64(j), 0))
 	}
 	ix = newSiteIndex(sys)
 	placeRun(t, ix, sys, []bool{true, true, true, true, false, true}, vecs([]float64{2, 0}))
@@ -255,7 +252,7 @@ func TestSiteIndexCorners(t *testing.T) {
 	// sorted by their new keys (site 0 grew most).
 	sys = resource.NewSystem(6, 2, ov)
 	for j := 0; j < 6; j++ {
-		sys.Site(j).Assign(vector.Of(float64(j), 0))
+		sys.Assign(j, vector.Of(float64(j), 0))
 	}
 	ix = newSiteIndex(sys)
 	got := placeRun(t, ix, sys, []bool{false, true, false, true, false, false},
@@ -280,8 +277,8 @@ func TestSiteIndexCorners(t *testing.T) {
 	// The grown key ties the next site on (l, sum): id decides, so the
 	// lower id stays in front.
 	sys = resource.NewSystem(3, 2, ov)
-	sys.Site(1).Assign(vector.Of(1, 1))
-	sys.Site(2).Assign(vector.Of(2, 2))
+	sys.Assign(1, vector.Of(1, 1))
+	sys.Assign(2, vector.Of(2, 2))
 	ix = newSiteIndex(sys)
 	placeRun(t, ix, sys, make([]bool, 3), vecs([]float64{1, 1}))
 	if got := order(ix); !reflect.DeepEqual(got, []int{0, 1, 2}) {
@@ -320,7 +317,7 @@ func scheduleByScan(p, d int, ov resource.Overlap, ops []*Op) (map[int][]int, fl
 		sites[op.ID] = make([]int, len(op.Clones))
 		for k, w := range op.Clones {
 			if op.Rooted() {
-				sys.Site(op.Home[k]).Assign(w)
+				sys.Assign(op.Home[k], w)
 				sites[op.ID][k] = op.Home[k]
 				continue
 			}
@@ -340,7 +337,7 @@ func scheduleByScan(p, d int, ov resource.Overlap, ops []*Op) (map[int][]int, fl
 	})
 	for _, c := range list {
 		s := pickScan(sys, bans[c.op.ID])
-		sys.Site(s).Assign(c.op.Clones[c.k])
+		sys.Assign(s, c.op.Clones[c.k])
 		bans[c.op.ID][s] = true
 		sites[c.op.ID][c.k] = s
 	}
@@ -372,14 +369,14 @@ func scheduleByClone(p, d int, ov resource.Overlap, ops []*Op, sorted bool, rec 
 				floating++
 				continue
 			}
-			s := sys.Site(op.Home[k])
+			h := op.Home[k]
 			if rec != nil {
 				rec.Event(obs.Event{
-					Type: obs.EvPlace, Op: op.ID, Clone: k, Site: op.Home[k],
-					Rooted: true, L: s.LoadLength(), Sum: s.LoadSum(),
+					Type: obs.EvPlace, Op: op.ID, Clone: k, Site: h,
+					Rooted: true, L: sys.LoadLength(h), Sum: sys.LoadSum(h),
 				})
 			}
-			s.Assign(w)
+			sys.Assign(h, w)
 			sites[op.ID][k] = op.Home[k]
 			rooted++
 		}
@@ -406,14 +403,13 @@ func scheduleByClone(p, d int, ov resource.Overlap, ops []*Op, sorted bool, rec 
 			rec.Event(obs.Event{Type: obs.EvBanHit, Op: c.op.ID, Clone: c.k, Banned: skipped})
 		}
 		best := ix.order[at].id
-		s := sys.Site(best)
 		if rec != nil {
 			rec.Event(obs.Event{
 				Type: obs.EvPlace, Op: c.op.ID, Clone: c.k,
-				Site: best, L: s.LoadLength(), Sum: s.LoadSum(),
+				Site: best, L: sys.LoadLength(best), Sum: sys.LoadSum(best),
 			})
 		}
-		s.Assign(c.op.Clones[c.k])
+		sys.Assign(best, c.op.Clones[c.k])
 		ix.update(sys, at)
 		bans[c.op.ID][best] = true
 		sites[c.op.ID][c.k] = best

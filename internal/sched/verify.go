@@ -73,7 +73,7 @@ func Verify(s *Schedule, ov resource.Overlap) error {
 					return fmt.Errorf("sched: %q clone %d has dimension %d, want %d",
 						pl.Op.Name, k, d, resource.Dims)
 				}
-				sys.Site(site).Assign(pl.Clones[k])
+				sys.Assign(site, pl.Clones[k])
 			}
 		}
 		if got := sys.MaxTSite(); math.Abs(got-ph.Response) > 1e-6*(1+got) {

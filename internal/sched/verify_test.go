@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -180,6 +181,62 @@ func TestQuickTreeScheduleAlwaysVerifies(t *testing.T) {
 		}
 		if err := Verify(s, resource.MustOverlap(eps)); err != nil {
 			t.Fatalf("seed %d (J=%d P=%d ε=%.2f f=%.2f): %v", seed, joins, p, eps, f, err)
+		}
+	}
+}
+
+// phaseSystem loads a phase's placements, in order, onto a fresh system.
+func phaseSystem(p int, ov resource.Overlap, ph *PhaseSchedule) *resource.System {
+	sys := resource.NewSystem(p, resource.Dims, ov)
+	for _, pl := range ph.Placements {
+		for k, site := range pl.Sites {
+			sys.Assign(site, pl.Clones[k])
+		}
+	}
+	return sys
+}
+
+// Property: sites are interchangeable. Relabel a schedule built with no
+// Homes — its only rooted operators are probes at their builds' sites —
+// by one permutation π of [0, P): the result verifies, site π(j) of
+// every phase carries exactly what site j did, and so each phase's
+// Equation 3 response is bit-identical.
+func TestQuickSiteRelabelling(t *testing.T) {
+	r := rand.New(rand.NewSource(26))
+	for trial := 0; trial < 60; trial++ {
+		joins, p, eps := 1+r.Intn(24), 1+r.Intn(140), r.Float64()
+		ov := resource.MustOverlap(eps)
+		tt := plan.MustNewTaskTree(plan.MustExpand(query.MustRandom(r, query.DefaultGenConfig(joins))))
+		s, err := testScheduler(p, eps, 0.3+0.9*r.Float64()).Schedule(tt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := make([]*resource.System, len(s.Phases))
+		for i, ph := range s.Phases {
+			before[i] = phaseSystem(p, ov, ph)
+		}
+		perm := r.Perm(p)
+		for _, ph := range s.Phases {
+			for _, pl := range ph.Placements {
+				for k, site := range pl.Sites {
+					pl.Sites[k] = perm[site]
+				}
+			}
+		}
+		if err := Verify(s, ov); err != nil {
+			t.Fatalf("trial %d (J=%d P=%d): relabelled schedule rejected: %v", trial, joins, p, err)
+		}
+		for i, ph := range s.Phases {
+			after := phaseSystem(p, ov, ph)
+			for j := 0; j < p; j++ {
+				if !slices.Equal(after.Load(perm[j]), before[i].Load(j)) || after.TSite(perm[j]) != before[i].TSite(j) {
+					t.Fatalf("trial %d phase %d: site %d → %d carries %v (T^site %g), was %v (%g)", trial, i, j, perm[j],
+						after.Load(perm[j]), after.TSite(perm[j]), before[i].Load(j), before[i].TSite(j))
+				}
+			}
+			if got, want := after.MaxTSite(), before[i].MaxTSite(); got != want {
+				t.Fatalf("trial %d phase %d: Equation 3 gives %g after relabelling, %g before", trial, i, got, want)
+			}
 		}
 	}
 }

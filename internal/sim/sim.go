@@ -118,18 +118,6 @@ func SimulateSite(ov resource.Overlap, clones []vector.Vector) (float64, error) 
 	return now, nil
 }
 
-// AnalyticTSite returns Equation 2's T^site for the same clone set, the
-// value the scheduler optimizes.
-func AnalyticTSite(ov resource.Overlap, clones []vector.Vector) float64 {
-	maxSeq := 0.0
-	for _, w := range clones {
-		if t := ov.TSeq(w); t > maxSeq {
-			maxSeq = t
-		}
-	}
-	return math.Max(maxSeq, vector.SetLength(clones))
-}
-
 // SiteComparison pairs the analytic and simulated response of one site.
 type SiteComparison struct {
 	Analytic  float64
@@ -171,7 +159,7 @@ func SimulateSystemWorkers(ov resource.Overlap, siteClones [][]vector.Vector, wo
 			errs[j] = err
 			return
 		}
-		per[j] = SiteComparison{Analytic: AnalyticTSite(ov, siteClones[j]), Simulated: simT}
+		per[j] = SiteComparison{Analytic: ov.TSite(siteClones[j]), Simulated: simT}
 	})
 	var overall SiteComparison
 	for j := range per {

@@ -73,7 +73,7 @@ func TestSimulateSiteIdenticalClonesMatchAnalytic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := AnalyticTSite(ov, clones) // max(3, 3n)
+		want := ov.TSite(clones) // max(3, 3n)
 		if math.Abs(simT-want) > 1e-9 {
 			t.Fatalf("n=%d: sim %g != analytic %g", n, simT, want)
 		}
@@ -100,15 +100,20 @@ func TestSimulatePaperExample(t *testing.T) {
 	}
 }
 
+// The analytic side of a comparison is the scheduler's own site model.
 func TestAnalyticTSiteMatchesResourceSite(t *testing.T) {
 	ov := resource.MustOverlap(0.4)
 	clones := []vector.Vector{vector.Of(1, 5, 2), vector.Of(4, 1, 1), vector.Of(2, 2, 2)}
-	s := resource.NewSite(0, 3, ov)
+	sys := resource.NewSystem(1, 3, ov)
 	for _, w := range clones {
-		s.Assign(w)
+		sys.Assign(0, w)
 	}
-	if math.Abs(AnalyticTSite(ov, clones)-s.TSite()) > 1e-12 {
-		t.Fatalf("AnalyticTSite %g != Site.TSite %g", AnalyticTSite(ov, clones), s.TSite())
+	per, _, err := SimulateSystem(ov, [][]vector.Vector{clones})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if per[0].Analytic != sys.TSite(0) {
+		t.Fatalf("analytic T^site %g != System.TSite %g", per[0].Analytic, sys.TSite(0))
 	}
 }
 
@@ -135,7 +140,7 @@ func TestQuickSimulatedWithinEnvelope(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return simT >= AnalyticTSite(ov, clones)-1e-9 && simT <= sumT+1e-9
+		return simT >= ov.TSite(clones)-1e-9 && simT <= sumT+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
@@ -158,7 +163,7 @@ func TestQuickOneDimensionalExact(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return math.Abs(simT-AnalyticTSite(ov, clones)) < 1e-6
+		return math.Abs(simT-ov.TSite(clones)) < 1e-6
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
