@@ -27,7 +27,7 @@ test:
 
 # The one concurrency gate: every package's tests, fresh (-count=1)
 # under the race detector. The hammers over shared state (recorders,
-# serve cache/batching/controller/Close, Workers identity, concurrent
+# serve cache/batching/controller/Close, concurrent scheduling calls and
 # plan searches, the engine's clone fan-out, the memoized Schedule.JSON)
 # are ordinary tests of their packages, so they all run here.
 race:

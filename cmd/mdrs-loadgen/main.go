@@ -62,16 +62,15 @@ type options struct {
 	shapeBuckets int
 
 	// In-process service shape (ignored with -target).
-	sites        int
-	eps, f       float64
-	maxInFlight  int
-	maxQueue     int
-	maxBatch     int
-	batchWindow  time.Duration
-	cacheSize    int
-	schedWorkers int
-	maxDegree    int
-	controller   bool
+	sites       int
+	eps, f      float64
+	maxInFlight int
+	maxQueue    int
+	maxBatch    int
+	batchWindow time.Duration
+	cacheSize   int
+	maxDegree   int
+	controller  bool
 
 	// compareController runs the whole sweep twice against fresh
 	// in-process services — controller off, then on — and writes the
@@ -104,7 +103,6 @@ func parseFlags() options {
 	flag.IntVar(&o.maxBatch, "max-batch", 8, "maximum queries per batched workload")
 	flag.DurationVar(&o.batchWindow, "batch-window", 2*time.Millisecond, "how long a group waits for companion queries")
 	flag.IntVar(&o.cacheSize, "cache", 256, "plan-fingerprint schedule cache size (0 = disabled)")
-	flag.IntVar(&o.schedWorkers, "sched-workers", 0, "per-request scheduler worker pool width (0 = GOMAXPROCS)")
 	flag.IntVar(&o.maxDegree, "max-degree", 0, "per-query parallelism cap on floating operators (0 = uncapped)")
 	flag.BoolVar(&o.controller, "controller", false, "enable the adaptive parallelism controller on the in-process service")
 	flag.StringVar(&o.shape, "shape", "steady", "load shape per point: steady, ramp (20%->100% of the rate), or step (25% then 100% at the midpoint)")
@@ -134,7 +132,6 @@ type reportConfig struct {
 	MaxBatch      int     `json:"max_batch"`
 	BatchWindowMs float64 `json:"batch_window_ms"`
 	CacheSize     int     `json:"cache_size"`
-	SchedWorkers  int     `json:"sched_workers"`
 	MaxDegree     int     `json:"max_degree,omitempty"`
 	Controller    bool    `json:"controller,omitempty"`
 	Shape         string  `json:"shape,omitempty"`
@@ -234,7 +231,6 @@ func run(o options, errW io.Writer) error {
 			MaxBatch:      o.maxBatch,
 			BatchWindowMs: float64(o.batchWindow) / float64(time.Millisecond),
 			CacheSize:     o.cacheSize,
-			SchedWorkers:  o.schedWorkers,
 			MaxDegree:     o.maxDegree,
 			Controller:    o.controller,
 			Shape:         o.shape,
@@ -304,7 +300,6 @@ func newService(o options, met *mdrs.Metrics, maxBatch int, window time.Duration
 		F:         o.f,
 		MaxDegree: o.maxDegree,
 		Rec:       met,
-		Workers:   o.schedWorkers,
 	}
 	if cacheSize > 0 {
 		ts.Cache = mdrs.NewCostCache(ts.Model)
@@ -369,7 +364,6 @@ func runCompare(o options, rates []float64, poisson bool, errW io.Writer) error 
 			MaxBatch:      o.maxBatch,
 			BatchWindowMs: float64(o.batchWindow) / float64(time.Millisecond),
 			CacheSize:     o.cacheSize,
-			SchedWorkers:  o.schedWorkers,
 			MaxDegree:     o.maxDegree,
 		},
 	}

@@ -50,7 +50,6 @@ type options struct {
 	chart     bool
 	tracePath string // decision trace JSONL destination ("" = off)
 	traceText bool   // pretty-print the decision trace after the summary
-	workers   int    // scheduler pool width (0 = GOMAXPROCS)
 
 	// The -optimize mode: re-optimize the input plan's relations with
 	// the bound-pruned scheduler-in-the-loop search instead of
@@ -74,7 +73,6 @@ func main() {
 	flag.BoolVar(&o.chart, "chart", false, "render per-site load bars and utilization")
 	flag.StringVar(&o.tracePath, "trace", "", "write the scheduler's decision trace to this file as JSON lines")
 	flag.BoolVar(&o.traceText, "trace-text", false, "pretty-print the scheduler's decision trace")
-	flag.IntVar(&o.workers, "sched-workers", 0, "scheduler worker pool width; 0 = GOMAXPROCS, 1 = fully serial (output is identical for every value)")
 	flag.BoolVar(&o.optimize, "optimize", false, "re-optimize the plan's relations with the bound-pruned plan search instead of scheduling the plan as given")
 	flag.IntVar(&o.optCandidates, "opt-candidates", 8, "plan-search sample size K for join counts above the enumeration threshold")
 	flag.Int64Var(&o.optSeed, "opt-seed", 1, "plan-search candidate-sampling seed")
@@ -158,7 +156,7 @@ func runBatch(w io.Writer, paths []string, o options) (err error) {
 	if err != nil {
 		return err
 	}
-	ts := mdrs.TreeScheduler{Model: mdrs.DefaultCostModel(), Overlap: ov, P: o.sites, F: o.f, Workers: o.workers}
+	ts := mdrs.TreeScheduler{Model: mdrs.DefaultCostModel(), Overlap: ov, P: o.sites, F: o.f}
 
 	rec, capture, closeSinks, err := o.recorders()
 	if err != nil {
@@ -283,7 +281,7 @@ func runOptimize(w io.Writer, o options) error {
 		return err
 	}
 	search, err := mdrs.NewPlanSearch(mdrs.Options{
-		Sites: o.sites, Epsilon: o.eps, F: o.f, SchedWorkers: o.workers,
+		Sites: o.sites, Epsilon: o.eps, F: o.f,
 	}, o.optCandidates)
 	if err != nil {
 		return err
@@ -338,7 +336,7 @@ func run(w io.Writer, o options) (err error) {
 		}
 	}()
 
-	opts := mdrs.Options{Sites: o.sites, Epsilon: o.eps, F: o.f, Rec: rec, SchedWorkers: o.workers}
+	opts := mdrs.Options{Sites: o.sites, Epsilon: o.eps, F: o.f, Rec: rec}
 	tree, err := mdrs.ScheduleQuery(p, opts)
 	if err != nil {
 		return err

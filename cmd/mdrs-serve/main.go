@@ -54,7 +54,6 @@ type options struct {
 	batchWindow time.Duration
 	soloMargin  time.Duration
 	cacheSize   int
-	workers     int
 	maxBody     int64
 	maxDegree   int
 	controller  bool
@@ -78,10 +77,9 @@ func main() {
 	flag.DurationVar(&o.batchWindow, "batch-window", 2*time.Millisecond, "how long a group waits for companion queries")
 	flag.DurationVar(&o.soloMargin, "solo-margin", 0, "deadlines nearer than this skip batching (0 = 4x window)")
 	flag.IntVar(&o.cacheSize, "cache", 0, "plan-fingerprint schedule cache size in schedules (0 = disabled)")
-	flag.IntVar(&o.workers, "sched-workers", 0, "per-request scheduler worker pool width; 0 = GOMAXPROCS, 1 = serial (bounds scheduler goroutines at max-inflight x workers)")
 	flag.Int64Var(&o.maxBody, "max-body", defaultMaxBody, "maximum /schedule request body bytes (oversized POSTs get 413)")
 	flag.IntVar(&o.maxDegree, "max-degree", 0, "per-query parallelism cap on floating operators (0 = uncapped)")
-	flag.BoolVar(&o.controller, "controller", false, "enable the adaptive parallelism controller (retunes batch window, max-degree, sched-workers under load)")
+	flag.BoolVar(&o.controller, "controller", false, "enable the adaptive parallelism controller (retunes batch window and max-degree under load)")
 	flag.DurationVar(&o.ctlInterval, "ctl-interval", 0, "adaptive controller tick period (0 = 100ms default)")
 	debugAddr := flag.String("debug-addr", "", "serve /debug/pprof and /debug/vars on this address")
 	flag.Parse()
@@ -163,9 +161,9 @@ func newService(o options, rec mdrs.Recorder) (*mdrs.SchedulingService, error) {
 		return nil, err
 	}
 	// The service recorder doubles as the scheduler's: sched.* counters
-	// (parallel prepare engagement, phase counts and timings) land in
-	// /metricz next to the serve.* ones, so scheduler concurrency is
-	// observable without a separate trace run.
+	// (phase counts and timings) land in /metricz next to the serve.*
+	// ones, so scheduler work is observable without a separate trace
+	// run.
 	ts := mdrs.TreeScheduler{
 		Model:     mdrs.DefaultCostModel(),
 		Overlap:   ov,
@@ -173,7 +171,6 @@ func newService(o options, rec mdrs.Recorder) (*mdrs.SchedulingService, error) {
 		F:         o.f,
 		MaxDegree: o.maxDegree,
 		Rec:       rec,
-		Workers:   o.workers,
 	}
 	if o.cacheSize > 0 {
 		// Caching mode also attaches the cost-model memo: repeated specs

@@ -15,7 +15,7 @@ import (
 	"mdrs"
 )
 
-func encodePlan(t *testing.T, seed int64, joins int) []byte {
+func encodePlan(t testing.TB, seed int64, joins int) []byte {
 	t.Helper()
 	p := mdrs.MustRandomPlan(rand.New(rand.NewSource(seed)), mdrs.DefaultGenConfig(joins))
 	data, err := p.Encode()

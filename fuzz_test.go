@@ -16,6 +16,10 @@ import (
 // Under plain `go test` they run their seed corpus as regular tests;
 // `go test -fuzz=FuzzDecodePlan .` explores further.
 
+// maxIntPlan is a valid one-leaf plan at the top of the int range: its
+// page count must not wrap around into a negative cost.
+const maxIntPlan = `{"relation":{"name":"R","tuples":9223372036854775807},"tuples":9223372036854775807}`
+
 // FuzzDecodePlan asserts DecodePlan never panics and that every
 // accepted plan is structurally valid and re-encodable.
 func FuzzDecodePlan(f *testing.F) {
@@ -25,6 +29,7 @@ func FuzzDecodePlan(f *testing.F) {
 	f.Add([]byte(`{`))
 	f.Add([]byte(`{"tuples":-1}`))
 	f.Add([]byte(``))
+	f.Add([]byte(maxIntPlan))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := mdrs.DecodePlan(data)
 		if err != nil {

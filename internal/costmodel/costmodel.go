@@ -93,11 +93,13 @@ func (p Params) Validate() error {
 }
 
 // Pages returns the number of pages occupied by the given tuple count.
+// The ceiling is taken as (tuples−1)/PageTuples + 1, which cannot
+// overflow for any positive tuple count.
 func (p Params) Pages(tuples int) int {
 	if tuples <= 0 {
 		return 0
 	}
-	return (tuples + p.PageTuples - 1) / p.PageTuples
+	return (tuples-1)/p.PageTuples + 1
 }
 
 // Bytes returns the byte size of the given tuple count.

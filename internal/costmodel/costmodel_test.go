@@ -90,6 +90,23 @@ func TestPagesAndBytes(t *testing.T) {
 	}
 }
 
+// The page ceiling must not wrap around at the top of the int range: a
+// plan leaf of math.MaxInt tuples is valid and must cost a valid vector.
+func TestPagesAtMaxInt(t *testing.T) {
+	p := DefaultParams()
+	want := math.MaxInt/p.PageTuples + 1 // MaxInt is not a multiple of 40
+	if got := p.Pages(math.MaxInt); got != want {
+		t.Fatalf("Pages(MaxInt) = %d, want %d", got, want)
+	}
+	m := Default()
+	for _, kind := range []OpKind{Scan, Store} {
+		c := m.Cost(OpSpec{Kind: kind, InTuples: math.MaxInt, NetOut: true})
+		if err := c.Processing.Validate(); err != nil {
+			t.Errorf("%v of MaxInt tuples: %v", kind, err)
+		}
+	}
+}
+
 func TestScanCost(t *testing.T) {
 	m := Default()
 	// 1000 tuples = 25 pages. CPU = 25*5000 + 1000*300 = 425000 instr =

@@ -99,9 +99,9 @@ func encodeSchedule(t *testing.T, s *sched.Schedule) []byte {
 
 // The tentpole contract: the bound-pruned search returns the identical
 // winning plan and a byte-identical schedule to the unpruned search
-// that fully schedules every candidate — for every corpus entry and
-// every worker-pool width — while scheduling strictly fewer candidates
-// somewhere in the corpus (the whole point of pruning).
+// that fully schedules every candidate — for every corpus entry — while
+// scheduling strictly fewer candidates somewhere in the corpus (the
+// whole point of pruning).
 func TestPrunedSearchIdentityAcrossCorpus(t *testing.T) {
 	totalPruned := 0
 	for _, c := range corpus() {
@@ -109,7 +109,6 @@ func TestPrunedSearchIdentityAcrossCorpus(t *testing.T) {
 
 		oracle := c.search(8)
 		oracle.NoPrune = true
-		oracle.Workers = 1
 		want, err := oracle.Best(rand.New(rand.NewSource(c.seed+1)), rels)
 		if err != nil {
 			t.Fatal(err)
@@ -118,66 +117,26 @@ func TestPrunedSearchIdentityAcrossCorpus(t *testing.T) {
 			t.Fatalf("joins=%d P=%d: unpruned oracle pruned %d of %d",
 				c.joins, c.p, want.Pruned, len(want.Candidates))
 		}
-		wantBytes := encodeSchedule(t, want.Best.Schedule)
 
-		for _, workers := range []int{1, 4} {
-			s := c.search(8)
-			s.Workers = workers
-			got, err := s.Best(rand.New(rand.NewSource(c.seed+1)), rels)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.Best.Index != want.Best.Index {
-				t.Fatalf("joins=%d P=%d workers=%d: pruned winner index %d, unpruned %d",
-					c.joins, c.p, workers, got.Best.Index, want.Best.Index)
-			}
-			if !bytes.Equal(encodeSchedule(t, got.Best.Schedule), wantBytes) {
-				t.Fatalf("joins=%d P=%d workers=%d: winning schedule bytes differ from unpruned oracle",
-					c.joins, c.p, workers)
-			}
-			if got.Scheduled > want.Scheduled {
-				t.Fatalf("joins=%d P=%d workers=%d: pruned search scheduled %d > unpruned %d",
-					c.joins, c.p, workers, got.Scheduled, want.Scheduled)
-			}
-			if workers == 1 {
-				totalPruned += got.Pruned
-			}
-		}
-	}
-	if totalPruned == 0 {
-		t.Fatal("bound pruning never fired across the corpus")
-	}
-}
-
-// Pool width must be invisible in full: not just the winner, but the
-// pruned/scheduled ledger and every candidate's fate.
-func TestPrunedSearchPoolWidthInvisible(t *testing.T) {
-	for _, c := range corpus() {
-		rels := c.relations(t)
-		s1 := c.search(8)
-		s1.Workers = 1
-		ref, err := s1.Best(rand.New(rand.NewSource(c.seed+2)), rels)
+		got, err := c.search(8).Best(rand.New(rand.NewSource(c.seed+1)), rels)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, workers := range []int{2, 4, 8} {
-			sw := c.search(8)
-			sw.Workers = workers
-			got, err := sw.Best(rand.New(rand.NewSource(c.seed+2)), rels)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.Pruned != ref.Pruned || got.Scheduled != ref.Scheduled {
-				t.Fatalf("joins=%d P=%d workers=%d: ledger (%d,%d) != Workers=1 (%d,%d)",
-					c.joins, c.p, workers, got.Pruned, got.Scheduled, ref.Pruned, ref.Scheduled)
-			}
-			for i := range got.Candidates {
-				if got.Candidates[i].Pruned != ref.Candidates[i].Pruned {
-					t.Fatalf("joins=%d P=%d workers=%d: candidate %d fate differs",
-						c.joins, c.p, workers, i)
-				}
-			}
+		if got.Best.Index != want.Best.Index {
+			t.Fatalf("joins=%d P=%d: pruned winner index %d, unpruned %d",
+				c.joins, c.p, got.Best.Index, want.Best.Index)
 		}
+		if !bytes.Equal(encodeSchedule(t, got.Best.Schedule), encodeSchedule(t, want.Best.Schedule)) {
+			t.Fatalf("joins=%d P=%d: winning schedule bytes differ from unpruned oracle", c.joins, c.p)
+		}
+		if got.Scheduled > want.Scheduled {
+			t.Fatalf("joins=%d P=%d: pruned search scheduled %d > unpruned %d",
+				c.joins, c.p, got.Scheduled, want.Scheduled)
+		}
+		totalPruned += got.Pruned
+	}
+	if totalPruned == 0 {
+		t.Fatal("bound pruning never fired across the corpus")
 	}
 }
 
@@ -285,7 +244,6 @@ func TestConcurrentSearchHammerWithCancellation(t *testing.T) {
 					F:          0.7,
 					Candidates: 8,
 					Cache:      cache,
-					Workers:    2,
 				}
 				ctx := context.Background()
 				cancelled := trial%2 == 1

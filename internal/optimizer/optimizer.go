@@ -26,11 +26,10 @@
 // The search reuses the machinery built for exactly this workload: one
 // costmodel.Cache prices every structurally repeated operator spec once
 // across all candidates (bounds and schedules share the memo), and the
-// surviving candidates are scheduled over a bounded internal/par pool
-// in fixed-size speculative chunks — chunk membership depends only on
-// bounds and the incumbent, never on goroutine timing, so the
-// pruned/scheduled counts and the winner are identical for every pool
-// width, per the PR 5 determinism contract.
+// surviving candidates are scheduled in fixed-size speculative chunks
+// on the caller's goroutine — chunk membership depends only on bounds
+// and the incumbent, so the pruned/scheduled counts and the winner are
+// a pure function of the inputs.
 package optimizer
 
 import (
@@ -44,7 +43,6 @@ import (
 	"mdrs/internal/costmodel"
 	"mdrs/internal/obs"
 	"mdrs/internal/opt"
-	"mdrs/internal/par"
 	"mdrs/internal/plan"
 	"mdrs/internal/query"
 	"mdrs/internal/resource"
@@ -76,11 +74,11 @@ var (
 const defaultExhaustiveJoins = 3
 
 // speculativeChunk is how many unpruned candidates are scheduled
-// together between incumbent updates. It is a fixed constant — never
-// derived from Workers — so which candidates get fully scheduled (and
-// therefore the pruned/scheduled counts) is invisible to pool width.
-// The first chunk is always the two-phase strawman alone, seeding the
-// incumbent before any speculation.
+// together between pruning decisions. It is a fixed constant, so which
+// candidates get fully scheduled (and therefore the pruned/scheduled
+// counts) is fixed by the bounds alone. The first chunk is always the
+// two-phase strawman alone, seeding the incumbent before any
+// speculation.
 const speculativeChunk = 8
 
 // Search configures a bound-pruned, scheduler-integrated plan search.
@@ -143,19 +141,11 @@ type Search struct {
 	// schedule cache on TreeScheduler.Fingerprint). Only the streaming
 	// search consults Warm; the pool path stays the PR 8 oracle.
 	Warm func(*plan.TaskTree) (*sched.Schedule, bool)
-	// Workers bounds the pool that fans candidate scheduling (0 or
-	// negative = GOMAXPROCS, 1 = fully serial). The winner, the
-	// schedule bytes, and the pruned/scheduled counts are identical for
-	// every value; only wall-clock time changes. Each candidate's own
-	// TreeSchedule runs serially (Workers=1): candidates are the
-	// parallel grain here.
-	Workers int
 	// Rec, when non-nil, receives the search counters
 	// (optimizer.candidates, optimizer.pruned, optimizer.scheduled,
 	// optimizer.searches). It is never attached to the per-candidate
-	// schedulers — concurrent candidates would interleave their decision
-	// traces on colliding (phase, op, clone) keys — and never influences
-	// the search.
+	// schedulers — candidates would repeat each other's (phase, op,
+	// clone) trace keys — and never influences the search.
 	Rec obs.Recorder
 }
 
@@ -342,7 +332,6 @@ func (s Search) BestCtx(ctx context.Context, r *rand.Rand, rels []*query.Relatio
 	if cache == nil {
 		cache = costmodel.NewCache(s.Model)
 	}
-	w := par.Workers(s.Workers)
 
 	if err := s.boundCandidates(cache, cands); err != nil {
 		return nil, err
@@ -377,31 +366,21 @@ func (s Search) BestCtx(ctx context.Context, r *rand.Rand, rels []*query.Relatio
 		incResp := cands[inc].Schedule.Response
 		return cands[i].Bound > incResp || (cands[i].Bound == incResp && i > inc)
 	}
+	ts := sched.TreeScheduler{
+		Model: s.Model, Overlap: s.Overlap, P: s.P, F: s.F,
+		MaxDegree: s.MaxDegree, Cache: cache,
+	}
 	scheduled := 0
 	flush := func(chunk []int) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		cerrs := make([]error, len(chunk))
-		par.For(w, len(chunk), func(j int) {
-			i := chunk[j]
-			ts := sched.TreeScheduler{
-				Model: s.Model, Overlap: s.Overlap, P: s.P, F: s.F,
-				MaxDegree: s.MaxDegree, Cache: cache, Workers: 1,
-			}
+		for _, i := range chunk {
 			sc, err := ts.ScheduleCtx(ctx, cands[i].tree)
 			if err != nil {
-				cerrs[j] = err
-				return
+				return err
 			}
 			cands[i].Schedule = sc
-		})
-		// Reduce in chunk order: the surfaced error and the incumbent
-		// update are both independent of goroutine interleavings.
-		for j, i := range chunk {
-			if cerrs[j] != nil {
-				return cerrs[j]
-			}
 			scheduled++
 			if inc < 0 {
 				inc = i
@@ -466,30 +445,21 @@ func (s Search) record(out *Result) {
 	}
 }
 
-// boundCandidates prices every candidate with the cheap OPTBOUND,
-// fanned positionally across the pool: no placement loop runs here,
-// only per-operator cost derivations, all landing in the shared memo.
-// It fills each candidate's Bound and expanded task tree.
+// boundCandidates prices every candidate with the cheap OPTBOUND: no
+// placement loop runs here, only per-operator cost derivations, all
+// landing in the shared memo. It fills each candidate's Bound and
+// expanded task tree and stops at the first error.
 func (s Search) boundCandidates(cache *costmodel.Cache, cands []Candidate) error {
-	w := par.Workers(s.Workers)
-	errs := make([]error, len(cands))
-	par.For(w, len(cands), func(i int) {
+	for i := range cands {
 		tt, err := taskTree(cands[i].Plan)
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		b, err := opt.BoundCached(tt, cache, s.Overlap, s.P, s.F)
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		cands[i].tree, cands[i].Bound = tt, b
-	})
-	for _, err := range errs {
 		if err != nil {
 			return err
 		}
+		b, err := opt.BoundCached(tt, cache, s.Overlap, s.P, s.F)
+		if err != nil {
+			return err
+		}
+		cands[i].tree, cands[i].Bound = tt, b
 	}
 	return nil
 }
@@ -498,7 +468,7 @@ func (s Search) boundCandidates(cache *costmodel.Cache, cands []Candidate) error
 // enumeration at or below the ExhaustiveJoins threshold, a
 // shape-cycled random sample above it. Plan generation consumes r
 // serially in candidate order, so a seeded search enumerates the same
-// pool regardless of pruning mode or pool width.
+// pool regardless of pruning mode.
 func (s Search) enumerate(r *rand.Rand, rels []*query.Relation) ([]Candidate, bool, error) {
 	joins := len(rels) - 1
 	if max := s.exhaustiveJoins(); joins <= max && max > 0 {

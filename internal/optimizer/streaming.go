@@ -52,8 +52,7 @@ func (h *streamFrontier) Pop() interface{} {
 
 // streamState carries the incumbent and ledgers shared by both
 // streaming modes. Everything is single-goroutine: candidates are
-// scheduled one at a time (each TreeSchedule may parallelize
-// internally; per PR 5 its output is Workers-invariant).
+// scheduled one at a time.
 type streamState struct {
 	s     Search
 	cache *costmodel.Cache
@@ -105,7 +104,7 @@ func (st *streamState) price(c Candidate) error {
 	if c.Schedule == nil {
 		ts := sched.TreeScheduler{
 			Model: st.s.Model, Overlap: st.s.Overlap, P: st.s.P, F: st.s.F,
-			MaxDegree: st.s.MaxDegree, Cache: st.cache, Workers: st.s.Workers,
+			MaxDegree: st.s.MaxDegree, Cache: st.cache,
 		}
 		sc, err := ts.ScheduleCtx(st.ctx, c.tree)
 		if err != nil {

@@ -56,7 +56,7 @@ func ledgerLine(c corpusCase, arm string, results []*Result) string {
 // the case, arm and first differing column of every line that differs.
 // A change that means to move the ledger replaces the file with the
 // lines this prints.
-func checkLedger(t *testing.T, workers int, got []string) {
+func checkLedger(t *testing.T, got []string) {
 	t.Helper()
 	got = append([]string{ledgerHeader}, got...)
 	data, err := os.ReadFile("testdata/ledger.golden")
@@ -66,100 +66,93 @@ func checkLedger(t *testing.T, workers int, got []string) {
 	want := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
 	failed := len(got) != len(want)
 	if failed {
-		t.Errorf("Workers=%d: ledger has %d lines, testdata/ledger.golden %d", workers, len(got), len(want))
+		t.Errorf("ledger has %d lines, testdata/ledger.golden %d", len(got), len(want))
 	}
 	for i := 0; i < min(len(got), len(want)); i++ {
 		g, w := strings.Fields(got[i]), strings.Fields(want[i])
 		if len(g) != len(w) {
-			t.Errorf("Workers=%d line %d: %q, golden %q", workers, i+1, got[i], want[i])
+			t.Errorf("line %d: %q, golden %q", i+1, got[i], want[i])
 			failed = true
 			continue
 		}
 		for j := range g {
 			if g[j] != w[j] {
-				t.Errorf("Workers=%d: %s: %s, golden %s", workers, strings.Join(g[:4], " "), g[j], w[j])
+				t.Errorf("%s: %s, golden %s", strings.Join(g[:4], " "), g[j], w[j])
 				failed = true
 				break
 			}
 		}
 	}
 	if failed {
-		t.Logf("Workers=%d ledger:\n%s", workers, strings.Join(got, "\n"))
+		t.Logf("ledger:\n%s", strings.Join(got, "\n"))
 	}
 }
 
 // The streaming tentpole contract: the streaming bound-interleaved
 // search returns the identical winning plan, with a byte-identical
-// schedule, as the unpruned pool oracle — for every corpus entry and
-// every Workers width — while never scheduling more candidates than
-// the PR 8 pruned pool search. Both arms' ledgers are pinned exactly,
-// at every width, by testdata/ledger.golden.
+// schedule, as the unpruned pool oracle — for every corpus entry —
+// while never scheduling more candidates than the PR 8 pruned pool
+// search. Both arms' ledgers are pinned exactly by
+// testdata/ledger.golden.
 func TestStreamingSearchIdentityAcrossCorpus(t *testing.T) {
 	streamedFewerSomewhere := false
-	widths := []int{1, 4}
-	ledger := map[int][]string{}
+	var ledger []string
 	for _, c := range streamCorpus() {
 		oracle := c.search(8)
 		oracle.NoPrune = true
-		oracle.Workers = 1
 		wants := c.run(t, oracle)
 
-		for _, workers := range widths {
-			pool := c.search(8)
-			pool.Workers = workers
-			pruneds := c.run(t, pool)
-			s := c.search(8)
-			s.Streaming = true
-			s.Workers = workers
-			gots := c.run(t, s)
-			ledger[workers] = append(ledger[workers], ledgerLine(c, "pool", pruneds), ledgerLine(c, "streaming", gots))
+		pruneds := c.run(t, c.search(8))
+		s := c.search(8)
+		s.Streaming = true
+		gots := c.run(t, s)
+		ledger = append(ledger, ledgerLine(c, "pool", pruneds), ledgerLine(c, "streaming", gots))
 
-			for q, got := range gots {
-				want, pruned := wants[q], pruneds[q]
-				wantBytes := encodeSchedule(t, want.Best.Schedule)
-				if !got.Streaming {
-					t.Fatalf("joins=%d P=%d: result not marked streaming", c.joins, c.p)
+		for q, got := range gots {
+			want, pruned := wants[q], pruneds[q]
+			wantBytes := encodeSchedule(t, want.Best.Schedule)
+			if !got.Streaming {
+				t.Fatalf("joins=%d P=%d: result not marked streaming", c.joins, c.p)
+			}
+			if got.Best.Index != want.Best.Index {
+				t.Fatalf("joins=%d P=%d q=%d: streaming winner %d, oracle winner %d",
+					c.joins, c.p, q, got.Best.Index, want.Best.Index)
+			}
+			if !bytes.Equal(encodeSchedule(t, got.Best.Schedule), wantBytes) {
+				t.Fatalf("joins=%d P=%d q=%d: streaming winner schedule differs from oracle",
+					c.joins, c.p, q)
+			}
+			if pruned.Best.Index != want.Best.Index || !bytes.Equal(encodeSchedule(t, pruned.Best.Schedule), wantBytes) {
+				t.Fatalf("joins=%d P=%d q=%d: pool winner %d differs from oracle winner %d",
+					c.joins, c.p, q, pruned.Best.Index, want.Best.Index)
+			}
+			if int64(got.Pruned)+int64(got.Scheduled)+int64(got.WarmHits) != got.Enumerated {
+				t.Fatalf("joins=%d P=%d q=%d: ledger %d+%d+%d != enumerated %d",
+					c.joins, c.p, q, got.Pruned, got.Scheduled, got.WarmHits, got.Enumerated)
+			}
+			// The sampled pools are identical, so streaming's
+			// after-every-schedule incumbent can only prune more than the
+			// pool's chunked one. (Systematic streaming covers the same
+			// candidate space through the subset DP; the frontier keeps
+			// its scheduled set comparable but not provably nested, so
+			// the inequality is asserted on sampled cases only.)
+			if !got.Systematic && got.Scheduled > pruned.Scheduled {
+				t.Fatalf("joins=%d P=%d q=%d: streaming scheduled %d > pool pruned %d",
+					c.joins, c.p, q, got.Scheduled, pruned.Scheduled)
+			}
+			if got.Scheduled < pruned.Scheduled {
+				streamedFewerSomewhere = true
+			}
+			// Every priced candidate's achieved response respects its
+			// recorded lower bound (tolerance: composed-bound summation
+			// order may differ in the last ulps).
+			for _, cand := range got.Candidates {
+				if cand.Schedule == nil {
+					t.Fatalf("joins=%d P=%d q=%d: retained candidate %d has no schedule", c.joins, c.p, q, cand.Index)
 				}
-				if got.Best.Index != want.Best.Index {
-					t.Fatalf("joins=%d P=%d q=%d workers=%d: streaming winner %d, oracle winner %d",
-						c.joins, c.p, q, workers, got.Best.Index, want.Best.Index)
-				}
-				if !bytes.Equal(encodeSchedule(t, got.Best.Schedule), wantBytes) {
-					t.Fatalf("joins=%d P=%d q=%d workers=%d: streaming winner schedule differs from oracle",
-						c.joins, c.p, q, workers)
-				}
-				if pruned.Best.Index != want.Best.Index || !bytes.Equal(encodeSchedule(t, pruned.Best.Schedule), wantBytes) {
-					t.Fatalf("joins=%d P=%d q=%d workers=%d: pool winner %d differs from oracle winner %d",
-						c.joins, c.p, q, workers, pruned.Best.Index, want.Best.Index)
-				}
-				if int64(got.Pruned)+int64(got.Scheduled)+int64(got.WarmHits) != got.Enumerated {
-					t.Fatalf("joins=%d P=%d q=%d: ledger %d+%d+%d != enumerated %d",
-						c.joins, c.p, q, got.Pruned, got.Scheduled, got.WarmHits, got.Enumerated)
-				}
-				// The sampled pools are identical, so streaming's
-				// after-every-schedule incumbent can only prune more than the
-				// pool's chunked one. (Systematic streaming covers the same
-				// candidate space through the subset DP; the frontier keeps
-				// its scheduled set comparable but not provably nested, so
-				// the inequality is asserted on sampled cases only.)
-				if !got.Systematic && got.Scheduled > pruned.Scheduled {
-					t.Fatalf("joins=%d P=%d q=%d workers=%d: streaming scheduled %d > pool pruned %d",
-						c.joins, c.p, q, workers, got.Scheduled, pruned.Scheduled)
-				}
-				if got.Scheduled < pruned.Scheduled {
-					streamedFewerSomewhere = true
-				}
-				// Every priced candidate's achieved response respects its
-				// recorded lower bound (tolerance: composed-bound summation
-				// order may differ in the last ulps).
-				for _, cand := range got.Candidates {
-					if cand.Schedule == nil {
-						t.Fatalf("joins=%d P=%d q=%d: retained candidate %d has no schedule", c.joins, c.p, q, cand.Index)
-					}
-					if cand.Schedule.Response < cand.Bound*(1-1e-9) {
-						t.Fatalf("joins=%d P=%d q=%d: candidate %d response %.15g below bound %.15g",
-							c.joins, c.p, q, cand.Index, cand.Schedule.Response, cand.Bound)
-					}
+				if cand.Schedule.Response < cand.Bound*(1-1e-9) {
+					t.Fatalf("joins=%d P=%d q=%d: candidate %d response %.15g below bound %.15g",
+						c.joins, c.p, q, cand.Index, cand.Schedule.Response, cand.Bound)
 				}
 			}
 		}
@@ -167,9 +160,7 @@ func TestStreamingSearchIdentityAcrossCorpus(t *testing.T) {
 	if !streamedFewerSomewhere {
 		t.Error("streaming search never scheduled fewer candidates than the pool search anywhere in the corpus")
 	}
-	for _, workers := range widths {
-		checkLedger(t, workers, ledger[workers])
-	}
+	checkLedger(t, ledger)
 }
 
 // Systematic streaming past the default threshold: 4 joins = 1680
@@ -182,7 +173,6 @@ func TestStreamingSystematicFourJoins(t *testing.T) {
 
 	oracle := c.search(8)
 	oracle.NoPrune = true
-	oracle.Workers = 1
 	oracle.ExhaustiveJoins = 4
 	want, err := oracle.Best(rand.New(rand.NewSource(1)), rels)
 	if err != nil {
@@ -219,40 +209,6 @@ func TestStreamingSystematicFourJoins(t *testing.T) {
 	}
 	if len(got.Candidates) == 0 || got.Candidates[0].Index != 0 {
 		t.Fatal("streaming result lost the two-phase strawman (candidate 0)")
-	}
-}
-
-// The streaming ledger and winner must be invariant to Workers: the
-// search is serial over candidates; Workers only parallelizes inside
-// each TreeSchedule, whose output is Workers-invariant per PR 5.
-func TestStreamingWorkerWidthInvisible(t *testing.T) {
-	c := corpusCase{joins: 3, p: 32, seed: 3032}
-	rels := c.relations(t)
-	base := c.search(8)
-	base.Streaming = true
-	base.Workers = 1
-	want, err := base.Best(rand.New(rand.NewSource(2)), rels)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 4, 8} {
-		s := c.search(8)
-		s.Streaming = true
-		s.Workers = workers
-		got, err := s.Best(rand.New(rand.NewSource(2)), rels)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Scheduled != want.Scheduled || got.Pruned != want.Pruned ||
-			got.SubtreePruned != want.SubtreePruned || got.PeakResident != want.PeakResident ||
-			got.Best.Index != want.Best.Index {
-			t.Fatalf("workers=%d: ledger (%d,%d,%d,%d,win %d) != workers=1 (%d,%d,%d,%d,win %d)",
-				workers, got.Scheduled, got.Pruned, got.SubtreePruned, got.PeakResident, got.Best.Index,
-				want.Scheduled, want.Pruned, want.SubtreePruned, want.PeakResident, want.Best.Index)
-		}
-		if !bytes.Equal(encodeSchedule(t, got.Best.Schedule), encodeSchedule(t, want.Best.Schedule)) {
-			t.Fatalf("workers=%d: winner schedule differs", workers)
-		}
 	}
 }
 

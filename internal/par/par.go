@@ -1,7 +1,7 @@
 // Package par is the bounded worker pool shared by the deterministic
-// parallel paths of the repository: the scheduler's concurrent cost
-// preparation, the fluid simulator's per-site fan-out, and any future
-// index-addressed map over independent work items.
+// parallel paths of the repository: the engine's parallel clone runs,
+// the fluid simulator's per-site fan-out and the experiments harness's
+// trial pool. Scheduling itself is serial and does not use it.
 //
 // The contract that keeps every caller byte-identical across pool widths
 // is positional: For(w, n, fn) promises only that fn runs once for every
@@ -10,7 +10,7 @@
 // them serially in index order afterwards — so the aggregate (including
 // which of several errors is reported) cannot depend on scheduling
 // interleavings or on w. This is the same discipline the experiments
-// harness's trial pool established; par factors it out so the scheduler
+// harness's trial pool established; par factors it out so the engine
 // and simulator do not each grow a private copy.
 package par
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
 
 	"mdrs/internal/costmodel"
 	"mdrs/internal/plan"
@@ -70,18 +71,21 @@ func (ts TreeScheduler) scheduleBatch(ctx context.Context, sc *scratch, trees []
 	}
 
 	sc.resetHomes()
-	w := ts.workers()
-	ts.observeWorkers(w)
 	out := newSchedule(ts.P, maxPhases)
 	for phaseIdx, ph := range out.Phases {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		// One preparation fan-out spans the global phase across every
-		// tree of the batch — the widest parallel section available.
-		// Jobs are listed in (batch entry, task, operator) order and
-		// consumed in that order, so the batch is byte-identical for
-		// every pool width.
+		// Yield at every phase boundary. A scheduling call is CPU-bound
+		// and never blocks, and Go preempts a running goroutine only
+		// after 10 ms, so while every processor runs one the garbage
+		// collector's background mark worker gets none and its marking
+		// falls on the calls' allocations as assists. Without the yield,
+		// two clients scheduling cache misses on two cores saw a p99 of
+		// 6.4 ms and a p999 of 30 ms, against 4.7 and 6 ms with it.
+		runtime.Gosched()
+		// One prepare pass spans the global phase across every tree of
+		// the batch, in (batch entry, task, operator) order.
 		feeders, n := 0, 0
 		for i := range trees {
 			if phaseIdx < len(perTree[i]) {
@@ -111,7 +115,7 @@ func (ts TreeScheduler) scheduleBatch(ctx context.Context, sc *scratch, trees []
 			}
 		}
 		sc.jobs = jobs
-		if err := ts.runPhase(ctx, sc, w, ph); err != nil {
+		if err := ts.runPhase(ctx, sc, ph); err != nil {
 			return nil, err
 		}
 		out.Response += ph.Response

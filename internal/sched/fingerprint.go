@@ -5,12 +5,10 @@
 // parameters, the system size and overlap, the granularity parameter,
 // the phase policy, the parallelism cap MaxDegree, the rooting
 // constraints, and the full tree structure down to each operator's
-// spec, name, and wiring. Fields
-// that never influence a scheduling decision (Rec, Cache, Workers) are
-// deliberately excluded — attaching a recorder or a cost cache, or
-// changing the pool width, must not change a plan's identity: the
-// parallel identity tests pin that every Workers value produces the
-// same bytes.
+// spec, name, and wiring. Fields that never influence a scheduling
+// decision (Rec, Cache, and the inert Workers) are deliberately
+// excluded — attaching a recorder or a cost cache must not change a
+// plan's identity.
 package sched
 
 import (
@@ -85,9 +83,8 @@ func (ts TreeScheduler) Fingerprint(tt *plan.TaskTree) Fingerprint {
 	w.f64(ts.F)
 	w.i(int(ts.Policy))
 	// MaxDegree changes the schedule (it clamps every floating
-	// operator's degree), so unlike Workers it must participate: a
-	// schedule cached under one cap can never answer a request under
-	// another.
+	// operator's degree), so it must participate: a schedule cached
+	// under one cap can never answer a request under another.
 	w.i(ts.MaxDegree)
 
 	// Rooting constraints, in sorted operator-ID order so map iteration

@@ -9,9 +9,8 @@ import (
 )
 
 // MaxDegree is a semantic input — it clamps every floating operator's
-// degree — so it must participate in the fingerprint, unlike Workers:
-// a schedule cached under one cap must never answer a request under
-// another.
+// degree — so it must participate in the fingerprint: a schedule
+// cached under one cap must never answer a request under another.
 func TestFingerprintIncludesMaxDegree(t *testing.T) {
 	ts := fpScheduler()
 	tt := fpTree(7, 6)
@@ -27,13 +26,6 @@ func TestFingerprintIncludesMaxDegree(t *testing.T) {
 	if other.Fingerprint(tt) == capped.Fingerprint(tt) {
 		t.Fatal("different caps share a fingerprint")
 	}
-	// Workers stays excluded even alongside a cap: pool width changes
-	// wall-clock time, never bytes.
-	wide := capped
-	wide.Workers = 7
-	if wide.Fingerprint(tt) != capped.Fingerprint(tt) {
-		t.Fatal("Workers changed a capped fingerprint")
-	}
 }
 
 func TestValidateRejectsNegativeMaxDegree(t *testing.T) {
@@ -45,7 +37,7 @@ func TestValidateRejectsNegativeMaxDegree(t *testing.T) {
 }
 
 // Capped schedules are deterministic per cap (byte-identical across
-// repeated runs, including parallel ones), respect the cap on every
+// repeated runs), respect the cap on every
 // floating operator, and leave rooted operators' fixed homes alone.
 // A cap at or above P is inert: byte-identical to the uncapped run.
 func TestMaxDegreeClampsDeterministically(t *testing.T) {
@@ -61,11 +53,10 @@ func TestMaxDegreeClampsDeterministically(t *testing.T) {
 		}
 		return data
 	}
-	schedule := func(cap, workers int) []byte {
+	schedule := func(cap int) []byte {
 		t.Helper()
 		c := ts
 		c.MaxDegree = cap
-		c.Workers = workers
 		s, err := c.Schedule(fpTree(11, 8))
 		if err != nil {
 			t.Fatal(err)
@@ -81,20 +72,17 @@ func TestMaxDegreeClampsDeterministically(t *testing.T) {
 		return encode(s)
 	}
 
-	uncapped := schedule(0, 1)
-	if got := schedule(ts.P, 1); !bytes.Equal(got, uncapped) {
+	uncapped := schedule(0)
+	if got := schedule(ts.P); !bytes.Equal(got, uncapped) {
 		t.Fatal("cap = P changed the schedule bytes")
 	}
 	for _, cap := range []int{1, 2, 3, 5} {
-		first := schedule(cap, 1)
+		first := schedule(cap)
 		if bytes.Equal(first, uncapped) && maxFloatingDegree(t, ts, tt) > cap {
 			t.Fatalf("cap %d left the schedule identical to uncapped", cap)
 		}
-		if again := schedule(cap, 1); !bytes.Equal(again, first) {
+		if again := schedule(cap); !bytes.Equal(again, first) {
 			t.Fatalf("cap %d: repeated schedule differs", cap)
-		}
-		if par := schedule(cap, 4); !bytes.Equal(par, first) {
-			t.Fatalf("cap %d: parallel schedule differs from serial", cap)
 		}
 	}
 }

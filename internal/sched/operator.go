@@ -282,8 +282,8 @@ func (sc *scratch) operatorSchedule(ctx context.Context, p, d int, ov resource.O
 	// j takes the first unbanned position after clone j−1's — one prefix
 	// walk for the run — and one rekey merges the grown keys back in,
 	// O(P + c log P) for c clones, not an O(P·d) rescan per clone. Each
-	// run depends on the previous placements, so the loop is serial
-	// whatever TreeScheduler.Workers says. ctxCheckStride counts clones.
+	// run depends on the previous placements, so the loop is serial.
+	// ctxCheckStride counts clones.
 	ix := sc.ix.reset(sys)
 	order, grown := ix.order, ix.grown
 	placed := 0

@@ -10,15 +10,10 @@ import (
 	"time"
 
 	"mdrs/internal/costmodel"
-	"mdrs/internal/obs"
 	"mdrs/internal/plan"
 	"mdrs/internal/query"
 	"mdrs/internal/resource"
 )
-
-// parWorkersGrid is the pool widths every identity test sweeps: the
-// forced-serial path, small pools, and pools wider than the host.
-var parWorkersGrid = []int{1, 2, 4, 8}
 
 func parTree(t testing.TB, seed int64, joins int) *plan.TaskTree {
 	t.Helper()
@@ -27,121 +22,45 @@ func parTree(t testing.TB, seed int64, joins int) *plan.TaskTree {
 	return plan.MustNewTaskTree(plan.MustExpand(p))
 }
 
-// The tentpole invariant: TreeSchedule output is byte-identical for
-// every Workers value, with and without a cost cache, at small and
-// large system sizes.
+// Workers is an inert field: every value gives one Fingerprint and
+// byte-identical schedules, with and without a cost cache.
 func TestTreeScheduleWorkersInvariance(t *testing.T) {
-	for _, p := range []int{16, 300, 512} {
-		for _, joins := range []int{6, 12, 18} {
-			tt := parTree(t, int64(100*p+joins), joins)
-			for _, cached := range []bool{false, true} {
-				ts := TreeScheduler{Model: costmodel.Default(), Overlap: resource.MustOverlap(0.5), P: p, F: 0.7}
-				if cached {
-					ts.Cache = costmodel.NewCache(ts.Model)
-				}
-				ts.Workers = 1
-				ref, err := ts.Schedule(tt)
+	for _, p := range []int{16, 300} {
+		tt := parTree(t, int64(100*p+12), 12)
+		for _, cached := range []bool{false, true} {
+			ts := TreeScheduler{Model: costmodel.Default(), Overlap: resource.MustOverlap(0.5), P: p, F: 0.7}
+			if cached {
+				ts.Cache = costmodel.NewCache(ts.Model)
+			}
+			var refFP Fingerprint
+			var refJSON []byte
+			for i, w := range []int{0, 1, 7} {
+				ts.Workers = w
+				s, err := ts.Schedule(tt)
 				if err != nil {
-					t.Fatalf("P=%d joins=%d: %v", p, joins, err)
+					t.Fatalf("P=%d workers=%d: %v", p, w, err)
 				}
-				refJSON, err := EncodeJSON(ref)
+				got, err := EncodeJSON(s)
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, w := range append([]int{0}, parWorkersGrid[1:]...) {
-					ts.Workers = w
-					s, err := ts.Schedule(tt)
-					if err != nil {
-						t.Fatalf("P=%d joins=%d workers=%d: %v", p, joins, w, err)
-					}
-					got, err := EncodeJSON(s)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !bytes.Equal(got, refJSON) {
-						t.Fatalf("P=%d joins=%d cached=%v: workers=%d schedule differs from workers=1",
-							p, joins, cached, w)
-					}
+				if i == 0 {
+					refFP, refJSON = ts.Fingerprint(tt), got
+					continue
+				}
+				if ts.Fingerprint(tt) != refFP {
+					t.Fatalf("P=%d: workers=%d changed the fingerprint", p, w)
+				}
+				if !bytes.Equal(got, refJSON) {
+					t.Fatalf("P=%d cached=%v: workers=%d schedule differs from workers=0", p, cached, w)
 				}
 			}
-		}
-	}
-}
-
-// Same invariant for ScheduleBatch, whose preparation fan-out spans all
-// batch entries of a global phase (including a repeated tree, the PR 3
-// aliasing case).
-func TestScheduleBatchWorkersInvariance(t *testing.T) {
-	shared := parTree(t, 7, 10)
-	trees := []*plan.TaskTree{
-		parTree(t, 3, 8),
-		shared,
-		parTree(t, 5, 14),
-		shared,
-	}
-	for _, p := range []int{24, 300} {
-		ts := TreeScheduler{Model: costmodel.Default(), Overlap: resource.MustOverlap(0.4), P: p, F: 0.7, Workers: 1}
-		ref, err := ts.ScheduleBatch(trees)
-		if err != nil {
-			t.Fatal(err)
-		}
-		refJSON, err := EncodeJSON(ref)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, w := range parWorkersGrid[1:] {
-			ts.Workers = w
-			s, err := ts.ScheduleBatch(trees)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := EncodeJSON(s)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got, refJSON) {
-				t.Fatalf("P=%d workers=%d: batch schedule differs from workers=1", p, w)
-			}
-		}
-	}
-}
-
-// The pool must actually engage: with Workers > 1 the parallel prepare
-// counter and the effective pool width appear in the metrics, at large
-// and small P alike; with Workers = 1 the serial counter appears instead.
-func TestParallelCountersRecorded(t *testing.T) {
-	tt := parTree(t, 21, 12)
-	for _, p := range []int{300, 16} {
-		met := obs.NewMetrics()
-		ts := TreeScheduler{
-			Model: costmodel.Default(), Overlap: resource.MustOverlap(0.5),
-			P: p, F: 0.7, Rec: met, Workers: 4,
-		}
-		if _, err := ts.Schedule(tt); err != nil {
-			t.Fatal(err)
-		}
-		snap := met.Snapshot()
-		if snap.Counters["sched.par.prepare_ops_parallel"] == 0 {
-			t.Errorf("P=%d: prepare_ops_parallel not counted: %v", p, snap.Counters)
-		}
-		if _, ok := snap.Histograms["sched.par.workers"]; !ok {
-			t.Errorf("P=%d: sched.par.workers histogram missing", p)
-		}
-
-		met = obs.NewMetrics()
-		ts.Rec, ts.Workers = met, 1
-		if _, err := ts.Schedule(tt); err != nil {
-			t.Fatal(err)
-		}
-		snap = met.Snapshot()
-		if snap.Counters["sched.par.prepare_ops_serial"] == 0 || snap.Counters["sched.par.prepare_ops_parallel"] != 0 {
-			t.Errorf("P=%d workers=1: prepare counters %v", p, snap.Counters)
 		}
 	}
 }
 
 // Race hammer (run under -race by make race): many
-// concurrent ScheduleCtx calls with Workers=4 on a shared cache, a
+// concurrent ScheduleCtx calls on a shared cache, a
 // fraction cancelled mid-placement. Completed runs must be byte-equal
 // to the reference; cancelled runs must return ctx.Err().
 func TestScheduleCtxParallelHammer(t *testing.T) {
@@ -151,7 +70,7 @@ func TestScheduleCtxParallelHammer(t *testing.T) {
 	mk := func() TreeScheduler {
 		return TreeScheduler{
 			Model: model, Overlap: resource.MustOverlap(0.5),
-			P: 300, F: 0.7, Cache: cache, Workers: 4,
+			P: 300, F: 0.7, Cache: cache,
 		}
 	}
 	ref, err := mk().Schedule(tt)

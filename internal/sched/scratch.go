@@ -38,13 +38,11 @@ type scratch struct {
 	// validated. The generation trick makes per-operator reset O(1).
 	homeSeen []int
 	gen      int
-	// jobs/errs carry one phase's cost-preparation fan-out (parallel.go):
-	// the job list built serially in operator order and the index-aligned
-	// errors the pool writes. ops is the slab the pool fills, opPtrs and
-	// dst the per-operator views of it and of the phase's site slab that
-	// operatorSchedule takes. All are reused between phases.
+	// jobs is one phase's cost-preparation list, in operator order. ops
+	// is the slab the prepare pass fills, opPtrs and dst the per-operator
+	// views of it and of the phase's site slab that operatorSchedule
+	// takes. All are reused between phases.
 	jobs   []prepJob
-	errs   []error
 	ops    []Op
 	opPtrs []*Op
 	dst    [][]int
@@ -161,7 +159,6 @@ func (sc *scratch) runList(n int) []run {
 // operators; the prepare pass overwrites every entry it will read.
 func (sc *scratch) phaseSlabs(n int) {
 	if cap(sc.ops) < n {
-		sc.errs = make([]error, n)
 		sc.ops = make([]Op, n)
 		sc.opPtrs = make([]*Op, n)
 		sc.dst = make([][]int, n)
@@ -169,5 +166,5 @@ func (sc *scratch) phaseSlabs(n int) {
 			sc.opPtrs[i] = &sc.ops[i]
 		}
 	}
-	sc.errs, sc.ops, sc.opPtrs, sc.dst = sc.errs[:n], sc.ops[:n], sc.opPtrs[:n], sc.dst[:n]
+	sc.ops, sc.opPtrs, sc.dst = sc.ops[:n], sc.opPtrs[:n], sc.dst[:n]
 }

@@ -35,7 +35,6 @@ func scratchCases() []scratchCase {
 	mk := func(p int, eps float64, seeds []int64, joins int) scratchCase {
 		ts := testScheduler(p, eps, 0.7)
 		ts.Cache = memo
-		ts.Workers = 1
 		c := scratchCase{ts: ts}
 		for _, seed := range seeds {
 			c.trees = append(c.trees, randomTree(seed, joins))

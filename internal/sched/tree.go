@@ -32,10 +32,10 @@ type TreeScheduler struct {
 	// partitioned parallelism at min{N_max, N_opt, P, MaxDegree} —
 	// the per-query intra-operator parallelism lever the serve layer's
 	// adaptive controller turns under concurrency. Zero means uncapped
-	// (the paper's pure CG_f degree). Unlike Workers, MaxDegree changes
-	// the schedule itself, so it participates in Fingerprint: two caps
-	// never share a cached schedule. Rooted operators (Homes, and probes
-	// pinned to their build's sites) keep their fixed homes regardless.
+	// (the paper's pure CG_f degree). MaxDegree changes the schedule
+	// itself, so it participates in Fingerprint: two caps never share a
+	// cached schedule. Rooted operators (Homes, and probes pinned to
+	// their build's sites) keep their fixed homes regardless.
 	MaxDegree int
 	// Policy selects the phase-packing policy; the zero value is the
 	// paper's MinShelf.
@@ -53,15 +53,11 @@ type TreeScheduler struct {
 	// pinned by the identity tests. Safe to share across concurrent
 	// scheduling calls.
 	Cache *costmodel.Cache
-	// Workers bounds the intra-schedule parallelism of one scheduling
-	// call: the per-phase cost-preparation fan-out (parallel.go); the
-	// placement loop is always serial. Zero or negative means
-	// runtime.GOMAXPROCS(0); 1 runs with no goroutines at all. The
-	// schedule is byte-identical for every value — Workers only changes
-	// wall-clock time — which is why Fingerprint excludes it, like Rec
-	// and Cache. Each concurrent Schedule/ScheduleBatch call may run up
-	// to Workers goroutines of its own (the serve layer's documented
-	// bound is MaxInFlight × Workers).
+	// Workers has no effect: a scheduling call runs on its caller's
+	// goroutine. Fingerprint excludes it.
+	//
+	// Deprecated: ignored; kept only because the frozen bench/probe.go
+	// assigns it (ROADMAP 1a).
 	Workers int
 }
 
@@ -205,17 +201,20 @@ func newSchedule(p, n int) *Schedule {
 
 // runPhase schedules the operators listed in sc.jobs as phase ph.Index
 // and fills in ph's placements and response. The jobs are in the order
-// the placements are listed in. Cost preparation fans across w workers
-// into slabs indexed by job, OperatorSchedule writes every clone's site
-// into one slab that the placements' Sites are windows of, and the
-// homes of the phase's operators are recorded for the probes of later
-// phases. What the phase leaves behind is three allocations: the
-// placements, the pointers to them and the sites.
-func (ts TreeScheduler) runPhase(ctx context.Context, sc *scratch, w int, ph *PhaseSchedule) error {
+// the placements are listed in. Cost preparation fills slabs indexed by
+// job and returns the first error in job order, OperatorSchedule writes
+// every clone's site into one slab that the placements' Sites are
+// windows of, and the homes of the phase's operators are recorded for
+// the probes of later phases. What the phase leaves behind is three
+// allocations: the placements, the pointers to them and the sites.
+func (ts TreeScheduler) runPhase(ctx context.Context, sc *scratch, ph *PhaseSchedule) error {
 	jobs := sc.jobs
 	pls := make([]OpPlacement, len(jobs))
-	if err := ts.prepareAll(sc, pls, w); err != nil {
-		return fmt.Errorf("sched: phase %d: %w", ph.Index, err)
+	sc.phaseSlabs(len(jobs))
+	for i, j := range jobs {
+		if err := ts.prepare(j, sc.homes, &sc.ops[i], &pls[i]); err != nil {
+			return fmt.Errorf("sched: phase %d: %w", ph.Index, err)
+		}
 	}
 	clones := 0
 	for i := range pls {
@@ -257,6 +256,15 @@ func (ts TreeScheduler) runPhase(ctx context.Context, sc *scratch, w int, ph *Ph
 		sc.homes[homeKey{jobs[i].tree, jobs[i].p}] = pls[i].Sites
 	}
 	return nil
+}
+
+// prepJob is one operator awaiting cost preparation: the plan operator,
+// the batch entry it belongs to (0 outside a batch) and the ID it is
+// scheduled under, unique within the phase.
+type prepJob struct {
+	p    *plan.Operator
+	tree int
+	id   int
 }
 
 // prepare determines an operator's degree of parallelism and clone

@@ -102,8 +102,8 @@ func TestCloseWaitsForGroupOfOne(t *testing.T) {
 }
 
 // settledGoroutines is the goroutine count once it has held for 10 ms:
-// the last goroutines of earlier tests (a finished test's runner, a
-// prepare worker past its WaitGroup.Done) may still be exiting.
+// the last goroutines of earlier tests (a finished test's runner) may
+// still be exiting.
 func settledGoroutines() int {
 	n := runtime.NumGoroutine()
 	for held := 0; held < 10; {
@@ -125,7 +125,6 @@ func TestCacheMissHandsOffToNoGoroutine(t *testing.T) {
 	gate := newGateRecorder()
 	ts := testScheduler(8, 0.5, 0.7)
 	ts.Rec = gate
-	ts.Workers = 1
 	svc := mustService(t, Config{Scheduler: ts, CacheSize: 1})
 	t.Cleanup(gate.open) // before the service's Close, also when the test fails
 	trees := []*plan.TaskTree{testTree(t, 61, 3), testTree(t, 62, 3)}

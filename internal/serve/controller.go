@@ -4,7 +4,7 @@
 // observability stream: each tick it reads the obs.Metrics snapshot the
 // service publishes into, derives two pressure signals — the shed rate
 // (serve.rejected per serve.requests over the tick) and the wait-queue
-// occupancy — and retunes three knobs through the service's atomic knob
+// occupancy — and retunes two knobs through the service's atomic knob
 // block:
 //
 //   - the batching window (wider under pressure: larger groups amortize
@@ -16,15 +16,11 @@
 //     pressure: fewer clones per operator means cheaper placement and a
 //     higher service rate — inter-query parallelism is bought by
 //     shrinking intra-query parallelism, the core trade of the paper's
-//     multi-query regime);
-//   - the scheduler pool width TreeScheduler.Workers (narrower under
-//     pressure: MaxInFlight concurrent scheduling calls each spawning a
-//     full worker pool oversubscribes the host exactly when it is
-//     busiest).
+//     multi-query regime).
 //
 // The policy is hysteresis-banded AIMD. Above the high band the
 // controller tightens multiplicatively (halve the cap, double the
-// window, drop one worker); below the low band it relaxes additively
+// window); below the low band it relaxes additively
 // (one step back toward the configured values); between the bands it
 // holds, so the knobs do not oscillate around a noisy operating point.
 // Tightening is multiplicative and relaxing additive for the classic
@@ -34,16 +30,13 @@
 // MaxDegree changes are safe under the schedule cache because the cap
 // participates in sched.TreeScheduler.Fingerprint: schedules computed
 // under different caps live under different keys, so a retune can never
-// cause a stale-cap cache hit. Workers is deliberately NOT part of the
-// fingerprint — it changes how fast a schedule is computed, never its
-// bytes.
+// cause a stale-cap cache hit.
 package serve
 
 import (
 	"time"
 
 	"mdrs/internal/obs"
-	"mdrs/internal/par"
 )
 
 // ControllerConfig configures the adaptive controller. The zero value
@@ -90,10 +83,9 @@ type controller struct {
 	src *obs.Metrics
 
 	// Configured values: the relaxed operating point.
-	baseWindow  time.Duration
-	baseDegree  int // configured MaxDegree; 0 = uncapped
-	degreeCeil  int // effective ceiling for recovery (baseDegree, or P when uncapped)
-	baseWorkers int // effective configured pool width (par.Workers-resolved)
+	baseWindow time.Duration
+	baseDegree int // configured MaxDegree; 0 = uncapped
+	degreeCeil int // effective ceiling for recovery (baseDegree, or P when uncapped)
 
 	// maxWindow caps how far the window may widen: 8× the configured
 	// window, or 16ms when that is opportunistic (zero).
@@ -140,14 +132,13 @@ func newController(cfg Config) (*controller, Config) {
 		maxWindow = 16 * time.Millisecond
 	}
 	return &controller{
-		cfg:         cc,
-		src:         src,
-		baseWindow:  cfg.BatchWindow,
-		baseDegree:  cfg.Scheduler.MaxDegree,
-		degreeCeil:  ceil,
-		baseWorkers: par.Workers(cfg.Scheduler.Workers),
-		maxWindow:   maxWindow,
-		coalesce:    cfg.MaxBatch > 1 && cfg.MaxInFlight > 1,
+		cfg:        cc,
+		src:        src,
+		baseWindow: cfg.BatchWindow,
+		baseDegree: cfg.Scheduler.MaxDegree,
+		degreeCeil: ceil,
+		maxWindow:  maxWindow,
+		coalesce:   cfg.MaxBatch > 1 && cfg.MaxInFlight > 1,
 	}, cfg
 }
 
@@ -217,11 +208,10 @@ func (s *Service) controlStep(c *controller) {
 	obs.Observe(rec, "serve.ctl.queue_occupancy", queueOcc)
 	obs.Observe(rec, "serve.ctl.max_degree", float64(s.knobs.maxDegree.Load()))
 	obs.Observe(rec, "serve.ctl.window_seconds", s.batchWindow().Seconds())
-	obs.Observe(rec, "serve.ctl.workers", float64(s.knobs.schedWorkers.Load()))
 }
 
 // tighten is the multiplicative-decrease arm: halve the parallelism
-// cap, double the batching window, drop one scheduler worker.
+// cap, double the batching window.
 func (s *Service) tighten(c *controller) {
 	// Per-query parallelism cap: 0 (uncapped) tightens from the
 	// effective ceiling, so the first pressure tick already bites.
@@ -244,11 +234,6 @@ func (s *Service) tighten(c *controller) {
 			w *= 2
 		}
 		s.knobs.batchWindow.Store(int64(min(w, c.maxWindow)))
-	}
-
-	// Scheduler pool: shed one worker per pressure tick, floor 1.
-	if cw := s.effectiveWorkers(); cw > 1 {
-		s.knobs.schedWorkers.Store(int64(cw - 1))
 	}
 }
 
@@ -275,14 +260,4 @@ func (s *Service) relax(c *controller) {
 		}
 		s.knobs.batchWindow.Store(int64(w))
 	}
-
-	if cw := s.effectiveWorkers(); cw < c.baseWorkers {
-		s.knobs.schedWorkers.Store(int64(cw + 1))
-	}
-}
-
-// effectiveWorkers resolves the live Workers knob the way the scheduler
-// will (0 = GOMAXPROCS).
-func (s *Service) effectiveWorkers() int {
-	return par.Workers(int(s.knobs.schedWorkers.Load()))
 }

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"mdrs/internal/obs"
-	"mdrs/internal/par"
 	"mdrs/internal/plan"
 	"mdrs/internal/sched"
 )
@@ -94,7 +93,7 @@ func controllerHarness(t *testing.T, cfg Config) (*Service, *controller, *obs.Me
 }
 
 // Pressure ticks tighten multiplicatively (halve the cap, widen the
-// window, shed a worker); idle ticks relax additively back toward the
+// window); idle ticks relax additively back toward the
 // configured values; and full recovery restores the configured cap
 // exactly (including 0 = uncapped).
 func TestControllerTightensAndRelaxes(t *testing.T) {
@@ -120,11 +119,8 @@ func TestControllerTightensAndRelaxes(t *testing.T) {
 	if tun.SoloMargin != 16*time.Millisecond {
 		t.Fatalf("pressure tick: solo margin = %v, want 4×window", tun.SoloMargin)
 	}
-	if tun.SchedWorkers >= ctl.baseWorkers && ctl.baseWorkers > 1 {
-		t.Fatalf("pressure tick: workers = %d, want below base %d", tun.SchedWorkers, ctl.baseWorkers)
-	}
 
-	// Sustained pressure floors at minDegree, maxWindow, one worker.
+	// Sustained pressure floors at minDegree and maxWindow.
 	for i := 0; i < 20; i++ {
 		met.Count("serve.requests", 100)
 		met.Count("serve.rejected", 50)
@@ -136,9 +132,6 @@ func TestControllerTightensAndRelaxes(t *testing.T) {
 	}
 	if tun.BatchWindow != ctl.maxWindow {
 		t.Fatalf("sustained pressure: window = %v, want cap %v", tun.BatchWindow, ctl.maxWindow)
-	}
-	if tun.SchedWorkers != 1 && ctl.baseWorkers > 1 {
-		t.Fatalf("sustained pressure: workers = %d, want floor 1", tun.SchedWorkers)
 	}
 
 	// Idle ticks (requests flow, nothing shed) relax one step at a time
@@ -153,10 +146,6 @@ func TestControllerTightensAndRelaxes(t *testing.T) {
 	}
 	if tun.BatchWindow != 2*time.Millisecond {
 		t.Fatalf("recovered window = %v, want configured 2ms", tun.BatchWindow)
-	}
-	if par.Workers(tun.SchedWorkers) != ctl.baseWorkers {
-		t.Fatalf("recovered workers = %d (effective %d), want base %d",
-			tun.SchedWorkers, par.Workers(tun.SchedWorkers), ctl.baseWorkers)
 	}
 }
 
@@ -340,7 +329,6 @@ func TestKnobRetuneHammerUnderLoad(t *testing.T) {
 			// Walk every knob through the values the controller would.
 			svc.knobs.maxDegree.Store(int64(i%5) * 2) // 0,2,4,6,8
 			svc.knobs.batchWindow.Store(int64(i%3) * int64(time.Millisecond))
-			svc.knobs.schedWorkers.Store(int64(1 + i%3))
 			time.Sleep(50 * time.Microsecond)
 		}
 	}()

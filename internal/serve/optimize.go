@@ -29,7 +29,7 @@ import (
 var ErrNoOptimizer = errors.New("serve: optimizer not configured")
 
 // OptimizerConfig enables and tunes Service.Optimize. The search's
-// system parameters (cost model, overlap, P, F, MaxDegree, Workers) are
+// system parameters (cost model, overlap, P, F, MaxDegree) are
 // never set here: they follow the service's scheduler — including live
 // controller retunes — so an optimized plan's winning schedule is
 // exactly what Schedule would have produced for that plan at that
@@ -89,7 +89,6 @@ func (s *Service) Optimize(ctx context.Context, r *rand.Rand, rels []*query.Rela
 		ExhaustiveJoins: oc.ExhaustiveJoins,
 		MaxDegree:       ts.MaxDegree,
 		Cache:           s.optCache,
-		Workers:         ts.Workers,
 		Streaming:       true,
 	}
 	if s.cache != nil {

@@ -44,7 +44,6 @@ import (
 
 	"mdrs/internal/costmodel"
 	"mdrs/internal/obs"
-	"mdrs/internal/par"
 	"mdrs/internal/plan"
 	"mdrs/internal/sched"
 )
@@ -66,12 +65,8 @@ var (
 type Config struct {
 	// Scheduler produces every schedule. Its Rec recorder (if any) sees
 	// the usual decision trace; the service's own counters go to Rec
-	// below. Its Workers knob bounds the intra-schedule parallelism of
-	// each request being scheduled, so the service's total scheduler
-	// goroutine bound is MaxInFlight × Workers (each admitted request
-	// runs at most one scheduling call, and each call at most Workers
-	// goroutines). The effective width is surfaced once at start-up as
-	// the serve.sched_workers counter.
+	// below. A scheduling call runs on one goroutine, so the service
+	// runs at most MaxInFlight of them at once.
 	Scheduler sched.TreeScheduler
 
 	// MaxInFlight bounds the number of admitted requests being batched
@@ -99,9 +94,8 @@ type Config struct {
 	// Controller configures the adaptive inter/intra-query parallelism
 	// controller (controller.go): a periodic feedback loop that observes
 	// queue depth, shed rate, and the request-latency histogram and
-	// retunes the batching window, the per-query parallelism cap
-	// (TreeScheduler.MaxDegree), and the scheduler pool width
-	// (TreeScheduler.Workers) through the service's atomic knobs. The
+	// retunes the batching window and the per-query parallelism cap
+	// (TreeScheduler.MaxDegree) through the service's atomic knobs. The
 	// zero value leaves the controller disabled: every knob then holds
 	// its configured value for the service's lifetime and behavior is
 	// identical to a controller-free build (pinned by the invariance
@@ -226,9 +220,8 @@ type response struct {
 // the adaptive controller (or never, when the controller is disabled),
 // so live retuning cannot race the collector or the request paths.
 type knobs struct {
-	batchWindow  atomic.Int64 // ns; <= 0 means opportunistic batching
-	maxDegree    atomic.Int64 // per-query parallelism cap; 0 = uncapped
-	schedWorkers atomic.Int64 // TreeScheduler.Workers; 0 = GOMAXPROCS
+	batchWindow atomic.Int64 // ns; <= 0 means opportunistic batching
+	maxDegree   atomic.Int64 // per-query parallelism cap; 0 = uncapped
 }
 
 // Service is the concurrent scheduling service. Construct with New;
@@ -275,13 +268,12 @@ func (s *Service) soloMargin() time.Duration {
 }
 
 // scheduler returns the configured TreeScheduler with the live knob
-// overlay applied: the current per-query parallelism cap and scheduler
-// pool width. With the controller disabled both knobs hold their
-// configured values, so the result is exactly cfg.Scheduler.
+// overlay applied: the current per-query parallelism cap. With the
+// controller disabled the knob holds its configured value, so the
+// result is exactly cfg.Scheduler.
 func (s *Service) scheduler() sched.TreeScheduler {
 	ts := s.cfg.Scheduler
 	ts.MaxDegree = int(s.knobs.maxDegree.Load())
-	ts.Workers = int(s.knobs.schedWorkers.Load())
 	return ts
 }
 
@@ -324,11 +316,6 @@ func New(cfg Config) (*Service, error) {
 	// exactly the static pre-knob service.
 	s.knobs.batchWindow.Store(int64(cfg.BatchWindow))
 	s.knobs.maxDegree.Store(int64(cfg.Scheduler.MaxDegree))
-	s.knobs.schedWorkers.Store(int64(cfg.Scheduler.Workers))
-	// Surface the effective scheduler pool width so /metricz-style
-	// consumers can compute the MaxInFlight × Workers goroutine bound
-	// without re-deriving GOMAXPROCS defaults.
-	obs.Count(cfg.Rec, "serve.sched_workers", int64(par.Workers(cfg.Scheduler.Workers)))
 	obs.Count(cfg.Rec, "serve.max_inflight", int64(cfg.MaxInFlight))
 	s.workers.Add(1)
 	go s.collect()
@@ -381,20 +368,18 @@ func (s *Service) CacheLen() int { return s.cache.Len() }
 // retunes them. SoloMargin is not a knob of its own: it follows
 // BatchWindow (see soloMargin).
 type Tuning struct {
-	BatchWindow  time.Duration
-	SoloMargin   time.Duration
-	MaxDegree    int
-	SchedWorkers int
+	BatchWindow time.Duration
+	SoloMargin  time.Duration
+	MaxDegree   int
 }
 
 // Tuning reports the current knob values, read atomically. Purely
 // observational; the values may be retuned the instant after.
 func (s *Service) Tuning() Tuning {
 	return Tuning{
-		BatchWindow:  s.batchWindow(),
-		SoloMargin:   s.soloMargin(),
-		MaxDegree:    int(s.knobs.maxDegree.Load()),
-		SchedWorkers: int(s.knobs.schedWorkers.Load()),
+		BatchWindow: s.batchWindow(),
+		SoloMargin:  s.soloMargin(),
+		MaxDegree:   int(s.knobs.maxDegree.Load()),
 	}
 }
 

@@ -213,21 +213,15 @@ type Options struct {
 	F float64
 	// MaxDegree, when positive, caps every floating operator's degree of
 	// partitioned parallelism at min{N_max, N_opt, P, MaxDegree}
-	// (TreeSchedule only). Zero means uncapped. Unlike SchedWorkers the
-	// cap changes the schedule itself, so it participates in
-	// the schedule fingerprint — schedules cached under different caps never
-	// alias. The serve layer's adaptive controller tunes this knob live.
+	// (TreeSchedule only). Zero means uncapped. The cap changes the
+	// schedule itself, so it participates in the schedule fingerprint —
+	// schedules cached under different caps never alias. The serve
+	// layer's adaptive controller tunes this knob live.
 	MaxDegree int
 	// Rec, when non-nil, receives the scheduler's decision trace and
 	// counters. It is strictly observational: the schedule is identical
 	// with or without it.
 	Rec Recorder
-	// SchedWorkers bounds the scheduler's intra-call parallelism (the
-	// concurrent cost-preparation pass; placement is always serial).
-	// Zero or negative means runtime.GOMAXPROCS(0); 1 runs without
-	// goroutines. The schedule is byte-identical for every value — the
-	// knob only trades wall-clock time against goroutines.
-	SchedWorkers int
 }
 
 func (o Options) normalize() (CostModel, Overlap, error) {
@@ -268,7 +262,7 @@ func ScheduleQueryCtx(ctx context.Context, p *PlanNode, o Options) (*Schedule, e
 	}
 	ts := sched.TreeScheduler{
 		Model: m, Overlap: ov, P: o.Sites, F: o.F,
-		MaxDegree: o.MaxDegree, Rec: o.Rec, Workers: o.SchedWorkers,
+		MaxDegree: o.MaxDegree, Rec: o.Rec,
 	}
 	return ts.ScheduleCtx(ctx, tt)
 }
@@ -326,7 +320,6 @@ func NewPlanSearch(o Options, candidates int) (PlanSearch, error) {
 		MaxDegree:  o.MaxDegree,
 		Cache:      NewCostCache(m),
 		Rec:        o.Rec,
-		Workers:    o.SchedWorkers,
 	}
 	if err := s.Validate(); err != nil {
 		return PlanSearch{}, err
