@@ -15,14 +15,10 @@
 //
 // -optimize discards the input plan's join order and re-optimizes its
 // relation catalog with the bound-pruned scheduler-in-the-loop search
-// (see -opt-candidates, -opt-seed, -opt-no-prune, -opt-exhaustive-joins);
+// (see -opt-candidates, -opt-seed, -opt-exhaustive-joins);
 // -json, -v, and -chart then describe the winning candidate's schedule;
 // -trace and -trace-text are rejected, because the search attaches no
 // recorder to its per-candidate schedulers.
-// -opt-stream switches to the streaming bound-interleaved variant:
-// candidates are bounded and pruned as they are enumerated, with
-// O(frontier) peak memory and the provably identical winner, reaching
-// systematic enumeration up to 9 joins.
 //
 // Batch mode honors the same output flags as single-query mode: -json
 // emits the combined batch schedule, -v lists its placements, -trace
@@ -57,9 +53,7 @@ type options struct {
 	optimize      bool
 	optCandidates int   // sample size K for large joins
 	optSeed       int64 // candidate-sampling seed
-	optNoPrune    bool  // schedule every candidate (ablation arm)
 	optExJoins    int   // systematic-enumeration threshold (0 = default)
-	optStream     bool  // streaming bound-interleaved search
 }
 
 func main() {
@@ -76,9 +70,7 @@ func main() {
 	flag.BoolVar(&o.optimize, "optimize", false, "re-optimize the plan's relations with the bound-pruned plan search instead of scheduling the plan as given")
 	flag.IntVar(&o.optCandidates, "opt-candidates", 8, "plan-search sample size K for join counts above the enumeration threshold")
 	flag.Int64Var(&o.optSeed, "opt-seed", 1, "plan-search candidate-sampling seed")
-	flag.BoolVar(&o.optNoPrune, "opt-no-prune", false, "disable bound pruning: fully schedule every candidate (identical winner, more work)")
 	flag.IntVar(&o.optExJoins, "opt-exhaustive-joins", 0, "largest join count enumerated systematically instead of sampled (0 = search default)")
-	flag.BoolVar(&o.optStream, "opt-stream", false, "use the streaming bound-interleaved search: prune during enumeration with O(frontier) memory (identical winner)")
 	flag.Parse()
 
 	if flag.NArg() > 0 {
@@ -286,12 +278,7 @@ func runOptimize(w io.Writer, o options) error {
 	if err != nil {
 		return err
 	}
-	search.NoPrune = o.optNoPrune
 	search.ExhaustiveJoins = o.optExJoins
-	search.Streaming = o.optStream
-	if err := search.Validate(); err != nil {
-		return err
-	}
 	res, err := search.Best(rand.New(rand.NewSource(o.optSeed)), p.Leaves())
 	if err != nil {
 		return err
@@ -301,9 +288,6 @@ func runOptimize(w io.Writer, o options) error {
 		mode := "sampled"
 		if res.Systematic {
 			mode = "enumerated systematically"
-		}
-		if res.Streaming {
-			mode += ", streamed"
 		}
 		fmt.Fprintf(w, "catalog: %d relations (from the %d-join input plan)\n",
 			len(p.Leaves()), p.Joins())

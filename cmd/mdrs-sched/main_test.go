@@ -321,30 +321,6 @@ func TestRunOptimizeSummaryOutput(t *testing.T) {
 	}
 }
 
-// The pruned and unpruned -optimize runs must print the identical
-// winning candidate and emit byte-identical -json schedules.
-func TestRunOptimizeNoPruneIdentity(t *testing.T) {
-	path := writePlan(t, 4)
-	jsonOut := func(noPrune bool) string {
-		t.Helper()
-		var sb strings.Builder
-		o := options{planPath: path, sites: 12, eps: 0.5, f: 0.7, asJSON: true,
-			optimize: true, optCandidates: 8, optSeed: 2, optNoPrune: noPrune}
-		if err := runOptimize(&sb, o); err != nil {
-			t.Fatal(err)
-		}
-		return sb.String()
-	}
-	pruned, unpruned := jsonOut(false), jsonOut(true)
-	if pruned != unpruned {
-		t.Fatal("pruned -json schedule differs from unpruned")
-	}
-	var s map[string]any
-	if err := json.Unmarshal([]byte(pruned), &s); err != nil {
-		t.Fatalf("-json output not valid JSON: %v", err)
-	}
-}
-
 func TestRunOptimizeSampledPath(t *testing.T) {
 	path := writePlan(t, 7)
 	var sb strings.Builder

@@ -97,49 +97,6 @@ func encodeSchedule(t *testing.T, s *sched.Schedule) []byte {
 	return data
 }
 
-// The tentpole contract: the bound-pruned search returns the identical
-// winning plan and a byte-identical schedule to the unpruned search
-// that fully schedules every candidate — for every corpus entry — while
-// scheduling strictly fewer candidates somewhere in the corpus (the
-// whole point of pruning).
-func TestPrunedSearchIdentityAcrossCorpus(t *testing.T) {
-	totalPruned := 0
-	for _, c := range corpus() {
-		rels := c.relations(t)
-
-		oracle := c.search(8)
-		oracle.NoPrune = true
-		want, err := oracle.Best(rand.New(rand.NewSource(c.seed+1)), rels)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want.Pruned != 0 || want.Scheduled != len(want.Candidates) {
-			t.Fatalf("joins=%d P=%d: unpruned oracle pruned %d of %d",
-				c.joins, c.p, want.Pruned, len(want.Candidates))
-		}
-
-		got, err := c.search(8).Best(rand.New(rand.NewSource(c.seed+1)), rels)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Best.Index != want.Best.Index {
-			t.Fatalf("joins=%d P=%d: pruned winner index %d, unpruned %d",
-				c.joins, c.p, got.Best.Index, want.Best.Index)
-		}
-		if !bytes.Equal(encodeSchedule(t, got.Best.Schedule), encodeSchedule(t, want.Best.Schedule)) {
-			t.Fatalf("joins=%d P=%d: winning schedule bytes differ from unpruned oracle", c.joins, c.p)
-		}
-		if got.Scheduled > want.Scheduled {
-			t.Fatalf("joins=%d P=%d: pruned search scheduled %d > unpruned %d",
-				c.joins, c.p, got.Scheduled, want.Scheduled)
-		}
-		totalPruned += got.Pruned
-	}
-	if totalPruned == 0 {
-		t.Fatal("bound pruning never fired across the corpus")
-	}
-}
-
 // The soundness invariant pruning depends on: OPTBOUND never exceeds
 // the TreeSchedule response, for every candidate of every corpus entry
 // (including under a MaxDegree cap, which only shrinks the degree range

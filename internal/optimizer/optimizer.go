@@ -8,28 +8,27 @@
 // scheduler into the optimizer is affordable only if most candidates
 // are discarded by a cheap lower bound before the full scheduler runs.
 //
-// This package implements that bound-pruned integrated search. A
-// candidate pool is enumerated per query — every distinct bushy plan
-// when the join count is small enough (ExhaustiveJoins), a shape-cycled
-// random sample above it — and each candidate is priced with the
-// OPTBOUND lower bound of internal/opt, which needs no placement loop.
-// Candidates are then scheduled in ascending-bound order against a
-// running incumbent; a candidate whose bound already meets the
-// incumbent's *scheduled* response cannot win and is pruned without
-// ever entering TreeSchedule. The pruned search provably returns the
-// same winner, with a byte-identical schedule, as scheduling every
-// candidate (the identity tests pin this): OPTBOUND never exceeds the
-// TreeSchedule response, and ties resolve by the exact lexicographic
-// (response, candidate index) key, so a pruned candidate can never have
-// beaten the incumbent that pruned it.
+// This package implements that bound-pruned integrated search. The
+// candidates of a query are every distinct bushy plan when the join
+// count is small enough (ExhaustiveJoins), streamed out of a subset DP
+// that discards whole subtrees by their bound, and a shape-cycled random
+// sample above it. Each candidate is priced with the OPTBOUND lower
+// bound of internal/opt, which needs no placement loop; survivors are
+// scheduled best-first, one at a time, against an incumbent that
+// updates after every schedule, and a candidate whose bound already
+// meets the incumbent's *scheduled* response cannot win and never
+// enters TreeSchedule. The search provably returns the same winner,
+// with a byte-identical schedule, as scheduling every candidate (the
+// identity tests pin this against the NoPrune oracle): OPTBOUND never
+// exceeds the TreeSchedule response, and ties resolve by the exact
+// lexicographic (response, candidate index) key, so a pruned candidate
+// can never have beaten the incumbent that pruned it.
 //
-// The search reuses the machinery built for exactly this workload: one
-// costmodel.Cache prices every structurally repeated operator spec once
-// across all candidates (bounds and schedules share the memo), and the
-// surviving candidates are scheduled in fixed-size speculative chunks
-// on the caller's goroutine — chunk membership depends only on bounds
-// and the incumbent, so the pruned/scheduled counts and the winner are
-// a pure function of the inputs.
+// One costmodel.Cache prices every structurally repeated operator spec
+// once across all candidates (bounds and schedules share the memo), and
+// the whole search runs on the caller's goroutine, so the
+// pruned/scheduled counts and the winner are a pure function of the
+// inputs.
 package optimizer
 
 import (
@@ -38,7 +37,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 
 	"mdrs/internal/costmodel"
 	"mdrs/internal/obs"
@@ -59,12 +57,12 @@ var (
 	// ErrTooFewRelations reports a Best call with fewer than two
 	// relations: with no join to order there is nothing to search.
 	ErrTooFewRelations = errors.New("optimizer: fewer than 2 relations")
-	// ErrEnumerate reports a failure building the candidate pool — the
+	// ErrEnumerate reports a failure building the candidates — the
 	// relation set broke the enumerator's validation (a relation count
-	// beyond the materializing or streaming ceiling, a nil relation, a
-	// non-positive cardinality) or the shape sampler rejected it. The
-	// underlying query-layer error is wrapped and inspectable via
-	// errors.Is/As.
+	// beyond the streaming ceiling, or the NoPrune oracle's materializing
+	// one, a nil relation, a non-positive cardinality) or the shape
+	// sampler rejected it. The underlying query-layer error is wrapped
+	// and inspectable via errors.Is/As.
 	ErrEnumerate = errors.New("optimizer: candidate enumeration failed")
 )
 
@@ -72,14 +70,6 @@ var (
 // Search.ExhaustiveJoins is zero: 3 joins = 4 relations = 120 distinct
 // bushy plans, small enough to bound and prune in bulk.
 const defaultExhaustiveJoins = 3
-
-// speculativeChunk is how many unpruned candidates are scheduled
-// together between pruning decisions. It is a fixed constant, so which
-// candidates get fully scheduled (and therefore the pruned/scheduled
-// counts) is fixed by the bounds alone. The first chunk is always the
-// two-phase strawman alone, seeding the incumbent before any
-// speculation.
-const speculativeChunk = 8
 
 // Search configures a bound-pruned, scheduler-integrated plan search.
 type Search struct {
@@ -94,21 +84,24 @@ type Search struct {
 	Candidates int
 	// Shapes restricts the sampled plan shapes; nil means all four.
 	Shapes []query.Shape
-	// ExhaustiveJoins is the largest join count for which the candidate
-	// pool is the full systematic enumeration of distinct bushy plans
-	// instead of a Candidates-sized sample. Zero means the default of 3
-	// (120 plans); negative disables systematic enumeration entirely.
-	// Values of 9 and above are rejected outright (the streaming
-	// enumerator tops out at 10 relations); values of 7 and 8 are only
-	// reachable by the streaming search — the materializing pool returns
-	// ErrEnumerate past query.MaxEnumerateRelations. The pool size is
-	// super-exponential (4 joins → 1680, 5 → 30240 plans), so even
-	// streamed systematic search past 5 joins is a deliberate choice.
+	// ExhaustiveJoins is the largest join count for which the candidates
+	// are the full systematic enumeration of distinct bushy plans instead
+	// of a Candidates-sized sample. Zero means the default of 3 (120
+	// plans); negative disables systematic enumeration entirely. Values
+	// of 10 and above are rejected outright: the streaming enumerator
+	// tops out at 10 relations, so systematic search reaches 9 joins.
+	// The candidate count is super-exponential (4 joins → 1680, 5 →
+	// 30240 plans), so systematic search past 5 joins is a deliberate
+	// choice.
 	ExhaustiveJoins int
-	// NoPrune disables bound pruning: every candidate is fully
-	// scheduled. The winner is identical either way (pinned by tests);
-	// the flag exists for the integration-cost ablation and as the
-	// oracle the identity tests compare against.
+	// NoPrune runs the exhaustive oracle instead of the search: every
+	// candidate is enumerated into memory, bounded and fully scheduled in
+	// index order, and Warm is never consulted. The winner is identical
+	// either way (pinned by tests). Its systematic enumeration stops at
+	// query.MaxEnumerateRelations and returns ErrEnumerate past it.
+	//
+	// Deprecated: the exhaustive oracle; kept outside _test.go only
+	// because the frozen bench/workloads.go calls it (ROADMAP 1a).
 	NoPrune bool
 	// MaxDegree, when positive, caps every floating operator's degree of
 	// partitioned parallelism, exactly as TreeScheduler.MaxDegree. The
@@ -120,17 +113,11 @@ type Search struct {
 	// means a private cache per Best call — candidates of one query
 	// still share it, but nothing carries across calls.
 	Cache *costmodel.Cache
-	// Streaming switches BestCtx to the streaming bound-interleaved
-	// search: candidates are enumerated through query.EnumerateBushyFunc
-	// with per-subtree OPTBOUND pruning inside the subset DP (systematic
-	// pools), ordered best-first through a bounded frontier, and
-	// scheduled serially against an incumbent that updates after every
-	// schedule. The winner and its schedule bytes are identical to the
-	// pool-then-prune search (the identity corpus pins this); only the
-	// amount of work — TreeSchedule invocations, peak candidate
-	// residency — changes. NoPrune is ignored when Streaming is set: the
-	// unpruned pool search is the oracle the streaming search is
-	// verified against.
+	// Streaming has no effect: Best always runs the streaming
+	// bound-interleaved search.
+	//
+	// Deprecated: ignored; every search streams. Kept only because the
+	// frozen bench/ assigns it (ROADMAP 1a).
 	Streaming bool
 	// Warm, when non-nil, is consulted before each surviving candidate
 	// is scheduled; returning a schedule counts the candidate as a warm
@@ -138,14 +125,14 @@ type Search struct {
 	// an exactness contract: a returned schedule must be byte-identical
 	// to what TreeSchedule would produce for that task tree under this
 	// search's parameters (the serve layer satisfies it by keying its
-	// schedule cache on TreeScheduler.Fingerprint). Only the streaming
-	// search consults Warm; the pool path stays the PR 8 oracle.
+	// schedule cache on TreeScheduler.Fingerprint).
 	Warm func(*plan.TaskTree) (*sched.Schedule, bool)
 	// Rec, when non-nil, receives the search counters
-	// (optimizer.candidates, optimizer.pruned, optimizer.scheduled,
-	// optimizer.searches). It is never attached to the per-candidate
-	// schedulers — candidates would repeat each other's (phase, op,
-	// clone) trace keys — and never influences the search.
+	// (optimizer.searches, optimizer.candidates, optimizer.pruned,
+	// optimizer.scheduled, optimizer.warm_hits, optimizer.subtree_pruned).
+	// It is never attached to the per-candidate schedulers — candidates
+	// would repeat each other's (phase, op, clone) trace keys — and never
+	// influences the search.
 	Rec obs.Recorder
 }
 
@@ -183,11 +170,14 @@ func (s Search) candidates() int {
 	return s.Candidates
 }
 
-func (s Search) exhaustiveJoins() int {
-	if s.ExhaustiveJoins == 0 {
-		return defaultExhaustiveJoins
+// systematic reports whether a query over n relations is searched over
+// the full bushy enumeration rather than a sample.
+func (s Search) systematic(n int) bool {
+	max := s.ExhaustiveJoins
+	if max == 0 {
+		max = defaultExhaustiveJoins
 	}
-	return s.ExhaustiveJoins
+	return max > 0 && n-1 <= max
 }
 
 func (s Search) shapes() []query.Shape {
@@ -197,8 +187,8 @@ func (s Search) shapes() []query.Shape {
 	return []query.Shape{query.RandomBushy, query.LeftDeep, query.RightDeep, query.Balanced}
 }
 
-// Candidate is one enumerated candidate plan: its cheap lower bound,
-// and — when the candidate survived pruning — its full schedule.
+// Candidate is one priced candidate plan: its cheap lower bound and its
+// full schedule.
 type Candidate struct {
 	// Index is the candidate's position in enumeration order; it is the
 	// tie-break key that makes the winner deterministic.
@@ -211,18 +201,16 @@ type Candidate struct {
 	// Bound is the OPTBOUND lower bound on any CG_f execution of the
 	// plan: Schedule.Response can never be below it.
 	Bound float64
-	// Schedule is the full TreeSchedule result; nil when Pruned.
+	// Schedule is the full TreeSchedule result, or the Warm hook's.
 	Schedule *sched.Schedule
-	// Pruned marks candidates discarded by the bound without scheduling.
-	Pruned bool
 
 	// tree is Plan expanded, set once the candidate has been bounded.
 	tree *plan.TaskTree
 }
 
 // TaskTree returns the task tree the candidate's bound and schedule
-// were computed from; nil for a candidate that was never priced. The
-// tree is shared and must be treated as read-only.
+// were computed from. The tree is shared and must be treated as
+// read-only.
 func (c Candidate) TaskTree() *plan.TaskTree { return c.tree }
 
 // taskTree expands a candidate plan into the task tree that OPTBOUND
@@ -235,34 +223,25 @@ func taskTree(p *query.PlanNode) (*plan.TaskTree, error) {
 	return plan.NewTaskTree(ot)
 }
 
-// Result of a search: the winner plus the retained candidates in
-// enumeration order (Candidates[0] is the "two-phase" strawman: the
-// first plan enumerated, always fully priced), and the pruning ledger.
-//
-// Pool searches retain every candidate, pruned ones included, and
-// Pruned + Scheduled == len(Candidates). Streaming systematic searches
-// never materialize the pool: Candidates holds only the candidates that
-// were actually priced (scheduled or warm-served), still in enumeration
-// order, and Pruned counts everything else out of Enumerated — whether
-// it was discarded at arrival by its own bound or never even built
-// because a shared subtree was discarded first (SubtreePruned tallies
-// the subtree discards). In every mode
-// Pruned + Scheduled + WarmHits == Enumerated.
+// Result of a search: the winner, the pruning ledger, and in Candidates
+// the priced candidates — scheduled or warm-served — in index order.
+// Candidates[0] is the "two-phase" strawman: the first plan enumerated,
+// always priced. Pruned counts every other candidate out of Enumerated,
+// whether it was discarded by its own bound or never even built because
+// a shared subtree was discarded first (SubtreePruned tallies the
+// subtree discards), so Pruned + Scheduled + WarmHits == Enumerated.
 type Result struct {
 	Best       Candidate
 	Candidates []Candidate
-	// Systematic reports whether the pool was the full bushy
+	// Systematic reports whether the candidates were the full bushy
 	// enumeration rather than a random sample.
 	Systematic bool
-	// Streaming reports whether the streaming bound-interleaved search
-	// produced this result.
-	Streaming bool
 	// Pruned counts candidates discarded by a bound without being
 	// scheduled; Scheduled counts full TreeSchedule invocations.
 	Pruned, Scheduled int
 	// Enumerated is the total size of the candidate space the search
-	// covered: len(Candidates) for pool searches, the full T(n) count
-	// for streaming systematic searches (int64: T(10) ≈ 1.76e10).
+	// covered: the sample size, or the full T(n) count for systematic
+	// searches (int64: T(10) ≈ 1.76e10).
 	Enumerated int64
 	// SubtreePruned counts proper subtrees the streaming subset DP
 	// discarded against the incumbent (not candidates — one discarded
@@ -272,8 +251,8 @@ type Result struct {
 	// TreeSchedule.
 	WarmHits int
 	// PeakResident is the largest number of unscheduled candidate plans
-	// the search held at once: the pool size for pool searches, the
-	// bounded frontier high-water mark for streaming systematic ones.
+	// the search held at once: the sample size for sampled searches, the
+	// bounded frontier high-water mark for systematic ones.
 	PeakResident int
 }
 
@@ -305,8 +284,8 @@ func (s Search) Best(r *rand.Rand, rels []*query.Relation) (*Result, error) {
 	return s.BestCtx(context.Background(), r, rels)
 }
 
-// BestCtx is Best with a cancellation context: the search checks ctx at
-// every chunk boundary and threads it into each candidate's
+// BestCtx is Best with a cancellation context: the search checks ctx
+// before every candidate it prices and threads it into each
 // TreeSchedule, so a cancelled search returns ctx.Err() promptly. The
 // context never influences a search decision — a run that completes is
 // bit-identical to Best.
@@ -320,114 +299,54 @@ func (s Search) BestCtx(ctx context.Context, r *rand.Rand, rels []*query.Relatio
 	if len(rels) < 2 {
 		return nil, fmt.Errorf("%w: got %d", ErrTooFewRelations, len(rels))
 	}
-	if s.Streaming {
-		return s.bestStreaming(ctx, r, rels)
-	}
-
-	cands, systematic, err := s.enumerate(r, rels)
-	if err != nil {
-		return nil, err
-	}
 	cache := s.Cache
 	if cache == nil {
 		cache = costmodel.NewCache(s.Model)
 	}
-
-	if err := s.boundCandidates(cache, cands); err != nil {
+	search := s.stream
+	if s.NoPrune {
+		search = s.unpruned
+	}
+	out, err := search(ctx, cache, r, rels)
+	if err != nil {
 		return nil, err
 	}
+	s.record(out)
+	return out, nil
+}
 
-	// Schedule in ascending-bound order against the incumbent. The
-	// two-phase strawman (candidate 0) goes first and alone: it is the
-	// ablation's baseline, it can never be pruned (no incumbent exists
-	// yet), and flushing before any speculation gives every later
-	// candidate a real incumbent to be pruned against.
-	order := make([]int, 0, len(cands))
-	for i := 1; i < len(cands); i++ {
-		order = append(order, i)
+// unpruned is the NoPrune oracle: every candidate is enumerated,
+// bounded and scheduled in index order, and the winner is the argmin of
+// the exact (response, index) key.
+func (s Search) unpruned(ctx context.Context, cache *costmodel.Cache, r *rand.Rand, rels []*query.Relation) (*Result, error) {
+	cands, systematic, err := s.enumerate(r, rels)
+	if err != nil {
+		return nil, err
 	}
-	sort.Slice(order, func(a, b int) bool {
-		ca, cb := cands[order[a]], cands[order[b]]
-		if ca.Bound != cb.Bound {
-			return ca.Bound < cb.Bound
-		}
-		return ca.Index < cb.Index
-	})
-
-	inc := -1 // incumbent candidate index; -1 = none yet
-	// prunable reports whether the candidate at index i cannot beat the
-	// incumbent under the exact lexicographic (response, index) key:
-	// its response is at least its bound, so a strictly larger bound —
-	// or an equal bound at a larger index — loses every tie-break.
-	prunable := func(i int) bool {
-		if s.NoPrune || inc < 0 {
-			return false
-		}
-		incResp := cands[inc].Schedule.Response
-		return cands[i].Bound > incResp || (cands[i].Bound == incResp && i > inc)
+	if err := s.boundCandidates(cache, cands); err != nil {
+		return nil, err
 	}
 	ts := sched.TreeScheduler{
 		Model: s.Model, Overlap: s.Overlap, P: s.P, F: s.F,
 		MaxDegree: s.MaxDegree, Cache: cache,
 	}
-	scheduled := 0
-	flush := func(chunk []int) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		for _, i := range chunk {
-			sc, err := ts.ScheduleCtx(ctx, cands[i].tree)
-			if err != nil {
-				return err
-			}
-			cands[i].Schedule = sc
-			scheduled++
-			if inc < 0 {
-				inc = i
-				continue
-			}
-			resp, incResp := cands[i].Schedule.Response, cands[inc].Schedule.Response
-			if resp < incResp || (resp == incResp && i < inc) {
-				inc = i
-			}
-		}
-		return nil
-	}
-
-	if err := flush([]int{0}); err != nil {
-		return nil, err
-	}
-	chunk := make([]int, 0, speculativeChunk)
-	for _, i := range order {
-		if prunable(i) {
-			cands[i].Pruned = true
-			continue
-		}
-		chunk = append(chunk, i)
-		if len(chunk) == speculativeChunk {
-			if err := flush(chunk); err != nil {
-				return nil, err
-			}
-			chunk = chunk[:0]
-		}
-	}
-	if len(chunk) > 0 {
-		if err := flush(chunk); err != nil {
+	best := 0
+	for i := range cands {
+		if cands[i].Schedule, err = ts.ScheduleCtx(ctx, cands[i].tree); err != nil {
 			return nil, err
 		}
+		if cands[i].Schedule.Response < cands[best].Schedule.Response {
+			best = i
+		}
 	}
-
-	out := &Result{
-		Best:         cands[inc],
+	return &Result{
+		Best:         cands[best],
 		Candidates:   cands,
 		Systematic:   systematic,
-		Pruned:       len(cands) - scheduled,
-		Scheduled:    scheduled,
+		Scheduled:    len(cands),
 		Enumerated:   int64(len(cands)),
 		PeakResident: len(cands),
-	}
-	s.record(out)
-	return out, nil
+	}, nil
 }
 
 // record emits the search counters for one completed result.
@@ -439,10 +358,8 @@ func (s Search) record(out *Result) {
 	s.Rec.Count("optimizer.candidates", out.Enumerated)
 	s.Rec.Count("optimizer.pruned", int64(out.Pruned))
 	s.Rec.Count("optimizer.scheduled", int64(out.Scheduled))
-	if out.Streaming {
-		s.Rec.Count("optimizer.warm_hits", int64(out.WarmHits))
-		s.Rec.Count("optimizer.subtree_pruned", out.SubtreePruned)
-	}
+	s.Rec.Count("optimizer.warm_hits", int64(out.WarmHits))
+	s.Rec.Count("optimizer.subtree_pruned", out.SubtreePruned)
 }
 
 // boundCandidates prices every candidate with the cheap OPTBOUND: no
@@ -464,14 +381,13 @@ func (s Search) boundCandidates(cache *costmodel.Cache, cands []Candidate) error
 	return nil
 }
 
-// enumerate builds the candidate pool: the full systematic bushy
-// enumeration at or below the ExhaustiveJoins threshold, a
+// enumerate builds the candidate pool in memory: the full systematic
+// bushy enumeration at or below the ExhaustiveJoins threshold, a
 // shape-cycled random sample above it. Plan generation consumes r
-// serially in candidate order, so a seeded search enumerates the same
-// pool regardless of pruning mode.
+// serially in candidate order, so a seeded search and its NoPrune
+// oracle draw the same sample.
 func (s Search) enumerate(r *rand.Rand, rels []*query.Relation) ([]Candidate, bool, error) {
-	joins := len(rels) - 1
-	if max := s.exhaustiveJoins(); joins <= max && max > 0 {
+	if s.systematic(len(rels)) {
 		plans, err := query.EnumerateBushy(rels)
 		if err != nil {
 			return nil, false, fmt.Errorf("%w: %w", ErrEnumerate, err)

@@ -27,6 +27,13 @@ func TestValidate(t *testing.T) {
 	if err := testSearch(8, 4).Validate(); err != nil {
 		t.Fatal(err)
 	}
+	// Systematic search reaches 9 joins, the streaming enumerator's
+	// ceiling; MaxStreamRelations joins is rejected below.
+	deepest := testSearch(8, 4)
+	deepest.ExhaustiveJoins = 9
+	if err := deepest.Validate(); err != nil {
+		t.Fatalf("ExhaustiveJoins = %d rejected: %v", deepest.ExhaustiveJoins, err)
+	}
 	bad := []Search{
 		{Model: costmodel.Default(), P: 0, F: 0.7},
 		{Model: costmodel.Default(), P: 4, F: -1},
@@ -104,6 +111,9 @@ func TestRandomRelations(t *testing.T) {
 	}
 }
 
+// The winner beats every priced candidate, and every candidate the
+// search left unpriced has a bound that certifies it could not win: the
+// NoPrune oracle over the same seed prices them all.
 func TestBestNeverWorseThanAnyScheduledCandidate(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 5; trial++ {
@@ -111,33 +121,32 @@ func TestBestNeverWorseThanAnyScheduledCandidate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := testSearch(16, 8).Best(r, rels)
+		seed := r.Int63()
+		res, err := testSearch(16, 8).Best(rand.New(rand.NewSource(seed)), rels)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(res.Candidates) != 8 {
-			t.Fatalf("candidates = %d", len(res.Candidates))
+		if res.Enumerated != 8 || res.Pruned+res.Scheduled != 8 || len(res.Candidates) != res.Scheduled {
+			t.Fatalf("enumerated %d, pruned %d + scheduled %d, %d priced",
+				res.Enumerated, res.Pruned, res.Scheduled, len(res.Candidates))
 		}
-		if res.Pruned+res.Scheduled != len(res.Candidates) {
-			t.Fatalf("pruned %d + scheduled %d != %d candidates",
-				res.Pruned, res.Scheduled, len(res.Candidates))
-		}
+		best := res.Best.Schedule.Response
+		priced := map[int]bool{}
 		for _, c := range res.Candidates {
-			if c.Pruned != (c.Schedule == nil) {
-				t.Fatalf("candidate %d: Pruned=%v but Schedule nil=%v",
-					c.Index, c.Pruned, c.Schedule == nil)
+			priced[c.Index] = true
+			if best > c.Schedule.Response {
+				t.Fatalf("best %g beaten by candidate %g", best, c.Schedule.Response)
 			}
-			if c.Pruned {
-				// A pruned candidate's bound certifies it could not win.
-				if c.Bound < res.Best.Schedule.Response {
-					t.Fatalf("candidate %d pruned with bound %g below best response %g",
-						c.Index, c.Bound, res.Best.Schedule.Response)
-				}
-				continue
-			}
-			if res.Best.Schedule.Response > c.Schedule.Response {
-				t.Fatalf("best %g beaten by candidate %g",
-					res.Best.Schedule.Response, c.Schedule.Response)
+		}
+		oracle := testSearch(16, 8)
+		oracle.NoPrune = true
+		all, err := oracle.Best(rand.New(rand.NewSource(seed)), rels)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range all.Candidates {
+			if !priced[c.Index] && c.Bound < best {
+				t.Fatalf("candidate %d pruned with bound %g below best response %g", c.Index, c.Bound, best)
 			}
 		}
 		if res.Improvement() < 1 {
@@ -158,18 +167,23 @@ func TestFirstCandidateAlwaysScheduled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Candidates[0].Schedule == nil || res.Candidates[0].Pruned {
+	if res.Candidates[0].Index != 0 || res.Candidates[0].Schedule == nil {
 		t.Fatal("first candidate was pruned")
 	}
 }
 
+// The sample cycles through every shape. The search keeps only the
+// candidates it priced, so the NoPrune oracle, which prices the whole
+// sample, shows it.
 func TestSearchCoversShapes(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
 	rels, err := RandomRelations(r, 9, 1000, 50000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := testSearch(8, 8).Best(r, rels)
+	s := testSearch(8, 8)
+	s.NoPrune = true
+	res, err := s.Best(r, rels)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,8 +239,8 @@ func TestDefaultCandidateCount(t *testing.T) {
 	if res.Systematic {
 		t.Fatal("5-join query enumerated systematically at the default threshold")
 	}
-	if len(res.Candidates) != 8 {
-		t.Fatalf("default candidates = %d, want 8", len(res.Candidates))
+	if res.Enumerated != 8 {
+		t.Fatalf("default candidates = %d, want 8", res.Enumerated)
 	}
 }
 
@@ -245,8 +259,8 @@ func TestSystematicEnumerationBelowThreshold(t *testing.T) {
 	if !res.Systematic {
 		t.Fatal("3-join query not enumerated systematically")
 	}
-	if len(res.Candidates) != 120 {
-		t.Fatalf("systematic pool = %d plans, want 120", len(res.Candidates))
+	if res.Enumerated != 120 {
+		t.Fatalf("systematic enumeration = %d plans, want 120", res.Enumerated)
 	}
 	if res.Pruned == 0 {
 		t.Fatal("bound pruned nothing across 120 systematic candidates")
@@ -259,9 +273,9 @@ func TestSystematicEnumerationBelowThreshold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sampled.Systematic || len(sampled.Candidates) != 8 {
+	if sampled.Systematic || sampled.Enumerated != 8 {
 		t.Fatalf("ExhaustiveJoins=-1: systematic=%v candidates=%d, want sampled 8",
-			sampled.Systematic, len(sampled.Candidates))
+			sampled.Systematic, sampled.Enumerated)
 	}
 }
 
@@ -328,14 +342,15 @@ func TestImprovementZeroSemantics(t *testing.T) {
 	}
 	prunedFirst := &Result{
 		Best:       Candidate{Index: 1, Schedule: mk(2)},
-		Candidates: []Candidate{{Index: 0, Pruned: true}, {Index: 1, Schedule: mk(2)}},
+		Candidates: []Candidate{{Index: 0}, {Index: 1, Schedule: mk(2)}},
 	}
 	if got := prunedFirst.Improvement(); got != 1 {
 		t.Errorf("nil first schedule: Improvement() = %g, want 1", got)
 	}
 }
 
-// The search counters must balance: candidates = pruned + scheduled.
+// The search counters must balance: candidates = pruned + scheduled +
+// warm hits, and every counter is emitted on every search.
 func TestSearchCounters(t *testing.T) {
 	met := obs.NewMetrics()
 	s := testSearch(64, 12)
@@ -350,17 +365,20 @@ func TestSearchCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := met.Snapshot()
-	if got := snap.Counters["optimizer.candidates"]; got != int64(len(res.Candidates)) {
-		t.Fatalf("optimizer.candidates = %d, want %d", got, len(res.Candidates))
-	}
-	if got, want := snap.Counters["optimizer.pruned"], int64(res.Pruned); got != want {
-		t.Fatalf("optimizer.pruned = %d, want %d", got, want)
-	}
-	if got, want := snap.Counters["optimizer.scheduled"], int64(res.Scheduled); got != want {
-		t.Fatalf("optimizer.scheduled = %d, want %d", got, want)
+	for name, want := range map[string]int64{
+		"optimizer.searches":       1,
+		"optimizer.candidates":     res.Enumerated,
+		"optimizer.pruned":         int64(res.Pruned),
+		"optimizer.scheduled":      int64(res.Scheduled),
+		"optimizer.warm_hits":      int64(res.WarmHits),
+		"optimizer.subtree_pruned": res.SubtreePruned,
+	} {
+		if got, ok := snap.Counters[name]; !ok || got != want {
+			t.Fatalf("%s = %d (emitted %v), want %d", name, got, ok, want)
+		}
 	}
 	if snap.Counters["optimizer.candidates"] !=
-		snap.Counters["optimizer.pruned"]+snap.Counters["optimizer.scheduled"] {
+		snap.Counters["optimizer.pruned"]+snap.Counters["optimizer.scheduled"]+snap.Counters["optimizer.warm_hits"] {
 		t.Fatal("counter arithmetic violated")
 	}
 }

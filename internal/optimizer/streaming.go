@@ -18,8 +18,7 @@ import (
 // streaming systematic search holds at once. When the frontier is full,
 // the candidate with the smallest (bound, index) key is flushed —
 // scheduled or re-pruned against the by-then-better incumbent — so peak
-// residency is O(frontier), never O(T(n)). The cap comfortably exceeds
-// the sampled pool sizes, so sampled streaming never hits it.
+// residency is O(frontier), never O(T(n)).
 const streamFrontierCap = 64
 
 // streamItem is one frontier entry: a surviving full plan waiting to be
@@ -50,8 +49,8 @@ func (h *streamFrontier) Pop() interface{} {
 	return it
 }
 
-// streamState carries the incumbent and ledgers shared by both
-// streaming modes. Everything is single-goroutine: candidates are
+// streamState carries the incumbent and ledgers shared by the two
+// search modes. Everything is single-goroutine: candidates are
 // scheduled one at a time.
 type streamState struct {
 	s     Search
@@ -71,7 +70,7 @@ type streamState struct {
 	warmHits  int
 }
 
-// prunable is the exact PR 8 rule: a candidate whose bound strictly
+// prunable is the exact pruning rule: a candidate whose bound strictly
 // exceeds the incumbent response — or ties it at a larger index —
 // cannot win the lexicographic (response, index) key, because its
 // response is at least its bound.
@@ -121,36 +120,21 @@ func (st *streamState) price(c Candidate) error {
 	return nil
 }
 
-// bestStreaming is BestCtx's streaming mode: systematic pools stream
-// through the bound-pruned subset DP, larger joins keep the sampled
-// pool but walk it best-first with an after-every-schedule incumbent.
-func (s Search) bestStreaming(ctx context.Context, r *rand.Rand, rels []*query.Relation) (*Result, error) {
-	cache := s.Cache
-	if cache == nil {
-		cache = costmodel.NewCache(s.Model)
-	}
+// stream is the search: systematic candidates stream through the
+// bound-pruned subset DP, larger joins keep the sampled pool but walk
+// it best-first with an after-every-schedule incumbent.
+func (s Search) stream(ctx context.Context, cache *costmodel.Cache, r *rand.Rand, rels []*query.Relation) (*Result, error) {
 	st := &streamState{s: s, cache: cache, ctx: ctx, incIdx: -1, incResp: math.Inf(1)}
-	joins := len(rels) - 1
-	var out *Result
-	var err error
-	if max := s.exhaustiveJoins(); joins <= max && max > 0 {
-		out, err = s.streamSystematic(st, rels)
-	} else {
-		out, err = s.streamSampled(st, r, rels)
+	if s.systematic(len(rels)) {
+		return s.streamSystematic(st, rels)
 	}
-	if err != nil {
-		return nil, err
-	}
-	s.record(out)
-	return out, nil
+	return s.streamSampled(st, r, rels)
 }
 
-// streamSampled runs the streaming search over the same sampled pool —
-// same RNG consumption, same candidates, same BoundCached prices — as
-// the pool search, but schedules serially in ascending-bound order so
-// every schedule immediately sharpens the incumbent for the next
-// prune decision. The scheduled set is therefore always a subset of the
-// pool search's, and the winner is identical.
+// streamSampled searches the sampled pool — same RNG consumption, same
+// candidates, same BoundCached prices as the NoPrune oracle — serially
+// in ascending-bound order, so every schedule immediately sharpens the
+// incumbent for the next prune decision.
 func (s Search) streamSampled(st *streamState, r *rand.Rand, rels []*query.Relation) (*Result, error) {
 	cands, _, err := s.enumerate(r, rels)
 	if err != nil {
@@ -159,8 +143,7 @@ func (s Search) streamSampled(st *streamState, r *rand.Rand, rels []*query.Relat
 	if err := s.boundCandidates(st.cache, cands); err != nil {
 		return nil, err
 	}
-	// The two-phase strawman seeds the incumbent, exactly as in the
-	// pool search's first flush.
+	// The two-phase strawman seeds the incumbent.
 	if err := st.price(cands[0]); err != nil {
 		return nil, err
 	}
@@ -189,8 +172,6 @@ func (s Search) streamSampled(st *streamState, r *rand.Rand, rels []*query.Relat
 	return &Result{
 		Best:         st.best,
 		Candidates:   st.priced,
-		Systematic:   false,
-		Streaming:    true,
 		Pruned:       pruned,
 		Scheduled:    st.scheduled,
 		WarmHits:     st.warmHits,
@@ -211,7 +192,7 @@ func (s Search) streamSampled(st *streamState, r *rand.Rand, rels []*query.Relat
 // Exactness: a subtree's composed bound lower-bounds every containing
 // plan's response (opt.SubtreeBounds monotonicity), and the incumbent
 // only improves, so nothing capable of winning is ever discarded — the
-// winner is byte-identical to the unpruned pool search's.
+// winner is byte-identical to the NoPrune oracle's.
 func (s Search) streamSystematic(st *streamState, rels []*query.Relation) (*Result, error) {
 	bounder, err := opt.NewSubtreeBounds(st.cache, s.Overlap, s.P, s.F)
 	if err != nil {
@@ -291,7 +272,6 @@ func (s Search) streamSystematic(st *streamState, rels []*query.Relation) (*Resu
 		Best:          st.best,
 		Candidates:    st.priced,
 		Systematic:    true,
-		Streaming:     true,
 		Pruned:        int(total) - st.scheduled - st.warmHits,
 		Scheduled:     st.scheduled,
 		WarmHits:      st.warmHits,

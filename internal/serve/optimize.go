@@ -78,19 +78,7 @@ func (s *Service) Optimize(ctx context.Context, r *rand.Rand, rels []*query.Rela
 	// warm hook computes and the schedules the search produces see the
 	// same knob values even if the controller retunes mid-search.
 	ts := s.scheduler()
-	oc := s.cfg.Optimizer
-	search := optimizer.Search{
-		Model:           ts.Model,
-		Overlap:         ts.Overlap,
-		P:               ts.P,
-		F:               ts.F,
-		Candidates:      oc.Candidates,
-		Shapes:          oc.Shapes,
-		ExhaustiveJoins: oc.ExhaustiveJoins,
-		MaxDegree:       ts.MaxDegree,
-		Cache:           s.optCache,
-		Streaming:       true,
-	}
+	search := s.search(ts)
 	if s.cache != nil {
 		search.Warm = func(tt *plan.TaskTree) (*sched.Schedule, bool) {
 			e := s.cache.get(ts.Fingerprint(tt))
@@ -121,4 +109,22 @@ func (s *Service) Optimize(ctx context.Context, r *rand.Rand, rels []*query.Rela
 	}
 	obs.Count(rec, "serve.optimize_delivered", 1)
 	return res, nil
+}
+
+// search is the plan search Config.Optimizer implies under scheduler
+// ts. New validates it once, so a configuration no search can run is
+// refused up front instead of failing every Optimize.
+func (s *Service) search(ts sched.TreeScheduler) optimizer.Search {
+	oc := s.cfg.Optimizer
+	return optimizer.Search{
+		Model:           ts.Model,
+		Overlap:         ts.Overlap,
+		P:               ts.P,
+		F:               ts.F,
+		Candidates:      oc.Candidates,
+		Shapes:          oc.Shapes,
+		ExhaustiveJoins: oc.ExhaustiveJoins,
+		MaxDegree:       ts.MaxDegree,
+		Cache:           s.optCache,
+	}
 }

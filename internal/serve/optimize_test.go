@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"mdrs/internal/obs"
@@ -31,7 +32,31 @@ func TestOptimizeRequiresConfig(t *testing.T) {
 	}
 }
 
-// Optimize must return exactly what a direct streaming search under the
+// New refuses an optimizer configuration no search can run, instead of
+// admitting every Optimize only to fail it.
+func TestNewRejectsUnsearchableOptimizerConfig(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		oc   OptimizerConfig
+		want string
+	}{
+		{"negative candidates", OptimizerConfig{Candidates: -1}, "negative candidate count -1"},
+		{"exhaustive joins past the enumerator", OptimizerConfig{ExhaustiveJoins: 12}, "exceeds the enumerable range (max 9)"},
+	} {
+		oc := tc.oc
+		svc, err := New(Config{Scheduler: testScheduler(16, 0.5, 0.7), Optimizer: &oc})
+		if err == nil {
+			svc.Close()
+			t.Errorf("%s: New accepted %+v", tc.name, oc)
+			continue
+		}
+		if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want it to mention %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// Optimize must return exactly what a direct search under the
 // service's scheduler parameters returns — same winner, byte-identical
 // schedule — and a second run over the same catalog must warm-start
 // from the cache: at least the winner comes back without TreeSchedule.
@@ -49,7 +74,7 @@ func TestOptimizeMatchesDirectSearchAndWarmStarts(t *testing.T) {
 
 		direct := optimizer.Search{
 			Model: ts.Model, Overlap: ts.Overlap, P: ts.P, F: ts.F,
-			Candidates: 8, Streaming: true,
+			Candidates: 8,
 		}
 		want, err := direct.Best(rand.New(rand.NewSource(7)), rels)
 		if err != nil {

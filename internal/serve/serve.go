@@ -310,6 +310,9 @@ func New(cfg Config) (*Service, error) {
 		} else {
 			s.optCache = costmodel.NewCache(cfg.Scheduler.Model)
 		}
+		if err := s.search(cfg.Scheduler).Validate(); err != nil {
+			return nil, fmt.Errorf("serve: %w", err)
+		}
 	}
 	// Seed the live knobs from the resolved configuration; without a
 	// controller these stores are the knobs' only writes, so behavior is

@@ -89,8 +89,8 @@ type (
 	// running incumbent are never fully scheduled, and the outcome is
 	// provably identical to scheduling every candidate.
 	PlanSearch = optimizer.Search
-	// PlanCandidate is one candidate of a PlanSearchResult: its plan,
-	// lower bound, and (unless pruned) full schedule.
+	// PlanCandidate is one priced candidate of a PlanSearchResult: its
+	// plan, lower bound, and full schedule.
 	PlanCandidate = optimizer.Candidate
 	// Shape selects an execution-plan tree shape for generation.
 	Shape = query.Shape
@@ -303,9 +303,9 @@ func OptBound(p *PlanNode, o Options) (float64, error) {
 // one cost-model memo across every candidate's bound and schedule.
 // candidates is the sample size K for large joins; small joins (up to
 // the search's ExhaustiveJoins threshold, default 3) enumerate every
-// bushy plan systematically instead. The zero-value knobs of the
-// returned Search (ExhaustiveJoins, NoPrune) keep their documented
-// defaults and can be overridden before calling Best.
+// bushy plan systematically instead. The returned Search's
+// ExhaustiveJoins keeps its documented default and can be overridden
+// before calling Best.
 func NewPlanSearch(o Options, candidates int) (PlanSearch, error) {
 	m, ov, err := o.normalize()
 	if err != nil {

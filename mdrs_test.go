@@ -264,8 +264,8 @@ func TestPlanSearchFacade(t *testing.T) {
 	if !res.Systematic {
 		t.Fatal("3 joins should enumerate systematically")
 	}
-	if res.Pruned+res.Scheduled != len(res.Candidates) {
-		t.Fatalf("ledger %d+%d != %d candidates", res.Pruned, res.Scheduled, len(res.Candidates))
+	if int64(res.Pruned+res.Scheduled+res.WarmHits) != res.Enumerated {
+		t.Fatalf("ledger %d+%d+%d != %d enumerated", res.Pruned, res.Scheduled, res.WarmHits, res.Enumerated)
 	}
 	var c mdrs.PlanCandidate = res.Best
 	if c.Schedule == nil || c.Schedule.Response <= 0 {
@@ -279,8 +279,8 @@ func TestPlanSearchFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(plans) != len(res.Candidates) {
-		t.Fatalf("EnumerateBushyPlans %d != candidate pool %d", len(plans), len(res.Candidates))
+	if int64(len(plans)) != res.Enumerated {
+		t.Fatalf("EnumerateBushyPlans %d != enumerated %d", len(plans), res.Enumerated)
 	}
 
 	if _, err := s.Best(nil, rels); !errors.Is(err, mdrs.ErrPlanSearchNilRand) {
