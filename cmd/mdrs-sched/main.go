@@ -264,9 +264,10 @@ func readPlan(o options) (*mdrs.PlanNode, error) {
 // runOptimize treats the input plan as a relation catalog and runs the
 // bound-pruned scheduler-in-the-loop search over it: candidate join
 // plans are enumerated (small joins) or sampled (large joins), each gets
-// a cheap OPTBOUND lower bound, and only candidates whose bound beats
-// the running incumbent are fully scheduled. The winner is provably the
-// same plan the unpruned search would pick.
+// a cheap OPTBOUND lower bound and, if it survives, its phase bound, and
+// only candidates whose bounds beat the running incumbent are fully
+// scheduled. The winner is provably the same plan the unpruned search
+// would pick.
 func runOptimize(w io.Writer, o options) error {
 	if o.tracePath != "" || o.traceText {
 		return errors.New("-optimize records no decision trace (drop -trace and -trace-text)")
@@ -296,8 +297,8 @@ func runOptimize(w io.Writer, o options) error {
 			len(p.Leaves()), p.Joins())
 		fmt.Fprintf(w, "system: P=%d 3-dimensional sites (CPU, disk, net), ε=%.2f, f=%.2f\n",
 			o.sites, o.eps, o.f)
-		fmt.Fprintf(w, "\ncandidates: %d (%s); bound-pruned %d, fully scheduled %d\n",
-			res.Enumerated, mode, res.Pruned, res.Scheduled)
+		fmt.Fprintf(w, "\ncandidates: %d (%s); bound-pruned %d (%d by the phase bound), fully scheduled %d\n",
+			res.Enumerated, mode, res.Pruned, res.PhasePruned, res.Scheduled)
 		fmt.Fprintf(w, "first plan (two-phase) response: %10.3f s\n",
 			res.Candidates[0].Schedule.Response)
 		fmt.Fprintf(w, "best plan (candidate %d) response: %9.3f s  (%.2fx better, bound %.3f s)\n",

@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"errors"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -256,6 +257,27 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
+// A NaN or infinite ε or f is an error on every mode — main exits 1 —
+// not a panic inside the cost model's degree scan.
+func TestRunRejectsNonFiniteParameters(t *testing.T) {
+	path := writePlan(t, 3)
+	for _, tc := range []struct{ eps, f float64 }{
+		{0.5, math.NaN()}, {0.5, math.Inf(1)}, {math.NaN(), 0.7},
+	} {
+		o := options{planPath: path, sites: 8, eps: tc.eps, f: tc.f, optCandidates: 8, optSeed: 1}
+		var sb strings.Builder
+		if err := run(&sb, o); err == nil {
+			t.Errorf("run: ε = %g, f = %g accepted", tc.eps, tc.f)
+		}
+		if err := runOptimize(&sb, o); err == nil {
+			t.Errorf("-optimize: ε = %g, f = %g accepted", tc.eps, tc.f)
+		}
+		if err := runBatch(&sb, []string{path}, o); err == nil {
+			t.Errorf("batch: ε = %g, f = %g accepted", tc.eps, tc.f)
+		}
+	}
+}
+
 func TestRunTraceWritesReplayableJSONL(t *testing.T) {
 	path := writePlan(t, 5)
 	tracePath := filepath.Join(t.TempDir(), "trace.jsonl")
@@ -338,7 +360,7 @@ func TestRunOptimizeSummaryOutput(t *testing.T) {
 	}
 	out := sb.String()
 	for _, want := range []string{"catalog: 4 relations", "enumerated systematically",
-		"bound-pruned", "first plan (two-phase) response:", "best plan (candidate"} {
+		"bound-pruned", "by the phase bound), fully scheduled", "first plan (two-phase) response:", "best plan (candidate"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("output missing %q:\n%s", want, out)
 		}

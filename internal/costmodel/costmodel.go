@@ -273,8 +273,8 @@ func (m Model) IsCoarseGrain(c OpCost, n int, f float64) bool {
 // always at least 1: a sequential execution is allowed even when the
 // operator's network traffic alone exceeds the granularity budget.
 func (m Model) NMax(c OpCost, f float64) int {
-	if f < 0 {
-		panic(fmt.Sprintf("costmodel: negative granularity parameter f = %g", f))
+	if !(f >= 0) || math.IsInf(f, 1) {
+		panic(fmt.Sprintf("costmodel: granularity parameter f = %g, want finite and non-negative", f))
 	}
 	n := math.Floor((f*c.ProcessingArea() - m.Params.Beta*c.D) / m.Params.Alpha)
 	if n < 1 {
@@ -316,11 +316,20 @@ func (m Model) Clones(c OpCost, n int) []vector.Vector {
 // the componentwise sum over all clones, so that
 // Σ_k W_op[k] = W_p(op) + W_c(op, N) as required by Section 5.1.
 func (m Model) TotalWork(c OpCost, n int) vector.Vector {
-	w := c.Processing.Clone()
-	w[resource.Net] += m.Params.Beta * c.D
-	w[resource.CPU] += m.Params.Alpha * float64(n) / 2
-	w[resource.Net] += m.Params.Alpha * float64(n) / 2
+	w := make(vector.Vector, len(c.Processing))
+	m.AddTotalWork(w, c, n)
 	return w
+}
+
+// AddTotalWork adds TotalWork(c, n) into dst without allocating; every
+// component rounds exactly as dst.AddInPlace(m.TotalWork(c, n)) would.
+func (m Model) AddTotalWork(dst vector.Vector, c OpCost, n int) {
+	startup := m.Params.Alpha * float64(n) / 2
+	cpu := c.Processing[resource.CPU] + startup
+	net := c.Processing[resource.Net] + m.Params.Beta*c.D + startup
+	dst[resource.CPU] += cpu
+	dst[resource.Disk] += c.Processing[resource.Disk]
+	dst[resource.Net] += net
 }
 
 // TPar returns T^par(op, N): the response time of an isolated N-site

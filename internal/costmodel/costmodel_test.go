@@ -234,12 +234,16 @@ func TestNMaxFormula(t *testing.T) {
 }
 
 func TestNMaxNegativeFPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NMax(f<0) did not panic")
-		}
-	}()
-	Default().NMax(OpCost{Processing: vector.New(3)}, -0.1)
+	for _, f := range []float64{-0.1, math.NaN(), math.Inf(1)} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NMax(f = %g) did not panic", f)
+				}
+			}()
+			Default().NMax(OpCost{Processing: vector.New(3)}, f)
+		}()
+	}
 }
 
 func TestClonesStructure(t *testing.T) {

@@ -65,8 +65,8 @@ func (s Scheduler) Validate() error {
 	if s.P <= 0 {
 		return fmt.Errorf("memsched: non-positive site count %d", s.P)
 	}
-	if s.F < 0 {
-		return fmt.Errorf("memsched: negative granularity parameter %g", s.F)
+	if !(s.F >= 0) || math.IsInf(s.F, 1) {
+		return fmt.Errorf("memsched: granularity parameter f = %g, want finite and non-negative", s.F)
 	}
 	if s.TableOverhead < 0 {
 		return fmt.Errorf("memsched: negative table overhead %g", s.TableOverhead)

@@ -36,6 +36,8 @@ func TestValidate(t *testing.T) {
 	bad := []Scheduler{
 		{Model: costmodel.Default(), P: 0, F: 0.7},
 		{Model: costmodel.Default(), P: 4, F: -1},
+		{Model: costmodel.Default(), P: 4, F: math.NaN()},
+		{Model: costmodel.Default(), P: 4, F: math.Inf(1)},
 		{Model: costmodel.Default(), P: 4, F: 0.7, TableOverhead: -1},
 		{P: 4, F: 0.7},
 	}

@@ -68,8 +68,8 @@ func bound(tt *plan.TaskTree, p int, f float64, eval func(costmodel.OpSpec) (vec
 	if p <= 0 {
 		return 0, fmt.Errorf("opt: non-positive site count %d", p)
 	}
-	if f < 0 {
-		return 0, fmt.Errorf("opt: negative granularity parameter %g", f)
+	if !(f >= 0) || math.IsInf(f, 1) {
+		return 0, fmt.Errorf("opt: granularity parameter f = %g, want finite and non-negative", f)
 	}
 
 	// Congestion bound: total zero-communication work per resource,

@@ -42,8 +42,10 @@ func TestBoundArgumentValidation(t *testing.T) {
 	if _, err := Bound(tt, m, ov, 0, 0.7); err == nil {
 		t.Error("P = 0 accepted")
 	}
-	if _, err := Bound(tt, m, ov, 4, -1); err == nil {
-		t.Error("f < 0 accepted")
+	for _, f := range []float64{-1, math.NaN(), math.Inf(1)} {
+		if _, err := Bound(tt, m, ov, 4, f); err == nil {
+			t.Errorf("f = %g accepted", f)
+		}
 	}
 }
 
@@ -64,28 +66,53 @@ func TestBoundSingleScan(t *testing.T) {
 	}
 }
 
-// On random trees at random P, ε, f and degree caps: the schedule is
-// well-formed (sched.Verify), OPTBOUND ≤ response, and every phase is
-// inside the Theorem 5.1(a) envelope, response ≤ (2d+1)·LB of the clone
-// vectors it placed.
+// On random trees at random P, ε, f, degree caps, phase policies and
+// declustered homes: the schedule is well-formed (sched.Verify), every
+// phase is inside the Theorem 5.1(a) envelope, response ≤ (2d+1)·LB of
+// the clone vectors it placed, and the two bounds the plan search prunes
+// with are ordered OPTBOUND ≤ PhaseBound ≤ response. PhaseBound is the
+// sum of the placed phases' LowerBounds up to float summation order,
+// with or without a cost-model memo.
 func TestBoundIsLowerBoundOnTreeSchedule(t *testing.T) {
 	r := rand.New(rand.NewSource(13))
 	m := costmodel.Default()
+	cache := costmodel.NewCache(m)
+	worst := 0.0
 	for trial := 0; trial < 60; trial++ {
 		joins := 1 + r.Intn(24)
 		p := 1 + r.Intn(140)
 		ov := resource.MustOverlap(r.Float64())
 		f := 0.3 + 0.9*r.Float64()
 		maxDeg := []int{0, 1, 4}[r.Intn(3)]
+		policy := []plan.PhasePolicy{plan.MinShelf, plan.EarliestShelf}[r.Intn(2)]
 		tt := taskTree(t, query.MustRandom(r, query.DefaultGenConfig(joins)))
+		ts := sched.TreeScheduler{Model: m, Overlap: ov, P: p, F: f, MaxDegree: maxDeg, Policy: policy}
+		declustered := r.Intn(2) == 0
+		if declustered {
+			homes, err := ts.RandomDeclustering(r, tt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ts.Homes = homes
+		}
 		at := func() string {
-			return fmt.Sprintf("trial %d: joins=%d P=%d eps=%g f=%g MaxDegree=%d", trial, joins, p, ov.Epsilon, f, maxDeg)
+			return fmt.Sprintf("trial %d: joins=%d P=%d eps=%g f=%g MaxDegree=%d policy=%v declustered=%v",
+				trial, joins, p, ov.Epsilon, f, maxDeg, policy, declustered)
 		}
 		lb, err := Bound(tt, m, ov, p, f)
 		if err != nil {
 			t.Fatalf("%s: %v", at(), err)
 		}
-		s, err := sched.TreeScheduler{Model: m, Overlap: ov, P: p, F: f, MaxDegree: maxDeg}.Schedule(tt)
+		pb, err := ts.PhaseBound(tt)
+		if err != nil {
+			t.Fatalf("%s: %v", at(), err)
+		}
+		cached := ts
+		cached.Cache = cache
+		if got, err := cached.PhaseBound(tt); err != nil || got != pb {
+			t.Fatalf("%s: PhaseBound through the memo %g (err %v), without %g", at(), got, err, pb)
+		}
+		s, err := ts.Schedule(tt)
 		if err != nil {
 			t.Fatalf("%s: %v", at(), err)
 		}
@@ -95,6 +122,13 @@ func TestBoundIsLowerBoundOnTreeSchedule(t *testing.T) {
 		if s.Response < lb-1e-9 {
 			t.Fatalf("%s: TreeSchedule response %g below OPTBOUND %g", at(), s.Response, lb)
 		}
+		if lb > pb*(1+1e-9) {
+			t.Fatalf("%s: OPTBOUND %g above PhaseBound %g", at(), lb, pb)
+		}
+		if pb > s.Response*(1+1e-12) {
+			t.Fatalf("%s: PhaseBound %g above TreeSchedule response %g", at(), pb, s.Response)
+		}
+		placed := 0.0
 		for _, ph := range s.Phases {
 			ops := make([]*sched.Op, len(ph.Placements))
 			for i, pl := range ph.Placements {
@@ -105,8 +139,15 @@ func TestBoundIsLowerBoundOnTreeSchedule(t *testing.T) {
 				t.Fatalf("%s: phase %d response %g outside [LB, (2d+1)·LB] = [%g, %g]", at(), ph.Index,
 					ph.Response, phaseLB, sched.PerformanceRatioBound(resource.Dims)*phaseLB)
 			}
+			placed += phaseLB
 		}
+		gap := math.Abs(pb-placed) / placed
+		if gap > 1e-12 {
+			t.Fatalf("%s: PhaseBound %.17g, Σ phase LowerBound of the placed clones %.17g", at(), pb, placed)
+		}
+		worst = max(worst, gap)
 	}
+	t.Logf("largest relative gap between PhaseBound and Σ placed phase LowerBound: %.3g", worst)
 }
 
 func TestBoundCriticalPathDominatesOnDeepPlans(t *testing.T) {

@@ -83,8 +83,8 @@ func NewSubtreeBounds(c *costmodel.Cache, ov resource.Overlap, p int, f float64)
 	if p <= 0 {
 		return nil, fmt.Errorf("opt: non-positive site count %d", p)
 	}
-	if f < 0 {
-		return nil, fmt.Errorf("opt: negative granularity parameter %g", f)
+	if !(f >= 0) || math.IsInf(f, 1) {
+		return nil, fmt.Errorf("opt: granularity parameter f = %g, want finite and non-negative", f)
 	}
 	return &SubtreeBounds{
 		cache: c,

@@ -167,7 +167,9 @@ func TestNewSubtreeBoundsValidation(t *testing.T) {
 	if _, err := NewSubtreeBounds(cache, ov, 0, 0.7); err == nil {
 		t.Error("P = 0 accepted")
 	}
-	if _, err := NewSubtreeBounds(cache, ov, 8, -1); err == nil {
-		t.Error("negative f accepted")
+	for _, f := range []float64{-1, math.NaN(), math.Inf(1)} {
+		if _, err := NewSubtreeBounds(cache, ov, 8, f); err == nil {
+			t.Errorf("f = %g accepted", f)
+		}
 	}
 }

@@ -12,17 +12,21 @@
 // candidates of a query are every distinct bushy plan when the join
 // count is small enough (ExhaustiveJoins), streamed out of a subset DP
 // that discards whole subtrees by their bound, and a shape-cycled random
-// sample above it. Each candidate is priced with the OPTBOUND lower
-// bound of internal/opt, which needs no placement loop; survivors are
-// scheduled best-first, one at a time, against an incumbent that
-// updates after every schedule, and a candidate whose bound already
-// meets the incumbent's *scheduled* response cannot win and never
-// enters TreeSchedule. The search provably returns the same winner,
-// with a byte-identical schedule, as scheduling every candidate (the
-// identity tests pin this against the NoPrune oracle): OPTBOUND never
-// exceeds the TreeSchedule response, and ties resolve by the exact
-// lexicographic (response, candidate index) key, so a pruned candidate
-// can never have beaten the incumbent that pruned it.
+// sample above it. Each candidate is priced in two stages, neither of
+// which runs the placement loop: the OPTBOUND lower bound of
+// internal/opt, which bounds any schedule of the plan, and then, for a
+// survivor, sched.TreeScheduler.PhaseBound, the sum of the per-phase
+// lower bounds of the very schedule TreeSchedule would build. Survivors
+// are scheduled best-first, one at a time, against an incumbent that
+// updates after every schedule; a candidate whose bound already meets
+// the incumbent's *scheduled* response cannot win and never enters
+// TreeSchedule. The search provably returns the same winner, with a
+// byte-identical schedule, as scheduling every candidate (the identity
+// tests pin this against the NoPrune oracle): neither bound exceeds the
+// TreeSchedule response, ties resolve by the exact lexicographic
+// (response, candidate index) key, and the phase bound prunes only when
+// it strictly exceeds the incumbent, so a pruned candidate can never
+// have beaten the incumbent that pruned it.
 //
 // One costmodel.Cache prices every structurally repeated operator spec
 // once across all candidates (bounds and schedules share the memo), and
@@ -129,7 +133,8 @@ type Search struct {
 	Warm func(*plan.TaskTree) (*sched.Schedule, bool)
 	// Rec, when non-nil, receives the search counters
 	// (optimizer.searches, optimizer.candidates, optimizer.pruned,
-	// optimizer.scheduled, optimizer.warm_hits, optimizer.subtree_pruned).
+	// optimizer.phase_pruned, optimizer.scheduled, optimizer.warm_hits,
+	// optimizer.subtree_pruned).
 	// It is never attached to the per-candidate schedulers — candidates
 	// would repeat each other's (phase, op, clone) trace keys — and never
 	// influences the search.
@@ -144,8 +149,8 @@ func (s Search) Validate() error {
 	if s.P <= 0 {
 		return fmt.Errorf("optimizer: non-positive site count %d", s.P)
 	}
-	if s.F < 0 {
-		return fmt.Errorf("optimizer: negative granularity parameter %g", s.F)
+	if !(s.F >= 0) || math.IsInf(s.F, 1) {
+		return fmt.Errorf("optimizer: granularity parameter f = %g, want finite and non-negative", s.F)
 	}
 	if s.Candidates < 0 {
 		return fmt.Errorf("optimizer: negative candidate count %d", s.Candidates)
@@ -239,6 +244,10 @@ type Result struct {
 	// Pruned counts candidates discarded by a bound without being
 	// scheduled; Scheduled counts full TreeSchedule invocations.
 	Pruned, Scheduled int
+	// PhasePruned is the part of Pruned the second stage discarded:
+	// candidates that survived OPTBOUND but whose phase bound
+	// (sched.TreeScheduler.PhaseBound) exceeded the incumbent response.
+	PhasePruned int
 	// Enumerated is the total size of the candidate space the search
 	// covered: the sample size, or the full T(n) count for systematic
 	// searches (int64: T(10) ≈ 1.76e10).
@@ -326,10 +335,7 @@ func (s Search) unpruned(ctx context.Context, cache *costmodel.Cache, r *rand.Ra
 	if err := s.boundCandidates(cache, cands); err != nil {
 		return nil, err
 	}
-	ts := sched.TreeScheduler{
-		Model: s.Model, Overlap: s.Overlap, P: s.P, F: s.F,
-		MaxDegree: s.MaxDegree, Cache: cache,
-	}
+	ts := s.scheduler(cache)
 	best := 0
 	for i := range cands {
 		if cands[i].Schedule, err = ts.ScheduleCtx(ctx, cands[i].tree); err != nil {
@@ -349,6 +355,15 @@ func (s Search) unpruned(ctx context.Context, cache *costmodel.Cache, r *rand.Ra
 	}, nil
 }
 
+// scheduler is the TreeScheduler that prices every candidate of a
+// search over the given memo.
+func (s Search) scheduler(cache *costmodel.Cache) sched.TreeScheduler {
+	return sched.TreeScheduler{
+		Model: s.Model, Overlap: s.Overlap, P: s.P, F: s.F,
+		MaxDegree: s.MaxDegree, Cache: cache,
+	}
+}
+
 // record emits the search counters for one completed result.
 func (s Search) record(out *Result) {
 	if s.Rec == nil {
@@ -357,6 +372,7 @@ func (s Search) record(out *Result) {
 	s.Rec.Count("optimizer.searches", 1)
 	s.Rec.Count("optimizer.candidates", out.Enumerated)
 	s.Rec.Count("optimizer.pruned", int64(out.Pruned))
+	s.Rec.Count("optimizer.phase_pruned", int64(out.PhasePruned))
 	s.Rec.Count("optimizer.scheduled", int64(out.Scheduled))
 	s.Rec.Count("optimizer.warm_hits", int64(out.WarmHits))
 	s.Rec.Count("optimizer.subtree_pruned", out.SubtreePruned)

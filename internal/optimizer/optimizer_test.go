@@ -37,6 +37,8 @@ func TestValidate(t *testing.T) {
 	bad := []Search{
 		{Model: costmodel.Default(), P: 0, F: 0.7},
 		{Model: costmodel.Default(), P: 4, F: -1},
+		{Model: costmodel.Default(), P: 4, F: math.NaN()},
+		{Model: costmodel.Default(), P: 4, F: math.Inf(1)},
 		{Model: costmodel.Default(), P: 4, F: 0.7, Candidates: -1},
 		{Model: costmodel.Default(), P: 4, F: 0.7, MaxDegree: -1},
 		{Model: costmodel.Default(), P: 4, F: 0.7, ExhaustiveJoins: query.MaxStreamRelations},
@@ -112,8 +114,9 @@ func TestRandomRelations(t *testing.T) {
 }
 
 // The winner beats every priced candidate, and every candidate the
-// search left unpriced has a bound that certifies it could not win: the
-// NoPrune oracle over the same seed prices them all.
+// search left unpriced has a bound that certifies it could not win —
+// OPTBOUND or, for the second stage, the phase bound: the NoPrune oracle
+// over the same seed prices them all.
 func TestBestNeverWorseThanAnyScheduledCandidate(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 5; trial++ {
@@ -144,9 +147,18 @@ func TestBestNeverWorseThanAnyScheduledCandidate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		ts := oracle.scheduler(nil)
 		for _, c := range all.Candidates {
-			if !priced[c.Index] && c.Bound < best {
-				t.Fatalf("candidate %d pruned with bound %g below best response %g", c.Index, c.Bound, best)
+			if priced[c.Index] {
+				continue
+			}
+			pb, err := ts.PhaseBound(c.TaskTree())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if max(c.Bound, pb) < best {
+				t.Fatalf("candidate %d pruned with bound %g and phase bound %g below best response %g",
+					c.Index, c.Bound, pb, best)
 			}
 		}
 		if res.Improvement() < 1 {
@@ -369,6 +381,7 @@ func TestSearchCounters(t *testing.T) {
 		"optimizer.searches":       1,
 		"optimizer.candidates":     res.Enumerated,
 		"optimizer.pruned":         int64(res.Pruned),
+		"optimizer.phase_pruned":   int64(res.PhasePruned),
 		"optimizer.scheduled":      int64(res.Scheduled),
 		"optimizer.warm_hits":      int64(res.WarmHits),
 		"optimizer.subtree_pruned": res.SubtreePruned,

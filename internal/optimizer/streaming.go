@@ -53,9 +53,11 @@ func (h *streamFrontier) Pop() interface{} {
 // search modes. Everything is single-goroutine: candidates are
 // scheduled one at a time.
 type streamState struct {
-	s     Search
-	cache *costmodel.Cache
-	ctx   context.Context
+	s   Search
+	ctx context.Context
+	// ts prices every candidate: its phase bound and its schedule. Its
+	// Cache is the search's memo, which the bounds share.
+	ts sched.TreeScheduler
 
 	// Incumbent under the exact lexicographic (response, index) key.
 	// incIdx is the candidate's original enumeration index; -1 = none.
@@ -65,10 +67,18 @@ type streamState struct {
 
 	// priced collects every candidate that was actually priced
 	// (scheduled or warm-served), in processing order.
-	priced    []Candidate
-	scheduled int
-	warmHits  int
+	priced      []Candidate
+	scheduled   int
+	warmHits    int
+	phasePruned int
 }
+
+// phaseBoundSlack deflates the phase bound before the second-stage prune
+// compares it with the incumbent. PhaseBound sums an operator's work in
+// another float order than placement does, so it may exceed the
+// response it bounds in the last ulps: the deflated bound is a strict
+// prune reference only, never a tie-break (DESIGN §14).
+const phaseBoundSlack = 1e-9
 
 // prunable is the exact pruning rule: a candidate whose bound strictly
 // exceeds the incumbent response — or ties it at a larger index —
@@ -88,11 +98,24 @@ func (st *streamState) process(p *query.PlanNode, idx int64, bound float64) erro
 	return st.price(Candidate{Index: int(idx), Plan: p, Shape: query.RandomBushy, Bound: bound, tree: tt})
 }
 
-// price fully prices one bounded candidate: warm hook first, then
-// TreeSchedule, then the incumbent update.
+// price fully prices one bounded candidate that survived OPTBOUND: the
+// phase bound first once an incumbent exists, then the warm hook, then
+// TreeSchedule, then the incumbent update. A candidate whose deflated
+// phase bound exceeds the incumbent's response has a response above it
+// too, so it can neither win nor tie and is dropped unpriced.
 func (st *streamState) price(c Candidate) error {
 	if err := st.ctx.Err(); err != nil {
 		return err
+	}
+	if st.incIdx >= 0 {
+		pb, err := st.ts.PhaseBound(c.tree)
+		if err != nil {
+			return err
+		}
+		if pb*(1-phaseBoundSlack) > st.incResp {
+			st.phasePruned++
+			return nil
+		}
 	}
 	if st.s.Warm != nil {
 		if warm, ok := st.s.Warm(c.tree); ok && warm != nil {
@@ -101,11 +124,7 @@ func (st *streamState) price(c Candidate) error {
 		}
 	}
 	if c.Schedule == nil {
-		ts := sched.TreeScheduler{
-			Model: st.s.Model, Overlap: st.s.Overlap, P: st.s.P, F: st.s.F,
-			MaxDegree: st.s.MaxDegree, Cache: st.cache,
-		}
-		sc, err := ts.ScheduleCtx(st.ctx, c.tree)
+		sc, err := st.ts.ScheduleCtx(st.ctx, c.tree)
 		if err != nil {
 			return err
 		}
@@ -124,7 +143,7 @@ func (st *streamState) price(c Candidate) error {
 // bound-pruned subset DP, larger joins keep the sampled pool but walk
 // it best-first with an after-every-schedule incumbent.
 func (s Search) stream(ctx context.Context, cache *costmodel.Cache, r *rand.Rand, rels []*query.Relation) (*Result, error) {
-	st := &streamState{s: s, cache: cache, ctx: ctx, incIdx: -1, incResp: math.Inf(1)}
+	st := &streamState{s: s, ctx: ctx, ts: s.scheduler(cache), incIdx: -1, incResp: math.Inf(1)}
 	if s.systematic(len(rels)) {
 		return s.streamSystematic(st, rels)
 	}
@@ -140,7 +159,7 @@ func (s Search) streamSampled(st *streamState, r *rand.Rand, rels []*query.Relat
 	if err != nil {
 		return nil, err
 	}
-	if err := s.boundCandidates(st.cache, cands); err != nil {
+	if err := s.boundCandidates(st.ts.Cache, cands); err != nil {
 		return nil, err
 	}
 	// The two-phase strawman seeds the incumbent.
@@ -172,7 +191,8 @@ func (s Search) streamSampled(st *streamState, r *rand.Rand, rels []*query.Relat
 	return &Result{
 		Best:         st.best,
 		Candidates:   st.priced,
-		Pruned:       pruned,
+		Pruned:       pruned + st.phasePruned,
+		PhasePruned:  st.phasePruned,
 		Scheduled:    st.scheduled,
 		WarmHits:     st.warmHits,
 		Enumerated:   int64(len(cands)),
@@ -187,14 +207,16 @@ func (s Search) streamSampled(st *streamState, r *rand.Rand, rels []*query.Relat
 // OPTBOUND strictly exceeds the incumbent response (strict — an equal
 // bound could still tie into an index win), and surviving full plans
 // are dropped at arrival under the exact (response, index) rule. What
-// remains flows through a bounded best-first frontier to TreeSchedule.
+// remains flows through a bounded best-first frontier to price, whose
+// phase bound is the last prune before TreeSchedule.
 //
 // Exactness: a subtree's composed bound lower-bounds every containing
-// plan's response (opt.SubtreeBounds monotonicity), and the incumbent
-// only improves, so nothing capable of winning is ever discarded — the
-// winner is byte-identical to the NoPrune oracle's.
+// plan's response (opt.SubtreeBounds monotonicity), a plan's phase bound
+// lower-bounds its own, and the incumbent only improves, so nothing
+// capable of winning is ever discarded — the winner is byte-identical to
+// the NoPrune oracle's.
 func (s Search) streamSystematic(st *streamState, rels []*query.Relation) (*Result, error) {
-	bounder, err := opt.NewSubtreeBounds(st.cache, s.Overlap, s.P, s.F)
+	bounder, err := opt.NewSubtreeBounds(st.ts.Cache, s.Overlap, s.P, s.F)
 	if err != nil {
 		return nil, err
 	}
@@ -273,6 +295,7 @@ func (s Search) streamSystematic(st *streamState, rels []*query.Relation) (*Resu
 		Candidates:    st.priced,
 		Systematic:    true,
 		Pruned:        int(total) - st.scheduled - st.warmHits,
+		PhasePruned:   st.phasePruned,
 		Scheduled:     st.scheduled,
 		WarmHits:      st.warmHits,
 		Enumerated:    total,

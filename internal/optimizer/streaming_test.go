@@ -38,18 +38,19 @@ const ledgerHeader = "# K = 8, eps = 0.5, f = 0.7; counts are summed over a case
 // ledgerLine renders one arm's plan-search ledger over a corpus case.
 func ledgerLine(c corpusCase, arm string, results []*Result) string {
 	var enumerated, subtree int64
-	var pruned, scheduled, peak int
+	var pruned, phasePruned, scheduled, peak int
 	winners := make([]string, len(results))
 	for q, res := range results {
 		enumerated += res.Enumerated
 		subtree += res.SubtreePruned
 		pruned += res.Pruned
+		phasePruned += res.PhasePruned
 		scheduled += res.Scheduled
 		peak = max(peak, res.PeakResident)
 		winners[q] = strconv.Itoa(res.Best.Index)
 	}
-	return fmt.Sprintf("joins=%d P=%d queries=%d %s enumerated=%d pruned=%d scheduled=%d subtree_pruned=%d peak_resident=%d winners=%s",
-		c.joins, c.p, len(results), arm, enumerated, pruned, scheduled, subtree, peak, strings.Join(winners, ","))
+	return fmt.Sprintf("joins=%d P=%d queries=%d %s enumerated=%d pruned=%d phase_pruned=%d scheduled=%d subtree_pruned=%d peak_resident=%d winners=%s",
+		c.joins, c.p, len(results), arm, enumerated, pruned, phasePruned, scheduled, subtree, peak, strings.Join(winners, ","))
 }
 
 // checkLedger holds a ledger to testdata/ledger.golden exactly, naming
@@ -120,6 +121,10 @@ func TestStreamingSearchIdentityAcrossCorpus(t *testing.T) {
 			if int64(got.Pruned)+int64(got.Scheduled)+int64(got.WarmHits) != got.Enumerated {
 				t.Fatalf("joins=%d P=%d q=%d: ledger %d+%d+%d != enumerated %d",
 					c.joins, c.p, q, got.Pruned, got.Scheduled, got.WarmHits, got.Enumerated)
+			}
+			if got.PhasePruned > got.Pruned {
+				t.Fatalf("joins=%d P=%d q=%d: phase-pruned %d > pruned %d",
+					c.joins, c.p, q, got.PhasePruned, got.Pruned)
 			}
 			if got.Scheduled > want.Scheduled {
 				t.Fatalf("joins=%d P=%d q=%d: search scheduled %d > oracle %d",
@@ -391,10 +396,13 @@ func BenchmarkSearchCold(b *testing.B) {
 // TestSearchAllocs gates what one streaming search allocates once the
 // scheduler's pooled scratch and the cost-model memo are warm: the
 // candidate plans, their task trees and one O(phases) schedule per
-// surviving candidate. The ceiling is about 1.3 times the count at the
-// time of writing (890; 1,088 while operator names went through
-// fmt.Sprintf and TaskTree.Validate built three maps); before the
-// candidates' schedules shared one site system it was 7,219.
+// surviving candidate, plus each survivor's phase bound (its tree's
+// validation and phase lists). The ceiling is about 1.3 times the count
+// at the time of writing (883; 845 before the phase bound, which every
+// survivor of this catalog now pays for as well; 1,088 while operator
+// names went through fmt.Sprintf and
+// TaskTree.Validate built three maps); before the candidates' schedules
+// shared one site system it was 7,219.
 func TestSearchAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops scratches under the race detector")

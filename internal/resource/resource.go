@@ -55,7 +55,7 @@ type Overlap struct {
 
 // NewOverlap returns an Overlap model, validating ε.
 func NewOverlap(eps float64) (Overlap, error) {
-	if eps < 0 || eps > 1 {
+	if !(eps >= 0 && eps <= 1) {
 		return Overlap{}, fmt.Errorf("resource: overlap ε = %g outside [0,1]", eps)
 	}
 	return Overlap{Epsilon: eps}, nil

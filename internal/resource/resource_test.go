@@ -16,7 +16,7 @@ func TestNewOverlapValidation(t *testing.T) {
 			t.Errorf("NewOverlap(%g) rejected: %v", eps, err)
 		}
 	}
-	for _, eps := range []float64{-0.1, 1.1, 2} {
+	for _, eps := range []float64{-0.1, 1.1, 2, math.NaN(), math.Inf(1), math.Inf(-1)} {
 		if _, err := NewOverlap(eps); err == nil {
 			t.Errorf("NewOverlap(%g) accepted", eps)
 		}

@@ -24,6 +24,7 @@ import (
 	"slices"
 
 	"mdrs/internal/obs"
+	"mdrs/internal/plan"
 	"mdrs/internal/resource"
 	"mdrs/internal/vector"
 )
@@ -400,6 +401,72 @@ func LowerBound(p int, ov resource.Overlap, ops []*Op) float64 {
 		lb = h
 	}
 	return lb
+}
+
+// PhaseBound returns the sum, over the phases Schedule would build for
+// tt, of each phase's LowerBound, computed from the degrees Schedule
+// would give its operators without running the placement loop. Under
+// EA1 an operator's clones sum to Model.TotalWork and its coordinator's
+// T^seq is Model.TPar, so a phase's term is LowerBound's formula in
+// O(ops). Every phase's response is at least its own LB, so PhaseBound
+// lower-bounds Schedule(tt).Response, up to float summation order: it
+// adds an operator's work in another order than the placed clones do,
+// so a caller comparing it with a response needs a tolerance. It
+// validates ts and tt as ScheduleCtx does and uses the Cache when one is
+// attached. Like ScheduleCtx it refuses a degree outside [1, P] and a
+// home with a site outside [0, P) or two clones at one site.
+func (ts TreeScheduler) PhaseBound(tt *plan.TaskTree) (float64, error) {
+	if err := ts.Validate(); err != nil {
+		return 0, err
+	}
+	if err := tt.Validate(); err != nil {
+		return 0, err
+	}
+	var buf [resource.Dims]float64
+	total := vector.Vector(buf[:])
+	var seen []bool
+	sum := 0.0
+	for _, phase := range tt.PhasesBy(ts.Policy) {
+		clear(total)
+		h := 0.0
+		for _, tk := range phase {
+			for _, op := range tk.Ops {
+				n := ts.degreeOf(op)
+				if n < 1 || n > ts.P {
+					return 0, fmt.Errorf("sched: operator %q has degree %d outside [1, %d]", op.Name, n, ts.P)
+				}
+				if home := ts.Homes[op.ID]; home != nil && op.BuildOp == nil {
+					if seen == nil {
+						seen = make([]bool, ts.P)
+					}
+					if err := checkHome(op.Name, home, seen); err != nil {
+						return 0, err
+					}
+				}
+				cost, tpar := ts.costTPar(op.Spec, n)
+				ts.Model.AddTotalWork(total, cost, n)
+				h = max(h, tpar)
+			}
+		}
+		sum += max(total.Length()/float64(ts.P), h)
+	}
+	return sum, nil
+}
+
+// checkHome reports a home Schedule refuses: a site outside
+// [0, len(seen)) or two clones at one site. seen is scratch of length P.
+func checkHome(name string, home []int, seen []bool) error {
+	clear(seen)
+	for _, s := range home {
+		if s < 0 || s >= len(seen) {
+			return fmt.Errorf("sched: operator %q home site %d outside [0, %d)", name, s, len(seen))
+		}
+		if seen[s] {
+			return fmt.Errorf("sched: operator %q has two clones homed at site %d", name, s)
+		}
+		seen[s] = true
+	}
+	return nil
 }
 
 // PerformanceRatioBound returns the Theorem 5.1(a) guarantee, 2d+1: the

@@ -3,6 +3,7 @@ package sched
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
 
 	"mdrs/internal/costmodel"
@@ -69,8 +70,8 @@ func (ts TreeScheduler) Validate() error {
 	if ts.P <= 0 {
 		return fmt.Errorf("sched: non-positive site count %d", ts.P)
 	}
-	if ts.F < 0 {
-		return fmt.Errorf("sched: negative granularity parameter f = %g", ts.F)
+	if !(ts.F >= 0) || math.IsInf(ts.F, 1) {
+		return fmt.Errorf("sched: granularity parameter f = %g, want finite and non-negative", ts.F)
 	}
 	if ts.MaxDegree < 0 {
 		return fmt.Errorf("sched: negative parallelism cap MaxDegree = %d", ts.MaxDegree)
@@ -275,9 +276,8 @@ type prepJob struct {
 // are costed once.
 func (ts TreeScheduler) prepare(j prepJob, homes map[homeKey][]int, op *Op, pl *OpPlacement) error {
 	p := j.p
-	var home []int
-	switch {
-	case p.BuildOp != nil:
+	home := ts.Homes[p.ID]
+	if p.BuildOp != nil {
 		// A probe executes at the sites holding the hash table: the home
 		// of its build, with the same clone layout (coordinator aligned).
 		h, ok := homes[homeKey{j.tree, p.BuildOp}]
@@ -286,36 +286,18 @@ func (ts TreeScheduler) prepare(j prepJob, homes map[homeKey][]int, op *Op, pl *
 				p.Name, p.BuildOp.Name)
 		}
 		home = h
-	case ts.Homes[p.ID] != nil:
-		home = ts.Homes[p.ID]
+	}
+	n := len(home)
+	if home == nil {
+		n = ts.degreeOf(p)
 	}
 
-	var n int
-	if home != nil {
-		n = len(home)
-	} else {
-		n = ts.degree(p.Spec)
-		if p.Kind == costmodel.Build && p.Consumer != nil {
-			// The probe of this join is forced to run at the build's
-			// home (Section 5.5), so the join's degree must be coarse
-			// grain for the probe as well: cap the build's parallelism
-			// by the probe's own CG_f degree. Otherwise the granularity
-			// condition could never constrain probes at all.
-			if pn := ts.degree(p.Consumer.Spec); pn < n {
-				n = pn
-			}
-		}
-	}
-
+	cost, tpar := ts.costTPar(p.Spec, n)
 	var clones []vector.Vector
-	var tpar float64
 	if ts.Cache != nil {
 		clones = ts.Cache.Clones(p.Spec, n)
-		tpar = ts.Cache.TPar(p.Spec, n, ts.Overlap)
 	} else {
-		cost := ts.Model.Cost(p.Spec)
 		clones = ts.Model.Clones(cost, n)
-		tpar = ts.Model.TPar(cost, n, ts.Overlap)
 	}
 
 	*op = Op{ID: j.id, Clones: clones, Home: home}
@@ -327,6 +309,41 @@ func (ts TreeScheduler) prepare(j prepJob, homes map[homeKey][]int, op *Op, pl *
 		TPar:   tpar,
 	}
 	return nil
+}
+
+// degreeOf is the degree of parallelism prepare gives p, and the one
+// rule PhaseBound reads. A probe runs at its build's home (Section 5.5),
+// so it takes its build's degree. An operator Homes roots takes the size
+// of its home. Any other operator takes its CG_f degree, and a build is
+// further capped by its probe's: the join's degree must be coarse grain
+// for the probe as well, or the granularity condition could never
+// constrain probes at all.
+func (ts TreeScheduler) degreeOf(p *plan.Operator) int {
+	if p.BuildOp != nil {
+		p = p.BuildOp
+	}
+	if home := ts.Homes[p.ID]; home != nil {
+		return len(home)
+	}
+	n := ts.degree(p.Spec)
+	if p.Kind == costmodel.Build && p.Consumer != nil {
+		n = min(n, ts.degree(p.Consumer.Spec))
+	}
+	return n
+}
+
+// costTPar is the operator's cost and its T^par at degree n, the cost
+// read through the cache when one is attached. Cache.TPar is Model.TPar
+// over the cached cost, so both paths give the same bits; prepare and
+// PhaseBound read T^par here and nowhere else.
+func (ts TreeScheduler) costTPar(spec costmodel.OpSpec, n int) (costmodel.OpCost, float64) {
+	var cost costmodel.OpCost
+	if ts.Cache != nil {
+		cost = ts.Cache.Cost(spec)
+	} else {
+		cost = ts.Model.Cost(spec)
+	}
+	return cost, ts.Model.TPar(cost, n, ts.Overlap)
 }
 
 // degree resolves a floating operator's degree of parallelism through

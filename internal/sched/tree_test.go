@@ -52,6 +52,8 @@ func TestTreeSchedulerValidate(t *testing.T) {
 	bad := []TreeScheduler{
 		{Model: costmodel.Default(), P: 0, F: 0.7},
 		{Model: costmodel.Default(), P: 10, F: -1},
+		{Model: costmodel.Default(), P: 10, F: math.NaN()},
+		{Model: costmodel.Default(), P: 10, F: math.Inf(1)},
 		{Model: costmodel.Model{}, P: 10, F: 0.7}, // zero params invalid
 	}
 	for i, ts := range bad {
@@ -194,6 +196,37 @@ func TestTreeScheduleHomesRootScans(t *testing.T) {
 	}
 	if pl.Degree != 2 {
 		t.Fatalf("rooted degree = %d, want 2", pl.Degree)
+	}
+}
+
+// PhaseBound refuses what Schedule refuses, with an error: a bad
+// configuration, a malformed tree, a home wider than the system, a home
+// site outside it and two clones homed at one site.
+func TestPhaseBoundRejectsBadInput(t *testing.T) {
+	ot := plan.MustExpand(leaf("R", 50000))
+	tt := plan.MustNewTaskTree(ot)
+	homed := func(home ...int) TreeScheduler {
+		ts := testScheduler(3, 0.5, 0.9)
+		ts.Homes = map[int][]int{ot.Root.ID: home}
+		return ts
+	}
+	for name, ts := range map[string]TreeScheduler{
+		"P = 0":          testScheduler(0, 0.5, 0.9),
+		"f = NaN":        testScheduler(4, 0.5, math.NaN()),
+		"wide home":      homed(0, 1, 2, 0),
+		"site outside":   homed(0, 3),
+		"negative site":  homed(-1),
+		"duplicate site": homed(1, 1),
+	} {
+		if _, err := ts.PhaseBound(tt); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+		if _, err := ts.Schedule(tt); err == nil {
+			t.Errorf("%s: Schedule accepted what PhaseBound must refuse", name)
+		}
+	}
+	if _, err := testScheduler(4, 0.5, 0.9).PhaseBound(&plan.TaskTree{}); err == nil {
+		t.Error("task tree without a root accepted")
 	}
 }
 
