@@ -39,10 +39,12 @@ race:
 # the two the placement core's allocation parity is read from;
 # BenchmarkOperatorSchedulePlacement is the one that times Figure 3's
 # sort and placement loop alone, BenchmarkSystemAssign one site's
-# Equation 2 bookkeeping, and BenchmarkEncodeJSON one schedule's
-# rendering.
+# Equation 2 bookkeeping, BenchmarkEncodeJSON one schedule's
+# rendering, and BenchmarkCacheHitParallel / BenchmarkMetricsRecordParallel
+# the serve cache's and the metrics recorder's one lock under every
+# processor.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkEngineRun|BenchmarkSearchCold|BenchmarkTreeSchedule$$|BenchmarkScheduleBatchMiss|BenchmarkOperatorSchedulePlacement|BenchmarkSystemAssign|BenchmarkEncodeJSON' -benchtime 1x ./internal/...
+	$(GO) test -run '^$$' -bench 'BenchmarkEngineRun|BenchmarkSearchCold|BenchmarkTreeSchedule$$|BenchmarkScheduleBatchMiss|BenchmarkOperatorSchedulePlacement|BenchmarkSystemAssign|BenchmarkEncodeJSON|BenchmarkCacheHitParallel|BenchmarkMetricsRecordParallel' -benchtime 1x ./internal/...
 
 # bench/ is a nested module that compiles against this tree's internal
 # packages: vet and test it here (~10 s) so a change that breaks the API

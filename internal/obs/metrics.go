@@ -6,7 +6,6 @@ import (
 	"math"
 	"sort"
 	"sync"
-	"sync/atomic"
 )
 
 // histBuckets is the fixed bucket count of every histogram: bucket 0
@@ -22,27 +21,17 @@ const (
 )
 
 // histogram is one bounded distribution: exact count/sum/min/max plus
-// the fixed geometric buckets quantiles are estimated from. Every field
-// is updated with lock-free atomics so concurrent Observe calls on the
-// serve hot path never serialize on a mutex: count and the buckets are
-// plain atomic adds, and sum/min/max are CAS loops over the float's
-// IEEE-754 bits. A snapshot taken mid-update may therefore be slightly
-// torn across fields (count ahead of sum by an in-flight sample); at
-// quiescence every field is exact, which is when tests and reports
-// read them.
+// the fixed geometric buckets quantiles are estimated from. It is plain
+// data; the owning Metrics' mutex guards it.
 type histogram struct {
-	count   atomic.Int64
-	sum     atomic.Uint64 // float64 bits
-	min     atomic.Uint64 // float64 bits, +Inf until the first sample
-	max     atomic.Uint64 // float64 bits, -Inf until the first sample
-	buckets [histBuckets]atomic.Int64
+	count    int64
+	sum      float64
+	min, max float64 // ±Inf until the first sample
+	buckets  [histBuckets]int64
 }
 
 func newHistogram() *histogram {
-	h := &histogram{}
-	h.min.Store(math.Float64bits(math.Inf(1)))
-	h.max.Store(math.Float64bits(math.Inf(-1)))
-	return h
+	return &histogram{min: math.Inf(1), max: math.Inf(-1)}
 }
 
 // bucketOf maps a sample to its bucket index.
@@ -73,80 +62,24 @@ func bucketUpper(i int) float64 {
 	return histFloor * math.Pow(2, float64(i))
 }
 
-// addFloat atomically adds v to the float64 stored in bits.
-func addFloat(bits *atomic.Uint64, v float64) {
-	for {
-		old := bits.Load()
-		if bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
-			return
-		}
-	}
-}
-
-// lowerFloat atomically lowers the float64 stored in bits to v if v is
-// smaller (NaN comparisons are false, so a NaN sample leaves min/max
-// untouched — matching the previous mutex implementation only when NaN
-// is not the first sample; quantile clamping keeps NaN out of reports
-// either way).
-func lowerFloat(bits *atomic.Uint64, v float64) {
-	for {
-		old := bits.Load()
-		if !(v < math.Float64frombits(old)) {
-			return
-		}
-		if bits.CompareAndSwap(old, math.Float64bits(v)) {
-			return
-		}
-	}
-}
-
-// raiseFloat atomically raises the float64 stored in bits to v if v is
-// larger.
-func raiseFloat(bits *atomic.Uint64, v float64) {
-	for {
-		old := bits.Load()
-		if !(v > math.Float64frombits(old)) {
-			return
-		}
-		if bits.CompareAndSwap(old, math.Float64bits(v)) {
-			return
-		}
-	}
-}
-
+// observe records one sample. A NaN sample compares false, so it
+// leaves min and max untouched; quantile clamping keeps it out of
+// reports.
 func (h *histogram) observe(v float64) {
-	lowerFloat(&h.min, v)
-	raiseFloat(&h.max, v)
-	h.count.Add(1)
-	addFloat(&h.sum, v)
-	h.buckets[bucketOf(v)].Add(1)
-}
-
-// snapshot copies the histogram's atomics into the plain struct the
-// quantile math runs over.
-type histSnapshot struct {
-	count    int64
-	sum      float64
-	min, max float64
-	buckets  [histBuckets]int64
-}
-
-func (h *histogram) snapshot() histSnapshot {
-	s := histSnapshot{
-		count: h.count.Load(),
-		sum:   math.Float64frombits(h.sum.Load()),
-		min:   math.Float64frombits(h.min.Load()),
-		max:   math.Float64frombits(h.max.Load()),
+	if v < h.min {
+		h.min = v
 	}
-	for i := range s.buckets {
-		s.buckets[i] = h.buckets[i].Load()
+	if v > h.max {
+		h.max = v
 	}
-	return s
+	h.count++
+	h.sum += v
+	h.buckets[bucketOf(v)]++
 }
 
 // quantile estimates the q-quantile (q in [0,1]) from the buckets,
 // clamped to the exact observed [min, max] range.
-func (h histSnapshot) quantile(q float64) float64 {
+func (h *histogram) quantile(q float64) float64 {
 	if h.count == 0 {
 		return 0
 	}
@@ -196,21 +129,23 @@ type Snapshot struct {
 // safe for concurrent use and tolerate a nil receiver (no-op), so a
 // typed-nil *Metrics behind the Recorder interface stays harmless.
 //
-// Count and Observe are contention-free on the steady-state path: each
-// counter is one atomic.Int64 and each histogram is a block of atomics,
-// both reached through a sync.Map that degenerates to a lock-free read
-// once the name has been seen — concurrent recorders on different (or
-// the same) names never serialize on a shared mutex, so a Metrics
-// recorder can sit under the serve layer's hot path without becoming
-// the bottleneck the scheduler just lost.
+// One mutex guards every counter and histogram. A recording call holds
+// it for a map lookup and a few additions, and makes no allocation
+// once its name has been seen.
 type Metrics struct {
-	counts sync.Map // string -> *atomic.Int64
-	hists  sync.Map // string -> *histogram
+	mu     sync.Mutex
+	counts map[string]int64
+	events map[string]int64 // by Event.Type; Snapshot adds the "trace." prefix
+	hists  map[string]*histogram
 }
 
 // NewMetrics returns an empty aggregate recorder.
 func NewMetrics() *Metrics {
-	return &Metrics{}
+	return &Metrics{
+		counts: map[string]int64{},
+		events: map[string]int64{},
+		hists:  map[string]*histogram{},
+	}
 }
 
 // Count implements Recorder.
@@ -218,11 +153,9 @@ func (m *Metrics) Count(name string, delta int64) {
 	if m == nil {
 		return
 	}
-	c, ok := m.counts.Load(name)
-	if !ok {
-		c, _ = m.counts.LoadOrStore(name, new(atomic.Int64))
-	}
-	c.(*atomic.Int64).Add(delta)
+	m.mu.Lock()
+	m.counts[name] += delta
+	m.mu.Unlock()
 }
 
 // Observe implements Recorder.
@@ -230,23 +163,30 @@ func (m *Metrics) Observe(name string, v float64) {
 	if m == nil {
 		return
 	}
-	h, ok := m.hists.Load(name)
-	if !ok {
-		h, _ = m.hists.LoadOrStore(name, newHistogram())
+	m.mu.Lock()
+	h := m.hists[name]
+	if h == nil {
+		h = newHistogram()
+		m.hists[name] = h
 	}
-	h.(*histogram).observe(v)
+	h.observe(v)
+	m.mu.Unlock()
 }
 
 // Event implements Recorder: metrics reduce the decision trace to one
-// counter per event type.
+// counter per event type, named "trace.<type>".
 func (m *Metrics) Event(e Event) {
 	if m == nil {
 		return
 	}
-	m.Count("trace."+e.Type, 1)
+	m.mu.Lock()
+	m.events[e.Type]++
+	m.mu.Unlock()
 }
 
-// Snapshot returns a deep copy of the current aggregates.
+// Snapshot returns a deep copy of the current aggregates. The state is
+// copied under the lock, so every histogram's fields agree; quantiles
+// are computed after it is released.
 func (m *Metrics) Snapshot() Snapshot {
 	s := Snapshot{
 		Counters:   map[string]int64{},
@@ -255,25 +195,26 @@ func (m *Metrics) Snapshot() Snapshot {
 	if m == nil {
 		return s
 	}
-	m.counts.Range(func(k, v any) bool {
-		s.Counters[k.(string)] = v.(*atomic.Int64).Load()
-		return true
-	})
-	m.hists.Range(func(k, v any) bool {
-		h := v.(*histogram).snapshot()
-		if h.count == 0 {
-			// Raced a first Observe between map insert and sample; skip
-			// rather than report ±Inf min/max.
-			return true
-		}
-		s.Histograms[k.(string)] = HistogramStats{
+	m.mu.Lock()
+	for k, v := range m.counts {
+		s.Counters[k] = v
+	}
+	for t, v := range m.events {
+		s.Counters["trace."+t] += v
+	}
+	hists := make(map[string]histogram, len(m.hists))
+	for k, h := range m.hists {
+		hists[k] = *h
+	}
+	m.mu.Unlock()
+	for k, h := range hists {
+		s.Histograms[k] = HistogramStats{
 			Count: h.count, Sum: h.sum, Min: h.min, Max: h.max,
 			Mean: h.sum / float64(h.count),
 			P50:  h.quantile(0.50), P90: h.quantile(0.90),
 			P99: h.quantile(0.99), P999: h.quantile(0.999),
 		}
-		return true
-	})
+	}
 	return s
 }
 

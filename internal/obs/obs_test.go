@@ -273,6 +273,82 @@ func TestConcurrentRecording(t *testing.T) {
 	wg.Wait()
 }
 
+// Recording a name already seen allocates nothing: Event counts by
+// type and Snapshot adds the "trace." prefix.
+func TestMetricsRecordingAllocsNothing(t *testing.T) {
+	m := NewMetrics()
+	m.Count("n", 1)
+	m.Observe("v", 1)
+	m.Event(Event{Type: EvPlace})
+	for name, f := range map[string]func(){
+		"Count":   func() { m.Count("n", 1) },
+		"Observe": func() { m.Observe("v", 0.5) },
+		"Event":   func() { m.Event(Event{Type: EvPlace, Op: 1, Clone: 2}) },
+	} {
+		if a := testing.AllocsPerRun(100, f); a != 0 {
+			t.Errorf("%s: %v allocs/op, want 0", name, a)
+		}
+	}
+	if got := m.Snapshot().Counters["trace."+EvPlace]; got != 102 {
+		t.Fatalf("trace.%s = %d, want 102", EvPlace, got)
+	}
+}
+
+// A snapshot taken while other goroutines record is consistent: each
+// histogram's count, sum, min and max come from one moment.
+func TestSnapshotsAreConsistent(t *testing.T) {
+	m := NewMetrics()
+	m.Observe("one", 1)
+	stop := make(chan struct{})
+	var rec sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		rec.Add(1)
+		go func() {
+			defer rec.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					m.Observe("one", 1.0)
+				}
+			}
+		}()
+	}
+	var snap sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		snap.Add(1)
+		go func() {
+			defer snap.Done()
+			for i := 0; i < 2000; i++ {
+				h := m.Snapshot().Histograms["one"]
+				if h.Mean != 1 || h.Min > h.Mean || h.Mean > h.Max {
+					t.Errorf("torn snapshot: count=%d sum=%g min=%g mean=%g max=%g",
+						h.Count, h.Sum, h.Min, h.Mean, h.Max)
+					return
+				}
+			}
+		}()
+	}
+	snap.Wait()
+	close(stop)
+	rec.Wait()
+}
+
+// BenchmarkMetricsRecordParallel times one request's worth of
+// recording calls with every processor recording into one Metrics.
+func BenchmarkMetricsRecordParallel(b *testing.B) {
+	m := NewMetrics()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			m.Count("serve.requests", 1)
+			m.Count("serve.delivered", 1)
+			m.Observe("serve.request_seconds", 0.001)
+			m.Event(Event{Type: EvPlace})
+		}
+	})
+}
+
 func TestStartDebugExposesPprofAndExpvar(t *testing.T) {
 	m := NewMetrics()
 	m.Count("hits", 42)

@@ -18,34 +18,19 @@
 // singleton form is deterministic per fingerprint and safe to replay to
 // future requests.
 //
-// Concurrency. The cache is sharded by fingerprint prefix: each of the
-// cacheShards shards owns its slice of the key space (entries, LRU
-// recency list, and singleflight flights) under its own mutex, so
-// concurrent requests for different plans never serialize on one lock —
-// the hot path (hit, or joining a flight) takes exactly one shard
-// mutex. Only capacity accounting is global: a monotonically increasing
-// touch stamp orders entries across shards, and eviction removes the
-// entry with the globally smallest stamp (each shard's LRU tail is its
-// oldest entry, so the global victim is the min-stamp tail). Eviction
-// walks every shard, but it only runs when the cache is past capacity —
-// the steady-state hot path never pays for it.
+// Concurrency. One mutex guards the entries, the recency list and the
+// flights, so eviction always takes the true least recently used entry:
+// the list's tail. Every critical section is a map lookup plus a list
+// splice; no schedule is computed under the lock.
 package serve
 
 import (
 	"container/list"
-	"math"
 	"sync"
-	"sync/atomic"
 
 	"mdrs/internal/plan"
 	"mdrs/internal/sched"
 )
-
-// cacheShards is the number of independent cache shards. A power of two
-// so the fingerprint prefix maps to a shard with one mask; 16 shards
-// keep the per-shard mutex essentially uncontended at the service's
-// MaxInFlight scales while costing four words of fixed overhead each.
-const cacheShards = 16
 
 // flight is one in-progress computation of a fingerprint's schedule.
 // The leader closes done after filling s or err; followers wait.
@@ -65,15 +50,12 @@ type cacheEntry struct {
 	s     *sched.Schedule
 	tree  *plan.TaskTree
 	group []*plan.TaskTree
-	// stamp is the entry's last-touch tick of the cache's global clock,
-	// written under the owning shard's mutex. Shard LRU order and stamp
-	// order coincide, so each shard's tail holds its smallest stamp.
-	stamp uint64
 }
 
-// cacheShard is one lock domain: the entries and in-flight computations
-// of one slice of the fingerprint space.
-type cacheShard struct {
+// schedCache is the bounded LRU plus the singleflight table. A nil
+// *schedCache (caching disabled) is inert: get misses, Len is 0.
+type schedCache struct {
+	cap       int
 	mu        sync.Mutex
 	lru       *list.List // front = most recently used; values are *cacheEntry
 	entries   map[sched.Fingerprint]*list.Element
@@ -81,34 +63,16 @@ type cacheShard struct {
 	evictions int64
 }
 
-// schedCache is the sharded bounded LRU plus the singleflight table. A
-// nil *schedCache (caching disabled) is inert: get misses, flightFor
-// declines leadership.
-type schedCache struct {
-	cap    int
-	size   atomic.Int64  // total entries across shards
-	clock  atomic.Uint64 // global touch stamp source
-	shards [cacheShards]cacheShard
-}
-
 func newSchedCache(capacity int) *schedCache {
 	if capacity <= 0 {
 		return nil
 	}
-	c := &schedCache{cap: capacity}
-	for i := range c.shards {
-		c.shards[i].lru = list.New()
-		c.shards[i].entries = make(map[sched.Fingerprint]*list.Element)
-		c.shards[i].flights = make(map[sched.Fingerprint]*flight)
+	return &schedCache{
+		cap:     capacity,
+		lru:     list.New(),
+		entries: make(map[sched.Fingerprint]*list.Element),
+		flights: make(map[sched.Fingerprint]*flight),
 	}
-	return c
-}
-
-// shard maps a fingerprint to its lock domain by prefix. The
-// fingerprint is a SHA-256 digest, so the first byte is already
-// uniformly distributed — no re-hashing needed.
-func (c *schedCache) shard(fp sched.Fingerprint) *cacheShard {
-	return &c.shards[int(fp[0])&(cacheShards-1)]
 }
 
 // get returns the cached entry and marks it most recently used.
@@ -116,142 +80,73 @@ func (c *schedCache) get(fp sched.Fingerprint) *cacheEntry {
 	if c == nil {
 		return nil
 	}
-	sh := c.shard(fp)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	el, ok := sh.entries[fp]
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.entries[fp]
 	if !ok {
 		return nil
 	}
-	e := el.Value.(*cacheEntry)
-	e.stamp = c.clock.Add(1)
-	sh.lru.MoveToFront(el)
-	return e
+	c.lru.MoveToFront(el)
+	return el.Value.(*cacheEntry)
 }
 
-// put inserts a completed schedule, evicting globally-least-recently
-// used entries past capacity. Reports the number of evictions.
+// put inserts a completed schedule, evicting the least recently used
+// entry past capacity. Reports the number of evictions (0 or 1).
 func (c *schedCache) put(fp sched.Fingerprint, s *sched.Schedule, tree *plan.TaskTree) int {
-	sh := c.shard(fp)
-	sh.mu.Lock()
-	if el, ok := sh.entries[fp]; ok {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.entries[fp]; ok {
 		// A racing leader already filled it; keep the existing entry
 		// (byte-identical by the fingerprint invariant).
-		el.Value.(*cacheEntry).stamp = c.clock.Add(1)
-		sh.lru.MoveToFront(el)
-		sh.mu.Unlock()
+		c.lru.MoveToFront(el)
 		return 0
 	}
-	e := &cacheEntry{
+	c.entries[fp] = c.lru.PushFront(&cacheEntry{
 		fp: fp, s: s, tree: tree,
 		group: []*plan.TaskTree{tree},
-		stamp: c.clock.Add(1),
+	})
+	if c.lru.Len() <= c.cap {
+		return 0
 	}
-	sh.entries[fp] = sh.lru.PushFront(e)
-	sh.mu.Unlock()
-
-	evicted := 0
-	for n := c.size.Add(1); n > int64(c.cap); n = c.size.Load() {
-		if !c.evictOne() {
-			break
-		}
-		evicted++
-	}
-	return evicted
+	tail := c.lru.Back()
+	c.lru.Remove(tail)
+	delete(c.entries, tail.Value.(*cacheEntry).fp)
+	c.evictions++
+	return 1
 }
 
-// evictOne removes the entry with the globally smallest touch stamp:
-// each shard's LRU tail is its oldest entry, so the global victim is
-// the minimum over tails. Shards are locked one at a time — eviction
-// tolerates a concurrent touch promoting the candidate (the entry
-// evicted is then merely approximately oldest, which is all an LRU
-// promises under concurrency; with no concurrent touches the choice is
-// exact). Reports false when every shard is empty.
-func (c *schedCache) evictOne() bool {
-	victim := -1
-	var oldest uint64 = math.MaxUint64
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		if tail := sh.lru.Back(); tail != nil {
-			if st := tail.Value.(*cacheEntry).stamp; st <= oldest {
-				oldest = st
-				victim = i
-			}
-		}
-		sh.mu.Unlock()
-	}
-	if victim < 0 {
-		return false
-	}
-	sh := &c.shards[victim]
-	sh.mu.Lock()
-	tail := sh.lru.Back()
-	if tail == nil {
-		sh.mu.Unlock()
-		return false
-	}
-	sh.lru.Remove(tail)
-	delete(sh.entries, tail.Value.(*cacheEntry).fp)
-	sh.evictions++
-	sh.mu.Unlock()
-	c.size.Add(-1)
-	return true
-}
-
-// Len reports the number of cached schedules across all shards.
+// Len reports the number of cached schedules.
 func (c *schedCache) Len() int {
 	if c == nil {
 		return 0
 	}
-	return int(c.size.Load())
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.lru.Len()
 }
 
-// shardLens reports each shard's entry count, for the distribution
-// tests and debugging.
-func (c *schedCache) shardLens() []int {
-	if c == nil {
-		return nil
-	}
-	lens := make([]int, cacheShards)
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		lens[i] = sh.lru.Len()
-		sh.mu.Unlock()
-	}
-	return lens
-}
-
-// evictionCount reports the total evictions across all shards (the
-// sharded accounting the serve.cache_evictions counter is checked
-// against in tests).
+// evictionCount reports the cache's own eviction total, which the
+// serve.cache_evictions counter is checked against in tests.
 func (c *schedCache) evictionCount() int64 {
 	if c == nil {
 		return 0
 	}
-	var n int64
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		n += sh.evictions
-		sh.mu.Unlock()
-	}
-	return n
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.evictions
 }
 
 // flightFor joins or starts the fingerprint's flight. leader is true
 // when the caller must compute the schedule and then resolve the
 // flight; otherwise the caller waits on the returned flight's done.
 func (c *schedCache) flightFor(fp sched.Fingerprint) (fl *flight, leader bool) {
-	sh := c.shard(fp)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if fl, ok := sh.flights[fp]; ok {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if fl, ok := c.flights[fp]; ok {
 		return fl, false
 	}
 	fl = &flight{done: make(chan struct{})}
-	sh.flights[fp] = fl
+	c.flights[fp] = fl
 	return fl, true
 }
 
@@ -260,10 +155,9 @@ func (c *schedCache) flightFor(fp sched.Fingerprint) (fl *flight, leader bool) {
 // fresh (after checking the LRU, which resolve's caller fills first on
 // success).
 func (c *schedCache) resolve(fp sched.Fingerprint, fl *flight, s *sched.Schedule, tree *plan.TaskTree, err error) {
-	sh := c.shard(fp)
-	sh.mu.Lock()
-	delete(sh.flights, fp)
-	sh.mu.Unlock()
+	c.mu.Lock()
+	delete(c.flights, fp)
+	c.mu.Unlock()
 	fl.s, fl.tree, fl.err = s, tree, err
 	close(fl.done)
 }

@@ -264,3 +264,25 @@ func TestCacheFollowerCancellation(t *testing.T) {
 		t.Fatalf("CacheLen = %d, want 1 (successor filled the cache)", svc.CacheLen())
 	}
 }
+
+// BenchmarkCacheHitParallel times one cache hit with every processor
+// hitting the same 64-entry cache, the lock traffic of http_hit.
+func BenchmarkCacheHitParallel(b *testing.B) {
+	const n = 64
+	c := newSchedCache(n)
+	tree := &plan.TaskTree{}
+	for i := byte(0); i < n; i++ {
+		c.put(fpOf(i), nil, tree)
+	}
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		var i byte
+		for pb.Next() {
+			if c.get(fpOf(i%n)) == nil {
+				b.Error("miss on a cached fingerprint")
+				return
+			}
+			i++
+		}
+	})
+}

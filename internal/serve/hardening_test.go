@@ -60,78 +60,84 @@ func TestCacheFollowerRetriesAfterLeaderOverload(t *testing.T) {
 	}
 }
 
-// fpWithPrefix fabricates a fingerprint landing in shard prefix&(shards-1).
-func fpWithPrefix(prefix byte, salt byte) sched.Fingerprint {
+// fpOf fabricates a distinct fingerprint per i.
+func fpOf(i byte) sched.Fingerprint {
 	var fp sched.Fingerprint
-	fp[0] = prefix
-	fp[1] = salt
+	fp[0] = i
 	return fp
 }
 
-// The sharded cache must spread the key space by fingerprint prefix,
-// keep Len() equal to the sum of per-shard lengths, and evict the
-// globally oldest entry regardless of which shard holds it.
-func TestCacheShardDistributionAndGlobalLRU(t *testing.T) {
+// The cache is bounded, counts its evictions, and always evicts the
+// least recently used entry — also after concurrent hits.
+func TestCacheExactLRU(t *testing.T) {
 	c := newSchedCache(4)
 	tree := &plan.TaskTree{}
-	// Eight entries with distinct prefixes: one per shard, inserted in
-	// stamp order 0..7. Capacity 4 ⇒ the four oldest (prefixes 0..3)
-	// are evicted as the later ones arrive.
+	// Capacity 4 ⇒ the four oldest of eight inserts are evicted as the
+	// later ones arrive.
 	for i := byte(0); i < 8; i++ {
-		c.put(fpWithPrefix(i, 0), nil, tree)
+		c.put(fpOf(i), nil, tree)
 	}
 	if got := c.Len(); got != 4 {
 		t.Fatalf("Len = %d, want 4 (bounded)", got)
-	}
-	lens := c.shardLens()
-	sum, populated := 0, 0
-	for _, n := range lens {
-		sum += n
-		if n > 0 {
-			populated++
-		}
-	}
-	if sum != c.Len() {
-		t.Fatalf("shardLens sum to %d, Len is %d", sum, c.Len())
-	}
-	if populated != 4 {
-		t.Fatalf("%d shards populated, want 4 (one entry each): %v", populated, lens)
 	}
 	if got := c.evictionCount(); got != 4 {
 		t.Fatalf("evictionCount = %d, want 4", got)
 	}
 	for i := byte(0); i < 8; i++ {
-		e := c.get(fpWithPrefix(i, 0))
+		e := c.get(fpOf(i))
 		if want := i >= 4; (e != nil) != want {
-			t.Fatalf("prefix %d cached=%v, want %v (global LRU order)", i, e != nil, want)
+			t.Fatalf("entry %d cached=%v, want %v (LRU order)", i, e != nil, want)
 		}
 	}
 
 	// Touch the otherwise-oldest survivor, then overflow: the victim
-	// must be the globally least-recently-touched entry (prefix 5), not
-	// the newly touched one — cross-shard recency is respected.
-	c.get(fpWithPrefix(4, 0))
-	c.put(fpWithPrefix(9, 0), nil, tree)
-	if c.get(fpWithPrefix(5, 0)) != nil {
-		t.Fatal("globally oldest entry (prefix 5) survived eviction")
+	// must be the least recently touched entry (5), not the newly
+	// touched one.
+	c.get(fpOf(4))
+	c.put(fpOf(9), nil, tree)
+	if c.get(fpOf(5)) != nil {
+		t.Fatal("least recently used entry (5) survived eviction")
 	}
-	if c.get(fpWithPrefix(4, 0)) == nil {
-		t.Fatal("freshly touched entry (prefix 4) was evicted")
+	if c.get(fpOf(4)) == nil {
+		t.Fatal("freshly touched entry (4) was evicted")
 	}
 
-	// Same-shard collisions stay independent entries.
-	c2 := newSchedCache(8)
-	for i := byte(0); i < 3; i++ {
-		c2.put(fpWithPrefix(7, i), nil, tree)
+	// Concurrent hits on every entry but one leave that one as the
+	// tail: the next insert past capacity evicts exactly it.
+	const n = 8
+	c2 := newSchedCache(n)
+	for i := byte(0); i < n; i++ {
+		c2.put(fpOf(i), nil, tree)
 	}
-	if got := c2.shardLens()[7&(cacheShards-1)]; got != 3 {
-		t.Fatalf("shard 7 holds %d entries, want 3", got)
+	const untouched = 3
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < 50; r++ {
+				for i := byte(0); i < n; i++ {
+					if i != untouched && c2.get(fpOf(i)) == nil {
+						t.Errorf("entry %d missing before overflow", i)
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if ev := c2.put(fpOf(n), nil, tree); ev != 1 {
+		t.Fatalf("put past capacity evicted %d entries, want 1", ev)
+	}
+	for i := byte(0); i <= n; i++ {
+		if want := i != untouched; (c2.get(fpOf(i)) != nil) != want {
+			t.Fatalf("entry %d cached=%v, want %v (true LRU tail is %d)", i, !want, want, untouched)
+		}
 	}
 }
 
 // The service-level eviction counter must agree with the cache's own
-// sharded accounting.
-func TestCacheEvictionCounterMatchesShardAccounting(t *testing.T) {
+// accounting.
+func TestCacheEvictionCounterMatchesCacheAccounting(t *testing.T) {
 	ts := testScheduler(8, 0.5, 0.4)
 	rec := obs.NewMetrics()
 	svc := mustService(t, Config{Scheduler: ts, CacheSize: 2, Rec: rec})
@@ -146,7 +152,7 @@ func TestCacheEvictionCounterMatchesShardAccounting(t *testing.T) {
 		t.Fatalf("serve.cache_evictions = %d, want 2", counted)
 	}
 	if got := svc.cache.evictionCount(); got != counted {
-		t.Fatalf("shard accounting says %d evictions, counter says %d", got, counted)
+		t.Fatalf("cache accounting says %d evictions, counter says %d", got, counted)
 	}
 	if svc.CacheLen() != 2 {
 		t.Fatalf("CacheLen = %d, want 2", svc.CacheLen())
