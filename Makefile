@@ -1,6 +1,6 @@
 # Development targets for the mdrs reproduction. `make check` is the
-# gate future PRs must keep green, in six steps: build, vet, gofmt, the
-# full test suite under the race detector (which also exercises the
+# gate future PRs must keep green, in seven steps: build, vet, gofmt,
+# the system/reproduction boundary, the full test suite under the race detector (which also exercises the
 # experiments worker pool for data races, and holds the plan-search
 # ledger to internal/optimizer/testdata/ledger.golden), one iteration of
 # the per-layer Go benchmarks, and the benchmark harness's own vet and
@@ -8,9 +8,15 @@
 
 GO ?= go
 
-.PHONY: check build vet fmt-check test race bench-smoke harness-check benchmark bench bench-serve bench-adaptive figures trace-demo loc
+# The packages that exist only to reproduce the paper's evaluation (the
+# SYNCHRONOUS adversary, the fluid and pipeline simulators, the Section 7
+# and open-problem schedulers, the figure harness). The served system
+# must not link them; `make loc` counts the system without them.
+REPRO = baseline|contention|malleable|memsched|pipesim|sim|experiments
 
-check: build vet fmt-check race bench-smoke harness-check
+.PHONY: check build vet fmt-check system-deps test race bench-smoke harness-check benchmark bench bench-serve bench-adaptive figures trace-demo loc
+
+check: build vet fmt-check system-deps race bench-smoke harness-check
 
 build:
 	$(GO) build ./...
@@ -21,6 +27,11 @@ vet:
 # Every Go file outside the benchmark's build directory is gofmt-clean.
 fmt-check:
 	test -z "$$(gofmt -l . | grep -v '^bench/out')"
+
+# The served system's import graph holds no reproduction package.
+system-deps:
+	@bad=$$($(GO) list -deps ./cmd/mdrs-serve ./cmd/mdrs-plangen ./internal/serve | grep -E '^mdrs/internal/($(REPRO))$$'); \
+	if [ -n "$$bad" ]; then echo "the served system links reproduction packages:"; echo "$$bad"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -92,4 +103,4 @@ trace-demo:
 # alone — without the packages that only reproduce paper sections.
 loc:
 	@git ls-files '*.go' | grep -v _test.go | grep -v '^bench/' | xargs cat | wc -l
-	@git ls-files '*.go' | grep -v _test.go | grep -v '^bench/' | grep -vE '^(internal/(baseline|memsched|malleable|pipesim|contention|sim|experiments)|cmd/mdrs-bench)/' | xargs cat | wc -l
+	@git ls-files '*.go' | grep -v _test.go | grep -v '^bench/' | grep -vE '^(internal/($(REPRO))|cmd/mdrs-bench)/' | xargs cat | wc -l

@@ -34,6 +34,7 @@ import (
 	"os"
 
 	"mdrs"
+	"mdrs/internal/baseline"
 )
 
 // options carries the full mdrs-sched flag surface.
@@ -97,6 +98,20 @@ func main() {
 		fmt.Fprintf(os.Stderr, "mdrs-sched: %v\n", err)
 		os.Exit(1)
 	}
+}
+
+// synchronous schedules p with the one-dimensional SYNCHRONOUS
+// baseline under the same system as opts, for the comparison line.
+func synchronous(p *mdrs.PlanNode, opts mdrs.Options) (*baseline.Result, error) {
+	ov, err := mdrs.NewOverlap(opts.Epsilon)
+	if err != nil {
+		return nil, err
+	}
+	_, tt, err := mdrs.PrepareQuery(p)
+	if err != nil {
+		return nil, err
+	}
+	return baseline.Synchronous{Model: mdrs.DefaultCostModel(), Overlap: ov, P: opts.Sites}.Schedule(tt)
 }
 
 // recorders assembles the recorder stack the flags ask for: a JSONL
@@ -330,7 +345,7 @@ func run(w io.Writer, o options) (err error) {
 		return err
 	}
 	return o.writeSchedule(w, tree, capture, func() error {
-		sync, err := mdrs.ScheduleQuerySynchronous(p, opts)
+		sync, err := synchronous(p, opts)
 		if err != nil {
 			return err
 		}

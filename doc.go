@@ -21,18 +21,23 @@
 //     provably within 2d+1 of optimal for fixed parallelizations), and
 //     phased execution of bushy plans with build→probe data-placement
 //     constraints (Figure 4);
-//   - MalleableScheduler — the Section 7 extension that picks degrees of
-//     parallelism itself and is within 2d+1 of the optimum over all
-//     parallel schedules (Theorem 7.1);
-//   - ScheduleQuerySynchronous — the one-dimensional adversary of the
-//     paper's evaluation (Hsiao et al.'s synchronous execution time
-//     combined with Lo et al.'s minimax pipeline allocation);
 //   - OptBound — the OPTBOUND lower bound of Section 6.2;
 //   - an analytic cost model instantiated with the paper's Table 2
-//     parameters, a random bushy-plan workload generator, a fluid
-//     simulator validating the analytic sharing model, and an in-memory
-//     parallel hash-join engine that executes schedules over synthetic
-//     data while metering every clone's resource usage.
+//     parameters, a random bushy-plan workload generator, and an
+//     in-memory parallel hash-join engine that executes schedules over
+//     synthetic data while metering every clone's resource usage.
+//
+// This package is the system: what the scheduling service and its
+// commands link. The code that exists only to reproduce the paper's
+// evaluation is not re-exported and is imported directly by its
+// callers: internal/baseline (the one-dimensional SYNCHRONOUS
+// adversary: Hsiao et al.'s synchronous execution time combined with
+// Lo et al.'s minimax pipeline allocation), internal/malleable (the
+// Section 7 scheduler that picks degrees of parallelism itself, within
+// 2d+1 of the optimum over all parallel schedules, Theorem 7.1),
+// internal/sim (the fluid simulator validating the analytic sharing
+// model), internal/memsched, internal/contention and internal/pipesim
+// (the open-problem extensions) and internal/experiments.
 //
 // The quickest route from a query to a schedule:
 //

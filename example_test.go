@@ -44,22 +44,6 @@ func ExampleOperatorSchedule() {
 	// both on one site in 10 s
 }
 
-// ExampleMalleableScheduler lets the Section 7 scheduler pick degrees
-// of parallelism for two scans of very different sizes.
-func ExampleMalleableScheduler() {
-	m := mdrs.DefaultCostModel()
-	ov, _ := mdrs.NewOverlap(0.5)
-	s := mdrs.MalleableScheduler{Model: m, Overlap: ov, P: 8}
-	ops := []mdrs.MalleableOperator{
-		{ID: 0, Cost: m.Cost(mdrs.OpSpec{Kind: mdrs.Scan, InTuples: 80000, NetOut: true})},
-		{ID: 1, Cost: m.Cost(mdrs.OpSpec{Kind: mdrs.Scan, InTuples: 2000, NetOut: true})},
-	}
-	res, _ := s.Schedule(ops)
-	fmt.Printf("degrees: %v\n", res.Parallelization)
-	// Output:
-	// degrees: [8 1]
-}
-
 // ExampleOptBound compares a schedule against the paper's lower bound.
 func ExampleOptBound() {
 	r := rand.New(rand.NewSource(7))

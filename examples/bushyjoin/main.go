@@ -11,6 +11,7 @@ import (
 	"math/rand"
 
 	"mdrs"
+	"mdrs/internal/baseline"
 )
 
 func main() {
@@ -20,6 +21,10 @@ func main() {
 		eps     = 0.5
 		f       = 0.7
 	)
+	ov, err := mdrs.NewOverlap(eps)
+	if err != nil {
+		log.Fatal(err)
+	}
 	r := rand.New(rand.NewSource(1996))
 	plans := make([]*mdrs.PlanNode, queries)
 	for i := range plans {
@@ -32,13 +37,18 @@ func main() {
 
 	for _, sites := range []int{10, 20, 40, 80, 140} {
 		opts := mdrs.Options{Sites: sites, Epsilon: eps, F: f}
+		sb := baseline.Synchronous{Model: mdrs.DefaultCostModel(), Overlap: ov, P: sites}
 		var sumTree, sumSync, sumBound float64
 		for _, p := range plans {
 			tree, err := mdrs.ScheduleQuery(p, opts)
 			if err != nil {
 				log.Fatal(err)
 			}
-			sync, err := mdrs.ScheduleQuerySynchronous(p, opts)
+			_, tt, err := mdrs.PrepareQuery(p)
+			if err != nil {
+				log.Fatal(err)
+			}
+			sync, err := sb.Schedule(tt)
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -12,6 +12,7 @@ import (
 	"math/rand"
 
 	"mdrs"
+	"mdrs/internal/sim"
 )
 
 func main() {
@@ -55,7 +56,7 @@ func main() {
 	fmt.Printf("engine-measured response:     %8.3f s  (%.1f%% deviation)\n",
 		report.Measured, 100*(report.Measured-report.Predicted)/report.Predicted)
 
-	cmp, err := mdrs.SimulateSchedule(ov, schedule)
+	cmp, err := sim.SimulateSchedule(ov, schedule)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -10,6 +10,7 @@ import (
 	"log"
 
 	"mdrs"
+	"mdrs/internal/malleable"
 )
 
 func main() {
@@ -18,7 +19,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	s := mdrs.MalleableScheduler{Model: model, Overlap: ov, P: 12}
+	s := malleable.Scheduler{Model: model, Overlap: ov, P: 12}
 
 	// A batch of independent scans and probes with very different sizes:
 	// exactly the situation where one-size-fits-all parallelization
@@ -31,9 +32,9 @@ func main() {
 		{Kind: mdrs.Build, InTuples: 30_000, NetIn: true},
 		{Kind: mdrs.Scan, InTuples: 1_000, NetOut: true},
 	}
-	ops := make([]mdrs.MalleableOperator, len(specs))
+	ops := make([]malleable.Operator, len(specs))
 	for i, spec := range specs {
-		ops[i] = mdrs.MalleableOperator{ID: i, Cost: model.Cost(spec)}
+		ops[i] = malleable.Operator{ID: i, Cost: model.Cost(spec)}
 	}
 
 	fmt.Println("operators (W_p = processing area, D = interconnect bytes):")

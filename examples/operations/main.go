@@ -20,6 +20,9 @@ import (
 	"math/rand"
 
 	"mdrs"
+	"mdrs/internal/contention"
+	"mdrs/internal/memsched"
+	"mdrs/internal/pipesim"
 )
 
 func main() {
@@ -45,7 +48,7 @@ func main() {
 
 	fmt.Println("memory (A1): per-site capacity vs response and spill volume")
 	for _, mb := range []float64{1, 4, 16, 64, math.Inf(1)} {
-		ms := mdrs.MemoryScheduler{
+		ms := memsched.Scheduler{
 			Model: mdrs.DefaultCostModel(), Overlap: ov, P: sites, F: f,
 			MemoryBytes: mb * (1 << 20),
 		}
@@ -73,7 +76,7 @@ func main() {
 	fmt.Printf("  (utilization cpu %.0f%%, disk %.0f%%, net %.0f%% — disk slack absorbs small γ)\n",
 		100*st.Utilization[mdrs.CPU], 100*st.Utilization[mdrs.Disk], 100*st.Utilization[mdrs.Net])
 	for _, gamma := range []float64{0, 0.5, 1, 2, 5, 10} {
-		priced, err := mdrs.EvalScheduleWithPenalty(ov, mdrs.DiskPenalty(gamma), base)
+		priced, err := contention.EvalSchedule(ov, contention.DiskOnly(mdrs.Dims, gamma), base)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -82,7 +85,7 @@ func main() {
 	}
 
 	fmt.Println("\npipelining (A3/A5): explicit dataflow simulation")
-	sim, err := mdrs.SimulatePipelines(ov, base, mdrs.PipeSimConfig{})
+	sim, err := pipesim.Simulate(ov, base, pipesim.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -6,13 +6,18 @@ import (
 	"testing"
 
 	"mdrs"
+	"mdrs/internal/contention"
+	"mdrs/internal/memsched"
+	"mdrs/internal/pipesim"
 )
 
-// Integration tests for the extension subsystems through the public
-// facade: memory-aware scheduling, contention pricing, pipeline
-// simulation, plan shapes, and the best-of-K plan search.
+// Integration tests for the extension subsystems: memory-aware
+// scheduling, contention pricing and pipeline simulation (the paper's
+// open problems, imported directly), then plan shapes, the best-of-K
+// plan search and the other system entry points through the public
+// facade.
 
-func TestFacadeMemoryScheduler(t *testing.T) {
+func TestMemoryScheduler(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	plan := mdrs.MustRandomPlan(r, mdrs.DefaultGenConfig(10))
 	_, tt, err := mdrs.PrepareQuery(plan)
@@ -23,7 +28,7 @@ func TestFacadeMemoryScheduler(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tight := mdrs.MemoryScheduler{
+	tight := memsched.Scheduler{
 		Model: mdrs.DefaultCostModel(), Overlap: ov, P: 12, F: 0.7,
 		MemoryBytes: 1 << 20,
 	}
@@ -46,7 +51,7 @@ func TestFacadeMemoryScheduler(t *testing.T) {
 	}
 }
 
-func TestFacadeContentionPricing(t *testing.T) {
+func TestContentionPricing(t *testing.T) {
 	r := rand.New(rand.NewSource(6))
 	plan := mdrs.MustRandomPlan(r, mdrs.DefaultGenConfig(8))
 	o := mdrs.Options{Sites: 10, Epsilon: 0.5, F: 0.7}
@@ -55,14 +60,14 @@ func TestFacadeContentionPricing(t *testing.T) {
 		t.Fatal(err)
 	}
 	ov, _ := mdrs.NewOverlap(0.5)
-	base, err := mdrs.EvalScheduleWithPenalty(ov, nil, s)
+	base, err := contention.EvalSchedule(ov, nil, s)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(base-s.Response) > 1e-9 {
 		t.Fatalf("nil penalty evaluation %g != response %g", base, s.Response)
 	}
-	heavy, err := mdrs.EvalScheduleWithPenalty(ov, mdrs.DiskPenalty(10), s)
+	heavy, err := contention.EvalSchedule(ov, contention.DiskOnly(mdrs.Dims, 10), s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +76,7 @@ func TestFacadeContentionPricing(t *testing.T) {
 	}
 }
 
-func TestFacadePipelineSimulation(t *testing.T) {
+func TestPipelineSimulation(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	plan := mdrs.MustRandomPlan(r, mdrs.DefaultGenConfig(6))
 	o := mdrs.Options{Sites: 8, Epsilon: 0.5, F: 0.7}
@@ -80,7 +85,7 @@ func TestFacadePipelineSimulation(t *testing.T) {
 		t.Fatal(err)
 	}
 	ov, _ := mdrs.NewOverlap(0.5)
-	res, err := mdrs.SimulatePipelines(ov, s, mdrs.PipeSimConfig{Steps: 500})
+	res, err := pipesim.Simulate(ov, s, pipesim.Config{Steps: 500})
 	if err != nil {
 		t.Fatal(err)
 	}

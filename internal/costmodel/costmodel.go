@@ -70,27 +70,35 @@ func DefaultParams() Params {
 	}
 }
 
-// Validate reports the first nonsensical parameter, if any.
+// Validate reports the first nonsensical parameter, if any. Every float
+// parameter must be finite: each sign check is written so that NaN (and
+// −Inf) fails it, and +Inf is rejected beside it.
 func (p Params) Validate() error {
 	switch {
-	case p.MIPS <= 0:
-		return fmt.Errorf("costmodel: MIPS = %g, must be positive", p.MIPS)
-	case p.DiskPageTime < 0:
-		return fmt.Errorf("costmodel: DiskPageTime = %g, must be non-negative", p.DiskPageTime)
-	case p.Alpha <= 0:
-		return fmt.Errorf("costmodel: Alpha = %g, must be positive (startup is inherently serial)", p.Alpha)
-	case p.Beta < 0:
-		return fmt.Errorf("costmodel: Beta = %g, must be non-negative", p.Beta)
+	case !(p.MIPS > 0) || math.IsInf(p.MIPS, 1):
+		return fmt.Errorf("costmodel: MIPS = %g, must be positive and finite", p.MIPS)
+	case !(p.DiskPageTime >= 0) || math.IsInf(p.DiskPageTime, 1):
+		return fmt.Errorf("costmodel: DiskPageTime = %g, must be non-negative and finite", p.DiskPageTime)
+	case !(p.Alpha > 0) || math.IsInf(p.Alpha, 1):
+		return fmt.Errorf("costmodel: Alpha = %g, must be positive and finite (startup is inherently serial)", p.Alpha)
+	case !(p.Beta >= 0) || math.IsInf(p.Beta, 1):
+		return fmt.Errorf("costmodel: Beta = %g, must be non-negative and finite", p.Beta)
 	case p.TupleBytes <= 0:
 		return fmt.Errorf("costmodel: TupleBytes = %d, must be positive", p.TupleBytes)
 	case p.PageTuples <= 0:
 		return fmt.Errorf("costmodel: PageTuples = %d, must be positive", p.PageTuples)
-	case p.ReadPageInstr < 0 || p.WritePageInstr < 0 || p.ExtractInstr < 0 ||
-		p.HashInstr < 0 || p.ProbeInstr < 0:
-		return fmt.Errorf("costmodel: negative instruction count")
+	}
+	for i, n := range [...]float64{p.ReadPageInstr, p.WritePageInstr, p.ExtractInstr, p.HashInstr, p.ProbeInstr} {
+		if !(n >= 0) || math.IsInf(n, 1) {
+			return fmt.Errorf("costmodel: %s = %g, must be a non-negative finite instruction count", instrNames[i], n)
+		}
 	}
 	return nil
 }
+
+// instrNames names Params' instruction counts in the order Validate
+// checks them.
+var instrNames = [...]string{"ReadPageInstr", "WritePageInstr", "ExtractInstr", "HashInstr", "ProbeInstr"}
 
 // Pages returns the number of pages occupied by the given tuple count.
 // The ceiling is taken as (tuples−1)/PageTuples + 1, which cannot

@@ -3,6 +3,7 @@ package costmodel
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -55,6 +56,41 @@ func TestValidateRejectsBadParams(t *testing.T) {
 		}
 		if _, err := New(p); err == nil {
 			t.Errorf("case %d: New accepted bad params", i)
+		}
+	}
+}
+
+// Every float parameter rejects NaN and ±Inf. No ordered comparison is
+// true for NaN, so each sign check must be one that NaN fails; a NaN
+// DiskPageTime that got through would panic in NOpt, and an infinite
+// MIPS would price all CPU work at zero.
+func TestValidateRejectsNonFiniteParams(t *testing.T) {
+	fields := map[string]func(*Params) *float64{
+		"MIPS":           func(p *Params) *float64 { return &p.MIPS },
+		"DiskPageTime":   func(p *Params) *float64 { return &p.DiskPageTime },
+		"Alpha":          func(p *Params) *float64 { return &p.Alpha },
+		"Beta":           func(p *Params) *float64 { return &p.Beta },
+		"ReadPageInstr":  func(p *Params) *float64 { return &p.ReadPageInstr },
+		"WritePageInstr": func(p *Params) *float64 { return &p.WritePageInstr },
+		"ExtractInstr":   func(p *Params) *float64 { return &p.ExtractInstr },
+		"HashInstr":      func(p *Params) *float64 { return &p.HashInstr },
+		"ProbeInstr":     func(p *Params) *float64 { return &p.ProbeInstr },
+	}
+	for name, field := range fields {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			p := DefaultParams()
+			*field(&p) = v
+			err := p.Validate()
+			if err == nil {
+				t.Errorf("%s = %g accepted", name, v)
+				continue
+			}
+			if !strings.Contains(err.Error(), name) {
+				t.Errorf("%s = %g: error %q does not name the field", name, v, err)
+			}
+			if _, err := New(p); err == nil {
+				t.Errorf("%s = %g: New accepted", name, v)
+			}
 		}
 	}
 }

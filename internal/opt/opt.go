@@ -1,12 +1,9 @@
-// Package opt provides the optimality references used in the paper's
-// evaluation and in this repository's test suite:
-//
-//   - Bound computes OPTBOUND (Section 6.2), the lower bound on the
-//     response time of the optimal CG_f execution that Figure 6(b)
-//     compares TREESCHEDULE against; and
-//   - Exhaustive and ExhaustiveMalleable compute true optima for tiny
-//     instances by brute force, used to validate the Theorem 5.1 and
-//     Theorem 7.1 performance-ratio guarantees empirically.
+// Package opt computes OPTBOUND (Section 6.2), the lower bound on the
+// response time of the optimal CG_f execution that Figure 6(b) compares
+// TREESCHEDULE against and that the optimizer prunes candidates with.
+// The brute-force optima that validate the Theorem 5.1 and Theorem 7.1
+// performance-ratio guarantees live in this package's tests
+// (exhaustive_test.go).
 package opt
 
 import (
@@ -14,10 +11,8 @@ import (
 	"math"
 
 	"mdrs/internal/costmodel"
-	"mdrs/internal/malleable"
 	"mdrs/internal/plan"
 	"mdrs/internal/resource"
-	"mdrs/internal/sched"
 	"mdrs/internal/vector"
 )
 
@@ -105,115 +100,4 @@ func bound(tt *plan.TaskTree, p int, f float64, eval func(costmodel.OpSpec) (vec
 	cp := critical(tt.Root)
 
 	return math.Max(congestion, cp), nil
-}
-
-// Exhaustive finds the response time of the optimal assignment of the
-// given operators (with their fixed clone vectors) to p d-dimensional
-// sites, subject to Definition 5.1's constraints, by exhaustive
-// branch-and-bound. Rooted operators are honored. The search is
-// exponential in the total clone count; callers must keep instances
-// tiny (≲ 10 clones).
-func Exhaustive(p, d int, ov resource.Overlap, ops []*sched.Op) (float64, error) {
-	// Validate via a throwaway heuristic run, which also gives an upper
-	// bound that seeds the branch-and-bound.
-	heur, err := sched.OperatorSchedule(p, d, ov, ops)
-	if err != nil {
-		return 0, err
-	}
-	best := heur.Response
-
-	type cloneRef struct {
-		op *sched.Op
-		k  int
-	}
-	var clones []cloneRef
-	// work[j] is the multiset work(s_j), pushed and popped as the search
-	// descends and backtracks; a trial is priced by Equation 2 over it.
-	work := make([][]vector.Vector, p)
-	usedBy := make(map[*sched.Op]map[int]bool, len(ops))
-	for _, op := range ops {
-		usedBy[op] = map[int]bool{}
-		if op.Rooted() {
-			for k, s := range op.Home {
-				work[s] = append(work[s], op.Clones[k])
-				usedBy[op][s] = true
-			}
-			continue
-		}
-		for k := range op.Clones {
-			clones = append(clones, cloneRef{op: op, k: k})
-		}
-	}
-
-	var rec func(i int, cur float64)
-	rec = func(i int, cur float64) {
-		if cur >= best-1e-15 {
-			return // prune: partial makespan already no better
-		}
-		if i == len(clones) {
-			best = cur
-			return
-		}
-		c := clones[i]
-		for j := 0; j < p; j++ {
-			if usedBy[c.op][j] {
-				continue
-			}
-			work[j] = append(work[j], c.op.Clones[c.k])
-			usedBy[c.op][j] = true
-			rec(i+1, max(cur, ov.TSite(work[j])))
-			usedBy[c.op][j] = false
-			work[j] = work[j][:len(work[j])-1]
-		}
-	}
-	start := 0.0
-	for _, w := range work {
-		start = max(start, ov.TSite(w))
-	}
-	rec(0, start)
-	return best, nil
-}
-
-// ExhaustiveMalleable finds the optimal response time over all
-// parallelizations and all assignments for a set of malleable floating
-// operators: the unconstrained optimum of Section 7. Complexity is
-// O(P^M) parallelizations times an exhaustive packing each; instances
-// must be tiny.
-func ExhaustiveMalleable(p int, ov resource.Overlap, m costmodel.Model, ops []malleable.Operator) (float64, error) {
-	if len(ops) == 0 {
-		return 0, fmt.Errorf("opt: no operators")
-	}
-	if p <= 0 {
-		return 0, fmt.Errorf("opt: non-positive site count %d", p)
-	}
-	degrees := make([]int, len(ops))
-	for i := range degrees {
-		degrees[i] = 1
-	}
-	best := math.Inf(1)
-	for {
-		schedOps := make([]*sched.Op, len(ops))
-		for i, op := range ops {
-			schedOps[i] = &sched.Op{ID: op.ID, Clones: m.Clones(op.Cost, degrees[i])}
-		}
-		opt, err := Exhaustive(p, resource.Dims, ov, schedOps)
-		if err != nil {
-			return 0, err
-		}
-		if opt < best {
-			best = opt
-		}
-		// Next parallelization in mixed-radix order.
-		i := 0
-		for ; i < len(degrees); i++ {
-			if degrees[i] < p {
-				degrees[i]++
-				break
-			}
-			degrees[i] = 1
-		}
-		if i == len(degrees) {
-			return best, nil
-		}
-	}
 }

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"mdrs/internal/costmodel"
-	"mdrs/internal/malleable"
 	"mdrs/internal/plan"
 	"mdrs/internal/query"
 	"mdrs/internal/resource"
@@ -194,172 +193,6 @@ func TestBoundMonotoneInP(t *testing.T) {
 			t.Fatalf("OPTBOUND increased with P: %g -> %g at P=%d", prev, b, p)
 		}
 		prev = b
-	}
-}
-
-func TestExhaustiveMatchesHandOptimum(t *testing.T) {
-	ov := resource.MustOverlap(1)
-	// Two CPU-bound and two disk-bound unit ops on two sites: optimum
-	// pairs complements, response 10.
-	ops := []*sched.Op{
-		{ID: 0, Clones: []vector.Vector{vector.Of(10, 0)}},
-		{ID: 1, Clones: []vector.Vector{vector.Of(10, 0)}},
-		{ID: 2, Clones: []vector.Vector{vector.Of(0, 10)}},
-		{ID: 3, Clones: []vector.Vector{vector.Of(0, 10)}},
-	}
-	got, err := Exhaustive(2, 2, ov, ops)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got-10) > 1e-9 {
-		t.Fatalf("exhaustive = %g, want 10", got)
-	}
-}
-
-func TestExhaustiveRespectsRootedOps(t *testing.T) {
-	ov := resource.MustOverlap(1)
-	// A rooted hog on site 0 forces the floating op to site 1.
-	ops := []*sched.Op{
-		{ID: 0, Clones: []vector.Vector{vector.Of(100, 0)}, Home: []int{0}},
-		{ID: 1, Clones: []vector.Vector{vector.Of(5, 5)}},
-	}
-	got, err := Exhaustive(2, 2, ov, ops)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got-100) > 1e-9 {
-		t.Fatalf("exhaustive = %g, want 100", got)
-	}
-}
-
-func TestExhaustiveNeverAboveHeuristic(t *testing.T) {
-	r := rand.New(rand.NewSource(17))
-	ov := resource.MustOverlap(0.4)
-	for trial := 0; trial < 25; trial++ {
-		p := 2 + r.Intn(2)
-		d := 1 + r.Intn(3)
-		var ops []*sched.Op
-		totalClones := 0
-		for i := 0; totalClones < 6 && i < 5; i++ {
-			n := 1 + r.Intn(2)
-			if n > p {
-				n = p
-			}
-			clones := make([]vector.Vector, n)
-			for k := range clones {
-				w := vector.New(d)
-				for j := range w {
-					w[j] = r.Float64() * 10
-				}
-				clones[k] = w
-			}
-			ops = append(ops, &sched.Op{ID: i, Clones: clones})
-			totalClones += n
-		}
-		heur, err := sched.OperatorSchedule(p, d, ov, ops)
-		if err != nil {
-			t.Fatal(err)
-		}
-		optVal, err := Exhaustive(p, d, ov, ops)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if optVal > heur.Response+1e-9 {
-			t.Fatalf("exhaustive %g above heuristic %g", optVal, heur.Response)
-		}
-		// Theorem 5.1(a): heuristic within (2d+1) of optimum.
-		if heur.Response > sched.PerformanceRatioBound(d)*optVal+1e-9 {
-			t.Fatalf("heuristic %g violates (2d+1)·OPT = %g",
-				heur.Response, sched.PerformanceRatioBound(d)*optVal)
-		}
-	}
-}
-
-func TestExhaustiveMalleableTheorem71(t *testing.T) {
-	// Theorem 7.1: the malleable list schedule is within (2d+1) of the
-	// optimum over ALL parallelizations. Verify on tiny instances.
-	r := rand.New(rand.NewSource(29))
-	m := costmodel.Default()
-	for trial := 0; trial < 5; trial++ {
-		p := 2 + r.Intn(2)
-		ov := resource.MustOverlap(r.Float64())
-		var ops []malleable.Operator
-		for i := 0; i < 2; i++ {
-			ops = append(ops, malleable.Operator{
-				ID: i,
-				Cost: m.Cost(costmodel.OpSpec{
-					Kind:     costmodel.Scan,
-					InTuples: 1000 + r.Intn(50000),
-					NetOut:   true,
-				}),
-			})
-		}
-		s := malleable.Scheduler{Model: m, Overlap: ov, P: p}
-		res, err := s.Schedule(ops)
-		if err != nil {
-			t.Fatal(err)
-		}
-		optVal, err := ExhaustiveMalleable(p, ov, m, ops)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bound := sched.PerformanceRatioBound(resource.Dims) * optVal
-		if res.Schedule.Response > bound+1e-9 {
-			t.Fatalf("malleable response %g > (2d+1)·OPT = %g (OPT = %g)",
-				res.Schedule.Response, bound, optVal)
-		}
-		if optVal > res.Schedule.Response+1e-9 {
-			t.Fatalf("optimum %g above heuristic %g", optVal, res.Schedule.Response)
-		}
-	}
-}
-
-func TestExhaustiveMalleableValidation(t *testing.T) {
-	m := costmodel.Default()
-	ov := resource.MustOverlap(0.5)
-	if _, err := ExhaustiveMalleable(2, ov, m, nil); err == nil {
-		t.Error("empty operator set accepted")
-	}
-	ops := []malleable.Operator{{ID: 0, Cost: m.Cost(costmodel.OpSpec{Kind: costmodel.Scan, InTuples: 100})}}
-	if _, err := ExhaustiveMalleable(0, ov, m, ops); err == nil {
-		t.Error("P = 0 accepted")
-	}
-}
-
-// TestLowerBoundIsSoundAgainstExhaustive: LB(N) from Section 7 must
-// never exceed the true optimal makespan found by brute force.
-func TestLowerBoundIsSoundAgainstExhaustive(t *testing.T) {
-	r := rand.New(rand.NewSource(41))
-	for trial := 0; trial < 20; trial++ {
-		p := 2 + r.Intn(2)
-		d := 1 + r.Intn(3)
-		ov := resource.MustOverlap(r.Float64())
-		var ops []*sched.Op
-		total := 0
-		for i := 0; total < 6 && i < 4; i++ {
-			n := 1 + r.Intn(2)
-			if n > p {
-				n = p
-			}
-			clones := make([]vector.Vector, n)
-			for k := range clones {
-				w := vector.New(d)
-				for j := range w {
-					w[j] = r.Float64() * 10
-				}
-				clones[k] = w
-			}
-			ops = append(ops, &sched.Op{ID: i, Clones: clones})
-			total += n
-		}
-		lb := sched.LowerBound(p, ov, ops)
-		optVal, err := Exhaustive(p, d, ov, ops)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if lb > optVal+1e-9 {
-			t.Fatalf("trial %d: LB %g above true optimum %g — bound unsound", trial, lb, optVal)
-		}
 	}
 }
 

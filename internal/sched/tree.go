@@ -125,40 +125,12 @@ type Schedule struct {
 	// P is the system size the schedule was produced for.
 	P int
 
-	// placeOnce lazily builds placeIdx the first time Placement is
-	// called; a schedule that is only encoded or executed phase by
-	// phase never pays for the index.
-	placeOnce sync.Once
-	placeIdx  map[*plan.Operator]*OpPlacement
-
 	// jsonOnce lazily fills jsonData/jsonErr the first time JSON is
 	// called (render.go); a schedule that is never rendered, or only
 	// through EncodeJSON, holds no bytes.
 	jsonOnce sync.Once
 	jsonData []byte
 	jsonErr  error
-}
-
-// Placement returns the placement of the given operator, or nil. The
-// first call builds a per-operator index (previously every lookup
-// linearly scanned all phases); the index is built under a sync.Once,
-// so Placement is safe for concurrent use on a shared schedule.
-func (s *Schedule) Placement(op *plan.Operator) *OpPlacement {
-	s.placeOnce.Do(func() {
-		n := 0
-		for _, ph := range s.Phases {
-			n += len(ph.Placements)
-		}
-		s.placeIdx = make(map[*plan.Operator]*OpPlacement, n)
-		for _, ph := range s.Phases {
-			for _, pl := range ph.Placements {
-				if _, ok := s.placeIdx[pl.Op]; !ok {
-					s.placeIdx[pl.Op] = pl
-				}
-			}
-		}
-	})
-	return s.placeIdx[op]
 }
 
 // Schedule runs TreeSchedule on a task tree: split the plan into

@@ -92,6 +92,12 @@ func TestTreeScheduleProbeRootedAtBuildHome(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	placed := map[*plan.Operator]*OpPlacement{}
+	for _, ph := range s.Phases {
+		for _, pl := range ph.Placements {
+			placed[pl.Op] = pl
+		}
+	}
 	checked := 0
 	for _, ph := range s.Phases {
 		for _, pl := range ph.Placements {
@@ -99,7 +105,7 @@ func TestTreeScheduleProbeRootedAtBuildHome(t *testing.T) {
 				continue
 			}
 			checked++
-			buildPl := s.Placement(pl.Op.BuildOp)
+			buildPl := placed[pl.Op.BuildOp]
 			if buildPl == nil {
 				t.Fatalf("build of %s not scheduled", pl.Op.Name)
 			}

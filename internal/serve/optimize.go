@@ -28,22 +28,14 @@ import (
 // without Config.Optimizer.
 var ErrNoOptimizer = errors.New("serve: optimizer not configured")
 
-// OptimizerConfig enables and tunes Service.Optimize. The search's
-// system parameters (cost model, overlap, P, F, MaxDegree) are
-// never set here: they follow the service's scheduler — including live
+// OptimizerConfig enables Service.Optimize; it has no fields. The
+// search takes the optimizer's defaults (8 sampled candidates above 3
+// joins, every shape), and its system parameters (cost model, overlap,
+// P, F, MaxDegree) follow the service's scheduler — including live
 // controller retunes — so an optimized plan's winning schedule is
 // exactly what Schedule would have produced for that plan at that
 // moment.
-type OptimizerConfig struct {
-	// Candidates is the sample size K for join counts above the
-	// enumeration threshold. Zero means the optimizer default (8).
-	Candidates int
-	// ExhaustiveJoins is the systematic-enumeration threshold, as in
-	// optimizer.Search. Zero means the default (3).
-	ExhaustiveJoins int
-	// Shapes restricts the sampled plan shapes; nil means all four.
-	Shapes []query.Shape
-}
+type OptimizerConfig struct{}
 
 // Optimize runs the streaming bound-interleaved plan search over a
 // relation catalog under the service's admission control: the call
@@ -111,20 +103,17 @@ func (s *Service) Optimize(ctx context.Context, r *rand.Rand, rels []*query.Rela
 	return res, nil
 }
 
-// search is the plan search Config.Optimizer implies under scheduler
-// ts. New validates it once, so a configuration no search can run is
-// refused up front instead of failing every Optimize.
+// search is the plan search the service runs under scheduler ts. New
+// validates it once, so a configuration no search can run (a
+// Scheduler.Cache over another cost model) is refused up front instead
+// of failing every Optimize.
 func (s *Service) search(ts sched.TreeScheduler) optimizer.Search {
-	oc := s.cfg.Optimizer
 	return optimizer.Search{
-		Model:           ts.Model,
-		Overlap:         ts.Overlap,
-		P:               ts.P,
-		F:               ts.F,
-		Candidates:      oc.Candidates,
-		Shapes:          oc.Shapes,
-		ExhaustiveJoins: oc.ExhaustiveJoins,
-		MaxDegree:       ts.MaxDegree,
-		Cache:           s.optCache,
+		Model:     ts.Model,
+		Overlap:   ts.Overlap,
+		P:         ts.P,
+		F:         ts.F,
+		MaxDegree: ts.MaxDegree,
+		Cache:     s.optCache,
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"mdrs/internal/costmodel"
 	"mdrs/internal/obs"
 	"mdrs/internal/optimizer"
 	"mdrs/internal/plan"
@@ -33,26 +34,21 @@ func TestOptimizeRequiresConfig(t *testing.T) {
 }
 
 // New refuses an optimizer configuration no search can run, instead of
-// admitting every Optimize only to fail it.
+// admitting every Optimize only to fail it: the search shares the
+// scheduler's cost-model memo, so a Scheduler.Cache built over another
+// model is refused when Optimize is enabled.
 func TestNewRejectsUnsearchableOptimizerConfig(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		oc   OptimizerConfig
-		want string
-	}{
-		{"negative candidates", OptimizerConfig{Candidates: -1}, "negative candidate count -1"},
-		{"exhaustive joins past the enumerator", OptimizerConfig{ExhaustiveJoins: 12}, "exceeds the enumerable range (max 9)"},
-	} {
-		oc := tc.oc
-		svc, err := New(Config{Scheduler: testScheduler(16, 0.5, 0.7), Optimizer: &oc})
-		if err == nil {
-			svc.Close()
-			t.Errorf("%s: New accepted %+v", tc.name, oc)
-			continue
-		}
-		if !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: err = %v, want it to mention %q", tc.name, err, tc.want)
-		}
+	ts := testScheduler(16, 0.5, 0.7)
+	other := ts.Model
+	other.Params.MIPS *= 2
+	ts.Cache = costmodel.NewCache(other)
+	svc, err := New(Config{Scheduler: ts, Optimizer: &OptimizerConfig{}})
+	if err == nil {
+		svc.Close()
+		t.Fatal("New accepted a Scheduler.Cache over another cost model")
+	}
+	if want := "Cache wraps a different cost model"; !strings.Contains(err.Error(), want) {
+		t.Fatalf("err = %v, want it to mention %q", err, want)
 	}
 }
 
@@ -67,14 +63,13 @@ func TestOptimizeMatchesDirectSearchAndWarmStarts(t *testing.T) {
 		svc := mustService(t, Config{
 			Scheduler: ts,
 			CacheSize: 64,
-			Optimizer: &OptimizerConfig{Candidates: 8},
+			Optimizer: &OptimizerConfig{},
 			Rec:       met,
 		})
 		rels := optimizeRels(t, int64(100+joins), joins+1)
 
 		direct := optimizer.Search{
 			Model: ts.Model, Overlap: ts.Overlap, P: ts.P, F: ts.F,
-			Candidates: 8,
 		}
 		want, err := direct.Best(rand.New(rand.NewSource(7)), rels)
 		if err != nil {

@@ -28,7 +28,6 @@ import (
 	"math"
 	"slices"
 
-	"mdrs/internal/par"
 	"mdrs/internal/resource"
 	"mdrs/internal/sched"
 	"mdrs/internal/vector"
@@ -137,35 +136,17 @@ func (c SiteComparison) Ratio() float64 {
 
 // SimulateSystem simulates every site of an assignment (siteClones[j]
 // holds the work vectors at site j) and returns the per-site
-// comparisons plus the overall makespans. Sites are independent, so
-// they fan across a pool of runtime.GOMAXPROCS(0) workers; see
-// SimulateSystemWorkers for the explicit knob.
+// comparisons plus the overall makespans. Sites are simulated in order,
+// so when several fail the lowest-numbered site's error is reported.
 func SimulateSystem(ov resource.Overlap, siteClones [][]vector.Vector) ([]SiteComparison, SiteComparison, error) {
-	return SimulateSystemWorkers(ov, siteClones, 0)
-}
-
-// SimulateSystemWorkers is SimulateSystem over a bounded pool of at most
-// workers goroutines (non-positive means runtime.GOMAXPROCS(0)). Every
-// site's result is written to its own index and the reduction — maxima
-// and error selection — runs serially in site order afterwards, so the
-// output, including which site's error is reported when several fail,
-// is identical for every pool width.
-func SimulateSystemWorkers(ov resource.Overlap, siteClones [][]vector.Vector, workers int) ([]SiteComparison, SiteComparison, error) {
 	per := make([]SiteComparison, len(siteClones))
-	errs := make([]error, len(siteClones))
-	par.For(par.Workers(workers), len(siteClones), func(j int) {
-		simT, err := SimulateSite(ov, siteClones[j])
-		if err != nil {
-			errs[j] = err
-			return
-		}
-		per[j] = SiteComparison{Analytic: ov.TSite(siteClones[j]), Simulated: simT}
-	})
 	var overall SiteComparison
-	for j := range per {
-		if errs[j] != nil {
-			return nil, SiteComparison{}, fmt.Errorf("sim: site %d: %w", j, errs[j])
+	for j, clones := range siteClones {
+		simT, err := SimulateSite(ov, clones)
+		if err != nil {
+			return nil, SiteComparison{}, fmt.Errorf("sim: site %d: %w", j, err)
 		}
+		per[j] = SiteComparison{Analytic: ov.TSite(clones), Simulated: simT}
 		if per[j].Analytic > overall.Analytic {
 			overall.Analytic = per[j].Analytic
 		}

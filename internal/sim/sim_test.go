@@ -291,8 +291,9 @@ func TestSimulateSystem(t *testing.T) {
 	}
 }
 
-// The system fan-out must be invisible: every pool width yields exactly
-// the same per-site comparisons and overall maxima.
+// SimulateSystem's reduction is deterministic: every site's comparison
+// is that site's own simulation and Equation 2 value, and the overall
+// pair holds their maxima.
 func TestSimulateSystemWorkersDeterministic(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
 	ov := resource.MustOverlap(0.5)
@@ -306,44 +307,41 @@ func TestSimulateSystemWorkersDeterministic(t *testing.T) {
 			siteClones[j] = append(siteClones[j], w)
 		}
 	}
-	refPer, refAll, err := SimulateSystemWorkers(ov, siteClones, 1)
+	per, all, err := SimulateSystem(ov, siteClones)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, w := range []int{2, 8} {
-		per, all, err := SimulateSystemWorkers(ov, siteClones, w)
+	var want SiteComparison
+	for j, clones := range siteClones {
+		simT, err := SimulateSite(ov, clones)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if all != refAll {
-			t.Fatalf("workers=%d: overall %+v != %+v", w, all, refAll)
+		site := SiteComparison{Analytic: ov.TSite(clones), Simulated: simT}
+		if per[j] != site {
+			t.Fatalf("site %d: %+v != %+v", j, per[j], site)
 		}
-		for j := range per {
-			if per[j] != refPer[j] {
-				t.Fatalf("workers=%d: site %d %+v != %+v", w, j, per[j], refPer[j])
-			}
-		}
+		want.Analytic = math.Max(want.Analytic, site.Analytic)
+		want.Simulated = math.Max(want.Simulated, site.Simulated)
+	}
+	if all != want {
+		t.Fatalf("overall %+v != per-site maxima %+v", all, want)
 	}
 }
 
-// With several failing sites the lowest-indexed failure must win for
-// every pool width — the serial index-order reduction, not goroutine
-// scheduling, selects the reported error.
+// With several failing sites the lowest-numbered one's error is
+// reported: the reduction runs in site order.
 func TestSimulateSystemWorkersDeterministicError(t *testing.T) {
-	siteClones := [][]vector.Vector{
+	ov := resource.MustOverlap(0.5)
+	failing := [][]vector.Vector{
 		{vector.Of(1, 2)},
 		{vector.Of(-1, 0)},                    // invalid: negative work
 		{vector.Of(1, 2, 3), vector.Of(1, 2)}, // invalid: dimension mismatch
 	}
-	ov := resource.MustOverlap(0.5)
-	for _, w := range []int{1, 2, 8} {
-		_, _, err := SimulateSystemWorkers(ov, siteClones, w)
-		if err == nil {
-			t.Fatalf("workers=%d: invalid input accepted", w)
-		}
-		if got := err.Error(); !strings.Contains(got, "site 1") {
-			t.Fatalf("workers=%d: error %q does not name the lowest failing site", w, got)
-		}
+	if _, _, err := SimulateSystem(ov, failing); err == nil {
+		t.Fatal("invalid input accepted")
+	} else if got := err.Error(); !strings.Contains(got, "site 1") {
+		t.Fatalf("error %q does not name the lowest failing site", got)
 	}
 }
 

@@ -6,27 +6,23 @@ import (
 	"io"
 	"math/rand"
 
-	"mdrs/internal/baseline"
-	"mdrs/internal/contention"
 	"mdrs/internal/costmodel"
 	"mdrs/internal/engine"
-	"mdrs/internal/malleable"
-	"mdrs/internal/memsched"
 	"mdrs/internal/obs"
 	"mdrs/internal/opt"
 	"mdrs/internal/optimizer"
-	"mdrs/internal/pipesim"
 	"mdrs/internal/plan"
 	"mdrs/internal/query"
 	"mdrs/internal/resource"
 	"mdrs/internal/sched"
 	"mdrs/internal/serve"
-	"mdrs/internal/sim"
 	"mdrs/internal/vector"
 )
 
 // Re-exported types: the full public API surface of the library. Each
-// alias is documented at its definition site.
+// alias is documented at its definition site. Only the system is
+// re-exported: the reproduction packages the package documentation
+// lists are imported directly by their callers.
 type (
 	// Vector is a d-dimensional work vector (internal/vector).
 	Vector = vector.Vector
@@ -62,28 +58,10 @@ type (
 	TreeScheduler = sched.TreeScheduler
 	// Schedule is a complete phased parallel schedule.
 	Schedule = sched.Schedule
-	// MalleableScheduler is the Section 7 malleable-operator scheduler.
-	MalleableScheduler = malleable.Scheduler
-	// MalleableOperator is one malleable floating operator.
-	MalleableOperator = malleable.Operator
-	// SynchronousResult is the baseline's placement and response.
-	SynchronousResult = baseline.Result
 	// Dataset holds generated synthetic relations for one plan.
 	Dataset = engine.Dataset
 	// Engine executes scheduled plans over a Dataset.
 	Engine = engine.Engine
-	// SiteComparison pairs analytic and fluid-simulated response times.
-	SiteComparison = sim.SiteComparison
-	// MemoryScheduler is the memory-aware TreeSchedule extension
-	// (non-preemptable resources, the paper's first open problem).
-	MemoryScheduler = memsched.Scheduler
-	// ContentionPenalty holds per-resource time-sharing penalties γ_i
-	// (the paper's second open problem: imperfect preemptability).
-	ContentionPenalty = contention.Penalty
-	// PipeSimConfig tunes the explicit pipeline dataflow simulator.
-	PipeSimConfig = pipesim.Config
-	// PipeSimResult compares analytic vs pipeline-simulated response.
-	PipeSimResult = pipesim.Result
 	// PlanSearch is the bound-pruned scheduler-in-the-loop plan
 	// selector: candidates whose OPTBOUND lower bound cannot beat the
 	// running incumbent are never fully scheduled, and the outcome is
@@ -271,20 +249,6 @@ func ScheduleQueryCtx(ctx context.Context, p *PlanNode, o Options) (*Schedule, e
 // given configuration. Callers must Close it to release the service.
 func NewSchedulingService(cfg ServeConfig) (*SchedulingService, error) { return serve.New(cfg) }
 
-// ScheduleQuerySynchronous runs the one-dimensional baseline on a plan
-// end to end.
-func ScheduleQuerySynchronous(p *PlanNode, o Options) (*SynchronousResult, error) {
-	m, ov, err := o.normalize()
-	if err != nil {
-		return nil, err
-	}
-	_, tt, err := PrepareQuery(p)
-	if err != nil {
-		return nil, err
-	}
-	return baseline.Synchronous{Model: m, Overlap: ov, P: o.Sites}.Schedule(tt)
-}
-
 // OptBound computes the Section 6.2 lower bound on the optimal CG_f
 // response time of a plan.
 func OptBound(p *PlanNode, o Options) (float64, error) {
@@ -374,35 +338,10 @@ func ScheduleLowerBound(p int, ov Overlap, ops []*SchedOp) float64 {
 // that every join's result size matches the optimizer's max rule.
 func GenerateData(p *PlanNode, seed int64) (*Dataset, error) { return engine.Generate(p, seed) }
 
-// SimulateSchedule replays a schedule through the fluid time-sharing
-// simulator and reports analytic vs simulated response.
-func SimulateSchedule(ov Overlap, s *Schedule) (SiteComparison, error) {
-	return sim.SimulateSchedule(ov, s)
-}
-
 // RandomShapedPlan draws a plan of the given shape (left-deep,
 // right-deep, balanced, or random bushy).
 func RandomShapedPlan(r *rand.Rand, cfg GenConfig, shape Shape) (*PlanNode, error) {
 	return query.RandomShaped(r, cfg, shape)
-}
-
-// DiskPenalty returns a contention penalty charging γ on the disk
-// dimension only.
-func DiskPenalty(gamma float64) ContentionPenalty {
-	return contention.DiskOnly(resource.Dims, gamma)
-}
-
-// EvalScheduleWithPenalty prices an existing schedule under imperfect
-// time-sharing: each resource's per-site load inflates by γ_i per extra
-// sharer. A nil penalty reproduces the schedule's own response.
-func EvalScheduleWithPenalty(ov Overlap, g ContentionPenalty, s *Schedule) (float64, error) {
-	return contention.EvalSchedule(ov, g, s)
-}
-
-// SimulatePipelines replays a schedule through the explicit pipeline
-// dataflow simulator, where consumers cannot outrun their producers.
-func SimulatePipelines(ov Overlap, s *Schedule, cfg PipeSimConfig) (*PipeSimResult, error) {
-	return pipesim.Simulate(ov, s, cfg)
 }
 
 // VerifySchedule checks every structural invariant of a schedule

@@ -8,11 +8,35 @@ import (
 	"testing"
 
 	"mdrs"
+	"mdrs/internal/baseline"
+	"mdrs/internal/malleable"
+	"mdrs/internal/sim"
 )
 
+// synchronous schedules plan with the one-dimensional SYNCHRONOUS
+// baseline on o's system under the default cost model, the adversary
+// TreeSchedule is compared against.
+func synchronous(t *testing.T, plan *mdrs.PlanNode, o mdrs.Options) *baseline.Result {
+	t.Helper()
+	ov, err := mdrs.NewOverlap(o.Epsilon)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, tt, err := mdrs.PrepareQuery(plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := baseline.Synchronous{Model: mdrs.DefaultCostModel(), Overlap: ov, P: o.Sites}.Schedule(tt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 // TestEndToEndPipeline drives the whole system through the public API:
-// generate a plan, schedule it three ways, bound it, execute it on real
-// data, and replay it through the fluid simulator.
+// generate a plan, schedule it, bound it and execute it on real data;
+// then set it against the SYNCHRONOUS baseline and replay it through
+// the fluid simulator.
 func TestEndToEndPipeline(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	plan := mdrs.MustRandomPlan(r, mdrs.GenConfig{Joins: 8, MinTuples: 2000, MaxTuples: 20000})
@@ -22,10 +46,7 @@ func TestEndToEndPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sync, err := mdrs.ScheduleQuerySynchronous(plan, o)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sync := synchronous(t, plan, o)
 	bound, err := mdrs.OptBound(plan, o)
 	if err != nil {
 		t.Fatal(err)
@@ -66,7 +87,7 @@ func TestEndToEndPipeline(t *testing.T) {
 	}
 
 	// Replay through the fluid simulator.
-	cmp, err := mdrs.SimulateSchedule(ov, tree)
+	cmp, err := sim.SimulateSchedule(ov, tree)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,10 +112,29 @@ func TestOptionsValidation(t *testing.T) {
 			t.Errorf("case %d: ScheduleQuery accepted", i)
 		}
 	}
-	// Synchronous ignores F, so only the first two are invalid for it.
-	for i, o := range cases[:2] {
-		if _, err := mdrs.ScheduleQuerySynchronous(plan, o); err == nil {
-			t.Errorf("case %d: ScheduleQuerySynchronous accepted", i)
+}
+
+// A non-finite cost parameter is an error at every entry point, not a
+// panic deep in the degree computation (NaN DiskPageTime) or a schedule
+// of zero-cost CPU work (+Inf MIPS).
+func TestNonFiniteParamsRejected(t *testing.T) {
+	plan := mdrs.MustRandomPlan(rand.New(rand.NewSource(1)), mdrs.DefaultGenConfig(4))
+	_, tt, err := mdrs.PrepareQuery(plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ov, _ := mdrs.NewOverlap(0.5)
+	nanDisk := mdrs.DefaultParams()
+	nanDisk.DiskPageTime = math.NaN()
+	infCPU := mdrs.DefaultParams()
+	infCPU.MIPS = math.Inf(1)
+	for _, p := range []mdrs.Params{nanDisk, infCPU} {
+		if _, err := mdrs.ScheduleQuery(plan, mdrs.Options{Params: p, Sites: 8, Epsilon: 0.5, F: 0.7}); err == nil {
+			t.Errorf("ScheduleQuery accepted %+v", p)
+		}
+		ts := mdrs.TreeScheduler{Model: mdrs.CostModel{Params: p}, Overlap: ov, P: 8, F: 0.7}
+		if _, err := ts.PhaseBound(tt); err == nil {
+			t.Errorf("PhaseBound accepted %+v", p)
 		}
 	}
 }
@@ -143,11 +183,11 @@ func TestOperatorScheduleFacade(t *testing.T) {
 	}
 }
 
-func TestMalleableFacade(t *testing.T) {
+func TestMalleable(t *testing.T) {
 	m := mdrs.DefaultCostModel()
 	ov, _ := mdrs.NewOverlap(0.5)
-	ms := mdrs.MalleableScheduler{Model: m, Overlap: ov, P: 8}
-	ops := []mdrs.MalleableOperator{
+	ms := malleable.Scheduler{Model: m, Overlap: ov, P: 8}
+	ops := []malleable.Operator{
 		{ID: 0, Cost: m.Cost(mdrs.OpSpec{Kind: mdrs.Scan, InTuples: 50000, NetOut: true})},
 		{ID: 1, Cost: m.Cost(mdrs.OpSpec{Kind: mdrs.Scan, InTuples: 20000, NetOut: true})},
 	}
@@ -162,8 +202,8 @@ func TestMalleableFacade(t *testing.T) {
 }
 
 func TestTreeScheduleBeatsSynchronousAcrossSweeps(t *testing.T) {
-	// A compact end-to-end sanity sweep over the public API mirroring
-	// the paper's headline result at f = 0.7.
+	// A compact end-to-end sanity sweep mirroring the paper's headline
+	// result at f = 0.7.
 	r := rand.New(rand.NewSource(3))
 	for _, sites := range []int{10, 40, 120} {
 		for _, eps := range []float64{0.1, 0.5} {
@@ -175,10 +215,7 @@ func TestTreeScheduleBeatsSynchronousAcrossSweeps(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				ss, err := mdrs.ScheduleQuerySynchronous(plan, o)
-				if err != nil {
-					t.Fatal(err)
-				}
+				ss := synchronous(t, plan, o)
 				sumT += st.Response
 				sumS += ss.Response
 			}
