@@ -1,8 +1,8 @@
 // Command mdrs-sched schedules a JSON-encoded bushy hash-join plan
 // (e.g. produced by mdrs-plangen) on a simulated shared-nothing system
 // and prints the resulting parallel schedule: phases, per-operator
-// degrees and site assignments, response time, and comparisons against
-// the SYNCHRONOUS baseline and the OPTBOUND lower bound.
+// degrees and site assignments, response time, and its ratio to the
+// OPTBOUND lower bound.
 //
 // Usage:
 //
@@ -34,7 +34,6 @@ import (
 	"os"
 
 	"mdrs"
-	"mdrs/internal/baseline"
 )
 
 // options carries the full mdrs-sched flag surface.
@@ -98,20 +97,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "mdrs-sched: %v\n", err)
 		os.Exit(1)
 	}
-}
-
-// synchronous schedules p with the one-dimensional SYNCHRONOUS
-// baseline under the same system as opts, for the comparison line.
-func synchronous(p *mdrs.PlanNode, opts mdrs.Options) (*baseline.Result, error) {
-	ov, err := mdrs.NewOverlap(opts.Epsilon)
-	if err != nil {
-		return nil, err
-	}
-	_, tt, err := mdrs.PrepareQuery(p)
-	if err != nil {
-		return nil, err
-	}
-	return baseline.Synchronous{Model: mdrs.DefaultCostModel(), Overlap: ov, P: opts.Sites}.Schedule(tt)
 }
 
 // recorders assembles the recorder stack the flags ask for: a JSONL
@@ -345,10 +330,6 @@ func run(w io.Writer, o options) (err error) {
 		return err
 	}
 	return o.writeSchedule(w, tree, capture, func() error {
-		sync, err := synchronous(p, opts)
-		if err != nil {
-			return err
-		}
 		bound, err := mdrs.OptBound(p, opts)
 		if err != nil {
 			return err
@@ -358,8 +339,6 @@ func run(w io.Writer, o options) (err error) {
 			o.sites, o.eps, o.f)
 		fmt.Fprintf(w, "\nTreeSchedule response: %10.3f s  (%d phases)\n",
 			tree.Response, len(tree.Phases))
-		fmt.Fprintf(w, "Synchronous  response: %10.3f s  (%.2fx slower)\n",
-			sync.Response, sync.Response/tree.Response)
 		fmt.Fprintf(w, "OPTBOUND lower bound:  %10.3f s  (TreeSchedule within %.2fx)\n",
 			bound, tree.Response/bound)
 		return nil

@@ -34,8 +34,7 @@ func TestRunSummaryOutput(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := sb.String()
-	for _, want := range []string{"plan: 5 joins", "TreeSchedule response:",
-		"Synchronous  response:", "OPTBOUND lower bound:"} {
+	for _, want := range []string{"plan: 5 joins", "TreeSchedule response:", "OPTBOUND lower bound:"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("output missing %q:\n%s", want, out)
 		}

@@ -29,15 +29,19 @@
 //
 // This package is the system: what the scheduling service and its
 // commands link. The code that exists only to reproduce the paper's
-// evaluation is not re-exported and is imported directly by its
-// callers: internal/baseline (the one-dimensional SYNCHRONOUS
-// adversary: Hsiao et al.'s synchronous execution time combined with
-// Lo et al.'s minimax pipeline allocation), internal/malleable (the
-// Section 7 scheduler that picks degrees of parallelism itself, within
-// 2d+1 of the optimum over all parallel schedules, Theorem 7.1),
-// internal/sim (the fluid simulator validating the analytic sharing
-// model), internal/memsched, internal/contention and internal/pipesim
-// (the open-problem extensions) and internal/experiments.
+// evaluation lives under internal/repro (two of its packages,
+// internal/malleable and internal/experiments, still beside the
+// system), is not re-exported, and is imported only by mdrs-bench, the
+// examples and its own tests: internal/repro/baseline (the
+// one-dimensional SYNCHRONOUS adversary: Hsiao et al.'s synchronous
+// execution time combined with Lo et al.'s minimax pipeline
+// allocation), internal/malleable (the Section 7 scheduler that picks
+// degrees of parallelism itself, within 2d+1 of the optimum over all
+// parallel schedules, Theorem 7.1),
+// internal/repro/sim (the fluid simulator validating the analytic
+// sharing model), internal/repro/memsched, internal/repro/contention
+// and internal/repro/pipesim (the open-problem extensions) and
+// internal/experiments.
 //
 // The quickest route from a query to a schedule:
 //
@@ -45,7 +49,7 @@
 //	s, err := mdrs.ScheduleQuery(plan, mdrs.Options{Sites: 32, Epsilon: 0.5, F: 0.7})
 //
 // The experiments of the paper's Section 6 are regenerated by the
-// mdrs-bench command and the benchmarks in bench_test.go; DESIGN.md maps
-// every figure to the modules that implement it and EXPERIMENTS.md
-// records paper-versus-measured outcomes.
+// mdrs-bench command and the benchmarks of internal/experiments;
+// DESIGN.md maps every figure to the modules that implement it and
+// EXPERIMENTS.md records paper-versus-measured outcomes.
 package mdrs

@@ -11,7 +11,7 @@ import (
 	"math/rand"
 
 	"mdrs"
-	"mdrs/internal/baseline"
+	"mdrs/internal/repro/baseline"
 )
 
 func main() {

@@ -12,7 +12,7 @@ import (
 	"math/rand"
 
 	"mdrs"
-	"mdrs/internal/sim"
+	"mdrs/internal/repro/sim"
 )
 
 func main() {

@@ -20,9 +20,9 @@ import (
 	"math/rand"
 
 	"mdrs"
-	"mdrs/internal/contention"
-	"mdrs/internal/memsched"
-	"mdrs/internal/pipesim"
+	"mdrs/internal/repro/contention"
+	"mdrs/internal/repro/memsched"
+	"mdrs/internal/repro/pipesim"
 )
 
 func main() {

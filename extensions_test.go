@@ -1,101 +1,15 @@
 package mdrs_test
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 
 	"mdrs"
-	"mdrs/internal/contention"
-	"mdrs/internal/memsched"
-	"mdrs/internal/pipesim"
 )
 
-// Integration tests for the extension subsystems: memory-aware
-// scheduling, contention pricing and pipeline simulation (the paper's
-// open problems, imported directly), then plan shapes, the best-of-K
-// plan search and the other system entry points through the public
-// facade.
-
-func TestMemoryScheduler(t *testing.T) {
-	r := rand.New(rand.NewSource(5))
-	plan := mdrs.MustRandomPlan(r, mdrs.DefaultGenConfig(10))
-	_, tt, err := mdrs.PrepareQuery(plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ov, err := mdrs.NewOverlap(0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tight := memsched.Scheduler{
-		Model: mdrs.DefaultCostModel(), Overlap: ov, P: 12, F: 0.7,
-		MemoryBytes: 1 << 20,
-	}
-	res, err := tight.Schedule(tt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.TotalSpilledBytes == 0 {
-		t.Fatal("1 MB sites did not spill")
-	}
-	ample := tight
-	ample.MemoryBytes = math.Inf(1)
-	resAmple, err := ample.Schedule(tt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resAmple.Response >= res.Response {
-		t.Fatalf("ample memory %g not faster than tight %g",
-			resAmple.Response, res.Response)
-	}
-}
-
-func TestContentionPricing(t *testing.T) {
-	r := rand.New(rand.NewSource(6))
-	plan := mdrs.MustRandomPlan(r, mdrs.DefaultGenConfig(8))
-	o := mdrs.Options{Sites: 10, Epsilon: 0.5, F: 0.7}
-	s, err := mdrs.ScheduleQuery(plan, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ov, _ := mdrs.NewOverlap(0.5)
-	base, err := contention.EvalSchedule(ov, nil, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(base-s.Response) > 1e-9 {
-		t.Fatalf("nil penalty evaluation %g != response %g", base, s.Response)
-	}
-	heavy, err := contention.EvalSchedule(ov, contention.DiskOnly(mdrs.Dims, 10), s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if heavy <= base {
-		t.Fatalf("γ=10 evaluation %g did not exceed base %g", heavy, base)
-	}
-}
-
-func TestPipelineSimulation(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	plan := mdrs.MustRandomPlan(r, mdrs.DefaultGenConfig(6))
-	o := mdrs.Options{Sites: 8, Epsilon: 0.5, F: 0.7}
-	s, err := mdrs.ScheduleQuery(plan, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ov, _ := mdrs.NewOverlap(0.5)
-	res, err := pipesim.Simulate(ov, s, pipesim.Config{Steps: 500})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Simulated < res.Analytic-1e-9 {
-		t.Fatalf("pipeline sim %g below analytic %g", res.Simulated, res.Analytic)
-	}
-	if res.Ratio() > 1.8 {
-		t.Fatalf("pipeline abstraction error ratio %g implausible", res.Ratio())
-	}
-}
+// Integration tests for the system's extensions through the public
+// facade: plan shapes, phase policies, the best-of-K plan search, batch
+// scheduling, declustering and schedule statistics.
 
 func TestFacadeShapedPlans(t *testing.T) {
 	r := rand.New(rand.NewSource(8))

@@ -82,9 +82,6 @@ func NewCache(m Model) *Cache {
 	}
 }
 
-// Cached returns a fresh memo wrapper over the model.
-func (m Model) Cached() *Cache { return NewCache(m) }
-
 // Model returns the underlying (uncached) model.
 func (c *Cache) Model() Model { return c.model }
 

@@ -25,7 +25,7 @@ func randomSpec(r *rand.Rand) OpSpec {
 // across repeated lookups of a shared spec pool.
 func TestCacheMatchesModelExactly(t *testing.T) {
 	m := Default()
-	c := m.Cached()
+	c := NewCache(m)
 	ov := resource.MustOverlap(0.5)
 	r := rand.New(rand.NewSource(42))
 	specs := make([]OpSpec, 30)
@@ -62,7 +62,7 @@ func TestCacheMatchesModelExactly(t *testing.T) {
 // A second lookup of the same key must be a hit, and the clone slice
 // must be the shared memoized one (no per-call reallocation).
 func TestCacheMemoizesAndShares(t *testing.T) {
-	c := Default().Cached()
+	c := NewCache(Default())
 	spec := OpSpec{Kind: Scan, InTuples: 1000}
 	ov := resource.MustOverlap(0.5)
 
@@ -92,7 +92,7 @@ func TestCacheMemoizesAndShares(t *testing.T) {
 // The memo maps reset (not grow) past the limit, and answers stay
 // correct afterwards.
 func TestCacheBounded(t *testing.T) {
-	c := Default().Cached()
+	c := NewCache(Default())
 	for i := 0; i < cacheMapLimit+10; i++ {
 		c.Cost(OpSpec{Kind: Scan, InTuples: i + 1})
 	}
@@ -112,7 +112,7 @@ func TestCacheBounded(t *testing.T) {
 // run under -race by make race.
 func TestCacheConcurrent(t *testing.T) {
 	m := Default()
-	c := m.Cached()
+	c := NewCache(m)
 	ov := resource.MustOverlap(0.5)
 	specs := []OpSpec{
 		{Kind: Scan, InTuples: 5000},

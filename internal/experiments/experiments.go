@@ -18,18 +18,18 @@ import (
 	"strconv"
 	"strings"
 
-	"mdrs/internal/baseline"
-	"mdrs/internal/contention"
 	"mdrs/internal/costmodel"
 	"mdrs/internal/malleable"
-	"mdrs/internal/memsched"
 	"mdrs/internal/obs"
 	"mdrs/internal/opt"
 	"mdrs/internal/optimizer"
 	"mdrs/internal/par"
-	"mdrs/internal/pipesim"
 	"mdrs/internal/plan"
 	"mdrs/internal/query"
+	"mdrs/internal/repro/baseline"
+	"mdrs/internal/repro/contention"
+	"mdrs/internal/repro/memsched"
+	"mdrs/internal/repro/pipesim"
 	"mdrs/internal/resource"
 	"mdrs/internal/sched"
 )
@@ -570,7 +570,7 @@ func ContentionAblation(c Config) (*Figure, error) {
 }
 
 // MemoryAblation regenerates ablation A9: response time of the
-// memory-aware TreeSchedule (internal/memsched) as per-site memory
+// memory-aware TreeSchedule (internal/repro/memsched) as per-site memory
 // shrinks from infinite (assumption A1) to 1 MB.
 func MemoryAblation(c Config) (*Figure, error) {
 	const joins, eps, f, p, mb = 20, 0.5, 0.7, 32, 1 << 20
@@ -685,7 +685,7 @@ func PlanSearchAblation(c Config) (*Figure, error) {
 // PipelineAblation regenerates ablation A12: the error of the paper's
 // "pipelines are just concurrency" abstraction, measured by replaying
 // TreeSchedule schedules through the explicit dataflow simulator of
-// internal/pipesim.
+// internal/repro/pipesim.
 func PipelineAblation(c Config) (*Figure, error) {
 	const joins, eps, f = 15, 0.5, 0.7
 	return c.sweep(recipe{

@@ -312,3 +312,20 @@ func BenchmarkMalleableSchedule(b *testing.B) {
 		}
 	}
 }
+
+func TestMalleable(t *testing.T) {
+	m := costmodel.Default()
+	ms := testScheduler(8, 0.5)
+	ops := []Operator{
+		{ID: 0, Cost: m.Cost(costmodel.OpSpec{Kind: costmodel.Scan, InTuples: 50000, NetOut: true})},
+		{ID: 1, Cost: m.Cost(costmodel.OpSpec{Kind: costmodel.Scan, InTuples: 20000, NetOut: true})},
+	}
+	res, err := ms.Schedule(ops)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Schedule.Response < res.LB-1e-9 || res.Schedule.Response > 7*res.LB+1e-9 {
+		t.Fatalf("response %g outside [LB, 7·LB] = [%g, %g]",
+			res.Schedule.Response, res.LB, 7*res.LB)
+	}
+}

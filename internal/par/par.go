@@ -1,7 +1,7 @@
 // Package par is the bounded worker pool shared by the deterministic
 // parallel paths of the repository: the engine's parallel clone runs
-// and the experiments harness's trial pool. Scheduling and the fluid
-// simulator are serial and do not use it.
+// and the trial pool of the figure harness in internal/experiments.
+// Scheduling and the fluid simulator are serial and do not use it.
 //
 // The contract that keeps every caller byte-identical across pool widths
 // is positional: For(w, n, fn) promises only that fn runs once for every

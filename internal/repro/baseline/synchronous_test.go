@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"mdrs/internal/costmodel"
+	"mdrs/internal/opt"
 	"mdrs/internal/plan"
 	"mdrs/internal/query"
 	"mdrs/internal/resource"
@@ -346,6 +347,63 @@ func BenchmarkSynchronous40Joins80Sites(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := bl.Schedule(tt); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestEndToEndPipelineSynchronous sets the root package's end-to-end
+// plan (seed 42, 8 joins, P = 16) against the SYNCHRONOUS baseline:
+// both schedules respect OPTBOUND and TreeSchedule wins.
+func TestEndToEndPipelineSynchronous(t *testing.T) {
+	pl := query.MustRandom(rand.New(rand.NewSource(42)), query.GenConfig{Joins: 8, MinTuples: 2000, MaxTuples: 20000})
+	tt := taskTree(t, pl)
+	m, ov := costmodel.Default(), resource.MustOverlap(0.5)
+	tree, err := sched.TreeScheduler{Model: m, Overlap: ov, P: 16, F: 0.7}.Schedule(tt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sync, err := testBaseline(16, 0.5).Schedule(tt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bound, err := opt.Bound(tt, m, ov, 16, 0.7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sync.Response < bound-1e-9 {
+		t.Fatalf("Synchronous %g below OPTBOUND %g", sync.Response, bound)
+	}
+	if tree.Response >= sync.Response {
+		t.Fatalf("TreeSchedule %g not better than Synchronous %g", tree.Response, sync.Response)
+	}
+}
+
+func TestTreeScheduleBeatsSynchronousAcrossSweeps(t *testing.T) {
+	// A compact end-to-end sanity sweep mirroring the paper's headline
+	// result at f = 0.7.
+	r := rand.New(rand.NewSource(3))
+	for _, sites := range []int{10, 40, 120} {
+		for _, eps := range []float64{0.1, 0.5} {
+			var sumT, sumS float64
+			for trial := 0; trial < 3; trial++ {
+				tt := taskTree(t, query.MustRandom(r, query.DefaultGenConfig(15)))
+				st, err := sched.TreeScheduler{
+					Model: costmodel.Default(), Overlap: resource.MustOverlap(eps), P: sites, F: 0.7,
+				}.Schedule(tt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ss, err := testBaseline(sites, eps).Schedule(tt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sumT += st.Response
+				sumS += ss.Response
+			}
+			if sumT >= sumS {
+				t.Fatalf("P=%d ε=%g: TreeSchedule total %g not better than Synchronous %g",
+					sites, eps, sumT, sumS)
+			}
 		}
 	}
 }

@@ -21,6 +21,7 @@ package contention
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"mdrs/internal/resource"
@@ -28,11 +29,11 @@ import (
 	"mdrs/internal/vector"
 )
 
-// Penalty holds one sharing-penalty coefficient γ_i >= 0 per resource.
+// Penalty holds one finite sharing-penalty coefficient γ_i >= 0 per resource.
 // A nil Penalty means γ = 0 everywhere (the paper's assumption A2).
 type Penalty []float64
 
-// Validate reports dimension or sign problems.
+// Validate reports dimension, sign or non-finite problems.
 func (g Penalty) Validate(d int) error {
 	if g == nil {
 		return nil
@@ -41,8 +42,8 @@ func (g Penalty) Validate(d int) error {
 		return fmt.Errorf("contention: penalty has %d coefficients for %d resources", len(g), d)
 	}
 	for i, x := range g {
-		if x < 0 {
-			return fmt.Errorf("contention: negative penalty γ_%d = %g", i, x)
+		if !(x >= 0) || math.IsInf(x, 1) {
+			return fmt.Errorf("contention: penalty γ_%d = %g, want finite and non-negative", i, x)
 		}
 	}
 	return nil

@@ -24,8 +24,10 @@ func TestPenaltyValidate(t *testing.T) {
 	if err := (Penalty{0.1}).Validate(3); err == nil {
 		t.Error("wrong dimension accepted")
 	}
-	if err := (Penalty{0, -0.1, 0}).Validate(3); err == nil {
-		t.Error("negative coefficient accepted")
+	for _, x := range []float64{-0.1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if err := (Penalty{0, x, 0}).Validate(3); err == nil {
+			t.Errorf("coefficient %g accepted", x)
+		}
 	}
 }
 
@@ -264,5 +266,30 @@ func BenchmarkPenaltyAwareSchedule(b *testing.B) {
 		if _, err := OperatorSchedule(16, 3, ov, g, ops); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+func TestContentionPricing(t *testing.T) {
+	pl := query.MustRandom(rand.New(rand.NewSource(6)), query.DefaultGenConfig(8))
+	ov := resource.MustOverlap(0.5)
+	s, err := sched.TreeScheduler{
+		Model: costmodel.Default(), Overlap: ov, P: 10, F: 0.7,
+	}.Schedule(plan.MustNewTaskTree(plan.MustExpand(pl)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := EvalSchedule(ov, nil, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(base-s.Response) > 1e-9 {
+		t.Fatalf("nil penalty evaluation %g != response %g", base, s.Response)
+	}
+	heavy, err := EvalSchedule(ov, DiskOnly(resource.Dims, 10), s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if heavy <= base {
+		t.Fatalf("γ=10 evaluation %g did not exceed base %g", heavy, base)
 	}
 }

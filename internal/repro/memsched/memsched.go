@@ -45,8 +45,8 @@ type Scheduler struct {
 	// F is the coarse-granularity parameter.
 	F float64
 	// MemoryBytes is the per-site memory capacity available for hash
-	// tables. Use math.Inf(1) (or <= 0, treated as infinite) to recover
-	// the paper's assumption A1.
+	// tables. Use math.Inf(1) (or 0, treated as infinite) to recover the
+	// paper's assumption A1.
 	MemoryBytes float64
 	// TableOverhead scales a hash table's footprint relative to its raw
 	// input bytes (buckets, pointers). Defaults to 1.2 when zero.
@@ -68,14 +68,17 @@ func (s Scheduler) Validate() error {
 	if !(s.F >= 0) || math.IsInf(s.F, 1) {
 		return fmt.Errorf("memsched: granularity parameter f = %g, want finite and non-negative", s.F)
 	}
-	if s.TableOverhead < 0 {
-		return fmt.Errorf("memsched: negative table overhead %g", s.TableOverhead)
+	if !(s.MemoryBytes >= 0) {
+		return fmt.Errorf("memsched: memory capacity %g, want non-negative or +Inf", s.MemoryBytes)
+	}
+	if !(s.TableOverhead >= 0) || math.IsInf(s.TableOverhead, 1) {
+		return fmt.Errorf("memsched: table overhead %g, want finite and non-negative", s.TableOverhead)
 	}
 	return nil
 }
 
 func (s Scheduler) capacity() float64 {
-	if s.MemoryBytes <= 0 {
+	if s.MemoryBytes == 0 {
 		return math.Inf(1)
 	}
 	return s.MemoryBytes

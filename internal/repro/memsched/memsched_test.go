@@ -30,8 +30,11 @@ func taskTree(t *testing.T, joins int, seed int64) *plan.TaskTree {
 }
 
 func TestValidate(t *testing.T) {
-	if err := testScheduler(8, 0).Validate(); err != nil {
-		t.Fatal(err)
+	// 0 and +Inf both ask for unlimited memory (assumption A1).
+	for _, mem := range []float64{0, math.Inf(1)} {
+		if err := testScheduler(8, mem).Validate(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	bad := []Scheduler{
 		{Model: costmodel.Default(), P: 0, F: 0.7},
@@ -39,12 +42,28 @@ func TestValidate(t *testing.T) {
 		{Model: costmodel.Default(), P: 4, F: math.NaN()},
 		{Model: costmodel.Default(), P: 4, F: math.Inf(1)},
 		{Model: costmodel.Default(), P: 4, F: 0.7, TableOverhead: -1},
+		{Model: costmodel.Default(), P: 4, F: 0.7, TableOverhead: math.NaN()},
+		{Model: costmodel.Default(), P: 4, F: 0.7, TableOverhead: math.Inf(1)},
+		{Model: costmodel.Default(), P: 4, F: 0.7, TableOverhead: math.Inf(-1)},
+		{Model: costmodel.Default(), P: 4, F: 0.7, MemoryBytes: math.NaN()},
+		{Model: costmodel.Default(), P: 4, F: 0.7, MemoryBytes: math.Inf(-1)},
 		{P: 4, F: 0.7},
 	}
 	for i, s := range bad {
 		if err := s.Validate(); err == nil {
 			t.Errorf("case %d accepted", i)
 		}
+	}
+}
+
+// An infinite table overhead would mark every hash table spilled with
+// NaN bytes and answer faster than unlimited memory; Schedule rejects it.
+func TestScheduleRejectsInfiniteTableOverhead(t *testing.T) {
+	s := testScheduler(16, 1e6)
+	s.TableOverhead = math.Inf(1)
+	if res, err := s.Schedule(taskTree(t, 8, 1)); err == nil {
+		t.Fatalf("scheduled with +Inf table overhead: response %g, spilled %g",
+			res.Response, res.TotalSpilledBytes)
 	}
 }
 
@@ -250,5 +269,25 @@ func BenchmarkMemoryAwareSchedule(b *testing.B) {
 		if _, err := s.Schedule(tt); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+func TestMemoryScheduler(t *testing.T) {
+	tt := taskTree(t, 10, 5)
+	tight := testScheduler(12, 1<<20)
+	res, err := tight.Schedule(tt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.TotalSpilledBytes == 0 {
+		t.Fatal("1 MB sites did not spill")
+	}
+	resAmple, err := testScheduler(12, math.Inf(1)).Schedule(tt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resAmple.Response >= res.Response {
+		t.Fatalf("ample memory %g not faster than tight %g",
+			resAmple.Response, res.Response)
 	}
 }

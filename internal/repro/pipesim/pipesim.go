@@ -1,5 +1,5 @@
 // Package pipesim is a discrete-time simulator of pipelined parallel
-// execution. Where internal/sim validates Equation 2 for one site's
+// execution. Where internal/repro/sim validates Equation 2 for one site's
 // concurrent clones, pipesim validates the paper's *pipeline*
 // abstraction itself: Section 5.2 models the operators of a task
 // (producer → consumer chains connected by repartitioning exchanges) as
@@ -9,7 +9,7 @@
 //
 //   - every operator clone advances through its input at a rate limited
 //     by its site's preemptable resources (equal-stretch processor
-//     sharing, as in internal/sim), and
+//     sharing, as in internal/repro/sim), and
 //   - a consumer's progress can never exceed its pipeline producer's
 //     progress (tuples must be produced before they are consumed),
 //

@@ -185,3 +185,18 @@ func BenchmarkPipeSim(b *testing.B) {
 		}
 	}
 }
+
+func TestPipelineSimulation(t *testing.T) {
+	pl := query.MustRandom(rand.New(rand.NewSource(7)), query.DefaultGenConfig(6))
+	s := schedule(t, pl, 8, 0.5)
+	res, err := Simulate(resource.MustOverlap(0.5), s, Config{Steps: 500})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Simulated < res.Analytic-1e-9 {
+		t.Fatalf("pipeline sim %g below analytic %g", res.Simulated, res.Analytic)
+	}
+	if res.Ratio() > 1.8 {
+		t.Fatalf("pipeline abstraction error ratio %g implausible", res.Ratio())
+	}
+}

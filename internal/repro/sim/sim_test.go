@@ -358,32 +358,40 @@ func TestRatio(t *testing.T) {
 }
 
 func TestSimulateScheduleTracksAnalyticModel(t *testing.T) {
-	// Replay a real TreeSchedule through the simulator: the simulated
+	// Replay real TreeSchedules through the simulator: the simulated
 	// response must be >= the analytic one but within a modest factor
 	// (the equal-stretch policy wastes little on balanced packings).
-	r := rand.New(rand.NewSource(77))
-	pl := query.MustRandom(r, query.DefaultGenConfig(15))
-	tt := plan.MustNewTaskTree(plan.MustExpand(pl))
-	ov := resource.MustOverlap(0.5)
-	s, err := sched.TreeScheduler{
-		Model: costmodel.Default(), Overlap: ov, P: 16, F: 0.7,
-	}.Schedule(tt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cmp, err := SimulateSchedule(ov, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(cmp.Analytic-s.Response) > 1e-6 {
-		t.Fatalf("analytic replay %g != schedule response %g", cmp.Analytic, s.Response)
-	}
-	if cmp.Simulated < cmp.Analytic-1e-9 {
-		t.Fatalf("simulated %g below analytic %g", cmp.Simulated, cmp.Analytic)
-	}
-	if cmp.Simulated > cmp.Analytic*2 {
-		t.Fatalf("simulated %g more than 2x analytic %g — model badly violated",
-			cmp.Simulated, cmp.Analytic)
+	// The second plan is the root package's end-to-end plan.
+	for _, c := range []struct {
+		seed int64
+		gen  query.GenConfig
+	}{
+		{77, query.DefaultGenConfig(15)},
+		{42, query.GenConfig{Joins: 8, MinTuples: 2000, MaxTuples: 20000}},
+	} {
+		pl := query.MustRandom(rand.New(rand.NewSource(c.seed)), c.gen)
+		tt := plan.MustNewTaskTree(plan.MustExpand(pl))
+		ov := resource.MustOverlap(0.5)
+		s, err := sched.TreeScheduler{
+			Model: costmodel.Default(), Overlap: ov, P: 16, F: 0.7,
+		}.Schedule(tt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cmp, err := SimulateSchedule(ov, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(cmp.Analytic-s.Response) > 1e-6 {
+			t.Fatalf("seed %d: analytic replay %g != schedule response %g", c.seed, cmp.Analytic, s.Response)
+		}
+		if cmp.Simulated < cmp.Analytic-1e-9 {
+			t.Fatalf("seed %d: simulated %g below analytic %g", c.seed, cmp.Simulated, cmp.Analytic)
+		}
+		if cmp.Simulated > cmp.Analytic*2 {
+			t.Fatalf("seed %d: simulated %g more than 2x analytic %g — model badly violated",
+				c.seed, cmp.Simulated, cmp.Analytic)
+		}
 	}
 }
 
@@ -434,4 +442,31 @@ func BenchmarkSimulateSiteQuadratic(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkFluidSim measures ablation A3: the fluid validation of the
+// analytic sharing model over a real schedule, reporting the
+// simulated/analytic response ratio (1.0 = the analytic model is
+// attained exactly).
+func BenchmarkFluidSim(b *testing.B) {
+	p := query.MustRandom(rand.New(rand.NewSource(1)), query.DefaultGenConfig(20))
+	tt := plan.MustNewTaskTree(plan.MustExpand(p))
+	ov := resource.MustOverlap(0.5)
+	s, err := sched.TreeScheduler{
+		Model: costmodel.Default(), Overlap: ov, P: 32, F: 0.7,
+	}.Schedule(tt)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var ratio float64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cmp, err := SimulateSchedule(ov, s)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ratio = cmp.Simulated / cmp.Analytic
+	}
+	b.ReportMetric(ratio, "sim-vs-analytic")
 }

@@ -473,9 +473,3 @@ func checkHome(name string, home []int, seen []bool) error {
 // worst-case ratio of OperatorSchedule's makespan to the optimal
 // schedule with the same degrees of parallelism.
 func PerformanceRatioBound(d int) float64 { return float64(2*d + 1) }
-
-// CoarseGrainRatioBound returns the Theorem 5.1(b) guarantee,
-// 2d(fd+1)+1: the worst-case ratio against the optimal CG_f schedule.
-func CoarseGrainRatioBound(d int, f float64) float64 {
-	return 2*float64(d)*(f*float64(d)+1) + 1
-}

@@ -253,9 +253,6 @@ func TestRatioBoundFormulas(t *testing.T) {
 	if PerformanceRatioBound(3) != 7 {
 		t.Errorf("2d+1 for d=3 = %g, want 7", PerformanceRatioBound(3))
 	}
-	if got := CoarseGrainRatioBound(3, 0.7); math.Abs(got-(2*3*(0.7*3+1)+1)) > 1e-12 {
-		t.Errorf("CG bound = %g", got)
-	}
 }
 
 // randomOps builds m floating operators with random degrees up to p and
