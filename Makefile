@@ -48,15 +48,23 @@ race:
 # One iteration of the per-layer benchmarks the docs quote, so that one
 # which stops compiling or starts failing breaks the gate, not the next
 # measurement. BenchmarkTreeSchedule and BenchmarkScheduleBatchMiss are
-# the two the placement core's allocation parity is read from;
+# the two the placement core's allocation parity is read from (the
+# latter with the cost-model memo warm and cold);
 # BenchmarkOperatorSchedulePlacement is the one that times Figure 3's
 # sort and placement loop alone, BenchmarkSystemAssign one site's
 # Equation 2 bookkeeping, BenchmarkEncodeJSON one schedule's
 # rendering, and BenchmarkCacheHitParallel / BenchmarkMetricsRecordParallel
 # the serve cache's and the metrics recorder's one lock under every
-# processor.
+# processor. A name that matches no benchmark — one renamed or deleted
+# — fails the target too: go test alone would pass, having run nothing.
+SMOKE_BENCH = EngineRun SearchCold TreeSchedule ScheduleBatchMiss OperatorSchedulePlacement SystemAssign EncodeJSON CacheHitParallel MetricsRecordParallel
+
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkEngineRun|BenchmarkSearchCold|BenchmarkTreeSchedule$$|BenchmarkScheduleBatchMiss|BenchmarkOperatorSchedulePlacement|BenchmarkSystemAssign|BenchmarkEncodeJSON|BenchmarkCacheHitParallel|BenchmarkMetricsRecordParallel' -benchtime 1x ./internal/...
+	@out=$$($(GO) test -run '^$$' -bench "^Benchmark($$(echo $(SMOKE_BENCH) | tr ' ' '|'))$$" -benchtime 1x ./internal/... 2>&1); \
+	status=$$?; echo "$$out"; [ $$status -eq 0 ] || exit $$status; \
+	for b in $(SMOKE_BENCH); do \
+		echo "$$out" | grep -qE "^Benchmark$$b([-/[:space:]]|$$)" || { echo "bench-smoke: Benchmark$$b did not run"; exit 1; }; \
+	done
 
 # bench/ is a nested module that compiles against this tree's internal
 # packages: vet and test it here (~10 s) so a change that breaks the API

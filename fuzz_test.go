@@ -173,7 +173,9 @@ func FuzzOperatorSchedule(f *testing.F) {
 // FuzzEncodeJSON asserts the schedule rendering is json.Marshal of the
 // run-form document, built here independently, and that decoding it
 // gives back every number bit for bit, for whatever operator name,
-// numbers and array shapes the fuzzer invents (internal/sched's
+// numbers and array shapes the fuzzer invents. The placement holds one
+// work run per clone, so merging bit-identical neighbours into maximal
+// runs is EncodeJSON's to do (internal/sched's
 // render_test.go holds real schedules to the same round trip).
 func FuzzEncodeJSON(f *testing.F) {
 	f.Add("scan(R3)", 1.5, 0.25, 3.0, int64(7), uint8(0b0110_1011))
@@ -216,6 +218,7 @@ func FuzzEncodeJSON(f *testing.F) {
 		pl := &sched.OpPlacement{Op: op, Degree: int(n >> 8), Rooted: shape&32 != 0, TPar: c}
 		mirror := placement{Operator: name, OpID: op.ID, Kind: op.Kind.String(),
 			Degree: pl.Degree, Rooted: pl.Rooted, TPar: c, Work: []run{}}
+		var clones []mdrs.Vector
 		if shape&16 == 0 {
 			pl.Sites, mirror.Sites = []int{}, []int{}
 		}
@@ -225,7 +228,8 @@ func FuzzEncodeJSON(f *testing.F) {
 				w = mdrs.Vector{c, b, a}[:shape>>2&3]
 			}
 			pl.Sites, mirror.Sites = append(pl.Sites, int(n)+k), append(mirror.Sites, int(n)+k)
-			pl.Clones = append(pl.Clones, w)
+			clones = append(clones, w)
+			pl.Work = append(pl.Work, sched.WorkRun{N: 1, W: w})
 			if last := len(mirror.Work) - 1; last >= 0 && sameBits(mirror.Work[last].W, w) {
 				mirror.Work[last].N++
 			} else {
@@ -281,14 +285,14 @@ func FuzzEncodeJSON(f *testing.F) {
 				k := 0
 				for _, r := range g.Work {
 					for ; r.N > 0; r.N-- {
-						if k >= len(pl.Clones) || !sameBits(r.W, pl.Clones[k]) {
+						if k >= len(clones) || !sameBits(r.W, clones[k]) {
 							t.Fatalf("clone %d decodes as %v", k, r.W)
 						}
 						k++
 					}
 				}
-				if k != len(pl.Clones) {
-					t.Fatalf("runs cover %d of %d clones", k, len(pl.Clones))
+				if k != len(clones) {
+					t.Fatalf("runs cover %d of %d clones", k, len(clones))
 				}
 			}
 		}

@@ -279,46 +279,67 @@ func (m Model) IsCoarseGrain(c OpCost, n int, f float64) bool {
 // NMax returns N_max(op, f), the maximum allowable degree of partitioned
 // parallelism for a CG_f execution (Proposition 4.1). The result is
 // always at least 1: a sequential execution is allowed even when the
-// operator's network traffic alone exceeds the granularity budget.
+// operator's network traffic alone exceeds the granularity budget, and
+// at most math.MaxInt when a tiny α puts the quotient beyond int.
 func (m Model) NMax(c OpCost, f float64) int {
 	if !(f >= 0) || math.IsInf(f, 1) {
 		panic(fmt.Sprintf("costmodel: granularity parameter f = %g, want finite and non-negative", f))
 	}
 	n := math.Floor((f*c.ProcessingArea() - m.Params.Beta*c.D) / m.Params.Alpha)
-	if n < 1 {
+	switch {
+	case n < 1:
 		return 1
+	case n >= math.MaxInt:
+		return math.MaxInt
 	}
 	return int(n)
 }
 
-// Clones returns the per-clone work vectors of an N-site execution
-// under EA1: each clone receives W_p/N on CPU and disk and β·D/N on the
-// network interface; clone 0 (the coordinator) additionally carries the
-// full startup α·N, split equally between CPU and network. The n
-// vectors are disjoint d-wide windows of one backing array.
-func (m Model) Clones(c OpCost, n int) []vector.Vector {
+// CloneWork is the work of an N-site execution under EA1 as the two
+// vectors its clones do: clone 0, the coordinator, does Coord and each
+// of the other N − 1 clones does Worker.
+type CloneWork struct {
+	N             int
+	Coord, Worker [resource.Dims]float64
+}
+
+// Split divides the operator's work over n clones under EA1: each clone
+// receives W_p/N on CPU and disk and β·D/N on the network interface;
+// the coordinator additionally carries the full startup α·N, split
+// equally between CPU and network.
+func (m Model) Split(c OpCost, n int) CloneWork {
 	if n < 1 {
 		panic(fmt.Sprintf("costmodel: non-positive degree of parallelism %d", n))
 	}
-	const d = resource.Dims
 	p := m.Params
 	nf := float64(n)
-	cpu := c.Processing[resource.CPU] / nf
-	disk := c.Processing[resource.Disk] / nf
-	net := p.Beta * c.D / nf
-
-	out := make([]vector.Vector, n)
-	back := make([]float64, n*d)
-	for k := range out {
-		w := back[k*d : (k+1)*d : (k+1)*d]
-		w[resource.CPU], w[resource.Disk], w[resource.Net] = cpu, disk, net
-		out[k] = w
-	}
+	w := CloneWork{N: n}
+	w.Worker[resource.CPU] = c.Processing[resource.CPU] / nf
+	w.Worker[resource.Disk] = c.Processing[resource.Disk] / nf
+	w.Worker[resource.Net] = p.Beta * c.D / nf
+	w.Coord = w.Worker
 	startup := p.Alpha * nf / 2
-	out[0][resource.CPU] += startup
-	out[0][resource.Net] += startup
+	w.Coord[resource.CPU] += startup
+	w.Coord[resource.Net] += startup
+	return w
+}
+
+// Vectors expands w into one work vector per clone, coordinator first.
+// The N vectors are disjoint d-wide windows of one backing array.
+func (w CloneWork) Vectors() []vector.Vector {
+	const d = resource.Dims
+	out := make([]vector.Vector, w.N)
+	back := make([]float64, w.N*d)
+	for k := range out {
+		out[k] = back[k*d : (k+1)*d : (k+1)*d]
+		copy(out[k], w.Worker[:])
+	}
+	copy(out[0], w.Coord[:])
 	return out
 }
+
+// Clones is Split(c, n) as one work vector per clone, for sched.Op.
+func (m Model) Clones(c OpCost, n int) []vector.Vector { return m.Split(c, n).Vectors() }
 
 // TotalWork returns the total work vector W̄_op for an N-site execution:
 // the componentwise sum over all clones, so that

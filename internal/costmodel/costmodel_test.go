@@ -269,6 +269,22 @@ func TestNMaxFormula(t *testing.T) {
 	}
 }
 
+// A startup cost so small that the quotient leaves int's range clamps
+// N_max at math.MaxInt: converted unclamped it wraps negative, and
+// Degree panics with a non-positive maxN.
+func TestNMaxTinyAlphaClamps(t *testing.T) {
+	p := DefaultParams()
+	p.Alpha = 1e-300
+	m := MustNew(p)
+	c := m.Cost(OpSpec{Kind: Scan, InTuples: 10000, NetOut: true})
+	if got := m.NMax(c, 0.7); got != math.MaxInt {
+		t.Fatalf("NMax = %d, want math.MaxInt", got)
+	}
+	if got := m.Degree(c, 0.7, 16, resource.MustOverlap(0.5)); got != 16 {
+		t.Fatalf("Degree = %d, want P = 16", got)
+	}
+}
+
 func TestNMaxNegativeFPanics(t *testing.T) {
 	for _, f := range []float64{-0.1, math.NaN(), math.Inf(1)} {
 		func() {
@@ -383,6 +399,34 @@ func TestClonesSlabLayout(t *testing.T) {
 			}
 			if k+1 < n && uintptr(unsafe.Pointer(&got[k][d-1])) >= uintptr(unsafe.Pointer(&got[k+1][0])) {
 				t.Fatalf("n = %d: clone %d overlaps clone %d", n, k, k+1)
+			}
+		}
+	}
+}
+
+// Property: for random specs and N in [1, 512], the EA1 Split expanded
+// clone by clone — Coord for clone 0, Worker for the rest — is bit for
+// bit the per-clone construction.
+func TestCloneWorkMatchesPerClone(t *testing.T) {
+	m := Default()
+	r := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 500; trial++ {
+		c := m.Cost(randomSpec(r))
+		n := 1 + r.Intn(512)
+		got, want := m.Split(c, n), clonesByCopy(m, c, n)
+		if got.N != n {
+			t.Fatalf("N = %d, want %d", got.N, n)
+		}
+		for k, w := range want {
+			split := got.Worker[:]
+			if k == 0 {
+				split = got.Coord[:]
+			}
+			for i := range w {
+				if math.Float64bits(split[i]) != math.Float64bits(w[i]) {
+					t.Fatalf("n = %d clone %d component %d = %v, per-clone construction gives %v",
+						n, k, i, split[i], w[i])
+				}
 			}
 		}
 	}

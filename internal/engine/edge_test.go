@@ -29,7 +29,7 @@ func TestRunRejectsBadSchedules(t *testing.T) {
 	s = &sched.Schedule{P: 2, Phases: []*sched.PhaseSchedule{
 		{Placements: []*sched.OpPlacement{{
 			Op: op, Degree: 1, Sites: []int{0},
-			Clones: []vector.Vector{vector.Of(1, 1, 1)},
+			Work: []sched.WorkRun{{N: 1, W: vector.Of(1, 1, 1)}},
 		}}},
 	}}
 	if _, err := eng.Run(ds, s); err == nil {

@@ -114,6 +114,8 @@ func TestTaskTreeValidateDetectsCorruptions(t *testing.T) {
 		}},
 		{"height understates a level", func(tt *TaskTree) { tt.Height-- }},
 		{"height overstates every level", func(tt *TaskTree) { tt.Height++ }},
+		{"negative input cardinality", func(tt *TaskTree) { tt.Tasks[0].Ops[0].Spec.InTuples = -1 }},
+		{"negative result cardinality", func(tt *TaskTree) { tt.Tasks[0].Ops[0].Spec.ResultTuples = -1 }},
 	}
 	for _, c := range cases {
 		_, tt := freshTrees(t)

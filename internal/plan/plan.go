@@ -490,6 +490,9 @@ func (tt *TaskTree) Validate() error {
 			if op.Task != tk {
 				return fmt.Errorf("plan: operator %q Task pointer mismatch", op.Name)
 			}
+			if op.Spec.InTuples < 0 || op.Spec.ResultTuples < 0 {
+				return fmt.Errorf("plan: operator %q has a negative cardinality", op.Name)
+			}
 		}
 		// A task sits one level below its parent, so the two never share
 		// a MinShelf phase (phase = Height − Level).

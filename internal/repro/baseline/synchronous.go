@@ -228,16 +228,17 @@ func (s *scheduler) taskTime(tk *plan.Task, pool []int) (float64, error) {
 			return 0, fmt.Errorf("baseline: stage %q received no sites", st.op.Name)
 		}
 		n := len(st.sites)
-		clones := s.b.Model.Clones(st.cost, n)
-		for k, site := range st.sites {
-			sys.Assign(site, clones[k])
+		var work []sched.WorkRun
+		for k, w := range s.b.Model.Clones(st.cost, n) {
+			sys.Assign(st.sites[k], w)
+			work = append(work, sched.WorkRun{N: 1, W: w})
 		}
 		s.homes[st.op] = st.sites
 		s.out.Placements = append(s.out.Placements, &sched.OpPlacement{
 			Op:     st.op,
 			Degree: n,
 			Sites:  st.sites,
-			Clones: clones,
+			Work:   work,
 			Rooted: st.home != nil,
 			TPar:   s.b.Model.TPar(st.cost, n, s.b.Overlap),
 		})

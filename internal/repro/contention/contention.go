@@ -108,8 +108,12 @@ func EvalSchedule(ov resource.Overlap, g Penalty, s *sched.Schedule) (float64, e
 	for _, ph := range s.Phases {
 		siteClones := make([][]vector.Vector, s.P)
 		for _, pl := range ph.Placements {
-			for k, site := range pl.Sites {
-				siteClones[site] = append(siteClones[site], pl.Clones[k])
+			k := 0
+			for _, r := range pl.Work {
+				for range r.N {
+					siteClones[pl.Sites[k]] = append(siteClones[pl.Sites[k]], r.W)
+					k++
+				}
 			}
 		}
 		worst := 0.0

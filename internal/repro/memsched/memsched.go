@@ -194,9 +194,12 @@ func (s Scheduler) schedulePhase(phaseIdx int, tasks []*plan.Task,
 		table    float64
 	}
 
-	// Prepare all clones of the phase.
+	// Prepare all clones of the phase. clonesOf holds each operator's
+	// clone vectors until placement has added its spills; they become
+	// the placement's Work at the end.
 	var items []item
 	placements := make(map[*plan.Operator]*Placement)
+	clonesOf := make(map[*plan.Operator][]vector.Vector)
 	var order []*plan.Operator
 	for _, tk := range tasks {
 		for _, op := range tk.Ops {
@@ -223,6 +226,7 @@ func (s Scheduler) schedulePhase(phaseIdx int, tasks []*plan.Task,
 				}
 			}
 			clones := s.Model.Clones(cost, n)
+			clonesOf[op] = clones
 			// Fold in spill work inherited from this probe's build.
 			if extra := spillWork[op]; extra != nil {
 				for k := range clones {
@@ -237,7 +241,7 @@ func (s Scheduler) schedulePhase(phaseIdx int, tasks []*plan.Task,
 			}
 			pl := &Placement{
 				OpPlacement: sched.OpPlacement{
-					Op: op, Degree: n, Clones: clones,
+					Op: op, Degree: n,
 					Rooted: home != nil,
 					Sites:  make([]int, n),
 				},
@@ -303,7 +307,7 @@ func (s Scheduler) schedulePhase(phaseIdx int, tasks []*plan.Task,
 				}
 				spillVec := s.spillVector(spilledBytes)
 				w = w.Add(spillVec)
-				pl.Clones[it.clone] = w
+				clonesOf[it.op][it.clone] = w
 				if probe := it.op.Consumer; probe != nil {
 					extra := spillWork[probe]
 					if extra == nil {
@@ -396,6 +400,9 @@ func (s Scheduler) schedulePhase(phaseIdx int, tasks []*plan.Task,
 	ph := &PhaseResult{Index: phaseIdx, Response: sys.MaxTSite()}
 	for _, op := range order {
 		pl := placements[op]
+		for _, w := range clonesOf[op] {
+			pl.Work = append(pl.Work, sched.WorkRun{N: 1, W: w})
+		}
 		homes[op] = pl.Sites
 		ph.Placements = append(ph.Placements, pl)
 	}

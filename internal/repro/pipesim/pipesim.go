@@ -108,19 +108,27 @@ func simulatePhase(ov resource.Overlap, p int, ph *sched.PhaseSchedule, steps in
 	longest := 0.0
 	for i, pl := range ph.Placements {
 		st := ops[i]
-		for k, w := range pl.Clones {
+		k := 0
+		for _, r := range pl.Work {
+			w := r.W
 			t := ov.TSeq(w)
-			c := &cloneState{opIdx: i, site: pl.Sites[k], tseq: t}
+			var rate vector.Vector
 			if t > 0 {
-				c.rate = w.Scale(1 / t)
+				rate = w.Scale(1 / t)
 			} else {
-				c.rate = vector.New(w.Dim())
-				c.progress = 1
+				rate = vector.New(w.Dim())
 			}
 			if t > longest {
 				longest = t
 			}
-			st.clones = append(st.clones, c)
+			for range r.N {
+				c := &cloneState{opIdx: i, site: pl.Sites[k], tseq: t, rate: rate}
+				if t <= 0 {
+					c.progress = 1
+				}
+				st.clones = append(st.clones, c)
+				k++
+			}
 		}
 	}
 	for i, pl := range ph.Placements {

@@ -165,8 +165,12 @@ func SimulateSchedule(ov resource.Overlap, s *sched.Schedule) (SiteComparison, e
 	for _, ph := range s.Phases {
 		siteClones := make([][]vector.Vector, s.P)
 		for _, pl := range ph.Placements {
-			for k, site := range pl.Sites {
-				siteClones[site] = append(siteClones[site], pl.Clones[k])
+			k := 0
+			for _, r := range pl.Work {
+				for range r.N {
+					siteClones[pl.Sites[k]] = append(siteClones[pl.Sites[k]], r.W)
+					k++
+				}
 			}
 		}
 		_, overall, err := SimulateSystem(ov, siteClones)

@@ -42,6 +42,10 @@ type Op struct {
 	// operator, constraint (B)). Home must have exactly len(Clones)
 	// pairwise-distinct entries in [0, P).
 	Home []int
+
+	// work replaces Clones on the operators TreeSchedule prepares: runs
+	// of one vector each, validated where they were made.
+	work []WorkRun
 }
 
 // Rooted reports whether the operator's placement is fixed by data
@@ -49,19 +53,38 @@ type Op struct {
 func (o *Op) Rooted() bool { return o.Home != nil }
 
 // Degree returns N_i, the operator's degree of partitioned parallelism.
-func (o *Op) Degree() int { return len(o.Clones) }
+func (o *Op) Degree() int {
+	n := len(o.Clones)
+	for _, r := range o.work {
+		n += r.N
+	}
+	return n
+}
+
+// runAt returns clone k's work vector and how many clones from k on do
+// it: the rest of its run in work, one in Clones.
+func (o *Op) runAt(k int) (vector.Vector, int) {
+	for _, r := range o.work {
+		if k < r.N {
+			return r.W, r.N - k
+		}
+		k -= r.N
+	}
+	return o.Clones[k], 1
+}
 
 // validate checks an operator against the system width p and
-// dimensionality d. Each clone is walked exactly once (vector validity
-// and dimension together), and home distinctness uses the scratch's
-// generation-marked site slice instead of a per-operator map.
+// dimensionality d. Each clone of Clones is walked exactly once (vector
+// validity and dimension together); work is not. Home distinctness uses
+// the scratch's generation-marked site slice, not a per-operator map.
 func (o *Op) validate(p, d int, sc *scratch) error {
-	if len(o.Clones) == 0 {
+	n := o.Degree()
+	if n == 0 {
 		return fmt.Errorf("sched: op %d has no clones", o.ID)
 	}
-	if len(o.Clones) > p {
+	if n > p {
 		return fmt.Errorf("sched: op %d has %d clones but only %d sites exist (Definition 5.1)",
-			o.ID, len(o.Clones), p)
+			o.ID, n, p)
 	}
 	for k, w := range o.Clones {
 		if err := w.Validate(); err != nil {
@@ -73,9 +96,9 @@ func (o *Op) validate(p, d int, sc *scratch) error {
 		}
 	}
 	if o.Home != nil {
-		if len(o.Home) != len(o.Clones) {
+		if len(o.Home) != n {
 			return fmt.Errorf("sched: op %d has %d home sites for %d clones",
-				o.ID, len(o.Home), len(o.Clones))
+				o.ID, len(o.Home), n)
 		}
 		gen := sc.nextGen(p)
 		for _, s := range o.Home {
@@ -144,12 +167,12 @@ func operatorSchedule(ctx context.Context, p, d int, ov resource.Overlap, ops []
 	rec obs.Recorder, phase int) (*Result, error) {
 	total := 0
 	for _, op := range ops {
-		total += len(op.Clones)
+		total += op.Degree()
 	}
 	slab := make([]int, total)
 	sites := make([][]int, len(ops))
 	for i, op := range ops {
-		n := len(op.Clones)
+		n := op.Degree()
 		sites[i], slab = slab[:n:n], slab[n:]
 	}
 	sc := new(scratch)
@@ -198,8 +221,7 @@ func (sc *scratch) operatorSchedule(ctx context.Context, p, d int, ov resource.O
 		if !op.Rooted() {
 			continue
 		}
-		for k, w := range op.Clones {
-			h := op.Home[k]
+		for k, h := range op.Home {
 			if rec != nil {
 				rec.Event(obs.Event{
 					Type: obs.EvPlace, Phase: phase, Op: op.ID, Clone: k,
@@ -207,6 +229,7 @@ func (sc *scratch) operatorSchedule(ctx context.Context, p, d int, ov resource.O
 					L: sys.LoadLength(h), Sum: sys.LoadSum(h),
 				})
 			}
+			w, _ := op.runAt(k)
 			sys.Assign(h, w)
 			sites[i][k] = h
 		}
@@ -217,17 +240,18 @@ func (sc *scratch) operatorSchedule(ctx context.Context, p, d int, ov resource.O
 	// schedule is deterministic. L is held as runs of consecutive
 	// equal-length clones (see run): sorted by (len desc, op ID, first
 	// clone) and walked in clone order in step 3, they are that same
-	// per-clone sequence. Runs and the per-operator ban rows (sites
+	// per-clone sequence; a prepared operator's runs of one vector each
+	// take one Length. Runs and the per-operator ban rows (sites
 	// already holding one of the operator's clones, one flattened []bool
 	// matrix) come from the scratch. Rooted operators need no ban row —
 	// they contribute no floating clones.
 	floating, total, rooted := 0, 0, 0
 	for _, op := range ops {
 		if op.Rooted() {
-			rooted += len(op.Clones)
+			rooted += op.Degree()
 		} else {
 			floating++
-			total += len(op.Clones)
+			total += op.Degree()
 		}
 	}
 	bans := sc.banRows(floating, p)
@@ -238,13 +262,14 @@ func (sc *scratch) operatorSchedule(ctx context.Context, p, d int, ov resource.O
 			continue
 		}
 		first := len(list)
-		for k, w := range op.Clones {
-			l := w.Length()
-			if last := len(list) - 1; last >= first && list[last].len == l {
-				list[last].count++
-				continue
+		for k, n := 0, op.Degree(); k < n; {
+			w, c := op.runAt(k)
+			if l, last := w.Length(), len(list)-1; last >= first && list[last].len == l {
+				list[last].count += int32(c)
+			} else {
+				list = append(list, run{len: l, id: op.ID, first: int32(k), count: int32(c), op: int32(i), ban: int32(row)})
 			}
-			list = append(list, run{len: l, id: op.ID, first: int32(k), count: 1, op: int32(i), ban: int32(row)})
+			k += c
 		}
 		row++
 	}
@@ -330,7 +355,8 @@ func (sc *scratch) operatorSchedule(ctx context.Context, p, d int, ov resource.O
 					Site: key.id, L: key.l, Sum: key.sum,
 				})
 			}
-			sys.Assign(key.id, op.Clones[k])
+			w, _ := op.runAt(k)
+			sys.Assign(key.id, w)
 			grown = append(grown, siteKey{l: sys.LoadLength(key.id), sum: sys.LoadSum(key.id), id: key.id})
 			dst[k] = key.id
 			at++

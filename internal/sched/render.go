@@ -32,8 +32,8 @@ func (s *Schedule) Stats() Stats {
 	d := resource.Dims
 	for _, ph := range s.Phases {
 		for _, pl := range ph.Placements {
-			if len(pl.Clones) > 0 {
-				d = pl.Clones[0].Dim()
+			if len(pl.Work) > 0 {
+				d = pl.Work[0].W.Dim()
 				break
 			}
 		}
@@ -42,9 +42,11 @@ func (s *Schedule) Stats() Stats {
 	for _, ph := range s.Phases {
 		phaseWork := vector.New(d)
 		for _, pl := range ph.Placements {
-			for _, w := range pl.Clones {
-				phaseWork.AddInPlace(w)
-				st.Clones++
+			for _, r := range pl.Work {
+				for range r.N {
+					phaseWork.AddInPlace(r.W)
+				}
+				st.Clones += r.N
 			}
 		}
 		st.TotalWork.AddInPlace(phaseWork)
@@ -88,8 +90,12 @@ func WriteText(w io.Writer, s *Schedule) error {
 			loads[j] = vector.New(dimOf(ph))
 		}
 		for _, pl := range ph.Placements {
-			for k, site := range pl.Sites {
-				loads[site].AddInPlace(pl.Clones[k])
+			k := 0
+			for _, r := range pl.Work {
+				for range r.N {
+					loads[pl.Sites[k]].AddInPlace(r.W)
+					k++
+				}
 			}
 		}
 		for j, l := range loads {
@@ -107,8 +113,8 @@ func WriteText(w io.Writer, s *Schedule) error {
 
 func dimOf(ph *PhaseSchedule) int {
 	for _, pl := range ph.Placements {
-		if len(pl.Clones) > 0 {
-			return pl.Clones[0].Dim()
+		if len(pl.Work) > 0 {
+			return pl.Work[0].W.Dim()
 		}
 	}
 	return resource.Dims
@@ -122,43 +128,28 @@ func dimOf(ph *PhaseSchedule) int {
 //	    {"operator", "op_id", "kind", "degree", "rooted", "t_par_seconds",
 //	     "sites": [...], "work": [{"n", "w": [...]}, ...]}]}]}
 //
-// sites holds one entry per clone. work holds the clones' work vectors
-// as maximal runs in clone order: n consecutive clones whose vectors are
-// bit-identical (math.Float64bits, so -0 and +0 differ) share one w.
-// Under EA1 an operator's clones are a coordinator vector and N − 1
-// equal ones, so a placement is usually one or two runs. An empty list
-// renders as [], except nil Sites, which render as null. The document
-// is written by encoding/json: a NaN or infinite number fails with its
-// *json.UnsupportedValueError.
+// sites holds one entry per clone. work is the placement's Work as
+// maximal runs: adjacent runs whose vectors are bit-identical
+// (math.Float64bits, so -0 and +0 differ) are written as one. Under EA1
+// a placement is one or two runs, one when rounding absorbs the
+// coordinator's startup. An empty list renders as [], except nil Sites,
+// which render as null. The document is written by encoding/json: a NaN
+// or infinite number fails with its *json.UnsupportedValueError.
 func EncodeJSON(s *Schedule) ([]byte, error) {
-	// Count first, so that one slab holds every placement and one every run.
-	nPlacements, nRuns := 0, 0
+	n := 0
 	for _, ph := range s.Phases {
-		nPlacements += len(ph.Placements)
-		for _, pl := range ph.Placements {
-			for k := 0; k < len(pl.Clones); k += runLen(pl.Clones[k:]) {
-				nRuns++
-			}
-		}
+		n += len(ph.Placements)
 	}
-	placements := make([]placementDoc, nPlacements)
-	runs := make([]workRun, nRuns)
+	placements := make([]placementDoc, n)
 	doc := scheduleDoc{Response: s.Response, Sites: s.P, Phases: make([]phaseDoc, len(s.Phases))}
 	for i, ph := range s.Phases {
 		pls := placements[:len(ph.Placements)]
 		placements = placements[len(ph.Placements):]
 		for j, pl := range ph.Placements {
-			work := runs[:0]
-			for k := 0; k < len(pl.Clones); {
-				n := runLen(pl.Clones[k:])
-				work = append(work, workRun{N: n, W: pl.Clones[k]})
-				k += n
-			}
-			runs = runs[len(work):]
 			pls[j] = placementDoc{
 				Operator: pl.Op.Name, OpID: pl.Op.ID, Kind: pl.Op.Kind.String(),
 				Degree: pl.Degree, Rooted: pl.Rooted, TPar: pl.TPar,
-				Sites: pl.Sites, Work: work,
+				Sites: pl.Sites, Work: maximalRuns(pl.Work),
 			}
 		}
 		doc.Phases[i] = phaseDoc{Index: ph.Index, Response: ph.Response, Placements: pls}
@@ -166,21 +157,33 @@ func EncodeJSON(s *Schedule) ([]byte, error) {
 	return json.Marshal(&doc)
 }
 
-// runLen returns how many leading vectors of clones (at least one) are
-// bit-identical to the first.
-func runLen(clones []vector.Vector) int {
-	n := 1
-	for n < len(clones) && slices.EqualFunc(clones[n], clones[0], sameBits) {
-		n++
+// maximalRuns is work with adjacent bit-identical runs merged: work
+// itself when no runs merge, and empty for nil.
+func maximalRuns(work []WorkRun) []WorkRun {
+	for k := 1; k < len(work); k++ {
+		if slices.EqualFunc(work[k-1].W, work[k].W, sameBits) {
+			out := slices.Clone(work[:k])
+			for _, r := range work[k:] {
+				if last := &out[len(out)-1]; slices.EqualFunc(last.W, r.W, sameBits) {
+					last.N += r.N
+				} else {
+					out = append(out, r)
+				}
+			}
+			return out
+		}
 	}
-	return n
+	if work == nil {
+		return []WorkRun{}
+	}
+	return work
 }
 
 // sameBits is float equality by representation: -0 and +0 differ.
 func sameBits(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
 
-// scheduleDoc, phaseDoc, placementDoc and workRun are the document
-// EncodeJSON writes.
+// scheduleDoc, phaseDoc and placementDoc, with WorkRun, are the
+// document EncodeJSON writes.
 type scheduleDoc struct {
 	Response float64    `json:"response_seconds"`
 	Sites    int        `json:"sites"`
@@ -201,10 +204,13 @@ type placementDoc struct {
 	Rooted   bool      `json:"rooted"`
 	TPar     float64   `json:"t_par_seconds"`
 	Sites    []int     `json:"sites"`
-	Work     []workRun `json:"work"`
+	Work     []WorkRun `json:"work"`
 }
 
-type workRun struct {
+// WorkRun is N consecutive clones of one operator doing the same work
+// vector W: the form an OpPlacement holds its clones' work in, and the
+// one the schedule document writes.
+type WorkRun struct {
 	N int           `json:"n"`
 	W vector.Vector `json:"w"`
 }

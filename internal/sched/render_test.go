@@ -148,11 +148,12 @@ func checkRoundTrip(t *testing.T, name string, s *Schedule) {
 					t.Errorf("%s: placement %d/%d: run %d of %d is empty or not maximal", name, i, j, k, r.N)
 				}
 			}
-			if n != len(pl.Clones) || len(clones[i][j]) != n {
-				t.Errorf("%s: placement %d/%d: runs cover %d clones, want %d", name, i, j, n, len(pl.Clones))
+			want := expand(pl.Work)
+			if n != len(want) || len(clones[i][j]) != n {
+				t.Errorf("%s: placement %d/%d: runs cover %d clones, want %d", name, i, j, n, len(want))
 				continue
 			}
-			for k, w := range pl.Clones {
+			for k, w := range want {
 				if !sameVec(clones[i][j][k], w) {
 					t.Errorf("%s: placement %d/%d clone %d decodes as %v, want %v", name, i, j, k, clones[i][j][k], w)
 				}
@@ -194,9 +195,29 @@ func oneOp(name string, tpar float64, sites []int, clones ...vector.Vector) *Sch
 		Response: tpar,
 		Placements: []*OpPlacement{{
 			Op: &plan.Operator{ID: 7, Name: name}, Degree: len(sites),
-			Sites: sites, Clones: clones, TPar: tpar,
+			Sites: sites, Work: runsOf(clones), TPar: tpar,
 		}},
 	}}}
+}
+
+// runsOf is clones as one run per clone, left for EncodeJSON to merge.
+func runsOf(clones []vector.Vector) []WorkRun {
+	var work []WorkRun
+	for _, w := range clones {
+		work = append(work, WorkRun{N: 1, W: w})
+	}
+	return work
+}
+
+// expand is work clone by clone.
+func expand(work []WorkRun) []vector.Vector {
+	var clones []vector.Vector
+	for _, r := range work {
+		for range r.N {
+			clones = append(clones, r.W)
+		}
+	}
+	return clones
 }
 
 // checkMatchesMarshalIndent fails unless s's rendering, indented by
@@ -253,7 +274,7 @@ func goldenCorpus(t *testing.T) map[string]*Schedule {
 				Op:     &plan.Operator{ID: op.ID, Name: fmt.Sprintf("op%d", op.ID), Kind: costmodel.OpKind(op.ID % 4)},
 				Degree: len(op.Clones),
 				Sites:  res.Sites[op.ID],
-				Clones: op.Clones,
+				Work:   runsOf(op.Clones),
 				Rooted: op.Home != nil,
 				TPar:   op.Clones[0].Length() * eps,
 			})
@@ -320,6 +341,48 @@ func TestEncodeJSONEdgeCases(t *testing.T) {
 	both("no phases", &Schedule{P: 4})
 	both("unknown kind", &Schedule{Phases: []*PhaseSchedule{{Placements: []*OpPlacement{
 		{Op: &plan.Operator{Kind: costmodel.OpKind(99)}}}}}})
+}
+
+// TestEncodeJSONMergesEqualCoordinator: with a startup cost so small
+// that rounding absorbs α·N/2 into the coordinator's CPU and network
+// work, the coordinator's run is bit-identical to its workers', and the
+// operator renders as one run of N clones.
+func TestEncodeJSONMergesEqualCoordinator(t *testing.T) {
+	ts := testScheduler(16, 0.5, 0.7)
+	ts.Model.Params.Alpha = 1e-300
+	s, err := ts.Schedule(randomTree(3, 8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, _, err := decodeJSON(mustJSON(t, s))
+	if err != nil {
+		t.Fatal(err)
+	}
+	merged := 0
+	for i, ph := range s.Phases {
+		for j, pl := range ph.Placements {
+			if len(pl.Work) != 2 || !slices.EqualFunc(pl.Work[0].W, pl.Work[1].W, sameBits) {
+				continue
+			}
+			merged++
+			if got := doc.Phases[i].Placements[j].Work; len(got) != 1 || got[0].N != pl.Degree {
+				t.Errorf("%s: equal coordinator renders as %d runs, want one of %d", pl.Op.Name, len(got), pl.Degree)
+			}
+		}
+	}
+	if merged == 0 {
+		t.Fatal("no operator's coordinator equals its workers")
+	}
+	checkRoundTrip(t, "alpha=1e-300", s)
+}
+
+func mustJSON(t *testing.T, s *Schedule) []byte {
+	t.Helper()
+	data, err := EncodeJSON(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
 }
 
 // TestEncodeJSONUnsupportedValues: a NaN or infinite number anywhere

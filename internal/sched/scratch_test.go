@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -148,6 +149,51 @@ func TestWarmScheduleAllocs(t *testing.T) {
 	t.Logf("warm allocs/schedule = %.0f", allocs)
 	if allocs > 120 {
 		t.Fatalf("warm TreeSchedule allocates %.0f times, want <= 120", allocs)
+	}
+}
+
+// TestColdScheduleBytesPerClone gates what a schedule allocates per
+// clone when the cost-model memo is cold: the same tree at MaxDegree 4
+// and uncapped differs only in how many clones its operators get, and
+// each extra clone may cost at most 16 bytes — its entry in the Sites
+// slab plus rounding. A clone's work is a run of its operator's, not a
+// vector of its own.
+func TestColdScheduleBytesPerClone(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops scratches under the race detector")
+	}
+	tt := randomTree(1, 20)
+	measure := func(maxDegree int) (bytes float64, clones int) {
+		ts := testScheduler(128, 0.5, 0.7)
+		ts.MaxDegree = maxDegree
+		run := func() *Schedule {
+			ts.Cache = costmodel.NewCache(ts.Model)
+			s, err := ts.Schedule(tt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s
+		}
+		clones = run().Stats().Clones
+		const runs = 20
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			run()
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / runs, clones
+	}
+	capped, fewer := measure(4)
+	full, more := measure(0)
+	if more <= fewer {
+		t.Fatalf("uncapped schedule has %d clones, capped %d", more, fewer)
+	}
+	perClone := (full - capped) / float64(more-fewer)
+	t.Logf("cold schedule: %.0f B at %d clones, %.0f B at %d: %.1f B per extra clone",
+		capped, fewer, full, more, perClone)
+	if perClone > 16 {
+		t.Fatalf("a cold schedule allocates %.1f B per extra clone, want <= 16", perClone)
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"mdrs/internal/obs"
 	"mdrs/internal/plan"
 	"mdrs/internal/resource"
-	"mdrs/internal/vector"
 )
 
 // TreeScheduler configures TreeSchedule (Figure 4): a system of P
@@ -87,8 +86,10 @@ type OpPlacement struct {
 	Degree int
 	// Sites holds the site of each clone; Sites[0] is the coordinator.
 	Sites []int
-	// Clones holds the clone work vectors, aligned with Sites.
-	Clones []vector.Vector
+	// Work holds the clone work vectors as runs in clone order, aligned
+	// with Sites: the first Work[0].N clones do Work[0].W, and so on.
+	// TreeSchedule writes the coordinator's run and the others'.
+	Work []WorkRun
 	// Rooted marks operators whose home was fixed before list scheduling.
 	Rooted bool
 	// TPar is T^par(op, N): the operator's isolated parallel execution
@@ -179,25 +180,25 @@ func newSchedule(p, n int) *Schedule {
 // every clone's site into one slab that the placements' Sites are
 // windows of, and the homes of the phase's operators are recorded for
 // the probes of later phases. What the phase leaves behind is three
-// allocations: the placements, the pointers to them and the sites.
+// allocations: the placements and their work, pointers, and sites.
 func (ts TreeScheduler) runPhase(ctx context.Context, sc *scratch, ph *PhaseSchedule) error {
 	jobs := sc.jobs
-	pls := make([]OpPlacement, len(jobs))
+	slots := make([]placementSlot, len(jobs))
 	sc.phaseSlabs(len(jobs))
 	for i, j := range jobs {
-		if err := ts.prepare(j, sc.homes, &sc.ops[i], &pls[i]); err != nil {
+		if err := ts.prepare(j, sc.homes, &sc.ops[i], &slots[i]); err != nil {
 			return fmt.Errorf("sched: phase %d: %w", ph.Index, err)
 		}
 	}
 	clones := 0
-	for i := range pls {
-		clones += pls[i].Degree
+	for i := range slots {
+		clones += slots[i].pl.Degree
 	}
 	slab := make([]int, clones)
-	for i := range pls {
-		n := pls[i].Degree
-		pls[i].Sites, slab = slab[:n:n], slab[n:]
-		sc.dst[i] = pls[i].Sites
+	for i := range slots {
+		n := slots[i].pl.Degree
+		slots[i].pl.Sites, slab = slab[:n:n], slab[n:]
+		sc.dst[i] = slots[i].pl.Sites
 	}
 
 	if ts.Rec != nil {
@@ -223,12 +224,19 @@ func (ts TreeScheduler) runPhase(ctx context.Context, sc *scratch, ph *PhaseSche
 	}
 
 	ph.Response = resp
-	ph.Placements = make([]*OpPlacement, len(pls))
-	for i := range pls {
-		ph.Placements[i] = &pls[i]
-		sc.homes[homeKey{jobs[i].tree, jobs[i].p}] = pls[i].Sites
+	ph.Placements = make([]*OpPlacement, len(slots))
+	for i := range slots {
+		ph.Placements[i] = &slots[i].pl
+		sc.homes[homeKey{jobs[i].tree, jobs[i].p}] = slots[i].pl.Sites
 	}
 	return nil
+}
+
+// placementSlot is a placement and the runs and vectors of its Work.
+type placementSlot struct {
+	pl    OpPlacement
+	runs  [2]WorkRun
+	split costmodel.CloneWork
 }
 
 // prepJob is one operator awaiting cost preparation: the plan operator,
@@ -241,12 +249,13 @@ type prepJob struct {
 }
 
 // prepare determines an operator's degree of parallelism and clone
-// vectors, and whether it is rooted, and writes them to op and pl (pl's
-// Sites are the placement loop's to fill). With a Cache attached, every
-// derivation is memoized by the operator's spec, so structurally
-// repeated scans/builds/probes across phases, trees, and batch entries
-// are costed once.
-func (ts TreeScheduler) prepare(j prepJob, homes map[homeKey][]int, op *Op, pl *OpPlacement) error {
+// work, and whether it is rooted, and writes them to op and slot
+// (slot's Sites are the placement loop's to fill). The work is the EA1
+// split as at most two runs, validated here so OperatorSchedule skips
+// the per-clone walk. With a Cache attached, every derivation reads the
+// spec's memoized cost, so structurally repeated scans/builds/probes
+// across phases, trees, and batch entries are costed once.
+func (ts TreeScheduler) prepare(j prepJob, homes map[homeKey][]int, op *Op, slot *placementSlot) error {
 	p := j.p
 	home := ts.Homes[p.ID]
 	if p.BuildOp != nil {
@@ -265,18 +274,24 @@ func (ts TreeScheduler) prepare(j prepJob, homes map[homeKey][]int, op *Op, pl *
 	}
 
 	cost, tpar := ts.costTPar(p.Spec, n)
-	var clones []vector.Vector
 	if ts.Cache != nil {
-		clones = ts.Cache.Clones(p.Spec, n)
+		slot.split = ts.Cache.Clones(p.Spec, n)
 	} else {
-		clones = ts.Model.Clones(cost, n)
+		slot.split = ts.Model.Split(cost, n)
+	}
+	slot.runs = [2]WorkRun{{N: 1, W: slot.split.Coord[:]}, {N: n - 1, W: slot.split.Worker[:]}}
+	work := slot.runs[:min(n, 2)]
+	for k, r := range work {
+		if err := r.W.Validate(); err != nil {
+			return fmt.Errorf("sched: op %d clone %d: %w", j.id, k, err)
+		}
 	}
 
-	*op = Op{ID: j.id, Clones: clones, Home: home}
-	*pl = OpPlacement{
+	*op = Op{ID: j.id, Home: home, work: work}
+	slot.pl = OpPlacement{
 		Op:     p,
 		Degree: n,
-		Clones: clones,
+		Work:   work,
 		Rooted: home != nil,
 		TPar:   tpar,
 	}

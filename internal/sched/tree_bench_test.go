@@ -50,8 +50,11 @@ func BenchmarkTreeSchedule(b *testing.B) {
 
 // BenchmarkScheduleBatchMiss is the placement layer's share of the
 // harness's schedule_miss workload: groups of one over plans of 10 to
-// 30 joins at P = 128 with the cost-model memo warm, the call the serve
-// layer makes for every schedule its cache does not hold.
+// 30 joins at P = 128, the call the serve layer makes for every
+// schedule its cache does not hold. warm shares one cost-model memo
+// across the 64 plans, which it soon holds whole; cold gives every call
+// an empty one, as when a wide template population cycles past the
+// memo's capacity.
 func BenchmarkScheduleBatchMiss(b *testing.B) {
 	r := rand.New(rand.NewSource(1))
 	trees := make([]*plan.TaskTree, 64)
@@ -65,13 +68,21 @@ func BenchmarkScheduleBatchMiss(b *testing.B) {
 		P:       128,
 		F:       0.7,
 	}
-	ts.Cache = costmodel.NewCache(ts.Model)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		k := i % len(trees)
-		if _, err := ts.ScheduleBatch(trees[k : k+1]); err != nil {
-			b.Fatal(err)
+	run := func(b *testing.B, memo func() *costmodel.Cache) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			ts.Cache = memo()
+			k := i % len(trees)
+			if _, err := ts.ScheduleBatch(trees[k : k+1]); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
+	b.Run("warm", func(b *testing.B) {
+		shared := costmodel.NewCache(ts.Model)
+		run(b, func() *costmodel.Cache { return shared })
+	})
+	b.Run("cold", func(b *testing.B) {
+		run(b, func() *costmodel.Cache { return costmodel.NewCache(ts.Model) })
+	})
 }

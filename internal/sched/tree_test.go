@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"mdrs/internal/costmodel"
@@ -233,6 +234,27 @@ func TestPhaseBoundRejectsBadInput(t *testing.T) {
 	}
 	if _, err := testScheduler(4, 0.5, 0.9).PhaseBound(&plan.TaskTree{}); err == nil {
 		t.Error("task tree without a root accepted")
+	}
+}
+
+// A scan of negative cardinality costs negative work. PhaseBound never
+// builds a clone vector, so only the task tree's validation can refuse
+// such a tree for it as for Schedule.
+func TestNegativeCardinalityRejected(t *testing.T) {
+	tt := randomTree(1, 4)
+	for _, tk := range tt.Tasks {
+		for _, op := range tk.Ops {
+			if op.Kind == costmodel.Scan {
+				op.Spec.InTuples, op.Spec.ResultTuples = -5000, -5000
+			}
+		}
+	}
+	ts := testScheduler(16, 0.5, 0.7)
+	if b, err := ts.PhaseBound(tt); err == nil || !strings.Contains(err.Error(), "negative cardinality") {
+		t.Errorf("PhaseBound = %g, %v; want a negative-cardinality error", b, err)
+	}
+	if _, err := ts.Schedule(tt); err == nil || !strings.Contains(err.Error(), "negative cardinality") {
+		t.Errorf("Schedule error %v; want a negative-cardinality error", err)
 	}
 }
 

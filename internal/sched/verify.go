@@ -12,8 +12,8 @@ import (
 // satisfy and returns the first violation:
 //
 //  1. every phase and placement is non-nil, every placement has a
-//     positive degree with matching Sites/Clones lengths, valid site
-//     indices and valid clone vectors of the model's dimension;
+//     positive degree matched by Sites and by its Work runs' positive
+//     N, valid site indices and valid work vectors of the model's d;
 //  2. no two clones of one operator share a site (Definition 5.1);
 //  3. a probe occupies exactly its build's home, clone by clone
 //     (Section 5.5), and runs in a strictly later phase;
@@ -46,9 +46,23 @@ func Verify(s *Schedule, ov resource.Overlap) error {
 			if pl.Op == nil {
 				return fmt.Errorf("sched: phase %d has a placement without an operator", pi)
 			}
-			if pl.Degree <= 0 || len(pl.Sites) != pl.Degree || len(pl.Clones) != pl.Degree {
+			clones := 0
+			for j, r := range pl.Work {
+				if r.N <= 0 {
+					return fmt.Errorf("sched: %q work run %d has %d clones", pl.Op.Name, j, r.N)
+				}
+				if err := r.W.Validate(); err != nil {
+					return fmt.Errorf("sched: %q work run %d: %w", pl.Op.Name, j, err)
+				}
+				if d := r.W.Dim(); d != resource.Dims {
+					return fmt.Errorf("sched: %q work run %d has dimension %d, want %d",
+						pl.Op.Name, j, d, resource.Dims)
+				}
+				clones += r.N
+			}
+			if pl.Degree <= 0 || len(pl.Sites) != pl.Degree || clones != pl.Degree {
 				return fmt.Errorf("sched: %q degree %d with %d sites / %d clones",
-					pl.Op.Name, pl.Degree, len(pl.Sites), len(pl.Clones))
+					pl.Op.Name, pl.Degree, len(pl.Sites), clones)
 			}
 			if _, dup := phaseOf[pl.Op]; dup {
 				return fmt.Errorf("sched: operator %q placed twice", pl.Op.Name)
@@ -66,14 +80,13 @@ func Verify(s *Schedule, ov resource.Overlap) error {
 						pl.Op.Name, site)
 				}
 				seen[site] = true
-				if err := pl.Clones[k].Validate(); err != nil {
-					return fmt.Errorf("sched: %q clone %d: %w", pl.Op.Name, k, err)
+			}
+			k := 0
+			for _, r := range pl.Work {
+				for range r.N {
+					sys.Assign(pl.Sites[k], r.W)
+					k++
 				}
-				if d := pl.Clones[k].Dim(); d != resource.Dims {
-					return fmt.Errorf("sched: %q clone %d has dimension %d, want %d",
-						pl.Op.Name, k, d, resource.Dims)
-				}
-				sys.Assign(site, pl.Clones[k])
 			}
 		}
 		if got := sys.MaxTSite(); math.Abs(got-ph.Response) > 1e-6*(1+got) {

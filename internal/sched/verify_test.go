@@ -109,7 +109,7 @@ func TestVerifyDetectsCorruptions(t *testing.T) {
 		},
 		{
 			"negative clone work",
-			func(s *Schedule) { s.Phases[0].Placements[0].Clones[0][0] = -1 },
+			func(s *Schedule) { s.Phases[0].Placements[0].Work[0].W[0] = -1 },
 			"",
 		},
 		{
@@ -138,8 +138,39 @@ func TestVerifyDetectsCorruptions(t *testing.T) {
 		},
 		{
 			"clone of the wrong dimension",
-			func(s *Schedule) { s.Phases[0].Placements[0].Clones[0] = vector.Of(1, 2) },
+			func(s *Schedule) { s.Phases[0].Placements[0].Work[0].W = vector.Of(1, 2) },
 			"dimension 2",
+		},
+		{
+			"nil work vector",
+			func(s *Schedule) { s.Phases[0].Placements[0].Work[0].W = nil },
+			"work run 0: vector: empty",
+		},
+		{
+			"run of no clones",
+			func(s *Schedule) { multiClone(s).Work[1].N = 0 },
+			"work run 1 has 0 clones",
+		},
+		{
+			"run of a negative count",
+			func(s *Schedule) {
+				pl := multiClone(s)
+				pl.Work[0].N, pl.Work[1].N = -1, pl.Work[1].N+2
+			},
+			"work run 0 has -1 clones",
+		},
+		{
+			"runs cover more clones than the degree",
+			func(s *Schedule) { multiClone(s).Work[1].N++ },
+			"sites /",
+		},
+		{
+			"runs cover fewer clones than the degree",
+			func(s *Schedule) {
+				pl := multiClone(s)
+				pl.Work = pl.Work[:1]
+			},
+			"sites /",
 		},
 	}
 	for _, c := range corruptions {
@@ -157,6 +188,19 @@ func TestVerifyDetectsCorruptions(t *testing.T) {
 			t.Errorf("%s: error %q missing keyword %q", c.name, err, c.keyword)
 		}
 	}
+}
+
+// multiClone returns the schedule's first placement with more than one
+// clone: a coordinator run and a run of the other clones.
+func multiClone(s *Schedule) *OpPlacement {
+	for _, ph := range s.Phases {
+		for _, pl := range ph.Placements {
+			if len(pl.Work) == 2 {
+				return pl
+			}
+		}
+	}
+	panic("no placement with two work runs")
 }
 
 // Property: for any random plan and configuration, TreeSchedule's
@@ -189,8 +233,8 @@ func TestQuickTreeScheduleAlwaysVerifies(t *testing.T) {
 func phaseSystem(p int, ov resource.Overlap, ph *PhaseSchedule) *resource.System {
 	sys := resource.NewSystem(p, resource.Dims, ov)
 	for _, pl := range ph.Placements {
-		for k, site := range pl.Sites {
-			sys.Assign(site, pl.Clones[k])
+		for k, w := range expand(pl.Work) {
+			sys.Assign(pl.Sites[k], w)
 		}
 	}
 	return sys
@@ -274,7 +318,7 @@ func TestVerifyAcceptsSynchronousShapedSchedules(t *testing.T) {
 		Op:     op,
 		Degree: 2,
 		Sites:  []int{0, 1},
-		Clones: []vector.Vector{vector.Of(1, 0, 0), vector.Of(1, 0, 0)},
+		Work:   []WorkRun{{N: 2, W: vector.Of(1, 0, 0)}},
 	})
 	ph.Response = 1
 	s.Phases = []*PhaseSchedule{ph}

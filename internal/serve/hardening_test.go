@@ -177,12 +177,17 @@ func TestCounterArithmetic(t *testing.T) {
 	ctx := context.Background()
 	tree := testTree(t, 701, 4)
 
-	// Two invalid submissions: counted as serve.invalid only.
+	// Three invalid submissions: counted as serve.invalid only.
 	if _, err := svc.Schedule(ctx, nil); err == nil {
 		t.Fatal("nil tree accepted")
 	}
 	if _, err := svc.Schedule(ctx, &plan.TaskTree{}); err == nil {
 		t.Fatal("empty tree accepted")
+	}
+	negative := testTree(t, 701, 4)
+	negative.Tasks[0].Ops[0].Spec.InTuples = -5000
+	if _, err := svc.Schedule(ctx, negative); err == nil {
+		t.Fatal("tree of negative cardinality accepted")
 	}
 
 	// One cancelled: pre-cancelled context, valid tree.
@@ -215,8 +220,8 @@ func TestCounterArithmetic(t *testing.T) {
 
 	snap := met.Snapshot()
 	cs := snap.Counters
-	if cs["serve.invalid"] != 2 {
-		t.Fatalf("serve.invalid = %d, want 2", cs["serve.invalid"])
+	if cs["serve.invalid"] != 3 {
+		t.Fatalf("serve.invalid = %d, want 3", cs["serve.invalid"])
 	}
 	want := map[string]int64{
 		"serve.delivered":      1,
