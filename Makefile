@@ -52,12 +52,13 @@ race:
 # latter with the cost-model memo warm and cold);
 # BenchmarkOperatorSchedulePlacement is the one that times Figure 3's
 # sort and placement loop alone, BenchmarkSystemAssign one site's
-# Equation 2 bookkeeping, BenchmarkEncodeJSON one schedule's
+# Equation 2 bookkeeping, BenchmarkNOpt the cost model's N_opt search
+# at three widths, BenchmarkEncodeJSON one schedule's
 # rendering, and BenchmarkCacheHitParallel / BenchmarkMetricsRecordParallel
 # the serve cache's and the metrics recorder's one lock under every
 # processor. A name that matches no benchmark — one renamed or deleted
 # — fails the target too: go test alone would pass, having run nothing.
-SMOKE_BENCH = EngineRun SearchCold TreeSchedule ScheduleBatchMiss OperatorSchedulePlacement SystemAssign EncodeJSON CacheHitParallel MetricsRecordParallel
+SMOKE_BENCH = EngineRun SearchCold TreeSchedule ScheduleBatchMiss OperatorSchedulePlacement SystemAssign NOpt EncodeJSON CacheHitParallel MetricsRecordParallel
 
 bench-smoke:
 	@out=$$($(GO) test -run '^$$' -bench "^Benchmark($$(echo $(SMOKE_BENCH) | tr ' ' '|'))$$" -benchtime 1x ./internal/... 2>&1); \

@@ -59,19 +59,20 @@ func TestCacheMatchesModelExactly(t *testing.T) {
 	}
 }
 
-// A second lookup of the same key must be a hit.
+// A second lookup of the same key must be a hit, and a degree reads
+// the cached cost: it has no memo entry of its own to miss.
 func TestCacheMemoizesAndShares(t *testing.T) {
 	c := NewCache(Default())
 	spec := OpSpec{Kind: Scan, InTuples: 1000}
 	ov := resource.MustOverlap(0.5)
 
 	c.Cost(spec)
-	_, misses := c.Stats()
+	hits, misses := c.Stats()
 	c.Cost(spec)
 	c.Degree(spec, 0.7, 32, ov)
-	c.Degree(spec, 0.7, 32, ov)
-	if _, m2 := c.Stats(); m2 != misses+1 {
-		t.Fatalf("misses %d -> %d: only the first Degree should miss", misses, m2)
+	if h2, m2 := c.Stats(); h2 != hits+2 || m2 != misses {
+		t.Fatalf("hits %d -> %d, misses %d -> %d: the repeated Cost and the Degree should each hit once",
+			hits, h2, misses, m2)
 	}
 
 	// Distinct keys stay distinct.

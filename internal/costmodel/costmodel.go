@@ -386,19 +386,60 @@ func (m Model) TPar(c OpCost, n int, ov resource.Overlap) float64 {
 	return ov.Epsilon*max + (1-ov.Epsilon)*sum
 }
 
+// nOptRel and nOptAbs bound how far TPar's float value sits from the
+// exact value of its formula: each term is non-negative and rounded at
+// most six times, so within 6u·T (u = 2^-53), plus a few half-subnormals
+// where an intermediate underflows. Both margins hold that with slack.
+const nOptRel, nOptAbs = 1e-14, 1e-320
+
 // NOpt returns the degree of parallelism in [1, maxN] that minimizes
 // T^par(op, ·). Beyond it, startup at the coordinator causes a
 // speed-down; the experiments never exceed it, enforcing assumption A4
-// (Section 6.1). Ties resolve to the smaller degree.
+// (Section 6.1). It returns exactly what a scan of n = 1, …, maxN
+// returns that moves to n only when T^par(n) is more than 1e-15 below
+// the best so far (near-ties resolve to the smaller degree), in
+// O(log maxN) evaluations for maxN < 2^53. With ε ∈ [0, 1], non-negative
+// work and α > 0 each component of the coordinator's work is A/N + b·N
+// with A, b ≥ 0, so T^par, a non-negative combination of their max and
+// their sum, is convex in N. Step (a) bisects for the largest n0 whose
+// float decrease from n0 − 1 exceeds 1e-15 plus the margin at T^par(1):
+// by convexity the scan took every step up to n0. Step (b) scans on
+// from n0 and stops at the first n where T^par provably rose from
+// n − 1: by convexity every later value is above T^par(n − 1), which is
+// not below the scan's bound, so the scan takes none of them.
+// Non-finite values pass neither test, leaving the scan.
 func (m Model) NOpt(c OpCost, maxN int, ov resource.Overlap) int {
 	if maxN < 1 {
 		panic(fmt.Sprintf("costmodel: non-positive maxN %d", maxN))
 	}
-	best, bestT := 1, math.Inf(1)
-	for n := 1; n <= maxN; n++ {
-		if t := m.TPar(c, n, ov); t < bestT-1e-15 {
+	t1 := m.TPar(c, 1, ov)
+	if !(t1 < math.Inf(1)) {
+		t1 = math.Inf(1) // the scan's bound after a NaN T^par(1)
+	}
+	// Step (a): lo passes the test; hi fails it, maxN+1 until one does.
+	lo, tLo, hi, tHi := 1, t1, maxN+1, 0.0
+	for thr := 1e-15 + nOptRel*t1 + nOptAbs; hi-lo > 1 && t1 <= math.MaxFloat64/4; {
+		mid := lo + (hi-lo)/2
+		if t := m.TPar(c, mid, ov); m.TPar(c, mid-1, ov)-t > thr {
+			lo, tLo = mid, t
+		} else {
+			hi, tHi = mid, t
+		}
+	}
+	// Step (b): the scan from lo on, reusing T^par(hi).
+	best, bestT, prev := lo, tLo, tLo
+	for n := lo + 1; n <= maxN; n++ {
+		t := tHi
+		if n != hi {
+			t = m.TPar(c, n, ov)
+		}
+		if t < bestT-1e-15 {
 			best, bestT = n, t
 		}
+		if t-prev > nOptRel*t+nOptAbs {
+			break
+		}
+		prev = t
 	}
 	return best
 }
@@ -411,8 +452,8 @@ func (m Model) Degree(c OpCost, f float64, p int, ov resource.Overlap) int {
 
 // DegreeCapped is Degree with an absolute per-operator parallelism cap:
 // min{N_max(op, f), N_opt(op), P, cap}. cap <= 0 means uncapped (plain
-// Degree). The cap clamps the search range before the NOpt scan, so it
-// bounds both the chosen degree and the scan's cost — the serve layer's
+// Degree). The cap clamps the search range before the NOpt search, so it
+// bounds both the chosen degree and the search's cost — the serve layer's
 // adaptive controller uses it to shrink per-query parallelism under
 // concurrency (trading isolated response time for system throughput).
 func (m Model) DegreeCapped(c OpCost, f float64, p int, ov resource.Overlap, cap int) int {

@@ -627,14 +627,3 @@ func BenchmarkCostScan(b *testing.B) {
 		_ = m.Cost(OpSpec{Kind: Scan, InTuples: 100000, NetOut: true})
 	}
 }
-
-func BenchmarkNOpt(b *testing.B) {
-	m := Default()
-	ov := resource.MustOverlap(0.5)
-	c := m.Cost(OpSpec{Kind: Scan, InTuples: 100000, NetOut: true})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = m.NOpt(c, 140, ov)
-	}
-}

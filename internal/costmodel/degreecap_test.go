@@ -63,9 +63,8 @@ func TestDegreeCappedMonotoneInCap(t *testing.T) {
 	}
 }
 
-// The memo keys include the cap: answers computed under different caps
-// never alias, and every cached answer is bit-identical to a fresh
-// model computation.
+// Answers computed under different caps never alias, and every answer
+// read through the cache is bit-identical to a fresh model computation.
 func TestCacheDegreeCappedKeyedByCap(t *testing.T) {
 	m := Model{Params: DefaultParams()}
 	ov := resource.MustOverlap(0.5)
@@ -79,12 +78,12 @@ func TestCacheDegreeCappedKeyedByCap(t *testing.T) {
 			t.Fatalf("cap %d: cached %d != fresh %d", cap, got, want)
 		}
 	}
-	// Negative caps normalize to 0 and share the uncapped memo entry.
+	// Negative caps mean uncapped, as 0 does.
 	if got, want := cache.DegreeCapped(spec, f, p, ov, -3), cache.Degree(spec, f, p, ov); got != want {
 		t.Fatalf("negative cap: %d != uncapped %d", got, want)
 	}
 	hits, _ := cache.Stats()
 	if hits == 0 {
-		t.Fatal("repeated capped lookups never hit the memo")
+		t.Fatal("repeated capped lookups never hit the cost memo")
 	}
 }

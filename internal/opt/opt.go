@@ -28,7 +28,7 @@ import (
 // operators. By assumption A4 this is a valid lower bound on the length
 // of any CG_f execution.
 func Bound(tt *plan.TaskTree, m costmodel.Model, ov resource.Overlap, p int, f float64) (float64, error) {
-	return bound(tt, p, f, func(spec costmodel.OpSpec) (vector.Vector, float64) {
+	return bound(tt, ov, p, f, func(spec costmodel.OpSpec) (vector.Vector, float64) {
 		c := m.Cost(spec)
 		n := m.Degree(c, f, p, ov)
 		return c.Processing, m.TPar(c, n, ov)
@@ -44,7 +44,7 @@ func Bound(tt *plan.TaskTree, m costmodel.Model, ov resource.Overlap, p int, f f
 // cached answer is bit-identical to the uncached model's, so
 // BoundCached(tt, costmodel.NewCache(m), …) == Bound(tt, m, …) exactly.
 func BoundCached(tt *plan.TaskTree, c *costmodel.Cache, ov resource.Overlap, p int, f float64) (float64, error) {
-	return bound(tt, p, f, func(spec costmodel.OpSpec) (vector.Vector, float64) {
+	return bound(tt, ov, p, f, func(spec costmodel.OpSpec) (vector.Vector, float64) {
 		return c.BoundTerm(spec, f, p, ov)
 	})
 }
@@ -56,8 +56,11 @@ func BoundCached(tt *plan.TaskTree, c *costmodel.Cache, ov resource.Overlap, p i
 // Model.Cost/Cache.Cost, which always allocate resource.Dims components
 // — so the AddInPlace below cannot see a dimension mismatch (audited
 // alongside the LowerBound mixed-dimension fix).
-func bound(tt *plan.TaskTree, p int, f float64, eval func(costmodel.OpSpec) (vector.Vector, float64)) (float64, error) {
+func bound(tt *plan.TaskTree, ov resource.Overlap, p int, f float64, eval func(costmodel.OpSpec) (vector.Vector, float64)) (float64, error) {
 	if err := tt.Validate(); err != nil {
+		return 0, err
+	}
+	if err := ov.Validate(); err != nil {
 		return 0, err
 	}
 	if p <= 0 {

@@ -46,6 +46,15 @@ func TestBoundArgumentValidation(t *testing.T) {
 			t.Errorf("f = %g accepted", f)
 		}
 	}
+	for _, eps := range []float64{-1, 2, math.NaN(), math.Inf(1)} {
+		bad := resource.Overlap{Epsilon: eps}
+		if b, err := Bound(tt, m, bad, 4, 0.7); err == nil {
+			t.Errorf("ε = %g accepted (bound %g)", eps, b)
+		}
+		if b, err := BoundCached(tt, costmodel.NewCache(m), bad, 4, 0.7); err == nil {
+			t.Errorf("BoundCached: ε = %g accepted (bound %g)", eps, b)
+		}
+	}
 }
 
 func TestBoundSingleScan(t *testing.T) {

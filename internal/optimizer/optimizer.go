@@ -146,6 +146,9 @@ func (s Search) Validate() error {
 	if err := s.Model.Params.Validate(); err != nil {
 		return err
 	}
+	if err := s.Overlap.Validate(); err != nil {
+		return err
+	}
 	if s.P <= 0 {
 		return fmt.Errorf("optimizer: non-positive site count %d", s.P)
 	}

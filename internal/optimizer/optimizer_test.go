@@ -43,6 +43,8 @@ func TestValidate(t *testing.T) {
 		{Model: costmodel.Default(), P: 4, F: 0.7, MaxDegree: -1},
 		{Model: costmodel.Default(), P: 4, F: 0.7, ExhaustiveJoins: query.MaxStreamRelations},
 		{P: 4, F: 0.7},
+		{Model: costmodel.Default(), Overlap: resource.Overlap{Epsilon: math.NaN()}, P: 4, F: 0.7},
+		{Model: costmodel.Default(), Overlap: resource.Overlap{Epsilon: 2}, P: 4, F: 0.7},
 	}
 	for i, s := range bad {
 		if err := s.Validate(); err == nil {

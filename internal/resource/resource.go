@@ -55,10 +55,19 @@ type Overlap struct {
 
 // NewOverlap returns an Overlap model, validating ε.
 func NewOverlap(eps float64) (Overlap, error) {
-	if !(eps >= 0 && eps <= 1) {
-		return Overlap{}, fmt.Errorf("resource: overlap ε = %g outside [0,1]", eps)
+	o := Overlap{Epsilon: eps}
+	if err := o.Validate(); err != nil {
+		return Overlap{}, err
 	}
-	return Overlap{Epsilon: eps}, nil
+	return o, nil
+}
+
+// Validate reports an ε outside [0,1], where EA2 defines T^seq.
+func (o Overlap) Validate() error {
+	if !(o.Epsilon >= 0 && o.Epsilon <= 1) {
+		return fmt.Errorf("resource: overlap ε = %g outside [0,1]", o.Epsilon)
+	}
+	return nil
 }
 
 // MustOverlap is NewOverlap that panics on invalid ε; for tests and
@@ -144,20 +153,34 @@ func (sys *System) row(j int) vector.Vector {
 	return sys.load[j*sys.d : (j+1)*sys.d : (j+1)*sys.d]
 }
 
-// Assign places one operator clone (its work vector) on site j. The
-// vector is read, not kept. It panics, before writing anything, when j
-// is outside [0, P) or w is not d-dimensional.
-func (sys *System) Assign(j int, w vector.Vector) {
-	row := sys.row(j)
-	row.AddInPlace(w)
-	// Length and sum are recomputed from the accumulated row, so they are
-	// bit-identical to a from-scratch recomputation (the schedulers'
-	// tie-breaks compare these floats exactly). O(d) per Assign keeps a
-	// placement probe a read of two rows.
-	sys.length[j] = row.Length()
-	sys.sum[j] = row.Sum()
-	if t := sys.ov.TSeq(w); t > sys.maxSeq[j] {
-		sys.maxSeq[j] = t
+// Assign places one operator clone (its work vector) on site j: the
+// one-site case of AssignRun. It panics, before writing anything, when
+// j is outside [0, P) or w is not d-dimensional.
+func (sys *System) Assign(j int, w vector.Vector) { sys.AssignRun([]int{j}, w) }
+
+// AssignRun places one clone doing w on each of the given sites,
+// checking w and computing its T^seq once for the run. The vector is
+// read, not kept. It panics, before writing anything, when w is not
+// d-dimensional, and before writing a site outside [0, P).
+func (sys *System) AssignRun(sites []int, w vector.Vector) {
+	if len(w) != sys.d {
+		panic(fmt.Sprintf("resource: %d-dimensional work vector on %d-dimensional sites", len(w), sys.d))
+	}
+	t := sys.ov.TSeq(w)
+	for _, j := range sites {
+		row := sys.row(j)
+		for i, x := range w {
+			row[i] += x
+		}
+		// Length and sum are recomputed from the accumulated row, so they
+		// are bit-identical to a from-scratch recomputation (the
+		// schedulers' tie-breaks compare these floats exactly). O(d) per
+		// clone keeps a placement probe a read of two rows.
+		sys.length[j] = row.Length()
+		sys.sum[j] = row.Sum()
+		if t > sys.maxSeq[j] {
+			sys.maxSeq[j] = t
+		}
 	}
 }
 

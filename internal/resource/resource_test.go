@@ -10,15 +10,23 @@ import (
 	"mdrs/internal/vector"
 )
 
+// NewOverlap and Validate, which callers holding an Overlap literal
+// use, accept and refuse the same ε.
 func TestNewOverlapValidation(t *testing.T) {
 	for _, eps := range []float64{0, 0.5, 1} {
 		if _, err := NewOverlap(eps); err != nil {
 			t.Errorf("NewOverlap(%g) rejected: %v", eps, err)
 		}
+		if err := (Overlap{Epsilon: eps}).Validate(); err != nil {
+			t.Errorf("Validate(%g) rejected: %v", eps, err)
+		}
 	}
-	for _, eps := range []float64{-0.1, 1.1, 2, math.NaN(), math.Inf(1), math.Inf(-1)} {
+	for _, eps := range []float64{-0.1, 1.1, math.Nextafter(1, 2), 2, math.NaN(), math.Inf(1), math.Inf(-1)} {
 		if _, err := NewOverlap(eps); err == nil {
 			t.Errorf("NewOverlap(%g) accepted", eps)
+		}
+		if err := (Overlap{Epsilon: eps}).Validate(); err == nil {
+			t.Errorf("Validate(%g) accepted", eps)
 		}
 	}
 }
@@ -324,6 +332,42 @@ func TestQuickSiteBookkeeping(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Property: assigning a work run through AssignRun leaves every site
+// bit for bit as assigning its clones one by one with Assign does, in
+// LoadLength, LoadSum and TSite, whatever the sites already hold.
+func TestQuickAssignRunMatchesAssign(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		p, d := 1+r.Intn(8), 1+r.Intn(4)
+		ov := MustOverlap([...]float64{0, 1, r.Float64()}[r.Intn(3)])
+		run, one := NewSystem(p, d, ov), NewSystem(p, d, ov)
+		for k := 0; k < 1+r.Intn(12); k++ {
+			w := vector.New(d)
+			for i := range w {
+				if r.Intn(4) > 0 {
+					w[i] = r.Float64() * 10
+				}
+			}
+			sites := r.Perm(p)[:r.Intn(p+1)]
+			run.AssignRun(sites, w)
+			for _, j := range sites {
+				one.Assign(j, w)
+			}
+			for j := 0; j < p; j++ {
+				if math.Float64bits(run.LoadLength(j)) != math.Float64bits(one.LoadLength(j)) ||
+					math.Float64bits(run.LoadSum(j)) != math.Float64bits(one.LoadSum(j)) ||
+					math.Float64bits(run.TSite(j)) != math.Float64bits(one.TSite(j)) {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -307,17 +307,19 @@ func (sc *scratch) operatorSchedule(ctx context.Context, p, d int, ov resource.O
 	// the run and each taken site is banned for the rest of it, so clone
 	// j takes the first unbanned position after clone j−1's — one prefix
 	// walk for the run — and one rekey merges the grown keys back in,
-	// O(P + c log P) for c clones, not an O(P·d) rescan per clone. Each
-	// run depends on the previous placements, so the loop is serial.
-	// ctxCheckStride counts clones.
+	// O(P + c log P) for c clones, not an O(P·d) rescan per clone. The
+	// picks are assigned one work run at a time, one T^seq each (a list
+	// run spans two when the coordinator's length ties its workers'),
+	// then traced. Each run depends on the previous placements, so the
+	// loop is serial. ctxCheckStride counts clones.
 	ix := sc.ix.reset(sys)
 	order, grown := ix.order, ix.grown
 	placed := 0
 	for _, r := range list {
 		op, opBans, dst := ops[r.op], bans[int(r.ban)*p:(int(r.ban)+1)*p], sites[r.op]
-		grown = grown[:0]
-		at, skipped := 0, 0
-		for k := int(r.first); k < int(r.first+r.count); k++ {
+		lo, hi := int(r.first), int(r.first+r.count)
+		at := 0
+		for k := lo; k < hi; k++ {
 			if placed%ctxCheckStride == 0 {
 				if err := ctx.Err(); err != nil {
 					return 0, err
@@ -326,17 +328,33 @@ func (sc *scratch) operatorSchedule(ctx context.Context, p, d int, ov resource.O
 			placed++
 			for at < len(order) && opBans[order[at].id] {
 				at++
-				skipped++
 			}
 			if at == len(order) {
 				// Unreachable given validate(): degree <= P and distinct homes.
 				return 0, fmt.Errorf("sched: no allowable site for op %d clone %d", op.ID, k)
 			}
-			key := order[at]
+			dst[k] = order[at].id
+			at++
+		}
+		for k := lo; k < hi; {
+			w, c := op.runAt(k)
+			c = min(c, hi-k)
+			sys.AssignRun(dst[k:k+c], w)
+			k += c
+		}
+		grown = grown[:0]
+		for k, pos, skipped := lo, 0, 0; k < hi; k++ {
 			if rec != nil {
-				// Clone by clone, the index would have re-inserted each
-				// earlier pick of the run, banned, wherever its grown key
-				// sorts: those ahead of this pick are ban hits too.
+				// Re-walk to clone k's pick. Clone by clone, the index would
+				// have re-inserted each earlier pick of the run, banned,
+				// wherever its grown key sorts: those ahead of this pick are
+				// ban hits too.
+				for opBans[order[pos].id] {
+					pos++
+					skipped++
+				}
+				key := order[pos]
+				pos++
 				hits := skipped
 				for _, g := range grown {
 					if keyLess(g, key) {
@@ -355,11 +373,8 @@ func (sc *scratch) operatorSchedule(ctx context.Context, p, d int, ov resource.O
 					Site: key.id, L: key.l, Sum: key.sum,
 				})
 			}
-			w, _ := op.runAt(k)
-			sys.Assign(key.id, w)
-			grown = append(grown, siteKey{l: sys.LoadLength(key.id), sum: sys.LoadSum(key.id), id: key.id})
-			dst[k] = key.id
-			at++
+			j := dst[k]
+			grown = append(grown, siteKey{l: sys.LoadLength(j), sum: sys.LoadSum(j), id: j})
 		}
 		ix.rekey(at-1, grown, opBans)
 	}

@@ -95,7 +95,8 @@ func (ix *siteIndex) reset(sys *resource.System) *siteIndex {
 // bans the picked sites. For a run of one it is the single-clone
 // re-key: one search behind the pick, one copy.
 func (ix *siteIndex) rekey(hi int, grown []siteKey, bans []bool) {
-	if len(grown) > 1 {
+	// Grown keys mostly come in order (DESIGN §6): check before sorting.
+	if !slices.IsSortedFunc(grown, keyCmp) {
 		slices.SortFunc(grown, keyCmp)
 	}
 	w := hi

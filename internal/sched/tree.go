@@ -46,12 +46,11 @@ type TreeScheduler struct {
 	// all recording at near-zero cost.
 	Rec obs.Recorder
 	// Cache, when non-nil, memoizes the cost model's derivations (cost
-	// vectors, CG_f degrees, clone vectors) across operators, phases,
-	// trees, and batch entries, so structurally repeated specs are
-	// costed once. It must wrap the same Model (Cache.Model() ==
-	// Model); every cached answer is bit-identical to an uncached one,
-	// pinned by the identity tests. Safe to share across concurrent
-	// scheduling calls.
+	// vectors and OPTBOUND terms) across operators, phases, trees, and
+	// batch entries, so structurally repeated specs are costed once. It
+	// must wrap the same Model (Cache.Model() == Model); every cached
+	// answer is bit-identical to an uncached one, pinned by the identity
+	// tests. Safe to share across concurrent scheduling calls.
 	Cache *costmodel.Cache
 	// Workers has no effect: a scheduling call runs on its caller's
 	// goroutine. Fingerprint excludes it.
@@ -64,6 +63,9 @@ type TreeScheduler struct {
 // Validate reports the first nonsensical configuration field.
 func (ts TreeScheduler) Validate() error {
 	if err := ts.Model.Params.Validate(); err != nil {
+		return err
+	}
+	if err := ts.Overlap.Validate(); err != nil {
 		return err
 	}
 	if ts.P <= 0 {
@@ -251,10 +253,11 @@ type prepJob struct {
 // prepare determines an operator's degree of parallelism and clone
 // work, and whether it is rooted, and writes them to op and slot
 // (slot's Sites are the placement loop's to fill). The work is the EA1
-// split as at most two runs, validated here so OperatorSchedule skips
-// the per-clone walk. With a Cache attached, every derivation reads the
-// spec's memoized cost, so structurally repeated scans/builds/probes
-// across phases, trees, and batch entries are costed once.
+// split of the cost costTPar read, as at most two runs, validated here
+// so OperatorSchedule skips the per-clone walk. With a Cache attached,
+// every derivation reads the spec's memoized cost, so structurally
+// repeated scans/builds/probes across phases, trees, and batch entries
+// are costed once.
 func (ts TreeScheduler) prepare(j prepJob, homes map[homeKey][]int, op *Op, slot *placementSlot) error {
 	p := j.p
 	home := ts.Homes[p.ID]
@@ -274,11 +277,7 @@ func (ts TreeScheduler) prepare(j prepJob, homes map[homeKey][]int, op *Op, slot
 	}
 
 	cost, tpar := ts.costTPar(p.Spec, n)
-	if ts.Cache != nil {
-		slot.split = ts.Cache.Clones(p.Spec, n)
-	} else {
-		slot.split = ts.Model.Split(cost, n)
-	}
+	slot.split = ts.Model.Split(cost, n)
 	slot.runs = [2]WorkRun{{N: 1, W: slot.split.Coord[:]}, {N: n - 1, W: slot.split.Worker[:]}}
 	work := slot.runs[:min(n, 2)]
 	for k, r := range work {

@@ -209,6 +209,30 @@ func TestTreeScheduleHomesRootScans(t *testing.T) {
 // PhaseBound refuses what Schedule refuses, with an error: a bad
 // configuration, a malformed tree, a home wider than the system, a home
 // site outside it and two clones homed at one site.
+// EA2 defines T^seq only for ε in [0, 1]. Outside it (NaN and ±Inf
+// included) every operator used to get degree 1 and a schedule that
+// Verify accepted; Validate, Schedule and PhaseBound now refuse it.
+func TestEpsilonOutsideUnitRejected(t *testing.T) {
+	p, err := query.RandomShaped(rand.New(rand.NewSource(1)), query.DefaultGenConfig(8), query.RandomBushy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tt := taskTree(t, p)
+	for _, eps := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1, 2, math.Nextafter(1, 2)} {
+		ts := testScheduler(16, 0.5, 0.7)
+		ts.Overlap.Epsilon = eps
+		if err := ts.Validate(); err == nil {
+			t.Errorf("ε = %g: Validate accepted", eps)
+		}
+		if s, err := ts.Schedule(tt); err == nil {
+			t.Errorf("ε = %g: Schedule accepted (response %g)", eps, s.Response)
+		}
+		if b, err := ts.PhaseBound(tt); err == nil {
+			t.Errorf("ε = %g: PhaseBound accepted (bound %g)", eps, b)
+		}
+	}
+}
+
 func TestPhaseBoundRejectsBadInput(t *testing.T) {
 	ot := plan.MustExpand(leaf("R", 50000))
 	tt := plan.MustNewTaskTree(ot)

@@ -83,10 +83,8 @@ func Verify(s *Schedule, ov resource.Overlap) error {
 			}
 			k := 0
 			for _, r := range pl.Work {
-				for range r.N {
-					sys.Assign(pl.Sites[k], r.W)
-					k++
-				}
+				sys.AssignRun(pl.Sites[k:k+r.N], r.W)
+				k += r.N
 			}
 		}
 		if got := sys.MaxTSite(); math.Abs(got-ph.Response) > 1e-6*(1+got) {

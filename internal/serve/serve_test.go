@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -378,6 +379,14 @@ func TestServiceRejectsInvalidInput(t *testing.T) {
 	bad := testScheduler(0, 0.5, 0.7)
 	if _, err := New(Config{Scheduler: bad}); err == nil {
 		t.Error("P = 0 scheduler accepted")
+	}
+	for _, eps := range []float64{-1, 2, math.NaN(), math.Inf(1)} {
+		bad := testScheduler(8, 0.5, 0.7)
+		bad.Overlap.Epsilon = eps
+		if svc, err := New(Config{Scheduler: bad}); err == nil {
+			svc.Close()
+			t.Errorf("scheduler with ε = %g accepted", eps)
+		}
 	}
 }
 
