@@ -54,11 +54,11 @@ race:
 # sort and placement loop alone, BenchmarkSystemAssign one site's
 # Equation 2 bookkeeping, BenchmarkNOpt the cost model's N_opt search
 # at three widths, BenchmarkEncodeJSON one schedule's
-# rendering, and BenchmarkCacheHitParallel / BenchmarkMetricsRecordParallel
-# the serve cache's and the metrics recorder's one lock under every
-# processor. A name that matches no benchmark — one renamed or deleted
+# rendering, BenchmarkFingerprint one tree's cache identity, and
+# BenchmarkCacheHitParallel / BenchmarkMetricsRecordParallel the serve
+# cache's and the metrics recorder's one lock under every processor. A name that matches no benchmark — one renamed or deleted
 # — fails the target too: go test alone would pass, having run nothing.
-SMOKE_BENCH = EngineRun SearchCold TreeSchedule ScheduleBatchMiss OperatorSchedulePlacement SystemAssign NOpt EncodeJSON CacheHitParallel MetricsRecordParallel
+SMOKE_BENCH = EngineRun SearchCold TreeSchedule ScheduleBatchMiss OperatorSchedulePlacement SystemAssign NOpt EncodeJSON Fingerprint CacheHitParallel MetricsRecordParallel
 
 bench-smoke:
 	@out=$$($(GO) test -run '^$$' -bench "^Benchmark($$(echo $(SMOKE_BENCH) | tr ' ' '|'))$$" -benchtime 1x ./internal/... 2>&1); \

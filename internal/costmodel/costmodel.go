@@ -287,7 +287,7 @@ func (m Model) NMax(c OpCost, f float64) int {
 	}
 	n := math.Floor((f*c.ProcessingArea() - m.Params.Beta*c.D) / m.Params.Alpha)
 	switch {
-	case n < 1:
+	case !(n >= 1): // NaN too, as 0·Inf is when a tiny MIPS makes W_p infinite at f = 0
 		return 1
 	case n >= math.MaxInt:
 		return math.MaxInt

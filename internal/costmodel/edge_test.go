@@ -27,6 +27,27 @@ func TestZeroTupleOperators(t *testing.T) {
 	}
 }
 
+// A MIPS rate Validate accepts can still make W_p infinite: at f = 0,
+// N_max's numerator is 0·Inf = NaN, which NMax once turned into
+// math.MinInt64 and Degree into a panic. N_max is 1 there, as for any
+// numerator below one α.
+func TestNMaxOfInfiniteWork(t *testing.T) {
+	m := Default()
+	m.Params.MIPS = 5e-324
+	if err := m.Params.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	c := m.Cost(OpSpec{Kind: Scan, InTuples: 1000, NetOut: true})
+	for f, want := range map[float64]int{0: 1, 0.7: math.MaxInt} {
+		if n := m.NMax(c, f); n != want {
+			t.Errorf("f = %g: NMax = %d, want %d", f, n, want)
+		}
+		if n := m.Degree(c, f, 16, resource.MustOverlap(0.5)); n < 1 || n > 16 {
+			t.Errorf("f = %g: Degree = %d, want within [1, 16]", f, n)
+		}
+	}
+}
+
 func TestDegreeWithSingleSite(t *testing.T) {
 	m := Default()
 	ov := resource.MustOverlap(0.5)

@@ -62,6 +62,10 @@ func TestOperatorTreeValidateDetectsCorruptions(t *testing.T) {
 			ot.Root.Consumer = ot.Ops[0]
 		}},
 		{"join count drift", func(ot *OperatorTree) { ot.Joins++ }},
+		{"consumer outside the tree", func(ot *OperatorTree) {
+			other, _ := freshTrees(t)
+			ot.Ops[0].Consumer = other.Ops[ot.Ops[0].Consumer.ID]
+		}},
 	}
 	for _, c := range cases {
 		ot, _ := freshTrees(t)

@@ -82,7 +82,8 @@ type OperatorTree struct {
 	// Joins is the number of joins in the source plan.
 	Joins int
 
-	nextJoin int // next join ID to assign during expansion
+	slab     []Operator // what Ops point into, filled in ID order by expand
+	nextJoin int        // next join ID to assign during expansion
 }
 
 // Expand macro-expands a validated execution plan into its operator
@@ -90,15 +91,7 @@ type OperatorTree struct {
 // scans and probes send their output over the interconnect and builds
 // and probes receive their input over it; the root streams its result
 // to the client over the network.
-func Expand(p *query.PlanNode) (*OperatorTree, error) {
-	if err := p.Validate(); err != nil {
-		return nil, fmt.Errorf("plan: expanding invalid plan: %w", err)
-	}
-	t := &OperatorTree{Joins: p.Joins()}
-	root := t.expand(p)
-	t.Root = root
-	return t, nil
-}
+func Expand(p *query.PlanNode) (*OperatorTree, error) { return expand(p, false) }
 
 // MustExpand is Expand that panics on an invalid plan.
 func MustExpand(p *query.PlanNode) *OperatorTree {
@@ -114,36 +107,87 @@ func MustExpand(p *query.PlanNode) *OperatorTree {
 // and written to disk instead of streamed to the client. The store
 // joins the root pipeline (a pipelining edge), so it schedules in the
 // final phase alongside the producers feeding it.
-func ExpandMaterialized(p *query.PlanNode) (*OperatorTree, error) {
-	t, err := Expand(p)
-	if err != nil {
-		return nil, err
+func ExpandMaterialized(p *query.PlanNode) (*OperatorTree, error) { return expand(p, true) }
+
+// expand builds the operator tree, with a store at the root if asked,
+// in four allocations: the tree, its operators, their pointers, names.
+func expand(p *query.PlanNode, store bool) (*OperatorTree, error) {
+	if err := p.Validate(); err != nil {
+		return nil, fmt.Errorf("plan: expanding invalid plan: %w", err)
 	}
-	producer := t.Root
-	// The producer now feeds the store over the interconnect instead of
-	// streaming to the client; its NetOut flag already reflects that.
-	store := t.newOp(costmodel.Store, "store(result)", -1, p, costmodel.OpSpec{
-		Kind:         costmodel.Store,
-		InTuples:     p.Tuples,
-		ResultTuples: p.Tuples,
-		NetIn:        true,
-	})
-	producer.Consumer, producer.ConsumerEdge = store, Pipeline
-	t.Root = store
+	j := p.Joins()
+	n := 3*j + 1
+	if store {
+		n++
+	}
+	t := &OperatorTree{Joins: j, Ops: make([]*Operator, 0, n), slab: make([]Operator, n)}
+	t.Root = t.expand(p)
+	if store {
+		// The producer feeds the store over the interconnect (NetOut).
+		producer := t.Root
+		t.Root = t.newOp(costmodel.Store, -1, p, costmodel.OpSpec{
+			Kind:         costmodel.Store,
+			InTuples:     p.Tuples,
+			ResultTuples: p.Tuples,
+			NetIn:        true,
+		})
+		producer.Consumer, producer.ConsumerEdge = t.Root, Pipeline
+	}
+	t.name()
 	return t, nil
 }
 
-func (t *OperatorTree) newOp(kind costmodel.OpKind, name string, joinID int, src *query.PlanNode, spec costmodel.OpSpec) *Operator {
-	op := &Operator{
-		ID:     len(t.Ops),
-		Kind:   kind,
-		Spec:   spec,
-		Name:   name,
-		JoinID: joinID,
-		Source: src,
-	}
+func (t *OperatorTree) newOp(kind costmodel.OpKind, joinID int, src *query.PlanNode, spec costmodel.OpSpec) *Operator {
+	id := len(t.Ops)
+	op := &t.slab[id] // zeroed: set the fields one by one, not a whole struct copy
+	op.ID, op.Kind, op.Spec, op.JoinID, op.Source = id, kind, spec, joinID, src
 	t.Ops = append(t.Ops, op)
 	return op
+}
+
+// name labels every operator kind(label): scan(R3), build(J5),
+// probe(J5), store(result). The names are written into one string
+// sized first, and each Name is a slice of it.
+func (t *OperatorTree) name() {
+	nameLen := func(op *Operator) int {
+		n := len(op.Kind.String()) + len("()")
+		switch op.Kind {
+		case costmodel.Scan:
+			return n + len(op.Source.Relation.Name)
+		case costmodel.Store:
+			return n + len("result")
+		}
+		for j := op.JoinID; j >= 10; j /= 10 {
+			n++
+		}
+		return n + len("J0")
+	}
+	size := 0
+	for _, op := range t.Ops {
+		size += nameLen(op)
+	}
+	var b strings.Builder
+	b.Grow(size)
+	var digits [20]byte
+	for _, op := range t.Ops {
+		b.WriteString(op.Kind.String())
+		b.WriteByte('(')
+		switch op.Kind {
+		case costmodel.Scan:
+			b.WriteString(op.Source.Relation.Name)
+		case costmodel.Store:
+			b.WriteString("result")
+		default:
+			b.WriteByte('J')
+			b.Write(strconv.AppendInt(digits[:0], int64(op.JoinID), 10))
+		}
+		b.WriteByte(')')
+	}
+	s, at := b.String(), 0
+	for _, op := range t.Ops {
+		n := nameLen(op)
+		op.Name, at = s[at:at+n], at+n
+	}
 }
 
 // ScanSpec is the costing spec of the scan operator a leaf plan node
@@ -185,7 +229,7 @@ func ProbeSpec(n *query.PlanNode) costmodel.OpSpec {
 // expand returns the producer operator of the subtree's output stream.
 func (t *OperatorTree) expand(n *query.PlanNode) *Operator {
 	if n.IsLeaf() {
-		return t.newOp(costmodel.Scan, "scan("+n.Relation.Name+")", -1, n, ScanSpec(n))
+		return t.newOp(costmodel.Scan, -1, n, ScanSpec(n))
 	}
 
 	inner := t.expand(n.Inner)
@@ -193,9 +237,8 @@ func (t *OperatorTree) expand(n *query.PlanNode) *Operator {
 
 	jid := t.nextJoin
 	t.nextJoin++
-	j := strconv.Itoa(jid)
-	build := t.newOp(costmodel.Build, "build(J"+j+")", jid, n, BuildSpec(n))
-	probe := t.newOp(costmodel.Probe, "probe(J"+j+")", jid, n, ProbeSpec(n))
+	build := t.newOp(costmodel.Build, jid, n, BuildSpec(n))
+	probe := t.newOp(costmodel.Probe, jid, n, ProbeSpec(n))
 	probe.BuildOp = build
 
 	inner.Consumer, inner.ConsumerEdge = build, Pipeline
@@ -214,6 +257,9 @@ func (t *OperatorTree) Validate() error {
 	for i, op := range t.Ops {
 		if op.ID != i {
 			return fmt.Errorf("plan: operator %q has ID %d at index %d", op.Name, op.ID, i)
+		}
+		if c := op.Consumer; c != nil && (uint(c.ID) >= uint(len(t.Ops)) || t.Ops[c.ID] != c) {
+			return fmt.Errorf("plan: operator %q feeds %q outside the tree", op.Name, c.Name)
 		}
 		switch op.Kind {
 		case costmodel.Store:
@@ -297,57 +343,80 @@ type TaskTree struct {
 
 // NewTaskTree groups an operator tree's nodes into query tasks and
 // derives the blocking structure. It also back-fills each operator's
-// Task pointer.
+// Task pointer. Tasks are numbered in order of their first operator,
+// in five allocations whatever the tree's size.
 func NewTaskTree(ot *OperatorTree) (*TaskTree, error) {
 	if err := ot.Validate(); err != nil {
 		return nil, err
 	}
 	// Union operators across pipeline edges.
-	parent := make([]int, len(ot.Ops))
+	n := len(ot.Ops)
+	ints := make([]int, 3*n)
+	parent, taskOf, count := ints[:n], ints[n:2*n], ints[2*n:]
 	for i := range parent {
-		parent[i] = i
+		parent[i], taskOf[i] = i, -1
 	}
-	var find func(int) int
-	find = func(x int) int {
+	find := func(x int) int {
 		for parent[x] != x {
 			parent[x] = parent[parent[x]]
 			x = parent[x]
 		}
 		return x
 	}
-	union := func(a, b int) { parent[find(a)] = find(b) }
 	for _, op := range ot.Ops {
 		if op.Consumer != nil && op.ConsumerEdge == Pipeline {
-			union(op.ID, op.Consumer.ID)
+			parent[find(op.ID)] = find(op.Consumer.ID)
 		}
 	}
 
-	tt := &TaskTree{}
-	byRoot := map[int]*Task{}
-	taskOf := func(op *Operator) *Task {
+	// Number the tasks from their roots, count their operators, and lay
+	// each task's list out as a window of one slab.
+	nt := 0
+	for _, op := range ot.Ops {
 		r := find(op.ID)
-		tk, ok := byRoot[r]
-		if !ok {
-			tk = &Task{ID: len(tt.Tasks)}
-			tt.Tasks = append(tt.Tasks, tk)
-			byRoot[r] = tk
+		if taskOf[r] < 0 {
+			taskOf[r] = nt
+			nt++
 		}
-		return tk
+		taskOf[op.ID] = taskOf[r]
+		count[taskOf[r]]++
+	}
+	tasks := make([]Task, nt)
+	opSlab := make([]*Operator, n)
+	for i := range tasks {
+		tasks[i].ID = i
+		tasks[i].Ops, opSlab = opSlab[:0:count[i]], opSlab[count[i]:]
 	}
 	for _, op := range ot.Ops {
-		tk := taskOf(op)
+		tk := &tasks[taskOf[op.ID]]
 		tk.Ops = append(tk.Ops, op)
 		op.Task = tk
 	}
 
-	// Blocking edges between tasks.
+	// Blocking edges between tasks: count each parent's children, then
+	// link them in operator order.
+	clear(count)
+	edges := 0
 	for _, op := range ot.Ops {
 		if op.Consumer != nil && op.ConsumerEdge == Blocking {
-			child, par := op.Task, op.Consumer.Task
-			if child == par {
+			if op.Task == op.Consumer.Task {
 				return nil, fmt.Errorf("plan: blocking edge %q -> %q inside one task",
 					op.Name, op.Consumer.Name)
 			}
+			count[op.Consumer.Task.ID]++
+			edges++
+		}
+	}
+	ptrs := make([]*Task, 2*nt+edges)
+	tt := &TaskTree{Tasks: ptrs[:nt:nt]}
+	ptrs = ptrs[nt:]
+	for i := range tasks {
+		tt.Tasks[i] = &tasks[i]
+		tasks[i].Children, ptrs = ptrs[:0:count[i]], ptrs[count[i]:]
+	}
+	for _, op := range ot.Ops {
+		if op.Consumer != nil && op.ConsumerEdge == Blocking {
+			child, par := op.Task, op.Consumer.Task
 			child.Parent = par
 			par.Children = append(par.Children, child)
 		}
@@ -358,8 +427,17 @@ func NewTaskTree(ot *OperatorTree) (*TaskTree, error) {
 		return nil, fmt.Errorf("plan: root task has a parent")
 	}
 
-	// Levels by BFS from the root (MinShelf: level = parent level + 1).
-	tt.assignLevels()
+	// Levels by BFS from the root (MinShelf: level = parent level + 1),
+	// queued in the slab's last len(Tasks) slots.
+	queue := append(ptrs[:0], tt.Root)
+	for i := 0; i < len(queue); i++ {
+		tk := queue[i]
+		tt.Height = max(tt.Height, tk.Level)
+		for _, c := range tk.Children {
+			c.Level = tk.Level + 1
+			queue = append(queue, c)
+		}
+	}
 	return tt, nil
 }
 
@@ -370,23 +448,6 @@ func MustNewTaskTree(ot *OperatorTree) *TaskTree {
 		panic(err)
 	}
 	return tt
-}
-
-func (tt *TaskTree) assignLevels() {
-	tt.Height = 0
-	queue := []*Task{tt.Root}
-	tt.Root.Level = 0
-	for len(queue) > 0 {
-		tk := queue[0]
-		queue = queue[1:]
-		if tk.Level > tt.Height {
-			tt.Height = tk.Level
-		}
-		for _, c := range tk.Children {
-			c.Level = tk.Level + 1
-			queue = append(queue, c)
-		}
-	}
 }
 
 // PhasePolicy selects how tasks are packed into synchronized phases.

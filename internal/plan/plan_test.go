@@ -2,6 +2,7 @@ package plan
 
 import (
 	"math/rand"
+	"strconv"
 	"testing"
 	"testing/quick"
 
@@ -459,6 +460,58 @@ func BenchmarkExpandAndGroup40Joins(b *testing.B) {
 		tt := MustNewTaskTree(MustExpand(p))
 		if tt.Root == nil {
 			b.Fatal("no root")
+		}
+	}
+}
+
+// TestExpandAllocs gates the expansion's allocations per tree, not per
+// operator: Expand + NewTaskTree take the same count at 3 joins as at
+// 30: nine, four for the operator tree and five for the task tree. When
+// every operator, name and task was its own object they took 51 at 3
+// joins and 357 at 30. Each name must still read kind(label), as the
+// goldens and the rendered schedules spell it, and every task's Ops and
+// Children windows must end at their length, so that an append to one
+// cannot write into its neighbour's.
+func TestExpandAllocs(t *testing.T) {
+	count := func(joins int, materialized bool) float64 {
+		p := query.MustRandom(rand.New(rand.NewSource(int64(joins))), query.DefaultGenConfig(joins))
+		expand := Expand
+		if materialized {
+			expand = ExpandMaterialized
+		}
+		run := func() {
+			ot, err := expand(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			MustNewTaskTree(ot)
+		}
+		ot, _ := expand(p)
+		for _, op := range ot.Ops {
+			label := "result"
+			switch op.Kind {
+			case costmodel.Scan:
+				label = op.Source.Relation.Name
+			case costmodel.Build, costmodel.Probe:
+				label = "J" + strconv.Itoa(op.JoinID)
+			}
+			if want := op.Kind.String() + "(" + label + ")"; op.Name != want {
+				t.Fatalf("joins=%d: operator %d named %q, want %q", joins, op.ID, op.Name, want)
+			}
+		}
+		for _, tk := range MustNewTaskTree(ot).Tasks {
+			if cap(tk.Ops) != len(tk.Ops) || cap(tk.Children) != len(tk.Children) {
+				t.Fatalf("joins=%d: task %d windows have spare capacity", joins, tk.ID)
+			}
+		}
+		return testing.AllocsPerRun(20, run)
+	}
+	for _, materialized := range []bool{false, true} {
+		small, large := count(3, materialized), count(30, materialized)
+		t.Logf("materialized=%v: allocs at 3 joins %.0f, at 30 joins %.0f", materialized, small, large)
+		if small != large || large > 9 {
+			t.Errorf("materialized=%v: Expand + NewTaskTree allocate %.0f times at 3 joins and %.0f at 30, want one count <= 9",
+				materialized, small, large)
 		}
 	}
 }

@@ -15,9 +15,10 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"hash"
 	"math"
-	"sort"
+	"slices"
+	"strconv"
+	"sync"
 
 	"mdrs/internal/plan"
 )
@@ -29,32 +30,27 @@ type Fingerprint [sha256.Size]byte
 // String renders the fingerprint as lowercase hex.
 func (f Fingerprint) String() string { return hex.EncodeToString(f[:]) }
 
-// fpWriter adds typed, length-prefixed appends on top of a hash so
-// adjacent variable-length fields cannot alias each other's encodings.
-type fpWriter struct {
-	h   hash.Hash
-	buf [8]byte
+// fpEncoder appends the digested fields to one buffer, hashed once:
+// varint integers, 8-byte floats, 1-byte bools and length-prefixed
+// strings, every count before what it counts, so the encoding is
+// prefix-free (DESIGN §10) and equal encodings mean equal fields.
+type fpEncoder struct {
+	buf []byte
+	ids []int // the Homes keys, sorted
 }
 
-func (w *fpWriter) u64(v uint64) {
-	binary.LittleEndian.PutUint64(w.buf[:], v)
-	w.h.Write(w.buf[:])
+// fpPool keeps encoders between calls: a warm Fingerprint allocates nothing.
+var fpPool = sync.Pool{New: func() any { return new(fpEncoder) }}
+
+func (e *fpEncoder) i(v int) { e.buf = binary.AppendVarint(e.buf, int64(v)) }
+func (e *fpEncoder) f64(v float64) {
+	e.buf = binary.LittleEndian.AppendUint64(e.buf, math.Float64bits(v))
 }
+func (e *fpEncoder) b(v bool) { e.buf = strconv.AppendBool(e.buf, v)[:len(e.buf)+1] } // 't' or 'f'
 
-func (w *fpWriter) i(v int)       { w.u64(uint64(int64(v))) }
-func (w *fpWriter) f64(v float64) { w.u64(math.Float64bits(v)) }
-
-func (w *fpWriter) b(v bool) {
-	if v {
-		w.u64(1)
-	} else {
-		w.u64(0)
-	}
-}
-
-func (w *fpWriter) str(s string) {
-	w.i(len(s))
-	w.h.Write([]byte(s))
+func (e *fpEncoder) str(s string) {
+	e.i(len(s))
+	e.buf = append(e.buf, s...)
 }
 
 // Fingerprint digests the scheduler configuration together with one
@@ -63,7 +59,9 @@ func (w *fpWriter) str(s string) {
 // therefore byte-identical EncodeJSON renderings, which also read
 // operator names).
 func (ts TreeScheduler) Fingerprint(tt *plan.TaskTree) Fingerprint {
-	w := &fpWriter{h: sha256.New()}
+	w := fpPool.Get().(*fpEncoder)
+	defer fpPool.Put(w)
+	w.buf = w.buf[:0]
 
 	// Scheduler configuration.
 	pr := ts.Model.Params
@@ -89,13 +87,13 @@ func (ts TreeScheduler) Fingerprint(tt *plan.TaskTree) Fingerprint {
 
 	// Rooting constraints, in sorted operator-ID order so map iteration
 	// order cannot leak into the digest.
-	ids := make([]int, 0, len(ts.Homes))
+	w.ids = w.ids[:0]
 	for id := range ts.Homes {
-		ids = append(ids, id)
+		w.ids = append(w.ids, id)
 	}
-	sort.Ints(ids)
-	w.i(len(ids))
-	for _, id := range ids {
+	slices.Sort(w.ids)
+	w.i(len(w.ids))
+	for _, id := range w.ids {
 		sites := ts.Homes[id]
 		w.i(id)
 		w.i(len(sites))
@@ -129,9 +127,7 @@ func (ts TreeScheduler) Fingerprint(tt *plan.TaskTree) Fingerprint {
 		}
 	}
 
-	var f Fingerprint
-	w.h.Sum(f[:0])
-	return f
+	return sha256.Sum256(w.buf)
 }
 
 func taskID(tk *plan.Task) int {

@@ -21,6 +21,7 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"math"
 	"slices"
 
 	"mdrs/internal/obs"
@@ -216,22 +217,23 @@ func (sc *scratch) operatorSchedule(ctx context.Context, p, d int, ov resource.O
 	sys := sc.system(p, d, ov)
 
 	// Step 1 (Figure 3): place the work vectors of all rooted operators
-	// at their respective sites.
+	// at their respective sites, one work run (one T^seq) at a time. A
+	// run's homes are distinct sites, so each clone's traced load before
+	// the run is its load before its own placement.
 	for i, op := range ops {
 		if !op.Rooted() {
 			continue
 		}
-		for k, h := range op.Home {
-			if rec != nil {
-				rec.Event(obs.Event{
-					Type: obs.EvPlace, Phase: phase, Op: op.ID, Clone: k,
-					Site: h, Rooted: true,
-					L: sys.LoadLength(h), Sum: sys.LoadSum(h),
-				})
+		for k := 0; k < len(op.Home); {
+			w, c := op.runAt(k)
+			run := op.Home[k : k+c]
+			for n := 0; rec != nil && n < c; n++ {
+				rec.Event(obs.Event{Type: obs.EvPlace, Phase: phase, Op: op.ID, Clone: k + n,
+					Site: run[n], Rooted: true, L: sys.LoadLength(run[n]), Sum: sys.LoadSum(run[n])})
 			}
-			w, _ := op.runAt(k)
-			sys.Assign(h, w)
-			sites[i][k] = h
+			sys.AssignRun(run, w)
+			copy(sites[i][k:], run)
+			k += c
 		}
 	}
 
@@ -454,8 +456,10 @@ func LowerBound(p int, ov resource.Overlap, ops []*Op) float64 {
 // adds an operator's work in another order than the placed clones do,
 // so a caller comparing it with a response needs a tolerance. It
 // validates ts and tt as ScheduleCtx does and uses the Cache when one is
-// attached. Like ScheduleCtx it refuses a degree outside [1, P] and a
-// home with a site outside [0, P) or two clones at one site.
+// attached. Like ScheduleCtx it refuses a degree outside [1, P], a
+// home with a site outside [0, P) or two clones at one site, and work
+// that is not finite. A join's degree is derived once, at its build,
+// whose earlier phase leaves it for the probe by the build's ID.
 func (ts TreeScheduler) PhaseBound(tt *plan.TaskTree) (float64, error) {
 	if err := ts.Validate(); err != nil {
 		return 0, err
@@ -466,13 +470,28 @@ func (ts TreeScheduler) PhaseBound(tt *plan.TaskTree) (float64, error) {
 	var buf [resource.Dims]float64
 	total := vector.Vector(buf[:])
 	var seen []bool
+	nOps := 0
+	for _, tk := range tt.Tasks {
+		nOps += len(tk.Ops)
+	}
+	var small [64]int
+	deg := small[:]
+	if nOps > len(small) {
+		deg = make([]int, nOps)
+	}
 	sum := 0.0
 	for _, phase := range tt.PhasesBy(ts.Policy) {
 		clear(total)
 		h := 0.0
 		for _, tk := range phase {
 			for _, op := range tk.Ops {
-				n := ts.degreeOf(op)
+				n := 0 // refused below for a probe whose build has not run
+				if b := op.BuildOp; b == nil {
+					n = ts.degreeOf(op)
+				} else if uint(b.ID) < uint(nOps) {
+					n = deg[b.ID]
+				}
+				deg[op.ID] = n
 				if n < 1 || n > ts.P {
 					return 0, fmt.Errorf("sched: operator %q has degree %d outside [1, %d]", op.Name, n, ts.P)
 				}
@@ -485,6 +504,9 @@ func (ts TreeScheduler) PhaseBound(tt *plan.TaskTree) (float64, error) {
 					}
 				}
 				cost, tpar := ts.costTPar(op.Spec, n)
+				if !(tpar < math.Inf(1)) {
+					return 0, fmt.Errorf("sched: operator %q has T^par %g at degree %d", op.Name, tpar, n)
+				}
 				ts.Model.AddTotalWork(total, cost, n)
 				h = max(h, tpar)
 			}

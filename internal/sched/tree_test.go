@@ -233,6 +233,24 @@ func TestEpsilonOutsideUnitRejected(t *testing.T) {
 	}
 }
 
+// Params Validate accepts can still cost infinite work: a MIPS rate of
+// 5e-324 makes every CPU term +Inf. Schedule refuses the work vectors
+// and PhaseBound the T^par, where the degree derivation once panicked
+// (N_max of NaN).
+func TestInfiniteWorkRejected(t *testing.T) {
+	tt := randomTree(3, 4)
+	for _, f := range []float64{0, 0.7} {
+		ts := testScheduler(16, 0.5, f)
+		ts.Model.Params.MIPS = 5e-324
+		if s, err := ts.Schedule(tt); err == nil {
+			t.Errorf("f = %g: Schedule accepted (response %g)", f, s.Response)
+		}
+		if b, err := ts.PhaseBound(tt); err == nil {
+			t.Errorf("f = %g: PhaseBound accepted (bound %g)", f, b)
+		}
+	}
+}
+
 func TestPhaseBoundRejectsBadInput(t *testing.T) {
 	ot := plan.MustExpand(leaf("R", 50000))
 	tt := plan.MustNewTaskTree(ot)
