@@ -23,15 +23,13 @@ fmt-check:
 	test -z "$$(gofmt -l . | grep -v '^bench/out')"
 
 # internal/repro/ holds the code that only reproduces the paper's
-# evaluation (the SYNCHRONOUS adversary, the fluid and pipeline
-# simulators, the open-problem schedulers), with internal/malleable (the
-# Section 7 scheduler) and internal/experiments (the figure harness)
-# still beside the system until they move there too; cmd/mdrs-bench and
-# examples/ use it. No other package links it, and neither do the root
-# package's or mdrs-sched's tests.
+# evaluation (the SYNCHRONOUS adversary, the Section 7 scheduler, the
+# fluid and pipeline simulators, the open-problem schedulers and the
+# figure harness); cmd/mdrs-bench and examples/ use it. No other package
+# links it, and neither do the root package's or mdrs-sched's tests.
 system-deps:
-	@bad=$$( { $(GO) list -deps $$($(GO) list ./... | grep -vE '^mdrs/(internal/(repro|malleable|experiments)|cmd/mdrs-bench|examples)(/|$$)'); \
-		$(GO) list -deps -test . ./cmd/mdrs-sched; } | grep -E '^mdrs/internal/(repro|malleable|experiments)(/|$$)' | sort -u); \
+	@bad=$$( { $(GO) list -deps $$($(GO) list ./... | grep -vE '^mdrs/(internal/repro|cmd/mdrs-bench|examples)(/|$$)'); \
+		$(GO) list -deps -test . ./cmd/mdrs-sched; } | grep -E '^mdrs/internal/repro(/|$$)' | sort -u); \
 	if [ -n "$$bad" ]; then echo "the system links reproduction packages:"; echo "$$bad"; exit 1; fi
 
 test:
@@ -110,8 +108,7 @@ trace-demo:
 
 # The size ROADMAP tracks: non-test Go lines of the root module (the
 # nested bench/ module excluded), then the same count for the system
-# alone — without internal/repro/, internal/malleable/,
-# internal/experiments/ and cmd/mdrs-bench/.
+# alone — without internal/repro/ and cmd/mdrs-bench/.
 loc:
 	@git ls-files '*.go' | grep -v _test.go | grep -v '^bench/' | xargs cat | wc -l
-	@git ls-files '*.go' | grep -v _test.go | grep -v '^bench/' | grep -vE '^(internal/(repro|malleable|experiments)|cmd/mdrs-bench)/' | xargs cat | wc -l
+	@git ls-files '*.go' | grep -v _test.go | grep -v '^bench/' | grep -vE '^(internal/repro|cmd/mdrs-bench)/' | xargs cat | wc -l

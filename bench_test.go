@@ -1,7 +1,7 @@
 // Benchmarks of the system's own cost: the list scheduler and
 // TreeSchedule across sizes (Propositions 5.1 and 5.2) and one engine
 // run. The figure and ablation benchmarks live with the harness in
-// internal/experiments.
+// internal/repro/experiments.
 package mdrs_test
 
 import (
@@ -30,11 +30,11 @@ func BenchmarkOperatorScheduleScaling(b *testing.B) {
 			ops := make([]*sched.Op, mp.m)
 			for i := range ops {
 				n := 1 + r.Intn(4)
-				clones := make([]mdrs.Vector, n)
-				for k := range clones {
-					clones[k] = mdrs.Vector{r.Float64(), r.Float64(), r.Float64()}
+				work := make([]sched.WorkRun, n)
+				for k := range work {
+					work[k] = sched.WorkRun{N: 1, W: mdrs.Vector{r.Float64(), r.Float64(), r.Float64()}}
 				}
-				ops[i] = &sched.Op{ID: i, Clones: clones}
+				ops[i] = &sched.Op{ID: i, Work: work}
 			}
 			b.ReportAllocs()
 			b.ResetTimer()

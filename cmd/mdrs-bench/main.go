@@ -26,8 +26,8 @@ import (
 	"runtime/pprof"
 	"strings"
 
-	"mdrs/internal/experiments"
 	"mdrs/internal/obs"
+	"mdrs/internal/repro/experiments"
 )
 
 func main() {

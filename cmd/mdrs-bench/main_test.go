@@ -7,8 +7,8 @@ import (
 	"strings"
 	"testing"
 
-	"mdrs/internal/experiments"
 	"mdrs/internal/obs"
+	"mdrs/internal/repro/experiments"
 )
 
 func testConfig() experiments.Config {

@@ -29,19 +29,17 @@
 //
 // This package is the system: what the scheduling service and its
 // commands link. The code that exists only to reproduce the paper's
-// evaluation lives under internal/repro (two of its packages,
-// internal/malleable and internal/experiments, still beside the
-// system), is not re-exported, and is imported only by mdrs-bench, the
-// examples and its own tests: internal/repro/baseline (the
-// one-dimensional SYNCHRONOUS adversary: Hsiao et al.'s synchronous
-// execution time combined with Lo et al.'s minimax pipeline
-// allocation), internal/malleable (the Section 7 scheduler that picks
-// degrees of parallelism itself, within 2d+1 of the optimum over all
-// parallel schedules, Theorem 7.1),
+// evaluation lives under internal/repro, is not re-exported, and is
+// imported only by mdrs-bench, the examples and its own tests:
+// internal/repro/baseline (the one-dimensional SYNCHRONOUS adversary:
+// Hsiao et al.'s synchronous execution time combined with Lo et al.'s
+// minimax pipeline allocation), internal/repro/malleable (the Section 7
+// scheduler that picks degrees of parallelism itself, within 2d+1 of
+// the optimum over all parallel schedules, Theorem 7.1),
 // internal/repro/sim (the fluid simulator validating the analytic
 // sharing model), internal/repro/memsched, internal/repro/contention
 // and internal/repro/pipesim (the open-problem extensions) and
-// internal/experiments.
+// internal/repro/experiments (the figure harness).
 //
 // The quickest route from a query to a schedule:
 //
@@ -49,7 +47,7 @@
 //	s, err := mdrs.ScheduleQuery(plan, mdrs.Options{Sites: 32, Epsilon: 0.5, F: 0.7})
 //
 // The experiments of the paper's Section 6 are regenerated by the
-// mdrs-bench command and the benchmarks of internal/experiments;
+// mdrs-bench command and the benchmarks of internal/repro/experiments;
 // DESIGN.md maps every figure to the modules that implement it and
 // EXPERIMENTS.md records paper-versus-measured outcomes.
 package mdrs

@@ -35,8 +35,8 @@ func ExampleScheduleQuery() {
 func ExampleOperatorSchedule() {
 	ov, _ := mdrs.NewOverlap(1)
 	ops := []*mdrs.SchedOp{
-		{ID: 0, Clones: []mdrs.Vector{{10, 0, 0}}}, // CPU-bound
-		{ID: 1, Clones: []mdrs.Vector{{0, 10, 0}}}, // disk-bound
+		{ID: 0, Work: []mdrs.WorkRun{{N: 1, W: mdrs.Vector{10, 0, 0}}}}, // CPU-bound
+		{ID: 1, Work: []mdrs.WorkRun{{N: 1, W: mdrs.Vector{0, 10, 0}}}}, // disk-bound
 	}
 	res, _ := mdrs.OperatorSchedule(1, 3, ov, ops)
 	fmt.Printf("both on one site in %.0f s\n", res.Response)

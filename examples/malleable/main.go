@@ -10,7 +10,7 @@ import (
 	"log"
 
 	"mdrs"
-	"mdrs/internal/malleable"
+	"mdrs/internal/repro/malleable"
 )
 
 func main() {

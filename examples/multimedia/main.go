@@ -46,7 +46,7 @@ func main() {
 
 	ops := make([]*mdrs.SchedOp, len(reqs))
 	for i, r := range reqs {
-		ops[i] = &mdrs.SchedOp{ID: i, Clones: []mdrs.Vector{r.work}}
+		ops[i] = &mdrs.SchedOp{ID: i, Work: []mdrs.WorkRun{{N: 1, W: r.work}}}
 	}
 
 	res, err := mdrs.OperatorSchedule(servers, mdrs.Dims, ov, ops)

@@ -139,15 +139,15 @@ func FuzzOperatorSchedule(f *testing.F) {
 		ops := make([]*sched.Op, m)
 		for i := range ops {
 			n := int(uint64(seed+int64(i))%uint64(p)) + 1
-			clones := make([]mdrs.Vector, n)
-			for k := range clones {
+			work := make([]sched.WorkRun, n)
+			for k := range work {
 				w := make(mdrs.Vector, d)
 				for j := range w {
 					w[j] = next()
 				}
-				clones[k] = w
+				work[k] = sched.WorkRun{N: 1, W: w}
 			}
-			ops[i] = &sched.Op{ID: i, Clones: clones}
+			ops[i] = &sched.Op{ID: i, Work: work}
 		}
 		res, err := sched.OperatorSchedule(p, d, ov, ops)
 		if err != nil {

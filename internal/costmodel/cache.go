@@ -24,7 +24,7 @@ const cacheMapLimit = 1 << 14
 // a cached answer is bit-identical to a fresh one — the scheduler
 // identity tests pin this — and the cache can be shared freely across
 // phases, trees, batch entries, and concurrent scheduling calls (all
-// methods are safe for concurrent use). Degree, Clones and TPar read
+// methods are safe for concurrent use). DegreeCapped, Clones and TPar read
 // the cached cost and compute the rest: NOpt's search takes about 15
 // T^par evaluations, no more than a probe of a degree map keyed by
 // spec, f, P, ε and cap under the shared lock.
@@ -95,14 +95,9 @@ func (c *Cache) Cost(spec OpSpec) OpCost {
 	return cost
 }
 
-// Degree is Model.Degree over the cached cost of the spec. It takes the
-// spec rather than an OpCost because the cost is itself a pure function
-// of the spec.
-func (c *Cache) Degree(spec OpSpec, f float64, p int, ov resource.Overlap) int {
-	return c.DegreeCapped(spec, f, p, ov, 0)
-}
-
 // DegreeCapped is Model.DegreeCapped over the cached cost of the spec.
+// It takes the spec rather than an OpCost because the cost is itself a
+// pure function of the spec.
 func (c *Cache) DegreeCapped(spec OpSpec, f float64, p int, ov resource.Overlap, cap int) int {
 	return c.model.DegreeCapped(c.Cost(spec), f, p, ov, cap)
 }

@@ -41,7 +41,7 @@ func TestCacheMatchesModelExactly(t *testing.T) {
 			}
 			f := 0.1 + r.Float64()
 			p := 1 + r.Intn(64)
-			if got, want := c.Degree(spec, f, p, ov), m.Degree(want, f, p, ov); got != want {
+			if got, want := c.DegreeCapped(spec, f, p, ov, 0), m.Degree(want, f, p, ov); got != want {
 				t.Fatalf("Degree(%+v, f=%g, p=%d): cached %d != model %d", spec, f, p, got, want)
 			}
 			n := 1 + r.Intn(8)
@@ -69,14 +69,14 @@ func TestCacheMemoizesAndShares(t *testing.T) {
 	c.Cost(spec)
 	hits, misses := c.Stats()
 	c.Cost(spec)
-	c.Degree(spec, 0.7, 32, ov)
+	c.DegreeCapped(spec, 0.7, 32, ov, 0)
 	if h2, m2 := c.Stats(); h2 != hits+2 || m2 != misses {
 		t.Fatalf("hits %d -> %d, misses %d -> %d: the repeated Cost and the Degree should each hit once",
 			hits, h2, misses, m2)
 	}
 
 	// Distinct keys stay distinct.
-	if got, want := c.Degree(spec, 0.7, 16, ov), c.Model().Degree(c.Model().Cost(spec), 0.7, 16, ov); got != want {
+	if got, want := c.DegreeCapped(spec, 0.7, 16, ov, 0), c.Model().Degree(c.Model().Cost(spec), 0.7, 16, ov); got != want {
 		t.Fatalf("Degree with p=16: %d != %d", got, want)
 	}
 }
@@ -124,7 +124,7 @@ func TestCacheConcurrent(t *testing.T) {
 					return
 				}
 				n := 1 + (g+i)%6
-				if got, want := c.Degree(spec, 0.7, 32, ov), m.Degree(m.Cost(spec), 0.7, 32, ov); got != want {
+				if got, want := c.DegreeCapped(spec, 0.7, 32, ov, 0), m.Degree(m.Cost(spec), 0.7, 32, ov); got != want {
 					t.Errorf("concurrent Degree mismatch: %d != %d", got, want)
 					return
 				}

@@ -324,23 +324,6 @@ func (m Model) Split(c OpCost, n int) CloneWork {
 	return w
 }
 
-// Vectors expands w into one work vector per clone, coordinator first.
-// The N vectors are disjoint d-wide windows of one backing array.
-func (w CloneWork) Vectors() []vector.Vector {
-	const d = resource.Dims
-	out := make([]vector.Vector, w.N)
-	back := make([]float64, w.N*d)
-	for k := range out {
-		out[k] = back[k*d : (k+1)*d : (k+1)*d]
-		copy(out[k], w.Worker[:])
-	}
-	copy(out[0], w.Coord[:])
-	return out
-}
-
-// Clones is Split(c, n) as one work vector per clone, for sched.Op.
-func (m Model) Clones(c OpCost, n int) []vector.Vector { return m.Split(c, n).Vectors() }
-
 // TotalWork returns the total work vector W̄_op for an N-site execution:
 // the componentwise sum over all clones, so that
 // Σ_k W_op[k] = W_p(op) + W_c(op, N) as required by Section 5.1.

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
-	"unsafe"
 
 	"mdrs/internal/resource"
 	"mdrs/internal/vector"
@@ -302,7 +301,7 @@ func TestClonesStructure(t *testing.T) {
 	m := Default()
 	c := m.Cost(OpSpec{Kind: Scan, InTuples: 4000, NetOut: true})
 	n := 5
-	clones := m.Clones(c, n)
+	clones := perClone(m.Split(c, n))
 	if len(clones) != n {
 		t.Fatalf("len(clones) = %d, want %d", len(clones), n)
 	}
@@ -344,8 +343,19 @@ func TestClonesStructure(t *testing.T) {
 	}
 }
 
-// clonesByCopy is Clones as it was before the vectors shared a backing
-// array: a base vector cloned once per site, startup added to clone 0.
+// perClone expands an EA1 split into one work vector per clone,
+// coordinator first.
+func perClone(w CloneWork) []vector.Vector {
+	out := make([]vector.Vector, w.N)
+	for k := range out {
+		out[k] = vector.Vector(w.Worker[:]).Clone()
+	}
+	copy(out[0], w.Coord[:])
+	return out
+}
+
+// clonesByCopy is the per-clone construction of the EA1 split: a base
+// vector cloned once per site, startup added to clone 0.
 func clonesByCopy(m Model, c OpCost, n int) []vector.Vector {
 	p := m.Params
 	base := vector.New(resource.Dims)
@@ -364,44 +374,6 @@ func clonesByCopy(m Model, c OpCost, n int) []vector.Vector {
 		out[k] = base.Clone()
 	}
 	return out
-}
-
-// TestClonesSlabLayout checks the one-array layout of Clones: every
-// component is bit-equal to the per-clone construction, consecutive
-// vectors occupy disjoint ascending windows, and no vector has spare
-// capacity reaching into its neighbour.
-func TestClonesSlabLayout(t *testing.T) {
-	m := Default()
-	r := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 200; trial++ {
-		c := m.Cost(OpSpec{
-			Kind:         OpKind(r.Intn(4)),
-			InTuples:     1 + r.Intn(100000),
-			ResultTuples: 1 + r.Intn(100000),
-			NetIn:        r.Intn(2) == 0,
-			NetOut:       r.Intn(2) == 0,
-		})
-		n := 1 + r.Intn(140)
-		got, want := m.Clones(c, n), clonesByCopy(m, c, n)
-		if len(got) != n {
-			t.Fatalf("len(Clones) = %d, want %d", len(got), n)
-		}
-		const d = resource.Dims
-		for k := range got {
-			if len(got[k]) != d || cap(got[k]) != d {
-				t.Fatalf("clone %d has len %d cap %d, want %d/%d", k, len(got[k]), cap(got[k]), d, d)
-			}
-			for i := range got[k] {
-				if math.Float64bits(got[k][i]) != math.Float64bits(want[k][i]) {
-					t.Fatalf("n = %d clone %d component %d = %v, per-clone construction gives %v",
-						n, k, i, got[k][i], want[k][i])
-				}
-			}
-			if k+1 < n && uintptr(unsafe.Pointer(&got[k][d-1])) >= uintptr(unsafe.Pointer(&got[k+1][0])) {
-				t.Fatalf("n = %d: clone %d overlaps clone %d", n, k, k+1)
-			}
-		}
-	}
 }
 
 // Property: for random specs and N in [1, 512], the EA1 Split expanded
@@ -435,10 +407,10 @@ func TestCloneWorkMatchesPerClone(t *testing.T) {
 func TestClonesInvalidNPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Clones(0) did not panic")
+			t.Fatal("Split(0) did not panic")
 		}
 	}()
-	Default().Clones(OpCost{Processing: vector.New(3)}, 0)
+	Default().Split(OpCost{Processing: vector.New(3)}, 0)
 }
 
 func TestTParSequentialEqualsTSeqPlusStartup(t *testing.T) {
@@ -552,7 +524,7 @@ func TestQuickClonesConserveWork(t *testing.T) {
 		}
 		c := m.Cost(spec)
 		n := 1 + r.Intn(140)
-		clones := m.Clones(c, n)
+		clones := perClone(m.Split(c, n))
 		for _, w := range clones {
 			if err := w.Validate(); err != nil {
 				return false
@@ -608,7 +580,7 @@ func TestQuickTParMatchesCloneMax(t *testing.T) {
 		ov := resource.MustOverlap(r.Float64())
 		n := 1 + r.Intn(140)
 		want := 0.0
-		for _, w := range m.Clones(c, n) {
+		for _, w := range perClone(m.Split(c, n)) {
 			if s := ov.TSeq(w); s > want {
 				want = s
 			}

@@ -79,7 +79,7 @@ func TestCacheDegreeCappedKeyedByCap(t *testing.T) {
 		}
 	}
 	// Negative caps mean uncapped, as 0 does.
-	if got, want := cache.DegreeCapped(spec, f, p, ov, -3), cache.Degree(spec, f, p, ov); got != want {
+	if got, want := cache.DegreeCapped(spec, f, p, ov, -3), cache.DegreeCapped(spec, f, p, ov, 0); got != want {
 		t.Fatalf("negative cap: %d != uncapped %d", got, want)
 	}
 	hits, _ := cache.Stats()

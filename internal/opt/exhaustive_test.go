@@ -12,7 +12,7 @@ import (
 	"testing"
 
 	"mdrs/internal/costmodel"
-	"mdrs/internal/malleable"
+	"mdrs/internal/repro/malleable"
 	"mdrs/internal/resource"
 	"mdrs/internal/sched"
 	"mdrs/internal/vector"
@@ -35,7 +35,7 @@ func Exhaustive(p, d int, ov resource.Overlap, ops []*sched.Op) (float64, error)
 
 	type cloneRef struct {
 		op *sched.Op
-		k  int
+		w  vector.Vector
 	}
 	var clones []cloneRef
 	// work[j] is the multiset work(s_j), pushed and popped as the search
@@ -44,15 +44,13 @@ func Exhaustive(p, d int, ov resource.Overlap, ops []*sched.Op) (float64, error)
 	usedBy := make(map[*sched.Op]map[int]bool, len(ops))
 	for _, op := range ops {
 		usedBy[op] = map[int]bool{}
-		if op.Rooted() {
-			for k, s := range op.Home {
-				work[s] = append(work[s], op.Clones[k])
-				usedBy[op][s] = true
+		for k, w := range expand(op.Work) {
+			if op.Rooted() {
+				work[op.Home[k]] = append(work[op.Home[k]], w)
+				usedBy[op][op.Home[k]] = true
+			} else {
+				clones = append(clones, cloneRef{op: op, w: w})
 			}
-			continue
-		}
-		for k := range op.Clones {
-			clones = append(clones, cloneRef{op: op, k: k})
 		}
 	}
 
@@ -70,7 +68,7 @@ func Exhaustive(p, d int, ov resource.Overlap, ops []*sched.Op) (float64, error)
 			if usedBy[c.op][j] {
 				continue
 			}
-			work[j] = append(work[j], c.op.Clones[c.k])
+			work[j] = append(work[j], c.w)
 			usedBy[c.op][j] = true
 			rec(i+1, max(cur, ov.TSite(work[j])))
 			usedBy[c.op][j] = false
@@ -83,6 +81,26 @@ func Exhaustive(p, d int, ov resource.Overlap, ops []*sched.Op) (float64, error)
 	}
 	rec(0, start)
 	return best, nil
+}
+
+// expand is work clone by clone.
+func expand(work []sched.WorkRun) []vector.Vector {
+	var clones []vector.Vector
+	for _, r := range work {
+		for range r.N {
+			clones = append(clones, r.W)
+		}
+	}
+	return clones
+}
+
+// runsOf is one run of one clone per vector.
+func runsOf(clones []vector.Vector) []sched.WorkRun {
+	work := make([]sched.WorkRun, len(clones))
+	for k, w := range clones {
+		work[k] = sched.WorkRun{N: 1, W: w}
+	}
+	return work
 }
 
 // ExhaustiveMalleable finds the optimal response time over all
@@ -105,7 +123,7 @@ func ExhaustiveMalleable(p int, ov resource.Overlap, m costmodel.Model, ops []ma
 	for {
 		schedOps := make([]*sched.Op, len(ops))
 		for i, op := range ops {
-			schedOps[i] = &sched.Op{ID: op.ID, Clones: m.Clones(op.Cost, degrees[i])}
+			schedOps[i] = &sched.Op{ID: op.ID, Work: sched.SplitWork(m.Split(op.Cost, degrees[i]))}
 		}
 		opt, err := Exhaustive(p, resource.Dims, ov, schedOps)
 		if err != nil {
@@ -134,10 +152,10 @@ func TestExhaustiveMatchesHandOptimum(t *testing.T) {
 	// Two CPU-bound and two disk-bound unit ops on two sites: optimum
 	// pairs complements, response 10.
 	ops := []*sched.Op{
-		{ID: 0, Clones: []vector.Vector{vector.Of(10, 0)}},
-		{ID: 1, Clones: []vector.Vector{vector.Of(10, 0)}},
-		{ID: 2, Clones: []vector.Vector{vector.Of(0, 10)}},
-		{ID: 3, Clones: []vector.Vector{vector.Of(0, 10)}},
+		{ID: 0, Work: runsOf([]vector.Vector{vector.Of(10, 0)})},
+		{ID: 1, Work: runsOf([]vector.Vector{vector.Of(10, 0)})},
+		{ID: 2, Work: runsOf([]vector.Vector{vector.Of(0, 10)})},
+		{ID: 3, Work: runsOf([]vector.Vector{vector.Of(0, 10)})},
 	}
 	got, err := Exhaustive(2, 2, ov, ops)
 	if err != nil {
@@ -152,8 +170,8 @@ func TestExhaustiveRespectsRootedOps(t *testing.T) {
 	ov := resource.MustOverlap(1)
 	// A rooted hog on site 0 forces the floating op to site 1.
 	ops := []*sched.Op{
-		{ID: 0, Clones: []vector.Vector{vector.Of(100, 0)}, Home: []int{0}},
-		{ID: 1, Clones: []vector.Vector{vector.Of(5, 5)}},
+		{ID: 0, Work: runsOf([]vector.Vector{vector.Of(100, 0)}), Home: []int{0}},
+		{ID: 1, Work: runsOf([]vector.Vector{vector.Of(5, 5)})},
 	}
 	got, err := Exhaustive(2, 2, ov, ops)
 	if err != nil {
@@ -185,7 +203,7 @@ func TestExhaustiveNeverAboveHeuristic(t *testing.T) {
 				}
 				clones[k] = w
 			}
-			ops = append(ops, &sched.Op{ID: i, Clones: clones})
+			ops = append(ops, &sched.Op{ID: i, Work: runsOf(clones)})
 			totalClones += n
 		}
 		heur, err := sched.OperatorSchedule(p, d, ov, ops)
@@ -281,7 +299,7 @@ func TestLowerBoundIsSoundAgainstExhaustive(t *testing.T) {
 				}
 				clones[k] = w
 			}
-			ops = append(ops, &sched.Op{ID: i, Clones: clones})
+			ops = append(ops, &sched.Op{ID: i, Work: runsOf(clones)})
 			total += n
 		}
 		lb := sched.LowerBound(p, ov, ops)

@@ -140,13 +140,7 @@ func TestBoundIsLowerBoundOnTreeSchedule(t *testing.T) {
 		for _, ph := range s.Phases {
 			ops := make([]*sched.Op, len(ph.Placements))
 			for i, pl := range ph.Placements {
-				var clones []vector.Vector
-				for _, r := range pl.Work {
-					for range r.N {
-						clones = append(clones, r.W)
-					}
-				}
-				ops[i] = &sched.Op{ID: pl.Op.ID, Clones: clones}
+				ops[i] = &sched.Op{ID: pl.Op.ID, Work: pl.Work}
 			}
 			phaseLB := sched.LowerBound(p, ov, ops)
 			if ph.Response < phaseLB-1e-9 || ph.Response > sched.PerformanceRatioBound(resource.Dims)*phaseLB+1e-9 {

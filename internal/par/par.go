@@ -1,6 +1,6 @@
 // Package par is the bounded worker pool shared by the deterministic
 // parallel paths of the repository: the engine's parallel clone runs
-// and the trial pool of the figure harness in internal/experiments.
+// and the trial pool of the figure harness in internal/repro/experiments.
 // Scheduling and the fluid simulator are serial and do not use it.
 //
 // The contract that keeps every caller byte-identical across pool widths

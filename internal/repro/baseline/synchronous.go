@@ -228,10 +228,11 @@ func (s *scheduler) taskTime(tk *plan.Task, pool []int) (float64, error) {
 			return 0, fmt.Errorf("baseline: stage %q received no sites", st.op.Name)
 		}
 		n := len(st.sites)
-		var work []sched.WorkRun
-		for k, w := range s.b.Model.Clones(st.cost, n) {
-			sys.Assign(st.sites[k], w)
-			work = append(work, sched.WorkRun{N: 1, W: w})
+		work := sched.SplitWork(s.b.Model.Split(st.cost, n))
+		k := 0
+		for _, r := range work {
+			sys.AssignRun(st.sites[k:k+r.N], r.W)
+			k += r.N
 		}
 		s.homes[st.op] = st.sites
 		s.out.Placements = append(s.out.Placements, &sched.OpPlacement{

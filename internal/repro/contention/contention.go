@@ -144,39 +144,35 @@ func OperatorSchedule(p, d int, ov resource.Overlap, g Penalty, ops []*sched.Op)
 	siteClones := make([][]vector.Vector, p)
 	res := &sched.Result{Sites: make(map[int][]int, len(ops))}
 
-	// Rooted clones first.
-	used := make(map[int]map[int]bool, len(ops))
-	for _, op := range ops {
-		used[op.ID] = map[int]bool{}
-		if !op.Rooted() {
-			res.Sites[op.ID] = make([]int, len(op.Clones))
-			continue
-		}
-		sites := make([]int, len(op.Clones))
-		for k, w := range op.Clones {
-			siteClones[op.Home[k]] = append(siteClones[op.Home[k]], w)
-			sites[k] = op.Home[k]
-			used[op.ID][op.Home[k]] = true
-		}
-		res.Sites[op.ID] = sites
-	}
-
+	// Rooted clones go to their homes now, floating ones to the list.
 	type item struct {
 		op    *sched.Op
 		clone int
+		w     vector.Vector
 	}
 	var list []item
+	used := make(map[int]map[int]bool, len(ops))
 	for _, op := range ops {
-		if op.Rooted() {
-			continue
-		}
-		for k := range op.Clones {
-			list = append(list, item{op: op, clone: k})
+		used[op.ID] = map[int]bool{}
+		sites := make([]int, op.Degree())
+		res.Sites[op.ID] = sites
+		k := 0
+		for _, r := range op.Work {
+			for range r.N {
+				if op.Rooted() {
+					siteClones[op.Home[k]] = append(siteClones[op.Home[k]], r.W)
+					sites[k] = op.Home[k]
+					used[op.ID][op.Home[k]] = true
+				} else {
+					list = append(list, item{op: op, clone: k, w: r.W})
+				}
+				k++
+			}
 		}
 	}
 	sort.SliceStable(list, func(i, j int) bool {
 		a, b := list[i], list[j]
-		la, lb := a.op.Clones[a.clone].Length(), b.op.Clones[b.clone].Length()
+		la, lb := a.w.Length(), b.w.Length()
 		if la != lb {
 			return la > lb
 		}
@@ -187,7 +183,7 @@ func OperatorSchedule(p, d int, ov resource.Overlap, g Penalty, ops []*sched.Op)
 	})
 
 	for _, it := range list {
-		w := it.op.Clones[it.clone]
+		w := it.w
 		best, bestKey := -1, 0.0
 		for j := 0; j < p; j++ {
 			if used[it.op.ID][j] {

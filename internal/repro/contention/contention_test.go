@@ -162,17 +162,17 @@ func randomOps(r *rand.Rand, m, p, d int) []*sched.Op {
 	ops := make([]*sched.Op, m)
 	for i := range ops {
 		n := 1 + r.Intn(p)
-		clones := make([]vector.Vector, n)
-		for k := range clones {
+		work := make([]sched.WorkRun, n) // runs of one
+		for k := range work {
 			w := vector.New(d)
 			for j := range w {
 				// Skewed toward disk-heavy vectors so sharing matters.
 				w[j] = r.Float64() * 5
 			}
 			w[d-1] += r.Float64() * 10
-			clones[k] = w
+			work[k] = sched.WorkRun{N: 1, W: w}
 		}
-		ops[i] = &sched.Op{ID: i, Clones: clones}
+		ops[i] = &sched.Op{ID: i, Work: work}
 	}
 	return ops
 }
@@ -196,7 +196,7 @@ func TestPenaltyAwareSchedulingNeverWorseOnAverage(t *testing.T) {
 		siteClones := make([][]vector.Vector, p)
 		for _, op := range ops {
 			for k, site := range blind.Sites[op.ID] {
-				siteClones[site] = append(siteClones[site], op.Clones[k])
+				siteClones[site] = append(siteClones[site], op.Work[k].W)
 			}
 		}
 		blindPen := 0.0
@@ -225,7 +225,7 @@ func TestPenaltyAwareRespectsConstraints(t *testing.T) {
 	ops := randomOps(r, 6, 5, 3)
 	// Root one operator.
 	ops[0].Home = []int{2}
-	ops[0].Clones = ops[0].Clones[:1]
+	ops[0].Work = ops[0].Work[:1]
 	res, err := OperatorSchedule(5, 3, ov, g, ops)
 	if err != nil {
 		t.Fatal(err)
@@ -246,7 +246,7 @@ func TestPenaltyAwareRespectsConstraints(t *testing.T) {
 
 func TestPenaltyAwareInvalidArgs(t *testing.T) {
 	ov := resource.MustOverlap(0.5)
-	ops := []*sched.Op{{ID: 0, Clones: []vector.Vector{vector.Of(1, 1, 1)}}}
+	ops := []*sched.Op{{ID: 0, Work: []sched.WorkRun{{N: 1, W: vector.Of(1, 1, 1)}}}}
 	if _, err := OperatorSchedule(2, 3, ov, Penalty{1}, ops); err == nil {
 		t.Error("wrong-dimension penalty accepted")
 	}

@@ -19,7 +19,6 @@ import (
 	"strings"
 
 	"mdrs/internal/costmodel"
-	"mdrs/internal/malleable"
 	"mdrs/internal/obs"
 	"mdrs/internal/opt"
 	"mdrs/internal/optimizer"
@@ -28,6 +27,7 @@ import (
 	"mdrs/internal/query"
 	"mdrs/internal/repro/baseline"
 	"mdrs/internal/repro/contention"
+	"mdrs/internal/repro/malleable"
 	"mdrs/internal/repro/memsched"
 	"mdrs/internal/repro/pipesim"
 	"mdrs/internal/resource"
@@ -496,7 +496,7 @@ func OrderAblation(c Config) (*Figure, error) {
 				for _, op := range firstPhase(trees[i]) {
 					cost := c.Model.Cost(op.Spec)
 					n := c.Model.Degree(cost, f, p, ov)
-					ops = append(ops, &sched.Op{ID: op.ID, Clones: c.Model.Clones(cost, n)})
+					ops = append(ops, &sched.Op{ID: op.ID, Work: sched.SplitWork(c.Model.Split(cost, n))})
 				}
 				rs, err := sched.OperatorSchedule(p, resource.Dims, ov, ops)
 				if err != nil {

@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"mdrs/internal/costmodel"
-	"mdrs/internal/malleable"
+	"mdrs/internal/repro/malleable"
 	"mdrs/internal/resource"
 )
 

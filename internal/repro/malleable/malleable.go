@@ -191,7 +191,7 @@ func (s Scheduler) Schedule(ops []Operator) (*Result, error) {
 	}
 	schedOps := make([]*sched.Op, len(ops))
 	for i, op := range ops {
-		schedOps[i] = &sched.Op{ID: op.ID, Clones: s.Model.Clones(op.Cost, n[i])}
+		schedOps[i] = &sched.Op{ID: op.ID, Work: sched.SplitWork(s.Model.Split(op.Cost, n[i]))}
 	}
 	res, err := sched.OperatorScheduleObserved(s.P, resource.Dims, s.Overlap, schedOps, s.Rec, 0)
 	if err != nil {
@@ -226,7 +226,7 @@ func (s Scheduler) ScheduleFixed(ops []Operator, n Parallelization) (*Result, er
 		if n[i] < 1 || n[i] > s.P {
 			return nil, fmt.Errorf("malleable: degree %d for op %d outside [1, P]", n[i], op.ID)
 		}
-		schedOps[i] = &sched.Op{ID: op.ID, Clones: s.Model.Clones(op.Cost, n[i])}
+		schedOps[i] = &sched.Op{ID: op.ID, Work: sched.SplitWork(s.Model.Split(op.Cost, n[i]))}
 	}
 	res, err := sched.OperatorSchedule(s.P, resource.Dims, s.Overlap, schedOps)
 	if err != nil {

@@ -26,6 +26,7 @@ package memsched
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"mdrs/internal/costmodel"
@@ -196,7 +197,8 @@ func (s Scheduler) schedulePhase(phaseIdx int, tasks []*plan.Task,
 
 	// Prepare all clones of the phase. clonesOf holds each operator's
 	// clone vectors until placement has added its spills; they become
-	// the placement's Work at the end.
+	// the placement's Work at the end, adjacent equal vectors as one run,
+	// so a spilled clone is a run of one with its own vector.
 	var items []item
 	placements := make(map[*plan.Operator]*Placement)
 	clonesOf := make(map[*plan.Operator][]vector.Vector)
@@ -225,7 +227,13 @@ func (s Scheduler) schedulePhase(phaseIdx int, tasks []*plan.Task,
 					}
 				}
 			}
-			clones := s.Model.Clones(cost, n)
+			// Each clone has its own vector, which its spills grow.
+			split := s.Model.Split(cost, n)
+			clones := make([]vector.Vector, n)
+			for k := range clones {
+				clones[k] = vector.Vector(split.Worker[:]).Clone()
+			}
+			copy(clones[0], split.Coord[:])
 			clonesOf[op] = clones
 			// Fold in spill work inherited from this probe's build.
 			if extra := spillWork[op]; extra != nil {
@@ -401,7 +409,11 @@ func (s Scheduler) schedulePhase(phaseIdx int, tasks []*plan.Task,
 	for _, op := range order {
 		pl := placements[op]
 		for _, w := range clonesOf[op] {
-			pl.Work = append(pl.Work, sched.WorkRun{N: 1, W: w})
+			if last := len(pl.Work) - 1; last >= 0 && slices.Equal(pl.Work[last].W, w) {
+				pl.Work[last].N++
+			} else {
+				pl.Work = append(pl.Work, sched.WorkRun{N: 1, W: w})
+			}
 		}
 		homes[op] = pl.Sites
 		ph.Placements = append(ph.Placements, pl)

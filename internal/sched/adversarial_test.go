@@ -18,7 +18,7 @@ func TestSortedOrderBeatsArrivalOrder(t *testing.T) {
 	mk := func(ids []float64) []*Op {
 		ops := make([]*Op, len(ids))
 		for i, w := range ids {
-			ops[i] = &Op{ID: i, Clones: []vector.Vector{vector.Of(w)}}
+			ops[i] = &Op{ID: i, Work: runsOf([]vector.Vector{vector.Of(w)})}
 		}
 		return ops
 	}
@@ -46,9 +46,9 @@ func TestUnorderedStillRespectsConstraints(t *testing.T) {
 	r := rand.New(rand.NewSource(71))
 	ov := resource.MustOverlap(0.5)
 	ops := randomOps(r, 8, 5, 3)
-	n := len(ops[2].Clones)
+	n := ops[2].Degree()
 	if n > 3 {
-		ops[2].Clones = ops[2].Clones[:3]
+		ops[2].Work = ops[2].Work[:3]
 		n = 3
 	}
 	ops[2].Home = []int{4, 1, 0}[:n]
@@ -105,7 +105,7 @@ func TestSortedNeverWorseOnAverage(t *testing.T) {
 
 // TestOpAccessors covers the small Op API.
 func TestOpAccessors(t *testing.T) {
-	op := &Op{ID: 3, Clones: []vector.Vector{vector.Of(1), vector.Of(2)}}
+	op := &Op{ID: 3, Work: runsOf([]vector.Vector{vector.Of(1), vector.Of(2)})}
 	if op.Rooted() || op.Degree() != 2 {
 		t.Fatalf("accessors: rooted=%v degree=%d", op.Rooted(), op.Degree())
 	}
@@ -137,7 +137,7 @@ func TestWorstObservedRatioStaysUnderBound(t *testing.T) {
 				w[r.Intn(d)] = 1 + r.Float64()*9
 				clones[k] = w
 			}
-			ops[i] = &Op{ID: i, Clones: clones}
+			ops[i] = &Op{ID: i, Work: runsOf(clones)}
 		}
 		res, err := OperatorSchedule(p, d, ov, ops)
 		if err != nil {

@@ -57,7 +57,7 @@ func goldenOps(seed int64) (p, d int, eps float64, ops []*Op) {
 				continue
 			}
 			perm := r.Perm(p)
-			op.Home = append([]int(nil), perm[:len(op.Clones)]...)
+			op.Home = append([]int(nil), perm[:op.Degree()]...)
 		}
 	}
 	return p, d, eps, ops
@@ -108,7 +108,7 @@ func computeGolden(t *testing.T) []goldenCase {
 			for k := range clones {
 				clones[k] = vector.Of(r.Float64()*10, r.Float64()*10, r.Float64()*10)
 			}
-			ops[i] = &Op{ID: i, Clones: clones}
+			ops[i] = &Op{ID: i, Work: runsOf(clones)}
 		}
 		run(big.seed, big.p, 3, 0.5, ops, true)
 	}

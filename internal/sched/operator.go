@@ -24,6 +24,7 @@ import (
 	"math"
 	"slices"
 
+	"mdrs/internal/costmodel"
 	"mdrs/internal/obs"
 	"mdrs/internal/plan"
 	"mdrs/internal/resource"
@@ -31,22 +32,31 @@ import (
 )
 
 // Op is one operator instance presented to OperatorSchedule: its clone
-// work vectors (coordinator first, by the EA1 convention) and, for
+// work as runs (coordinator first, by the EA1 convention) and, for
 // rooted operators, the fixed home sites of its clones.
 type Op struct {
 	// ID is a caller-assigned identifier, unique within one call.
 	ID int
-	// Clones holds one work vector per clone; len(Clones) is the degree
-	// of partitioned parallelism N_i.
-	Clones []vector.Vector
+	// Work lists the clones' work vectors in clone order, as runs of
+	// consecutive clones doing the same vector; Σ N is the degree of
+	// partitioned parallelism N_i. Under EA1 that is two runs, the
+	// coordinator and its N_i − 1 workers; a caller with one vector per
+	// clone passes runs of one.
+	Work []WorkRun
 	// Home, when non-nil, fixes clone k at site Home[k] (a rooted
-	// operator, constraint (B)). Home must have exactly len(Clones)
+	// operator, constraint (B)). Home must have exactly Degree()
 	// pairwise-distinct entries in [0, P).
 	Home []int
+}
 
-	// work replaces Clones on the operators TreeSchedule prepares: runs
-	// of one vector each, validated where they were made.
-	work []WorkRun
+// SplitWork is the EA1 split w as Op work: a run of one coordinator
+// and, when w.N > 1, a run of w.N − 1 workers.
+func SplitWork(w costmodel.CloneWork) []WorkRun { return splitRuns(new([2]WorkRun), &w) }
+
+// splitRuns is SplitWork written into runs.
+func splitRuns(runs *[2]WorkRun, w *costmodel.CloneWork) []WorkRun {
+	*runs = [2]WorkRun{{N: 1, W: w.Coord[:]}, {N: w.N - 1, W: w.Worker[:]}}
+	return runs[:min(w.N, 2)]
 }
 
 // Rooted reports whether the operator's placement is fixed by data
@@ -55,46 +65,39 @@ func (o *Op) Rooted() bool { return o.Home != nil }
 
 // Degree returns N_i, the operator's degree of partitioned parallelism.
 func (o *Op) Degree() int {
-	n := len(o.Clones)
-	for _, r := range o.work {
+	n := 0
+	for _, r := range o.Work {
 		n += r.N
 	}
 	return n
 }
 
-// runAt returns clone k's work vector and how many clones from k on do
-// it: the rest of its run in work, one in Clones.
-func (o *Op) runAt(k int) (vector.Vector, int) {
-	for _, r := range o.work {
-		if k < r.N {
-			return r.W, r.N - k
-		}
-		k -= r.N
-	}
-	return o.Clones[k], 1
-}
-
 // validate checks an operator against the system width p and
-// dimensionality d. Each clone of Clones is walked exactly once (vector
-// validity and dimension together); work is not. Home distinctness uses
-// the scratch's generation-marked site slice, not a per-operator map.
+// dimensionality d, each run once: its N lies in [1, p] before it is
+// added to the degree, so no sum overflows, and its vector is valid and
+// d-dimensional. Home distinctness uses the scratch's generation-marked
+// site slice, not a per-operator map.
 func (o *Op) validate(p, d int, sc *scratch) error {
-	n := o.Degree()
+	n := 0
+	for _, r := range o.Work {
+		if r.N < 1 || r.N > p {
+			return fmt.Errorf("sched: op %d clone %d starts a run of %d clones, want [1, %d]",
+				o.ID, n, r.N, p)
+		}
+		if err := r.W.Validate(); err != nil {
+			return fmt.Errorf("sched: op %d clone %d: %w", o.ID, n, err)
+		}
+		if r.W.Dim() != d {
+			return fmt.Errorf("sched: op %d clone dimension %d != system dimension %d",
+				o.ID, r.W.Dim(), d)
+		}
+		if r.N > p-n {
+			return fmt.Errorf("sched: op %d has more clones than the %d sites (Definition 5.1)", o.ID, p)
+		}
+		n += r.N
+	}
 	if n == 0 {
 		return fmt.Errorf("sched: op %d has no clones", o.ID)
-	}
-	if n > p {
-		return fmt.Errorf("sched: op %d has %d clones but only %d sites exist (Definition 5.1)",
-			o.ID, n, p)
-	}
-	for k, w := range o.Clones {
-		if err := w.Validate(); err != nil {
-			return fmt.Errorf("sched: op %d clone %d: %w", o.ID, k, err)
-		}
-		if w.Dim() != d {
-			return fmt.Errorf("sched: op %d clone dimension %d != system dimension %d",
-				o.ID, w.Dim(), d)
-		}
 	}
 	if o.Home != nil {
 		if len(o.Home) != n {
@@ -166,6 +169,10 @@ const ctxCheckStride = 64
 // the Result.Sites map the tree schedulers do without.
 func operatorSchedule(ctx context.Context, p, d int, ov resource.Overlap, ops []*Op, sorted bool,
 	rec obs.Recorder, phase int) (*Result, error) {
+	sc := new(scratch)
+	if err := sc.validate(p, d, ops); err != nil {
+		return nil, err
+	}
 	total := 0
 	for _, op := range ops {
 		total += op.Degree()
@@ -176,7 +183,6 @@ func operatorSchedule(ctx context.Context, p, d int, ov resource.Overlap, ops []
 		n := op.Degree()
 		sites[i], slab = slab[:n:n], slab[n:]
 	}
-	sc := new(scratch)
 	resp, err := sc.operatorSchedule(ctx, p, d, ov, ops, sites, sorted, rec, phase)
 	if err != nil {
 		return nil, err
@@ -188,32 +194,37 @@ func operatorSchedule(ctx context.Context, p, d int, ov resource.Overlap, ops []
 	return res, nil
 }
 
+// validate checks an OperatorSchedule call's arguments and operators
+// before anything is sized by their degrees.
+func (sc *scratch) validate(p, d int, ops []*Op) error {
+	if p <= 0 {
+		return fmt.Errorf("sched: non-positive site count %d", p)
+	}
+	if d <= 0 {
+		return fmt.Errorf("sched: non-positive dimensionality %d", d)
+	}
+	sc.resetIDs(len(ops))
+	for _, op := range ops {
+		if sc.ids[op.ID] {
+			return fmt.Errorf("sched: duplicate operator ID %d", op.ID)
+		}
+		sc.ids[op.ID] = true
+		if err := op.validate(p, d, sc); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // operatorSchedule runs Figure 3 on the scratch's site system, which it
-// leaves loaded in sc.sys, and returns the Equation 3 response. The
-// site of operator ops[i]'s clone k is written to sites[i][k]; the
-// caller sizes each row to the operator's degree.
+// leaves loaded in sc.sys, and returns the Equation 3 response. The ops
+// are valid. The site of operator ops[i]'s clone k is written to
+// sites[i][k]; the caller sizes each row to the operator's degree.
 func (sc *scratch) operatorSchedule(ctx context.Context, p, d int, ov resource.Overlap, ops []*Op,
 	sites [][]int, sorted bool, rec obs.Recorder, phase int) (float64, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
-	if p <= 0 {
-		return 0, fmt.Errorf("sched: non-positive site count %d", p)
-	}
-	if d <= 0 {
-		return 0, fmt.Errorf("sched: non-positive dimensionality %d", d)
-	}
-	sc.resetIDs(len(ops))
-	for _, op := range ops {
-		if sc.ids[op.ID] {
-			return 0, fmt.Errorf("sched: duplicate operator ID %d", op.ID)
-		}
-		sc.ids[op.ID] = true
-		if err := op.validate(p, d, sc); err != nil {
-			return 0, err
-		}
-	}
-
 	sys := sc.system(p, d, ov)
 
 	// Step 1 (Figure 3): place the work vectors of all rooted operators
@@ -224,16 +235,16 @@ func (sc *scratch) operatorSchedule(ctx context.Context, p, d int, ov resource.O
 		if !op.Rooted() {
 			continue
 		}
-		for k := 0; k < len(op.Home); {
-			w, c := op.runAt(k)
-			run := op.Home[k : k+c]
-			for n := 0; rec != nil && n < c; n++ {
+		k := 0
+		for _, w := range op.Work {
+			run := op.Home[k : k+w.N]
+			for n := 0; rec != nil && n < w.N; n++ {
 				rec.Event(obs.Event{Type: obs.EvPlace, Phase: phase, Op: op.ID, Clone: k + n,
 					Site: run[n], Rooted: true, L: sys.LoadLength(run[n]), Sum: sys.LoadSum(run[n])})
 			}
-			sys.AssignRun(run, w)
+			sys.AssignRun(run, w.W)
 			copy(sites[i][k:], run)
-			k += c
+			k += w.N
 		}
 	}
 
@@ -242,36 +253,37 @@ func (sc *scratch) operatorSchedule(ctx context.Context, p, d int, ov resource.O
 	// schedule is deterministic. L is held as runs of consecutive
 	// equal-length clones (see run): sorted by (len desc, op ID, first
 	// clone) and walked in clone order in step 3, they are that same
-	// per-clone sequence; a prepared operator's runs of one vector each
-	// take one Length. Runs and the per-operator ban rows (sites
-	// already holding one of the operator's clones, one flattened []bool
-	// matrix) come from the scratch. Rooted operators need no ban row —
-	// they contribute no floating clones.
-	floating, total, rooted := 0, 0, 0
+	// per-clone sequence; each work run takes one Length, and L has at
+	// most one run per work run. Runs and the per-operator ban rows
+	// (sites already holding one of the operator's clones, one flattened
+	// []bool matrix) come from the scratch. Rooted operators need no ban
+	// row — they contribute no floating clones.
+	floating, total, rooted, workRuns := 0, 0, 0, 0
 	for _, op := range ops {
 		if op.Rooted() {
 			rooted += op.Degree()
 		} else {
 			floating++
 			total += op.Degree()
+			workRuns += len(op.Work)
 		}
 	}
 	bans := sc.banRows(floating, p)
-	list := sc.runList(total)
+	list := sc.runList(workRuns)
 	row := 0
 	for i, op := range ops {
 		if op.Rooted() {
 			continue
 		}
-		first := len(list)
-		for k, n := 0, op.Degree(); k < n; {
-			w, c := op.runAt(k)
-			if l, last := w.Length(), len(list)-1; last >= first && list[last].len == l {
-				list[last].count += int32(c)
+		first, k := len(list), 0
+		for j, w := range op.Work {
+			if l, last := w.W.Length(), len(list)-1; last >= first && list[last].len == l {
+				list[last].count += int32(w.N)
 			} else {
-				list = append(list, run{len: l, id: op.ID, first: int32(k), count: int32(c), op: int32(i), ban: int32(row)})
+				list = append(list, run{len: l, id: op.ID, first: int32(k), count: int32(w.N),
+					op: int32(i), ban: int32(row), work: int32(j)})
 			}
-			k += c
+			k += w.N
 		}
 		row++
 	}
@@ -338,11 +350,10 @@ func (sc *scratch) operatorSchedule(ctx context.Context, p, d int, ov resource.O
 			dst[k] = order[at].id
 			at++
 		}
-		for k := lo; k < hi; {
-			w, c := op.runAt(k)
-			c = min(c, hi-k)
-			sys.AssignRun(dst[k:k+c], w)
-			k += c
+		for k, j := lo, int(r.work); k < hi; j++ {
+			w := op.Work[j]
+			sys.AssignRun(dst[k:k+w.N], w.W)
+			k += w.N
 		}
 		grown = grown[:0]
 		for k, pos, skipped := lo, 0, 0; k < hi; k++ {
@@ -397,47 +408,37 @@ func (sc *scratch) operatorSchedule(ctx context.Context, p, d int, ov resource.O
 // given parallelization, on any assignment, takes at least this long,
 // and the list-scheduling rule is guaranteed within (2d+1)·LB.
 // Malformed inputs that OperatorSchedule would reject — no operators, a
-// non-positive site count, operators with no clones, or clone vectors
-// whose dimensionality disagrees with the rest of the input — contribute
-// a bound of 0 instead of panicking; callers that validate first never
-// see the difference. The reference dimensionality is the first clone
-// vector with a positive dimension; every mismatched vector is skipped
-// in both the congestion and the h(N) term.
+// non-positive site count, operators with no clones, runs whose N is
+// outside [1, P], or work vectors whose dimensionality disagrees with
+// the rest of the input — contribute a bound of 0 instead of panicking
+// or looping; callers that validate first never see the difference. The
+// first well-formed run with a positive dimension sets the reference
+// dimensionality, and malformed runs and runs of another dimension are
+// skipped in both terms. A run's vector is added once per clone.
 func LowerBound(p int, ov resource.Overlap, ops []*Op) float64 {
 	if p <= 0 {
 		return 0
 	}
-	d := 0
-	for _, op := range ops {
-		for _, w := range op.Clones {
-			if w.Dim() > 0 {
-				d = w.Dim()
-				break
-			}
-		}
-		if d > 0 {
-			break
-		}
-	}
-	if d == 0 {
-		return 0
-	}
-	total := vector.New(d)
+	var total vector.Vector
 	h := 0.0
 	for _, op := range ops {
-		tpar := 0.0
-		for _, w := range op.Clones {
-			if w.Dim() != d {
+		for _, r := range op.Work {
+			if r.N < 1 || r.N > p || r.W.Dim() == 0 || total != nil && r.W.Dim() != total.Dim() {
 				continue
 			}
-			total.AddInPlace(w)
-			if t := ov.TSeq(w); t > tpar {
-				tpar = t
+			if total == nil {
+				total = vector.New(r.W.Dim())
+			}
+			for range r.N {
+				total.AddInPlace(r.W)
+			}
+			if t := ov.TSeq(r.W); t > h {
+				h = t
 			}
 		}
-		if tpar > h {
-			h = tpar
-		}
+	}
+	if total == nil {
+		return 0
 	}
 	lb := total.Length() / float64(p)
 	if h > lb {

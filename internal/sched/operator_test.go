@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -14,7 +15,7 @@ import (
 func ov(eps float64) resource.Overlap { return resource.MustOverlap(eps) }
 
 func singleClone(id int, w ...float64) *Op {
-	return &Op{ID: id, Clones: []vector.Vector{vector.Of(w...)}}
+	return &Op{ID: id, Work: runsOf([]vector.Vector{vector.Of(w...)})}
 }
 
 func TestOperatorScheduleArgumentValidation(t *testing.T) {
@@ -31,23 +32,50 @@ func TestOperatorScheduleArgumentValidation(t *testing.T) {
 	}{
 		{"duplicate IDs", []*Op{singleClone(1, 1, 1), singleClone(1, 2, 2)}},
 		{"no clones", []*Op{{ID: 0}}},
-		{"degree > P", []*Op{{ID: 0, Clones: []vector.Vector{
-			vector.Of(1, 1), vector.Of(1, 1), vector.Of(1, 1)}}}},
+		{"degree > P", []*Op{{ID: 0, Work: runsOf([]vector.Vector{
+			vector.Of(1, 1), vector.Of(1, 1), vector.Of(1, 1)})}}},
 		{"negative clone component", []*Op{singleClone(0, -1, 1)}},
 		{"dim mismatch", []*Op{singleClone(0, 1, 1, 1)}},
 		{"home wrong length", []*Op{{ID: 0,
-			Clones: []vector.Vector{vector.Of(1, 1)}, Home: []int{0, 1}}}},
+			Work: runsOf([]vector.Vector{vector.Of(1, 1)}), Home: []int{0, 1}}}},
 		{"home out of range", []*Op{{ID: 0,
-			Clones: []vector.Vector{vector.Of(1, 1)}, Home: []int{5}}}},
+			Work: runsOf([]vector.Vector{vector.Of(1, 1)}), Home: []int{5}}}},
 		{"home negative", []*Op{{ID: 0,
-			Clones: []vector.Vector{vector.Of(1, 1)}, Home: []int{-1}}}},
+			Work: runsOf([]vector.Vector{vector.Of(1, 1)}), Home: []int{-1}}}},
 		{"home duplicate site", []*Op{{ID: 0,
-			Clones: []vector.Vector{vector.Of(1, 1), vector.Of(1, 1)}, Home: []int{1, 1}}}},
+			Work: runsOf([]vector.Vector{vector.Of(1, 1), vector.Of(1, 1)}), Home: []int{1, 1}}}},
 	}
+	run := func(n int) WorkRun { return WorkRun{N: n, W: vector.Of(1, 1)} }
+	cases = append(cases, []struct {
+		name string
+		ops  []*Op
+	}{
+		{"run of 0 clones", []*Op{{ID: 0, Work: []WorkRun{run(0)}}}},
+		{"run of 0 clones after P", []*Op{{ID: 0, Work: []WorkRun{run(2), run(0)}}}},
+		{"run of -1 clones", []*Op{{ID: 0, Work: []WorkRun{run(2), run(-1)}}}},
+		{"run of P+1 clones", []*Op{{ID: 0, Work: []WorkRun{run(3)}}}},
+		{"runs summing past P", []*Op{{ID: 0, Work: []WorkRun{run(1), run(2)}}}},
+		{"run of MaxInt clones", []*Op{{ID: 0, Work: []WorkRun{run(math.MaxInt)}}}},
+		{"MaxInt after a run", []*Op{{ID: 0, Work: []WorkRun{run(1), run(math.MaxInt)}}}},
+		{"home shorter than the runs", []*Op{{ID: 0, Work: []WorkRun{run(2)}, Home: []int{0}}}},
+		{"home longer than the runs", []*Op{{ID: 0, Work: []WorkRun{run(1)}, Home: []int{0, 1}}}},
+		{"nil run vector", []*Op{{ID: 0, Work: []WorkRun{{N: 1}}}}},
+		{"run vector of the wrong dimension", []*Op{{ID: 0, Work: []WorkRun{{N: 2, W: vector.Of(1, 1, 1)}}}}},
+		{"bad run after a good operator", []*Op{singleClone(0, 1, 1), {ID: 1, Work: []WorkRun{run(0)}}}},
+	}...)
 	for _, c := range cases {
-		if _, err := OperatorSchedule(2, 2, ov(0.5), c.ops); err == nil {
-			t.Errorf("%s: accepted", c.name)
-		}
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("%s: panicked: %v", c.name, r)
+				}
+			}()
+			if _, err := OperatorSchedule(2, 2, ov(0.5), c.ops); err == nil {
+				t.Errorf("%s: accepted", c.name)
+			} else if !strings.HasPrefix(err.Error(), "sched: ") {
+				t.Errorf("%s: refused with %q, not a sched error", c.name, err)
+			}
+		}()
 	}
 }
 
@@ -109,9 +137,9 @@ func TestOperatorScheduleResourceComplementarity(t *testing.T) {
 }
 
 func TestOperatorScheduleNoTwoClonesShareSite(t *testing.T) {
-	op := &Op{ID: 7, Clones: []vector.Vector{
+	op := &Op{ID: 7, Work: runsOf([]vector.Vector{
 		vector.Of(1, 1), vector.Of(1, 1), vector.Of(1, 1),
-	}}
+	})}
 	res, err := OperatorSchedule(3, 2, ov(0.5), []*Op{op})
 	if err != nil {
 		t.Fatal(err)
@@ -124,9 +152,9 @@ func TestOperatorScheduleNoTwoClonesShareSite(t *testing.T) {
 
 func TestOperatorScheduleRootedStayHome(t *testing.T) {
 	rooted := &Op{
-		ID:     0,
-		Clones: []vector.Vector{vector.Of(5, 5), vector.Of(5, 5)},
-		Home:   []int{2, 0},
+		ID:   0,
+		Work: runsOf([]vector.Vector{vector.Of(5, 5), vector.Of(5, 5)}),
+		Home: []int{2, 0},
 	}
 	floating := singleClone(1, 1, 1)
 	res, err := OperatorSchedule(3, 2, ov(0.5), []*Op{rooted, floating})
@@ -145,7 +173,7 @@ func TestOperatorScheduleRootedStayHome(t *testing.T) {
 func TestOperatorScheduleAvoidsRootedHotspot(t *testing.T) {
 	// Site 0 is pre-loaded by a rooted operator; floating clones must
 	// prefer the other sites first.
-	rooted := &Op{ID: 0, Clones: []vector.Vector{vector.Of(100, 100)}, Home: []int{0}}
+	rooted := &Op{ID: 0, Work: runsOf([]vector.Vector{vector.Of(100, 100)}), Home: []int{0}}
 	f1 := singleClone(1, 1, 2)
 	f2 := singleClone(2, 2, 1)
 	res, err := OperatorSchedule(3, 2, ov(0.5), []*Op{rooted, f1, f2})
@@ -209,7 +237,7 @@ func TestResponseMatchesManualRecomputation(t *testing.T) {
 	siteClones := map[int][]vector.Vector{}
 	for _, op := range ops {
 		for k, s := range res.Sites[op.ID] {
-			siteClones[s] = append(siteClones[s], op.Clones[k])
+			siteClones[s] = append(siteClones[s], expand(op.Work)[k])
 		}
 	}
 	want := 0.0
@@ -269,7 +297,7 @@ func randomOps(r *rand.Rand, m, p, d int) []*Op {
 			}
 			clones[k] = w
 		}
-		ops[i] = &Op{ID: i, Clones: clones}
+		ops[i] = &Op{ID: i, Work: runsOf(clones)}
 	}
 	return ops
 }
@@ -292,7 +320,7 @@ func TestQuickScheduleInvariantsAndBound(t *testing.T) {
 		}
 		for _, op := range ops {
 			sites := res.Sites[op.ID]
-			if len(sites) != len(op.Clones) {
+			if len(sites) != op.Degree() {
 				return false
 			}
 			seen := map[int]bool{}
@@ -329,7 +357,7 @@ func TestQuickRootedFeasibility(t *testing.T) {
 				continue
 			}
 			perm := r.Perm(p)
-			op.Home = append([]int(nil), perm[:len(op.Clones)]...)
+			op.Home = append([]int(nil), perm[:op.Degree()]...)
 		}
 		res, err := OperatorSchedule(p, d, o, ops)
 		if err != nil {
@@ -360,19 +388,19 @@ func TestQuickScaleInvariance(t *testing.T) {
 		ops := randomOps(r, 1+r.Intn(10), p, d)
 		for i, op := range ops {
 			if i%3 == 2 {
-				op.Home = append([]int(nil), r.Perm(p)[:len(op.Clones)]...)
+				op.Home = append([]int(nil), r.Perm(p)[:op.Degree()]...)
 			}
 		}
 		doubled := make([]*Op, len(ops))
 		for i, op := range ops {
-			clones := make([]vector.Vector, len(op.Clones))
-			for k, w := range op.Clones {
+			clones := make([]vector.Vector, op.Degree())
+			for k, w := range expand(op.Work) {
 				clones[k] = vector.New(d)
 				for j := range w {
 					clones[k][j] = 2 * w[j]
 				}
 			}
-			doubled[i] = &Op{ID: op.ID, Clones: clones, Home: op.Home}
+			doubled[i] = &Op{ID: op.ID, Work: runsOf(clones), Home: op.Home}
 		}
 
 		one, err := OperatorSchedule(p, d, o, ops)
@@ -409,7 +437,7 @@ func TestQuickResponseAtLeastSlowestOperator(t *testing.T) {
 		}
 		h := 0.0
 		for _, op := range ops {
-			for _, w := range op.Clones {
+			for _, w := range expand(op.Work) {
 				if ts := o.TSeq(w); ts > h {
 					h = ts
 				}

@@ -21,7 +21,7 @@ func placementOps(seed int64, m, maxDeg int) []*Op {
 		for k := range clones {
 			clones[k] = vector.Of(r.Float64()*10, r.Float64()*10, r.Float64()*10)
 		}
-		ops[i] = &Op{ID: i, Clones: clones}
+		ops[i] = &Op{ID: i, Work: runsOf(clones)}
 	}
 	return ops
 }

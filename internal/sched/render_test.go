@@ -272,11 +272,11 @@ func goldenCorpus(t *testing.T) map[string]*Schedule {
 		for _, op := range ops {
 			ph.Placements = append(ph.Placements, &OpPlacement{
 				Op:     &plan.Operator{ID: op.ID, Name: fmt.Sprintf("op%d", op.ID), Kind: costmodel.OpKind(op.ID % 4)},
-				Degree: len(op.Clones),
+				Degree: op.Degree(),
 				Sites:  res.Sites[op.ID],
-				Work:   runsOf(op.Clones),
+				Work:   op.Work,
 				Rooted: op.Home != nil,
-				TPar:   op.Clones[0].Length() * eps,
+				TPar:   op.Work[0].W.Length() * eps,
 			})
 		}
 		corpus[fmt.Sprintf("golden seed %d", seed)] =

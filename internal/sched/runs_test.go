@@ -27,8 +27,8 @@ func scanInArrivalOrder(p, d int, ov resource.Overlap, ops []*Op) (map[int][]int
 	sys := resource.NewSystem(p, d, ov)
 	sites := make(map[int][]int, len(ops))
 	for _, op := range ops {
-		sites[op.ID] = make([]int, len(op.Clones))
-		for k, w := range op.Clones {
+		sites[op.ID] = make([]int, op.Degree())
+		for k, w := range expand(op.Work) {
 			if op.Rooted() {
 				sys.Assign(op.Home[k], w)
 				sites[op.ID][k] = op.Home[k]
@@ -40,7 +40,7 @@ func scanInArrivalOrder(p, d int, ov resource.Overlap, ops []*Op) (map[int][]int
 			continue
 		}
 		bans := make([]bool, p)
-		for k, w := range op.Clones {
+		for k, w := range expand(op.Work) {
 			s := pickScan(sys, bans)
 			sys.Assign(s, w)
 			bans[s] = true
@@ -59,35 +59,36 @@ type placementCase struct {
 	runs int
 }
 
-func vecs(ws ...[]float64) []vector.Vector {
-	out := make([]vector.Vector, len(ws))
+// vecs is one run of one clone per vector.
+func vecs(ws ...[]float64) []WorkRun {
+	out := make([]WorkRun, len(ws))
 	for i, w := range ws {
-		out[i] = vector.Of(w...)
+		out[i] = WorkRun{N: 1, W: vector.Of(w...)}
 	}
 	return out
 }
 
-// repeated is a coordinator vector followed by n-1 copies of rest: the
-// EA1 shape of costmodel.Model.Clones.
-func repeated(n int, coord, rest []float64) []vector.Vector {
+// repeated is a run of one coordinator and, for n > 1, a run of n−1
+// workers doing rest: the EA1 shape of SplitWork.
+func repeated(n int, coord, rest []float64) []WorkRun {
 	out := vecs(coord)
-	for len(out) < n {
-		out = append(out, vector.Of(rest...))
+	if n > 1 {
+		out = append(out, WorkRun{N: n - 1, W: vector.Of(rest...)})
 	}
 	return out
 }
 
 // ea1Ops is one seeded plan's operators as TreeSchedule derives them at
-// P sites — the CG_f degree (f = 0.7, ε = 0.5) and
-// costmodel.Model.Clones — all floating: per operator, a coordinator
-// vector and N−1 equal ones, the runs the cost model really emits.
+// P sites — the CG_f degree (f = 0.7, ε = 0.5) and the cost model's EA1
+// split — all floating: per operator, a coordinator vector and N−1
+// equal ones, the runs the cost model really emits.
 func ea1Ops(seed int64, joins, p int) []*Op {
 	r := rand.New(rand.NewSource(seed))
 	ot := plan.MustExpand(query.MustRandom(r, query.DefaultGenConfig(joins)))
 	ts := TreeScheduler{Model: costmodel.Default(), Overlap: ov(0.5), P: p, F: 0.7}
 	ops := make([]*Op, len(ot.Ops))
 	for i, o := range ot.Ops {
-		ops[i] = &Op{ID: o.ID, Clones: ts.Model.Clones(ts.Model.Cost(o.Spec), ts.degree(o.Spec))}
+		ops[i] = &Op{ID: o.ID, Work: SplitWork(ts.Model.Split(ts.Model.Cost(o.Spec), ts.degree(o.Spec)))}
 	}
 	return ops
 }
@@ -95,43 +96,43 @@ func ea1Ops(seed int64, joins, p int) []*Op {
 func runCases() []placementCase {
 	return []placementCase{
 		{name: "cost-model shape", p: 8, d: 2, runs: 6, ops: []*Op{
-			{ID: 0, Clones: repeated(4, []float64{4, 2}, []float64{3, 1})},
-			{ID: 1, Clones: repeated(6, []float64{4, 3}, []float64{2, 3})},
-			{ID: 2, Clones: repeated(3, []float64{7, 1}, []float64{4, 0})},
+			{ID: 0, Work: repeated(4, []float64{4, 2}, []float64{3, 1})},
+			{ID: 1, Work: repeated(6, []float64{4, 3}, []float64{2, 3})},
+			{ID: 2, Work: repeated(3, []float64{7, 1}, []float64{4, 0})},
 		}},
 		{name: "equal length, different vectors", p: 5, d: 2, runs: 2, ops: []*Op{
-			{ID: 0, Clones: vecs([]float64{3, 1}, []float64{1, 3}, []float64{3, 3}, []float64{3, 0})},
-			{ID: 1, Clones: vecs([]float64{0, 3}, []float64{3, 2})},
+			{ID: 0, Work: vecs([]float64{3, 1}, []float64{1, 3}, []float64{3, 3}, []float64{3, 0})},
+			{ID: 1, Work: vecs([]float64{0, 3}, []float64{3, 2})},
 		}},
 		{name: "5 3 5 within one operator", p: 3, d: 1, runs: 5, ops: []*Op{
-			{ID: 2, Clones: vecs([]float64{5}, []float64{3}, []float64{5})},
-			{ID: 1, Clones: vecs([]float64{3}, []float64{5})},
+			{ID: 2, Work: vecs([]float64{5}, []float64{3}, []float64{5})},
+			{ID: 1, Work: vecs([]float64{3}, []float64{5})},
 		}},
 		{name: "equal lengths, interleaved IDs", p: 4, d: 2, runs: 4, ops: []*Op{
-			{ID: 5, Clones: repeated(3, []float64{2, 1}, []float64{2, 1})},
-			{ID: 1, Clones: repeated(2, []float64{1, 2}, []float64{1, 2})},
-			{ID: 3, Clones: repeated(4, []float64{2, 2}, []float64{2, 0})},
-			{ID: 2, Clones: repeated(1, []float64{0, 2}, nil)},
+			{ID: 5, Work: repeated(3, []float64{2, 1}, []float64{2, 1})},
+			{ID: 1, Work: repeated(2, []float64{1, 2}, []float64{1, 2})},
+			{ID: 3, Work: repeated(4, []float64{2, 2}, []float64{2, 0})},
+			{ID: 2, Work: repeated(1, []float64{0, 2}, nil)},
 		}},
 		{name: "all zero", p: 4, d: 3, runs: 3, ops: []*Op{
-			{ID: 0, Clones: repeated(4, []float64{0, 0, 0}, []float64{0, 0, 0})},
-			{ID: 1, Clones: repeated(2, []float64{0, 0, 0}, []float64{0, 0, 0})},
-			{ID: 2, Clones: repeated(3, []float64{0, 0, 0}, []float64{0, 0, 0})},
+			{ID: 0, Work: repeated(4, []float64{0, 0, 0}, []float64{0, 0, 0})},
+			{ID: 1, Work: repeated(2, []float64{0, 0, 0}, []float64{0, 0, 0})},
+			{ID: 2, Work: repeated(3, []float64{0, 0, 0}, []float64{0, 0, 0})},
 		}},
 		{name: "degree = P", p: 6, d: 2, runs: 5, ops: []*Op{
-			{ID: 0, Clones: repeated(6, []float64{5, 1}, []float64{2, 2})},
-			{ID: 1, Clones: repeated(6, []float64{1, 4}, []float64{2, 1})},
-			{ID: 2, Clones: repeated(6, []float64{3, 3}, []float64{3, 0})},
+			{ID: 0, Work: repeated(6, []float64{5, 1}, []float64{2, 2})},
+			{ID: 1, Work: repeated(6, []float64{1, 4}, []float64{2, 1})},
+			{ID: 2, Work: repeated(6, []float64{3, 3}, []float64{3, 0})},
 		}},
 		{name: "rooted in the mix", p: 7, d: 2, runs: 4, ops: []*Op{
-			{ID: 0, Clones: repeated(3, []float64{6, 0}, []float64{2, 0}), Home: []int{4, 5, 6}},
-			{ID: 1, Clones: repeated(5, []float64{3, 1}, []float64{2, 1})},
-			{ID: 2, Clones: repeated(2, []float64{0, 2}, []float64{0, 2}), Home: []int{6, 0}},
-			{ID: 3, Clones: repeated(7, []float64{3, 2}, []float64{2, 1})},
+			{ID: 0, Work: repeated(3, []float64{6, 0}, []float64{2, 0}), Home: []int{4, 5, 6}},
+			{ID: 1, Work: repeated(5, []float64{3, 1}, []float64{2, 1})},
+			{ID: 2, Work: repeated(2, []float64{0, 2}, []float64{0, 2}), Home: []int{6, 0}},
+			{ID: 3, Work: repeated(7, []float64{3, 2}, []float64{2, 1})},
 		}},
 		{name: "P = 1", p: 1, d: 2, runs: 2, ops: []*Op{
-			{ID: 0, Clones: vecs([]float64{1, 1})},
-			{ID: 1, Clones: vecs([]float64{1, 1})},
+			{ID: 0, Work: vecs([]float64{1, 1})},
+			{ID: 1, Work: vecs([]float64{1, 1})},
 		}},
 	}
 }
@@ -184,12 +185,15 @@ func TestPlacementRunsMatchScan(t *testing.T) {
 			sites := make([][]int, len(c.ops))
 			clones := 0
 			for i, op := range c.ops {
-				sites[i] = make([]int, len(op.Clones))
+				sites[i] = make([]int, op.Degree())
 				if !op.Rooted() {
-					clones += len(op.Clones)
+					clones += op.Degree()
 				}
 			}
 			rec := obs.NewMetrics()
+			if err := sc.validate(c.p, c.d, c.ops); err != nil {
+				t.Fatal(err)
+			}
 			if _, err := sc.operatorSchedule(context.Background(), c.p, c.d, ov(0.5), c.ops, sites, true, rec, 0); err != nil {
 				t.Fatal(err)
 			}
@@ -218,10 +222,10 @@ func TestPlacementRunsMatchCloneIndex(t *testing.T) {
 			m := costmodel.Default()
 			for i := 0; i < 2; i++ {
 				scan := costmodel.OpSpec{Kind: costmodel.Scan, InTuples: 100_000 * (i + 1), NetOut: true}
-				ops = append(ops, &Op{ID: 1000 + i, Clones: m.Clones(m.Cost(scan), p)})
+				ops = append(ops, &Op{ID: 1000 + i, Work: SplitWork(m.Split(m.Cost(scan), p))})
 			}
 			rooted := ops[len(ops)/2]
-			rooted.Home = r.Perm(p)[:len(rooted.Clones)]
+			rooted.Home = r.Perm(p)[:rooted.Degree()]
 			checkPlacementAgainstScan(t, p, resource.Dims, ops)
 		})
 	}
@@ -233,12 +237,14 @@ func TestPlacementRunsMatchCloneIndex(t *testing.T) {
 // Fuzz inputs are bytes so that components come from a small alphabet
 // and equal lengths are the common case, not a measure-zero one:
 //
-//	[p-1, d-1] then per operator [id, degree-1, flags, degree·d components]
+//	[p-1, d-1] then per operator [id, runs-1, flags]
+//	and per run [N-1, d components]
 //
 // p ≤ 16, d ≤ 3, components 0..7, flags bit 0 roots the operator at
-// sites start, start+1, … (mod p) with start = flags>>1. An operator
-// whose ID repeats an earlier one, or whose bytes run out, ends the
-// input.
+// sites start, start+1, … (mod p) with start = flags>>1. A run's N is
+// cut to the sites its operator has left, and the operator's runs stop
+// at P clones; adjacent runs may do bit-equal vectors. An operator whose
+// ID repeats an earlier one, or whose bytes run out, ends the input.
 func decodePlacement(data []byte) (p, d int, ops []*Op) {
 	if len(data) < 2 {
 		return 0, 0, nil
@@ -247,21 +253,26 @@ func decodePlacement(data []byte) (p, d int, ops []*Op) {
 	data = data[2:]
 	ids := map[int]bool{}
 	for len(data) >= 3 && len(ops) < 12 {
-		id, n, flags := int(data[0]), int(data[1])%p+1, int(data[2])
+		id, runs, flags := int(data[0]), int(data[1])%p+1, int(data[2])
 		data = data[3:]
-		if ids[id] || len(data) < n*d {
+		if ids[id] {
 			break
 		}
 		ids[id] = true
-		op := &Op{ID: id, Clones: make([]vector.Vector, n)}
-		for k := range op.Clones {
+		op, n := &Op{ID: id}, 0
+		for ; runs > 0 && n < p && len(data) > d; runs-- {
+			c := min(int(data[0])%p+1, p-n)
 			w := vector.New(d)
 			for j := range w {
-				w[j] = float64(data[k*d+j] % 8)
+				w[j] = float64(data[1+j] % 8)
 			}
-			op.Clones[k] = w
+			data = data[1+d:]
+			op.Work = append(op.Work, WorkRun{N: c, W: w})
+			n += c
 		}
-		data = data[n*d:]
+		if runs > 0 && n < p {
+			break
+		}
 		if flags&1 == 1 {
 			op.Home = make([]int, n)
 			for k := range op.Home {
@@ -282,9 +293,10 @@ func encodePlacement(p, d int, ops []*Op) []byte {
 		if op.Rooted() {
 			flags = op.Home[0]<<1 | 1
 		}
-		data = append(data, byte(op.ID), byte(len(op.Clones)-1), byte(flags))
-		for _, w := range op.Clones {
-			for _, x := range w {
+		data = append(data, byte(op.ID), byte(len(op.Work)-1), byte(flags))
+		for _, r := range op.Work {
+			data = append(data, byte(r.N-1))
+			for _, x := range r.W {
 				data = append(data, byte(x))
 			}
 		}

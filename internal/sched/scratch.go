@@ -99,11 +99,13 @@ func (sc *scratch) system(p, d int, ov resource.Overlap) *resource.System {
 
 // run is one entry of the step-2 list L: a maximal stretch of
 // consecutive floating clones of one operator with equal l(w̄) — under
-// EA1 a coordinator vector plus N−1 identical ones, two runs. Sorting
-// runs by (len desc, op ID, first clone) and walking each in clone order
-// is the per-clone (len desc, op ID, clone) order exactly: equal-length
-// clones of one operator already sort by clone index. The operator and
-// its ban row are indices, so the sort moves 32 pointer-free bytes.
+// EA1 a coordinator vector plus N−1 identical ones, two runs. It is
+// whole work runs of Op.Work, adjacent ones merged when their lengths
+// tie. Sorting runs by (len desc, op ID, first clone) and walking each
+// in clone order is the per-clone (len desc, op ID, clone) order
+// exactly: equal-length clones of one operator already sort by clone
+// index. The operator, its ban row and its first work run are indices,
+// so the sort moves 40 pointer-free bytes.
 type run struct {
 	len   float64
 	id    int   // Op.ID, the first tie-break
@@ -111,6 +113,7 @@ type run struct {
 	count int32 // clones in the run
 	op    int32 // index of the operator (and its destination row) in ops
 	ban   int32 // index of the operator's row in the ban matrix
+	work  int32 // index in Op.Work of the run's first work run
 }
 
 // resetIDs prepares the duplicate-ID set for a validation pass.

@@ -199,8 +199,8 @@ func TestColdScheduleBytesPerClone(t *testing.T) {
 
 // TestOperatorScheduleAllocs gates the public OperatorSchedule path on
 // the EA1 set: what it allocates is slabs, so the count does not grow
-// with P. With a clone list per site it was 785 at P = 128 and 2,065 at
-// P = 512.
+// with P, and it stays at the 16 it reads at both widths. With a clone
+// list per site it was 785 at P = 128 and 2,065 at P = 512.
 func TestOperatorScheduleAllocs(t *testing.T) {
 	allocs := func(p int) float64 {
 		ops := ea1Ops(7, 20, p)
@@ -214,6 +214,9 @@ func TestOperatorScheduleAllocs(t *testing.T) {
 	t.Logf("allocs/OperatorSchedule: P=128 %.0f, P=512 %.0f", small, large)
 	if small != large {
 		t.Fatalf("OperatorSchedule allocates %.0f times at P = 128 and %.0f at P = 512, want equal", small, large)
+	}
+	if small > 16 {
+		t.Fatalf("OperatorSchedule allocates %.0f times, want <= 16", small)
 	}
 }
 

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -120,8 +121,9 @@ func checkIndex(t *testing.T, ix *siteIndex, sys *resource.System) {
 // strictly ascending, each site once, every key the site's load, equal
 // to a rebuild, and exactly the picked sites newly banned. It returns
 // the sites the run took.
-func placeRun(t *testing.T, ix *siteIndex, sys *resource.System, bans []bool, ws []vector.Vector) []int {
+func placeRun(t *testing.T, ix *siteIndex, sys *resource.System, bans []bool, work []WorkRun) []int {
 	t.Helper()
+	ws := expand(work)
 	want := append([]bool(nil), bans...)
 	grown := ix.grown[:0]
 	at := 0
@@ -211,7 +213,7 @@ func TestSiteIndexMatchesScan(t *testing.T) {
 				}
 				ws[k] = w
 			}
-			placeRun(t, ix, sys, bans, ws)
+			placeRun(t, ix, sys, bans, runsOf(ws))
 		}
 	}
 }
@@ -311,17 +313,18 @@ func scheduleByScan(p, d int, ov resource.Overlap, ops []*Op) (map[int][]int, fl
 		op  *Op
 		k   int
 		len float64
+		w   vector.Vector
 	}
 	var list []clone
 	for _, op := range ops {
-		sites[op.ID] = make([]int, len(op.Clones))
-		for k, w := range op.Clones {
+		sites[op.ID] = make([]int, op.Degree())
+		for k, w := range expand(op.Work) {
 			if op.Rooted() {
 				sys.Assign(op.Home[k], w)
 				sites[op.ID][k] = op.Home[k]
 				continue
 			}
-			list = append(list, clone{op, k, w.Length()})
+			list = append(list, clone{op, k, w.Length(), w})
 		}
 		bans[op.ID] = make([]bool, p)
 	}
@@ -337,7 +340,7 @@ func scheduleByScan(p, d int, ov resource.Overlap, ops []*Op) (map[int][]int, fl
 	})
 	for _, c := range list {
 		s := pickScan(sys, bans[c.op.ID])
-		sys.Assign(s, c.op.Clones[c.k])
+		sys.Assign(s, c.w)
 		bans[c.op.ID][s] = true
 		sites[c.op.ID][c.k] = s
 	}
@@ -357,15 +360,16 @@ func scheduleByClone(p, d int, ov resource.Overlap, ops []*Op, sorted bool, rec 
 		op  *Op
 		k   int
 		len float64
+		w   vector.Vector
 	}
 	var list []clone
 	floating, rooted := 0, 0
 	for _, op := range ops {
-		sites[op.ID] = make([]int, len(op.Clones))
+		sites[op.ID] = make([]int, op.Degree())
 		bans[op.ID] = make([]bool, p)
-		for k, w := range op.Clones {
+		for k, w := range expand(op.Work) {
 			if !op.Rooted() {
-				list = append(list, clone{op, k, w.Length()})
+				list = append(list, clone{op, k, w.Length(), w})
 				floating++
 				continue
 			}
@@ -409,7 +413,7 @@ func scheduleByClone(p, d int, ov resource.Overlap, ops []*Op, sorted bool, rec 
 				Site: best, L: sys.LoadLength(best), Sum: sys.LoadSum(best),
 			})
 		}
-		sys.Assign(best, c.op.Clones[c.k])
+		sys.Assign(best, c.w)
 		ix.update(sys, at)
 		bans[c.op.ID][best] = true
 		sites[c.op.ID][c.k] = best
@@ -469,7 +473,7 @@ func TestOperatorScheduleMatchesScanLargeP(t *testing.T) {
 		for i := 0; i < 5; i++ {
 			op := ops[i*7]
 			perm := r.Perm(p)
-			op.Home = append([]int(nil), perm[:len(op.Clones)]...)
+			op.Home = append([]int(nil), perm[:op.Degree()]...)
 		}
 		got, err := OperatorSchedule(p, 3, ov(0.5), ops)
 		if err != nil {
@@ -494,7 +498,7 @@ func TestOperatorScheduleMatchesScanLargeP(t *testing.T) {
 func TestPlacementExactTieBreaksOnSiteIndex(t *testing.T) {
 	var ops []*Op
 	for i := 0; i < 7; i++ {
-		ops = append(ops, &Op{ID: i, Clones: []vector.Vector{vector.Of(1, 1)}})
+		ops = append(ops, &Op{ID: i, Work: runsOf([]vector.Vector{vector.Of(1, 1)})})
 	}
 	res, err := OperatorSchedule(3, 2, resource.MustOverlap(0.5), ops)
 	if err != nil {
@@ -511,9 +515,9 @@ func TestPlacementExactTieBreaksOnSiteIndex(t *testing.T) {
 	// holding complementary work (same l, larger sum) loses to a lighter
 	// site with an equal maximum component.
 	tieOps := []*Op{
-		{ID: 0, Clones: []vector.Vector{vector.Of(2, 0)}, Home: []int{0}},
-		{ID: 1, Clones: []vector.Vector{vector.Of(2, 2)}, Home: []int{1}},
-		{ID: 2, Clones: []vector.Vector{vector.Of(1, 1)}},
+		{ID: 0, Work: runsOf([]vector.Vector{vector.Of(2, 0)}), Home: []int{0}},
+		{ID: 1, Work: runsOf([]vector.Vector{vector.Of(2, 2)}), Home: []int{1}},
+		{ID: 2, Work: runsOf([]vector.Vector{vector.Of(1, 1)})},
 	}
 	res, err = OperatorSchedule(2, 2, resource.MustOverlap(0.5), tieOps)
 	if err != nil {
@@ -525,7 +529,8 @@ func TestPlacementExactTieBreaksOnSiteIndex(t *testing.T) {
 }
 
 // LowerBound must tolerate input that OperatorSchedule's validation
-// rejects rather than dereferencing Clones[0] blindly.
+// rejects rather than dereferencing the first run blindly or walking a
+// run of math.MaxInt clones.
 func TestLowerBoundMalformedInput(t *testing.T) {
 	ov := resource.MustOverlap(0.5)
 	if got := LowerBound(4, ov, []*Op{{ID: 0}}); got != 0 {
@@ -544,6 +549,17 @@ func TestLowerBoundMalformedInput(t *testing.T) {
 	if got, want := LowerBound(2, ov, ops), LowerBound(2, ov, clean); got != want {
 		t.Fatalf("LB with empty op mixed in = %g, want %g", got, want)
 	}
+	// Runs whose N lies outside [1, P] are skipped the same way, a run
+	// of math.MaxInt clones included: it returns at once.
+	for _, n := range []int{math.MaxInt, 3, 0, -1} {
+		bad := []*Op{singleClone(0, 4, 0), {ID: 1, Work: []WorkRun{{N: n, W: vector.Of(9, 9)}}}, singleClone(2, 0, 4)}
+		if got, want := LowerBound(2, ov, bad), LowerBound(2, ov, clean); got != want {
+			t.Fatalf("LB with a run of %d clones mixed in = %g, want %g", n, got, want)
+		}
+	}
+	if got := LowerBound(2, ov, []*Op{{ID: 0, Work: []WorkRun{{N: math.MaxInt, W: vector.Of(1, 1)}}}}); got != 0 {
+		t.Fatalf("LB(a run of math.MaxInt clones) = %g, want 0", got)
+	}
 }
 
 // Mixed-dimension clone vectors used to reach vector.AddInPlace, whose
@@ -555,13 +571,13 @@ func TestLowerBoundMixedDimensionClones(t *testing.T) {
 
 	// A 2-dimensional clone among 3-dimensional ones: skipped entirely.
 	mixed := []*Op{
-		{ID: 0, Clones: []vector.Vector{{4, 0, 0}}},
-		{ID: 1, Clones: []vector.Vector{{1, 2}}}, // wrong dimension
-		{ID: 2, Clones: []vector.Vector{{0, 0, 4}}},
+		{ID: 0, Work: runsOf([]vector.Vector{{4, 0, 0}})},
+		{ID: 1, Work: runsOf([]vector.Vector{{1, 2}})}, // wrong dimension
+		{ID: 2, Work: runsOf([]vector.Vector{{0, 0, 4}})},
 	}
 	clean := []*Op{
-		{ID: 0, Clones: []vector.Vector{{4, 0, 0}}},
-		{ID: 2, Clones: []vector.Vector{{0, 0, 4}}},
+		{ID: 0, Work: runsOf([]vector.Vector{{4, 0, 0}})},
+		{ID: 2, Work: runsOf([]vector.Vector{{0, 0, 4}})},
 	}
 	got := LowerBound(2, ov, mixed)
 	if want := LowerBound(2, ov, clean); got != want {
@@ -571,10 +587,10 @@ func TestLowerBoundMixedDimensionClones(t *testing.T) {
 	// A mismatch inside one operator's own clone list: the bad clone is
 	// skipped, the matching clones still count.
 	intra := []*Op{
-		{ID: 0, Clones: []vector.Vector{{4, 0, 0}, {9, 9}, {0, 0, 4}}},
+		{ID: 0, Work: runsOf([]vector.Vector{{4, 0, 0}, {9, 9}, {0, 0, 4}})},
 	}
 	intraClean := []*Op{
-		{ID: 0, Clones: []vector.Vector{{4, 0, 0}, {0, 0, 4}}},
+		{ID: 0, Work: runsOf([]vector.Vector{{4, 0, 0}, {0, 0, 4}})},
 	}
 	if got, want := LowerBound(2, ov, intra), LowerBound(2, ov, intraClean); got != want {
 		t.Fatalf("LB with intra-op mismatch = %g, want %g", got, want)
@@ -583,16 +599,16 @@ func TestLowerBoundMixedDimensionClones(t *testing.T) {
 	// A leading zero-dimension vector must not poison the reference
 	// dimensionality: the first positive-dimension clone sets d.
 	leadingEmpty := []*Op{
-		{ID: 0, Clones: []vector.Vector{{}}},
-		{ID: 1, Clones: []vector.Vector{{4, 0, 0}}},
+		{ID: 0, Work: runsOf([]vector.Vector{{}})},
+		{ID: 1, Work: runsOf([]vector.Vector{{4, 0, 0}})},
 	}
 	if got, want := LowerBound(2, ov, leadingEmpty),
-		LowerBound(2, ov, []*Op{{ID: 1, Clones: []vector.Vector{{4, 0, 0}}}}); got != want {
+		LowerBound(2, ov, []*Op{{ID: 1, Work: runsOf([]vector.Vector{{4, 0, 0}})}}); got != want {
 		t.Fatalf("LB with leading empty vector = %g, want %g", got, want)
 	}
 
 	// All-mismatched input degrades to 0, never a panic.
-	if got := LowerBound(2, ov, []*Op{{ID: 0, Clones: []vector.Vector{{}}}}); got != 0 {
+	if got := LowerBound(2, ov, []*Op{{ID: 0, Work: runsOf([]vector.Vector{{}})}}); got != 0 {
 		t.Fatalf("LB(zero-dimension clones) = %g, want 0", got)
 	}
 }

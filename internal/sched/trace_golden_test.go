@@ -53,12 +53,12 @@ type traceCase struct {
 func ownPicksOps() []*Op {
 	home := &Op{ID: 0, Home: []int{0, 1, 2, 3, 4, 5}}
 	for k := range home.Home {
-		home.Clones = append(home.Clones, vector.Of(float64(10*(k+1)), 1))
+		home.Work = append(home.Work, WorkRun{N: 1, W: vector.Of(float64(10*(k+1)), 1)})
 	}
 	return []*Op{
 		home,
-		{ID: 1, Clones: repeated(6, []float64{0.5, 0.5}, []float64{0.25, 0.25})},
-		{ID: 2, Clones: repeated(3, []float64{0.25, 0.25}, []float64{0.25, 0.25})},
+		{ID: 1, Work: repeated(6, []float64{0.5, 0.5}, []float64{0.25, 0.25})},
+		{ID: 2, Work: repeated(3, []float64{0.25, 0.25}, []float64{0.25, 0.25})},
 	}
 }
 
@@ -90,7 +90,7 @@ func traceCases() []traceCase {
 		}
 	}
 	unordered := append(ea1Ops(5, 12, 64),
-		&Op{ID: 1000, Clones: repeated(3, []float64{2, 1, 1}, []float64{1, 1, 1}), Home: []int{7, 8, 9}})
+		&Op{ID: 1000, Work: repeated(3, []float64{2, 1, 1}, []float64{1, 1, 1}), Home: []int{7, 8, 9}})
 	return append(cases,
 		ops("ops/ea1/P=128", 128, resource.Dims, true, ea1Ops(4, 20, 128)),
 		ops("unordered/ea1/P=64", 64, resource.Dims, false, unordered),

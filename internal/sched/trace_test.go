@@ -139,8 +139,8 @@ func TestBanHitEventsEmitted(t *testing.T) {
 	const p = 4
 	ops := placementOps(7, 2, p)
 	for _, op := range ops { // force degree exactly P
-		for len(op.Clones) < p {
-			op.Clones = append(op.Clones, op.Clones[0].Clone())
+		for op.Degree() < p {
+			op.Work = append(op.Work, WorkRun{N: 1, W: op.Work[0].W.Clone()})
 		}
 	}
 	cap := obs.NewCapture()

@@ -188,7 +188,7 @@ func (ts TreeScheduler) runPhase(ctx context.Context, sc *scratch, ph *PhaseSche
 	slots := make([]placementSlot, len(jobs))
 	sc.phaseSlabs(len(jobs))
 	for i, j := range jobs {
-		if err := ts.prepare(j, sc.homes, &sc.ops[i], &slots[i]); err != nil {
+		if err := ts.prepare(sc, j, &sc.ops[i], &slots[i]); err != nil {
 			return fmt.Errorf("sched: phase %d: %w", ph.Index, err)
 		}
 	}
@@ -251,20 +251,20 @@ type prepJob struct {
 }
 
 // prepare determines an operator's degree of parallelism and clone
-// work, and whether it is rooted, and writes them to op and slot
-// (slot's Sites are the placement loop's to fill). The work is the EA1
-// split of the cost costTPar read, as at most two runs, validated here
-// so OperatorSchedule skips the per-clone walk. With a Cache attached,
-// every derivation reads the spec's memoized cost, so structurally
-// repeated scans/builds/probes across phases, trees, and batch entries
-// are costed once.
-func (ts TreeScheduler) prepare(j prepJob, homes map[homeKey][]int, op *Op, slot *placementSlot) error {
+// work, and whether it is rooted, writes them to op and slot (slot's
+// Sites are the placement loop's to fill) and validates op as
+// OperatorSchedule validates any. The work is the EA1 split of the cost
+// costTPar read, as at most two runs. With a Cache attached, every
+// derivation reads the spec's memoized cost, so structurally repeated
+// scans/builds/probes across phases, trees, and batch entries are
+// costed once.
+func (ts TreeScheduler) prepare(sc *scratch, j prepJob, op *Op, slot *placementSlot) error {
 	p := j.p
 	home := ts.Homes[p.ID]
 	if p.BuildOp != nil {
 		// A probe executes at the sites holding the hash table: the home
 		// of its build, with the same clone layout (coordinator aligned).
-		h, ok := homes[homeKey{j.tree, p.BuildOp}]
+		h, ok := sc.homes[homeKey{j.tree, p.BuildOp}]
 		if !ok {
 			return fmt.Errorf("operator %q scheduled before its build %q",
 				p.Name, p.BuildOp.Name)
@@ -278,15 +278,8 @@ func (ts TreeScheduler) prepare(j prepJob, homes map[homeKey][]int, op *Op, slot
 
 	cost, tpar := ts.costTPar(p.Spec, n)
 	slot.split = ts.Model.Split(cost, n)
-	slot.runs = [2]WorkRun{{N: 1, W: slot.split.Coord[:]}, {N: n - 1, W: slot.split.Worker[:]}}
-	work := slot.runs[:min(n, 2)]
-	for k, r := range work {
-		if err := r.W.Validate(); err != nil {
-			return fmt.Errorf("sched: op %d clone %d: %w", j.id, k, err)
-		}
-	}
-
-	*op = Op{ID: j.id, Home: home, work: work}
+	work := splitRuns(&slot.runs, &slot.split)
+	*op = Op{ID: j.id, Work: work, Home: home}
 	slot.pl = OpPlacement{
 		Op:     p,
 		Degree: n,
@@ -294,7 +287,7 @@ func (ts TreeScheduler) prepare(j prepJob, homes map[homeKey][]int, op *Op, slot
 		Rooted: home != nil,
 		TPar:   tpar,
 	}
-	return nil
+	return op.validate(ts.P, resource.Dims, sc)
 }
 
 // degreeOf is the degree of parallelism prepare gives p, and the one

@@ -52,6 +52,9 @@ type (
 	TaskTree = plan.TaskTree
 	// SchedOp is an operator instance presented to OperatorSchedule.
 	SchedOp = sched.Op
+	// WorkRun is N consecutive clones of one operator doing the same
+	// work vector: a SchedOp's Work, and a placement's.
+	WorkRun = sched.WorkRun
 	// SchedResult is the outcome of one OperatorSchedule packing.
 	SchedResult = sched.Result
 	// TreeScheduler runs the paper's TreeSchedule algorithm.

@@ -120,8 +120,8 @@ func TestOperatorScheduleFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	ops := []*mdrs.SchedOp{
-		{ID: 0, Clones: []mdrs.Vector{{10, 0}}},
-		{ID: 1, Clones: []mdrs.Vector{{0, 10}}},
+		{ID: 0, Work: []mdrs.WorkRun{{N: 1, W: mdrs.Vector{10, 0}}}},
+		{ID: 1, Work: []mdrs.WorkRun{{N: 1, W: mdrs.Vector{0, 10}}}},
 	}
 	res, err := mdrs.OperatorSchedule(1, 2, ov, ops)
 	if err != nil {
