@@ -24,10 +24,13 @@ const cacheMapLimit = 1 << 14
 // a cached answer is bit-identical to a fresh one — the scheduler
 // identity tests pin this — and the cache can be shared freely across
 // phases, trees, batch entries, and concurrent scheduling calls (all
-// methods are safe for concurrent use). DegreeCapped, Clones and TPar read
-// the cached cost and compute the rest: NOpt's search takes about 15
-// T^par evaluations, no more than a probe of a degree map keyed by
-// spec, f, P, ε and cap under the shared lock.
+// methods are safe for concurrent use). Degrees and T^par are not
+// memoized: the scheduler reads an operator's cost once per priced tree
+// and derives the rest from it, NOpt's search taking about 15 T^par
+// evaluations, no more than a probe of a degree map keyed by spec, f, P,
+// ε and cap under the shared lock. DegreeCapped and Clones, which read
+// the cached cost and compute the rest, remain for the frozen
+// bench/probe.go.
 type Cache struct {
 	model Model
 
@@ -97,15 +100,19 @@ func (c *Cache) Cost(spec OpSpec) OpCost {
 
 // DegreeCapped is Model.DegreeCapped over the cached cost of the spec.
 // It takes the spec rather than an OpCost because the cost is itself a
-// pure function of the spec.
+// pure function of the spec. The scheduler derives degrees from the cost
+// it has already read.
+//
+// Deprecated: kept for the frozen bench/probe.go (ROADMAP 1a).
 func (c *Cache) DegreeCapped(spec OpSpec, f float64, p int, ov resource.Overlap, cap int) int {
 	return c.model.DegreeCapped(c.Cost(spec), f, p, ov, cap)
 }
 
 // Clones is Model.Split over the cached cost of the spec: the EA1 split
 // as two vectors, not one per clone. The scheduler splits the cost it
-// has already read; Clones is kept for the frozen bench/probe.go, which
-// calls it (ROADMAP 1a).
+// has already read.
+//
+// Deprecated: kept for the frozen bench/probe.go (ROADMAP 1a).
 func (c *Cache) Clones(spec OpSpec, n int) CloneWork {
 	return c.model.Split(c.Cost(spec), n)
 }
@@ -136,11 +143,4 @@ func (c *Cache) BoundTerm(spec OpSpec, f float64, p int, ov resource.Overlap) (v
 	c.bounds[k] = bt
 	c.mu.Unlock()
 	return bt.proc, bt.tpar
-}
-
-// TPar evaluates Model.TPar over the cached cost of the spec. The
-// closed-form evaluation is a handful of flops — cheaper than a memo
-// probe — so only the cost lookup is cached.
-func (c *Cache) TPar(spec OpSpec, n int, ov resource.Overlap) float64 {
-	return c.model.TPar(c.Cost(spec), n, ov)
 }

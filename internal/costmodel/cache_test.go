@@ -48,9 +48,6 @@ func TestCacheMatchesModelExactly(t *testing.T) {
 			if got, want := c.Clones(spec, n), m.Split(m.Cost(spec), n); got != want {
 				t.Fatalf("Clones(%+v, %d): cached %v != model %v", spec, n, got, want)
 			}
-			if got, want := c.TPar(spec, n, ov), m.TPar(m.Cost(spec), n, ov); got != want {
-				t.Fatalf("TPar(%+v, %d): cached %g != model %g", spec, n, got, want)
-			}
 		}
 	}
 	hits, misses := c.Stats()

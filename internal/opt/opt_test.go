@@ -1,6 +1,8 @@
 package opt
 
 import (
+	"bytes"
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -86,6 +88,7 @@ func TestBoundIsLowerBoundOnTreeSchedule(t *testing.T) {
 	m := costmodel.Default()
 	cache := costmodel.NewCache(m)
 	worst := 0.0
+	var rec sched.Priced // one record reused across trials, as the plan search reuses one
 	for trial := 0; trial < 60; trial++ {
 		joins := 1 + r.Intn(24)
 		p := 1 + r.Intn(140)
@@ -126,6 +129,20 @@ func TestBoundIsLowerBoundOnTreeSchedule(t *testing.T) {
 		}
 		if err := sched.Verify(s, ov); err != nil {
 			t.Fatalf("%s: %v", at(), err)
+		}
+		// The record PhaseBound reads is the one the placement reads: its
+		// bound is PhaseBound's and its schedule is Schedule's, byte for
+		// byte (sched's TestPricedRecordIsWhatIsPlaced holds each
+		// placement to its record entry).
+		if got, err := cached.Price(&rec, tt); err != nil || got != pb {
+			t.Fatalf("%s: priced bound %g (err %v), PhaseBound %g", at(), got, err, pb)
+		}
+		fromRec, err := rec.Schedule(context.Background())
+		if err != nil {
+			t.Fatalf("%s: %v", at(), err)
+		}
+		if got, want := mustEncode(t, fromRec), mustEncode(t, s); !bytes.Equal(got, want) {
+			t.Fatalf("%s: schedule placed from the priced record differs from Schedule's", at())
 		}
 		if s.Response < lb-1e-9 {
 			t.Fatalf("%s: TreeSchedule response %g below OPTBOUND %g", at(), s.Response, lb)
@@ -251,4 +268,13 @@ func TestBoundCachedMatchesBound(t *testing.T) {
 	if _, err := BoundCached(taskTree(t, leaf("R", 1000)), cache, ov, 0, 0.7); err == nil {
 		t.Fatal("P = 0 accepted")
 	}
+}
+
+func mustEncode(t *testing.T, s *sched.Schedule) []byte {
+	t.Helper()
+	b, err := sched.EncodeJSON(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }

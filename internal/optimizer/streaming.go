@@ -55,9 +55,11 @@ func (h *streamFrontier) Pop() interface{} {
 type streamState struct {
 	s   Search
 	ctx context.Context
-	// ts prices every candidate: its phase bound and its schedule. Its
-	// Cache is the search's memo, which the bounds share.
-	ts sched.TreeScheduler
+	// ts prices every candidate into rec, whose phase bound prunes it and
+	// from which it is placed. ts's Cache is the search's memo, which the
+	// bounds share.
+	ts  sched.TreeScheduler
+	rec sched.Priced
 
 	// Incumbent under the exact lexicographic (response, index) key.
 	// incIdx is the candidate's original enumeration index; -1 = none.
@@ -98,17 +100,21 @@ func (st *streamState) process(p *query.PlanNode, idx int64, bound float64) erro
 	return st.price(Candidate{Index: int(idx), Plan: p, Shape: query.RandomBushy, Bound: bound, tree: tt})
 }
 
-// price fully prices one bounded candidate that survived OPTBOUND: the
-// phase bound first once an incumbent exists, then the warm hook, then
-// TreeSchedule, then the incumbent update. A candidate whose deflated
-// phase bound exceeds the incumbent's response has a response above it
-// too, so it can neither win nor tie and is dropped unpriced.
+// price fully prices one bounded candidate that survived OPTBOUND: once
+// an incumbent exists, the tree is priced and pruned on its phase bound
+// first, then the warm hook is consulted, then TreeSchedule places the
+// tree from the same record, then the incumbent is updated. A candidate
+// whose deflated phase bound exceeds the incumbent's response has a
+// response above it too, so it can neither win nor tie and is dropped
+// unscheduled. Without an incumbent nothing is pruned, and a tree the
+// warm hook serves is not priced at all.
 func (st *streamState) price(c Candidate) error {
 	if err := st.ctx.Err(); err != nil {
 		return err
 	}
-	if st.incIdx >= 0 {
-		pb, err := st.ts.PhaseBound(c.tree)
+	priced := st.incIdx >= 0
+	if priced {
+		pb, err := st.ts.Price(&st.rec, c.tree)
 		if err != nil {
 			return err
 		}
@@ -124,7 +130,12 @@ func (st *streamState) price(c Candidate) error {
 		}
 	}
 	if c.Schedule == nil {
-		sc, err := st.ts.ScheduleCtx(st.ctx, c.tree)
+		if !priced {
+			if _, err := st.ts.Price(&st.rec, c.tree); err != nil {
+				return err
+			}
+		}
+		sc, err := st.rec.Schedule(st.ctx)
 		if err != nil {
 			return err
 		}

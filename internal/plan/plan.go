@@ -485,13 +485,15 @@ func (tt *TaskTree) Phases() [][]*Task {
 
 // PhasesBy returns the synchronized phases under the given policy. Both
 // policies produce Height+1 phases with the root task alone in the last
-// one; they differ in where tasks from shallow subtrees land.
+// one; they differ in where tasks from shallow subtrees land. Within a
+// phase tasks keep their tree order. The phases are counted first and
+// laid out as capacity-limited windows of one slab, so the lists take
+// two allocations under MinShelf whatever the tree's size.
 func (tt *TaskTree) PhasesBy(policy PhasePolicy) [][]*Task {
-	phases := make([][]*Task, tt.Height+1)
-	switch policy {
-	case EarliestShelf:
-		asap := make(map[*Task]int, len(tt.Tasks))
-		var level func(tk *Task) int
+	var asap map[*Task]int
+	var level func(tk *Task) int
+	if policy == EarliestShelf {
+		asap = make(map[*Task]int, len(tt.Tasks))
 		level = func(tk *Task) int {
 			if l, ok := asap[tk]; ok {
 				return l
@@ -505,14 +507,28 @@ func (tt *TaskTree) PhasesBy(policy PhasePolicy) [][]*Task {
 			asap[tk] = l
 			return l
 		}
-		for _, tk := range tt.Tasks {
-			phases[level(tk)] = append(phases[level(tk)], tk)
+	}
+	phaseOf := func(tk *Task) int {
+		if level != nil {
+			return level(tk)
 		}
-	default: // MinShelf
-		for _, tk := range tt.Tasks {
-			idx := tt.Height - tk.Level
-			phases[idx] = append(phases[idx], tk)
-		}
+		return tt.Height - tk.Level // MinShelf
+	}
+	// Each phase's length counts its tasks first; the slab has room for
+	// every count.
+	phases := make([][]*Task, tt.Height+1)
+	slab := make([]*Task, len(tt.Tasks))
+	for _, tk := range tt.Tasks {
+		i := phaseOf(tk)
+		phases[i] = slab[:len(phases[i])+1]
+	}
+	for i, ph := range phases {
+		n := len(ph)
+		phases[i], slab = slab[:0:n], slab[n:]
+	}
+	for _, tk := range tt.Tasks {
+		i := phaseOf(tk)
+		phases[i] = append(phases[i], tk)
 	}
 	return phases
 }
@@ -531,7 +547,14 @@ func (tt *TaskTree) Validate() error {
 	for _, tk := range tt.Tasks {
 		nOps += len(tk.Ops)
 	}
-	seen := make([]bool, nOps) // by operator ID, dense from 0
+	// By operator ID, dense from 0; on the stack for trees of up to 63
+	// joins, so validating a plan search's candidates allocates nothing.
+	var small [192]bool
+	seen := small[:]
+	if nOps > len(small) {
+		seen = make([]bool, nOps)
+	}
+	seen = seen[:nOps]
 	height := 0
 	for i, tk := range tt.Tasks {
 		if tk.ID != i {

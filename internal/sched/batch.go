@@ -48,29 +48,30 @@ func (ts TreeScheduler) ScheduleBatchCtx(ctx context.Context, trees []*plan.Task
 	}
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
-	return ts.scheduleBatch(ctx, sc, trees)
-}
-
-// scheduleBatch is the one phase driver, run on the given scratch after
-// validation: global phase i is phase i of every tree that has one.
-// TreeSchedule (Figure 4) is the batch of one.
-func (ts TreeScheduler) scheduleBatch(ctx context.Context, sc *scratch, trees []*plan.TaskTree) (*Schedule, error) {
-	// Operator IDs are dense per tree; offset them so they stay unique
-	// within one OperatorSchedule call.
-	perTree, offsets := sc.batchSlabs(len(trees))
-	maxPhases, next := 0, 0
+	recs := sc.records(len(trees))
 	for i, tt := range trees {
-		perTree[i] = tt.PhasesBy(ts.Policy)
-		if len(perTree[i]) > maxPhases {
-			maxPhases = len(perTree[i])
-		}
-		offsets[i] = next
-		for _, tk := range tt.Tasks {
-			next += len(tk.Ops)
+		if _, err := ts.price(recs[i], tt); err != nil {
+			return nil, fmt.Errorf("sched: batch query %d: %w", i, err)
 		}
 	}
+	return ts.scheduleBatch(ctx, sc, recs)
+}
 
-	sc.resetHomes()
+// scheduleBatch is the one phase driver, run on the given scratch over
+// trees priced by ts: global phase i is phase i of every tree that has
+// one. TreeSchedule (Figure 4) is the batch of one.
+func (ts TreeScheduler) scheduleBatch(ctx context.Context, sc *scratch, recs []*Priced) (*Schedule, error) {
+	// Operator IDs are dense per tree; offset them so they stay unique
+	// within one OperatorSchedule call.
+	offsets := sc.batchOffsets(len(recs))
+	maxPhases, next := 0, 0
+	for i, pr := range recs {
+		maxPhases = max(maxPhases, len(pr.phases))
+		offsets[i] = next
+		next += len(pr.ops)
+	}
+
+	sc.resetHomes(next)
 	out := newSchedule(ts.P, maxPhases)
 	for phaseIdx, ph := range out.Phases {
 		if err := ctx.Err(); err != nil {
@@ -87,21 +88,21 @@ func (ts TreeScheduler) scheduleBatch(ctx context.Context, sc *scratch, trees []
 		// One prepare pass spans the global phase across every tree of
 		// the batch, in (batch entry, task, operator) order.
 		feeders, n := 0, 0
-		for i := range trees {
-			if phaseIdx < len(perTree[i]) {
+		for _, pr := range recs {
+			if phaseIdx < len(pr.phases) {
 				feeders++
-				n += len(perTree[i][phaseIdx])
+				n += len(pr.phases[phaseIdx])
 			}
 		}
 		if feeders > 1 {
 			ph.Tasks = make([]*plan.Task, 0, n)
 		}
 		jobs := sc.jobs[:0]
-		for i := range trees {
-			if phaseIdx >= len(perTree[i]) {
+		for i, pr := range recs {
+			if phaseIdx >= len(pr.phases) {
 				continue
 			}
-			own := perTree[i][phaseIdx]
+			own := pr.phases[phaseIdx]
 			if feeders == 1 {
 				// A tree that alone feeds the phase lends its own list.
 				ph.Tasks = own
@@ -110,7 +111,7 @@ func (ts TreeScheduler) scheduleBatch(ctx context.Context, sc *scratch, trees []
 			}
 			for _, tk := range own {
 				for _, p := range tk.Ops {
-					jobs = append(jobs, prepJob{p: p, tree: i, id: p.ID + offsets[i]})
+					jobs = append(jobs, prepJob{p: p, e: &pr.ops[p.ID], id: p.ID + offsets[i], base: offsets[i]})
 				}
 			}
 		}

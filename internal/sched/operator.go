@@ -21,12 +21,10 @@ import (
 	"cmp"
 	"context"
 	"fmt"
-	"math"
 	"slices"
 
 	"mdrs/internal/costmodel"
 	"mdrs/internal/obs"
-	"mdrs/internal/plan"
 	"mdrs/internal/resource"
 	"mdrs/internal/vector"
 )
@@ -230,7 +228,9 @@ func (sc *scratch) operatorSchedule(ctx context.Context, p, d int, ov resource.O
 	// Step 1 (Figure 3): place the work vectors of all rooted operators
 	// at their respective sites, one work run (one T^seq) at a time. A
 	// run's homes are distinct sites, so each clone's traced load before
-	// the run is its load before its own placement.
+	// the run is its load before its own placement. The site index
+	// groups the sites by the runs that loaded them, for step 3's layout.
+	sc.ix.begin()
 	for i, op := range ops {
 		if !op.Rooted() {
 			continue
@@ -243,6 +243,7 @@ func (sc *scratch) operatorSchedule(ctx context.Context, p, d int, ov resource.O
 					Site: run[n], Rooted: true, L: sys.LoadLength(run[n]), Sum: sys.LoadSum(run[n])})
 			}
 			sys.AssignRun(run, w.W)
+			sc.ix.load(p, run)
 			copy(sites[i][k:], run)
 			k += w.N
 		}
@@ -445,92 +446,6 @@ func LowerBound(p int, ov resource.Overlap, ops []*Op) float64 {
 		lb = h
 	}
 	return lb
-}
-
-// PhaseBound returns the sum, over the phases Schedule would build for
-// tt, of each phase's LowerBound, computed from the degrees Schedule
-// would give its operators without running the placement loop. Under
-// EA1 an operator's clones sum to Model.TotalWork and its coordinator's
-// T^seq is Model.TPar, so a phase's term is LowerBound's formula in
-// O(ops). Every phase's response is at least its own LB, so PhaseBound
-// lower-bounds Schedule(tt).Response, up to float summation order: it
-// adds an operator's work in another order than the placed clones do,
-// so a caller comparing it with a response needs a tolerance. It
-// validates ts and tt as ScheduleCtx does and uses the Cache when one is
-// attached. Like ScheduleCtx it refuses a degree outside [1, P], a
-// home with a site outside [0, P) or two clones at one site, and work
-// that is not finite. A join's degree is derived once, at its build,
-// whose earlier phase leaves it for the probe by the build's ID.
-func (ts TreeScheduler) PhaseBound(tt *plan.TaskTree) (float64, error) {
-	if err := ts.Validate(); err != nil {
-		return 0, err
-	}
-	if err := tt.Validate(); err != nil {
-		return 0, err
-	}
-	var buf [resource.Dims]float64
-	total := vector.Vector(buf[:])
-	var seen []bool
-	nOps := 0
-	for _, tk := range tt.Tasks {
-		nOps += len(tk.Ops)
-	}
-	var small [64]int
-	deg := small[:]
-	if nOps > len(small) {
-		deg = make([]int, nOps)
-	}
-	sum := 0.0
-	for _, phase := range tt.PhasesBy(ts.Policy) {
-		clear(total)
-		h := 0.0
-		for _, tk := range phase {
-			for _, op := range tk.Ops {
-				n := 0 // refused below for a probe whose build has not run
-				if b := op.BuildOp; b == nil {
-					n = ts.degreeOf(op)
-				} else if uint(b.ID) < uint(nOps) {
-					n = deg[b.ID]
-				}
-				deg[op.ID] = n
-				if n < 1 || n > ts.P {
-					return 0, fmt.Errorf("sched: operator %q has degree %d outside [1, %d]", op.Name, n, ts.P)
-				}
-				if home := ts.Homes[op.ID]; home != nil && op.BuildOp == nil {
-					if seen == nil {
-						seen = make([]bool, ts.P)
-					}
-					if err := checkHome(op.Name, home, seen); err != nil {
-						return 0, err
-					}
-				}
-				cost, tpar := ts.costTPar(op.Spec, n)
-				if !(tpar < math.Inf(1)) {
-					return 0, fmt.Errorf("sched: operator %q has T^par %g at degree %d", op.Name, tpar, n)
-				}
-				ts.Model.AddTotalWork(total, cost, n)
-				h = max(h, tpar)
-			}
-		}
-		sum += max(total.Length()/float64(ts.P), h)
-	}
-	return sum, nil
-}
-
-// checkHome reports a home Schedule refuses: a site outside
-// [0, len(seen)) or two clones at one site. seen is scratch of length P.
-func checkHome(name string, home []int, seen []bool) error {
-	clear(seen)
-	for _, s := range home {
-		if s < 0 || s >= len(seen) {
-			return fmt.Errorf("sched: operator %q home site %d outside [0, %d)", name, s, len(seen))
-		}
-		if seen[s] {
-			return fmt.Errorf("sched: operator %q has two clones homed at site %d", name, s)
-		}
-		seen[s] = true
-	}
-	return nil
 }
 
 // PerformanceRatioBound returns the Theorem 5.1(a) guarantee, 2d+1: the

@@ -88,7 +88,8 @@ func ea1Ops(seed int64, joins, p int) []*Op {
 	ts := TreeScheduler{Model: costmodel.Default(), Overlap: ov(0.5), P: p, F: 0.7}
 	ops := make([]*Op, len(ot.Ops))
 	for i, o := range ot.Ops {
-		ops[i] = &Op{ID: o.ID, Work: SplitWork(ts.Model.Split(ts.Model.Cost(o.Spec), ts.degree(o.Spec)))}
+		cost := ts.Model.Cost(o.Spec)
+		ops[i] = &Op{ID: o.ID, Work: SplitWork(ts.Model.Split(cost, ts.Model.Degree(cost, ts.F, ts.P, ts.Overlap)))}
 	}
 	return ops
 }

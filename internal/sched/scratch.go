@@ -3,7 +3,6 @@ package sched
 import (
 	"sync"
 
-	"mdrs/internal/plan"
 	"mdrs/internal/resource"
 )
 
@@ -47,43 +46,48 @@ type scratch struct {
 	opPtrs []*Op
 	dst    [][]int
 	// homes holds the sites of every operator scheduled so far in this
-	// call, for rooting probes at their builds (Section 5.5).
-	homes map[homeKey][]int
-	// phases and offsets are the call's per-tree phase lists and operator
-	// ID offsets, kept here so a lone tree allocates neither.
-	phases  [][][]*plan.Task
+	// call, by the ID it was scheduled under, for rooting probes at their
+	// builds (Section 5.5). The IDs are offset per batch entry, so one
+	// *plan.TaskTree (or two sharing operator pointers) may appear at
+	// several batch positions without entry j's build overwriting entry
+	// i's home.
+	homes [][]int
+	// recs are the call's priced trees and offsets their operator ID
+	// offsets, kept here so a lone tree allocates neither.
+	recs    []*Priced
 	offsets []int
-}
-
-// homeKey identifies a scheduled operator within one call. The batch
-// entry is part of the key because one *plan.TaskTree (or two sharing
-// operator pointers) may legally appear at several batch positions, and
-// entry j's build must not overwrite entry i's home.
-type homeKey struct {
-	tree int
-	op   *plan.Operator
 }
 
 // scratchPool recycles scratches across scheduling calls.
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
-// resetHomes empties the homes for a new scheduling call: they are the
-// one piece of scratch state a call reads before it has written it.
-func (sc *scratch) resetHomes() {
-	if sc.homes == nil {
-		sc.homes = make(map[homeKey][]int)
+// resetHomes empties the homes for a scheduling call over n operators:
+// they are the one piece of scratch state a call reads before it has
+// written it.
+func (sc *scratch) resetHomes(n int) {
+	if cap(sc.homes) < n {
+		sc.homes = make([][]int, n)
+		return
 	}
-	clear(sc.homes)
+	clear(sc.homes[:cap(sc.homes)])
+	sc.homes = sc.homes[:n]
 }
 
-// batchSlabs returns the per-tree phase lists and ID offsets for a call
-// over n trees; the driver overwrites every entry.
-func (sc *scratch) batchSlabs(n int) ([][][]*plan.Task, []int) {
-	if cap(sc.phases) < n {
-		sc.phases = make([][][]*plan.Task, n)
+// records returns n records for a call's trees to be priced into.
+func (sc *scratch) records(n int) []*Priced {
+	for len(sc.recs) < n {
+		sc.recs = append(sc.recs, new(Priced))
+	}
+	return sc.recs[:n]
+}
+
+// batchOffsets returns the operator ID offsets for a call over n trees;
+// the driver overwrites every entry.
+func (sc *scratch) batchOffsets(n int) []int {
+	if cap(sc.offsets) < n {
 		sc.offsets = make([]int, n)
 	}
-	return sc.phases[:n], sc.offsets[:n]
+	return sc.offsets[:n]
 }
 
 // system returns an empty system of p d-dimensional sites under ov: the

@@ -62,7 +62,13 @@ func (c scratchCase) run(sc *scratch) ([]byte, error) {
 	var err error
 	switch {
 	case sc != nil:
-		s, err = c.ts.scheduleBatch(context.Background(), sc, c.trees)
+		recs := sc.records(len(c.trees))
+		for i, tt := range c.trees {
+			if _, err := c.ts.price(recs[i], tt); err != nil {
+				return nil, err
+			}
+		}
+		s, err = c.ts.scheduleBatch(context.Background(), sc, recs)
 	case len(c.trees) == 1:
 		s, err = c.ts.Schedule(c.trees[0])
 	default:

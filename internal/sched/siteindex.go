@@ -55,12 +55,64 @@ func keyCmp(a, b siteKey) int {
 type siteIndex struct {
 	order []siteKey // sites sorted ascending by keyLess
 	grown []siteKey // room for a run's re-keyed sites (rekey's input)
+	// site and groups partition the sites by the rooted work step 1
+	// loaded them with: two sites in one group took the same sequence of
+	// rooted runs, so their loads, and their (l, sum), are bit-identical.
+	// Group 0 holds the sites no rooted run loaded. While groups is empty
+	// no rooted run has loaded a site, and site is stale.
+	site   []int32
+	groups []siteGroup
+	runs   int32     // load calls since groups was emptied
+	keys   []siteKey // reset's group keys, each id a group
+}
+
+// siteGroup is one group of sites with equal loads.
+type siteGroup struct {
+	rep int32 // reset's member of the group, -1 when it has none
+	// next is the group that load call number stamp moved members to.
+	next, stamp int32
+	// rank is the group's place among the distinct (l, sum) keys. reset
+	// counts each rank's sites in the count of the group numbered like
+	// the rank, then turns the count into the rank's next slot.
+	rank, count int32
+}
+
+// begin empties the groups for a new placement: every site is in group 0.
+func (ix *siteIndex) begin() { ix.groups = ix.groups[:0] }
+
+// load refines the groups after step 1 assigned one rooted work run to
+// the given sites, which are distinct: the members of a group the run
+// touched move together to a new group, and the others stay. A group's
+// next is fresh from the run's first member of it on.
+func (ix *siteIndex) load(p int, sites []int) {
+	if len(ix.groups) == 0 {
+		if cap(ix.site) < p {
+			ix.site = make([]int32, p)
+		}
+		ix.site = ix.site[:p]
+		clear(ix.site)
+		ix.groups, ix.runs = append(ix.groups, siteGroup{}), 0
+	}
+	ix.runs++
+	for _, s := range sites {
+		g := ix.site[s]
+		if ix.groups[g].stamp != ix.runs {
+			ix.groups[g].stamp, ix.groups[g].next = ix.runs, int32(len(ix.groups))
+			ix.groups = append(ix.groups, siteGroup{})
+		}
+		ix.site[s] = ix.groups[g].next
+	}
 }
 
 // reset rebuilds the index over the system's current loads (rooted
-// operators are already placed when the floating pass starts), reusing
-// the receiver's slices when they are large enough. A run holds at most
-// P clones, so grown is sized once, beside order in one allocation.
+// operators are already placed when the floating pass starts, their
+// runs recorded by load), reusing the receiver's slices when they are
+// large enough. A run holds at most P clones, so grown is sized once,
+// beside order in one allocation. Without a rooted run every key is
+// (0, 0, id), in site order. Otherwise the G groups' keys are sorted,
+// groups with equal (l, sum) share a rank, and one counting pass lays
+// the sites out by rank, each rank in ascending id: the (l, sum, id)
+// order in O(P + G log G), with no comparison sort over the sites.
 func (ix *siteIndex) reset(sys *resource.System) *siteIndex {
 	p := sys.P()
 	if cap(ix.order) < p {
@@ -68,21 +120,49 @@ func (ix *siteIndex) reset(sys *resource.System) *siteIndex {
 		ix.order, ix.grown = keys[:p:p], keys[p:p:2*p]
 	}
 	ix.order = ix.order[:p]
-	// A site no rooted clone loaded has key (0, 0, id): below every
-	// loaded site's, and ascending as filled. Those go to the front, the
-	// loaded ones to the back, and only the back is sorted.
-	lo, hi := 0, p
-	for j := 0; j < p; j++ {
-		k := siteKey{l: sys.LoadLength(j), sum: sys.LoadSum(j), id: j}
-		if k.l == 0 && k.sum == 0 {
-			ix.order[lo] = k
-			lo++
-		} else {
-			hi--
-			ix.order[hi] = k
+	if len(ix.groups) == 0 {
+		for j := range ix.order {
+			ix.order[j] = siteKey{id: j}
+		}
+		return ix
+	}
+	// A run may have moved a group's first member on, so the members
+	// that represent the groups are chosen now. A group a later run left
+	// empty takes no key, rank or site.
+	groups := ix.groups
+	for g := range groups {
+		groups[g].rep, groups[g].count = -1, 0
+	}
+	for j, g := range ix.site {
+		groups[g].rep = int32(j)
+	}
+	keys := ix.keys[:0]
+	for g, gr := range groups {
+		if gr.rep >= 0 {
+			keys = append(keys, siteKey{l: sys.LoadLength(int(gr.rep)), sum: sys.LoadSum(int(gr.rep)), id: g})
 		}
 	}
-	slices.SortFunc(ix.order[lo:], keyCmp)
+	ix.keys = keys
+	slices.SortFunc(keys, keyCmp)
+	rank := int32(0)
+	for i, k := range keys {
+		if i > 0 && (k.l != keys[i-1].l || k.sum != keys[i-1].sum) {
+			rank++
+		}
+		groups[k.id].rank = rank
+	}
+	for _, g := range ix.site {
+		groups[groups[g].rank].count++
+	}
+	next := int32(0)
+	for r := range rank + 1 {
+		next, groups[r].count = next+groups[r].count, next
+	}
+	for j, g := range ix.site {
+		slot := &groups[groups[g].rank].count
+		ix.order[*slot] = siteKey{l: sys.LoadLength(j), sum: sys.LoadSum(j), id: j}
+		*slot++
+	}
 	return ix
 }
 

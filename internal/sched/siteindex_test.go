@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -14,9 +15,15 @@ import (
 )
 
 // newSiteIndex builds a standalone index over the system's current
-// loads; production code reuses the scratch's through reset.
+// loads by sorting every site's key: the oracle of reset, which lays the
+// sites out from step 1's groups instead.
 func newSiteIndex(sys *resource.System) *siteIndex {
-	return new(siteIndex).reset(sys)
+	ix := new(siteIndex).reset(sys)
+	for j := range ix.order {
+		ix.order[j] = siteKey{l: sys.LoadLength(j), sum: sys.LoadSum(j), id: j}
+	}
+	slices.SortFunc(ix.order, keyCmp)
+	return ix
 }
 
 // pick, pickSkips and update are the clone-by-clone index production
@@ -610,5 +617,172 @@ func TestLowerBoundMixedDimensionClones(t *testing.T) {
 	// All-mismatched input degrades to 0, never a panic.
 	if got := LowerBound(2, ov, []*Op{{ID: 0, Work: runsOf([]vector.Vector{{}})}}); got != 0 {
 		t.Fatalf("LB(zero-dimension clones) = %g, want 0", got)
+	}
+}
+
+// rootedRun is one work run step 1 places: one clone doing w on each of
+// a set of distinct sites.
+type rootedRun struct {
+	sites []int
+	w     vector.Vector
+}
+
+// layoutLevels are the load components the layout cases draw from: few
+// enough that different runs often sum to bit-equal keys.
+var layoutLevels = []float64{0, 0.5, 1, 2, 3}
+
+// layoutCases are reset's corners: homes of several rooted operators
+// overlapping, different run sequences landing on bit-equal keys, a
+// zero vector's (0, 0, id) key among unloaded sites, P = 1, every site
+// loaded and none.
+func layoutCases() []struct {
+	name string
+	p    int
+	runs []rootedRun
+} {
+	v := vector.Of
+	return []struct {
+		name string
+		p    int
+		runs []rootedRun
+	}{
+		{"overlapping homes", 8, []rootedRun{
+			{[]int{0, 1, 2, 3}, v(1, 0.5, 0)},
+			{[]int{2, 3, 4, 5}, v(0, 2, 1)},
+			{[]int{3, 5, 7}, v(0.5, 0.5, 0.5)},
+			{[]int{6, 1}, v(3, 0, 0)},
+		}},
+		{"coincident keys", 6, []rootedRun{
+			{[]int{0}, v(1, 0, 0)},
+			{[]int{0, 4}, v(0, 1, 0)},
+			{[]int{1}, v(0, 1, 0)},
+			{[]int{1}, v(1, 0, 0)},
+			{[]int{2}, v(1, 1, 0)},
+			{[]int{4, 5}, v(0.5, 0, 0)},
+			{[]int{4, 5}, v(0.5, 0, 0)},
+			{[]int{5}, v(0, 1, 0)},
+		}},
+		{"zero vector", 5, []rootedRun{
+			{[]int{1, 3}, v(0, 0, 0)},
+			{[]int{4}, v(1, 1, 1)},
+		}},
+		{"one site", 1, []rootedRun{{[]int{0}, v(2, 1, 0)}}},
+		{"one site unloaded", 1, nil},
+		{"every site loaded", 4, []rootedRun{
+			{[]int{0, 1, 2, 3}, v(1, 2, 3)},
+			{[]int{2, 1}, v(0, 0.5, 0)},
+		}},
+		{"no site loaded", 7, nil},
+	}
+}
+
+// checkLayout loads the runs onto p fresh sites as step 1 does, through
+// ix, and requires reset's order to be the oracle's: every site's key
+// sorted by keyCmp.
+func checkLayout(t *testing.T, ix *siteIndex, p int, runs []rootedRun) {
+	t.Helper()
+	sys := resource.NewSystem(p, resource.Dims, resource.MustOverlap(0.5))
+	ix.begin()
+	for _, r := range runs {
+		sys.AssignRun(r.sites, r.w)
+		ix.load(p, r.sites)
+	}
+	got := slices.Clone(ix.reset(sys).order)
+	if want := newSiteIndex(sys).order; !slices.Equal(got, want) {
+		t.Fatalf("P=%d, %d rooted runs: reset lays out %v, sorted keys are %v", p, len(runs), got, want)
+	}
+}
+
+// TestSiteIndexLayoutMatchesSort holds reset's counting layout to the
+// sort on the corner cases and on random rooted runs, on one index
+// reused throughout, as the scratch reuses it from phase to phase.
+func TestSiteIndexLayoutMatchesSort(t *testing.T) {
+	ix := new(siteIndex)
+	for _, c := range layoutCases() {
+		t.Run(c.name, func(t *testing.T) { checkLayout(t, ix, c.p, c.runs) })
+	}
+	r := rand.New(rand.NewSource(41))
+	for trial := 0; trial < 2000; trial++ {
+		p := 1 + r.Intn(64)
+		runs := make([]rootedRun, r.Intn(13))
+		for i := range runs {
+			perm := r.Perm(p)
+			w := vector.New(resource.Dims)
+			for k := range w {
+				w[k] = layoutLevels[r.Intn(len(layoutLevels))]
+			}
+			runs[i] = rootedRun{sites: perm[:1+r.Intn(p)], w: w}
+		}
+		checkLayout(t, ix, p, runs)
+	}
+}
+
+// decodeLayout reads a layout case from fuzz bytes: P from the first
+// byte, then runs of a header — the site count and the vector's three
+// level indices — and that many site bytes, repeats dropped.
+func decodeLayout(data []byte) (int, []rootedRun) {
+	if len(data) == 0 {
+		return 1, nil
+	}
+	p := 1 + int(data[0])%64
+	data = data[1:]
+	var runs []rootedRun
+	for len(data) >= 4 {
+		n := 1 + int(data[0])%8
+		w := vector.New(resource.Dims)
+		for k := range w {
+			w[k] = layoutLevels[int(data[1+k])%len(layoutLevels)]
+		}
+		data = data[4:]
+		taken := make([]bool, p)
+		var sites []int
+		for ; n > 0 && len(data) > 0; n-- {
+			if s := int(data[0]) % p; !taken[s] {
+				taken[s] = true
+				sites = append(sites, s)
+			}
+			data = data[1:]
+		}
+		if len(sites) > 0 {
+			runs = append(runs, rootedRun{sites: sites, w: w})
+		}
+	}
+	return p, runs
+}
+
+// encodeLayout is decodeLayout's inverse on cases whose runs hold at
+// most 8 sites and whose components are layout levels.
+func encodeLayout(p int, runs []rootedRun) []byte {
+	data := []byte{byte(p - 1)}
+	for _, r := range runs {
+		data = append(data, byte(len(r.sites)-1))
+		for _, x := range r.w {
+			data = append(data, byte(slices.Index(layoutLevels, x)))
+		}
+		for _, s := range r.sites {
+			data = append(data, byte(s))
+		}
+	}
+	return data
+}
+
+func FuzzSiteIndexLayout(f *testing.F) {
+	for _, c := range layoutCases() {
+		f.Add(encodeLayout(c.p, c.runs))
+	}
+	ix := new(siteIndex)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, runs := decodeLayout(data)
+		checkLayout(t, ix, p, runs)
+	})
+}
+
+// The layout seeds must survive the byte encoding.
+func TestSiteIndexLayoutSeedsRoundTrip(t *testing.T) {
+	for _, c := range layoutCases() {
+		p, runs := decodeLayout(encodeLayout(c.p, c.runs))
+		if p != c.p || len(runs) != len(c.runs) || len(runs) > 0 && !reflect.DeepEqual(runs, c.runs) {
+			t.Fatalf("%s: decoded to P=%d and %d runs, not the case itself", c.name, p, len(runs))
+		}
 	}
 }

@@ -152,15 +152,13 @@ func (ts TreeScheduler) Schedule(tt *plan.TaskTree) (*Schedule, error) {
 // context never influences a scheduling decision — a run that completes
 // is bit-identical to Schedule.
 func (ts TreeScheduler) ScheduleCtx(ctx context.Context, tt *plan.TaskTree) (*Schedule, error) {
-	if err := ts.Validate(); err != nil {
-		return nil, err
-	}
-	if err := tt.Validate(); err != nil {
-		return nil, err
-	}
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
-	return ts.scheduleBatch(ctx, sc, []*plan.TaskTree{tt})
+	recs := sc.records(1)
+	if _, err := ts.Price(recs[0], tt); err != nil {
+		return nil, err
+	}
+	return ts.scheduleBatch(ctx, sc, recs)
 }
 
 // newSchedule returns a schedule for p sites whose n phases, indexed and
@@ -177,24 +175,20 @@ func newSchedule(p, n int) *Schedule {
 
 // runPhase schedules the operators listed in sc.jobs as phase ph.Index
 // and fills in ph's placements and response. The jobs are in the order
-// the placements are listed in. Cost preparation fills slabs indexed by
-// job and returns the first error in job order, OperatorSchedule writes
-// every clone's site into one slab that the placements' Sites are
-// windows of, and the homes of the phase's operators are recorded for
-// the probes of later phases. What the phase leaves behind is three
-// allocations: the placements and their work, pointers, and sites.
+// the placements are listed in. Each job's placement is built from its
+// priced entry, OperatorSchedule writes every clone's site into one slab
+// that the placements' Sites are windows of, and the homes of the
+// phase's operators are recorded for the probes of later phases. What
+// the phase leaves behind is three allocations: the placements and
+// their work, pointers, and sites.
 func (ts TreeScheduler) runPhase(ctx context.Context, sc *scratch, ph *PhaseSchedule) error {
 	jobs := sc.jobs
 	slots := make([]placementSlot, len(jobs))
 	sc.phaseSlabs(len(jobs))
-	for i, j := range jobs {
-		if err := ts.prepare(sc, j, &sc.ops[i], &slots[i]); err != nil {
-			return fmt.Errorf("sched: phase %d: %w", ph.Index, err)
-		}
-	}
 	clones := 0
-	for i := range slots {
-		clones += slots[i].pl.Degree
+	for i, j := range jobs {
+		ts.prepare(sc, j, &sc.ops[i], &slots[i])
+		clones += j.e.deg
 	}
 	slab := make([]int, clones)
 	for i := range slots {
@@ -229,7 +223,7 @@ func (ts TreeScheduler) runPhase(ctx context.Context, sc *scratch, ph *PhaseSche
 	ph.Placements = make([]*OpPlacement, len(slots))
 	for i := range slots {
 		ph.Placements[i] = &slots[i].pl
-		sc.homes[homeKey{jobs[i].tree, jobs[i].p}] = slots[i].pl.Sites
+		sc.homes[jobs[i].id] = slots[i].pl.Sites
 	}
 	return nil
 }
@@ -241,95 +235,35 @@ type placementSlot struct {
 	split costmodel.CloneWork
 }
 
-// prepJob is one operator awaiting cost preparation: the plan operator,
-// the batch entry it belongs to (0 outside a batch) and the ID it is
-// scheduled under, unique within the phase.
+// prepJob is one operator awaiting placement: the plan operator, its
+// priced entry, the ID it is scheduled under, unique within the phase,
+// and the offset of its batch entry's IDs (0 outside a batch).
 type prepJob struct {
 	p    *plan.Operator
-	tree int
+	e    *pricedOp
 	id   int
+	base int
 }
 
-// prepare determines an operator's degree of parallelism and clone
-// work, and whether it is rooted, writes them to op and slot (slot's
-// Sites are the placement loop's to fill) and validates op as
-// OperatorSchedule validates any. The work is the EA1 split of the cost
-// costTPar read, as at most two runs. With a Cache attached, every
-// derivation reads the spec's memoized cost, so structurally repeated
-// scans/builds/probes across phases, trees, and batch entries are
-// costed once.
-func (ts TreeScheduler) prepare(sc *scratch, j prepJob, op *Op, slot *placementSlot) error {
-	p := j.p
-	home := ts.Homes[p.ID]
-	if p.BuildOp != nil {
-		// A probe executes at the sites holding the hash table: the home
-		// of its build, with the same clone layout (coordinator aligned).
-		h, ok := sc.homes[homeKey{j.tree, p.BuildOp}]
-		if !ok {
-			return fmt.Errorf("operator %q scheduled before its build %q",
-				p.Name, p.BuildOp.Name)
-		}
-		home = h
+// prepare writes a priced operator's Op and placement (whose Sites are
+// the placement loop's to fill). The work is the EA1 split of the priced
+// cost at the priced degree, as at most two runs. A probe executes at
+// the sites holding the hash table: the home of its build, with the same
+// clone layout (coordinator aligned), which pricing put in an earlier
+// phase than the probe's.
+func (ts TreeScheduler) prepare(sc *scratch, j prepJob, op *Op, slot *placementSlot) {
+	home := j.e.home
+	if b := j.p.BuildOp; b != nil {
+		home = sc.homes[j.base+b.ID]
 	}
-	n := len(home)
-	if home == nil {
-		n = ts.degreeOf(p)
-	}
-
-	cost, tpar := ts.costTPar(p.Spec, n)
-	slot.split = ts.Model.Split(cost, n)
+	slot.split = ts.Model.Split(j.e.cost, j.e.deg)
 	work := splitRuns(&slot.runs, &slot.split)
 	*op = Op{ID: j.id, Work: work, Home: home}
 	slot.pl = OpPlacement{
-		Op:     p,
-		Degree: n,
+		Op:     j.p,
+		Degree: j.e.deg,
 		Work:   work,
 		Rooted: home != nil,
-		TPar:   tpar,
+		TPar:   j.e.tpar,
 	}
-	return op.validate(ts.P, resource.Dims, sc)
-}
-
-// degreeOf is the degree of parallelism prepare gives p, and the one
-// rule PhaseBound reads. A probe runs at its build's home (Section 5.5),
-// so it takes its build's degree. An operator Homes roots takes the size
-// of its home. Any other operator takes its CG_f degree, and a build is
-// further capped by its probe's: the join's degree must be coarse grain
-// for the probe as well, or the granularity condition could never
-// constrain probes at all.
-func (ts TreeScheduler) degreeOf(p *plan.Operator) int {
-	if p.BuildOp != nil {
-		p = p.BuildOp
-	}
-	if home := ts.Homes[p.ID]; home != nil {
-		return len(home)
-	}
-	n := ts.degree(p.Spec)
-	if p.Kind == costmodel.Build && p.Consumer != nil {
-		n = min(n, ts.degree(p.Consumer.Spec))
-	}
-	return n
-}
-
-// costTPar is the operator's cost and its T^par at degree n, the cost
-// read through the cache when one is attached. Cache.TPar is Model.TPar
-// over the cached cost, so both paths give the same bits; prepare and
-// PhaseBound read T^par here and nowhere else.
-func (ts TreeScheduler) costTPar(spec costmodel.OpSpec, n int) (costmodel.OpCost, float64) {
-	var cost costmodel.OpCost
-	if ts.Cache != nil {
-		cost = ts.Cache.Cost(spec)
-	} else {
-		cost = ts.Model.Cost(spec)
-	}
-	return cost, ts.Model.TPar(cost, n, ts.Overlap)
-}
-
-// degree resolves a floating operator's degree of parallelism through
-// the cache when one is attached, clamped by MaxDegree when set.
-func (ts TreeScheduler) degree(spec costmodel.OpSpec) int {
-	if ts.Cache != nil {
-		return ts.Cache.DegreeCapped(spec, ts.F, ts.P, ts.Overlap, ts.MaxDegree)
-	}
-	return ts.Model.DegreeCapped(ts.Model.Cost(spec), ts.F, ts.P, ts.Overlap, ts.MaxDegree)
 }
