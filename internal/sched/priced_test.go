@@ -105,7 +105,7 @@ func TestPricedRecordIsWhatIsPlaced(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", at, err)
 		}
-		if got, want := mustEncode(t, s), mustEncode(t, want); !bytes.Equal(got, want) {
+		if got, want := mustJSON(t, s), mustJSON(t, want); !bytes.Equal(got, want) {
 			t.Fatalf("%s: schedule placed from the record differs from ScheduleCtx's", at)
 		}
 		checkPlacedFromRecord(t, at, s, &pr)
@@ -194,7 +194,7 @@ func TestPricedRecordReuseLeavesSchedulesAlone(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := mustEncode(t, a)
+		want := mustJSON(t, a)
 		done := make(chan []byte)
 		go func() {
 			got, _ := EncodeJSON(a)
@@ -209,7 +209,7 @@ func TestPricedRecordReuseLeavesSchedulesAlone(t *testing.T) {
 		if got := <-done; !bytes.Equal(got, want) {
 			t.Fatalf("round %d: A's schedule encoded differently while B was priced", round)
 		}
-		if got := mustEncode(t, a); !bytes.Equal(got, want) {
+		if got := mustJSON(t, a); !bytes.Equal(got, want) {
 			t.Fatalf("round %d: pricing and placing B changed A's schedule", round)
 		}
 	}
@@ -316,13 +316,4 @@ func TestWarmPhaseBoundAllocs(t *testing.T) {
 	if allocs := testing.AllocsPerRun(50, run); allocs > 2 {
 		t.Fatalf("warm PhaseBound allocates %.0f times, want <= 2", allocs)
 	}
-}
-
-func mustEncode(t *testing.T, s *Schedule) []byte {
-	t.Helper()
-	b, err := EncodeJSON(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b
 }
