@@ -38,7 +38,7 @@ test:
 # The one concurrency gate: every package's tests, fresh (-count=1)
 # under the race detector. The hammers over shared state (recorders,
 # serve cache/batching/controller/Close, concurrent scheduling calls and
-# plan searches, the engine's clone fan-out, the memoized Schedule.JSON)
+# plan searches, the experiments trial pool, the memoized Schedule.JSON)
 # are ordinary tests of their packages, so they all run here.
 race:
 	$(GO) test -race -count=1 ./...
@@ -106,9 +106,9 @@ figures:
 trace-demo:
 	$(GO) run ./cmd/mdrs-plangen -joins 6 -seed 1 | $(GO) run ./cmd/mdrs-sched -sites 16 -trace-text
 
-# The size ROADMAP tracks: non-test Go lines of the root module (the
-# nested bench/ module excluded), then the same count for the system
-# alone — without internal/repro/ and cmd/mdrs-bench/.
+# The size ROADMAP tracks: `total`, the non-test Go lines of the root
+# module (the nested bench/ module excluded), and `system`, the same
+# count without internal/repro/ and cmd/mdrs-bench/.
 loc:
-	@git ls-files '*.go' | grep -v _test.go | grep -v '^bench/' | xargs cat | wc -l
-	@git ls-files '*.go' | grep -v _test.go | grep -v '^bench/' | grep -vE '^(internal/repro|cmd/mdrs-bench)/' | xargs cat | wc -l
+	@echo "total $$(git ls-files '*.go' | grep -v _test.go | grep -v '^bench/' | xargs cat | wc -l)"
+	@echo "system $$(git ls-files '*.go' | grep -v _test.go | grep -v '^bench/' | grep -vE '^(internal/repro|cmd/mdrs-bench)/' | xargs cat | wc -l)"

@@ -84,7 +84,7 @@ func BenchmarkEngine(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	eng := mdrs.Engine{Model: mdrs.DefaultCostModel(), Overlap: resource.MustOverlap(0.5), Parallel: true}
+	eng := mdrs.Engine{Model: mdrs.DefaultCostModel(), Overlap: resource.MustOverlap(0.5)}
 	var ratio float64
 	b.ReportAllocs()
 	b.ResetTimer()

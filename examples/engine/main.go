@@ -36,7 +36,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	eng := mdrs.Engine{Model: mdrs.DefaultCostModel(), Overlap: ov, Parallel: true}
+	eng := mdrs.Engine{Model: mdrs.DefaultCostModel(), Overlap: ov}
 	report, err := eng.Run(ds, schedule)
 	if err != nil {
 		log.Fatal(err)

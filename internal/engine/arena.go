@@ -7,14 +7,13 @@ import (
 
 // arena is a Run-scoped free list of tuple and int32 buffers: the
 // partition backings, scattered key columns, flat-table arrays, and
-// per-clone result buffers of one execution all come from (and return
+// operator result buffers of one execution all come from (and return
 // to) it, so a J-join plan stops allocating O(tuples) per operator and
 // a warm run settles at a handful of allocations.
 //
-// The arena is single-owner: only the run's coordinating goroutine
-// calls get/put (clone bodies receive pre-carved buffers and never
-// touch the free lists), so no locking is needed. Arenas themselves
-// are recycled across runs through getArena/putArena.
+// The arena is single-owner: a run executes on one goroutine, clone
+// bodies included, so no locking is needed. Arenas themselves are
+// recycled across runs through getArena/putArena.
 type arena struct {
 	tupleFree [][]Tuple
 	intFree   [][]int32

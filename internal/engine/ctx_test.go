@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"errors"
-	"sync/atomic"
 	"testing"
 
 	"mdrs/internal/plan"
@@ -15,38 +14,34 @@ func TestRunCtxPreCancelled(t *testing.T) {
 	s := scheduleFor(t, p, 8)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, parallel := range []bool{false, true} {
-		if _, err := testEngine(parallel).RunCtx(ctx, ds, s); !errors.Is(err, context.Canceled) {
-			t.Fatalf("parallel=%v: got %v, want context.Canceled", parallel, err)
-		}
+	if _, err := testEngine().RunCtx(ctx, ds, s); !errors.Is(err, context.Canceled) {
+		t.Fatalf("got %v, want context.Canceled", err)
 	}
 }
 
 // TestRunCtxMidRunCancellation cancels the context from inside a clone
-// body (via the failClone hook, which runs just after the ctx check):
-// the very next clone must observe the cancellation and abort the run.
+// (via the failClone hook, which runs just before the ctx check): that
+// clone's ctx check must observe the cancellation and abort the run.
 func TestRunCtxMidRunCancellation(t *testing.T) {
 	p := join(join(leaf("A", 3000), leaf("B", 1200)), leaf("C", 900))
 	ds := MustGenerate(p, 7)
 	s := scheduleFor(t, p, 8)
-	for _, parallel := range []bool{false, true} {
-		ctx, cancel := context.WithCancel(context.Background())
-		e := testEngine(parallel)
-		var fired atomic.Bool
-		e.failClone = func(op *plan.Operator, k int) error {
-			if fired.CompareAndSwap(false, true) {
-				cancel()
-			}
-			return nil
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	e := testEngine()
+	fired := false
+	e.failClone = func(op *plan.Operator, k int) error {
+		if !fired {
+			fired = true
+			cancel()
 		}
-		_, err := e.RunCtx(ctx, ds, s)
-		cancel()
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("parallel=%v: got %v, want context.Canceled", parallel, err)
-		}
-		if !fired.Load() {
-			t.Fatalf("parallel=%v: hook never ran", parallel)
-		}
+		return nil
+	}
+	if _, err := e.RunCtx(ctx, ds, s); !errors.Is(err, context.Canceled) {
+		t.Fatalf("got %v, want context.Canceled", err)
+	}
+	if !fired {
+		t.Fatal("hook never ran")
 	}
 }
 
@@ -54,7 +49,7 @@ func TestRunCtxCompletedMatchesRun(t *testing.T) {
 	p := join(leaf("A", 2000), leaf("B", 500))
 	ds := MustGenerate(p, 3)
 	s := scheduleFor(t, p, 8)
-	e := testEngine(false)
+	e := testEngine()
 	plain, err := e.Run(ds, s)
 	if err != nil {
 		t.Fatal(err)

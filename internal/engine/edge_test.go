@@ -14,7 +14,7 @@ import (
 func TestRunRejectsBadSchedules(t *testing.T) {
 	p := join(leaf("A", 100), leaf("B", 50))
 	ds := MustGenerate(p, 1)
-	eng := testEngine(false)
+	eng := testEngine()
 
 	// Placement without an operator.
 	s := &sched.Schedule{P: 2, Phases: []*sched.PhaseSchedule{
@@ -52,7 +52,7 @@ func TestSingleRelationQueryExecutes(t *testing.T) {
 	p := leaf("R", 1234)
 	ds := MustGenerate(p, 5)
 	s := scheduleFor(t, p, 4)
-	rep, err := testEngine(false).Run(ds, s)
+	rep, err := testEngine().Run(ds, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestTinyRelations(t *testing.T) {
 	p := join(leaf("A", 1), leaf("B", 1))
 	ds := MustGenerate(p, 2)
 	s := scheduleFor(t, p, 3)
-	rep, err := testEngine(true).Run(ds, s)
+	rep, err := testEngine().Run(ds, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestMismatchedDatasetFails(t *testing.T) {
 	pB := join(leaf("C", 500), leaf("D", 200))
 	dsB := MustGenerate(pB, 3)
 	sA := scheduleFor(t, pA, 3)
-	if _, err := testEngine(false).Run(dsB, sA); err == nil {
+	if _, err := testEngine().Run(dsB, sA); err == nil {
 		t.Fatal("foreign dataset accepted")
 	}
 }
@@ -103,7 +103,7 @@ func TestDeepPipelineExecution(t *testing.T) {
 	}
 	ds := MustGenerate(p, 7)
 	s := scheduleFor(t, p, 4)
-	rep, err := testEngine(true).Run(ds, s)
+	rep, err := testEngine().Run(ds, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestMetersMatchCostModelOnUniformData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := testEngine(false).Run(ds, s)
+	rep, err := testEngine().Run(ds, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestResultContentIsExactlyTheCarrierRelation(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Re-run the dataflow manually to inspect the root output.
-		eng := testEngine(false)
+		eng := testEngine()
 		st := newRunState(4)
 		rep := &Report{JoinResults: map[int]int{}}
 		for _, ph := range s.Phases {
@@ -226,7 +226,7 @@ func TestMaterializedExecution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := testEngine(true).Run(ds, sMat)
+	rep, err := testEngine().Run(ds, sMat)
 	if err != nil {
 		t.Fatal(err)
 	}

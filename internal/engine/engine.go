@@ -4,13 +4,11 @@ import (
 	"cmp"
 	"context"
 	"fmt"
-	"runtime"
 	"slices"
 	"time"
 
 	"mdrs/internal/costmodel"
 	"mdrs/internal/obs"
-	"mdrs/internal/par"
 	"mdrs/internal/plan"
 	"mdrs/internal/resource"
 	"mdrs/internal/sched"
@@ -18,21 +16,19 @@ import (
 )
 
 // Engine executes a scheduled plan over a generated Dataset, metering
-// every clone's work against virtual resource clocks.
+// every clone's work against its virtual site's resource clocks. The
+// clones run one after another on the caller's goroutine; what they
+// meter does not depend on the host's cores.
 type Engine struct {
 	Model   costmodel.Model
 	Overlap resource.Overlap
-	// Parallel runs each operator's clones on separate goroutines
-	// (results are merged in clone order, so output is deterministic
-	// either way). The goroutine count is clamped to GOMAXPROCS through
-	// the internal/par pool — a degree-512 operator no longer spawns
-	// 512 goroutines — while the lowest-index-error contract holds.
+	// Deprecated: ignored; clones run serially. Kept only because the
+	// frozen bench/ assigns it (ROADMAP 1a).
 	Parallel bool
 	// Rec, when non-nil, receives execution counters (tuples, clone
 	// runs, arena reuse/alloc tallies, flat-table layout tallies), the
-	// run/phase timers, and exec_phase trace events. Recorders must be
-	// safe for concurrent use when Parallel is set; all the
-	// internal/obs implementations are. Nil disables recording.
+	// run/phase timers, and exec_phase trace events. Nil disables
+	// recording.
 	Rec obs.Recorder
 
 	// failClone, when non-nil, is consulted before every clone body runs
@@ -457,10 +453,10 @@ func (e Engine) runBuild(pl *sched.OpPlacement, ds *Dataset, st *runState, meter
 	return nil
 }
 
-// runProbe partitions the probe side, probes each clone's table and
-// concatenates the clones' results in clone order. An outer-carrier
-// probe passes its own matching tuples on; an inner-carrier probe emits
-// the build side's, so it ships keys alone.
+// runProbe partitions the probe side and probes each clone's table,
+// the clones' results following one another in clone order. An
+// outer-carrier probe passes its own matching tuples on; an
+// inner-carrier probe emits the build side's, so it ships keys alone.
 func (e Engine) runProbe(pl *sched.OpPlacement, ds *Dataset, st *runState, rep *Report,
 	meters []*cloneMeter) error {
 
@@ -481,54 +477,45 @@ func (e Engine) runProbe(pl *sched.OpPlacement, ds *Dataset, st *runState, rep *
 	if err != nil {
 		return err
 	}
-	out := make([][]Tuple, n)
-	for k := 0; k < n; k++ {
-		// Capacity hints: presence probes emit at most their input;
-		// match probes emit (under the FK discipline) exactly the
-		// build partition's size. Either way append can still grow.
-		hint := rp.size(k)
-		if !outerCarrier {
-			hint = int(jt.clones[k].n)
+	// The clones append to one arena buffer in clone order, so a
+	// clone's output count is how much the buffer grew. Capacity hint:
+	// presence probes emit at most their input; match probes emit
+	// (under the FK discipline) exactly the build side's size. Either
+	// way append can still grow.
+	hint := len(rp.keyback)
+	if !outerCarrier {
+		hint = 0
+		for k := range jt.clones {
+			hint += int(jt.clones[k].n)
 		}
-		out[k] = st.ar.getTuples(hint)[:0]
 	}
+	result := st.ar.getTuples(hint)[:0]
 	err = e.eachClone(op, n, func(k int) error {
-		var res []Tuple
+		before := len(result)
 		var perr error
 		if outerCarrier {
-			res, perr = jt.clones[k].probePresence(rp.tuples(k), rp.keys(k), out[k])
+			result, perr = jt.clones[k].probePresence(rp.tuples(k), rp.keys(k), result)
 		} else {
-			res, perr = jt.clones[k].probeMatches(rp.keys(k), out[k])
+			result, perr = jt.clones[k].probeMatches(rp.keys(k), result)
 		}
 		if perr != nil {
 			return perr
 		}
-		out[k] = res
+		emitted := len(result) - before
 		if op.Spec.NetIn {
 			meters[k].addNetTuples(rp.size(k), p)
 		}
 		if op.Spec.NetOut {
-			meters[k].addNetTuples(len(res), p)
+			meters[k].addNetTuples(emitted, p)
 		}
-		meters[k].addCPU(float64(rp.size(k))*p.ProbeInstr+float64(len(res))*p.ExtractInstr, p)
+		meters[k].addCPU(float64(rp.size(k))*p.ProbeInstr+float64(emitted)*p.ExtractInstr, p)
 		return nil
 	})
 	probed := int64(len(rp.keyback))
 	rp.release(st.ar)
 	if err != nil {
-		for k := range out {
-			st.ar.putTuples(out[k])
-		}
+		st.ar.putTuples(result)
 		return err
-	}
-	total := 0
-	for k := range out {
-		total += len(out[k])
-	}
-	result := st.ar.getTuples(total)[:0]
-	for k := range out {
-		result = append(result, out[k]...)
-		st.ar.putTuples(out[k])
 	}
 	st.release(prod)
 	jt.release(st.ar)
@@ -623,73 +610,27 @@ func splitContiguous(all []Tuple, n int) [][]Tuple {
 	return parts
 }
 
-// cloneFn wraps the clone body with the run's cross-cutting layers:
-// the cancellation check, the test fault hook, and clone-run
-// recording. The wrapping order is identical for the serial, bounded
-// parallel, and reference paths, so all three fail on the same
-// deterministic lowest clone index.
-func (e Engine) cloneFn(op *plan.Operator, fn func(k int) error) func(k int) error {
-	run := fn
-	if ctx := e.ctx; ctx != nil {
-		// Cancellation is checked before every clone body, so a run under
-		// an expired context abandons the operator within one clone's
-		// work. The check wraps the user fn (inside failClone/recording)
-		// so serial and parallel runs fail on the same deterministic
-		// lowest clone index.
-		inner := run
-		run = func(k int) error {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			return inner(k)
-		}
-	}
-	if e.failClone != nil {
-		inner := run
-		run = func(k int) error {
+// eachClone runs fn for every clone index of op, in index order on the
+// run's goroutine. Before each clone body it counts the clone run, asks
+// the test fault hook and checks the run's context, in that order; the
+// first clone that fails stops the operator, so no later clone body runs
+// and the error is that clone's. Every arm of runOperator must check the
+// returned error — the Scan arm once did not, and a failing clone there
+// masqueraded as a clean run.
+func (e Engine) eachClone(op *plan.Operator, n int, fn func(k int) error) error {
+	for k := 0; k < n; k++ {
+		obs.Count(e.Rec, "engine.clone_runs", 1)
+		if e.failClone != nil {
 			if err := e.failClone(op, k); err != nil {
 				return err
 			}
-			return inner(k)
 		}
-	}
-	if rec := e.Rec; rec != nil {
-		inner := run
-		run = func(k int) error {
-			rec.Count("engine.clone_runs", 1)
-			return inner(k)
-		}
-	}
-	return run
-}
-
-// eachClone runs fn for every clone index of op, in parallel when
-// configured. Parallel mode fans the clones over an internal/par
-// bounded pool clamped to GOMAXPROCS — the engine used to spawn one
-// goroutine per clone, unbounded at degree ≫ GOMAXPROCS. Errors are
-// collected positionally and reduced in index order, so the lowest-
-// index error wins and the reported failure is deterministic across
-// serial and parallel runs and every pool width. Every arm of
-// runOperator must check the returned error — the Scan arm once did
-// not, and a failing clone there masqueraded as a clean run.
-func (e Engine) eachClone(op *plan.Operator, n int, fn func(k int) error) error {
-	run := e.cloneFn(op, fn)
-	if !e.Parallel || n == 1 {
-		for k := 0; k < n; k++ {
-			if err := run(k); err != nil {
+		if e.ctx != nil {
+			if err := e.ctx.Err(); err != nil {
 				return err
 			}
 		}
-		return nil
-	}
-	w := runtime.GOMAXPROCS(0)
-	if w > n {
-		w = n
-	}
-	errs := make([]error, n)
-	par.For(w, n, func(k int) { errs[k] = run(k) })
-	for _, err := range errs {
-		if err != nil {
+		if err := fn(k); err != nil {
 			return err
 		}
 	}

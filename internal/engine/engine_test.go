@@ -27,12 +27,8 @@ func join(outer, inner *query.PlanNode) *query.PlanNode {
 	return &query.PlanNode{Outer: outer, Inner: inner, Tuples: t}
 }
 
-func testEngine(parallel bool) Engine {
-	return Engine{
-		Model:    costmodel.Default(),
-		Overlap:  resource.MustOverlap(0.5),
-		Parallel: parallel,
-	}
+func testEngine() Engine {
+	return Engine{Model: costmodel.Default(), Overlap: resource.MustOverlap(0.5)}
 }
 
 func scheduleFor(t testing.TB, p *query.PlanNode, sites int) *sched.Schedule {
@@ -135,7 +131,7 @@ func TestRunSingleJoinCardinalities(t *testing.T) {
 		p := join(leaf("A", sizes[0]), leaf("B", sizes[1]))
 		ds := MustGenerate(p, 3)
 		s := scheduleFor(t, p, 8)
-		rep, err := testEngine(false).Run(ds, s)
+		rep, err := testEngine().Run(ds, s)
 		if err != nil {
 			t.Fatalf("sizes %v: %v", sizes, err)
 		}
@@ -156,7 +152,7 @@ func TestRunBushyPlanCardinalities(t *testing.T) {
 	)
 	ds := MustGenerate(p, 11)
 	s := scheduleFor(t, p, 10)
-	rep, err := testEngine(false).Run(ds, s)
+	rep, err := testEngine().Run(ds, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,33 +172,13 @@ func TestRunRandomPlansMatchOptimizerCardinalities(t *testing.T) {
 		})
 		ds := MustGenerate(p, int64(trial))
 		s := scheduleFor(t, p, 6)
-		rep, err := testEngine(false).Run(ds, s)
+		rep, err := testEngine().Run(ds, s)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if rep.ResultTuples != p.Tuples {
 			t.Fatalf("trial %d: result %d, want %d", trial, rep.ResultTuples, p.Tuples)
 		}
-	}
-}
-
-func TestRunParallelMatchesSerial(t *testing.T) {
-	p := join(join(leaf("A", 4000), leaf("B", 2500)), leaf("C", 1500))
-	ds := MustGenerate(p, 5)
-	s := scheduleFor(t, p, 8)
-	serial, err := testEngine(false).Run(ds, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := testEngine(true).Run(ds, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if serial.ResultTuples != par.ResultTuples {
-		t.Fatalf("results differ: %d vs %d", serial.ResultTuples, par.ResultTuples)
-	}
-	if math.Abs(serial.Measured-par.Measured) > 1e-9 {
-		t.Fatalf("measured responses differ: %g vs %g", serial.Measured, par.Measured)
 	}
 }
 
@@ -218,7 +194,7 @@ func TestMeasuredTracksPredicted(t *testing.T) {
 		})
 		ds := MustGenerate(p, int64(trial))
 		s := scheduleFor(t, p, 12)
-		rep, err := testEngine(true).Run(ds, s)
+		rep, err := testEngine().Run(ds, s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -290,7 +266,7 @@ func TestSkewPreservesCardinalities(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := scheduleFor(t, p, 6)
-	rep, err := testEngine(false).Run(ds, s)
+	rep, err := testEngine().Run(ds, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,11 +291,11 @@ func TestSkewIncreasesDeviationFromPrediction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	repU, err := testEngine(false).Run(uniform, s)
+	repU, err := testEngine().Run(uniform, s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	repS, err := testEngine(false).Run(skewed, s)
+	repS, err := testEngine().Run(skewed, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,8 +369,8 @@ func BenchmarkEngineRun(b *testing.B) {
 			name string
 			eng  Engine
 		}{
-			{"flat", testEngine(true)},
-			{"reference", reference(testEngine(true))},
+			{"flat", testEngine()},
+			{"reference", reference(testEngine())},
 		} {
 			b.Run(shape.prefix+arm.name, func(b *testing.B) {
 				b.ReportAllocs()

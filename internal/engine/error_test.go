@@ -25,22 +25,20 @@ func failCloneOn(kind costmodel.OpKind, clone int) func(*plan.Operator, int) err
 // TestScanCloneErrorSurfaces is the regression test for the dropped
 // eachClone error: a failing Scan clone used to be silently ignored
 // (the result cardinality check would then misfire or, worse, pass).
-// It must surface as the run's error, under both execution modes.
+// It must surface as the run's error.
 func TestScanCloneErrorSurfaces(t *testing.T) {
 	p := join(leaf("A", 2000), leaf("B", 500))
 	ds := MustGenerate(p, 3)
 	s := scheduleFor(t, p, 8)
-	for _, parallel := range []bool{false, true} {
-		e := testEngine(parallel)
-		e.failClone = failCloneOn(costmodel.Scan, 0)
-		_, err := e.Run(ds, s)
-		if err == nil {
-			t.Fatalf("parallel=%v: injected scan clone fault was swallowed", parallel)
-		}
-		if !strings.Contains(err.Error(), "injected fault") ||
-			!strings.Contains(err.Error(), "scan(") {
-			t.Fatalf("parallel=%v: error lost the clone context: %v", parallel, err)
-		}
+	e := testEngine()
+	e.failClone = failCloneOn(costmodel.Scan, 0)
+	_, err := e.Run(ds, s)
+	if err == nil {
+		t.Fatal("injected scan clone fault was swallowed")
+	}
+	if !strings.Contains(err.Error(), "injected fault") ||
+		!strings.Contains(err.Error(), "scan(") {
+		t.Fatalf("error lost the clone context: %v", err)
 	}
 }
 
@@ -56,7 +54,7 @@ func TestEveryArmSurfacesCloneErrors(t *testing.T) {
 	tt := plan.MustNewTaskTree(ot)
 	s, err := sched.TreeScheduler{
 		Model:   costmodel.Default(),
-		Overlap: testEngine(false).Overlap,
+		Overlap: testEngine().Overlap,
 		P:       8,
 		F:       0.7,
 	}.Schedule(tt)
@@ -66,33 +64,67 @@ func TestEveryArmSurfacesCloneErrors(t *testing.T) {
 	for _, kind := range []costmodel.OpKind{
 		costmodel.Scan, costmodel.Build, costmodel.Probe, costmodel.Store,
 	} {
-		for _, parallel := range []bool{false, true} {
-			e := testEngine(parallel)
-			e.failClone = failCloneOn(kind, 0)
-			if _, err := e.Run(ds, s); err == nil {
-				t.Fatalf("kind=%v parallel=%v: clone fault swallowed", kind, parallel)
-			}
+		e := testEngine()
+		e.failClone = failCloneOn(kind, 0)
+		if _, err := e.Run(ds, s); err == nil {
+			t.Fatalf("kind=%v: clone fault swallowed", kind)
 		}
 	}
 }
 
-// TestParallelCloneErrorIsDeterministic pins that the lowest-index
-// failing clone wins regardless of goroutine interleaving.
-func TestParallelCloneErrorIsDeterministic(t *testing.T) {
-	p := join(leaf("A", 4000), leaf("B", 2000))
+// TestCloneErrorStopsTheOperator fails clone k of one operator of each
+// kind: clones 0..k of that operator must have started, no later clone
+// of it may run, and the run's error must be clone k's. Every clone
+// start is counted once (engine.clone_runs) before the fault hook.
+func TestCloneErrorStopsTheOperator(t *testing.T) {
+	p := join(join(leaf("A", 4000), leaf("B", 2000)), leaf("C", 1500))
 	ds := MustGenerate(p, 5)
-	s := scheduleFor(t, p, 8)
-	e := testEngine(true)
-	e.failClone = func(op *plan.Operator, k int) error {
-		if op.Kind == costmodel.Probe {
-			return fmt.Errorf("fault@%d", k)
-		}
-		return nil
+	ot, err := plan.ExpandMaterialized(p)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for trial := 0; trial < 10; trial++ {
+	s := scheduleForTree(t, plan.MustNewTaskTree(ot), 8)
+	for _, kind := range []costmodel.OpKind{
+		costmodel.Scan, costmodel.Build, costmodel.Probe, costmodel.Store,
+	} {
+		var target *sched.OpPlacement
+		for _, ph := range s.Phases {
+			for _, pl := range ph.Placements {
+				if target == nil && pl.Op.Kind == kind && pl.Degree > 1 {
+					target = pl
+				}
+			}
+		}
+		if target == nil {
+			t.Fatalf("kind=%v: no operator of degree > 1 to fail", kind)
+		}
+		k := min(2, target.Degree-1)
+		var ran []int
+		hooks := 0
+		met := obs.NewMetrics()
+		e := testEngine()
+		e.Rec = met
+		e.failClone = func(op *plan.Operator, clone int) error {
+			hooks++
+			if op != target.Op {
+				return nil
+			}
+			ran = append(ran, clone)
+			if clone == k {
+				return fmt.Errorf("fault@%d", clone)
+			}
+			return nil
+		}
 		_, err := e.Run(ds, s)
-		if err == nil || !strings.Contains(err.Error(), "fault@0") {
-			t.Fatalf("trial %d: got %v, want the clone-0 fault", trial, err)
+		want := fmt.Sprintf("engine: %s: fault@%d", target.Op.Name, k)
+		if err == nil || err.Error() != want {
+			t.Fatalf("kind=%v: got %v, want %q", kind, err, want)
+		}
+		if len(ran) != k+1 || ran[k] != k {
+			t.Fatalf("kind=%v: %s started clones %v, want 0..%d and no later one", kind, target.Op.Name, ran, k)
+		}
+		if got := met.Snapshot().Counters["engine.clone_runs"]; got != int64(hooks) {
+			t.Fatalf("kind=%v: engine.clone_runs = %d, want one per clone started (%d)", kind, got, hooks)
 		}
 	}
 }
@@ -126,7 +158,7 @@ func TestNilProducerIsAnError(t *testing.T) {
 	}
 	defer func() { severed.ConsumerEdge = plan.Pipeline }()
 
-	_, err := testEngine(false).Run(ds, s)
+	_, err := testEngine().Run(ds, s)
 	if err == nil {
 		t.Fatal("nil producer executed as an empty input")
 	}
@@ -147,7 +179,7 @@ func TestDegreeZeroIsRejected(t *testing.T) {
 	defer func() { pl.Degree, pl.Sites = saveDeg, saveSites }()
 
 	pl.Degree, pl.Sites = 0, nil
-	_, err := testEngine(false).Run(ds, s)
+	_, err := testEngine().Run(ds, s)
 	if err == nil {
 		t.Fatal("degree-0 placement executed")
 	}
@@ -171,7 +203,7 @@ func TestSitesDegreeMismatchIsRejected(t *testing.T) {
 	if len(pl.Sites) == pl.Degree {
 		t.Skip("degree-1 placement; mismatch not constructible by truncation")
 	}
-	_, err := testEngine(false).Run(ds, s)
+	_, err := testEngine().Run(ds, s)
 	if err == nil {
 		t.Fatal("sites/degree mismatch executed")
 	}
@@ -190,7 +222,7 @@ func rejectsSite(t *testing.T, site int) {
 	s := scheduleFor(t, p, 4)
 	pl := s.Phases[0].Placements[0]
 	pl.Sites = append([]int{site}, pl.Sites[1:]...)
-	_, err := testEngine(false).Run(ds, s)
+	_, err := testEngine().Run(ds, s)
 	if err == nil {
 		t.Fatalf("clone at site %d executed", site)
 	}
@@ -212,7 +244,7 @@ func TestNonPositiveSiteCountIsRejected(t *testing.T) {
 	ds := MustGenerate(p, 13)
 	s := scheduleFor(t, p, 4)
 	s.P = 0
-	_, err := testEngine(false).Run(ds, s)
+	_, err := testEngine().Run(ds, s)
 	if err == nil || !strings.Contains(err.Error(), "non-positive site count 0") {
 		t.Fatalf("P = 0: got %v", err)
 	}
@@ -223,12 +255,12 @@ func TestNonPositiveSiteCountIsRejected(t *testing.T) {
 func TestNilPhaseIsRejected(t *testing.T) {
 	p := join(leaf("A", 800), leaf("B", 300))
 	ds := MustGenerate(p, 13)
-	if _, err := testEngine(false).Run(ds, nil); err == nil || !strings.Contains(err.Error(), "nil schedule") {
+	if _, err := testEngine().Run(ds, nil); err == nil || !strings.Contains(err.Error(), "nil schedule") {
 		t.Fatalf("nil schedule: got %v", err)
 	}
 	s := scheduleFor(t, p, 4)
 	s.Phases[1] = nil
-	if _, err := testEngine(false).Run(ds, s); err == nil || !strings.Contains(err.Error(), "phase 1 is nil") {
+	if _, err := testEngine().Run(ds, s); err == nil || !strings.Contains(err.Error(), "phase 1 is nil") {
 		t.Fatalf("nil phase: got %v", err)
 	}
 }
@@ -240,7 +272,7 @@ func TestScheduleDatasetMismatchIsAnError(t *testing.T) {
 	pb := join(leaf("C", 900), leaf("D", 600))
 	ds := MustGenerate(pb, 1)
 	s := scheduleFor(t, pa, 4)
-	if _, err := testEngine(false).Run(ds, s); err == nil {
+	if _, err := testEngine().Run(ds, s); err == nil {
 		t.Fatal("foreign dataset accepted")
 	}
 }
@@ -267,7 +299,7 @@ func TestProbeBeforeBuildIsAnError(t *testing.T) {
 	if !removed {
 		t.Fatal("no build placement found")
 	}
-	_, err := testEngine(false).Run(ds, s)
+	_, err := testEngine().Run(ds, s)
 	if err == nil {
 		t.Fatal("probe without its build executed")
 	}
@@ -276,37 +308,11 @@ func TestProbeBeforeBuildIsAnError(t *testing.T) {
 	}
 }
 
-// TestParallelClonesRecordUnderRace exercises eachClone's goroutines
-// with every recorder implementation attached — the data-race guard for
-// the observability layer (meaningful under `go test -race`, which
-// `make check` runs).
-func TestParallelClonesRecordUnderRace(t *testing.T) {
-	p := join(join(leaf("A", 5000), leaf("B", 2500)), leaf("C", 1500))
-	ds := MustGenerate(p, 5)
-	s := scheduleFor(t, p, 8)
-	met := obs.NewMetrics()
-	e := testEngine(true)
-	e.Rec = obs.Multi(met, obs.NewCapture())
-	rep, err := e.Run(ds, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap := met.Snapshot()
-	if snap.Counters["engine.clone_runs"] == 0 {
-		t.Fatal("no clone runs recorded")
-	}
-	if snap.Counters["engine.tuples_scanned"] == 0 ||
-		snap.Counters["engine.tuples_joined"] == 0 {
-		t.Fatalf("tuple counters missing: %v", snap.Counters)
-	}
-	if got := snap.Histograms["engine.phase_measured"].Count; got != int64(len(rep.PhaseMeasured)) {
-		t.Fatalf("phase samples %d != phases %d", got, len(rep.PhaseMeasured))
-	}
-}
-
 // TestReportBreakdownIsConsistent checks the new metered-vs-predicted
 // breakdown: phase alignment, operator coverage, and that per-phase
 // measured responses dominate every member operator's isolated time.
+// The recorder sees one clone run per clone, the tuple counters, and
+// one phase sample per phase.
 func TestReportBreakdownIsConsistent(t *testing.T) {
 	p := join(
 		join(leaf("A", 3000), leaf("B", 1200)),
@@ -314,7 +320,10 @@ func TestReportBreakdownIsConsistent(t *testing.T) {
 	)
 	ds := MustGenerate(p, 11)
 	s := scheduleFor(t, p, 10)
-	rep, err := testEngine(false).Run(ds, s)
+	met := obs.NewMetrics()
+	e := testEngine()
+	e.Rec = met
+	rep, err := e.Run(ds, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,12 +341,25 @@ func TestReportBreakdownIsConsistent(t *testing.T) {
 	if sumPred != rep.Predicted {
 		t.Fatalf("phase predictions sum %g != predicted %g", sumPred, rep.Predicted)
 	}
-	nOps := 0
+	nOps, clones := 0, 0
 	for _, ph := range s.Phases {
 		nOps += len(ph.Placements)
+		for _, pl := range ph.Placements {
+			clones += pl.Degree
+		}
 	}
 	if len(rep.Operators) != nOps {
 		t.Fatalf("breakdown has %d operators, schedule has %d", len(rep.Operators), nOps)
+	}
+	snap := met.Snapshot()
+	if got := snap.Counters["engine.clone_runs"]; got != int64(clones) {
+		t.Fatalf("engine.clone_runs = %d, schedule has %d clones", got, clones)
+	}
+	if snap.Counters["engine.tuples_scanned"] == 0 || snap.Counters["engine.tuples_joined"] == 0 {
+		t.Fatalf("tuple counters missing: %v", snap.Counters)
+	}
+	if got := snap.Histograms["engine.phase_measured"].Count; got != int64(len(rep.PhaseMeasured)) {
+		t.Fatalf("phase samples %d != phases %d", got, len(rep.PhaseMeasured))
 	}
 	for _, op := range rep.Operators {
 		if op.Measured <= 0 || op.Predicted <= 0 {

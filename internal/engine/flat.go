@@ -263,8 +263,8 @@ type joinTables struct {
 	slab   []int32
 }
 
-// newJoinTables sizes one flat table per clone on the run's
-// coordinating goroutine (clone bodies only fill their own arrays).
+// newJoinTables sizes one flat table per clone before the clones run
+// (clone bodies only fill their own arrays).
 // outerCarrier selects the layout family: when the outer (probe-side)
 // operand is the carrier, presence is all a probe needs (tableBits);
 // otherwise every build tuple must be emitted per match (tableRank).

@@ -2,8 +2,6 @@ package engine
 
 import (
 	"reflect"
-	"runtime"
-	"sync/atomic"
 	"testing"
 
 	"mdrs/internal/obs"
@@ -32,48 +30,6 @@ func degreeSchedule(t *testing.T, p *query.PlanNode, degree int) *sched.Schedule
 	return &sched.Schedule{P: degree, Phases: []*sched.PhaseSchedule{ph}}
 }
 
-// TestParallelCloneGoroutinesAreBounded pins the eachClone fix: a
-// degree-512 operator in Parallel mode must run its clones through the
-// bounded internal/par pool (clamped to GOMAXPROCS) instead of the 512
-// goroutines the engine used to spawn. The failClone hook samples the
-// live goroutine count from inside the clone bodies. Run under -race
-// by make race.
-func TestParallelCloneGoroutinesAreBounded(t *testing.T) {
-	const degree = 512
-	lp := leaf("R", 64000)
-	ds := MustGenerate(lp, 3)
-	s := degreeSchedule(t, lp, degree)
-
-	var maxG int64
-	base := runtime.NumGoroutine()
-	eng := testEngine(true)
-	eng.failClone = func(op *plan.Operator, clone int) error {
-		g := int64(runtime.NumGoroutine())
-		for {
-			cur := atomic.LoadInt64(&maxG)
-			if g <= cur || atomic.CompareAndSwapInt64(&maxG, cur, g) {
-				break
-			}
-		}
-		return nil
-	}
-	rep, err := eng.Run(ds, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.ResultTuples != 64000 {
-		t.Fatalf("degree-%d scan produced %d tuples, want 64000", degree, rep.ResultTuples)
-	}
-
-	// The pool runs at most GOMAXPROCS workers; allow slack for the
-	// runtime's own goroutines and whatever the test harness keeps
-	// around, but nothing near the old one-per-clone blow-up.
-	bound := int64(base + runtime.GOMAXPROCS(0) + 16)
-	if got := atomic.LoadInt64(&maxG); got > bound {
-		t.Fatalf("observed %d live goroutines at degree %d, want <= %d", got, degree, bound)
-	}
-}
-
 // TestDegree512JoinMatchesReference runs whole joins at degree 512 over
 // a key domain of 10⁵ — partitions of some two hundred tuples, for
 // which even a bit per domain key is too much, forcing the
@@ -89,13 +45,13 @@ func TestDegree512JoinMatchesReference(t *testing.T) {
 		ds := MustGenerate(p, 11)
 		s := degreeSchedule(t, p, degree)
 
-		ref := reference(testEngine(true))
+		ref := reference(testEngine())
 		repRef, err := ref.Run(ds, s)
 		if err != nil {
 			t.Fatal(err)
 		}
 		met := obs.NewMetrics()
-		flat := testEngine(true)
+		flat := testEngine()
 		flat.Rec = met
 		repFlat, err := flat.Run(ds, s)
 		if err != nil {

@@ -56,11 +56,14 @@ func scheduleForTree(t *testing.T, tt *plan.TaskTree, sites int) *sched.Schedule
 }
 
 // TestReportByteIdentity is the golden-Report corpus: for every plan
-// shape × system size × Parallel mode × skew setting, the flat data
-// path's Report must be byte-identical to the reference executor's —
-// same cardinalities, same per-operator measured times (the meters see
-// identical float operations in identical order), same phase responses,
-// and identical JSON encodings.
+// shape × system size × skew setting, the flat data path's Report must
+// be byte-identical to the reference executor's — same cardinalities,
+// same per-operator measured times (the meters see identical float
+// operations in identical order), same phase responses, and identical
+// JSON encodings. The par dimension sets the deprecated, ignored
+// Engine.Parallel on the flat side, which the frozen bench/ still
+// assigns: setting it must change nothing. It goes with the field
+// (ROADMAP 1a).
 func TestReportByteIdentity(t *testing.T) {
 	for name, p := range identityPlans() {
 		for _, sites := range []int{4, 8} {
@@ -73,12 +76,13 @@ func TestReportByteIdentity(t *testing.T) {
 						}
 						s := scheduleFor(t, p, sites)
 
-						ref := reference(testEngine(parallel))
-						repRef, err := ref.Run(ds, s)
+						repRef, err := reference(testEngine()).Run(ds, s)
 						if err != nil {
 							t.Fatal(err)
 						}
-						repFlat, err := testEngine(parallel).Run(ds, s)
+						flat := testEngine()
+						flat.Parallel = parallel
+						repFlat, err := flat.Run(ds, s)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -113,20 +117,16 @@ func TestReportByteIdentityMaterialized(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := scheduleForTree(t, plan.MustNewTaskTree(ot), 6)
-	for _, parallel := range []bool{false, true} {
-		ref := reference(testEngine(parallel))
-		repRef, err := ref.Run(ds, s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		repFlat, err := testEngine(parallel).Run(ds, s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(repRef, repFlat) {
-			t.Fatalf("materialized reports diverge (parallel=%v):\nref:  %+v\nflat: %+v",
-				parallel, repRef, repFlat)
-		}
+	repRef, err := reference(testEngine()).Run(ds, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	repFlat, err := testEngine().Run(ds, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(repRef, repFlat) {
+		t.Fatalf("materialized reports diverge:\nref:  %+v\nflat: %+v", repRef, repFlat)
 	}
 }
 
@@ -137,12 +137,12 @@ func TestFlatRunsAreRepeatable(t *testing.T) {
 	p := chainPlan([]int{5000, 2000, 7000, 1200})
 	ds := MustGenerate(p, 5)
 	s := scheduleFor(t, p, 8)
-	first, err := testEngine(false).Run(ds, s)
+	first, err := testEngine().Run(ds, s)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		rep, err := testEngine(i%2 == 1).Run(ds, s)
+		rep, err := testEngine().Run(ds, s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -177,17 +177,17 @@ func fuzzPlan(joins int, sizes, merges []byte) *query.PlanNode {
 }
 
 // FuzzFlatMatchesReference is the identity corpus as a generator: over
-// random plan shapes (1–6 joins), leaf sizes, site counts, skews and
-// Parallel modes the flat data path and the reference executor must
+// random plan shapes (1–6 joins), leaf sizes, site counts and skews the
+// flat data path and the reference executor must
 // return equal Reports, or fail with the same error.
 func FuzzFlatMatchesReference(f *testing.F) {
 	// The four shapes of identityPlans, chain8 cut to the six-join
 	// ceiling; the first argument is joins-1.
-	f.Add(uint8(2), []byte{100, 37, 150, 55}, []byte{0}, uint8(3), uint8(0), false, int64(71))
-	f.Add(uint8(5), []byte{125, 50, 175, 30, 160, 70, 225}, []byte{0}, uint8(7), uint8(3), true, int64(71))
-	f.Add(uint8(2), []byte{100, 37, 87, 22}, []byte{0, 1, 0}, uint8(7), uint8(0), true, int64(71))
-	f.Add(uint8(1), []byte{25, 150, 50}, []byte{255}, uint8(3), uint8(3), false, int64(71))
-	f.Fuzz(func(t *testing.T, joins uint8, sizes, merges []byte, sites, skew uint8, parallel bool, seed int64) {
+	f.Add(uint8(2), []byte{100, 37, 150, 55}, []byte{0}, uint8(3), uint8(0), int64(71))
+	f.Add(uint8(5), []byte{125, 50, 175, 30, 160, 70, 225}, []byte{0}, uint8(7), uint8(3), int64(71))
+	f.Add(uint8(2), []byte{100, 37, 87, 22}, []byte{0, 1, 0}, uint8(7), uint8(0), int64(71))
+	f.Add(uint8(1), []byte{25, 150, 50}, []byte{255}, uint8(3), uint8(3), int64(71))
+	f.Fuzz(func(t *testing.T, joins uint8, sizes, merges []byte, sites, skew uint8, seed int64) {
 		p := fuzzPlan(1+int(joins)%6, sizes, merges)
 		opts := GenOptions{Seed: seed}
 		if s := skew % 8; s > 0 {
@@ -199,8 +199,8 @@ func FuzzFlatMatchesReference(f *testing.F) {
 		}
 		s := scheduleFor(t, p, 1+int(sites)%16)
 
-		repRef, errRef := reference(testEngine(parallel)).Run(ds, s)
-		repFlat, errFlat := testEngine(parallel).Run(ds, s)
+		repRef, errRef := reference(testEngine()).Run(ds, s)
+		repFlat, errFlat := testEngine().Run(ds, s)
 		if errRef != nil || errFlat != nil {
 			if errRef == nil || errFlat == nil || errRef.Error() != errFlat.Error() {
 				t.Fatalf("errors diverge:\nref:  %v\nflat: %v", errRef, errFlat)

@@ -1,9 +1,9 @@
 // The reference executor: the engine's pre-vectorization data path,
 // preserved verbatim. It builds Go-map hash tables, partitions with
 // append-per-tuple map partitioning, resolves every tuple's key through
-// the per-tuple ds.Key map lookup, copies every concat, regenerates
-// leaf tuple slices per scan, and spawns one goroutine per clone in
-// Parallel mode. It exists for two reasons: it is the byte-identity
+// the per-tuple ds.Key map lookup, copies every concat and regenerates
+// leaf tuple slices per scan. Its clones run through the engine's own
+// clone driver. It exists for two reasons: it is the byte-identity
 // oracle the golden-Report corpus and FuzzFlatMatchesReference compare
 // the flat path against, and it is the baseline of
 // BenchmarkEngineRun/reference (so it must keep paying the old
@@ -12,7 +12,6 @@ package engine
 
 import (
 	"fmt"
-	"sync"
 
 	"mdrs/internal/costmodel"
 	"mdrs/internal/obs"
@@ -53,7 +52,7 @@ func (e Engine) runOperatorRef(pl *sched.OpPlacement, ds *Dataset,
 		all := leafTuplesRef(ds, leafIdx)
 		parts := splitContiguous(all, n)
 		out := make([][]Tuple, n)
-		err = e.eachCloneRef(op, n, func(k int) error {
+		err = e.eachClone(op, n, func(k int) error {
 			rows := parts[k]
 			pages := p.Pages(len(rows))
 			meters[k].addDiskPages(pages, p)
@@ -80,7 +79,7 @@ func (e Engine) runOperatorRef(pl *sched.OpPlacement, ds *Dataset,
 			return nil, err
 		}
 		partials := make([]map[int32][]Tuple, n)
-		err = e.eachCloneRef(op, n, func(k int) error {
+		err = e.eachClone(op, n, func(k int) error {
 			table := make(map[int32][]Tuple, len(parts[k]))
 			for _, t := range parts[k] {
 				key, err := ds.Key(t, op.Source)
@@ -121,7 +120,7 @@ func (e Engine) runOperatorRef(pl *sched.OpPlacement, ds *Dataset,
 		}
 		outerCarrier := OuterIsCarrier(op.Source)
 		out := make([][]Tuple, n)
-		err = e.eachCloneRef(op, n, func(k int) error {
+		err = e.eachClone(op, n, func(k int) error {
 			var res []Tuple
 			for _, t := range parts[k] {
 				key, err := ds.Key(t, op.Source)
@@ -168,7 +167,7 @@ func (e Engine) runOperatorRef(pl *sched.OpPlacement, ds *Dataset,
 			return nil, err
 		}
 		parts := splitContiguous(in, n)
-		err = e.eachCloneRef(op, n, func(k int) error {
+		err = e.eachClone(op, n, func(k int) error {
 			pages := p.Pages(len(parts[k]))
 			meters[k].addDiskPages(pages, p)
 			meters[k].addCPU(float64(pages)*p.WritePageInstr, p)
@@ -240,36 +239,4 @@ func concatRef(parts [][]Tuple) []Tuple {
 		out = append(out, p...)
 	}
 	return out
-}
-
-// eachCloneRef is the reference path's clone driver: one goroutine per
-// clone in Parallel mode, unbounded at degree ≫ GOMAXPROCS. Shares the
-// ctx/failClone/recording wrapper with the flat path, so both fail on
-// the same deterministic lowest clone index.
-func (e Engine) eachCloneRef(op *plan.Operator, n int, fn func(k int) error) error {
-	run := e.cloneFn(op, fn)
-	if !e.Parallel || n == 1 {
-		for k := 0; k < n; k++ {
-			if err := run(k); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for k := 0; k < n; k++ {
-		wg.Add(1)
-		go func(k int) {
-			defer wg.Done()
-			errs[k] = run(k)
-		}(k)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }

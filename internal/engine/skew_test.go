@@ -51,7 +51,7 @@ func TestSkewedRunDriftsAbovePrediction(t *testing.T) {
 		t.Fatalf("partitions suspiciously balanced under Zipf 1.3: max/mean = %.2f", ratio)
 	}
 
-	rep, err := testEngine(false).Run(ds, s)
+	rep, err := testEngine().Run(ds, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestSkewedRunDriftsAbovePrediction(t *testing.T) {
 	// The same plan with uniform keys tracks the prediction much more
 	// closely — the drift is attributable to the skew, not the engine.
 	uni := MustGenerate(p, 23)
-	repU, err := testEngine(false).Run(uni, s)
+	repU, err := testEngine().Run(uni, s)
 	if err != nil {
 		t.Fatal(err)
 	}

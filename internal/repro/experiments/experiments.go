@@ -22,7 +22,6 @@ import (
 	"mdrs/internal/obs"
 	"mdrs/internal/opt"
 	"mdrs/internal/optimizer"
-	"mdrs/internal/par"
 	"mdrs/internal/plan"
 	"mdrs/internal/query"
 	"mdrs/internal/repro/baseline"
@@ -213,7 +212,7 @@ func (c Config) sweep(r recipe) (*Figure, error) {
 		}
 		raw := make([]float64, n*cols)
 		errs := make([]error, n)
-		par.For(par.Workers(c.Workers), n, func(i int) {
+		poolFor(poolWidth(c.Workers), n, func(i int) {
 			errs[i] = trial(i, raw[i*cols:(i+1)*cols])
 		})
 		for _, err := range errs {

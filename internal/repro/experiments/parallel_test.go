@@ -62,7 +62,7 @@ func TestWorkersDefaultsToGOMAXPROCS(t *testing.T) {
 	}
 }
 
-// What the sweep driver adds to par.For (whose own tests cover index
+// What the sweep driver adds to poolFor (whose own tests cover index
 // coverage): of several failing trials the lowest-index error is the one
 // returned, at any pool width and with its type intact, and a point with
 // zero trials runs nothing and fails nothing.

@@ -44,7 +44,7 @@ func TestEndToEndPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := mdrs.Engine{Model: mdrs.DefaultCostModel(), Overlap: ov, Parallel: true}.Run(ds, tree)
+	rep, err := mdrs.Engine{Model: mdrs.DefaultCostModel(), Overlap: ov}.Run(ds, tree)
 	if err != nil {
 		t.Fatal(err)
 	}
