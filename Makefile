@@ -1,16 +1,16 @@
 # Development targets for the mdrs reproduction. `make check` is the
-# gate future PRs must keep green, in seven steps: build, vet, gofmt,
+# gate future PRs must keep green, in eight steps: build, vet, gofmt,
 # the system/reproduction boundary, the full test suite under the race detector (which also exercises the
 # experiments worker pool for data races, and holds the plan-search
 # ledger to internal/optimizer/testdata/ledger.golden), one iteration of
-# the per-layer Go benchmarks, and the benchmark harness's own vet and
-# tests against this tree.
+# the per-layer Go benchmarks, ten seconds of the engine's fuzzer, and
+# the benchmark harness's own vet and tests against this tree.
 
 GO ?= go
 
-.PHONY: check build vet fmt-check system-deps test race bench-smoke harness-check benchmark bench bench-serve bench-adaptive figures trace-demo loc
+.PHONY: check build vet fmt-check system-deps test race bench-smoke fuzz-smoke harness-check benchmark bench bench-serve bench-adaptive figures trace-demo loc
 
-check: build vet fmt-check system-deps race bench-smoke harness-check
+check: build vet fmt-check system-deps race bench-smoke fuzz-smoke harness-check
 
 build:
 	$(GO) build ./...
@@ -64,6 +64,13 @@ bench-smoke:
 	for b in $(SMOKE_BENCH); do \
 		echo "$$out" | grep -qE "^Benchmark$$b([-/[:space:]]|$$)" || { echo "bench-smoke: Benchmark$$b did not run"; exit 1; }; \
 	done
+
+# The engine runs every join as a semi-join of its carrier, which equals
+# the hash join only on data whose smaller operands carry distinct keys:
+# the fuzzer holds the engine to the reference executor on generated
+# plans and data for ten seconds.
+fuzz-smoke:
+	$(GO) test ./internal/engine -run '^$$' -fuzz '^FuzzFlatMatchesReference$$' -fuzztime 10s
 
 # bench/ is a nested module that compiles against this tree's internal
 # packages: vet and test it here (~10 s) so a change that breaks the API

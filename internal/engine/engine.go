@@ -113,7 +113,7 @@ func (c *cloneMeter) addNetTuples(tuples int, p costmodel.Params) {
 }
 
 // runState is the per-run execution state: the dataflow outputs, the
-// live build tables, and the buffer arena plus the ownership set that
+// joins in flight, and the buffer arena plus the ownership set that
 // lets consumed intermediates recycle.
 type runState struct {
 	outputs map[*plan.Operator][]Tuple
@@ -122,10 +122,10 @@ type runState struct {
 	// cached leaf slices and must never be recycled.
 	ar     *arena
 	owned  map[*plan.Operator]bool
-	tables map[int]*joinTables
-	// flat-table layout tallies by tableKind, flushed to the recorder
-	// after the run.
-	layouts [3]int64
+	tables map[int]*joinState
+	// key-set layout tallies by tableKind, flushed to the recorder after
+	// the run.
+	layouts [2]int64
 }
 
 func newRunState(nOps int) *runState {
@@ -133,7 +133,7 @@ func newRunState(nOps int) *runState {
 		outputs: make(map[*plan.Operator][]Tuple, nOps),
 		ar:      getArena(),
 		owned:   make(map[*plan.Operator]bool),
-		tables:  make(map[int]*joinTables),
+		tables:  make(map[int]*joinState),
 	}
 }
 
@@ -214,17 +214,16 @@ func (e Engine) RunCtx(ctx context.Context, ds *Dataset, s *sched.Schedule) (*Re
 			e.Rec.Count("engine.arena_reuses", st.ar.reuses)
 			e.Rec.Count("engine.arena_allocs", st.ar.allocs)
 			e.Rec.Count("engine.tables_bits", st.layouts[tableBits])
-			e.Rec.Count("engine.tables_rank", st.layouts[tableRank])
 			e.Rec.Count("engine.tables_oa", st.layouts[tableOA])
 		}
 		// Reclaim whatever owned outputs remain (normally just the
-		// root's) and the build tables a failed or cancelled run left
-		// unprobed, then hand the arena to the next run.
+		// root's) and the joins a failed or cancelled run left unprobed,
+		// then hand the arena to the next run.
 		for op := range st.owned {
 			st.ar.putTuples(st.outputs[op])
 		}
-		for _, jt := range st.tables {
-			jt.release(st.ar)
+		for _, js := range st.tables {
+			js.release(st.ar)
 		}
 		st.ar.resetStats()
 		putArena(st.ar)
@@ -330,9 +329,9 @@ func newMeters(n int, p costmodel.Params) []*cloneMeter {
 
 // runOperator executes one placed operator through the flat data path
 // and returns its per-clone meters (aligned with pl.Sites). Every
-// meter value is identical to the reference path's: partition contents,
-// match order, and result cardinalities are preserved exactly, so the
-// two executors produce byte-identical Reports.
+// meter value is identical to the reference path's: each clone's input
+// and output are the same multisets of tuples, so the two executors
+// produce byte-identical Reports.
 func (e Engine) runOperator(pl *sched.OpPlacement, ds *Dataset, st *runState,
 	rep *Report) ([]*cloneMeter, error) {
 
@@ -407,9 +406,10 @@ func (e Engine) exchange(op *plan.Operator, ds *Dataset, st *runState, n int,
 	return rp, prod, err
 }
 
-// runBuild partitions the build side and fills one flat table per
-// clone. An outer-carrier join's probe only asks whether a key is
-// there, so its build ships and stores keys alone.
+// runBuild partitions the build side. An outer-carrier build is the
+// join's smaller operand: it ships keys alone and fills one key set per
+// clone. An inner-carrier build is the carrier: it ships keys and rows
+// and keeps the partitioning for its probe to filter.
 func (e Engine) runBuild(pl *sched.OpPlacement, ds *Dataset, st *runState, meters []*cloneMeter) error {
 	op, n, p := pl.Op, pl.Degree, e.Model.Params
 	outerCarrier := OuterIsCarrier(op.Source)
@@ -421,17 +421,21 @@ func (e Engine) runBuild(pl *sched.OpPlacement, ds *Dataset, st *runState, meter
 	if err != nil {
 		return err
 	}
-	jt := newJoinTables(st.ar, ds, op.Source, &rp, n, outerCarrier)
-	for k := range jt.clones {
-		st.layouts[jt.clones[k].kind]++
+	// Registered before the clones run, so a failed run's cleanup
+	// releases it.
+	js := &joinState{degree: n}
+	st.tables[op.JoinID] = js
+	if outerCarrier {
+		st.carveSets(js, ds.joins[op.Source].domain, &rp)
+		defer rp.release(st.ar)
+	} else {
+		js.carrier = rp
 	}
 	err = e.eachClone(op, n, func(k int) error {
-		var rows []int32
-		if !outerCarrier {
-			rows = rp.rows(k)
-		}
-		if err := jt.clones[k].insert(rows, rp.keys(k)); err != nil {
-			return err
+		if outerCarrier {
+			if err := js.sets[k].insert(op.JoinID, rp.keys(k)); err != nil {
+				return err
+			}
 		}
 		if op.Spec.NetIn {
 			meters[k].addNetTuples(rp.size(k), p)
@@ -439,67 +443,63 @@ func (e Engine) runBuild(pl *sched.OpPlacement, ds *Dataset, st *runState, meter
 		meters[k].addCPU(float64(rp.size(k))*(p.ExtractInstr+p.HashInstr), p)
 		return nil
 	})
-	built := int64(len(rp.keyback))
-	// The tables hold what they need of the partitions.
-	rp.release(st.ar)
 	if err != nil {
-		jt.release(st.ar)
 		return err
 	}
-	st.tables[op.JoinID] = jt
 	st.release(prod)
-	st.outputs[op] = nil // the table is the output; nothing streams on
-	obs.Count(e.Rec, "engine.tuples_built", built)
+	st.outputs[op] = nil // the join state is the output; nothing streams on
+	obs.Count(e.Rec, "engine.tuples_built", int64(len(rp.keyback)))
 	return nil
 }
 
-// runProbe partitions the probe side and probes each clone's table,
+// runProbe partitions the probe side and runs each clone's semi-join,
 // the clones' results following one another in clone order. An
-// outer-carrier probe passes its own matching tuples on; an
-// inner-carrier probe emits the build side's, so it ships keys alone.
+// outer-carrier probe is the carrier: it ships keys and rows and
+// filters them through the build's sets. An inner-carrier probe is the
+// smaller operand: it ships keys alone, fills a set per clone with
+// them, and filters the build's stored partitioning through it.
 func (e Engine) runProbe(pl *sched.OpPlacement, ds *Dataset, st *runState, rep *Report,
 	meters []*cloneMeter) error {
 
 	op, n, p := pl.Op, pl.Degree, e.Model.Params
-	jt, ok := st.tables[op.JoinID]
+	js, ok := st.tables[op.JoinID]
 	if !ok {
 		return fmt.Errorf("probing join %d before its build", op.JoinID)
 	}
-	if len(jt.clones) != n {
-		return fmt.Errorf("probe degree %d != build degree %d", n, len(jt.clones))
+	if js.degree != n {
+		return fmt.Errorf("probe degree %d != build degree %d", n, js.degree)
 	}
 	outerCarrier := OuterIsCarrier(op.Source)
 	pay := payKeys
 	if outerCarrier {
-		pay = payTuples
+		pay = payRows
 	}
 	rp, prod, err := e.exchange(op, ds, st, n, pay)
 	if err != nil {
 		return err
 	}
-	// The clones append to one arena buffer in clone order, so a
-	// clone's output count is how much the buffer grew. Capacity hint:
-	// presence probes emit at most their input; match probes emit
-	// (under the FK discipline) exactly the build side's size. Either
-	// way append can still grow.
-	hint := len(rp.keyback)
-	if !outerCarrier {
-		hint = 0
-		for k := range jt.clones {
-			hint += int(jt.clones[k].n)
-		}
+	defer rp.release(st.ar)
+	carrier := &js.carrier
+	if outerCarrier {
+		carrier = &rp
+	} else {
+		st.carveSets(js, ds.joins[op.Source].domain, &rp)
 	}
-	result := st.ar.getTuples(hint)[:0]
+	// The clones append to one arena buffer in clone order, so a clone's
+	// output count is how much the buffer grew. Under the FK discipline
+	// every carrier tuple matches, so the carrier's size is the capacity.
+	result := st.ar.getTuples(len(carrier.keyback))[:0]
 	err = e.eachClone(op, n, func(k int) error {
-		before := len(result)
-		var perr error
-		if outerCarrier {
-			result, perr = jt.clones[k].probePresence(rp.tuples(k), rp.keys(k), result)
-		} else {
-			result, perr = jt.clones[k].probeMatches(rp.keys(k), result)
+		set := &js.sets[k]
+		if !outerCarrier {
+			if err := set.insert(op.JoinID, rp.keys(k)); err != nil {
+				return err
+			}
 		}
-		if perr != nil {
-			return perr
+		before := len(result)
+		var err error
+		if result, err = set.semi(carrier.keys(k), carrier.rows(k), carrier.leaf, result); err != nil {
+			return err
 		}
 		emitted := len(result) - before
 		if op.Spec.NetIn {
@@ -511,23 +511,22 @@ func (e Engine) runProbe(pl *sched.OpPlacement, ds *Dataset, st *runState, rep *
 		meters[k].addCPU(float64(rp.size(k))*p.ProbeInstr+float64(emitted)*p.ExtractInstr, p)
 		return nil
 	})
-	probed := int64(len(rp.keyback))
-	rp.release(st.ar)
+	// Owned from here on, so the run's cleanup returns the buffer on any
+	// failure below.
+	st.outputs[op] = result
+	st.owned[op] = true
 	if err != nil {
-		st.ar.putTuples(result)
 		return err
 	}
 	st.release(prod)
-	jt.release(st.ar)
+	js.release(st.ar)
 	delete(st.tables, op.JoinID)
 	rep.JoinResults[op.JoinID] = len(result)
 	if len(result) != op.Spec.ResultTuples {
 		return fmt.Errorf("join %d produced %d tuples, expected %d",
 			op.JoinID, len(result), op.Spec.ResultTuples)
 	}
-	st.outputs[op] = result
-	st.owned[op] = true
-	obs.Count(e.Rec, "engine.tuples_probed", probed)
+	obs.Count(e.Rec, "engine.tuples_probed", int64(len(rp.keyback)))
 	obs.Count(e.Rec, "engine.tuples_joined", int64(len(result)))
 	return nil
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -10,7 +11,9 @@ import (
 
 	"mdrs/internal/costmodel"
 	"mdrs/internal/obs"
+	"mdrs/internal/plan"
 	"mdrs/internal/query"
+	"mdrs/internal/sched"
 )
 
 // TestLeafTuplesCached pins the satellite fix: LeafTuples must return
@@ -50,7 +53,7 @@ func TestRadixPartitionMatchesReference(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, pay := range []payload{payKeys, payRows, payTuples} {
+				for _, pay := range []payload{payKeys, payRows} {
 					for _, scanLeaf := range []int32{-1, leafIdx} {
 						ar := getArena()
 						rp, err := radixPartition(ar, ds, p, in, scanLeaf, n, pay)
@@ -77,13 +80,10 @@ func TestRadixPartitionMatchesReference(t *testing.T) {
 								if pay == payRows && rp.rows(k)[i] != tp.Row {
 									t.Fatalf("%s: row %d = %d, want %d", where, i, rp.rows(k)[i], tp.Row)
 								}
-								if pay == payTuples && rp.tuples(k)[i] != tp {
-									t.Fatalf("%s: tuple %d = %v, want %v", where, i, rp.tuples(k)[i], tp)
-								}
 							}
 						}
-						if (rp.rowback != nil) != (pay == payRows) || (rp.backing != nil) != (pay == payTuples) {
-							t.Fatalf("payload %d scattered rows=%v tuples=%v", pay, rp.rowback != nil, rp.backing != nil)
+						if (rp.rowback != nil) != (pay == payRows) {
+							t.Fatalf("payload %d scattered rows=%v", pay, rp.rowback != nil)
 						}
 						rp.release(ar)
 						putArena(ar)
@@ -98,7 +98,8 @@ func TestRadixPartitionMatchesReference(t *testing.T) {
 // per-tuple key error: a tuple whose carrier leaf holds no key column
 // for the join must fail, naming the leaf — whether it is met first,
 // in mid-stream behind tuples of a leaf that has the column, or through
-// the scan-identity path.
+// the scan-identity path. A stream of two leaves that both hold a column
+// fails too, naming both: the scattered rows carry one leaf for all.
 func TestRadixPartitionRejectsForeignLeaf(t *testing.T) {
 	// Two independent joins: leaf C carries no key for join (A ⋈ B).
 	ab := join(leaf("A", 300), leaf("B", 100))
@@ -119,10 +120,15 @@ func TestRadixPartitionRejectsForeignLeaf(t *testing.T) {
 		"mid-stream":  {mixed, -1},
 		"scan":        {ds.LeafTuples(cIdx), cIdx},
 	} {
-		_, err := radixPartition(ar, ds, ab, c.in, c.scanLeaf, 4, payTuples)
+		_, err := radixPartition(ar, ds, ab, c.in, c.scanLeaf, 4, payRows)
 		if err == nil || !strings.Contains(err.Error(), "leaf C carries no key") {
 			t.Fatalf("%s: partitioning foreign-leaf tuples gave %v, want the leaf named", name, err)
 		}
+	}
+	twoLeaves := append(append([]Tuple(nil), ds.LeafTuples(0)[:10]...), ds.LeafTuples(1)[:10]...)
+	if _, err := radixPartition(ar, ds, ab, twoLeaves, -1, 4, payRows); err == nil ||
+		!strings.Contains(err.Error(), "stream mixes leaves A and B") {
+		t.Fatalf("partitioning a stream of leaves A and B gave %v, want both named", err)
 	}
 }
 
@@ -156,53 +162,44 @@ func TestPartitionByMatchesPartitionOf(t *testing.T) {
 	}
 }
 
-// fillTable builds one buildTable of the given kind by hand, with the
-// array lengths newJoinTables would carve. A presence table is built
-// the way an outer-carrier join builds it: no rows.
-func fillTable(t *testing.T, kind tableKind, presence bool, domain int, rows, keys []int32) *buildTable {
-	t.Helper()
-	m := len(keys)
-	bt := &buildTable{kind: kind, leaf: 0, n: int32(m), domain: domain}
+// emptySet lays out one keySet of the given kind for m keys by hand,
+// with the array length carveSets would carve.
+func emptySet(kind tableKind, domain, m int) *keySet {
+	s := &keySet{kind: tableBits, n: int32(m), domain: domain}
 	switch {
 	case m == 0:
-		// No arrays, and never open addressing: see newJoinTables.
-		bt.kind = tableRank
-		if presence {
-			bt.kind = tableBits
-		}
-	case kind == tableOA && presence:
-		bt.setOA(make([]int32, oaSize(m)), nil)
+		// No array, and never open addressing: see carveSets.
 	case kind == tableOA:
-		bt.setOA(make([]int32, oaSize(m)), make([]int32, oaSize(m)))
+		s.setOA(make([]int32, oaSize(m)))
 	default:
-		bt.words = make([]int32, bitmapWords(domain))
-		if kind == tableRank {
-			bt.rank = make([]int32, bitmapWords(domain))
-			bt.off = make([]int32, min(m, domain)+1)
-			bt.rows = make([]int32, m)
-		}
+		s.words = make([]int32, bitmapWords(domain))
 	}
-	if presence {
-		rows = nil
-	}
-	if err := bt.insert(rows, keys); err != nil {
+	return s
+}
+
+// fillSet is an emptySet filled with keys.
+func fillSet(t *testing.T, kind tableKind, domain int, keys []int32) *keySet {
+	t.Helper()
+	s := emptySet(kind, domain, len(keys))
+	if err := s.insert(0, keys); err != nil {
 		t.Fatal(err)
 	}
-	return bt
+	return s
 }
 
 // refTable is the reference executor's build table: a Go map from key
 // to the build tuples carrying it, in input order.
-func refTable(rows, keys []int32) map[int32][]Tuple {
+func refTable(build []Tuple, keys []int32) map[int32][]Tuple {
 	table := make(map[int32][]Tuple, len(keys))
 	for i, key := range keys {
-		table[key] = append(table[key], Tuple{Leaf: 0, Row: rows[i]})
+		table[key] = append(table[key], build[i])
 	}
 	return table
 }
 
 // refProbe probes a refTable the way the reference executor does and
-// returns what the presence arm and the match arm emit.
+// returns what its outer-carrier arm (the probe tuple on any match) and
+// its inner-carrier arm (every matching build tuple) emit.
 func refProbe(table map[int32][]Tuple, probe []Tuple, probeKeys []int32) (pres, matches []Tuple) {
 	for i, key := range probeKeys {
 		if len(table[key]) > 0 {
@@ -213,118 +210,124 @@ func refProbe(table map[int32][]Tuple, probe []Tuple, probeKeys []int32) (pres, 
 	return pres, matches
 }
 
-// tableForms is every way a build table is laid out: the three kinds,
-// open addressing both with rows and presence-only.
-var tableForms = []struct {
-	name     string
-	kind     tableKind
-	presence bool
+// setForms is every way a key set is laid out.
+var setForms = []struct {
+	name string
+	kind tableKind
 }{
-	{"bits", tableBits, true},
-	{"rank", tableRank, false},
-	{"oa", tableOA, false},
-	{"oa-presence", tableOA, true},
+	{"bits", tableBits},
+	{"oa", tableOA},
 }
 
-// checkAgainstReference builds every table form over one build
-// partition and holds each probe's output to the reference map table's:
-// presence probes keep the probe tuple on any match, match probes emit
-// build tuples in build-input order per key, and a presence-only table
-// refuses a match probe.
-func checkAgainstReference(t *testing.T, domain int, rows, keys []int32, probe []Tuple, probeKeys []int32) {
+// tupleOrder sorts tuples by leaf, then row.
+func tupleOrder(a, b Tuple) int {
+	if a.Leaf != b.Leaf {
+		return int(a.Leaf - b.Leaf)
+	}
+	return int(a.Row - b.Row)
+}
+
+// checkAgainstReference fills every set form with one partition of the
+// smaller operand's keys and filters one carrier partition (keys and
+// rows of leaf 0) through it. The reference map table answers the same
+// join both ways round: with the carrier as the probe side (outer
+// carrier), whose output the filter must equal tuple for tuple; and
+// with the carrier as the build side (inner carrier), whose output —
+// each probe key's matches in turn — the filter must equal as a
+// multiset.
+func checkAgainstReference(t *testing.T, domain int, setKeys, keys, rows []int32) {
 	t.Helper()
-	wantPres, wantMatch := refProbe(refTable(rows, keys), probe, probeKeys)
-	for _, form := range tableForms {
-		bt := fillTable(t, form.kind, form.presence, domain, rows, keys)
-		pres, err := bt.probePresence(probe, probeKeys, nil)
+	carrier := make([]Tuple, len(rows))
+	for i, row := range rows {
+		carrier[i] = Tuple{Leaf: 0, Row: row}
+	}
+	small := make([]Tuple, len(setKeys))
+	for i := range small {
+		small[i] = Tuple{Leaf: 1, Row: int32(i)}
+	}
+	wantPres, _ := refProbe(refTable(small, setKeys), carrier, keys)
+	_, wantMatch := refProbe(refTable(carrier, keys), small, setKeys)
+	slices.SortFunc(wantMatch, tupleOrder)
+	for _, form := range setForms {
+		got, err := fillSet(t, form.kind, domain, setKeys).semi(keys, rows, 0, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", form.name, err)
 		}
-		if !slices.Equal(pres, wantPres) {
-			t.Fatalf("%s presence = %v, want %v", form.name, pres, wantPres)
+		if !slices.Equal(got, wantPres) {
+			t.Fatalf("%s semi-join = %v, want the outer-carrier probe's %v", form.name, got, wantPres)
 		}
-		matches, err := bt.probeMatches(probeKeys, nil)
-		if form.presence {
-			if err == nil {
-				t.Fatalf("%s: match probe of a presence-only table returned %v, want an error", form.name, matches)
-			}
-			continue
-		}
-		if err != nil {
-			t.Fatalf("%s: %v", form.name, err)
-		}
-		if !slices.Equal(matches, wantMatch) {
-			t.Fatalf("%s matches = %v, want %v", form.name, matches, wantMatch)
+		slices.SortFunc(got, tupleOrder)
+		if !slices.Equal(got, wantMatch) {
+			t.Fatalf("%s semi-join = %v as a multiset, want the inner-carrier probe's %v", form.name, got, wantMatch)
 		}
 	}
 }
 
-// TestBuildTableLayouts checks every table form on hand-picked build
-// sets: duplicate keys, an empty partition, and keys on the bitmap's
-// word boundaries; then that the bitmap layouts reject out-of-domain
-// keys on insert and on both probes instead of dropping them.
+// TestBuildTableLayouts checks every set form on hand-picked partitions:
+// a carrier with repeated keys, an empty set, and keys on the bitmap's
+// word boundaries; then that a repeated key on the set's side is a
+// *DuplicateKeyError naming the join and the key, and that the bitmap
+// rejects out-of-domain keys on insert and on the filter instead of
+// dropping them.
 func TestBuildTableLayouts(t *testing.T) {
-	probe := make([]Tuple, 70)
-	probeKeys := make([]int32, 70)
-	for i := range probe {
-		probe[i] = Tuple{Leaf: 1, Row: int32(100 + i)}
-		probeKeys[i] = int32(i)
-	}
 	for name, c := range map[string]struct {
 		domain int
 		keys   []int32
 	}{
-		// Key 3 twice: matches come out in build input order.
-		"duplicates":      {5, []int32{3, 1, 3, 0}},
+		"duplicates":      {5, []int32{3, 1, 0}},
 		"empty partition": {70, nil},
-		"word boundaries": {70, []int32{32, 31, 69, 0, 63, 64, 31, 69}},
-		"one word":        {32, []int32{31, 0, 31}},
-		"last key":        {33, []int32{32, 0, 32}},
+		"word boundaries": {70, []int32{32, 31, 69, 0, 63, 64}},
+		"one word":        {32, []int32{31, 0}},
+		"last key":        {33, []int32{32, 0}},
 	} {
 		t.Run(name, func(t *testing.T) {
-			rows := make([]int32, len(c.keys))
-			for i := range rows {
-				rows[i] = int32(10 + i)
+			// Every domain key twice on the carrier side.
+			var keys, rows []int32
+			for i := 0; i < 2*c.domain; i++ {
+				keys = append(keys, int32(i%c.domain))
+				rows = append(rows, int32(100+i))
 			}
-			checkAgainstReference(t, c.domain, rows, c.keys, probe[:c.domain], probeKeys[:c.domain])
+			checkAgainstReference(t, c.domain, c.keys, keys, rows)
 		})
 	}
 
 	// The "duplicates" case spelled out, so the expectation does not
-	// rest on the reference helpers alone.
-	bt := fillTable(t, tableRank, false, 5, []int32{10, 11, 12, 13}, []int32{3, 1, 3, 0})
-	matches, err := bt.probeMatches([]int32{3, 2, 0, 3}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := []Tuple{{0, 10}, {0, 12}, {0, 13}, {0, 10}, {0, 12}}; !slices.Equal(matches, want) {
-		t.Fatalf("rank matches = %v, want %v", matches, want)
+	// rest on the reference helpers alone: the carrier's repeated key 3
+	// comes out twice, in carrier order.
+	for _, form := range setForms {
+		got, err := fillSet(t, form.kind, 5, []int32{3, 1, 0}).semi(
+			[]int32{3, 2, 0, 3, 1}, []int32{10, 11, 12, 13, 14}, 0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := []Tuple{{0, 10}, {0, 12}, {0, 13}, {0, 14}}; !slices.Equal(got, want) {
+			t.Fatalf("%s semi-join = %v, want %v", form.name, got, want)
+		}
+		var dup *DuplicateKeyError
+		if err := emptySet(form.kind, 5, 4).insert(7, []int32{3, 1, 3, 0}); !errors.As(err, &dup) || *dup != (DuplicateKeyError{Join: 7, Key: 3}) ||
+			!strings.Contains(err.Error(), "join 7: key 3") {
+			t.Fatalf("%s: inserting key 3 twice gave %v, want a DuplicateKeyError for join 7, key 3", form.name, err)
+		}
 	}
 
 	// Out-of-domain keys are dataflow bugs, not silent drops.
 	outside := func(err error) bool { return err != nil && strings.Contains(err.Error(), "outside domain [0, 70)") }
-	for _, form := range tableForms[:2] {
-		for _, bad := range []int32{-1, 70, math.MaxInt32, math.MinInt32} {
-			bt := fillTable(t, form.kind, form.presence, 70, []int32{1, 2}, []int32{69, 0})
-			if _, err := bt.probePresence(probe[:1], []int32{bad}, nil); !outside(err) {
-				t.Fatalf("%s: presence probe of key %d outside [0, 70): %v", form.name, bad, err)
-			}
-			if _, err := bt.probeMatches([]int32{bad}, nil); !form.presence && !outside(err) {
-				t.Fatalf("%s: match probe of key %d outside [0, 70): %v", form.name, bad, err)
-			}
-			if err := bt.insert([]int32{1, 2}, []int32{5, bad}); !outside(err) {
-				t.Fatalf("%s: insert of key %d outside [0, 70): %v", form.name, bad, err)
-			}
+	for _, bad := range []int32{-1, 70, math.MaxInt32, math.MinInt32} {
+		s := fillSet(t, tableBits, 70, []int32{69, 0})
+		if _, err := s.semi([]int32{bad}, []int32{1}, 0, nil); !outside(err) {
+			t.Fatalf("filter of key %d outside [0, 70): %v", bad, err)
+		}
+		if err := s.insert(0, []int32{5, bad}); !outside(err) {
+			t.Fatalf("insert of key %d outside [0, 70): %v", bad, err)
 		}
 	}
 }
 
 // TestLayoutsMatchReferenceOnGeneratedPartitions is the layout check as
-// a property: a join's two sides are generated (uniform and Zipf),
-// partitioned at several degrees, and in every partition every table
-// form built over the larger side (duplicate keys) and over the smaller
-// side (distinct keys) must answer the other side's probe exactly as the
-// reference map table does.
+// a property: a join's two sides are generated (uniform and Zipf) and
+// partitioned at several degrees, and in every partition every set form
+// filled with the smaller side's keys must filter the larger side
+// exactly as the reference map table joins the two, either side built.
 func TestLayoutsMatchReferenceOnGeneratedPartitions(t *testing.T) {
 	p := join(leaf("A", 3000), leaf("B", 700))
 	for _, skew := range []float64{0, 1.4} {
@@ -335,24 +338,16 @@ func TestLayoutsMatchReferenceOnGeneratedPartitions(t *testing.T) {
 		domain := ds.joins[p].domain
 		for _, n := range []int{1, 3, 8, 16, 64} {
 			ar := getArena()
-			big, err := radixPartition(ar, ds, p, ds.LeafTuples(0), -1, n, payTuples)
+			big, err := radixPartition(ar, ds, p, ds.LeafTuples(0), -1, n, payRows)
 			if err != nil {
 				t.Fatal(err)
 			}
-			small, err := radixPartition(ar, ds, p, ds.LeafTuples(1), -1, n, payTuples)
+			small, err := radixPartition(ar, ds, p, ds.LeafTuples(1), -1, n, payKeys)
 			if err != nil {
 				t.Fatal(err)
-			}
-			rowsOf := func(part []Tuple) []int32 {
-				rows := make([]int32, len(part))
-				for i, tp := range part {
-					rows[i] = tp.Row
-				}
-				return rows
 			}
 			for k := 0; k < n; k++ {
-				checkAgainstReference(t, domain, rowsOf(big.tuples(k)), big.keys(k), small.tuples(k), small.keys(k))
-				checkAgainstReference(t, domain, rowsOf(small.tuples(k)), small.keys(k), big.tuples(k), big.keys(k))
+				checkAgainstReference(t, domain, small.keys(k), big.keys(k), big.rows(k))
 			}
 			big.release(ar)
 			small.release(ar)
@@ -377,11 +372,11 @@ func TestOpenAddressingSpreadsWithinPartition(t *testing.T) {
 					keys = append(keys, key)
 				}
 			}
-			bt := fillTable(t, tableOA, true, 1<<16, nil, keys)
+			s := fillSet(t, tableOA, 1<<16, keys)
 			steps := 0
-			for j, key := range bt.keys {
+			for j, key := range s.keys {
 				if key >= 0 {
-					steps += int((uint32(j) - bt.home(key)) & bt.mask)
+					steps += int((uint32(j) - s.home(key)) & s.mask)
 				}
 			}
 			if mean := float64(steps) / float64(len(keys)); mean > 0.25 {
@@ -408,9 +403,10 @@ func TestBitmapOK(t *testing.T) {
 
 // TestE2EShapeBuildsNoOpenAddressingTable runs the benchmark's
 // query_e2e shape — six joins over relations of 10k to 50k tuples,
-// every operator at degree 16 — and requires every build table to be a
-// bitmap layout: sizing a clone's table against the whole join's key
-// domain used to send all of them to open addressing.
+// every operator at degree 16 — and requires every clone's key set,
+// whichever side fills it, to be a bitmap: sizing a clone's table
+// against the whole join's key domain used to send all of them to open
+// addressing.
 func TestE2EShapeBuildsNoOpenAddressingTable(t *testing.T) {
 	p := e2ePlan()
 	ds := MustGenerate(p, 1)
@@ -421,43 +417,142 @@ func TestE2EShapeBuildsNoOpenAddressingTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := met.Snapshot().Counters
-	if c["engine.tables_oa"] != 0 || c["engine.tables_bits"] == 0 || c["engine.tables_rank"] == 0 ||
-		c["engine.tables_bits"]+c["engine.tables_rank"] != 6*16 {
-		t.Fatalf("tables: %d bits, %d rank, %d open-addressing; want 96 bitmap tables of both kinds and none open-addressing",
-			c["engine.tables_bits"], c["engine.tables_rank"], c["engine.tables_oa"])
+	if c["engine.tables_oa"] != 0 || c["engine.tables_bits"] != 6*16 {
+		t.Fatalf("key sets: %d bits, %d open-addressing; want 96 bitmaps and no open addressing",
+			c["engine.tables_bits"], c["engine.tables_oa"])
 	}
 }
 
+// runAllocs runs s over ds and returns the run's error and how many
+// buffers its arena had to allocate.
+func runAllocs(e Engine, ds *Dataset, s *sched.Schedule) (int64, error) {
+	met := obs.NewMetrics()
+	e.Rec = met
+	_, err := e.Run(ds, s)
+	return met.Snapshot().Counters["engine.arena_allocs"], err
+}
+
+// warmArena runs s over ds until the idle arena holds every buffer the
+// run needs, and fails unless a further run allocates none.
+func warmArena(t *testing.T, ds *Dataset, s *sched.Schedule) {
+	t.Helper()
+	for i := 0; i < 4; i++ {
+		n, err := runAllocs(testEngine(), ds, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 3 && n != 0 {
+			t.Fatalf("warm run allocated %d arena buffers, want 0", n)
+		}
+	}
+}
+
+// placedOp returns the schedule's one operator of the given kind.
+func placedOp(t *testing.T, s *sched.Schedule, kind costmodel.OpKind) *plan.Operator {
+	t.Helper()
+	var found *plan.Operator
+	for _, ph := range s.Phases {
+		for _, pl := range ph.Placements {
+			if pl.Op.Kind == kind {
+				if found != nil {
+					t.Fatalf("schedule places two %v operators", kind)
+				}
+				found = pl.Op
+			}
+		}
+	}
+	if found == nil {
+		t.Fatalf("schedule places no %v operator", kind)
+	}
+	return found
+}
+
 // TestFailedRunReturnsTablesToArena fails a probe after its build has
-// filled the join's tables: the run's cleanup must hand their buffers
-// back to the arena with everything else, so a clean run of the same
-// plan straight after allocates nothing. The join's build side is its
-// larger operand, so its tables are the largest buffer of the run and no
-// other free buffer can stand in for them.
+// stored the join's state: the run's cleanup must hand its buffers back
+// to the arena with everything else, so a clean run of the same plan
+// straight after allocates nothing. The join's build side is its larger
+// operand, so its stored partitioning is the largest buffer of the run
+// and no other free buffer can stand in for it.
 func TestFailedRunReturnsTablesToArena(t *testing.T) {
 	p := join(leaf("A", 8000), leaf("B", 20000))
 	ds := MustGenerate(p, 71)
 	s := scheduleFor(t, p, 8)
-	arenaAllocs := func(e Engine) int64 {
-		met := obs.NewMetrics()
-		e.Rec = met
-		_, err := e.Run(ds, s)
-		if (err != nil) != (e.failClone != nil) {
-			t.Fatalf("run error = %v", err)
-		}
-		return met.Snapshot().Counters["engine.arena_allocs"]
-	}
-	for i := 0; i < 3; i++ { // warm the idle arena
-		arenaAllocs(testEngine())
-	}
-	if n := arenaAllocs(testEngine()); n != 0 {
-		t.Fatalf("warm run allocated %d arena buffers, want 0", n)
-	}
+	warmArena(t, ds, s)
 	failing := testEngine()
 	failing.failClone = failCloneOn(costmodel.Probe, 0)
-	arenaAllocs(failing)
-	if n := arenaAllocs(testEngine()); n != 0 {
-		t.Fatalf("clean run after a failed one allocated %d arena buffers, want 0", n)
+	if _, err := runAllocs(failing, ds, s); err == nil {
+		t.Fatal("injected probe fault was swallowed")
+	}
+	if n, err := runAllocs(testEngine(), ds, s); err != nil || n != 0 {
+		t.Fatalf("clean run after a failed one allocated %d arena buffers (error %v), want 0", n, err)
+	}
+}
+
+// TestCardinalityFailureReturnsResultToArena fails a run on the join's
+// cardinality check, after the probe has filled its result buffer: the
+// run's cleanup must hand that buffer back, so a clean run straight
+// after allocates nothing. The join's result is the run's only tuple
+// buffer (the scans pass the dataset's leaves on), so no other free
+// buffer can stand in for it.
+func TestCardinalityFailureReturnsResultToArena(t *testing.T) {
+	p := join(leaf("A", 8000), leaf("B", 20000))
+	ds := MustGenerate(p, 71)
+	s := scheduleFor(t, p, 8)
+	warmArena(t, ds, s)
+	probe := placedOp(t, s, costmodel.Probe)
+	probe.Spec.ResultTuples++
+	_, err := runAllocs(testEngine(), ds, s)
+	probe.Spec.ResultTuples--
+	if err == nil || !strings.Contains(err.Error(), "produced 20000 tuples, expected 20001") {
+		t.Fatalf("run against a perturbed cardinality gave %v, want the join's cardinality error", err)
+	}
+	if n, err := runAllocs(testEngine(), ds, s); err != nil || n != 0 {
+		t.Fatalf("clean run after a failed one allocated %d arena buffers (error %v), want 0", n, err)
+	}
+}
+
+// TestRepeatedSmallerSideKeyIsAnError plants a repeated key in a join's
+// smaller operand, which fills the key sets from the build side under an
+// outer carrier and from the probe side under an inner one. The run
+// must fail in that operator with a *DuplicateKeyError naming the join
+// and the key, and give its buffers back to the arena.
+func TestRepeatedSmallerSideKeyIsAnError(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		plan *query.PlanNode
+		op   costmodel.OpKind
+	}{
+		{"outer-carrier build", join(leaf("A", 8000), leaf("B", 3000)), costmodel.Build},
+		{"inner-carrier probe", join(leaf("A", 3000), leaf("B", 8000)), costmodel.Probe},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			p := c.plan
+			ds := MustGenerate(p, 5)
+			s := scheduleFor(t, p, 8)
+			warmArena(t, ds, s)
+			small := p.Inner
+			if !OuterIsCarrier(p) {
+				small = p.Outer
+			}
+			li, err := ds.LeafIndex(small)
+			if err != nil {
+				t.Fatal(err)
+			}
+			col := ds.joins[p].cols[li]
+			saved := col[1]
+			col[1] = col[0]
+			_, err = runAllocs(testEngine(), ds, s)
+			col[1] = saved
+			op := placedOp(t, s, c.op)
+			var dup *DuplicateKeyError
+			if !errors.As(err, &dup) || *dup != (DuplicateKeyError{Join: op.JoinID, Key: col[0]}) ||
+				!strings.Contains(err.Error(), op.Name+": ") {
+				t.Fatalf("run with key %d repeated gave %v, want a DuplicateKeyError from %s", col[0], err, op.Name)
+			}
+			if n, err := runAllocs(testEngine(), ds, s); err != nil || n != 0 {
+				t.Fatalf("clean run after a failed one allocated %d arena buffers (error %v), want 0", n, err)
+			}
+		})
 	}
 }
 

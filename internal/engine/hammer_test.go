@@ -33,9 +33,9 @@ func degreeSchedule(t *testing.T, p *query.PlanNode, degree int) *sched.Schedule
 // TestDegree512JoinMatchesReference runs whole joins at degree 512 over
 // a key domain of 10⁵ — partitions of some two hundred tuples, for
 // which even a bit per domain key is too much, forcing the
-// open-addressing fallback (presence-only under the outer carrier, with
-// rows under the inner one) — and checks the flat path still mirrors
-// the reference executor exactly.
+// open-addressing fallback (filled by the build under the outer
+// carrier, by the probe under the inner one) — and checks the flat path
+// still mirrors the reference executor exactly.
 func TestDegree512JoinMatchesReference(t *testing.T) {
 	const degree = 512
 	for name, p := range map[string]*query.PlanNode{
@@ -64,8 +64,8 @@ func TestDegree512JoinMatchesReference(t *testing.T) {
 			t.Fatalf("%s: reports diverge at degree %d:\nref:  %+v\nflat: %+v", name, degree, repRef, repFlat)
 		}
 		if c := met.Snapshot().Counters; c["engine.tables_oa"] != degree {
-			t.Fatalf("%s: %d of %d tables open-addressing (%d bits, %d rank); the test no longer reaches the fallback",
-				name, c["engine.tables_oa"], degree, c["engine.tables_bits"], c["engine.tables_rank"])
+			t.Fatalf("%s: %d of %d key sets open-addressing (%d bits); the test no longer reaches the fallback",
+				name, c["engine.tables_oa"], degree, c["engine.tables_bits"])
 		}
 	}
 }

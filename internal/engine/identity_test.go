@@ -3,10 +3,12 @@ package engine
 import (
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
 
 	"mdrs/internal/costmodel"
+	"mdrs/internal/optimizer"
 	"mdrs/internal/plan"
 	"mdrs/internal/query"
 	"mdrs/internal/resource"
@@ -15,9 +17,8 @@ import (
 
 // chainPlan builds a left-deep chain over the given leaf sizes. Mixing
 // ascending and descending sizes flips the carrier side join by join,
-// so both the presence-probe (outer carrier) and match-probe (inner
-// carrier) arms — and thus both the bitmap and ranked-CSR table layouts —
-// execute.
+// so both arms execute: the build fills the key sets (outer carrier)
+// and the probe fills them (inner carrier).
 func chainPlan(sizes []int) *query.PlanNode {
 	p := leaf("L0", sizes[0])
 	for i := 1; i < len(sizes); i++ {
@@ -104,6 +105,68 @@ func TestReportByteIdentity(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestOptimizerPlansMatchReference holds the semi-join argument on the
+// plans the system runs: the plan search's winners over catalogs shaped
+// like query_e2e's (5 to 8 relations, sizes scaled down to 1,000–5,000
+// tuples), each scheduled at P ∈ {4, 16} over uniform and Zipf keys,
+// must give the reference executor's Report. The corpus must hold
+// inner-carrier joins, one of them over two join subtrees, so that the
+// probe side filling the sets is itself an intermediate stream.
+func TestOptimizerPlansMatchReference(t *testing.T) {
+	search := optimizer.Search{Model: costmodel.Default(), Overlap: resource.MustOverlap(0.5), P: 16, F: 0.7}
+	r := rand.New(rand.NewSource(1))
+	inner, bushyInner := 0, 0
+	var count func(n *query.PlanNode)
+	count = func(n *query.PlanNode) {
+		if n.IsLeaf() {
+			return
+		}
+		if !OuterIsCarrier(n) {
+			inner++
+			if !n.Outer.IsLeaf() && !n.Inner.IsLeaf() {
+				bushyInner++
+			}
+		}
+		count(n.Outer)
+		count(n.Inner)
+	}
+	for i := 0; i < 8; i++ {
+		rels, err := optimizer.RandomRelations(r, 5+i%4, 1_000, 5_000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := search.Best(rand.New(rand.NewSource(int64(i))), rels)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := res.Best.Plan
+		count(p)
+		for _, sites := range []int{4, 16} {
+			for _, skew := range []float64{0, 1.3} {
+				ds, err := GenerateOpts(p, GenOptions{Seed: int64(i), SkewS: skew})
+				if err != nil {
+					t.Fatal(err)
+				}
+				s := scheduleFor(t, p, sites)
+				repRef, err := reference(testEngine()).Run(ds, s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				repFlat, err := testEngine().Run(ds, s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(repRef, repFlat) {
+					t.Fatalf("catalog %d P%d skew=%g: reports diverge:\nref:  %+v\nflat: %+v", i, sites, skew, repRef, repFlat)
+				}
+			}
+		}
+	}
+	if inner == 0 || bushyInner == 0 {
+		t.Fatalf("corpus holds %d inner-carrier joins, %d of them over two joins; want both > 0", inner, bushyInner)
 	}
 }
 
