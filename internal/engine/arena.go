@@ -5,18 +5,18 @@ import (
 	"sync"
 )
 
-// arena is a Run-scoped free list of tuple and int32 buffers: the
-// partition backings, scattered key columns, flat-table arrays, and
-// operator result buffers of one execution all come from (and return
-// to) it, so a J-join plan stops allocating O(tuples) per operator and
-// a warm run settles at a handful of allocations.
+// arena is a Run-scoped free list of int32 buffers: the partition
+// backings, scattered keys and row arrays, and key-set arrays of one
+// execution all come from (and return to) it — a probe's output is its
+// carrier partitioning's row array — so a J-join plan stops allocating
+// O(tuples) per operator and a warm run settles at a handful of
+// allocations.
 //
 // The arena is single-owner: a run executes on one goroutine, clone
 // bodies included, so no locking is needed. Arenas themselves are
 // recycled across runs through getArena/putArena.
 type arena struct {
-	tupleFree [][]Tuple
-	intFree   [][]int32
+	free [][]int32
 
 	// reuses/allocs count buffer requests served from the free lists
 	// vs freshly allocated, reset at the end of every run after the
@@ -74,52 +74,21 @@ func roundUpPow2(n int) int {
 	return c
 }
 
-// getTuples returns a length-n tuple buffer, preferring the smallest
-// adequate free buffer. Contents are unspecified (callers overwrite).
-func (a *arena) getTuples(n int) []Tuple {
-	best := -1
-	for i, b := range a.tupleFree {
-		if cap(b) >= n && (best < 0 || cap(b) < cap(a.tupleFree[best])) {
-			best = i
-		}
-	}
-	if best >= 0 {
-		b := a.tupleFree[best]
-		last := len(a.tupleFree) - 1
-		a.tupleFree[best] = a.tupleFree[last]
-		a.tupleFree[last] = nil
-		a.tupleFree = a.tupleFree[:last]
-		a.reuses++
-		return b[:n]
-	}
-	a.allocs++
-	return make([]Tuple, n, roundUpPow2(n))
-}
-
-// putTuples returns a buffer to the free list. Nil and zero-capacity
-// buffers are dropped.
-func (a *arena) putTuples(b []Tuple) {
-	if cap(b) == 0 {
-		return
-	}
-	a.tupleFree = append(a.tupleFree, b[:0])
-}
-
-// getInt32 is getTuples for int32 scratch (partition counts, scattered
-// keys, flat-table arrays). Contents are unspecified.
+// getInt32 returns a length-n buffer, preferring the smallest adequate
+// free buffer. Contents are unspecified (callers overwrite).
 func (a *arena) getInt32(n int) []int32 {
 	best := -1
-	for i, b := range a.intFree {
-		if cap(b) >= n && (best < 0 || cap(b) < cap(a.intFree[best])) {
+	for i, b := range a.free {
+		if cap(b) >= n && (best < 0 || cap(b) < cap(a.free[best])) {
 			best = i
 		}
 	}
 	if best >= 0 {
-		b := a.intFree[best]
-		last := len(a.intFree) - 1
-		a.intFree[best] = a.intFree[last]
-		a.intFree[last] = nil
-		a.intFree = a.intFree[:last]
+		b := a.free[best]
+		last := len(a.free) - 1
+		a.free[best] = a.free[last]
+		a.free[last] = nil
+		a.free = a.free[:last]
 		a.reuses++
 		return b[:n]
 	}
@@ -127,12 +96,13 @@ func (a *arena) getInt32(n int) []int32 {
 	return make([]int32, n, roundUpPow2(n))
 }
 
-// putInt32 returns an int32 buffer to the free list.
+// putInt32 returns a buffer to the free list. Nil and zero-capacity
+// buffers are dropped.
 func (a *arena) putInt32(b []int32) {
 	if cap(b) == 0 {
 		return
 	}
-	a.intFree = append(a.intFree, b[:0])
+	a.free = append(a.free, b[:0])
 }
 
 // resetStats zeroes the reuse/alloc tallies before the arena goes back

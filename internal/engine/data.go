@@ -17,12 +17,13 @@
 // every larger-side tuple matches exactly one smaller-side tuple and
 // |result| = max(|L|, |R|).
 //
-// Tuples are represented as identities into their "carrier" leaf — the
-// base relation whose rows survive, join after join, along the chain of
-// larger operands. A join's result tuple keeps the identity of its
-// larger operand's tuple, so the keys a tuple needs for future joins are
-// exactly the key columns assigned to its carrier leaf at generation
-// time.
+// Rows flow through the engine as identities into their "carrier" leaf
+// — the base relation whose rows survive, join after join, along the
+// chain of larger operands. A join's result keeps the rows of its
+// larger operand, so an operator's output is one carrier leaf and a
+// list of its row numbers, and the keys a row needs for future joins
+// are exactly the key columns assigned to its carrier leaf at
+// generation time.
 package engine
 
 import (
@@ -32,14 +33,6 @@ import (
 	"mdrs/internal/query"
 )
 
-// Tuple identifies one row flowing through the engine: a row of the
-// carrier leaf relation. The modeled width of every tuple is the
-// catalog's TupleBytes regardless of this compact representation.
-type Tuple struct {
-	Leaf int32 // leaf relation index within the Dataset
-	Row  int32 // row within the leaf
-}
-
 // keySlot records that a leaf carries a key column for one join.
 type keySlot struct {
 	joinNode *query.PlanNode
@@ -47,29 +40,13 @@ type keySlot struct {
 	domain   int  // s = min(|outer|, |inner|) of the join
 }
 
-// leafData is a generated base relation: one key column per join the
-// leaf is the carrier for.
-type leafData struct {
-	rel   *query.Relation
-	slots []keySlot
-	keys  [][]int32 // keys[slot][row]
-	index map[*query.PlanNode]int
-	// tuples is the leaf's identity tuple slice, built once at Generate
-	// time and shared by every LeafTuples caller — read-only.
-	tuples []Tuple
-}
-
-// joinCols is the per-join key-column index built once at Generate
-// time so the engine's operators resolve a join's column slot exactly
-// once instead of paying a map lookup (ds.Key) per tuple: cols[leaf]
-// is that leaf's key column for the join (nil when the leaf carries no
-// key for it), domain is the key domain [0, domain), and distinct[leaf]
-// reports whether the leaf's column holds distinct keys (the join's
-// smaller-side permutation).
+// joinCols holds one join's generated key columns: cols[leaf] is that
+// leaf's key column for the join (nil when the leaf carries no key for
+// it), and domain is the key domain [0, domain). A join has two, one on
+// each operand's carrier leaf.
 type joinCols struct {
-	domain   int
-	cols     [][]int32
-	distinct []bool
+	domain int
+	cols   map[int32][]int32
 }
 
 // Dataset holds the generated base relations of one plan.
@@ -77,10 +54,12 @@ type Dataset struct {
 	// Plan is the source execution plan.
 	Plan *query.PlanNode
 
-	leaves []*leafData
+	leaves []*query.Relation
 	byLeaf map[*query.PlanNode]int32 // leaf plan node -> leaf index
-	joins  map[*query.PlanNode]*joinCols
-	skewS  float64 // Zipf exponent for larger-side keys; 0 = uniform
+	// joins is read-only once Generate returns, so concurrent runs over
+	// a shared dataset need no locks.
+	joins map[*query.PlanNode]*joinCols
+	skewS float64 // Zipf exponent for larger-side keys; 0 = uniform
 }
 
 // GenOptions tunes data generation.
@@ -111,41 +90,15 @@ func GenerateOpts(p *query.PlanNode, opts GenOptions) (*Dataset, error) {
 	if opts.SkewS != 0 && opts.SkewS <= 1 {
 		return nil, fmt.Errorf("engine: Zipf exponent %g must exceed 1 (or be 0 for uniform)", opts.SkewS)
 	}
-	ds := &Dataset{Plan: p, byLeaf: make(map[*query.PlanNode]int32), skewS: opts.SkewS}
+	ds := &Dataset{
+		Plan:   p,
+		byLeaf: make(map[*query.PlanNode]int32),
+		joins:  make(map[*query.PlanNode]*joinCols),
+		skewS:  opts.SkewS,
+	}
 	r := rand.New(rand.NewSource(opts.Seed))
 	ds.walk(r, p, nil)
-	ds.buildIndexes()
 	return ds, nil
-}
-
-// buildIndexes derives the read-only lookup structures the engine's
-// hot paths index directly: the cached identity tuple slice of every
-// leaf and the per-join column index (joinCols). Built once per
-// Dataset, never mutated afterwards, so concurrent runs over a shared
-// dataset need no locks.
-func (ds *Dataset) buildIndexes() {
-	ds.joins = make(map[*query.PlanNode]*joinCols)
-	nl := len(ds.leaves)
-	for li, ld := range ds.leaves {
-		tuples := make([]Tuple, ld.rel.Tuples)
-		for r := range tuples {
-			tuples[r] = Tuple{Leaf: int32(li), Row: int32(r)}
-		}
-		ld.tuples = tuples
-		for si, slot := range ld.slots {
-			jc := ds.joins[slot.joinNode]
-			if jc == nil {
-				jc = &joinCols{
-					domain:   slot.domain,
-					cols:     make([][]int32, nl),
-					distinct: make([]bool, nl),
-				}
-				ds.joins[slot.joinNode] = jc
-			}
-			jc.cols[li] = ld.keys[si]
-			jc.distinct[li] = slot.smaller
-		}
-	}
 }
 
 // MustGenerate is Generate that panics on error.
@@ -161,13 +114,8 @@ func MustGenerate(p *query.PlanNode, seed int64) *Dataset {
 // subtree's carrier leaf must provide.
 func (ds *Dataset) walk(r *rand.Rand, n *query.PlanNode, pending []keySlot) {
 	if n.IsLeaf() {
-		ld := &leafData{
-			rel:   n.Relation,
-			slots: pending,
-			keys:  make([][]int32, len(pending)),
-			index: make(map[*query.PlanNode]int, len(pending)),
-		}
-		for si, slot := range pending {
+		li := int32(len(ds.leaves))
+		for _, slot := range pending {
 			col := make([]int32, n.Relation.Tuples)
 			if slot.smaller {
 				// Distinct keys 0..s−1: the leaf has exactly s rows.
@@ -185,11 +133,10 @@ func (ds *Dataset) walk(r *rand.Rand, n *query.PlanNode, pending []keySlot) {
 					col[i] = int32(r.Intn(slot.domain))
 				}
 			}
-			ld.keys[si] = col
-			ld.index[slot.joinNode] = si
+			ds.joins[slot.joinNode].cols[li] = col
 		}
-		ds.byLeaf[n] = int32(len(ds.leaves))
-		ds.leaves = append(ds.leaves, ld)
+		ds.byLeaf[n] = li
+		ds.leaves = append(ds.leaves, n.Relation)
 		return
 	}
 
@@ -197,6 +144,7 @@ func (ds *Dataset) walk(r *rand.Rand, n *query.PlanNode, pending []keySlot) {
 	if n.Inner.Tuples < s {
 		s = n.Inner.Tuples
 	}
+	ds.joins[n] = &joinCols{domain: s, cols: make(map[int32][]int32, 2)}
 	// The carrier (larger) child keeps the pending chain; the smaller
 	// child's rows are dropped after this join, so it only needs this
 	// join's key. Ties go to the outer child, matching OuterIsCarrier.
@@ -214,9 +162,9 @@ func (ds *Dataset) walk(r *rand.Rand, n *query.PlanNode, pending []keySlot) {
 	ds.walk(r, n.Inner, innerPending)
 }
 
-// OuterIsCarrier reports whether the join's result tuples inherit the
-// identity of the outer (probe-side) operand: true when the outer
-// operand is at least as large as the inner one.
+// OuterIsCarrier reports whether the join's result keeps the rows of
+// the outer (probe-side) operand: true when the outer operand is at
+// least as large as the inner one.
 func OuterIsCarrier(join *query.PlanNode) bool {
 	return join.Outer.Tuples >= join.Inner.Tuples
 }
@@ -231,26 +179,4 @@ func (ds *Dataset) LeafIndex(leaf *query.PlanNode) (int32, error) {
 		return 0, fmt.Errorf("engine: plan node is not a leaf of this dataset")
 	}
 	return idx, nil
-}
-
-// LeafTuples returns the identity tuples of leaf i, in row order. The
-// slice is built once at Generate time and shared by every caller —
-// it is read-only; callers must not modify it. (It used to be
-// regenerated on every call, so scanning the same leaf in different
-// plans of a batch paid an O(rows) allocation each time.)
-func (ds *Dataset) LeafTuples(i int32) []Tuple {
-	return ds.leaves[i].tuples
-}
-
-// Key returns tuple t's key for the given join node. It fails if the
-// tuple's carrier leaf does not carry a column for that join, which
-// indicates a dataflow bug.
-func (ds *Dataset) Key(t Tuple, join *query.PlanNode) (int32, error) {
-	ld := ds.leaves[t.Leaf]
-	si, ok := ld.index[join]
-	if !ok {
-		return 0, fmt.Errorf("engine: leaf %s carries no key for the requested join",
-			ld.rel.Name)
-	}
-	return ld.keys[si][t.Row], nil
 }

@@ -190,15 +190,16 @@ func TestResultContentIsExactlyTheCarrierRelation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if result.leaf != carrierIdx || len(result.rows) != result.n {
+			t.Fatalf("result stream of %d rows of leaf %d holds %d, carrier is %d",
+				result.n, result.leaf, len(result.rows), carrierIdx)
+		}
 		seen := map[int32]bool{}
-		for _, tp := range result {
-			if tp.Leaf != carrierIdx {
-				t.Fatalf("result tuple from leaf %d, carrier is %d", tp.Leaf, carrierIdx)
+		for _, row := range result.rows {
+			if seen[row] {
+				t.Fatalf("carrier row %d appears twice in the result", row)
 			}
-			if seen[tp.Row] {
-				t.Fatalf("carrier row %d appears twice in the result", tp.Row)
-			}
-			seen[tp.Row] = true
+			seen[row] = true
 		}
 		if len(seen) != carrier.Tuples {
 			t.Fatalf("result covers %d of %d carrier rows", len(seen), carrier.Tuples)

@@ -113,16 +113,15 @@ func (c *cloneMeter) addNetTuples(tuples int, p costmodel.Params) {
 }
 
 // runState is the per-run execution state: the dataflow outputs, the
-// joins in flight, and the buffer arena plus the ownership set that
-// lets consumed intermediates recycle.
+// joins in flight, and the buffer arena consumed intermediates recycle
+// through.
 type runState struct {
-	outputs map[*plan.Operator][]Tuple
-	// owned marks outputs whose backing came from the arena (probe
-	// results and store pass-throughs) — scan outputs alias the dataset's
-	// cached leaf slices and must never be recycled.
-	ar     *arena
-	owned  map[*plan.Operator]bool
-	tables map[int]*joinState
+	// outputs holds each operator's stream until its consumer releases
+	// it. The row array of every stream held here belongs to the run;
+	// a Scan's stream has none.
+	outputs map[*plan.Operator]stream
+	ar      *arena
+	tables  map[int]*joinState
 	// key-set layout tallies by tableKind, flushed to the recorder after
 	// the run.
 	layouts [2]int64
@@ -130,22 +129,17 @@ type runState struct {
 
 func newRunState(nOps int) *runState {
 	return &runState{
-		outputs: make(map[*plan.Operator][]Tuple, nOps),
+		outputs: make(map[*plan.Operator]stream, nOps),
 		ar:      getArena(),
-		owned:   make(map[*plan.Operator]bool),
 		tables:  make(map[int]*joinState),
 	}
 }
 
-// release recycles op's output buffer after its single pipeline
-// consumer has finished reading it. Outputs that alias non-arena
-// memory (leaf caches) are left alone.
+// release recycles op's output after its single pipeline consumer has
+// finished reading it.
 func (st *runState) release(op *plan.Operator) {
-	if op == nil || !st.owned[op] {
-		return
-	}
-	st.ar.putTuples(st.outputs[op])
-	delete(st.owned, op)
+	st.ar.putInt32(st.outputs[op].rows)
+	delete(st.outputs, op)
 }
 
 // Run executes the schedule over the dataset. The schedule must have
@@ -216,11 +210,11 @@ func (e Engine) RunCtx(ctx context.Context, ds *Dataset, s *sched.Schedule) (*Re
 			e.Rec.Count("engine.tables_bits", st.layouts[tableBits])
 			e.Rec.Count("engine.tables_oa", st.layouts[tableOA])
 		}
-		// Reclaim whatever owned outputs remain (normally just the
-		// root's) and the joins a failed or cancelled run left unprobed,
-		// then hand the arena to the next run.
-		for op := range st.owned {
-			st.ar.putTuples(st.outputs[op])
+		// Reclaim whatever outputs remain (normally just the root's)
+		// and the joins a failed or cancelled run left unprobed, then
+		// hand the arena to the next run.
+		for _, out := range st.outputs {
+			st.ar.putInt32(out.rows)
 		}
 		for _, js := range st.tables {
 			js.release(st.ar)
@@ -262,7 +256,7 @@ func (e Engine) RunCtx(ctx context.Context, ds *Dataset, s *sched.Schedule) (*Re
 				Rooted:    pl.Rooted,
 				Predicted: pl.TPar,
 				Measured:  measured,
-				OutTuples: len(st.outputs[pl.Op]),
+				OutTuples: st.outputs[pl.Op].n,
 			})
 		}
 		t := sys.MaxTSite()
@@ -276,7 +270,7 @@ func (e Engine) RunCtx(ctx context.Context, ds *Dataset, s *sched.Schedule) (*Re
 		}
 	}
 
-	rep.ResultTuples = len(st.outputs[root])
+	rep.ResultTuples = st.outputs[root].n
 	want := root.Spec.ResultTuples
 	if want == 0 && root.Kind == costmodel.Scan {
 		want = root.Spec.InTuples
@@ -330,7 +324,7 @@ func newMeters(n int, p costmodel.Params) []*cloneMeter {
 // runOperator executes one placed operator through the flat data path
 // and returns its per-clone meters (aligned with pl.Sites). Every
 // meter value is identical to the reference path's: each clone's input
-// and output are the same multisets of tuples, so the two executors
+// and output are the same multisets of rows, so the two executors
 // produce byte-identical Reports.
 func (e Engine) runOperator(pl *sched.OpPlacement, ds *Dataset, st *runState,
 	rep *Report) ([]*cloneMeter, error) {
@@ -355,61 +349,50 @@ func (e Engine) runOperator(pl *sched.OpPlacement, ds *Dataset, st *runState,
 	return meters, nil
 }
 
-// runScan meters a partitioned scan of one leaf.
+// runScan meters a partitioned scan of one leaf. Its output is the
+// leaf in row order, which the clones' contiguous ranges tile.
 func (e Engine) runScan(pl *sched.OpPlacement, ds *Dataset, st *runState, meters []*cloneMeter) error {
 	op, n, p := pl.Op, pl.Degree, e.Model.Params
 	leafIdx, err := ds.LeafIndex(op.Source)
 	if err != nil {
 		return err
 	}
-	all := ds.LeafTuples(leafIdx)
-	parts := splitContiguous(all, n)
+	all := ds.leaves[leafIdx].Tuples
 	err = e.eachClone(op, n, func(k int) error {
-		rows := parts[k]
-		pages := p.Pages(len(rows))
+		rows := splitContiguous(all, n, k)
+		pages := p.Pages(rows)
 		meters[k].addDiskPages(pages, p)
-		meters[k].addCPU(float64(pages)*p.ReadPageInstr+float64(len(rows))*p.ExtractInstr, p)
+		meters[k].addCPU(float64(pages)*p.ReadPageInstr+float64(rows)*p.ExtractInstr, p)
 		if op.Spec.NetOut {
-			meters[k].addNetTuples(len(rows), p)
+			meters[k].addNetTuples(rows, p)
 		}
 		return nil
 	})
 	if err != nil {
 		return err
 	}
-	// The contiguous parts tile the cached leaf slice in order, so
-	// the scan's output IS that slice — no concat copy, no
-	// ownership (the cache outlives the run).
-	st.outputs[op] = all
-	obs.Count(e.Rec, "engine.tuples_scanned", int64(len(all)))
+	st.outputs[op] = stream{leaf: leafIdx, n: all}
+	obs.Count(e.Rec, "engine.tuples_scanned", int64(all))
 	return nil
 }
 
 // exchange radix-partitions the stream feeding op on op's join key,
-// scattering the given payload. A stream that comes straight from a
-// Scan is that leaf's identity slice, which radixPartition is told so
-// it can read the keys from the leaf's column in place.
+// scattering the given payload.
 func (e Engine) exchange(op *plan.Operator, ds *Dataset, st *runState, n int,
 	pay payload) (radixParts, *plan.Operator, error) {
 
-	in, prod, err := e.producerInput(op, st.outputs)
+	prod, err := producerOf(op)
 	if err != nil {
 		return radixParts{}, nil, err
 	}
-	scanLeaf := int32(-1)
-	if prod.Kind == costmodel.Scan {
-		if scanLeaf, err = ds.LeafIndex(prod.Source); err != nil {
-			return radixParts{}, nil, err
-		}
-	}
-	rp, err := radixPartition(st.ar, ds, op.Source, in, scanLeaf, n, pay)
+	rp, err := radixPartition(st.ar, ds, op.Source, st.outputs[prod], n, pay)
 	return rp, prod, err
 }
 
 // runBuild partitions the build side. An outer-carrier build is the
 // join's smaller operand: it ships keys alone and fills one key set per
 // clone. An inner-carrier build is the carrier: it ships keys and rows
-// and keeps the partitioning for its probe to filter.
+// and keeps the partitioning for its probe to check.
 func (e Engine) runBuild(pl *sched.OpPlacement, ds *Dataset, st *runState, meters []*cloneMeter) error {
 	op, n, p := pl.Op, pl.Degree, e.Model.Params
 	outerCarrier := OuterIsCarrier(op.Source)
@@ -447,17 +430,20 @@ func (e Engine) runBuild(pl *sched.OpPlacement, ds *Dataset, st *runState, meter
 		return err
 	}
 	st.release(prod)
-	st.outputs[op] = nil // the join state is the output; nothing streams on
+	st.outputs[op] = stream{} // the join state is the output; nothing streams on
 	obs.Count(e.Rec, "engine.tuples_built", int64(len(rp.keyback)))
 	return nil
 }
 
-// runProbe partitions the probe side and runs each clone's semi-join,
-// the clones' results following one another in clone order. An
-// outer-carrier probe is the carrier: it ships keys and rows and
-// filters them through the build's sets. An inner-carrier probe is the
+// runProbe partitions the probe side and runs each clone's semi-join.
+// An outer-carrier probe is the carrier: it ships keys and rows and
+// checks them against the build's sets. An inner-carrier probe is the
 // smaller operand: it ships keys alone, fills a set per clone with
-// them, and filters the build's stored partitioning through it.
+// them, and checks the build's stored partitioning against it. A clone
+// emits its carrier partition less the keys its set lacks, and the
+// join's output is the carrier partitioning's row array, whose windows
+// follow one another in clone order; a run that passes the cardinality
+// check has no misses, so that array is the join's result as it lies.
 func (e Engine) runProbe(pl *sched.OpPlacement, ds *Dataset, st *runState, rep *Report,
 	meters []*cloneMeter) error {
 
@@ -485,10 +471,7 @@ func (e Engine) runProbe(pl *sched.OpPlacement, ds *Dataset, st *runState, rep *
 	} else {
 		st.carveSets(js, ds.joins[op.Source].domain, &rp)
 	}
-	// The clones append to one arena buffer in clone order, so a clone's
-	// output count is how much the buffer grew. Under the FK discipline
-	// every carrier tuple matches, so the carrier's size is the capacity.
-	result := st.ar.getTuples(len(carrier.keyback))[:0]
+	produced := 0
 	err = e.eachClone(op, n, func(k int) error {
 		set := &js.sets[k]
 		if !outerCarrier {
@@ -496,12 +479,12 @@ func (e Engine) runProbe(pl *sched.OpPlacement, ds *Dataset, st *runState, rep *
 				return err
 			}
 		}
-		before := len(result)
-		var err error
-		if result, err = set.semi(carrier.keys(k), carrier.rows(k), carrier.leaf, result); err != nil {
+		misses, err := set.misses(carrier.keys(k))
+		if err != nil {
 			return err
 		}
-		emitted := len(result) - before
+		emitted := carrier.size(k) - misses
+		produced += emitted
 		if op.Spec.NetIn {
 			meters[k].addNetTuples(rp.size(k), p)
 		}
@@ -511,102 +494,78 @@ func (e Engine) runProbe(pl *sched.OpPlacement, ds *Dataset, st *runState, rep *
 		meters[k].addCPU(float64(rp.size(k))*p.ProbeInstr+float64(emitted)*p.ExtractInstr, p)
 		return nil
 	})
-	// Owned from here on, so the run's cleanup returns the buffer on any
-	// failure below.
-	st.outputs[op] = result
-	st.owned[op] = true
 	if err != nil {
 		return err
 	}
+	rep.JoinResults[op.JoinID] = produced
+	if produced != op.Spec.ResultTuples {
+		return fmt.Errorf("join %d produced %d tuples, expected %d",
+			op.JoinID, produced, op.Spec.ResultTuples)
+	}
+	// No key missed: the output takes the carrier's row array over.
+	st.outputs[op] = stream{leaf: carrier.leaf, n: produced, rows: carrier.rowback}
+	carrier.rowback = nil
 	st.release(prod)
 	js.release(st.ar)
 	delete(st.tables, op.JoinID)
-	rep.JoinResults[op.JoinID] = len(result)
-	if len(result) != op.Spec.ResultTuples {
-		return fmt.Errorf("join %d produced %d tuples, expected %d",
-			op.JoinID, len(result), op.Spec.ResultTuples)
-	}
 	obs.Count(e.Rec, "engine.tuples_probed", int64(len(rp.keyback)))
-	obs.Count(e.Rec, "engine.tuples_joined", int64(len(result)))
+	obs.Count(e.Rec, "engine.tuples_joined", int64(produced))
 	return nil
 }
 
-// runStore meters a materialization, which passes its input on.
+// runStore meters a materialization, which passes its input on: the
+// stream and the ownership of its rows move to the store's output.
 func (e Engine) runStore(pl *sched.OpPlacement, st *runState, meters []*cloneMeter) error {
 	op, n, p := pl.Op, pl.Degree, e.Model.Params
-	in, prod, err := e.producerInput(op, st.outputs)
+	prod, err := producerOf(op)
 	if err != nil {
 		return err
 	}
-	parts := splitContiguous(in, n)
+	in := st.outputs[prod]
 	err = e.eachClone(op, n, func(k int) error {
-		pages := p.Pages(len(parts[k]))
+		rows := splitContiguous(in.n, n, k)
+		pages := p.Pages(rows)
 		meters[k].addDiskPages(pages, p)
 		meters[k].addCPU(float64(pages)*p.WritePageInstr, p)
 		if op.Spec.NetIn {
-			meters[k].addNetTuples(len(parts[k]), p)
+			meters[k].addNetTuples(rows, p)
 		}
 		return nil
 	})
 	if err != nil {
 		return err
 	}
-	st.outputs[op] = in // materialization preserves the stream
-	// Ownership of the producer's buffer transfers to the store's
-	// aliased output.
-	if st.owned[prod] {
-		delete(st.owned, prod)
-		st.owned[op] = true
-	}
-	obs.Count(e.Rec, "engine.tuples_stored", int64(len(in)))
+	st.outputs[op] = in
+	delete(st.outputs, prod)
+	obs.Count(e.Rec, "engine.tuples_stored", int64(in.n))
 	return nil
 }
 
-// producerInput resolves op's pipeline producer and returns that
-// producer's output stream along with the producer itself (so callers
-// can release the buffer once consumed). A missing producer is an
-// error: reading outputs[nil] instead would silently execute the
-// operator over an empty input and misreport every downstream
-// cardinality.
-func (e Engine) producerInput(op *plan.Operator,
-	outputs map[*plan.Operator][]Tuple) ([]Tuple, *plan.Operator, error) {
-	prod := producerOf(op)
-	if prod == nil {
-		return nil, nil, fmt.Errorf("no pipeline producer feeds %s (task of %d operators)",
-			op.Name, len(op.Task.Ops))
-	}
-	return outputs[prod], prod, nil
-}
-
-// producerOf returns the operator whose pipelined output feeds op, or
-// nil when the task graph holds none (a malformed plan; callers must
-// treat nil as an error, not as an empty input).
-func producerOf(op *plan.Operator) *plan.Operator {
+// producerOf returns the operator whose pipelined output feeds op. A
+// missing producer is an error: reading outputs[nil] instead would
+// silently execute the operator over an empty input and misreport
+// every downstream cardinality.
+func producerOf(op *plan.Operator) (*plan.Operator, error) {
 	// The expansion links producer -> consumer; find the pipeline
 	// producer by scanning the task's operators.
 	for _, cand := range op.Task.Ops {
 		if cand.Consumer == op && cand.ConsumerEdge == plan.Pipeline {
-			return cand
+			return cand, nil
 		}
 	}
-	return nil
+	return nil, fmt.Errorf("no pipeline producer feeds %s (task of %d operators)",
+		op.Name, len(op.Task.Ops))
 }
 
-// splitContiguous divides tuples into n near-equal contiguous ranges,
-// the no-skew declustering of assumption EA1.
-func splitContiguous(all []Tuple, n int) [][]Tuple {
-	parts := make([][]Tuple, n)
-	base, extra := len(all)/n, len(all)%n
-	pos := 0
-	for k := 0; k < n; k++ {
-		sz := base
-		if k < extra {
-			sz++
-		}
-		parts[k] = all[pos : pos+sz]
-		pos += sz
+// splitContiguous returns the size of range k when m rows are divided
+// into n near-equal contiguous ranges, the no-skew declustering of
+// assumption EA1.
+func splitContiguous(m, n, k int) int {
+	sz := m / n
+	if k < m%n {
+		sz++
 	}
-	return parts
+	return sz
 }
 
 // eachClone runs fn for every clone index of op, in index order on the

@@ -80,7 +80,7 @@ func TestGenerateSmallerSideHasUniqueKeys(t *testing.T) {
 		t.Fatal(err)
 	}
 	seen := map[int32]bool{}
-	for _, tp := range ds.LeafTuples(bIdx) {
+	for _, tp := range leafTuplesRef(ds, bIdx) {
 		k, err := ds.Key(tp, p)
 		if err != nil {
 			t.Fatal(err)
@@ -98,7 +98,7 @@ func TestGenerateSmallerSideHasUniqueKeys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tp := range ds.LeafTuples(aIdx) {
+	for _, tp := range leafTuplesRef(ds, aIdx) {
 		k, err := ds.Key(tp, p)
 		if err != nil {
 			t.Fatal(err)
@@ -333,14 +333,11 @@ func TestPartitionOfBalance(t *testing.T) {
 }
 
 func TestSplitContiguous(t *testing.T) {
-	all := make([]Tuple, 10)
-	parts := splitContiguous(all, 3)
-	if len(parts) != 3 || len(parts[0]) != 4 || len(parts[1]) != 3 || len(parts[2]) != 3 {
-		t.Fatalf("split sizes: %d %d %d", len(parts[0]), len(parts[1]), len(parts[2]))
+	if a, b, c := splitContiguous(10, 3, 0), splitContiguous(10, 3, 1), splitContiguous(10, 3, 2); a != 4 || b != 3 || c != 3 {
+		t.Fatalf("split sizes: %d %d %d", a, b, c)
 	}
-	parts = splitContiguous(nil, 2)
-	if len(parts[0])+len(parts[1]) != 0 {
-		t.Fatal("splitting empty input produced tuples")
+	if splitContiguous(0, 2, 0)+splitContiguous(0, 2, 1) != 0 {
+		t.Fatal("splitting empty input produced rows")
 	}
 }
 

@@ -1,14 +1,18 @@
 // Flat, cache-friendly operator state: two-pass radix partitioning
 // that scatters only what the consumer reads, and per-clone key sets
 // sized to the partition instead of the join's key domain — a presence
-// bitmap or an open-addressing fallback — in place of Go maps. Every
-// join runs as a semi-join of its carrier: a clone fills a set with its
-// partition of the smaller operand's keys, which must be distinct, and
-// emits the carrier partition's tuples whose key the set holds. Partition
-// contents match the reference (pre-flat) executor's exactly and each
-// clone emits as many tuples as it did, so every Report field is
-// byte-identical; the order of tuples inside an intermediate stream is
-// not kept, and no Report field depends on it.
+// bitmap or an open-addressing fallback — in place of Go maps. A stream
+// between operators is one carrier leaf and its rows. Every join runs
+// as a semi-join of its carrier: a clone fills a set with its partition
+// of the smaller operand's keys, which must be distinct, and checks
+// that the set holds every key of its carrier partition. A carrier key
+// the set lacks is a miss, and any miss fails the join's cardinality
+// check, so on a run that passes each clone emits its whole carrier
+// partition and the probe's output is the carrier partitioning's row
+// array as it lies. Partition contents match the reference (pre-flat)
+// executor's exactly and each clone emits as many rows as it did, so
+// every Report field is byte-identical; the order of rows inside an
+// intermediate stream is not kept, and no Report field depends on it.
 package engine
 
 import (
@@ -30,28 +34,34 @@ const (
 	// payKeys scatters the keys alone: the join's smaller operand only
 	// fills key sets.
 	payKeys payload = iota
-	// payRows adds the bare row numbers: the carrier's matching rows are
-	// the join's output, reconstituted as Tuples with the stream's one
-	// carrier leaf.
+	// payRows adds the row numbers: the carrier's rows are the join's
+	// output, with the stream's one carrier leaf.
 	payRows
 )
+
+// stream is an operator's output: rows of its one carrier leaf. A
+// Scan's stream is the leaf in row order and holds no row array; any
+// other stream's rows are an arena buffer the run state owns until the
+// stream's consumer releases it.
+type stream struct {
+	leaf int32
+	n    int     // the stream's length
+	rows []int32 // nil for a Scan's stream, whose rows are 0..n-1
+}
 
 // radixParts is one radix partitioning: partition k is the window
 // [starts[k], starts[k+1]) of each co-scattered arena backing the
 // payload asked for, so clone bodies index keys directly and never
-// re-resolve the join's column slot or re-hash a tuple.
+// re-resolve the join's column or re-hash a row.
 type radixParts struct {
 	starts  []int32 // n+1 partition boundaries
 	keyback []int32
 	rowback []int32 // payRows only
-	// leaf is the stream's carrier leaf (its first tuple's), -1 when the
-	// stream is empty.
-	leaf int32
+	leaf    int32   // the partitioned stream's carrier leaf
 }
 
 func (rp *radixParts) size(k int) int     { return int(rp.starts[k+1] - rp.starts[k]) }
 func (rp *radixParts) keys(k int) []int32 { return rp.keyback[rp.starts[k]:rp.starts[k+1]] }
-func (rp *radixParts) rows(k int) []int32 { return rp.rowback[rp.starts[k]:rp.starts[k+1]] }
 
 // release returns the partitioning's arena buffers.
 func (rp *radixParts) release(ar *arena) {
@@ -76,77 +86,45 @@ func partitionBy(key int32, recip, n uint64) int32 {
 	return int32(hi)
 }
 
-// radixPartition hash-partitions tuples on their key for the given
+// radixPartition hash-partitions a stream on its key for the given
 // join into n buckets — the exchange (repartitioning) operator of
 // assumption A5 — in two passes: count per partition, then scatter the
-// keys and the requested payload into preallocated backing arrays.
-// scanLeaf >= 0 says that in is that leaf's identity slice (the
-// producer is a Scan), so the keys are the leaf's column in place: no
-// gather, and in is never read. Otherwise the key column is resolved
-// once per run of equal leaves (an array index per tuple) instead of
-// through the per-tuple ds.Key map lookup the reference path pays.
-// Partition assignment and intra-partition order (input order) are
-// identical to the reference path's append-per-tuple map partitioning.
-// Rows carry no leaf, so a stream whose tuples come from two leaves is
-// an error.
-func radixPartition(ar *arena, ds *Dataset, join *query.PlanNode, in []Tuple,
-	scanLeaf int32, n int, pay payload) (radixParts, error) {
+// keys and the requested payload into preallocated backing arrays. The
+// stream's key column is resolved once; a Scan's stream reads it in
+// place, any other stream gathers its keys through its rows. Partition
+// assignment and intra-partition order (input order) are identical to
+// the reference path's append-per-tuple map partitioning.
+func radixPartition(ar *arena, ds *Dataset, join *query.PlanNode, in stream,
+	n int, pay payload) (radixParts, error) {
 
 	jc := ds.joins[join]
 	if jc == nil {
 		return radixParts{}, fmt.Errorf("dataset carries no key columns for the requested join")
 	}
-	m := len(in)
+	col := jc.cols[in.leaf]
+	if col == nil {
+		return radixParts{}, fmt.Errorf("leaf %s carries no key for the requested join", ds.leaves[in.leaf].Name)
+	}
+	m := in.n
+	keys, gathered := col[:m], []int32(nil)
+	if in.rows != nil {
+		gathered = ar.getInt32(m)
+		for i, row := range in.rows {
+			gathered[i] = col[row]
+		}
+		keys = gathered
+	}
 	pids := ar.getInt32(m)
 	counts := ar.getInt32(n)
 	clear(counts)
 	recip, un := reciprocalOf(n), uint64(n)
-
-	rp := radixParts{leaf: -1}
-	if m > 0 {
-		rp.leaf = in[0].Leaf
-	}
-	var keyIn, gathered []int32
-	if scanLeaf >= 0 && m > 0 {
-		if keyIn = jc.cols[scanLeaf]; keyIn == nil {
-			ar.putInt32(pids)
-			ar.putInt32(counts)
-			return radixParts{}, foreignLeaf(ds, scanLeaf)
-		}
-		for i, key := range keyIn[:m] {
-			p := partitionBy(key, recip, un)
-			pids[i] = p
-			counts[p]++
-		}
-	} else {
-		gathered = ar.getInt32(m)
-		keyIn = gathered
-		leaf, col := int32(-1), []int32(nil)
-		for i, t := range in {
-			if t.Leaf != leaf {
-				err := error(nil)
-				if col = jc.cols[t.Leaf]; col == nil {
-					err = foreignLeaf(ds, t.Leaf)
-				} else if leaf >= 0 {
-					err = fmt.Errorf("stream mixes leaves %s and %s", ds.leaves[leaf].rel.Name, ds.leaves[t.Leaf].rel.Name)
-				}
-				if err != nil {
-					ar.putInt32(gathered)
-					ar.putInt32(pids)
-					ar.putInt32(counts)
-					return radixParts{}, err
-				}
-				leaf = t.Leaf
-			}
-			key := col[t.Row]
-			keyIn[i] = key
-			p := partitionBy(key, recip, un)
-			pids[i] = p
-			counts[p]++
-		}
+	for i, key := range keys {
+		p := partitionBy(key, recip, un)
+		pids[i] = p
+		counts[p]++
 	}
 
-	rp.starts = ar.getInt32(n + 1)
+	rp := radixParts{leaf: in.leaf, starts: ar.getInt32(n + 1)}
 	sum := int32(0)
 	for k := 0; k < n; k++ {
 		rp.starts[k] = sum
@@ -161,18 +139,18 @@ func radixPartition(ar *arena, ds *Dataset, join *query.PlanNode, in []Tuple,
 		for i, p := range pids {
 			pos := counts[p]
 			counts[p] = pos + 1
-			rp.keyback[pos] = keyIn[i]
+			rp.keyback[pos] = keys[i]
 		}
 	case payRows:
 		rp.rowback = ar.getInt32(m)
 		for i, p := range pids {
 			pos := counts[p]
 			counts[p] = pos + 1
-			rp.keyback[pos] = keyIn[i]
-			if scanLeaf >= 0 {
+			rp.keyback[pos] = keys[i]
+			if in.rows == nil {
 				rp.rowback[pos] = int32(i)
 			} else {
-				rp.rowback[pos] = in[i].Row
+				rp.rowback[pos] = in.rows[i]
 			}
 		}
 	}
@@ -180,12 +158,6 @@ func radixPartition(ar *arena, ds *Dataset, join *query.PlanNode, in []Tuple,
 	ar.putInt32(pids)
 	ar.putInt32(counts)
 	return rp, nil
-}
-
-// foreignLeaf is the error for a tuple whose carrier leaf holds no key
-// column for the join being partitioned.
-func foreignLeaf(ds *Dataset, leaf int32) error {
-	return fmt.Errorf("leaf %s carries no key for the requested join", ds.leaves[leaf].rel.Name)
 }
 
 // DuplicateKeyError reports a key that a join's smaller operand
@@ -243,8 +215,8 @@ func bitmapWords(domain int) int { return (domain + 31) / 32 }
 // joinState is one join in flight, alive from its build until its probe
 // consumes (and releases) it. An outer-carrier build is the join's
 // smaller operand and fills the per-clone key sets; an inner-carrier
-// build is the carrier and keeps its partitioning, whose rows its probe
-// filters through sets of its own partitions' keys.
+// build is the carrier and keeps its partitioning, whose keys its probe
+// checks against sets of its own partitions' keys.
 type joinState struct {
 	degree  int
 	sets    []keySet
@@ -361,39 +333,33 @@ func (s *keySet) insert(join int, keys []int32) error {
 	return nil
 }
 
-// has reports whether an in-domain key is in the bitmap.
-func (s *keySet) has(key int32) bool {
-	return uint32(s.words[key>>5])>>(key&31)&1 != 0
-}
-
-// semi appends the carrier partition's tuples — its keys and rows, all
-// of the given leaf — whose key the set holds, in partition order.
-// Since the set's keys are distinct, that is every tuple the hash join
-// of the two partitions emits.
-func (s *keySet) semi(keys, rows []int32, leaf int32, res []Tuple) ([]Tuple, error) {
+// misses checks a carrier partition's keys against the set and returns
+// how many it lacks. The set's keys are distinct, so the hash join of
+// the two partitions emits one row per carrier key the set holds: a
+// partition that misses nothing is emitted whole, in partition order.
+func (s *keySet) misses(keys []int32) (int, error) {
 	if s.n == 0 {
-		return res, nil
+		return len(keys), nil
 	}
-	rows = rows[:len(keys)]
+	miss := 0
 	switch s.kind {
 	case tableBits:
-		for i, key := range keys {
+		for _, key := range keys {
 			if s.outside(key) {
-				return res, fmt.Errorf("key %d outside domain [0, %d)", key, s.domain)
+				return 0, fmt.Errorf("key %d outside domain [0, %d)", key, s.domain)
 			}
-			if s.has(key) {
-				res = append(res, Tuple{Leaf: leaf, Row: rows[i]})
-			}
+			miss += int(^uint32(s.words[key>>5]) >> (key & 31) & 1)
 		}
 	case tableOA:
-		for i, key := range keys {
-			for j := s.home(key); s.keys[j] != -1; j = (j + 1) & s.mask {
-				if s.keys[j] == key {
-					res = append(res, Tuple{Leaf: leaf, Row: rows[i]})
-					break
-				}
+		for _, key := range keys {
+			j := s.home(key)
+			for s.keys[j] != key && s.keys[j] != -1 {
+				j = (j + 1) & s.mask
+			}
+			if s.keys[j] == -1 {
+				miss++
 			}
 		}
 	}
-	return res, nil
+	return miss, nil
 }

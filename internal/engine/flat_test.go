@@ -16,47 +16,45 @@ import (
 	"mdrs/internal/sched"
 )
 
-// TestLeafTuplesCached pins the satellite fix: LeafTuples must return
-// the slice built at Generate time, not a fresh allocation per call.
-func TestLeafTuplesCached(t *testing.T) {
-	p := join(leaf("A", 500), leaf("B", 200))
-	ds := MustGenerate(p, 1)
-	a := ds.LeafTuples(0)
-	b := ds.LeafTuples(0)
-	if len(a) == 0 || &a[0] != &b[0] {
-		t.Fatal("LeafTuples allocates per call instead of returning the cached slice")
-	}
-	for r, tp := range a {
-		if tp.Leaf != 0 || tp.Row != int32(r) {
-			t.Fatalf("cached tuple %d = %+v, want {0 %d}", r, tp, r)
-		}
-	}
-}
-
 // TestRadixPartitionMatchesReference checks the two-pass radix scatter
 // against the reference append-per-tuple map partitioning: identical
 // partition contents in identical order, for uniform and skewed keys,
-// for both sides of a join, for every payload, and both when the keys
-// are gathered through the tuples and when the stream is declared a
-// leaf's identity slice and the keys are read from its column in place.
+// for both sides of a join, for every payload, and both for a Scan's
+// stream, whose keys are read from the leaf's column in place, and for
+// a stream of the leaf's rows in shuffled order, whose keys are
+// gathered through its rows.
 func TestRadixPartitionMatchesReference(t *testing.T) {
 	p := join(leaf("A", 5000), leaf("B", 1700))
+	r := rand.New(rand.NewSource(3))
 	for _, skew := range []float64{0, 1.4} {
 		ds, err := GenerateOpts(p, GenOptions{Seed: 9, SkewS: skew})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for leafIdx := int32(0); leafIdx < 2; leafIdx++ {
-			in := ds.LeafTuples(leafIdx)
-			for _, n := range []int{1, 3, 8, 64} {
-				want, err := partitionByKey(ds, in, p, n)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, pay := range []payload{payKeys, payRows} {
-					for _, scanLeaf := range []int32{-1, leafIdx} {
+			scan := leafTuplesRef(ds, leafIdx)
+			shuffled := slices.Clone(scan)
+			r.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+			rows := make([]int32, len(shuffled))
+			for i, tp := range shuffled {
+				rows[i] = tp.Row
+			}
+			for _, form := range []struct {
+				name string
+				in   stream
+				ref  []Tuple
+			}{
+				{"scan", stream{leaf: leafIdx, n: len(scan)}, scan},
+				{"rows", stream{leaf: leafIdx, n: len(rows), rows: rows}, shuffled},
+			} {
+				for _, n := range []int{1, 3, 8, 64} {
+					want, err := partitionByKey(ds, form.ref, p, n)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, pay := range []payload{payKeys, payRows} {
 						ar := getArena()
-						rp, err := radixPartition(ar, ds, p, in, scanLeaf, n, pay)
+						rp, err := radixPartition(ar, ds, p, form.in, n, pay)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -64,10 +62,10 @@ func TestRadixPartitionMatchesReference(t *testing.T) {
 							t.Fatalf("carrier leaf %d, want %d", rp.leaf, leafIdx)
 						}
 						for k := 0; k < n; k++ {
-							where := fmt.Sprintf("skew=%g leaf=%d n=%d payload=%d scanLeaf=%d partition %d",
-								skew, leafIdx, n, pay, scanLeaf, k)
+							where := fmt.Sprintf("skew=%g leaf=%d %s n=%d payload=%d partition %d",
+								skew, leafIdx, form.name, n, pay, k)
 							if rp.size(k) != len(want[k]) {
-								t.Fatalf("%s holds %d tuples, want %d", where, rp.size(k), len(want[k]))
+								t.Fatalf("%s holds %d rows, want %d", where, rp.size(k), len(want[k]))
 							}
 							for i, tp := range want[k] {
 								key, err := ds.Key(tp, p)
@@ -77,8 +75,10 @@ func TestRadixPartitionMatchesReference(t *testing.T) {
 								if rp.keys(k)[i] != key {
 									t.Fatalf("%s: co-scattered key %d = %d, want %d", where, i, rp.keys(k)[i], key)
 								}
-								if pay == payRows && rp.rows(k)[i] != tp.Row {
-									t.Fatalf("%s: row %d = %d, want %d", where, i, rp.rows(k)[i], tp.Row)
+								if pay == payRows {
+									if row := rp.rowback[int(rp.starts[k])+i]; row != tp.Row {
+										t.Fatalf("%s: row %d = %d, want %d", where, i, row, tp.Row)
+									}
 								}
 							}
 						}
@@ -95,11 +95,9 @@ func TestRadixPartitionMatchesReference(t *testing.T) {
 }
 
 // TestRadixPartitionRejectsForeignLeaf mirrors the reference path's
-// per-tuple key error: a tuple whose carrier leaf holds no key column
-// for the join must fail, naming the leaf — whether it is met first,
-// in mid-stream behind tuples of a leaf that has the column, or through
-// the scan-identity path. A stream of two leaves that both hold a column
-// fails too, naming both: the scattered rows carry one leaf for all.
+// per-tuple key error: a stream whose carrier leaf holds no key column
+// for the join must fail, naming the leaf, whether it is a Scan's
+// stream or a stream of rows.
 func TestRadixPartitionRejectsForeignLeaf(t *testing.T) {
 	// Two independent joins: leaf C carries no key for join (A ⋈ B).
 	ab := join(leaf("A", 300), leaf("B", 100))
@@ -111,24 +109,14 @@ func TestRadixPartitionRejectsForeignLeaf(t *testing.T) {
 	}
 	ar := getArena()
 	defer putArena(ar)
-	mixed := append(append([]Tuple(nil), ds.LeafTuples(0)[:10]...), ds.LeafTuples(cIdx)[:10]...)
-	for name, c := range map[string]struct {
-		in       []Tuple
-		scanLeaf int32
-	}{
-		"first tuple": {ds.LeafTuples(cIdx), -1},
-		"mid-stream":  {mixed, -1},
-		"scan":        {ds.LeafTuples(cIdx), cIdx},
+	for name, in := range map[string]stream{
+		"rows": {leaf: cIdx, n: 3, rows: []int32{5, 0, 7}},
+		"scan": {leaf: cIdx, n: 900},
 	} {
-		_, err := radixPartition(ar, ds, ab, c.in, c.scanLeaf, 4, payRows)
+		_, err := radixPartition(ar, ds, ab, in, 4, payRows)
 		if err == nil || !strings.Contains(err.Error(), "leaf C carries no key") {
-			t.Fatalf("%s: partitioning foreign-leaf tuples gave %v, want the leaf named", name, err)
+			t.Fatalf("%s: partitioning a foreign leaf's stream gave %v, want the leaf named", name, err)
 		}
-	}
-	twoLeaves := append(append([]Tuple(nil), ds.LeafTuples(0)[:10]...), ds.LeafTuples(1)[:10]...)
-	if _, err := radixPartition(ar, ds, ab, twoLeaves, -1, 4, payRows); err == nil ||
-		!strings.Contains(err.Error(), "stream mixes leaves A and B") {
-		t.Fatalf("partitioning a stream of leaves A and B gave %v, want both named", err)
 	}
 }
 
@@ -228,13 +216,13 @@ func tupleOrder(a, b Tuple) int {
 }
 
 // checkAgainstReference fills every set form with one partition of the
-// smaller operand's keys and filters one carrier partition (keys and
-// rows of leaf 0) through it. The reference map table answers the same
+// smaller operand's keys and checks one carrier partition (keys and
+// rows of leaf 0) against it. The reference map table answers the same
 // join both ways round: with the carrier as the probe side (outer
-// carrier), whose output the filter must equal tuple for tuple; and
-// with the carrier as the build side (inner carrier), whose output —
-// each probe key's matches in turn — the filter must equal as a
-// multiset.
+// carrier) and with the carrier as the build side (inner carrier).
+// Both must emit as many tuples as the carrier partition holds keys the
+// set does not miss, and when the set misses none, both must emit the
+// whole carrier partition.
 func checkAgainstReference(t *testing.T, domain int, setKeys, keys, rows []int32) {
 	t.Helper()
 	carrier := make([]Tuple, len(rows))
@@ -247,18 +235,23 @@ func checkAgainstReference(t *testing.T, domain int, setKeys, keys, rows []int32
 	}
 	wantPres, _ := refProbe(refTable(small, setKeys), carrier, keys)
 	_, wantMatch := refProbe(refTable(carrier, keys), small, setKeys)
-	slices.SortFunc(wantMatch, tupleOrder)
 	for _, form := range setForms {
-		got, err := fillSet(t, form.kind, domain, setKeys).semi(keys, rows, 0, nil)
+		misses, err := fillSet(t, form.kind, domain, setKeys).misses(keys)
 		if err != nil {
 			t.Fatalf("%s: %v", form.name, err)
 		}
-		if !slices.Equal(got, wantPres) {
-			t.Fatalf("%s semi-join = %v, want the outer-carrier probe's %v", form.name, got, wantPres)
+		emitted := len(keys) - misses
+		if emitted != len(wantPres) || emitted != len(wantMatch) {
+			t.Fatalf("%s semi-join emits %d tuples, want the outer-carrier probe's %d and the inner-carrier probe's %d",
+				form.name, emitted, len(wantPres), len(wantMatch))
 		}
-		slices.SortFunc(got, tupleOrder)
-		if !slices.Equal(got, wantMatch) {
-			t.Fatalf("%s semi-join = %v as a multiset, want the inner-carrier probe's %v", form.name, got, wantMatch)
+		if misses == 0 {
+			slices.SortFunc(wantMatch, tupleOrder)
+			whole := slices.Clone(carrier)
+			slices.SortFunc(whole, tupleOrder)
+			if !slices.Equal(wantPres, carrier) || !slices.Equal(wantMatch, whole) {
+				t.Fatalf("%s semi-join misses nothing, but the reference does not emit the whole carrier partition", form.name)
+			}
 		}
 	}
 }
@@ -267,8 +260,8 @@ func checkAgainstReference(t *testing.T, domain int, setKeys, keys, rows []int32
 // a carrier with repeated keys, an empty set, and keys on the bitmap's
 // word boundaries; then that a repeated key on the set's side is a
 // *DuplicateKeyError naming the join and the key, and that the bitmap
-// rejects out-of-domain keys on insert and on the filter instead of
-// dropping them.
+// rejects out-of-domain keys on insert and on the check instead of
+// counting them as misses.
 func TestBuildTableLayouts(t *testing.T) {
 	for name, c := range map[string]struct {
 		domain int
@@ -292,16 +285,15 @@ func TestBuildTableLayouts(t *testing.T) {
 	}
 
 	// The "duplicates" case spelled out, so the expectation does not
-	// rest on the reference helpers alone: the carrier's repeated key 3
-	// comes out twice, in carrier order.
+	// rest on the reference helpers alone: of the carrier's keys, only 2
+	// is missing from the set; the repeated key 3 is found twice.
 	for _, form := range setForms {
-		got, err := fillSet(t, form.kind, 5, []int32{3, 1, 0}).semi(
-			[]int32{3, 2, 0, 3, 1}, []int32{10, 11, 12, 13, 14}, 0, nil)
+		misses, err := fillSet(t, form.kind, 5, []int32{3, 1, 0}).misses([]int32{3, 2, 0, 3, 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := []Tuple{{0, 10}, {0, 12}, {0, 13}, {0, 14}}; !slices.Equal(got, want) {
-			t.Fatalf("%s semi-join = %v, want %v", form.name, got, want)
+		if misses != 1 {
+			t.Fatalf("%s check counts %d misses, want 1", form.name, misses)
 		}
 		var dup *DuplicateKeyError
 		if err := emptySet(form.kind, 5, 4).insert(7, []int32{3, 1, 3, 0}); !errors.As(err, &dup) || *dup != (DuplicateKeyError{Join: 7, Key: 3}) ||
@@ -314,8 +306,8 @@ func TestBuildTableLayouts(t *testing.T) {
 	outside := func(err error) bool { return err != nil && strings.Contains(err.Error(), "outside domain [0, 70)") }
 	for _, bad := range []int32{-1, 70, math.MaxInt32, math.MinInt32} {
 		s := fillSet(t, tableBits, 70, []int32{69, 0})
-		if _, err := s.semi([]int32{bad}, []int32{1}, 0, nil); !outside(err) {
-			t.Fatalf("filter of key %d outside [0, 70): %v", bad, err)
+		if _, err := s.misses([]int32{bad}); !outside(err) {
+			t.Fatalf("check of key %d outside [0, 70): %v", bad, err)
 		}
 		if err := s.insert(0, []int32{5, bad}); !outside(err) {
 			t.Fatalf("insert of key %d outside [0, 70): %v", bad, err)
@@ -326,8 +318,8 @@ func TestBuildTableLayouts(t *testing.T) {
 // TestLayoutsMatchReferenceOnGeneratedPartitions is the layout check as
 // a property: a join's two sides are generated (uniform and Zipf) and
 // partitioned at several degrees, and in every partition every set form
-// filled with the smaller side's keys must filter the larger side
-// exactly as the reference map table joins the two, either side built.
+// filled with the smaller side's keys must pass the larger side whole,
+// as the reference map table joins the two, either side built.
 func TestLayoutsMatchReferenceOnGeneratedPartitions(t *testing.T) {
 	p := join(leaf("A", 3000), leaf("B", 700))
 	for _, skew := range []float64{0, 1.4} {
@@ -338,16 +330,16 @@ func TestLayoutsMatchReferenceOnGeneratedPartitions(t *testing.T) {
 		domain := ds.joins[p].domain
 		for _, n := range []int{1, 3, 8, 16, 64} {
 			ar := getArena()
-			big, err := radixPartition(ar, ds, p, ds.LeafTuples(0), -1, n, payRows)
+			big, err := radixPartition(ar, ds, p, stream{leaf: 0, n: 3000}, n, payRows)
 			if err != nil {
 				t.Fatal(err)
 			}
-			small, err := radixPartition(ar, ds, p, ds.LeafTuples(1), -1, n, payKeys)
+			small, err := radixPartition(ar, ds, p, stream{leaf: 1, n: 700}, n, payKeys)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for k := 0; k < n; k++ {
-				checkAgainstReference(t, domain, small.keys(k), big.keys(k), big.rows(k))
+				checkAgainstReference(t, domain, small.keys(k), big.keys(k), big.rowback[big.starts[k]:big.starts[k+1]])
 			}
 			big.release(ar)
 			small.release(ar)
@@ -489,11 +481,9 @@ func TestFailedRunReturnsTablesToArena(t *testing.T) {
 }
 
 // TestCardinalityFailureReturnsResultToArena fails a run on the join's
-// cardinality check, after the probe has filled its result buffer: the
-// run's cleanup must hand that buffer back, so a clean run straight
-// after allocates nothing. The join's result is the run's only tuple
-// buffer (the scans pass the dataset's leaves on), so no other free
-// buffer can stand in for it.
+// cardinality check, after the probe has checked its carrier rows: the
+// probe must hand back the row array that would have been its output,
+// so a clean run straight after allocates nothing.
 func TestCardinalityFailureReturnsResultToArena(t *testing.T) {
 	p := join(leaf("A", 8000), leaf("B", 20000))
 	ds := MustGenerate(p, 71)
@@ -561,12 +551,12 @@ func TestRepeatedSmallerSideKeyIsAnError(t *testing.T) {
 // of two, and the reuse/alloc tallies track both outcomes.
 func TestArenaReuse(t *testing.T) {
 	ar := &arena{}
-	b := ar.getTuples(100)
+	b := ar.getInt32(100)
 	if len(b) != 100 || cap(b) != 128 {
 		t.Fatalf("fresh buffer len %d cap %d, want 100/128", len(b), cap(b))
 	}
-	ar.putTuples(b)
-	c := ar.getTuples(120)
+	ar.putInt32(b)
+	c := ar.getInt32(120)
 	if len(c) != 120 || &c[:1][0] != &b[:1][0] {
 		t.Fatal("adequate free buffer not reused")
 	}
@@ -593,9 +583,10 @@ func TestArenaReuse(t *testing.T) {
 // plan-size-independent amount — the Report itself and fixed
 // per-operator bookkeeping, where the reference path allocates
 // O(tuples) per operator. The ceilings are about 1.25× what a warm run
-// read when the clones started running serially (128 on the 8-join
-// chain at P = 8, 104 on the query_e2e shape at P = 16). The clone
-// fan-out that preceded it read 378 and 293 at GOMAXPROCS 2 (277 and
+// read once streams became carrier rows (117 on the 8-join chain at
+// P = 8, 95 on the query_e2e shape at P = 16). Streams of (leaf, row)
+// tuples read 128 and 104 with the clones running serially; the clone
+// fan-out that preceded them read 378 and 293 at GOMAXPROCS 2 (277 and
 // 217 at 1, as AllocsPerRun measures), and the serial mode beside it
 // 227 and 179.
 func TestWarmRunsStopAllocating(t *testing.T) {
@@ -605,8 +596,8 @@ func TestWarmRunsStopAllocating(t *testing.T) {
 		sites int
 		max   float64
 	}{
-		{"chain8", chainPlan([]int{5000, 2000, 7000, 1200, 6400, 2800, 9000, 3300, 7500}), 8, 160},
-		{"e2e", e2ePlan(), 16, 130},
+		{"chain8", chainPlan([]int{5000, 2000, 7000, 1200, 6400, 2800, 9000, 3300, 7500}), 8, 146},
+		{"e2e", e2ePlan(), 16, 119},
 	} {
 		ds := MustGenerate(c.plan, 71)
 		s := scheduleFor(t, c.plan, c.sites)

@@ -1,7 +1,10 @@
 package engine
 
 import (
+	"fmt"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"mdrs/internal/obs"
@@ -66,6 +69,58 @@ func TestDegree512JoinMatchesReference(t *testing.T) {
 		if c := met.Snapshot().Counters; c["engine.tables_oa"] != degree {
 			t.Fatalf("%s: %d of %d key sets open-addressing (%d bits); the test no longer reaches the fallback",
 				name, c["engine.tables_oa"], degree, c["engine.tables_bits"])
+		}
+	}
+}
+
+// TestCarrierKeyMissIsACardinalityError plants a carrier key that its
+// clone's key set lacks, on TestDegree512JoinMatchesReference's
+// open-addressing joins: one key v of the smaller operand moves past
+// the key domain (open addressing checks no domain on insert), so the
+// one carrier row whose key is v finds no match. The run must fail with
+// the join's cardinality error, word for word as the reference executor
+// does, and give every buffer back to the arena, so a clean run straight
+// after allocates nothing.
+func TestCarrierKeyMissIsACardinalityError(t *testing.T) {
+	const degree = 512
+	for name, p := range map[string]*query.PlanNode{
+		"outer carrier": join(leaf("A", 101000), leaf("B", 100000)),
+		"inner carrier": join(leaf("A", 100000), leaf("B", 101000)),
+	} {
+		ds := MustGenerate(p, 11)
+		s := degreeSchedule(t, p, degree)
+		warmArena(t, ds, s)
+		carrier, small := p.Outer, p.Inner
+		if !OuterIsCarrier(p) {
+			carrier, small = small, carrier
+		}
+		ci, err := ds.LeafIndex(carrier)
+		if err != nil {
+			t.Fatal(err)
+		}
+		si, err := ds.LeafIndex(small)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jc := ds.joins[p]
+		count := make([]int, jc.domain)
+		for _, key := range jc.cols[ci] {
+			count[key]++
+		}
+		v := int32(slices.Index(count, 1)) // a key exactly one carrier row holds
+		col := jc.cols[si]
+		at := slices.Index(col, v)
+		col[at] = int32(jc.domain) + v
+		_, errRef := reference(testEngine()).Run(ds, s)
+		_, err = runAllocs(testEngine(), ds, s)
+		col[at] = v
+		want := fmt.Sprintf("produced %d tuples, expected %d", carrier.Tuples-1, carrier.Tuples)
+		if err == nil || !strings.Contains(err.Error(), want) || errRef == nil || err.Error() != errRef.Error() {
+			t.Fatalf("%s: run with carrier key %d missing gave %v (reference %v), want the join's error %q",
+				name, v, err, errRef, want)
+		}
+		if n, err := runAllocs(testEngine(), ds, s); err != nil || n != 0 {
+			t.Fatalf("%s: clean run after a failed one allocated %d arena buffers (error %v), want 0", name, n, err)
 		}
 	}
 }

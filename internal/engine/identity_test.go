@@ -240,9 +240,11 @@ func fuzzPlan(joins int, sizes, merges []byte) *query.PlanNode {
 }
 
 // FuzzFlatMatchesReference is the identity corpus as a generator: over
-// random plan shapes (1–6 joins), leaf sizes, site counts and skews the
-// flat data path and the reference executor must
-// return equal Reports, or fail with the same error.
+// random plan shapes (1–6 joins), leaf sizes, site counts, skews and
+// expansions the flat data path and the reference executor must return
+// equal Reports, or fail with the same error. The skew argument's low
+// three bits pick the Zipf exponent and its bit 3 the materialized
+// expansion, whose Store operators pass their input's rows on.
 func FuzzFlatMatchesReference(f *testing.F) {
 	// The four shapes of identityPlans, chain8 cut to the six-join
 	// ceiling; the first argument is joins-1.
@@ -260,7 +262,15 @@ func FuzzFlatMatchesReference(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s := scheduleFor(t, p, 1+int(sites)%16)
+		expand := plan.Expand
+		if skew&8 != 0 {
+			expand = plan.ExpandMaterialized
+		}
+		ot, err := expand(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := scheduleForTree(t, plan.MustNewTaskTree(ot), 1+int(sites)%16)
 
 		repRef, errRef := reference(testEngine()).Run(ds, s)
 		repFlat, errFlat := testEngine().Run(ds, s)

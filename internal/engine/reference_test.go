@@ -1,8 +1,8 @@
 // The reference executor: the engine's pre-vectorization data path,
-// preserved verbatim. It builds Go-map hash tables, partitions with
-// append-per-tuple map partitioning, resolves every tuple's key through
-// the per-tuple ds.Key map lookup, copies every concat and regenerates
-// leaf tuple slices per scan. Its clones run through the engine's own
+// preserved verbatim. It streams (leaf, row) tuples, builds Go-map hash
+// tables, partitions with append-per-tuple map partitioning, resolves
+// every tuple's key through the per-tuple ds.Key map lookup, copies
+// every concat and regenerates leaf tuple slices per scan. Its clones run through the engine's own
 // clone driver. It exists for two reasons: it is the byte-identity
 // oracle the golden-Report corpus and FuzzFlatMatchesReference compare
 // the flat path against, and it is the baseline of
@@ -20,14 +20,39 @@ import (
 	"mdrs/internal/sched"
 )
 
+// Tuple identifies one row flowing through the reference executor: a
+// row of its carrier leaf relation.
+type Tuple struct {
+	Leaf int32 // leaf relation index within the Dataset
+	Row  int32 // row within the leaf
+}
+
+// Key returns tuple t's key for the given join node. It fails if the
+// tuple's carrier leaf does not carry a column for that join, which
+// indicates a dataflow bug.
+func (ds *Dataset) Key(t Tuple, join *query.PlanNode) (int32, error) {
+	if jc := ds.joins[join]; jc != nil {
+		if col := jc.cols[t.Leaf]; col != nil {
+			return col[t.Row], nil
+		}
+	}
+	return 0, fmt.Errorf("engine: leaf %s carries no key for the requested join",
+		ds.leaves[t.Leaf].Name)
+}
+
 // reference returns e with the reference executor hooked in through
-// Engine.runOp. The hook owns the map tables of the joins in flight, so
-// concurrent runs each need their own reference() value.
+// Engine.runOp. The hook owns the tuple streams and the map tables of
+// the joins in flight, so concurrent runs each need their own
+// reference() value. It hands each stream's length to the run state,
+// where Run reads the operators' cardinalities.
 func reference(e Engine) Engine {
+	outputs := make(map[*plan.Operator][]Tuple)
 	tables := make(map[int][]map[int32][]Tuple)
 	e.runOp = func(e Engine, pl *sched.OpPlacement, ds *Dataset, st *runState,
 		rep *Report) ([]*cloneMeter, error) {
-		return e.runOperatorRef(pl, ds, st.outputs, tables, rep)
+		meters, err := e.runOperatorRef(pl, ds, outputs, tables, rep)
+		st.outputs[pl.Op] = stream{n: len(outputs[pl.Op])}
+		return meters, err
 	}
 	return e
 }
@@ -50,7 +75,7 @@ func (e Engine) runOperatorRef(pl *sched.OpPlacement, ds *Dataset,
 			return nil, err
 		}
 		all := leafTuplesRef(ds, leafIdx)
-		parts := splitContiguous(all, n)
+		parts := splitRef(all, n)
 		out := make([][]Tuple, n)
 		err = e.eachClone(op, n, func(k int) error {
 			rows := parts[k]
@@ -70,7 +95,7 @@ func (e Engine) runOperatorRef(pl *sched.OpPlacement, ds *Dataset,
 		obs.Count(e.Rec, "engine.tuples_scanned", int64(len(all)))
 
 	case costmodel.Build:
-		in, _, err := e.producerInput(op, outputs)
+		in, err := producerInputRef(op, outputs)
 		if err != nil {
 			return nil, err
 		}
@@ -110,7 +135,7 @@ func (e Engine) runOperatorRef(pl *sched.OpPlacement, ds *Dataset,
 		if len(partials) != n {
 			return nil, fmt.Errorf("probe degree %d != build degree %d", n, len(partials))
 		}
-		in, _, err := e.producerInput(op, outputs)
+		in, err := producerInputRef(op, outputs)
 		if err != nil {
 			return nil, err
 		}
@@ -162,11 +187,11 @@ func (e Engine) runOperatorRef(pl *sched.OpPlacement, ds *Dataset,
 		obs.Count(e.Rec, "engine.tuples_joined", int64(len(result)))
 
 	case costmodel.Store:
-		in, _, err := e.producerInput(op, outputs)
+		in, err := producerInputRef(op, outputs)
 		if err != nil {
 			return nil, err
 		}
-		parts := splitContiguous(in, n)
+		parts := splitRef(in, n)
 		err = e.eachClone(op, n, func(k int) error {
 			pages := p.Pages(len(parts[k]))
 			meters[k].addDiskPages(pages, p)
@@ -192,8 +217,7 @@ func (e Engine) runOperatorRef(pl *sched.OpPlacement, ds *Dataset,
 // pre-cache behavior, kept so the reference sub-benchmark still pays
 // the O(rows) allocation every scan used to.
 func leafTuplesRef(ds *Dataset, i int32) []Tuple {
-	ld := ds.leaves[i]
-	out := make([]Tuple, ld.rel.Tuples)
+	out := make([]Tuple, ds.leaves[i].Tuples)
 	for r := range out {
 		out[r] = Tuple{Leaf: i, Row: int32(r)}
 	}
@@ -239,4 +263,25 @@ func concatRef(parts [][]Tuple) []Tuple {
 		out = append(out, p...)
 	}
 	return out
+}
+
+// producerInputRef returns the stream of op's pipeline producer.
+func producerInputRef(op *plan.Operator, outputs map[*plan.Operator][]Tuple) ([]Tuple, error) {
+	prod, err := producerOf(op)
+	if err != nil {
+		return nil, err
+	}
+	return outputs[prod], nil
+}
+
+// splitRef divides tuples into n near-equal contiguous ranges.
+func splitRef(all []Tuple, n int) [][]Tuple {
+	parts := make([][]Tuple, n)
+	pos := 0
+	for k := range parts {
+		sz := splitContiguous(len(all), n, k)
+		parts[k] = all[pos : pos+sz]
+		pos += sz
+	}
+	return parts
 }

@@ -135,9 +135,7 @@ func OperatorSchedule(p, d int, ov resource.Overlap, g Penalty, ops []*sched.Op)
 	if err := g.Validate(d); err != nil {
 		return nil, err
 	}
-	// Delegate argument validation to the base scheduler on a dry run
-	// with the same inputs; its Result also seeds the Sites map shape.
-	if _, err := sched.OperatorSchedule(p, d, ov, ops); err != nil {
+	if err := sched.ValidateOps(p, d, ops); err != nil {
 		return nil, err
 	}
 

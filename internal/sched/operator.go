@@ -192,6 +192,13 @@ func operatorSchedule(ctx context.Context, p, d int, ov resource.Overlap, ops []
 	return res, nil
 }
 
+// ValidateOps checks an OperatorSchedule call's arguments — the site
+// count, the dimensionality and every operator — and returns the error
+// OperatorSchedule would, without placing anything.
+func ValidateOps(p, d int, ops []*Op) error {
+	return new(scratch).validate(p, d, ops)
+}
+
 // validate checks an OperatorSchedule call's arguments and operators
 // before anything is sized by their degrees.
 func (sc *scratch) validate(p, d int, ops []*Op) error {

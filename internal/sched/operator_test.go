@@ -74,8 +74,13 @@ func TestOperatorScheduleArgumentValidation(t *testing.T) {
 				t.Errorf("%s: accepted", c.name)
 			} else if !strings.HasPrefix(err.Error(), "sched: ") {
 				t.Errorf("%s: refused with %q, not a sched error", c.name, err)
+			} else if verr := ValidateOps(2, 2, c.ops); verr == nil || verr.Error() != err.Error() {
+				t.Errorf("%s: ValidateOps gave %v, OperatorSchedule %q", c.name, verr, err)
 			}
 		}()
+	}
+	if err := ValidateOps(2, 2, good); err != nil {
+		t.Errorf("ValidateOps refused a valid call: %v", err)
 	}
 }
 
