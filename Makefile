@@ -1,6 +1,7 @@
 # Development targets for the mdrs reproduction. `make check` is the
-# gate future PRs must keep green, in eight steps: build, vet, gofmt,
-# the system/reproduction boundary, the full test suite under the race detector (which also exercises the
+# gate future PRs must keep green, in nine steps: build, vet, gofmt,
+# the system/reproduction boundary, no fused multiply-add in system
+# code on the architectures that fuse, the full test suite under the race detector (which also exercises the
 # experiments worker pool for data races, and holds the plan-search
 # ledger to internal/optimizer/testdata/ledger.golden), one iteration of
 # the per-layer Go benchmarks, ten seconds of the engine's fuzzer, and
@@ -8,9 +9,9 @@
 
 GO ?= go
 
-.PHONY: check build vet fmt-check system-deps test race bench-smoke fuzz-smoke harness-check benchmark bench bench-serve bench-adaptive figures trace-demo loc
+.PHONY: check build vet fmt-check system-deps fma-check test race bench-smoke fuzz-smoke harness-check benchmark bench bench-serve bench-adaptive figures trace-demo loc
 
-check: build vet fmt-check system-deps race bench-smoke fuzz-smoke harness-check
+check: build vet fmt-check system-deps fma-check race bench-smoke fuzz-smoke harness-check
 
 build:
 	$(GO) build ./...
@@ -31,6 +32,29 @@ system-deps:
 	@bad=$$( { $(GO) list -deps $$($(GO) list ./... | grep -vE '^mdrs/(internal/repro|cmd/mdrs-bench|examples)(/|$$)'); \
 		$(GO) list -deps -test . ./cmd/mdrs-sched; } | grep -E '^mdrs/internal/repro(/|$$)' | sort -u); \
 	if [ -n "$$bad" ]; then echo "the system links reproduction packages:"; echo "$$bad"; exit 1; fi
+
+# The Go spec lets a compiler fuse x*y + z into one fused multiply-add,
+# which rounds once instead of twice, unless an explicit float64(...)
+# conversion forces the rounding. amd64 never fuses; arm64, ppc64le and
+# riscv64 do, and a schedule, a Report or a golden would then depend on
+# the CPU. So every fusable site in system code rounds explicitly, e.g.
+# float64(a*b) + c, and this step cross-compiles the commands and every
+# package's test binary for those three (a function that no command
+# links is still in its package's tests) and fails if `go tool objdump`
+# shows a fused instruction whose source line is in an mdrs/ function
+# outside a _test.go file. It needs no emulator.
+FMA_ARCHES = arm64 ppc64le riscv64
+
+fma-check:
+	@dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
+	for a in $(FMA_ARCHES); do \
+		mkdir -p $$dir/$$a && GOARCH=$$a $(GO) build -o $$dir/$$a/ ./cmd/... && \
+		GOARCH=$$a $(GO) test -c -o $$dir/$$a/ . ./cmd/... ./internal/... || exit 1; \
+	done; \
+	for f in $$dir/*/*; do $(GO) tool objdump -s '^mdrs/' $$f > $$f.s || exit 1; done; \
+	bad=$$(awk '/^TEXT /{fn=$$2} /\tF(N)?M(ADD|SUB)/ && $$1 !~ /_test\.go:/ {print fn, $$1}' $$dir/*/*.s | sort -u); \
+	if [ -n "$$bad" ]; then echo "fused multiply-add in system code; round explicitly, e.g. float64(a*b) + c:"; echo "$$bad"; exit 1; fi; \
+	echo "fma-check: no fused multiply-add on $(FMA_ARCHES)"
 
 test:
 	$(GO) test ./...

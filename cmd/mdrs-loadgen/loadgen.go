@@ -439,7 +439,7 @@ func shapeRate(shape string, peak, frac float64) float64 {
 	switch shape {
 	case shapeRamp:
 		// Linear climb from 20% to 100% of peak.
-		return peak * (0.2 + 0.8*frac)
+		return peak * (0.2 + float64(0.8*frac))
 	case shapeStep:
 		// Quarter rate until the midpoint, then the full peak.
 		if frac < 0.5 {

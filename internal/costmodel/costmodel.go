@@ -231,7 +231,7 @@ func (m Model) Cost(spec OpSpec) OpCost {
 	switch spec.Kind {
 	case Scan:
 		pages := p.Pages(in)
-		cpuInstr = float64(pages)*p.ReadPageInstr + float64(in)*p.ExtractInstr
+		cpuInstr = float64(float64(pages)*p.ReadPageInstr) + float64(float64(in)*p.ExtractInstr)
 		disk = float64(pages) * p.DiskPageTime
 	case Build:
 		// Receiving a repartitioned tuple costs an extract (copying it
@@ -241,7 +241,7 @@ func (m Model) Cost(spec OpSpec) OpCost {
 		// build sequential for all experimental f values.
 		cpuInstr = float64(in) * (p.ExtractInstr + p.HashInstr)
 	case Probe:
-		cpuInstr = float64(in)*p.ProbeInstr + float64(out)*p.ExtractInstr
+		cpuInstr = float64(float64(in)*p.ProbeInstr) + float64(float64(out)*p.ExtractInstr)
 	case Store:
 		pages := p.Pages(in)
 		cpuInstr = float64(pages) * p.WritePageInstr
@@ -267,7 +267,7 @@ func (m Model) Cost(spec OpSpec) OpCost {
 // CommArea returns W_c(op, N) = α·N + β·D, the communication area of an
 // N-site execution (Section 4.3).
 func (m Model) CommArea(c OpCost, n int) float64 {
-	return m.Params.Alpha*float64(n) + m.Params.Beta*c.D
+	return float64(m.Params.Alpha*float64(n)) + float64(m.Params.Beta*c.D)
 }
 
 // IsCoarseGrain reports whether an N-site execution satisfies
@@ -285,7 +285,7 @@ func (m Model) NMax(c OpCost, f float64) int {
 	if !(f >= 0) || math.IsInf(f, 1) {
 		panic(fmt.Sprintf("costmodel: granularity parameter f = %g, want finite and non-negative", f))
 	}
-	n := math.Floor((f*c.ProcessingArea() - m.Params.Beta*c.D) / m.Params.Alpha)
+	n := math.Floor((float64(f*c.ProcessingArea()) - float64(m.Params.Beta*c.D)) / m.Params.Alpha)
 	switch {
 	case !(n >= 1): // NaN too, as 0·Inf is when a tiny MIPS makes W_p infinite at f = 0
 		return 1
@@ -318,7 +318,7 @@ func (m Model) Split(c OpCost, n int) CloneWork {
 	w.Worker[resource.Disk] = c.Processing[resource.Disk] / nf
 	w.Worker[resource.Net] = p.Beta * c.D / nf
 	w.Coord = w.Worker
-	startup := p.Alpha * nf / 2
+	startup := float64(p.Alpha * nf / 2)
 	w.Coord[resource.CPU] += startup
 	w.Coord[resource.Net] += startup
 	return w
@@ -336,9 +336,9 @@ func (m Model) TotalWork(c OpCost, n int) vector.Vector {
 // AddTotalWork adds TotalWork(c, n) into dst without allocating; every
 // component rounds exactly as dst.AddInPlace(m.TotalWork(c, n)) would.
 func (m Model) AddTotalWork(dst vector.Vector, c OpCost, n int) {
-	startup := m.Params.Alpha * float64(n) / 2
+	startup := float64(m.Params.Alpha * float64(n) / 2)
 	cpu := c.Processing[resource.CPU] + startup
-	net := c.Processing[resource.Net] + m.Params.Beta*c.D + startup
+	net := c.Processing[resource.Net] + float64(m.Params.Beta*c.D) + startup
 	dst[resource.CPU] += cpu
 	dst[resource.Disk] += c.Processing[resource.Disk]
 	dst[resource.Net] += net
@@ -353,7 +353,7 @@ func (m Model) TPar(c OpCost, n int, ov resource.Overlap) float64 {
 		panic(fmt.Sprintf("costmodel: non-positive degree of parallelism %d", n))
 	}
 	nf := float64(n)
-	startup := m.Params.Alpha * nf / 2
+	startup := float64(m.Params.Alpha * nf / 2)
 	cpu := c.Processing[resource.CPU]/nf + startup
 	disk := c.Processing[resource.Disk] / nf
 	net := m.Params.Beta*c.D/nf + startup
@@ -366,7 +366,7 @@ func (m Model) TPar(c OpCost, n int, ov resource.Overlap) float64 {
 	if net > max {
 		max = net
 	}
-	return ov.Epsilon*max + (1-ov.Epsilon)*sum
+	return float64(ov.Epsilon*max) + float64((1-ov.Epsilon)*sum)
 }
 
 // nOptRel and nOptAbs bound how far TPar's float value sits from the
@@ -401,7 +401,7 @@ func (m Model) NOpt(c OpCost, maxN int, ov resource.Overlap) int {
 	}
 	// Step (a): lo passes the test; hi fails it, maxN+1 until one does.
 	lo, tLo, hi, tHi := 1, t1, maxN+1, 0.0
-	for thr := 1e-15 + nOptRel*t1 + nOptAbs; hi-lo > 1 && t1 <= math.MaxFloat64/4; {
+	for thr := 1e-15 + float64(nOptRel*t1) + nOptAbs; hi-lo > 1 && t1 <= math.MaxFloat64/4; {
 		mid := lo + (hi-lo)/2
 		if t := m.TPar(c, mid, ov); m.TPar(c, mid-1, ov)-t > thr {
 			lo, tLo = mid, t
@@ -419,7 +419,7 @@ func (m Model) NOpt(c OpCost, maxN int, ov resource.Overlap) int {
 		if t < bestT-1e-15 {
 			best, bestT = n, t
 		}
-		if t-prev > nOptRel*t+nOptAbs {
+		if t-prev > float64(nOptRel*t)+nOptAbs {
 			break
 		}
 		prev = t

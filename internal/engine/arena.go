@@ -6,11 +6,10 @@ import (
 )
 
 // arena is a Run-scoped free list of int32 buffers: the partition
-// backings, scattered keys and row arrays, and key-set arrays of one
-// execution all come from (and return to) it — a probe's output is its
-// carrier partitioning's row array — so a J-join plan stops allocating
-// O(tuples) per operator and a warm run settles at a handful of
-// allocations.
+// boundaries, scattered keys and key-set arrays of one execution all
+// come from (and return to) it — streams themselves hold no buffer — so
+// a J-join plan stops allocating O(tuples) per operator and a warm run
+// settles at a handful of allocations.
 //
 // The arena is single-owner: a run executes on one goroutine, clone
 // bodies included, so no locking is needed. Arenas themselves are

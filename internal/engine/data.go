@@ -19,11 +19,11 @@
 //
 // Rows flow through the engine as identities into their "carrier" leaf
 // — the base relation whose rows survive, join after join, along the
-// chain of larger operands. A join's result keeps the rows of its
-// larger operand, so an operator's output is one carrier leaf and a
-// list of its row numbers, and the keys a row needs for future joins
-// are exactly the key columns assigned to its carrier leaf at
-// generation time.
+// chain of larger operands. A join's result keeps every row of its
+// larger operand, so an operator's output is one whole carrier leaf,
+// named by its index and length and holding no row numbers, and the
+// keys a row needs for future joins are exactly the key columns
+// assigned to its carrier leaf at generation time, read in place.
 package engine
 
 import (

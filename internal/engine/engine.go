@@ -106,19 +106,18 @@ func (c *cloneMeter) addCPU(instr float64, p costmodel.Params) {
 	c.work[resource.CPU] += instr / (p.MIPS * 1e6)
 }
 func (c *cloneMeter) addDiskPages(pages int, p costmodel.Params) {
-	c.work[resource.Disk] += float64(pages) * p.DiskPageTime
+	c.work[resource.Disk] += float64(float64(pages) * p.DiskPageTime)
 }
 func (c *cloneMeter) addNetTuples(tuples int, p costmodel.Params) {
-	c.work[resource.Net] += p.Beta * p.Bytes(tuples)
+	c.work[resource.Net] += float64(p.Beta * p.Bytes(tuples))
 }
 
 // runState is the per-run execution state: the dataflow outputs, the
-// joins in flight, and the buffer arena consumed intermediates recycle
-// through.
+// joins in flight, and the buffer arena their partitionings and key
+// sets recycle through.
 type runState struct {
-	// outputs holds each operator's stream until its consumer releases
-	// it. The row array of every stream held here belongs to the run;
-	// a Scan's stream has none.
+	// outputs holds each operator's stream until its consumer has read
+	// it.
 	outputs map[*plan.Operator]stream
 	ar      *arena
 	tables  map[int]*joinState
@@ -133,13 +132,6 @@ func newRunState(nOps int) *runState {
 		ar:      getArena(),
 		tables:  make(map[int]*joinState),
 	}
-}
-
-// release recycles op's output after its single pipeline consumer has
-// finished reading it.
-func (st *runState) release(op *plan.Operator) {
-	st.ar.putInt32(st.outputs[op].rows)
-	delete(st.outputs, op)
 }
 
 // Run executes the schedule over the dataset. The schedule must have
@@ -210,12 +202,8 @@ func (e Engine) RunCtx(ctx context.Context, ds *Dataset, s *sched.Schedule) (*Re
 			e.Rec.Count("engine.tables_bits", st.layouts[tableBits])
 			e.Rec.Count("engine.tables_oa", st.layouts[tableOA])
 		}
-		// Reclaim whatever outputs remain (normally just the root's)
-		// and the joins a failed or cancelled run left unprobed, then
-		// hand the arena to the next run.
-		for _, out := range st.outputs {
-			st.ar.putInt32(out.rows)
-		}
+		// Reclaim the joins a failed or cancelled run left unprobed,
+		// then hand the arena to the next run.
 		for _, js := range st.tables {
 			js.release(st.ar)
 		}
@@ -315,7 +303,7 @@ func newMeters(n int, p costmodel.Params) []*cloneMeter {
 		slab[k].work = work[k*d : (k+1)*d : (k+1)*d]
 		meters[k] = &slab[k]
 	}
-	startup := p.Alpha * float64(n) / 2
+	startup := float64(p.Alpha * float64(n) / 2)
 	meters[0].work[resource.CPU] += startup
 	meters[0].work[resource.Net] += startup
 	return meters
@@ -362,7 +350,7 @@ func (e Engine) runScan(pl *sched.OpPlacement, ds *Dataset, st *runState, meters
 		rows := splitContiguous(all, n, k)
 		pages := p.Pages(rows)
 		meters[k].addDiskPages(pages, p)
-		meters[k].addCPU(float64(pages)*p.ReadPageInstr+float64(rows)*p.ExtractInstr, p)
+		meters[k].addCPU(float64(float64(pages)*p.ReadPageInstr)+float64(float64(rows)*p.ExtractInstr), p)
 		if op.Spec.NetOut {
 			meters[k].addNetTuples(rows, p)
 		}
@@ -376,31 +364,26 @@ func (e Engine) runScan(pl *sched.OpPlacement, ds *Dataset, st *runState, meters
 	return nil
 }
 
-// exchange radix-partitions the stream feeding op on op's join key,
-// scattering the given payload.
-func (e Engine) exchange(op *plan.Operator, ds *Dataset, st *runState, n int,
-	pay payload) (radixParts, *plan.Operator, error) {
-
+// exchange radix-partitions the stream feeding op on op's join key and
+// returns the partitioning, the producer and its stream.
+func (e Engine) exchange(op *plan.Operator, ds *Dataset, st *runState, n int) (radixParts, *plan.Operator, stream, error) {
 	prod, err := producerOf(op)
 	if err != nil {
-		return radixParts{}, nil, err
+		return radixParts{}, nil, stream{}, err
 	}
-	rp, err := radixPartition(st.ar, ds, op.Source, st.outputs[prod], n, pay)
-	return rp, prod, err
+	in := st.outputs[prod]
+	rp, err := radixPartition(st.ar, ds, op.Source, in, n)
+	return rp, prod, in, err
 }
 
-// runBuild partitions the build side. An outer-carrier build is the
-// join's smaller operand: it ships keys alone and fills one key set per
-// clone. An inner-carrier build is the carrier: it ships keys and rows
-// and keeps the partitioning for its probe to check.
+// runBuild partitions the build side's keys. An outer-carrier build is
+// the join's smaller operand and fills one key set per clone. An
+// inner-carrier build is the carrier: it keeps its input stream and
+// the partitioning for its probe to check.
 func (e Engine) runBuild(pl *sched.OpPlacement, ds *Dataset, st *runState, meters []*cloneMeter) error {
 	op, n, p := pl.Op, pl.Degree, e.Model.Params
 	outerCarrier := OuterIsCarrier(op.Source)
-	pay := payRows
-	if outerCarrier {
-		pay = payKeys
-	}
-	rp, prod, err := e.exchange(op, ds, st, n, pay)
+	rp, prod, in, err := e.exchange(op, ds, st, n)
 	if err != nil {
 		return err
 	}
@@ -412,7 +395,7 @@ func (e Engine) runBuild(pl *sched.OpPlacement, ds *Dataset, st *runState, meter
 		st.carveSets(js, ds.joins[op.Source].domain, &rp)
 		defer rp.release(st.ar)
 	} else {
-		js.carrier = rp
+		js.carrier, js.in = rp, in
 	}
 	err = e.eachClone(op, n, func(k int) error {
 		if outerCarrier {
@@ -429,21 +412,20 @@ func (e Engine) runBuild(pl *sched.OpPlacement, ds *Dataset, st *runState, meter
 	if err != nil {
 		return err
 	}
-	st.release(prod)
+	delete(st.outputs, prod)
 	st.outputs[op] = stream{} // the join state is the output; nothing streams on
 	obs.Count(e.Rec, "engine.tuples_built", int64(len(rp.keyback)))
 	return nil
 }
 
-// runProbe partitions the probe side and runs each clone's semi-join.
-// An outer-carrier probe is the carrier: it ships keys and rows and
-// checks them against the build's sets. An inner-carrier probe is the
-// smaller operand: it ships keys alone, fills a set per clone with
-// them, and checks the build's stored partitioning against it. A clone
-// emits its carrier partition less the keys its set lacks, and the
-// join's output is the carrier partitioning's row array, whose windows
-// follow one another in clone order; a run that passes the cardinality
-// check has no misses, so that array is the join's result as it lies.
+// runProbe partitions the probe side's keys and runs each clone's
+// semi-join. An outer-carrier probe is the carrier: it checks its keys
+// against the build's sets. An inner-carrier probe is the smaller
+// operand: it fills a set per clone with its keys and checks the
+// build's stored partitioning against it. A clone emits its carrier
+// partition less the keys its set lacks. A run that passes the
+// cardinality check has no misses, so the join's output is its
+// carrier's input stream, passed on.
 func (e Engine) runProbe(pl *sched.OpPlacement, ds *Dataset, st *runState, rep *Report,
 	meters []*cloneMeter) error {
 
@@ -456,18 +438,14 @@ func (e Engine) runProbe(pl *sched.OpPlacement, ds *Dataset, st *runState, rep *
 		return fmt.Errorf("probe degree %d != build degree %d", n, js.degree)
 	}
 	outerCarrier := OuterIsCarrier(op.Source)
-	pay := payKeys
-	if outerCarrier {
-		pay = payRows
-	}
-	rp, prod, err := e.exchange(op, ds, st, n, pay)
+	rp, prod, in, err := e.exchange(op, ds, st, n)
 	if err != nil {
 		return err
 	}
 	defer rp.release(st.ar)
-	carrier := &js.carrier
+	carrier, out := &js.carrier, js.in
 	if outerCarrier {
-		carrier = &rp
+		carrier, out = &rp, in
 	} else {
 		st.carveSets(js, ds.joins[op.Source].domain, &rp)
 	}
@@ -491,7 +469,7 @@ func (e Engine) runProbe(pl *sched.OpPlacement, ds *Dataset, st *runState, rep *
 		if op.Spec.NetOut {
 			meters[k].addNetTuples(emitted, p)
 		}
-		meters[k].addCPU(float64(rp.size(k))*p.ProbeInstr+float64(emitted)*p.ExtractInstr, p)
+		meters[k].addCPU(float64(float64(rp.size(k))*p.ProbeInstr)+float64(float64(emitted)*p.ExtractInstr), p)
 		return nil
 	})
 	if err != nil {
@@ -502,10 +480,11 @@ func (e Engine) runProbe(pl *sched.OpPlacement, ds *Dataset, st *runState, rep *
 		return fmt.Errorf("join %d produced %d tuples, expected %d",
 			op.JoinID, produced, op.Spec.ResultTuples)
 	}
-	// No key missed: the output takes the carrier's row array over.
-	st.outputs[op] = stream{leaf: carrier.leaf, n: produced, rows: carrier.rowback}
-	carrier.rowback = nil
-	st.release(prod)
+	// A stream shortened by misses that the expected cardinality
+	// forgave is no longer its whole leaf, and fails the next exchange.
+	out.n = produced
+	st.outputs[op] = out
+	delete(st.outputs, prod)
 	js.release(st.ar)
 	delete(st.tables, op.JoinID)
 	obs.Count(e.Rec, "engine.tuples_probed", int64(len(rp.keyback)))
@@ -513,8 +492,7 @@ func (e Engine) runProbe(pl *sched.OpPlacement, ds *Dataset, st *runState, rep *
 	return nil
 }
 
-// runStore meters a materialization, which passes its input on: the
-// stream and the ownership of its rows move to the store's output.
+// runStore meters a materialization, which passes its input stream on.
 func (e Engine) runStore(pl *sched.OpPlacement, st *runState, meters []*cloneMeter) error {
 	op, n, p := pl.Op, pl.Degree, e.Model.Params
 	prod, err := producerOf(op)

@@ -347,10 +347,12 @@ func e2ePlan() *query.PlanNode {
 	return chainPlan([]int{30000, 12000, 45000, 18000, 50000, 10000, 38000})
 }
 
-// BenchmarkEngineRun times one warm run through the flat data path and
-// through the reference executor it replaced, on a 3-join plan at P = 8
-// and (/e2e) on the query_e2e shape at P = 16; the /flat ÷ /reference
-// ratio of ns/op and allocs/op is the old-vs-new engine comparison.
+// BenchmarkEngineRun times one warm run through the flat data path,
+// through the reference executor it replaced and through the metering
+// oracle, on a 3-join plan at P = 8 and (/e2e) on the query_e2e shape
+// at P = 16. The /flat ÷ /reference ratio of ns/op and allocs/op is the
+// old-vs-new engine comparison; /oracle, one counting pass per exchange,
+// is the floor under any engine that produces the same Report.
 func BenchmarkEngineRun(b *testing.B) {
 	for _, shape := range []struct {
 		prefix string
@@ -368,6 +370,7 @@ func BenchmarkEngineRun(b *testing.B) {
 		}{
 			{"flat", testEngine()},
 			{"reference", reference(testEngine())},
+			{"oracle", meteringOracle(testEngine())},
 		} {
 			b.Run(shape.prefix+arm.name, func(b *testing.B) {
 				b.ReportAllocs()

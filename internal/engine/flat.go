@@ -1,18 +1,20 @@
 // Flat, cache-friendly operator state: two-pass radix partitioning
-// that scatters only what the consumer reads, and per-clone key sets
-// sized to the partition instead of the join's key domain — a presence
-// bitmap or an open-addressing fallback — in place of Go maps. A stream
-// between operators is one carrier leaf and its rows. Every join runs
-// as a semi-join of its carrier: a clone fills a set with its partition
-// of the smaller operand's keys, which must be distinct, and checks
-// that the set holds every key of its carrier partition. A carrier key
-// the set lacks is a miss, and any miss fails the join's cardinality
-// check, so on a run that passes each clone emits its whole carrier
-// partition and the probe's output is the carrier partitioning's row
-// array as it lies. Partition contents match the reference (pre-flat)
-// executor's exactly and each clone emits as many rows as it did, so
-// every Report field is byte-identical; the order of rows inside an
-// intermediate stream is not kept, and no Report field depends on it.
+// that scatters join keys alone, and per-clone key sets sized to the
+// partition instead of the join's key domain — a presence bitmap or an
+// open-addressing fallback — in place of Go maps. A stream between
+// operators is one whole carrier leaf: every join runs as a semi-join
+// of its carrier, a clone fills a set with its partition of the smaller
+// operand's keys, which must be distinct, and checks that the set holds
+// every key of its carrier partition. A carrier key the set lacks is a
+// miss, and any miss fails the join's cardinality check, so on a run
+// that passes each clone emits its whole carrier partition and the
+// probe's output is its carrier's input stream. By induction every
+// stream is one leaf's rows 0..n-1, and an exchange reads the join's
+// key column in place. Partition key multisets match the reference
+// (pre-flat) executor's exactly and each clone emits as many rows as it
+// did, so every Report field is byte-identical; the order of rows
+// inside an intermediate stream is not kept, and no Report field
+// depends on it.
 package engine
 
 import (
@@ -26,38 +28,21 @@ import (
 // hash and the open-addressing set.
 const hashMul = 2654435761
 
-// payload names what radixPartition scatters beside the join keys: the
-// exchange ships only the bytes its consumer reads.
-type payload uint8
-
-const (
-	// payKeys scatters the keys alone: the join's smaller operand only
-	// fills key sets.
-	payKeys payload = iota
-	// payRows adds the row numbers: the carrier's rows are the join's
-	// output, with the stream's one carrier leaf.
-	payRows
-)
-
-// stream is an operator's output: rows of its one carrier leaf. A
-// Scan's stream is the leaf in row order and holds no row array; any
-// other stream's rows are an arena buffer the run state owns until the
-// stream's consumer releases it.
+// stream is an operator's output: the whole of its one carrier leaf,
+// rows 0..n-1. A Scan's stream is its leaf; a Probe or a Store passes
+// its carrier's input stream on.
 type stream struct {
 	leaf int32
-	n    int     // the stream's length
-	rows []int32 // nil for a Scan's stream, whose rows are 0..n-1
+	n    int // the stream's length, the leaf's cardinality
 }
 
-// radixParts is one radix partitioning: partition k is the window
-// [starts[k], starts[k+1]) of each co-scattered arena backing the
-// payload asked for, so clone bodies index keys directly and never
-// re-resolve the join's column or re-hash a row.
+// radixParts is one radix partitioning of a stream's join keys:
+// partition k is the window [starts[k], starts[k+1]) of keyback, so
+// clone bodies index keys directly and never re-resolve the join's
+// column or re-hash a row.
 type radixParts struct {
 	starts  []int32 // n+1 partition boundaries
 	keyback []int32
-	rowback []int32 // payRows only
-	leaf    int32   // the partitioned stream's carrier leaf
 }
 
 func (rp *radixParts) size(k int) int     { return int(rp.starts[k+1] - rp.starts[k]) }
@@ -67,7 +52,6 @@ func (rp *radixParts) keys(k int) []int32 { return rp.keyback[rp.starts[k]:rp.st
 func (rp *radixParts) release(ar *arena) {
 	ar.putInt32(rp.starts)
 	ar.putInt32(rp.keyback)
-	ar.putInt32(rp.rowback)
 	*rp = radixParts{}
 }
 
@@ -86,17 +70,16 @@ func partitionBy(key int32, recip, n uint64) int32 {
 	return int32(hi)
 }
 
-// radixPartition hash-partitions a stream on its key for the given
-// join into n buckets — the exchange (repartitioning) operator of
-// assumption A5 — in two passes: count per partition, then scatter the
-// keys and the requested payload into preallocated backing arrays. The
-// stream's key column is resolved once; a Scan's stream reads it in
-// place, any other stream gathers its keys through its rows. Partition
-// assignment and intra-partition order (input order) are identical to
-// the reference path's append-per-tuple map partitioning.
-func radixPartition(ar *arena, ds *Dataset, join *query.PlanNode, in stream,
-	n int, pay payload) (radixParts, error) {
-
+// radixPartition hash-partitions a stream's keys for the given join
+// into n buckets — the exchange (repartitioning) operator of assumption
+// A5, which ships the join attribute alone — in two passes: count per
+// partition, then scatter the keys into one preallocated backing array.
+// The stream is its whole carrier leaf, so the leaf's key column for
+// the join is read in place; a stream of any other length is an error.
+// Partition assignment and intra-partition order (leaf order) are those
+// of the reference path's append-per-tuple map partitioning of a Scan's
+// stream.
+func radixPartition(ar *arena, ds *Dataset, join *query.PlanNode, in stream, n int) (radixParts, error) {
 	jc := ds.joins[join]
 	if jc == nil {
 		return radixParts{}, fmt.Errorf("dataset carries no key columns for the requested join")
@@ -105,26 +88,21 @@ func radixPartition(ar *arena, ds *Dataset, join *query.PlanNode, in stream,
 	if col == nil {
 		return radixParts{}, fmt.Errorf("leaf %s carries no key for the requested join", ds.leaves[in.leaf].Name)
 	}
-	m := in.n
-	keys, gathered := col[:m], []int32(nil)
-	if in.rows != nil {
-		gathered = ar.getInt32(m)
-		for i, row := range in.rows {
-			gathered[i] = col[row]
-		}
-		keys = gathered
+	if in.n != len(col) {
+		return radixParts{}, fmt.Errorf("stream of %d rows is not the whole of leaf %s (%d rows)",
+			in.n, ds.leaves[in.leaf].Name, len(col))
 	}
-	pids := ar.getInt32(m)
+	pids := ar.getInt32(in.n)
 	counts := ar.getInt32(n)
 	clear(counts)
 	recip, un := reciprocalOf(n), uint64(n)
-	for i, key := range keys {
+	for i, key := range col {
 		p := partitionBy(key, recip, un)
 		pids[i] = p
 		counts[p]++
 	}
 
-	rp := radixParts{leaf: in.leaf, starts: ar.getInt32(n + 1)}
+	rp := radixParts{starts: ar.getInt32(n + 1)}
 	sum := int32(0)
 	for k := 0; k < n; k++ {
 		rp.starts[k] = sum
@@ -133,28 +111,12 @@ func radixPartition(ar *arena, ds *Dataset, join *query.PlanNode, in stream,
 	}
 	rp.starts[n] = sum
 
-	rp.keyback = ar.getInt32(m)
-	switch pay {
-	case payKeys:
-		for i, p := range pids {
-			pos := counts[p]
-			counts[p] = pos + 1
-			rp.keyback[pos] = keys[i]
-		}
-	case payRows:
-		rp.rowback = ar.getInt32(m)
-		for i, p := range pids {
-			pos := counts[p]
-			counts[p] = pos + 1
-			rp.keyback[pos] = keys[i]
-			if in.rows == nil {
-				rp.rowback[pos] = int32(i)
-			} else {
-				rp.rowback[pos] = in.rows[i]
-			}
-		}
+	rp.keyback = ar.getInt32(in.n)
+	for i, p := range pids {
+		pos := counts[p]
+		counts[p] = pos + 1
+		rp.keyback[pos] = col[i]
 	}
-	ar.putInt32(gathered)
 	ar.putInt32(pids)
 	ar.putInt32(counts)
 	return rp, nil
@@ -215,13 +177,15 @@ func bitmapWords(domain int) int { return (domain + 31) / 32 }
 // joinState is one join in flight, alive from its build until its probe
 // consumes (and releases) it. An outer-carrier build is the join's
 // smaller operand and fills the per-clone key sets; an inner-carrier
-// build is the carrier and keeps its partitioning, whose keys its probe
-// checks against sets of its own partitions' keys.
+// build is the carrier and keeps its input stream and its partitioning,
+// whose keys its probe checks against sets of its own partitions' keys
+// and whose stream is the probe's output.
 type joinState struct {
 	degree  int
 	sets    []keySet
 	slab    []int32 // every set's array is a window of it
 	carrier radixParts
+	in      stream // an inner-carrier build's input
 }
 
 // carveSets sizes one key set per clone over the partitions of rp, the

@@ -17,15 +17,11 @@ import (
 )
 
 // TestRadixPartitionMatchesReference checks the two-pass radix scatter
-// against the reference append-per-tuple map partitioning: identical
-// partition contents in identical order, for uniform and skewed keys,
-// for both sides of a join, for every payload, and both for a Scan's
-// stream, whose keys are read from the leaf's column in place, and for
-// a stream of the leaf's rows in shuffled order, whose keys are
-// gathered through its rows.
+// against the reference append-per-tuple map partitioning of a Scan's
+// stream: identical partition keys in identical order, for uniform and
+// skewed keys and for both sides of a join.
 func TestRadixPartitionMatchesReference(t *testing.T) {
 	p := join(leaf("A", 5000), leaf("B", 1700))
-	r := rand.New(rand.NewSource(3))
 	for _, skew := range []float64{0, 1.4} {
 		ds, err := GenerateOpts(p, GenOptions{Seed: 9, SkewS: skew})
 		if err != nil {
@@ -33,62 +29,33 @@ func TestRadixPartitionMatchesReference(t *testing.T) {
 		}
 		for leafIdx := int32(0); leafIdx < 2; leafIdx++ {
 			scan := leafTuplesRef(ds, leafIdx)
-			shuffled := slices.Clone(scan)
-			r.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
-			rows := make([]int32, len(shuffled))
-			for i, tp := range shuffled {
-				rows[i] = tp.Row
-			}
-			for _, form := range []struct {
-				name string
-				in   stream
-				ref  []Tuple
-			}{
-				{"scan", stream{leaf: leafIdx, n: len(scan)}, scan},
-				{"rows", stream{leaf: leafIdx, n: len(rows), rows: rows}, shuffled},
-			} {
-				for _, n := range []int{1, 3, 8, 64} {
-					want, err := partitionByKey(ds, form.ref, p, n)
-					if err != nil {
-						t.Fatal(err)
+			for _, n := range []int{1, 3, 8, 64} {
+				want, err := partitionByKey(ds, scan, p, n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ar := getArena()
+				rp, err := radixPartition(ar, ds, p, stream{leaf: leafIdx, n: len(scan)}, n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for k := 0; k < n; k++ {
+					where := fmt.Sprintf("skew=%g leaf=%d n=%d partition %d", skew, leafIdx, n, k)
+					if rp.size(k) != len(want[k]) {
+						t.Fatalf("%s holds %d keys, want %d", where, rp.size(k), len(want[k]))
 					}
-					for _, pay := range []payload{payKeys, payRows} {
-						ar := getArena()
-						rp, err := radixPartition(ar, ds, p, form.in, n, pay)
+					for i, tp := range want[k] {
+						key, err := ds.Key(tp, p)
 						if err != nil {
 							t.Fatal(err)
 						}
-						if rp.leaf != leafIdx {
-							t.Fatalf("carrier leaf %d, want %d", rp.leaf, leafIdx)
+						if rp.keys(k)[i] != key {
+							t.Fatalf("%s: key %d = %d, want %d", where, i, rp.keys(k)[i], key)
 						}
-						for k := 0; k < n; k++ {
-							where := fmt.Sprintf("skew=%g leaf=%d %s n=%d payload=%d partition %d",
-								skew, leafIdx, form.name, n, pay, k)
-							if rp.size(k) != len(want[k]) {
-								t.Fatalf("%s holds %d rows, want %d", where, rp.size(k), len(want[k]))
-							}
-							for i, tp := range want[k] {
-								key, err := ds.Key(tp, p)
-								if err != nil {
-									t.Fatal(err)
-								}
-								if rp.keys(k)[i] != key {
-									t.Fatalf("%s: co-scattered key %d = %d, want %d", where, i, rp.keys(k)[i], key)
-								}
-								if pay == payRows {
-									if row := rp.rowback[int(rp.starts[k])+i]; row != tp.Row {
-										t.Fatalf("%s: row %d = %d, want %d", where, i, row, tp.Row)
-									}
-								}
-							}
-						}
-						if (rp.rowback != nil) != (pay == payRows) {
-							t.Fatalf("payload %d scattered rows=%v", pay, rp.rowback != nil)
-						}
-						rp.release(ar)
-						putArena(ar)
 					}
 				}
+				rp.release(ar)
+				putArena(ar)
 			}
 		}
 	}
@@ -96,8 +63,7 @@ func TestRadixPartitionMatchesReference(t *testing.T) {
 
 // TestRadixPartitionRejectsForeignLeaf mirrors the reference path's
 // per-tuple key error: a stream whose carrier leaf holds no key column
-// for the join must fail, naming the leaf, whether it is a Scan's
-// stream or a stream of rows.
+// for the join must fail, naming the leaf.
 func TestRadixPartitionRejectsForeignLeaf(t *testing.T) {
 	// Two independent joins: leaf C carries no key for join (A ⋈ B).
 	ab := join(leaf("A", 300), leaf("B", 100))
@@ -109,13 +75,27 @@ func TestRadixPartitionRejectsForeignLeaf(t *testing.T) {
 	}
 	ar := getArena()
 	defer putArena(ar)
-	for name, in := range map[string]stream{
-		"rows": {leaf: cIdx, n: 3, rows: []int32{5, 0, 7}},
-		"scan": {leaf: cIdx, n: 900},
-	} {
-		_, err := radixPartition(ar, ds, ab, in, 4, payRows)
-		if err == nil || !strings.Contains(err.Error(), "leaf C carries no key") {
-			t.Fatalf("%s: partitioning a foreign leaf's stream gave %v, want the leaf named", name, err)
+	_, err = radixPartition(ar, ds, ab, stream{leaf: cIdx, n: 900}, 4)
+	if err == nil || !strings.Contains(err.Error(), "leaf C carries no key") {
+		t.Fatalf("partitioning a foreign leaf's stream gave %v, want the leaf named", err)
+	}
+}
+
+// TestRadixPartitionRejectsPartialStream feeds the exchange streams
+// shorter and longer than their leaf. A stream is its whole carrier
+// leaf, so the exchange must refuse either with an error naming the
+// leaf, where reading the key column in place would read a prefix or
+// index past its end.
+func TestRadixPartitionRejectsPartialStream(t *testing.T) {
+	p := join(leaf("A", 300), leaf("B", 100))
+	ds := MustGenerate(p, 2)
+	ar := getArena()
+	defer putArena(ar)
+	for _, n := range []int{0, 299, 301} {
+		_, err := radixPartition(ar, ds, p, stream{leaf: 0, n: n}, 4)
+		want := fmt.Sprintf("stream of %d rows is not the whole of leaf A (300 rows)", n)
+		if err == nil || err.Error() != want {
+			t.Fatalf("partitioning %d of leaf A's 300 rows gave %v, want %q", n, err, want)
 		}
 	}
 }
@@ -330,16 +310,22 @@ func TestLayoutsMatchReferenceOnGeneratedPartitions(t *testing.T) {
 		domain := ds.joins[p].domain
 		for _, n := range []int{1, 3, 8, 16, 64} {
 			ar := getArena()
-			big, err := radixPartition(ar, ds, p, stream{leaf: 0, n: 3000}, n, payRows)
+			big, err := radixPartition(ar, ds, p, stream{leaf: 0, n: 3000}, n)
 			if err != nil {
 				t.Fatal(err)
 			}
-			small, err := radixPartition(ar, ds, p, stream{leaf: 1, n: 700}, n, payKeys)
+			small, err := radixPartition(ar, ds, p, stream{leaf: 1, n: 700}, n)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for k := 0; k < n; k++ {
-				checkAgainstReference(t, domain, small.keys(k), big.keys(k), big.rowback[big.starts[k]:big.starts[k+1]])
+				// A carrier key's position in the partitioning stands
+				// in for its row: positions are distinct, as rows are.
+				pos := make([]int32, big.size(k))
+				for i := range pos {
+					pos[i] = big.starts[k] + int32(i)
+				}
+				checkAgainstReference(t, domain, small.keys(k), big.keys(k), pos)
 			}
 			big.release(ar)
 			small.release(ar)
@@ -481,9 +467,9 @@ func TestFailedRunReturnsTablesToArena(t *testing.T) {
 }
 
 // TestCardinalityFailureReturnsResultToArena fails a run on the join's
-// cardinality check, after the probe has checked its carrier rows: the
-// probe must hand back the row array that would have been its output,
-// so a clean run straight after allocates nothing.
+// cardinality check, after the probe has checked its carrier keys: the
+// probe must hand back its partitioning and the join's sets, so a clean
+// run straight after allocates nothing.
 func TestCardinalityFailureReturnsResultToArena(t *testing.T) {
 	p := join(leaf("A", 8000), leaf("B", 20000))
 	ds := MustGenerate(p, 71)
@@ -584,7 +570,8 @@ func TestArenaReuse(t *testing.T) {
 // per-operator bookkeeping, where the reference path allocates
 // O(tuples) per operator. The ceilings are about 1.25× what a warm run
 // read once streams became carrier rows (117 on the 8-join chain at
-// P = 8, 95 on the query_e2e shape at P = 16). Streams of (leaf, row)
+// P = 8, 95 on the query_e2e shape at P = 16), and whole-leaf streams
+// read the same. Streams of (leaf, row)
 // tuples read 128 and 104 with the clones running serially; the clone
 // fan-out that preceded them read 378 and 293 at GOMAXPROCS 2 (277 and
 // 217 at 1, as AllocsPerRun measures), and the serial mode beside it

@@ -61,7 +61,8 @@ func scheduleForTree(t *testing.T, tt *plan.TaskTree, sites int) *sched.Schedule
 // be byte-identical to the reference executor's — same cardinalities,
 // same per-operator measured times (the meters see identical float
 // operations in identical order), same phase responses, and identical
-// JSON encodings. The par dimension sets the deprecated, ignored
+// JSON encodings — and the metering oracle's Report must equal both.
+// The par dimension sets the deprecated, ignored
 // Engine.Parallel on the flat side, which the frozen bench/ still
 // assigns: setting it must change nothing. It goes with the field
 // (ROADMAP 1a).
@@ -101,6 +102,7 @@ func TestReportByteIdentity(t *testing.T) {
 						if string(bRef) != string(bFlat) {
 							t.Fatalf("JSON encodings diverge:\nref:  %s\nflat: %s", bRef, bFlat)
 						}
+						checkOracle(t, ds, s, repRef)
 					})
 				}
 			}
@@ -112,7 +114,8 @@ func TestReportByteIdentity(t *testing.T) {
 // plans the system runs: the plan search's winners over catalogs shaped
 // like query_e2e's (5 to 8 relations, sizes scaled down to 1,000–5,000
 // tuples), each scheduled at P ∈ {4, 16} over uniform and Zipf keys,
-// must give the reference executor's Report. The corpus must hold
+// must give the reference executor's Report, and so must the metering
+// oracle. The corpus must hold
 // inner-carrier joins, one of them over two join subtrees, so that the
 // probe side filling the sets is itself an intermediate stream.
 func TestOptimizerPlansMatchReference(t *testing.T) {
@@ -162,6 +165,7 @@ func TestOptimizerPlansMatchReference(t *testing.T) {
 				if !reflect.DeepEqual(repRef, repFlat) {
 					t.Fatalf("catalog %d P%d skew=%g: reports diverge:\nref:  %+v\nflat: %+v", i, sites, skew, repRef, repFlat)
 				}
+				checkOracle(t, ds, s, repRef)
 			}
 		}
 	}
@@ -171,7 +175,8 @@ func TestOptimizerPlansMatchReference(t *testing.T) {
 }
 
 // TestReportByteIdentityMaterialized covers the Store arm: a
-// materialized chain must also produce byte-identical reports.
+// materialized chain must also produce byte-identical reports, and the
+// metering oracle the same one.
 func TestReportByteIdentityMaterialized(t *testing.T) {
 	p := chainPlan([]int{5000, 2000, 6000})
 	ds := MustGenerate(p, 29)
@@ -191,6 +196,7 @@ func TestReportByteIdentityMaterialized(t *testing.T) {
 	if !reflect.DeepEqual(repRef, repFlat) {
 		t.Fatalf("materialized reports diverge:\nref:  %+v\nflat: %+v", repRef, repFlat)
 	}
+	checkOracle(t, ds, s, repRef)
 }
 
 // TestFlatRunsAreRepeatable pins arena recycling correctness: back-to-
@@ -242,7 +248,8 @@ func fuzzPlan(joins int, sizes, merges []byte) *query.PlanNode {
 // FuzzFlatMatchesReference is the identity corpus as a generator: over
 // random plan shapes (1–6 joins), leaf sizes, site counts, skews and
 // expansions the flat data path and the reference executor must return
-// equal Reports, or fail with the same error. The skew argument's low
+// equal Reports, or fail with the same error, and a run that passes must
+// give the metering oracle's Report too. The skew argument's low
 // three bits pick the Zipf exponent and its bit 3 the materialized
 // expansion, whose Store operators pass their input's rows on.
 func FuzzFlatMatchesReference(f *testing.F) {
@@ -283,5 +290,6 @@ func FuzzFlatMatchesReference(f *testing.F) {
 		if !reflect.DeepEqual(repRef, repFlat) {
 			t.Fatalf("reports diverge:\nref:  %+v\nflat: %+v", repRef, repFlat)
 		}
+		checkOracle(t, ds, s, repRef)
 	})
 }

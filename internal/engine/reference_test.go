@@ -81,7 +81,7 @@ func (e Engine) runOperatorRef(pl *sched.OpPlacement, ds *Dataset,
 			rows := parts[k]
 			pages := p.Pages(len(rows))
 			meters[k].addDiskPages(pages, p)
-			meters[k].addCPU(float64(pages)*p.ReadPageInstr+float64(len(rows))*p.ExtractInstr, p)
+			meters[k].addCPU(float64(float64(pages)*p.ReadPageInstr)+float64(float64(len(rows))*p.ExtractInstr), p)
 			if op.Spec.NetOut {
 				meters[k].addNetTuples(len(rows), p)
 			}
@@ -169,7 +169,7 @@ func (e Engine) runOperatorRef(pl *sched.OpPlacement, ds *Dataset,
 			if op.Spec.NetOut {
 				meters[k].addNetTuples(len(res), p)
 			}
-			meters[k].addCPU(float64(len(parts[k]))*p.ProbeInstr+float64(len(res))*p.ExtractInstr, p)
+			meters[k].addCPU(float64(float64(len(parts[k]))*p.ProbeInstr)+float64(float64(len(res))*p.ExtractInstr), p)
 			out[k] = res
 			return nil
 		})

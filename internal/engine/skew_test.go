@@ -28,7 +28,7 @@ func TestSkewedRunDriftsAbovePrediction(t *testing.T) {
 		t.Fatal(err)
 	}
 	ar := getArena()
-	rp, err := radixPartition(ar, ds, p, stream{leaf: aIdx, n: 40000}, sites, payRows)
+	rp, err := radixPartition(ar, ds, p, stream{leaf: aIdx, n: 40000}, sites)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -490,6 +490,18 @@ func (tt *TaskTree) Phases() [][]*Task {
 // laid out as capacity-limited windows of one slab, so the lists take
 // two allocations under MinShelf whatever the tree's size.
 func (tt *TaskTree) PhasesBy(policy PhasePolicy) [][]*Task {
+	phases, _ := tt.PhasesInto(policy, nil, nil)
+	return phases
+}
+
+// PhasesInto is PhasesBy laid out in caller-owned buffers: phases and
+// slab are reused where their capacities hold Height+1 lists and every
+// task, and replaced otherwise, so under MinShelf a caller that passes
+// its buffers back allocates nothing once they are large enough. It
+// returns the lists and the whole slab they are windows of; the lists
+// alias the slab, so the caller must not pass it back while a list is
+// still read elsewhere.
+func (tt *TaskTree) PhasesInto(policy PhasePolicy, phases [][]*Task, slab []*Task) ([][]*Task, []*Task) {
 	var asap map[*Task]int
 	var level func(tk *Task) int
 	if policy == EarliestShelf {
@@ -516,21 +528,30 @@ func (tt *TaskTree) PhasesBy(policy PhasePolicy) [][]*Task {
 	}
 	// Each phase's length counts its tasks first; the slab has room for
 	// every count.
-	phases := make([][]*Task, tt.Height+1)
-	slab := make([]*Task, len(tt.Tasks))
+	if cap(phases) < tt.Height+1 {
+		phases = make([][]*Task, tt.Height+1)
+	} else {
+		phases = phases[:tt.Height+1]
+		clear(phases)
+	}
+	if cap(slab) < len(tt.Tasks) {
+		slab = make([]*Task, len(tt.Tasks))
+	}
+	slab = slab[:len(tt.Tasks)]
 	for _, tk := range tt.Tasks {
 		i := phaseOf(tk)
 		phases[i] = slab[:len(phases[i])+1]
 	}
+	rest := slab
 	for i, ph := range phases {
 		n := len(ph)
-		phases[i], slab = slab[:0:n], slab[n:]
+		phases[i], rest = rest[:0:n], rest[n:]
 	}
 	for _, tk := range tt.Tasks {
 		i := phaseOf(tk)
 		phases[i] = append(phases[i], tk)
 	}
-	return phases
+	return phases, slab
 }
 
 // Validate checks the task-tree invariants: every operator in exactly

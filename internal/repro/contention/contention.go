@@ -84,7 +84,7 @@ func TSite(ov resource.Overlap, g Penalty, clones []vector.Vector) float64 {
 	for i := range load {
 		l := load[i]
 		if g != nil && users[i] > 1 {
-			l *= 1 + g[i]*float64(users[i]-1)
+			l *= 1 + float64(g[i]*float64(users[i]-1))
 		}
 		if l > worst {
 			worst = l

@@ -83,7 +83,7 @@ func MustOverlap(eps float64) Overlap {
 // TSeq returns T^seq(W̄) = ε·max + (1−ε)·sum, the sequential execution
 // time of an operator (clone) with demands w running alone on a site.
 func (o Overlap) TSeq(w vector.Vector) float64 {
-	return o.Epsilon*w.Length() + (1-o.Epsilon)*w.Sum()
+	return float64(o.Epsilon*w.Length()) + float64((1-o.Epsilon)*w.Sum())
 }
 
 // TSite returns T^site per Equation 2 for one site holding the given

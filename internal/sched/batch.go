@@ -104,8 +104,9 @@ func (ts TreeScheduler) scheduleBatch(ctx context.Context, sc *scratch, recs []*
 			}
 			own := pr.phases[phaseIdx]
 			if feeders == 1 {
-				// A tree that alone feeds the phase lends its own list.
-				ph.Tasks = own
+				// A tree that alone feeds the phase lends its own list,
+				// and its record must not lay out another tree there.
+				ph.Tasks, pr.lent = own, true
 			} else {
 				ph.Tasks = append(ph.Tasks, own...)
 			}

@@ -21,14 +21,17 @@ import (
 // The zero value is ready for TreeScheduler.Price, and each Price
 // overwrites the record, so one Priced serves many trees. Like any
 // scheduling scratch it is single-goroutine state while it is priced.
-// Every Price allocates the phase lists anew: a schedule placed from the
-// record lends them to its phases, so they are never reused.
+// Price lays the phase lists out in the record's own slab and reuses it,
+// unless a schedule placed from the record holds one of its lists: a
+// tree that alone feeds a global phase lends its list to that phase.
 type Priced struct {
 	ts     TreeScheduler
 	tt     *plan.TaskTree // nil until a Price succeeds
 	phases [][]*plan.Task
-	ops    []pricedOp // by operator ID
-	seen   []bool     // checkHome's scratch, one entry per site
+	slab   []*plan.Task // the phase lists are windows of it
+	lent   bool         // a placed schedule holds a window of slab
+	ops    []pricedOp   // by operator ID
+	seen   []bool       // checkHome's scratch, one entry per site
 }
 
 // pricedOp is one operator's entry in the record.
@@ -105,7 +108,10 @@ func (ts TreeScheduler) price(pr *Priced, tt *plan.TaskTree) (float64, error) {
 		pr.ops = pr.ops[:n]
 		clear(pr.ops)
 	}
-	pr.phases = tt.PhasesBy(ts.Policy)
+	if pr.lent {
+		pr.slab, pr.lent = nil, false
+	}
+	pr.phases, pr.slab = tt.PhasesInto(ts.Policy, pr.phases, pr.slab)
 	var buf [resource.Dims]float64
 	total := vector.Vector(buf[:])
 	sum := 0.0

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"mdrs/internal/costmodel"
@@ -297,8 +298,8 @@ func TestForeignBuildRefused(t *testing.T) {
 	}
 }
 
-// TestWarmPhaseBoundAllocs pins a warm PhaseBound at the phase lists'
-// two allocations: the record and its slabs come from the pool, the
+// TestWarmPhaseBoundAllocs pins a warm PhaseBound at no allocation:
+// the record, its slabs and its phase lists come from the pool, the
 // degrees from the cost model.
 func TestWarmPhaseBoundAllocs(t *testing.T) {
 	if raceEnabled {
@@ -313,7 +314,43 @@ func TestWarmPhaseBoundAllocs(t *testing.T) {
 		}
 	}
 	run()
-	if allocs := testing.AllocsPerRun(50, run); allocs > 2 {
-		t.Fatalf("warm PhaseBound allocates %.0f times, want <= 2", allocs)
+	if allocs := testing.AllocsPerRun(50, run); allocs > 0 {
+		t.Fatalf("warm PhaseBound allocates %.0f times, want 0", allocs)
+	}
+}
+
+// TestLentPhaseListsSurviveRepricing places a tree from a record, which
+// lends the tree's phase lists to the schedule's phases, then prices
+// smaller trees into the same record: the schedule's Phases[i].Tasks
+// must keep their tasks, while the record's lists follow each new tree.
+func TestLentPhaseListsSurviveRepricing(t *testing.T) {
+	ts := testScheduler(16, 0.5, 0.7)
+	var pr Priced
+	if _, err := ts.Price(&pr, randomTree(3, 12)); err != nil {
+		t.Fatal(err)
+	}
+	s, err := pr.Schedule(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([][]*plan.Task, len(s.Phases))
+	for i, ph := range s.Phases {
+		want[i] = slices.Clone(ph.Tasks)
+	}
+	for seed := int64(4); seed < 7; seed++ {
+		other := randomTree(seed, 6)
+		if _, err := ts.Price(&pr, other); err != nil {
+			t.Fatal(err)
+		}
+		for i, ph := range s.Phases {
+			if !slices.Equal(ph.Tasks, want[i]) {
+				t.Fatalf("pricing tree %d rewrote phase %d of an earlier schedule", seed, i)
+			}
+		}
+		for i, tasks := range other.PhasesBy(ts.Policy) {
+			if !slices.Equal(pr.phases[i], tasks) {
+				t.Fatalf("record's phase %d does not list tree %d's tasks", i, seed)
+			}
+		}
 	}
 }

@@ -103,7 +103,7 @@ func WriteText(w io.Writer, s *Schedule) error {
 			if ph.Response > 0 {
 				frac = l.Length() / ph.Response
 			}
-			bar := strings.Repeat("#", int(frac*40+0.5))
+			bar := strings.Repeat("#", int(float64(frac*40)+0.5))
 			fmt.Fprintf(w, "  site %3d |%-40s| %5.1f%%\n", j, bar, frac*100)
 		}
 	}
