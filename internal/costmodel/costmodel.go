@@ -366,7 +366,7 @@ func (m Model) TPar(c OpCost, n int, ov resource.Overlap) float64 {
 	if net > max {
 		max = net
 	}
-	return float64(ov.Epsilon*max) + float64((1-ov.Epsilon)*sum)
+	return ov.TMaxSum(max, sum)
 }
 
 // nOptRel and nOptAbs bound how far TPar's float value sits from the

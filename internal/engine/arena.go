@@ -5,11 +5,12 @@ import (
 	"sync"
 )
 
-// arena is a Run-scoped free list of int32 buffers: the partition
-// boundaries, scattered keys and key-set arrays of one execution all
-// come from (and return to) it — streams themselves hold no buffer — so
-// a J-join plan stops allocating O(tuples) per operator and a warm run
-// settles at a handful of allocations.
+// arena is a Run-scoped free list of int32 buffers: the joins' presence
+// bitmaps and the exchanges' per-clone counts of one execution all come
+// from (and return to) it — streams themselves hold no buffer and
+// exchanges read key columns in place — so a J-join plan stops
+// allocating per operator and a warm run settles at a handful of
+// allocations.
 //
 // The arena is single-owner: a run executes on one goroutine, clone
 // bodies included, so no locking is needed. Arenas themselves are

@@ -1,10 +1,10 @@
-// Package engine is a small in-memory shared-nothing hash-join
-// execution engine. It exists to validate schedules end-to-end: it
-// actually executes a scheduled bushy plan — partitioned scans, hash
-// builds, pipelined probes over synthetic data, with the work of every
-// operator clone metered against per-site virtual resource clocks using
-// the same Table 2 cost constants the scheduler plans with — and checks
-// that (a) every join produces exactly the cardinality the optimizer's
+// Package engine is a small in-memory shared-nothing join execution
+// engine. It exists to validate schedules end-to-end: it actually
+// executes a scheduled bushy plan — partitioned scans, builds and
+// pipelined probes over synthetic data, with the work of every operator
+// clone metered against per-site virtual resource clocks using the same
+// Table 2 cost constants the scheduler plans with — and checks that (a)
+// every join produces exactly the cardinality the optimizer's
 // simple-key-join rule predicts and (b) the measured response time
 // tracks the scheduler's analytic prediction.
 //
@@ -15,7 +15,13 @@
 // foreign-key discipline per join: the smaller operand carries distinct
 // keys 0..s−1 and the larger operand carries keys drawn from [0, s), so
 // every larger-side tuple matches exactly one smaller-side tuple and
-// |result| = max(|L|, |R|).
+// |result| = max(|L|, |R|). The engine runs each join as a semi-join of
+// the larger operand against a presence bitmap of the smaller one's
+// keys, and checks all three properties of the data: the smaller side's
+// keys are distinct, every key lies in [0, s), and every larger-side key
+// is present. What the meters read is each clone's count of keys, so
+// skew in the keys shows as uneven clones (EA1), not as a different
+// result.
 //
 // Rows flow through the engine as identities into their "carrier" leaf
 // — the base relation whose rows survive, join after join, along the

@@ -26,9 +26,8 @@ type Engine struct {
 	// frozen bench/ assigns it (ROADMAP 1a).
 	Parallel bool
 	// Rec, when non-nil, receives execution counters (tuples, clone
-	// runs, arena reuse/alloc tallies, flat-table layout tallies), the
-	// run/phase timers, and exec_phase trace events. Nil disables
-	// recording.
+	// runs, arena reuse/alloc tallies), the run/phase timers, and
+	// exec_phase trace events. Nil disables recording.
 	Rec obs.Recorder
 
 	// failClone, when non-nil, is consulted before every clone body runs
@@ -112,18 +111,49 @@ func (c *cloneMeter) addNetTuples(tuples int, p costmodel.Params) {
 	c.work[resource.Net] += float64(p.Beta * p.Bytes(tuples))
 }
 
+// meterSlab lends out one zeroed meter per clone, reusing its slabs
+// for every operator of a run: Run consumes an operator's meters
+// before the next operator runs, and resource.System reads a work
+// vector without keeping it. It grows to the largest degree seen.
+type meterSlab struct {
+	work   []float64
+	meters []*cloneMeter
+}
+
+// take returns n zeroed meters and charges the coordinator's startup:
+// clone 0 pays α·N, split evenly between CPU and network, exactly as
+// the cost model plans it.
+func (ms *meterSlab) take(n int, p costmodel.Params) []*cloneMeter {
+	// One slab of meters and one of work vectors, each meter's vector a
+	// cap-limited window of the second.
+	const d = resource.Dims
+	if n > len(ms.meters) {
+		slab := make([]cloneMeter, n)
+		ms.work = make([]float64, n*d)
+		ms.meters = make([]*cloneMeter, n)
+		for k := range ms.meters {
+			slab[k].work = ms.work[k*d : (k+1)*d : (k+1)*d]
+			ms.meters[k] = &slab[k]
+		}
+	}
+	clear(ms.work[:n*d])
+	meters := ms.meters[:n]
+	startup := float64(p.Alpha * float64(n) / 2)
+	meters[0].work[resource.CPU] += startup
+	meters[0].work[resource.Net] += startup
+	return meters
+}
+
 // runState is the per-run execution state: the dataflow outputs, the
-// joins in flight, and the buffer arena their partitionings and key
-// sets recycle through.
+// joins in flight, the buffer arena their bitmaps and counts recycle
+// through, and the operators' meters.
 type runState struct {
 	// outputs holds each operator's stream until its consumer has read
 	// it.
 	outputs map[*plan.Operator]stream
 	ar      *arena
 	tables  map[int]*joinState
-	// key-set layout tallies by tableKind, flushed to the recorder after
-	// the run.
-	layouts [2]int64
+	meters  meterSlab
 }
 
 func newRunState(nOps int) *runState {
@@ -186,7 +216,13 @@ func (e Engine) RunCtx(ctx context.Context, ds *Dataset, s *sched.Schedule) (*Re
 		return nil, fmt.Errorf("engine: schedule has no root operator")
 	}
 
-	rep := &Report{JoinResults: make(map[int]int), Predicted: s.Response}
+	rep := &Report{
+		JoinResults:    make(map[int]int),
+		PhaseMeasured:  make([]float64, 0, len(s.Phases)),
+		PhasePredicted: make([]float64, 0, len(s.Phases)),
+		Operators:      make([]OpReport, 0, nOps),
+		Predicted:      s.Response,
+	}
 	st := newRunState(nOps)
 	runOp := Engine.runOperator
 	if e.runOp != nil {
@@ -199,8 +235,6 @@ func (e Engine) RunCtx(ctx context.Context, ds *Dataset, s *sched.Schedule) (*Re
 			e.Rec.Observe("engine.run_seconds", time.Since(start).Seconds())
 			e.Rec.Count("engine.arena_reuses", st.ar.reuses)
 			e.Rec.Count("engine.arena_allocs", st.ar.allocs)
-			e.Rec.Count("engine.tables_bits", st.layouts[tableBits])
-			e.Rec.Count("engine.tables_oa", st.layouts[tableOA])
 		}
 		// Reclaim the joins a failed or cancelled run left unprobed,
 		// then hand the arena to the next run.
@@ -289,35 +323,15 @@ func checkPlacement(pl *sched.OpPlacement, p int) error {
 	return nil
 }
 
-// newMeters builds one meter per clone and charges the coordinator's
-// startup: clone 0 pays α·N, split evenly between CPU and network,
-// exactly as the cost model plans it.
-func newMeters(n int, p costmodel.Params) []*cloneMeter {
-	// One slab of meters and one of work vectors, each meter's vector a
-	// cap-limited window of the second.
-	const d = resource.Dims
-	slab := make([]cloneMeter, n)
-	work := make([]float64, n*d)
-	meters := make([]*cloneMeter, n)
-	for k := range meters {
-		slab[k].work = work[k*d : (k+1)*d : (k+1)*d]
-		meters[k] = &slab[k]
-	}
-	startup := float64(p.Alpha * float64(n) / 2)
-	meters[0].work[resource.CPU] += startup
-	meters[0].work[resource.Net] += startup
-	return meters
-}
-
 // runOperator executes one placed operator through the flat data path
 // and returns its per-clone meters (aligned with pl.Sites). Every
 // meter value is identical to the reference path's: each clone's input
-// and output are the same multisets of rows, so the two executors
-// produce byte-identical Reports.
+// and output counts are the sizes of the reference clone's multisets of
+// rows, so the two executors produce byte-identical Reports.
 func (e Engine) runOperator(pl *sched.OpPlacement, ds *Dataset, st *runState,
 	rep *Report) ([]*cloneMeter, error) {
 
-	meters := newMeters(pl.Degree, e.Model.Params)
+	meters := st.meters.take(pl.Degree, e.Model.Params)
 	var err error
 	switch pl.Op.Kind {
 	case costmodel.Scan:
@@ -364,49 +378,48 @@ func (e Engine) runScan(pl *sched.OpPlacement, ds *Dataset, st *runState, meters
 	return nil
 }
 
-// exchange radix-partitions the stream feeding op on op's join key and
-// returns the partitioning, the producer and its stream.
-func (e Engine) exchange(op *plan.Operator, ds *Dataset, st *runState, n int) (radixParts, *plan.Operator, stream, error) {
+// exchange resolves the stream feeding op, its producer, and the
+// stream's key column for op's join with the join's key domain.
+func (e Engine) exchange(op *plan.Operator, ds *Dataset, st *runState) (*plan.Operator, stream, []int32, int, error) {
 	prod, err := producerOf(op)
 	if err != nil {
-		return radixParts{}, nil, stream{}, err
+		return nil, stream{}, nil, 0, err
 	}
 	in := st.outputs[prod]
-	rp, err := radixPartition(st.ar, ds, op.Source, in, n)
-	return rp, prod, in, err
+	col, domain, err := keyColumn(ds, op.Source, in)
+	return prod, in, col, domain, err
 }
 
-// runBuild partitions the build side's keys. An outer-carrier build is
-// the join's smaller operand and fills one key set per clone. An
-// inner-carrier build is the carrier: it keeps its input stream and
-// the partitioning for its probe to check.
+// runBuild counts the build side's keys per clone. An outer-carrier
+// build is the join's smaller operand and fills the join's bitmap. An
+// inner-carrier build is the carrier: it keeps its input stream and its
+// counts for its probe.
 func (e Engine) runBuild(pl *sched.OpPlacement, ds *Dataset, st *runState, meters []*cloneMeter) error {
 	op, n, p := pl.Op, pl.Degree, e.Model.Params
-	outerCarrier := OuterIsCarrier(op.Source)
-	rp, prod, in, err := e.exchange(op, ds, st, n)
+	prod, in, col, domain, err := e.exchange(op, ds, st)
 	if err != nil {
 		return err
 	}
-	// Registered before the clones run, so a failed run's cleanup
-	// releases it.
-	js := &joinState{degree: n}
+	// Registered before its buffers are filled, so a failed run's
+	// cleanup releases them.
+	js := &joinState{degree: n, counts: st.ar.getInt32(n)}
 	st.tables[op.JoinID] = js
-	if outerCarrier {
-		st.carveSets(js, ds.joins[op.Source].domain, &rp)
-		defer rp.release(st.ar)
+	if OuterIsCarrier(op.Source) {
+		js.bitmap = st.ar.getInt32(bitmapWords(domain))
+		err = fillBitmap(js.bitmap, js.counts, col, domain, op.JoinID)
 	} else {
-		js.carrier, js.in = rp, in
+		js.col, js.in = col, in
+		err = countCarrier(nil, js.counts, nil, col, domain)
+	}
+	if err != nil {
+		return err
 	}
 	err = e.eachClone(op, n, func(k int) error {
-		if outerCarrier {
-			if err := js.sets[k].insert(op.JoinID, rp.keys(k)); err != nil {
-				return err
-			}
-		}
+		m := int(js.counts[k])
 		if op.Spec.NetIn {
-			meters[k].addNetTuples(rp.size(k), p)
+			meters[k].addNetTuples(m, p)
 		}
-		meters[k].addCPU(float64(rp.size(k))*(p.ExtractInstr+p.HashInstr), p)
+		meters[k].addCPU(float64(m)*(p.ExtractInstr+p.HashInstr), p)
 		return nil
 	})
 	if err != nil {
@@ -414,18 +427,18 @@ func (e Engine) runBuild(pl *sched.OpPlacement, ds *Dataset, st *runState, meter
 	}
 	delete(st.outputs, prod)
 	st.outputs[op] = stream{} // the join state is the output; nothing streams on
-	obs.Count(e.Rec, "engine.tuples_built", int64(len(rp.keyback)))
+	obs.Count(e.Rec, "engine.tuples_built", int64(len(col)))
 	return nil
 }
 
-// runProbe partitions the probe side's keys and runs each clone's
-// semi-join. An outer-carrier probe is the carrier: it checks its keys
-// against the build's sets. An inner-carrier probe is the smaller
-// operand: it fills a set per clone with its keys and checks the
-// build's stored partitioning against it. A clone emits its carrier
-// partition less the keys its set lacks. A run that passes the
-// cardinality check has no misses, so the join's output is its
-// carrier's input stream, passed on.
+// runProbe counts the probe side's keys per clone and the carrier's
+// misses, and meters each clone's semi-join. An outer-carrier probe is
+// the carrier: its pass checks its keys against the build's bitmap. An
+// inner-carrier probe is the smaller operand: it fills the bitmap with
+// its keys and then checks the build's key column against it. A clone
+// emits its carrier partition less the keys the bitmap lacks. A run
+// that passes the cardinality check has no misses, so the join's output
+// is its carrier's input stream, passed on.
 func (e Engine) runProbe(pl *sched.OpPlacement, ds *Dataset, st *runState, rep *Report,
 	meters []*cloneMeter) error {
 
@@ -437,39 +450,37 @@ func (e Engine) runProbe(pl *sched.OpPlacement, ds *Dataset, st *runState, rep *
 	if js.degree != n {
 		return fmt.Errorf("probe degree %d != build degree %d", n, js.degree)
 	}
-	outerCarrier := OuterIsCarrier(op.Source)
-	rp, prod, in, err := e.exchange(op, ds, st, n)
+	prod, in, col, domain, err := e.exchange(op, ds, st)
 	if err != nil {
 		return err
 	}
-	defer rp.release(st.ar)
-	carrier, out := &js.carrier, js.in
-	if outerCarrier {
-		carrier, out = &rp, in
+	buf := st.ar.getInt32(2 * n)
+	defer st.ar.putInt32(buf)
+	counts, misses := buf[:n], buf[n:]
+	carrier, out := counts, in
+	if OuterIsCarrier(op.Source) {
+		err = countCarrier(js.bitmap, counts, misses, col, domain)
 	} else {
-		st.carveSets(js, ds.joins[op.Source].domain, &rp)
+		js.bitmap = st.ar.getInt32(bitmapWords(domain))
+		if err = fillBitmap(js.bitmap, counts, col, domain, op.JoinID); err == nil {
+			countMisses(js.bitmap, misses, js.col)
+		}
+		carrier, out = js.counts, js.in
+	}
+	if err != nil {
+		return err
 	}
 	produced := 0
 	err = e.eachClone(op, n, func(k int) error {
-		set := &js.sets[k]
-		if !outerCarrier {
-			if err := set.insert(op.JoinID, rp.keys(k)); err != nil {
-				return err
-			}
-		}
-		misses, err := set.misses(carrier.keys(k))
-		if err != nil {
-			return err
-		}
-		emitted := carrier.size(k) - misses
+		emitted := int(carrier[k] - misses[k])
 		produced += emitted
 		if op.Spec.NetIn {
-			meters[k].addNetTuples(rp.size(k), p)
+			meters[k].addNetTuples(int(counts[k]), p)
 		}
 		if op.Spec.NetOut {
 			meters[k].addNetTuples(emitted, p)
 		}
-		meters[k].addCPU(float64(float64(rp.size(k))*p.ProbeInstr)+float64(float64(emitted)*p.ExtractInstr), p)
+		meters[k].addCPU(float64(float64(counts[k])*p.ProbeInstr)+float64(float64(emitted)*p.ExtractInstr), p)
 		return nil
 	})
 	if err != nil {
@@ -487,7 +498,7 @@ func (e Engine) runProbe(pl *sched.OpPlacement, ds *Dataset, st *runState, rep *
 	delete(st.outputs, prod)
 	js.release(st.ar)
 	delete(st.tables, op.JoinID)
-	obs.Count(e.Rec, "engine.tuples_probed", int64(len(rp.keyback)))
+	obs.Count(e.Rec, "engine.tuples_probed", int64(len(col)))
 	obs.Count(e.Rec, "engine.tuples_joined", int64(produced))
 	return nil
 }

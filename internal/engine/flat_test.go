@@ -16,54 +16,122 @@ import (
 	"mdrs/internal/sched"
 )
 
-// TestRadixPartitionMatchesReference checks the two-pass radix scatter
-// against the reference append-per-tuple map partitioning of a Scan's
-// stream: identical partition keys in identical order, for uniform and
-// skewed keys and for both sides of a join.
-func TestRadixPartitionMatchesReference(t *testing.T) {
+// exchangeBoth runs both exchange orders of one join at degree n over
+// the smaller operand's keys and the carrier's: the outer-carrier
+// order, where the build fills the bitmap and the probe's pass counts
+// the carrier's misses, and the inner-carrier order, where the build
+// counts the carrier and the probe fills the bitmap and then checks the
+// carrier's column against it. It fails unless the two orders give the
+// same counts and misses, and returns them.
+func exchangeBoth(t *testing.T, domain, n int, small, carrier []int32) (smallCounts, carrierCounts, misses []int32) {
+	t.Helper()
+	bitmap := make([]int32, bitmapWords(domain))
+	smallCounts, carrierCounts, misses = make([]int32, n), make([]int32, n), make([]int32, n)
+	if err := fillBitmap(bitmap, smallCounts, small, domain, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := countCarrier(bitmap, carrierCounts, misses, carrier, domain); err != nil {
+		t.Fatal(err)
+	}
+
+	// Stale bytes in every buffer: each pass must clear what it fills.
+	bitmap2, small2, carrier2, misses2 := make([]int32, len(bitmap)), make([]int32, n), make([]int32, n), make([]int32, n)
+	for _, b := range [][]int32{bitmap2, small2, carrier2, misses2} {
+		for i := range b {
+			b[i] = -1
+		}
+	}
+	if err := countCarrier(nil, carrier2, nil, carrier, domain); err != nil {
+		t.Fatal(err)
+	}
+	if err := fillBitmap(bitmap2, small2, small, domain, 0); err != nil {
+		t.Fatal(err)
+	}
+	countMisses(bitmap2, misses2, carrier)
+	if !slices.Equal(bitmap, bitmap2) || !slices.Equal(smallCounts, small2) ||
+		!slices.Equal(carrierCounts, carrier2) || !slices.Equal(misses, misses2) {
+		t.Fatalf("the exchange orders disagree: outer carrier counts %v / %v misses %v, inner carrier %v / %v misses %v",
+			smallCounts, carrierCounts, misses, small2, carrier2, misses2)
+	}
+	return smallCounts, carrierCounts, misses
+}
+
+// TestExchangeCountsMatchReference checks the one-pass exchanges
+// against the reference executor on a join whose smaller operand lost
+// three keys (moved past the join's old domain, which grows to hold
+// them), so that carrier rows miss: for uniform and skewed keys at
+// degrees 1, 3, 8 and 64, both sides' per-clone counts must equal a
+// partitionOf histogram, and each clone's misses must be the rows its
+// reference clone drops, with the carrier as the probe side and as the
+// build side.
+func TestExchangeCountsMatchReference(t *testing.T) {
 	p := join(leaf("A", 5000), leaf("B", 1700))
 	for _, skew := range []float64{0, 1.4} {
 		ds, err := GenerateOpts(p, GenOptions{Seed: 9, SkewS: skew})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for leafIdx := int32(0); leafIdx < 2; leafIdx++ {
-			scan := leafTuplesRef(ds, leafIdx)
-			for _, n := range []int{1, 3, 8, 64} {
-				want, err := partitionByKey(ds, scan, p, n)
-				if err != nil {
-					t.Fatal(err)
+		jc := ds.joins[p]
+		small := jc.cols[1]
+		for i := int32(0); i < 3; i++ {
+			small[slices.Index(small, i)] = int32(jc.domain)
+			jc.domain++
+		}
+		carrier := jc.cols[0]
+		carrierRef, smallRef := leafTuplesRef(ds, 0), leafTuplesRef(ds, 1)
+		for _, n := range []int{1, 3, 8, 64} {
+			smallCounts, carrierCounts, misses := exchangeBoth(t, jc.domain, n, small, carrier)
+			histogram := func(col []int32) []int32 {
+				h := make([]int32, n)
+				for _, key := range col {
+					h[partitionOf(key, n)]++
 				}
-				ar := getArena()
-				rp, err := radixPartition(ar, ds, p, stream{leaf: leafIdx, n: len(scan)}, n)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for k := 0; k < n; k++ {
-					where := fmt.Sprintf("skew=%g leaf=%d n=%d partition %d", skew, leafIdx, n, k)
-					if rp.size(k) != len(want[k]) {
-						t.Fatalf("%s holds %d keys, want %d", where, rp.size(k), len(want[k]))
-					}
-					for i, tp := range want[k] {
-						key, err := ds.Key(tp, p)
-						if err != nil {
+				return h
+			}
+			if !slices.Equal(smallCounts, histogram(small)) || !slices.Equal(carrierCounts, histogram(carrier)) {
+				t.Fatalf("skew=%g n=%d: counts %v and %v, want the histograms %v and %v",
+					skew, n, smallCounts, carrierCounts, histogram(small), histogram(carrier))
+			}
+			carrierParts, err := partitionByKey(ds, carrierRef, p, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			smallParts, err := partitionByKey(ds, smallRef, p, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			total := 0
+			for k := 0; k < n; k++ {
+				keysOf := func(part []Tuple) []int32 {
+					keys := make([]int32, len(part))
+					for i, tp := range part {
+						if keys[i], err = ds.Key(tp, p); err != nil {
 							t.Fatal(err)
 						}
-						if rp.keys(k)[i] != key {
-							t.Fatalf("%s: key %d = %d, want %d", where, i, rp.keys(k)[i], key)
-						}
 					}
+					return keys
 				}
-				rp.release(ar)
-				putArena(ar)
+				ck, sk := keysOf(carrierParts[k]), keysOf(smallParts[k])
+				pres, _ := refProbe(refTable(smallParts[k], sk), carrierParts[k], ck)
+				_, matches := refProbe(refTable(carrierParts[k], ck), smallParts[k], sk)
+				want := len(carrierParts[k]) - len(pres)
+				if int(misses[k]) != want || len(matches) != len(pres) {
+					t.Fatalf("skew=%g n=%d clone %d: %d misses, want the reference's %d (inner-carrier arm emits %d of %d)",
+						skew, n, k, misses[k], want, len(matches), len(pres))
+				}
+				total += want
+			}
+			if total == 0 {
+				t.Fatalf("skew=%g n=%d: no carrier row misses; the test no longer plants any", skew, n)
 			}
 		}
 	}
 }
 
 // TestRadixPartitionRejectsForeignLeaf mirrors the reference path's
-// per-tuple key error: a stream whose carrier leaf holds no key column
-// for the join must fail, naming the leaf.
+// per-tuple key error in the exchange's key-column resolver: a stream
+// whose carrier leaf holds no key column for the join must fail,
+// naming the leaf.
 func TestRadixPartitionRejectsForeignLeaf(t *testing.T) {
 	// Two independent joins: leaf C carries no key for join (A ⋈ B).
 	ab := join(leaf("A", 300), leaf("B", 100))
@@ -73,11 +141,9 @@ func TestRadixPartitionRejectsForeignLeaf(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ar := getArena()
-	defer putArena(ar)
-	_, err = radixPartition(ar, ds, ab, stream{leaf: cIdx, n: 900}, 4)
+	_, _, err = keyColumn(ds, ab, stream{leaf: cIdx, n: 900})
 	if err == nil || !strings.Contains(err.Error(), "leaf C carries no key") {
-		t.Fatalf("partitioning a foreign leaf's stream gave %v, want the leaf named", err)
+		t.Fatalf("resolving a foreign leaf's keys gave %v, want the leaf named", err)
 	}
 }
 
@@ -89,13 +155,11 @@ func TestRadixPartitionRejectsForeignLeaf(t *testing.T) {
 func TestRadixPartitionRejectsPartialStream(t *testing.T) {
 	p := join(leaf("A", 300), leaf("B", 100))
 	ds := MustGenerate(p, 2)
-	ar := getArena()
-	defer putArena(ar)
 	for _, n := range []int{0, 299, 301} {
-		_, err := radixPartition(ar, ds, p, stream{leaf: 0, n: n}, 4)
+		_, _, err := keyColumn(ds, p, stream{leaf: 0, n: n})
 		want := fmt.Sprintf("stream of %d rows is not the whole of leaf A (300 rows)", n)
 		if err == nil || err.Error() != want {
-			t.Fatalf("partitioning %d of leaf A's 300 rows gave %v, want %q", n, err, want)
+			t.Fatalf("resolving %d of leaf A's 300 rows gave %v, want %q", n, err, want)
 		}
 	}
 }
@@ -130,31 +194,6 @@ func TestPartitionByMatchesPartitionOf(t *testing.T) {
 	}
 }
 
-// emptySet lays out one keySet of the given kind for m keys by hand,
-// with the array length carveSets would carve.
-func emptySet(kind tableKind, domain, m int) *keySet {
-	s := &keySet{kind: tableBits, n: int32(m), domain: domain}
-	switch {
-	case m == 0:
-		// No array, and never open addressing: see carveSets.
-	case kind == tableOA:
-		s.setOA(make([]int32, oaSize(m)))
-	default:
-		s.words = make([]int32, bitmapWords(domain))
-	}
-	return s
-}
-
-// fillSet is an emptySet filled with keys.
-func fillSet(t *testing.T, kind tableKind, domain int, keys []int32) *keySet {
-	t.Helper()
-	s := emptySet(kind, domain, len(keys))
-	if err := s.insert(0, keys); err != nil {
-		t.Fatal(err)
-	}
-	return s
-}
-
 // refTable is the reference executor's build table: a Go map from key
 // to the build tuples carrying it, in input order.
 func refTable(build []Tuple, keys []int32) map[int32][]Tuple {
@@ -178,15 +217,6 @@ func refProbe(table map[int32][]Tuple, probe []Tuple, probeKeys []int32) (pres, 
 	return pres, matches
 }
 
-// setForms is every way a key set is laid out.
-var setForms = []struct {
-	name string
-	kind tableKind
-}{
-	{"bits", tableBits},
-	{"oa", tableOA},
-}
-
 // tupleOrder sorts tuples by leaf, then row.
 func tupleOrder(a, b Tuple) int {
 	if a.Leaf != b.Leaf {
@@ -195,14 +225,13 @@ func tupleOrder(a, b Tuple) int {
 	return int(a.Row - b.Row)
 }
 
-// checkAgainstReference fills every set form with one partition of the
-// smaller operand's keys and checks one carrier partition (keys and
-// rows of leaf 0) against it. The reference map table answers the same
-// join both ways round: with the carrier as the probe side (outer
-// carrier) and with the carrier as the build side (inner carrier).
-// Both must emit as many tuples as the carrier partition holds keys the
-// set does not miss, and when the set misses none, both must emit the
-// whole carrier partition.
+// checkAgainstReference runs both exchange orders of one join at
+// degree 1 over the smaller operand's keys and a carrier (keys and
+// rows of leaf 0). The reference map table answers the same join both
+// ways round: with the carrier as the probe side (outer carrier) and
+// with the carrier as the build side (inner carrier). Both must emit
+// as many tuples as the carrier holds keys the bitmap does not miss,
+// and when the bitmap misses none, both must emit the whole carrier.
 func checkAgainstReference(t *testing.T, domain int, setKeys, keys, rows []int32) {
 	t.Helper()
 	carrier := make([]Tuple, len(rows))
@@ -215,33 +244,28 @@ func checkAgainstReference(t *testing.T, domain int, setKeys, keys, rows []int32
 	}
 	wantPres, _ := refProbe(refTable(small, setKeys), carrier, keys)
 	_, wantMatch := refProbe(refTable(carrier, keys), small, setKeys)
-	for _, form := range setForms {
-		misses, err := fillSet(t, form.kind, domain, setKeys).misses(keys)
-		if err != nil {
-			t.Fatalf("%s: %v", form.name, err)
-		}
-		emitted := len(keys) - misses
-		if emitted != len(wantPres) || emitted != len(wantMatch) {
-			t.Fatalf("%s semi-join emits %d tuples, want the outer-carrier probe's %d and the inner-carrier probe's %d",
-				form.name, emitted, len(wantPres), len(wantMatch))
-		}
-		if misses == 0 {
-			slices.SortFunc(wantMatch, tupleOrder)
-			whole := slices.Clone(carrier)
-			slices.SortFunc(whole, tupleOrder)
-			if !slices.Equal(wantPres, carrier) || !slices.Equal(wantMatch, whole) {
-				t.Fatalf("%s semi-join misses nothing, but the reference does not emit the whole carrier partition", form.name)
-			}
+	_, _, misses := exchangeBoth(t, domain, 1, setKeys, keys)
+	emitted := len(keys) - int(misses[0])
+	if emitted != len(wantPres) || emitted != len(wantMatch) {
+		t.Fatalf("semi-join emits %d tuples, want the outer-carrier probe's %d and the inner-carrier probe's %d",
+			emitted, len(wantPres), len(wantMatch))
+	}
+	if misses[0] == 0 {
+		slices.SortFunc(wantMatch, tupleOrder)
+		whole := slices.Clone(carrier)
+		slices.SortFunc(whole, tupleOrder)
+		if !slices.Equal(wantPres, carrier) || !slices.Equal(wantMatch, whole) {
+			t.Fatal("semi-join misses nothing, but the reference does not emit the whole carrier")
 		}
 	}
 }
 
-// TestBuildTableLayouts checks every set form on hand-picked partitions:
-// a carrier with repeated keys, an empty set, and keys on the bitmap's
-// word boundaries; then that a repeated key on the set's side is a
-// *DuplicateKeyError naming the join and the key, and that the bitmap
-// rejects out-of-domain keys on insert and on the check instead of
-// counting them as misses.
+// TestBuildTableLayouts checks the join's one table, the presence
+// bitmap, on hand-picked keys: a carrier with repeated keys, an empty
+// smaller operand, and keys on the bitmap's word boundaries; then that
+// a repeated key on the smaller side is a *DuplicateKeyError naming the
+// join and the key, and that both sides' exchanges reject out-of-domain
+// keys instead of counting them as misses.
 func TestBuildTableLayouts(t *testing.T) {
 	for name, c := range map[string]struct {
 		domain int
@@ -266,138 +290,30 @@ func TestBuildTableLayouts(t *testing.T) {
 
 	// The "duplicates" case spelled out, so the expectation does not
 	// rest on the reference helpers alone: of the carrier's keys, only 2
-	// is missing from the set; the repeated key 3 is found twice.
-	for _, form := range setForms {
-		misses, err := fillSet(t, form.kind, 5, []int32{3, 1, 0}).misses([]int32{3, 2, 0, 3, 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if misses != 1 {
-			t.Fatalf("%s check counts %d misses, want 1", form.name, misses)
-		}
-		var dup *DuplicateKeyError
-		if err := emptySet(form.kind, 5, 4).insert(7, []int32{3, 1, 3, 0}); !errors.As(err, &dup) || *dup != (DuplicateKeyError{Join: 7, Key: 3}) ||
-			!strings.Contains(err.Error(), "join 7: key 3") {
-			t.Fatalf("%s: inserting key 3 twice gave %v, want a DuplicateKeyError for join 7, key 3", form.name, err)
-		}
+	// is missing from the bitmap; the repeated key 3 is found twice.
+	if _, _, misses := exchangeBoth(t, 5, 1, []int32{3, 1, 0}, []int32{3, 2, 0, 3, 1}); misses[0] != 1 {
+		t.Fatalf("check counts %d misses, want 1", misses[0])
+	}
+	var dup *DuplicateKeyError
+	err := fillBitmap(make([]int32, 1), make([]int32, 2), []int32{3, 1, 3, 0}, 5, 7)
+	if !errors.As(err, &dup) || *dup != (DuplicateKeyError{Join: 7, Key: 3}) || !strings.Contains(err.Error(), "join 7: key 3") {
+		t.Fatalf("filling key 3 twice gave %v, want a DuplicateKeyError for join 7, key 3", err)
 	}
 
-	// Out-of-domain keys are dataflow bugs, not silent drops.
+	// Out-of-domain keys are dataflow bugs, not silent drops, on the
+	// smaller side and on the carrier side with and without a bitmap.
 	outside := func(err error) bool { return err != nil && strings.Contains(err.Error(), "outside domain [0, 70)") }
 	for _, bad := range []int32{-1, 70, math.MaxInt32, math.MinInt32} {
-		s := fillSet(t, tableBits, 70, []int32{69, 0})
-		if _, err := s.misses([]int32{bad}); !outside(err) {
+		bitmap, counts, misses := make([]int32, bitmapWords(70)), make([]int32, 3), make([]int32, 3)
+		if err := fillBitmap(bitmap, counts, []int32{5, bad}, 70, 0); !outside(err) {
+			t.Fatalf("filling key %d outside [0, 70): %v", bad, err)
+		}
+		if err := countCarrier(bitmap, counts, misses, []int32{69, bad}, 70); !outside(err) {
 			t.Fatalf("check of key %d outside [0, 70): %v", bad, err)
 		}
-		if err := s.insert(0, []int32{5, bad}); !outside(err) {
-			t.Fatalf("insert of key %d outside [0, 70): %v", bad, err)
+		if err := countCarrier(nil, counts, nil, []int32{0, bad}, 70); !outside(err) {
+			t.Fatalf("count of key %d outside [0, 70): %v", bad, err)
 		}
-	}
-}
-
-// TestLayoutsMatchReferenceOnGeneratedPartitions is the layout check as
-// a property: a join's two sides are generated (uniform and Zipf) and
-// partitioned at several degrees, and in every partition every set form
-// filled with the smaller side's keys must pass the larger side whole,
-// as the reference map table joins the two, either side built.
-func TestLayoutsMatchReferenceOnGeneratedPartitions(t *testing.T) {
-	p := join(leaf("A", 3000), leaf("B", 700))
-	for _, skew := range []float64{0, 1.4} {
-		ds, err := GenerateOpts(p, GenOptions{Seed: 23, SkewS: skew})
-		if err != nil {
-			t.Fatal(err)
-		}
-		domain := ds.joins[p].domain
-		for _, n := range []int{1, 3, 8, 16, 64} {
-			ar := getArena()
-			big, err := radixPartition(ar, ds, p, stream{leaf: 0, n: 3000}, n)
-			if err != nil {
-				t.Fatal(err)
-			}
-			small, err := radixPartition(ar, ds, p, stream{leaf: 1, n: 700}, n)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for k := 0; k < n; k++ {
-				// A carrier key's position in the partitioning stands
-				// in for its row: positions are distinct, as rows are.
-				pos := make([]int32, big.size(k))
-				for i := range pos {
-					pos[i] = big.starts[k] + int32(i)
-				}
-				checkAgainstReference(t, domain, small.keys(k), big.keys(k), pos)
-			}
-			big.release(ar)
-			small.release(ar)
-			putArena(ar)
-		}
-	}
-}
-
-// TestOpenAddressingSpreadsWithinPartition bounds the mean distance of
-// an entry from its home slot when the table holds one partition of a
-// run of sequential keys at a power-of-two degree. The exchange picked
-// the partition by the same hash mod n, so the partition's keys agree
-// on the hash's low log2(n) bits; taking the home slot from those bits
-// left 1/n of the slots as homes and a mean displacement of 1.5 at
-// n = 8 and 3.5 at n = 16, where the high bits give 0.00 and 0.05.
-func TestOpenAddressingSpreadsWithinPartition(t *testing.T) {
-	for _, n := range []int{8, 16} {
-		for part := 0; part < n; part++ {
-			var keys []int32
-			for key := int32(0); key < 1<<16; key++ {
-				if partitionOf(key, n) == part {
-					keys = append(keys, key)
-				}
-			}
-			s := fillSet(t, tableOA, 1<<16, keys)
-			steps := 0
-			for j, key := range s.keys {
-				if key >= 0 {
-					steps += int((uint32(j) - s.home(key)) & s.mask)
-				}
-			}
-			if mean := float64(steps) / float64(len(keys)); mean > 0.25 {
-				t.Errorf("n = %d partition %d: %d keys sit %.2f slots from home on average, want <= 0.25",
-					n, part, len(keys), mean)
-			}
-		}
-	}
-}
-
-// TestBitmapOK pins the one layout threshold: a bit per domain key
-// against eight words per build tuple plus a constant.
-func TestBitmapOK(t *testing.T) {
-	if !bitmapOK(32*1024+31, 0) {
-		t.Fatal("small domains should always get a bitmap")
-	}
-	if !bitmapOK(32*(8*1000+1024)+31, 1000) {
-		t.Fatal("boundary domain should get a bitmap")
-	}
-	if bitmapOK(32*(8*1000+1025), 1000) {
-		t.Fatal("past-boundary domain should fall back to open addressing")
-	}
-}
-
-// TestE2EShapeBuildsNoOpenAddressingTable runs the benchmark's
-// query_e2e shape — six joins over relations of 10k to 50k tuples,
-// every operator at degree 16 — and requires every clone's key set,
-// whichever side fills it, to be a bitmap: sizing a clone's table
-// against the whole join's key domain used to send all of them to open
-// addressing.
-func TestE2EShapeBuildsNoOpenAddressingTable(t *testing.T) {
-	p := e2ePlan()
-	ds := MustGenerate(p, 1)
-	met := obs.NewMetrics()
-	e := testEngine()
-	e.Rec = met
-	if _, err := e.Run(ds, degreeSchedule(t, p, 16)); err != nil {
-		t.Fatal(err)
-	}
-	c := met.Snapshot().Counters
-	if c["engine.tables_oa"] != 0 || c["engine.tables_bits"] != 6*16 {
-		t.Fatalf("key sets: %d bits, %d open-addressing; want 96 bitmaps and no open addressing",
-			c["engine.tables_bits"], c["engine.tables_oa"])
 	}
 }
 
@@ -449,8 +365,8 @@ func placedOp(t *testing.T, s *sched.Schedule, kind costmodel.OpKind) *plan.Oper
 // stored the join's state: the run's cleanup must hand its buffers back
 // to the arena with everything else, so a clean run of the same plan
 // straight after allocates nothing. The join's build side is its larger
-// operand, so its stored partitioning is the largest buffer of the run
-// and no other free buffer can stand in for it.
+// operand, so the build keeps its counts and the probe has filled the
+// join's bitmap, the largest buffer of the run, before the fault.
 func TestFailedRunReturnsTablesToArena(t *testing.T) {
 	p := join(leaf("A", 8000), leaf("B", 20000))
 	ds := MustGenerate(p, 71)
@@ -468,8 +384,8 @@ func TestFailedRunReturnsTablesToArena(t *testing.T) {
 
 // TestCardinalityFailureReturnsResultToArena fails a run on the join's
 // cardinality check, after the probe has checked its carrier keys: the
-// probe must hand back its partitioning and the join's sets, so a clean
-// run straight after allocates nothing.
+// probe must hand back its counts and the join's bitmap, so a clean run
+// straight after allocates nothing.
 func TestCardinalityFailureReturnsResultToArena(t *testing.T) {
 	p := join(leaf("A", 8000), leaf("B", 20000))
 	ds := MustGenerate(p, 71)
@@ -488,10 +404,10 @@ func TestCardinalityFailureReturnsResultToArena(t *testing.T) {
 }
 
 // TestRepeatedSmallerSideKeyIsAnError plants a repeated key in a join's
-// smaller operand, which fills the key sets from the build side under an
-// outer carrier and from the probe side under an inner one. The run
-// must fail in that operator with a *DuplicateKeyError naming the join
-// and the key, and give its buffers back to the arena.
+// smaller operand, which fills the join's bitmap from the build side
+// under an outer carrier and from the probe side under an inner one. The
+// run must fail in that operator with a *DuplicateKeyError naming the
+// join and the key, and give its buffers back to the arena.
 func TestRepeatedSmallerSideKeyIsAnError(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -567,11 +483,12 @@ func TestArenaReuse(t *testing.T) {
 // TestWarmRunsStopAllocating is the arena's end-to-end payoff: after
 // cold runs prime the pooled buffers, repeat runs allocate a small,
 // plan-size-independent amount — the Report itself and fixed
-// per-operator bookkeeping, where the reference path allocates
-// O(tuples) per operator. The ceilings are about 1.25× what a warm run
-// read once streams became carrier rows (117 on the 8-join chain at
-// P = 8, 95 on the query_e2e shape at P = 16), and whole-leaf streams
-// read the same. Streams of (leaf, row)
+// per-run bookkeeping, where the reference path allocates O(tuples)
+// per operator. The ceilings are about 1.25× what a warm run read once
+// the exchanges counted instead of scattering and the meters came from
+// one slab per run (30 on the 8-join chain at P = 8, 28 on the
+// query_e2e shape at P = 16). Per-clone key sets and three meter
+// allocations per operator read 117 and 95; streams of (leaf, row)
 // tuples read 128 and 104 with the clones running serially; the clone
 // fan-out that preceded them read 378 and 293 at GOMAXPROCS 2 (277 and
 // 217 at 1, as AllocsPerRun measures), and the serial mode beside it
@@ -583,8 +500,8 @@ func TestWarmRunsStopAllocating(t *testing.T) {
 		sites int
 		max   float64
 	}{
-		{"chain8", chainPlan([]int{5000, 2000, 7000, 1200, 6400, 2800, 9000, 3300, 7500}), 8, 146},
-		{"e2e", e2ePlan(), 16, 119},
+		{"chain8", chainPlan([]int{5000, 2000, 7000, 1200, 6400, 2800, 9000, 3300, 7500}), 8, 38},
+		{"e2e", e2ePlan(), 16, 35},
 	} {
 		ds := MustGenerate(c.plan, 71)
 		s := scheduleFor(t, c.plan, c.sites)

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"mdrs/internal/obs"
 	"mdrs/internal/plan"
 	"mdrs/internal/query"
 	"mdrs/internal/sched"
@@ -34,9 +33,8 @@ func degreeSchedule(t *testing.T, p *query.PlanNode, degree int) *sched.Schedule
 }
 
 // TestDegree512JoinMatchesReference runs whole joins at degree 512 over
-// a key domain of 10⁵ — partitions of some two hundred tuples, for
-// which even a bit per domain key is too much, forcing the
-// open-addressing fallback (filled by the build under the outer
+// a key domain of 10⁵ — partitions of some two hundred tuples, and one
+// bitmap of 12.5 KB for the join (filled by the build under the outer
 // carrier, by the probe under the inner one) — and checks the flat path
 // still mirrors the reference executor exactly.
 func TestDegree512JoinMatchesReference(t *testing.T) {
@@ -53,10 +51,7 @@ func TestDegree512JoinMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		met := obs.NewMetrics()
-		flat := testEngine()
-		flat.Rec = met
-		repFlat, err := flat.Run(ds, s)
+		repFlat, err := testEngine().Run(ds, s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,21 +61,16 @@ func TestDegree512JoinMatchesReference(t *testing.T) {
 		if !reflect.DeepEqual(repRef, repFlat) {
 			t.Fatalf("%s: reports diverge at degree %d:\nref:  %+v\nflat: %+v", name, degree, repRef, repFlat)
 		}
-		if c := met.Snapshot().Counters; c["engine.tables_oa"] != degree {
-			t.Fatalf("%s: %d of %d key sets open-addressing (%d bits); the test no longer reaches the fallback",
-				name, c["engine.tables_oa"], degree, c["engine.tables_bits"])
-		}
 	}
 }
 
-// TestCarrierKeyMissIsACardinalityError plants a carrier key that its
-// clone's key set lacks, on TestDegree512JoinMatchesReference's
-// open-addressing joins: one key v of the smaller operand moves past
-// the key domain (open addressing checks no domain on insert), so the
-// one carrier row whose key is v finds no match. The run must fail with
-// the join's cardinality error, word for word as the reference executor
-// does, and give every buffer back to the arena, so a clean run straight
-// after allocates nothing.
+// TestCarrierKeyMissIsACardinalityError plants a carrier key that the
+// join's bitmap lacks, on TestDegree512JoinMatchesReference's joins:
+// the key domain grows by one and one key v of the smaller operand
+// moves to the new last key, so the one carrier row whose key is v finds
+// no match. The run must fail with the join's cardinality error, word
+// for word as the reference executor does, and give every buffer back
+// to the arena, so a clean run straight after allocates nothing.
 func TestCarrierKeyMissIsACardinalityError(t *testing.T) {
 	const degree = 512
 	for name, p := range map[string]*query.PlanNode{
@@ -110,9 +100,11 @@ func TestCarrierKeyMissIsACardinalityError(t *testing.T) {
 		v := int32(slices.Index(count, 1)) // a key exactly one carrier row holds
 		col := jc.cols[si]
 		at := slices.Index(col, v)
-		col[at] = int32(jc.domain) + v
+		col[at] = int32(jc.domain)
+		jc.domain++
 		_, errRef := reference(testEngine()).Run(ds, s)
 		_, err = runAllocs(testEngine(), ds, s)
+		jc.domain--
 		col[at] = v
 		want := fmt.Sprintf("produced %d tuples, expected %d", carrier.Tuples-1, carrier.Tuples)
 		if err == nil || !strings.Contains(err.Error(), want) || errRef == nil || err.Error() != errRef.Error() {

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -17,8 +18,8 @@ import (
 
 // chainPlan builds a left-deep chain over the given leaf sizes. Mixing
 // ascending and descending sizes flips the carrier side join by join,
-// so both arms execute: the build fills the key sets (outer carrier)
-// and the probe fills them (inner carrier).
+// so both arms execute: the build fills the bitmap (outer carrier)
+// and the probe fills it (inner carrier).
 func chainPlan(sizes []int) *query.PlanNode {
 	p := leaf("L0", sizes[0])
 	for i := 1; i < len(sizes); i++ {
@@ -245,21 +246,97 @@ func fuzzPlan(joins int, sizes, merges []byte) *query.PlanNode {
 	return forest[0]
 }
 
+// carrierLeaf returns the leaf whose rows a subtree's output carries.
+func carrierLeaf(n *query.PlanNode) *query.PlanNode {
+	for !n.IsLeaf() {
+		if OuterIsCarrier(n) {
+			n = n.Outer
+		} else {
+			n = n.Inner
+		}
+	}
+	return n
+}
+
+// corrupt plants one fault, picked by the low two bits of fault, in the
+// key columns of one join of ds, picked with the position by the rest:
+// 0 plants none; 1 repeats a key of the smaller operand; 2 grows the key
+// domain by one and moves a smaller-side key to the new last key, so
+// the carrier rows holding the old key miss; 3 moves a carrier key
+// outside the domain.
+func corrupt(t *testing.T, ds *Dataset, fault uint8) {
+	t.Helper()
+	kind, at := fault&3, int(fault>>2)
+	if kind == 0 {
+		return
+	}
+	var joins []*query.PlanNode
+	var walk func(n *query.PlanNode)
+	walk = func(n *query.PlanNode) {
+		if !n.IsLeaf() {
+			joins = append(joins, n)
+			walk(n.Outer)
+			walk(n.Inner)
+		}
+	}
+	walk(ds.Plan)
+	j := joins[at%len(joins)]
+	carrier, small := j.Outer, j.Inner
+	if !OuterIsCarrier(j) {
+		carrier, small = small, carrier
+	}
+	side := small
+	if kind == 3 {
+		side = carrier
+	}
+	li, err := ds.LeafIndex(carrierLeaf(side))
+	if err != nil {
+		t.Fatal(err)
+	}
+	jc := ds.joins[j]
+	col := jc.cols[li]
+	i := at % len(col)
+	switch kind {
+	case 1:
+		col[(i+1)%len(col)] = col[i] // a one-row side repeats nothing
+	case 2:
+		col[i] = int32(jc.domain)
+		jc.domain++
+	case 3:
+		col[i] = int32(jc.domain) + int32(at)
+		if at%2 == 1 {
+			col[i] = -int32(at)
+		}
+	}
+}
+
 // FuzzFlatMatchesReference is the identity corpus as a generator: over
 // random plan shapes (1–6 joins), leaf sizes, site counts, skews and
-// expansions the flat data path and the reference executor must return
-// equal Reports, or fail with the same error, and a run that passes must
-// give the metering oracle's Report too. The skew argument's low
-// three bits pick the Zipf exponent and its bit 3 the materialized
-// expansion, whose Store operators pass their input's rows on.
+// expansions, with or without a fault planted in the data, the flat
+// data path must agree with the reference executor. The skew argument's
+// low three bits pick the Zipf exponent and its bit 3 the materialized
+// expansion, whose Store operators pass their input's rows on; fault
+// picks what corrupt plants. The contract:
+//   - when the reference fails, the flat path fails too, with the same
+//     error unless the fault breaks the smaller side's distinct keys or
+//     the domain (a carrier miss inside the domain fails both on the
+//     join's cardinality check, word for word);
+//   - when only the flat path fails, its error is a *DuplicateKeyError:
+//     the semi-join's precondition, stricter than the hash join by
+//     design;
+//   - when both pass, the Reports are equal, and so is the metering
+//     oracle's.
 func FuzzFlatMatchesReference(f *testing.F) {
 	// The four shapes of identityPlans, chain8 cut to the six-join
-	// ceiling; the first argument is joins-1.
-	f.Add(uint8(2), []byte{100, 37, 150, 55}, []byte{0}, uint8(3), uint8(0), int64(71))
-	f.Add(uint8(5), []byte{125, 50, 175, 30, 160, 70, 225}, []byte{0}, uint8(7), uint8(3), int64(71))
-	f.Add(uint8(2), []byte{100, 37, 87, 22}, []byte{0, 1, 0}, uint8(7), uint8(0), int64(71))
-	f.Add(uint8(1), []byte{25, 150, 50}, []byte{255}, uint8(3), uint8(3), int64(71))
-	f.Fuzz(func(t *testing.T, joins uint8, sizes, merges []byte, sites, skew uint8, seed int64) {
+	// ceiling; the first argument is joins-1. Then one seed per fault.
+	f.Add(uint8(2), []byte{100, 37, 150, 55}, []byte{0}, uint8(3), uint8(0), int64(71), uint8(0))
+	f.Add(uint8(5), []byte{125, 50, 175, 30, 160, 70, 225}, []byte{0}, uint8(7), uint8(3), int64(71), uint8(0))
+	f.Add(uint8(2), []byte{100, 37, 87, 22}, []byte{0, 1, 0}, uint8(7), uint8(0), int64(71), uint8(0))
+	f.Add(uint8(1), []byte{25, 150, 50}, []byte{255}, uint8(3), uint8(3), int64(71), uint8(0))
+	f.Add(uint8(2), []byte{100, 37, 150, 55}, []byte{0}, uint8(3), uint8(0), int64(71), uint8(1))
+	f.Add(uint8(2), []byte{100, 37, 87, 22}, []byte{0, 1, 0}, uint8(7), uint8(0), int64(71), uint8(6))
+	f.Add(uint8(1), []byte{25, 150, 50}, []byte{255}, uint8(3), uint8(3), int64(71), uint8(11))
+	f.Fuzz(func(t *testing.T, joins uint8, sizes, merges []byte, sites, skew uint8, seed int64, fault uint8) {
 		p := fuzzPlan(1+int(joins)%6, sizes, merges)
 		opts := GenOptions{Seed: seed}
 		if s := skew % 8; s > 0 {
@@ -269,6 +346,7 @@ func FuzzFlatMatchesReference(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		corrupt(t, ds, fault)
 		expand := plan.Expand
 		if skew&8 != 0 {
 			expand = plan.ExpandMaterialized
@@ -281,9 +359,19 @@ func FuzzFlatMatchesReference(f *testing.F) {
 
 		repRef, errRef := reference(testEngine()).Run(ds, s)
 		repFlat, errFlat := testEngine().Run(ds, s)
-		if errRef != nil || errFlat != nil {
-			if errRef == nil || errFlat == nil || errRef.Error() != errFlat.Error() {
+		switch kind := fault & 3; {
+		case errRef != nil:
+			if errFlat == nil {
+				t.Fatalf("the reference fails with %v, the flat path passes", errRef)
+			}
+			if (kind == 0 || kind == 2) && errRef.Error() != errFlat.Error() {
 				t.Fatalf("errors diverge:\nref:  %v\nflat: %v", errRef, errFlat)
+			}
+			return
+		case errFlat != nil:
+			var dup *DuplicateKeyError
+			if !errors.As(errFlat, &dup) {
+				t.Fatalf("only the flat path fails, with %v; want a DuplicateKeyError", errFlat)
 			}
 			return
 		}

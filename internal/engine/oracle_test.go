@@ -3,9 +3,9 @@
 // (the foreign-key rule of data.go), so every meter is a function of
 // counts — how many of an exchange's keys hash to each clone, and each
 // scan's and store's range sizes — and the oracle computes them with one
-// partitionBy-and-count pass per exchange: no scatter, no key set, no
-// row. It shares no join code with either executor, and its run time is
-// the floor under any engine that must produce the same Report.
+// partitionBy-and-count pass per exchange: no bitmap, no check, no row.
+// It shares no join code with either executor, and its run time is the
+// floor under any engine that must produce the same Report by counting.
 package engine
 
 import (

@@ -57,6 +57,13 @@ func reference(e Engine) Engine {
 	return e
 }
 
+// newMeters builds n fresh meters with the coordinator's startup
+// charged, as meterSlab.take does, for the executors that build their
+// meters per operator: the reference executor and the metering oracle.
+func newMeters(n int, p costmodel.Params) []*cloneMeter {
+	return new(meterSlab).take(n, p)
+}
+
 // runOperatorRef executes one placed operator through the reference
 // data path and returns its per-clone meters (aligned with pl.Sites).
 func (e Engine) runOperatorRef(pl *sched.OpPlacement, ds *Dataset,
@@ -237,8 +244,8 @@ func partitionOf(key int32, n int) int {
 // partitionByKey hash-partitions tuples on their key for the given join
 // into n buckets with the reference path's append-per-tuple loop and
 // per-tuple ds.Key map lookup. Build and probe use the same function,
-// so matching keys always co-locate. radixPartition reproduces its
-// partition contents and order exactly.
+// so matching keys always co-locate. The flat path's exchanges count
+// exactly its partitions' sizes.
 func partitionByKey(ds *Dataset, in []Tuple, join *query.PlanNode, n int) ([][]Tuple, error) {
 	parts := make([][]Tuple, n)
 	for _, t := range in {

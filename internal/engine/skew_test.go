@@ -20,27 +20,26 @@ func TestSkewedRunDriftsAbovePrediction(t *testing.T) {
 	}
 	s := scheduleFor(t, p, sites)
 
-	// Partition the probe side (leaf A, the larger operand) by the
-	// join key, exactly as the probe operator will, and record the
-	// imbalance: max partition size over mean partition size.
+	// Count the probe side (leaf A, the larger operand) per clone with
+	// the probe's own exchange and record the imbalance: max partition
+	// size over mean partition size.
 	aIdx, err := ds.LeafIndex(p.Outer)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ar := getArena()
-	rp, err := radixPartition(ar, ds, p, stream{leaf: aIdx, n: 40000}, sites)
+	col, domain, err := keyColumn(ds, p, stream{leaf: aIdx, n: 40000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	maxSz, total := 0, 0
-	for k := 0; k < sites; k++ {
-		if rp.size(k) > maxSz {
-			maxSz = rp.size(k)
-		}
-		total += rp.size(k)
+	counts := make([]int32, sites)
+	if err := countCarrier(nil, counts, nil, col, domain); err != nil {
+		t.Fatal(err)
 	}
-	rp.release(ar)
-	putArena(ar)
+	maxSz, total := 0, 0
+	for _, c := range counts {
+		maxSz = max(maxSz, int(c))
+		total += int(c)
+	}
 	if total != 40000 {
 		t.Fatalf("partitions cover %d of 40000 tuples", total)
 	}

@@ -82,8 +82,13 @@ func MustOverlap(eps float64) Overlap {
 
 // TSeq returns T^seq(W̄) = ε·max + (1−ε)·sum, the sequential execution
 // time of an operator (clone) with demands w running alone on a site.
-func (o Overlap) TSeq(w vector.Vector) float64 {
-	return float64(o.Epsilon*w.Length()) + float64((1-o.Epsilon)*w.Sum())
+func (o Overlap) TSeq(w vector.Vector) float64 { return o.TMaxSum(w.Length(), w.Sum()) }
+
+// TMaxSum is T^seq of a work vector given its largest component and
+// its sum: ε·max + (1−ε)·sum, each product rounded before the add so
+// that no compiler fuses them. It is the one spelling of the formula.
+func (o Overlap) TMaxSum(max, sum float64) float64 {
+	return float64(o.Epsilon*max) + float64((1-o.Epsilon)*sum)
 }
 
 // TSite returns T^site per Equation 2 for one site holding the given
