@@ -62,8 +62,9 @@ test:
 # The one concurrency gate: every package's tests, fresh (-count=1)
 # under the race detector. The hammers over shared state (recorders,
 # serve cache/batching/controller/Close, concurrent scheduling calls and
-# plan searches, the experiments trial pool, the memoized Schedule.JSON)
-# are ordinary tests of their packages, so they all run here.
+# plan searches, concurrent engine runs over the engine's recycled run
+# states, the experiments trial pool, the memoized Schedule.JSON) are
+# ordinary tests of their packages, so they all run here.
 race:
 	$(GO) test -race -count=1 ./...
 

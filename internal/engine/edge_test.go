@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"strings"
 	"testing"
 
 	"mdrs/internal/costmodel"
@@ -34,6 +35,27 @@ func TestRunRejectsBadSchedules(t *testing.T) {
 	}}
 	if _, err := eng.Run(ds, s); err == nil {
 		t.Error("rootless schedule accepted")
+	}
+
+	// Negative operator and join IDs, which would index the run state.
+	for _, c := range []struct {
+		kind costmodel.OpKind
+		set  func(*plan.Operator)
+		want string
+	}{
+		{costmodel.Probe, func(op *plan.Operator) { op.ID = -1 }, "operator ID -1 < 0"},
+		{costmodel.Build, func(op *plan.Operator) { op.JoinID = -1 }, "join ID -1 < 0"},
+	} {
+		s = scheduleFor(t, p, 2)
+		c.set(placedOp(t, s, c.kind))
+		if _, err := eng.Run(ds, s); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%v with a negative ID: got %v, want %q", c.kind, err, c.want)
+		}
+	}
+
+	// No dataset.
+	if _, err := eng.Run(nil, scheduleFor(t, p, 2)); err == nil || err.Error() != "engine: nil dataset" {
+		t.Errorf("nil dataset: got %v", err)
 	}
 }
 
@@ -164,7 +186,8 @@ func TestResultContentIsExactlyTheCarrierRelation(t *testing.T) {
 		}
 		// Re-run the dataflow manually to inspect the root output.
 		eng := testEngine()
-		st := newRunState(4)
+		st := new(runState)
+		st.reset(4, 1) // four operators, one join
 		rep := &Report{JoinResults: map[int]int{}}
 		for _, ph := range s.Phases {
 			for _, pl := range ph.Placements {
@@ -173,7 +196,6 @@ func TestResultContentIsExactlyTheCarrierRelation(t *testing.T) {
 				}
 			}
 		}
-		outputs := st.outputs
 		var root *plan.Operator
 		for _, ph := range s.Phases {
 			for _, pl := range ph.Placements {
@@ -182,7 +204,7 @@ func TestResultContentIsExactlyTheCarrierRelation(t *testing.T) {
 				}
 			}
 		}
-		result := outputs[root]
+		result := st.outputs[root.ID]
 		carrier := p.Outer
 		if p.Inner.Tuples > p.Outer.Tuples {
 			carrier = p.Inner

@@ -4,7 +4,9 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"runtime"
 	"slices"
+	"sync"
 	"time"
 
 	"mdrs/internal/costmodel"
@@ -25,9 +27,9 @@ type Engine struct {
 	// Deprecated: ignored; clones run serially. Kept only because the
 	// frozen bench/ assigns it (ROADMAP 1a).
 	Parallel bool
-	// Rec, when non-nil, receives execution counters (tuples, clone
-	// runs, arena reuse/alloc tallies), the run/phase timers, and
-	// exec_phase trace events. Nil disables recording.
+	// Rec, when non-nil, receives execution counters (runs, tuples,
+	// clone runs), the run/phase timers, and exec_phase trace events.
+	// Nil disables recording.
 	Rec obs.Recorder
 
 	// failClone, when non-nil, is consulted before every clone body runs
@@ -144,23 +146,110 @@ func (ms *meterSlab) take(n int, p costmodel.Params) []*cloneMeter {
 	return meters
 }
 
-// runState is the per-run execution state: the dataflow outputs, the
-// joins in flight, the buffer arena their bitmaps and counts recycle
-// through, and the operators' meters.
+// runState is everything a run needs besides its Report, recycled
+// whole from one run to the next: each operator's output stream and
+// whether the run has placed it, indexed by operator ID (dense from 0
+// within a tree); the joins, indexed by join ID, each keeping its
+// bitmap and counts buffers; a probe's per-clone counts and misses; the
+// meters; the phase's site system; and the scratch each phase's
+// placements are sorted in. Buffers only grow, so a warm run of a plan
+// no larger than one before it allocates none of them. A run owns its
+// state alone and executes on one goroutine, clone bodies included.
 type runState struct {
-	// outputs holds each operator's stream until its consumer has read
-	// it.
-	outputs map[*plan.Operator]stream
-	ar      *arena
-	tables  map[int]*joinState
+	outputs []stream
+	placed  []bool
+	joins   []joinState
+	probe   []int32
 	meters  meterSlab
+	sys     *resource.System
+	order   []*sched.OpPlacement
 }
 
-func newRunState(nOps int) *runState {
-	return &runState{
-		outputs: make(map[*plan.Operator]stream, nOps),
-		ar:      getArena(),
-		tables:  make(map[int]*joinState),
+// reset readies the state for a run of operator IDs below ops and join
+// IDs below joins: no operator placed, no stream, no join built.
+func (st *runState) reset(ops, joins int) {
+	st.outputs = grow(st.outputs, ops)
+	clear(st.outputs)
+	st.placed = grow(st.placed, ops)
+	clear(st.placed)
+	st.joins = grow(st.joins, joins)
+	for i := range st.joins {
+		st.joins[i].degree = 0
+	}
+}
+
+// input returns the stream feeding op: its pipeline producer's output,
+// or no stream when no placement of the run has produced it.
+func (st *runState) input(op *plan.Operator) (stream, error) {
+	prod, err := producerOf(op)
+	if err != nil || uint(prod.ID) >= uint(len(st.outputs)) {
+		return stream{}, err
+	}
+	return st.outputs[prod.ID], nil
+}
+
+// system returns the state's site system for p sites under ov, empty:
+// reset, or rebuilt when p or ov is not what it was built for.
+func (st *runState) system(p int, ov resource.Overlap) *resource.System {
+	if st.sys == nil || st.sys.P() != p || st.sys.Overlap() != ov {
+		st.sys = resource.NewSystem(p, resource.Dims, ov)
+	} else {
+		st.sys.Reset()
+	}
+	return st.sys
+}
+
+// grow returns b resliced to length n, reallocated only when n exceeds
+// its capacity. What the first n elements hold is unspecified.
+func grow[T any](b []T, n int) []T {
+	if n > cap(b) {
+		return make([]T, n)
+	}
+	return b[:n]
+}
+
+// idle holds the run states no run is using, at most GOMAXPROCS of them
+// (more runs than that gain nothing from running at once). It is a
+// plain free list and not a sync.Pool, which loses what it is there to
+// keep: a Pool is emptied by every second garbage collection and hides
+// an item put back on one P from a Get on another, and a query that
+// generates or loads its data between two runs collects and migrates
+// all the time — with a Pool, four runs in ten of a run-after-generate
+// loop started on a brand-new state and allocated every buffer again.
+// The price is that a state's buffers stay allocated for the life of
+// the process.
+var idle struct {
+	sync.Mutex
+	states []*runState
+}
+
+// getRunState hands out an idle run state, or a new one.
+func getRunState() *runState {
+	idle.Lock()
+	defer idle.Unlock()
+	n := len(idle.states)
+	if n == 0 {
+		return new(runState)
+	}
+	st := idle.states[n-1]
+	idle.states[n-1] = nil
+	idle.states = idle.states[:n-1]
+	return st
+}
+
+// putRunState takes back the state of a finished run, first dropping
+// its references into the run's schedule and dataset (all the way to
+// the slices' capacity) so that an idle state keeps neither alive.
+func putRunState(st *runState) {
+	clear(st.order[:cap(st.order)])
+	joins := st.joins[:cap(st.joins)]
+	for i := range joins {
+		joins[i].col = nil
+	}
+	idle.Lock()
+	defer idle.Unlock()
+	if len(idle.states) < runtime.GOMAXPROCS(0) {
+		idle.states = append(idle.states, st)
 	}
 }
 
@@ -183,15 +272,19 @@ func (e Engine) RunCtx(ctx context.Context, ds *Dataset, s *sched.Schedule) (*Re
 	if s == nil {
 		return nil, fmt.Errorf("engine: nil schedule")
 	}
+	if ds == nil {
+		return nil, fmt.Errorf("engine: nil dataset")
+	}
 	if s.P <= 0 {
 		return nil, fmt.Errorf("engine: non-positive site count %d", s.P)
 	}
 	e.ctx = ctx
 	// The schedule carries the operator tree; locate the root (the one
-	// operator with no consumer) and check every placement before any
+	// operator with no consumer), size the run state by the largest
+	// operator and join IDs, and check every placement before any
 	// operator runs.
 	var root *plan.Operator
-	nOps := 0
+	nOps, nIDs, nJoins := 0, 0, 0
 	for i, ph := range s.Phases {
 		if ph == nil {
 			return nil, fmt.Errorf("engine: phase %d is nil", i)
@@ -204,6 +297,8 @@ func (e Engine) RunCtx(ctx context.Context, ds *Dataset, s *sched.Schedule) (*Re
 				return nil, fmt.Errorf("engine: %s: %w", pl.Op.Name, err)
 			}
 			nOps++
+			nIDs = max(nIDs, pl.Op.ID+1)
+			nJoins = max(nJoins, pl.Op.JoinID+1) // a scan's or store's is -1
 			if pl.Op.Consumer == nil {
 				if root != nil {
 					return nil, fmt.Errorf("engine: schedule has two root operators")
@@ -223,7 +318,8 @@ func (e Engine) RunCtx(ctx context.Context, ds *Dataset, s *sched.Schedule) (*Re
 		Operators:      make([]OpReport, 0, nOps),
 		Predicted:      s.Response,
 	}
-	st := newRunState(nOps)
+	st := getRunState()
+	st.reset(nIDs, nJoins)
 	runOp := Engine.runOperator
 	if e.runOp != nil {
 		runOp = e.runOp
@@ -233,16 +329,8 @@ func (e Engine) RunCtx(ctx context.Context, ds *Dataset, s *sched.Schedule) (*Re
 		if e.Rec != nil {
 			e.Rec.Count("engine.runs", 1)
 			e.Rec.Observe("engine.run_seconds", time.Since(start).Seconds())
-			e.Rec.Count("engine.arena_reuses", st.ar.reuses)
-			e.Rec.Count("engine.arena_allocs", st.ar.allocs)
 		}
-		// Reclaim the joins a failed or cancelled run left unprobed,
-		// then hand the arena to the next run.
-		for _, js := range st.tables {
-			js.release(st.ar)
-		}
-		st.ar.resetStats()
-		putArena(st.ar)
+		putRunState(st)
 	}()
 
 	for phaseIdx, ph := range s.Phases {
@@ -250,15 +338,19 @@ func (e Engine) RunCtx(ctx context.Context, ds *Dataset, s *sched.Schedule) (*Re
 			return nil, err
 		}
 		stop := obs.StartTimer(e.Rec, "engine.phase_seconds")
-		sys := resource.NewSystem(s.P, resource.Dims, e.Overlap)
+		sys := st.system(s.P, e.Overlap)
 		// Producers have smaller IDs than consumers (post-order
 		// expansion), so ID order is a valid pipeline topological order.
-		placements := slices.Clone(ph.Placements)
-		slices.SortFunc(placements, func(a, b *sched.OpPlacement) int {
+		st.order = append(st.order[:0], ph.Placements...)
+		slices.SortFunc(st.order, func(a, b *sched.OpPlacement) int {
 			return cmp.Compare(a.Op.ID, b.Op.ID)
 		})
 
-		for _, pl := range placements {
+		for _, pl := range st.order {
+			if st.placed[pl.Op.ID] {
+				return nil, fmt.Errorf("engine: schedule places %s twice", pl.Op.Name)
+			}
+			st.placed[pl.Op.ID] = true
 			meters, err := runOp(e, pl, ds, st, rep)
 			if err != nil {
 				return nil, fmt.Errorf("engine: %s: %w", pl.Op.Name, err)
@@ -278,7 +370,7 @@ func (e Engine) RunCtx(ctx context.Context, ds *Dataset, s *sched.Schedule) (*Re
 				Rooted:    pl.Rooted,
 				Predicted: pl.TPar,
 				Measured:  measured,
-				OutTuples: st.outputs[pl.Op].n,
+				OutTuples: st.outputs[pl.Op.ID].n,
 			})
 		}
 		t := sys.MaxTSite()
@@ -292,7 +384,7 @@ func (e Engine) RunCtx(ctx context.Context, ds *Dataset, s *sched.Schedule) (*Re
 		}
 	}
 
-	rep.ResultTuples = st.outputs[root].n
+	rep.ResultTuples = st.outputs[root.ID].n
 	want := root.Spec.ResultTuples
 	if want == 0 && root.Kind == costmodel.Scan {
 		want = root.Spec.InTuples
@@ -307,7 +399,8 @@ func (e Engine) RunCtx(ctx context.Context, ds *Dataset, s *sched.Schedule) (*Re
 // checkPlacement rejects the malformed-placement shapes that used to
 // fail silently or panic: a degree below one (divide-by-zero in
 // partitionOf, empty splits), a Sites/Degree mismatch and a clone site
-// outside [0, p) (both panics on the meter-to-site zip in Run).
+// outside [0, p) (both panics on the meter-to-site zip in Run), and a
+// negative operator or join ID, which indexes the run state.
 func checkPlacement(pl *sched.OpPlacement, p int) error {
 	if pl.Degree < 1 {
 		return fmt.Errorf("placement degree %d < 1", pl.Degree)
@@ -319,6 +412,12 @@ func checkPlacement(pl *sched.OpPlacement, p int) error {
 		if site < 0 || site >= p {
 			return fmt.Errorf("clone %d at site %d outside [0, %d)", k, site, p)
 		}
+	}
+	if pl.Op.ID < 0 {
+		return fmt.Errorf("operator ID %d < 0", pl.Op.ID)
+	}
+	if k := pl.Op.Kind; (k == costmodel.Build || k == costmodel.Probe) && pl.Op.JoinID < 0 {
+		return fmt.Errorf("join ID %d < 0", pl.Op.JoinID)
 	}
 	return nil
 }
@@ -373,39 +472,37 @@ func (e Engine) runScan(pl *sched.OpPlacement, ds *Dataset, st *runState, meters
 	if err != nil {
 		return err
 	}
-	st.outputs[op] = stream{leaf: leafIdx, n: all}
+	st.outputs[op.ID] = stream{leaf: leafIdx, n: all}
 	obs.Count(e.Rec, "engine.tuples_scanned", int64(all))
 	return nil
 }
 
-// exchange resolves the stream feeding op, its producer, and the
-// stream's key column for op's join with the join's key domain.
-func (e Engine) exchange(op *plan.Operator, ds *Dataset, st *runState) (*plan.Operator, stream, []int32, int, error) {
-	prod, err := producerOf(op)
+// exchange resolves the stream feeding op and the stream's key column
+// for op's join with the join's key domain.
+func exchange(op *plan.Operator, ds *Dataset, st *runState) (stream, []int32, int, error) {
+	in, err := st.input(op)
 	if err != nil {
-		return nil, stream{}, nil, 0, err
+		return stream{}, nil, 0, err
 	}
-	in := st.outputs[prod]
 	col, domain, err := keyColumn(ds, op.Source, in)
-	return prod, in, col, domain, err
+	return in, col, domain, err
 }
 
 // runBuild counts the build side's keys per clone. An outer-carrier
 // build is the join's smaller operand and fills the join's bitmap. An
 // inner-carrier build is the carrier: it keeps its input stream and its
-// counts for its probe.
+// counts for its probe. Nothing streams on from a build: the join's
+// state is its output.
 func (e Engine) runBuild(pl *sched.OpPlacement, ds *Dataset, st *runState, meters []*cloneMeter) error {
 	op, n, p := pl.Op, pl.Degree, e.Model.Params
-	prod, in, col, domain, err := e.exchange(op, ds, st)
+	in, col, domain, err := exchange(op, ds, st)
 	if err != nil {
 		return err
 	}
-	// Registered before its buffers are filled, so a failed run's
-	// cleanup releases them.
-	js := &joinState{degree: n, counts: st.ar.getInt32(n)}
-	st.tables[op.JoinID] = js
+	js := &st.joins[op.JoinID]
+	js.degree, js.counts = n, grow(js.counts, n)
 	if OuterIsCarrier(op.Source) {
-		js.bitmap = st.ar.getInt32(bitmapWords(domain))
+		js.bitmap = grow(js.bitmap, bitmapWords(domain))
 		err = fillBitmap(js.bitmap, js.counts, col, domain, op.JoinID)
 	} else {
 		js.col, js.in = col, in
@@ -425,8 +522,6 @@ func (e Engine) runBuild(pl *sched.OpPlacement, ds *Dataset, st *runState, meter
 	if err != nil {
 		return err
 	}
-	delete(st.outputs, prod)
-	st.outputs[op] = stream{} // the join state is the output; nothing streams on
 	obs.Count(e.Rec, "engine.tuples_built", int64(len(col)))
 	return nil
 }
@@ -443,25 +538,24 @@ func (e Engine) runProbe(pl *sched.OpPlacement, ds *Dataset, st *runState, rep *
 	meters []*cloneMeter) error {
 
 	op, n, p := pl.Op, pl.Degree, e.Model.Params
-	js, ok := st.tables[op.JoinID]
-	if !ok {
+	js := &st.joins[op.JoinID]
+	if js.degree == 0 {
 		return fmt.Errorf("probing join %d before its build", op.JoinID)
 	}
 	if js.degree != n {
 		return fmt.Errorf("probe degree %d != build degree %d", n, js.degree)
 	}
-	prod, in, col, domain, err := e.exchange(op, ds, st)
+	in, col, domain, err := exchange(op, ds, st)
 	if err != nil {
 		return err
 	}
-	buf := st.ar.getInt32(2 * n)
-	defer st.ar.putInt32(buf)
-	counts, misses := buf[:n], buf[n:]
+	st.probe = grow(st.probe, 2*n)
+	counts, misses := st.probe[:n], st.probe[n:]
 	carrier, out := counts, in
 	if OuterIsCarrier(op.Source) {
 		err = countCarrier(js.bitmap, counts, misses, col, domain)
 	} else {
-		js.bitmap = st.ar.getInt32(bitmapWords(domain))
+		js.bitmap = grow(js.bitmap, bitmapWords(domain))
 		if err = fillBitmap(js.bitmap, counts, col, domain, op.JoinID); err == nil {
 			countMisses(js.bitmap, misses, js.col)
 		}
@@ -494,10 +588,8 @@ func (e Engine) runProbe(pl *sched.OpPlacement, ds *Dataset, st *runState, rep *
 	// A stream shortened by misses that the expected cardinality
 	// forgave is no longer its whole leaf, and fails the next exchange.
 	out.n = produced
-	st.outputs[op] = out
-	delete(st.outputs, prod)
-	js.release(st.ar)
-	delete(st.tables, op.JoinID)
+	st.outputs[op.ID] = out
+	js.degree = 0 // the probe consumes the join
 	obs.Count(e.Rec, "engine.tuples_probed", int64(len(col)))
 	obs.Count(e.Rec, "engine.tuples_joined", int64(produced))
 	return nil
@@ -506,11 +598,10 @@ func (e Engine) runProbe(pl *sched.OpPlacement, ds *Dataset, st *runState, rep *
 // runStore meters a materialization, which passes its input stream on.
 func (e Engine) runStore(pl *sched.OpPlacement, st *runState, meters []*cloneMeter) error {
 	op, n, p := pl.Op, pl.Degree, e.Model.Params
-	prod, err := producerOf(op)
+	in, err := st.input(op)
 	if err != nil {
 		return err
 	}
-	in := st.outputs[prod]
 	err = e.eachClone(op, n, func(k int) error {
 		rows := splitContiguous(in.n, n, k)
 		pages := p.Pages(rows)
@@ -524,14 +615,13 @@ func (e Engine) runStore(pl *sched.OpPlacement, st *runState, meters []*cloneMet
 	if err != nil {
 		return err
 	}
-	st.outputs[op] = in
-	delete(st.outputs, prod)
+	st.outputs[op.ID] = in
 	obs.Count(e.Rec, "engine.tuples_stored", int64(in.n))
 	return nil
 }
 
 // producerOf returns the operator whose pipelined output feeds op. A
-// missing producer is an error: reading outputs[nil] instead would
+// missing producer is an error: reading no producer's output instead would
 // silently execute the operator over an empty input and misreport
 // every downstream cardinality.
 func producerOf(op *plan.Operator) (*plan.Operator, error) {

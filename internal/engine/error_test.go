@@ -277,6 +277,28 @@ func TestScheduleDatasetMismatchIsAnError(t *testing.T) {
 	}
 }
 
+// TestDoublePlacementIsAnError places phase 0's first operator a
+// second time, in the same phase and in the last one: the run used to
+// meter the operator twice and return a Report without error. It must
+// fail, naming the operator.
+func TestDoublePlacementIsAnError(t *testing.T) {
+	p := join(leaf("A", 8000), leaf("B", 20000))
+	ds := MustGenerate(p, 71)
+	for _, copyTo := range []string{"first", "last"} {
+		s := scheduleFor(t, p, 8)
+		pl := s.Phases[0].Placements[0]
+		ph := s.Phases[0]
+		if copyTo == "last" {
+			ph = s.Phases[len(s.Phases)-1]
+		}
+		ph.Placements = append(ph.Placements, pl)
+		_, err := testEngine().Run(ds, s)
+		if want := fmt.Sprintf("engine: schedule places %s twice", pl.Op.Name); err == nil || err.Error() != want {
+			t.Fatalf("copy in the %s phase: got %v, want %q", copyTo, err, want)
+		}
+	}
+}
+
 // TestProbeBeforeBuildIsAnError deletes a build placement from the
 // schedule, so its probe finds no hash table.
 func TestProbeBeforeBuildIsAnError(t *testing.T) {

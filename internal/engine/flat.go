@@ -168,23 +168,17 @@ func countMisses(bitmap, misses, col []int32) {
 	}
 }
 
-// joinState is one join in flight, alive from its build until its probe
-// consumes (and releases) it. An outer-carrier build is the join's
-// smaller operand and leaves the filled bitmap; an inner-carrier build
-// is the carrier and leaves its input stream, its key column and its
-// per-clone counts, which its probe checks against the bitmap it fills
-// and whose stream is the probe's output.
+// joinState is one join of a run, built while its degree is not zero:
+// from its build until its probe consumes it. An outer-carrier build is
+// the join's smaller operand and leaves the filled bitmap; an
+// inner-carrier build is the carrier and leaves its input stream, its
+// key column and its per-clone counts, which its probe checks against
+// the bitmap it fills and whose stream is the probe's output. The
+// bitmap and counts buffers stay with the run state from run to run.
 type joinState struct {
 	degree int
 	bitmap []int32
-	counts []int32 // an inner-carrier build's per-clone counts
+	counts []int32 // the build's per-clone counts, an inner carrier's read by its probe
 	col    []int32 // an inner-carrier build's key column
 	in     stream  // an inner-carrier build's input
-}
-
-// release returns the join's arena buffers.
-func (js *joinState) release(ar *arena) {
-	ar.putInt32(js.bitmap)
-	ar.putInt32(js.counts)
-	*js = joinState{}
 }

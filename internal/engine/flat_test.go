@@ -5,12 +5,12 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
 
 	"mdrs/internal/costmodel"
-	"mdrs/internal/obs"
 	"mdrs/internal/plan"
 	"mdrs/internal/query"
 	"mdrs/internal/sched"
@@ -317,27 +317,48 @@ func TestBuildTableLayouts(t *testing.T) {
 	}
 }
 
-// runAllocs runs s over ds and returns the run's error and how many
-// buffers its arena had to allocate.
-func runAllocs(e Engine, ds *Dataset, s *sched.Schedule) (int64, error) {
-	met := obs.NewMetrics()
-	e.Rec = met
+// mallocs runs s over ds with e and returns how many heap allocations
+// that one run made, and its error. It reads runtime.MemStats around
+// the call: testing.AllocsPerRun warms up with a call of its own, which
+// would hide the very run under test. A garbage collection first
+// flushes the per-P allocation caches, whose tiny-object counts reach
+// MemStats only then, so that no earlier run's count lands in this
+// run's window.
+func mallocs(e Engine, ds *Dataset, s *sched.Schedule) (uint64, error) {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
 	_, err := e.Run(ds, s)
-	return met.Snapshot().Counters["engine.arena_allocs"], err
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs, err
 }
 
-// warmArena runs s over ds until the idle arena holds every buffer the
-// run needs, and fails unless a further run allocates none.
-func warmArena(t *testing.T, ds *Dataset, s *sched.Schedule) {
+// warmMallocs runs s over ds until the recycled run state has grown to
+// the plan and returns how many allocations a warm run makes. Until the
+// test ends it holds GOMAXPROCS at 1, as testing.AllocsPerRun does, so
+// that no other goroutine allocates in a run's window; the idle list
+// then keeps one state, the one these runs grow.
+func warmMallocs(t *testing.T, ds *Dataset, s *sched.Schedule) uint64 {
 	t.Helper()
-	for i := 0; i < 4; i++ {
-		n, err := runAllocs(testEngine(), ds, s)
-		if err != nil {
+	procs := runtime.GOMAXPROCS(1)
+	t.Cleanup(func() { runtime.GOMAXPROCS(procs) })
+	var n uint64
+	for i := 0; i < 3; i++ {
+		var err error
+		if n, err = mallocs(testEngine(), ds, s); err != nil {
 			t.Fatal(err)
 		}
-		if i == 3 && n != 0 {
-			t.Fatalf("warm run allocated %d arena buffers, want 0", n)
-		}
+	}
+	return n
+}
+
+// checkCleanRun fails unless a clean run of s over ds, straight after a
+// failed one, allocates exactly as often as a warm run: the failed run
+// handed its whole state back, buffers and all.
+func checkCleanRun(t *testing.T, ds *Dataset, s *sched.Schedule, warm uint64) {
+	t.Helper()
+	if n, err := mallocs(testEngine(), ds, s); err != nil || n != warm {
+		t.Fatalf("clean run after a failed one allocated %d times (error %v), a warm run %d", n, err, warm)
 	}
 }
 
@@ -361,53 +382,50 @@ func placedOp(t *testing.T, s *sched.Schedule, kind costmodel.OpKind) *plan.Oper
 	return found
 }
 
-// TestFailedRunReturnsTablesToArena fails a probe after its build has
-// stored the join's state: the run's cleanup must hand its buffers back
-// to the arena with everything else, so a clean run of the same plan
-// straight after allocates nothing. The join's build side is its larger
+// TestProbeFaultLeavesStateWarm fails a probe after its build has
+// stored the join's state: the failed run must hand its run state back
+// whole, so a clean run of the same plan straight after allocates
+// exactly as often as a warm run. The join's build side is its larger
 // operand, so the build keeps its counts and the probe has filled the
 // join's bitmap, the largest buffer of the run, before the fault.
-func TestFailedRunReturnsTablesToArena(t *testing.T) {
+func TestProbeFaultLeavesStateWarm(t *testing.T) {
 	p := join(leaf("A", 8000), leaf("B", 20000))
 	ds := MustGenerate(p, 71)
 	s := scheduleFor(t, p, 8)
-	warmArena(t, ds, s)
+	warm := warmMallocs(t, ds, s)
 	failing := testEngine()
 	failing.failClone = failCloneOn(costmodel.Probe, 0)
-	if _, err := runAllocs(failing, ds, s); err == nil {
+	if _, err := failing.Run(ds, s); err == nil {
 		t.Fatal("injected probe fault was swallowed")
 	}
-	if n, err := runAllocs(testEngine(), ds, s); err != nil || n != 0 {
-		t.Fatalf("clean run after a failed one allocated %d arena buffers (error %v), want 0", n, err)
-	}
+	checkCleanRun(t, ds, s, warm)
 }
 
-// TestCardinalityFailureReturnsResultToArena fails a run on the join's
-// cardinality check, after the probe has checked its carrier keys: the
-// probe must hand back its counts and the join's bitmap, so a clean run
-// straight after allocates nothing.
-func TestCardinalityFailureReturnsResultToArena(t *testing.T) {
+// TestCardinalityFailureLeavesStateWarm fails a run on the join's
+// cardinality check, after the probe has checked its carrier keys: a
+// clean run straight after must allocate exactly as often as a warm
+// run.
+func TestCardinalityFailureLeavesStateWarm(t *testing.T) {
 	p := join(leaf("A", 8000), leaf("B", 20000))
 	ds := MustGenerate(p, 71)
 	s := scheduleFor(t, p, 8)
-	warmArena(t, ds, s)
+	warm := warmMallocs(t, ds, s)
 	probe := placedOp(t, s, costmodel.Probe)
 	probe.Spec.ResultTuples++
-	_, err := runAllocs(testEngine(), ds, s)
+	_, err := testEngine().Run(ds, s)
 	probe.Spec.ResultTuples--
 	if err == nil || !strings.Contains(err.Error(), "produced 20000 tuples, expected 20001") {
 		t.Fatalf("run against a perturbed cardinality gave %v, want the join's cardinality error", err)
 	}
-	if n, err := runAllocs(testEngine(), ds, s); err != nil || n != 0 {
-		t.Fatalf("clean run after a failed one allocated %d arena buffers (error %v), want 0", n, err)
-	}
+	checkCleanRun(t, ds, s, warm)
 }
 
 // TestRepeatedSmallerSideKeyIsAnError plants a repeated key in a join's
 // smaller operand, which fills the join's bitmap from the build side
 // under an outer carrier and from the probe side under an inner one. The
 // run must fail in that operator with a *DuplicateKeyError naming the
-// join and the key, and give its buffers back to the arena.
+// join and the key, and a clean run straight after must allocate
+// exactly as often as a warm run.
 func TestRepeatedSmallerSideKeyIsAnError(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -421,7 +439,7 @@ func TestRepeatedSmallerSideKeyIsAnError(t *testing.T) {
 			p := c.plan
 			ds := MustGenerate(p, 5)
 			s := scheduleFor(t, p, 8)
-			warmArena(t, ds, s)
+			warm := warmMallocs(t, ds, s)
 			small := p.Inner
 			if !OuterIsCarrier(p) {
 				small = p.Outer
@@ -433,7 +451,7 @@ func TestRepeatedSmallerSideKeyIsAnError(t *testing.T) {
 			col := ds.joins[p].cols[li]
 			saved := col[1]
 			col[1] = col[0]
-			_, err = runAllocs(testEngine(), ds, s)
+			_, err = testEngine().Run(ds, s)
 			col[1] = saved
 			op := placedOp(t, s, c.op)
 			var dup *DuplicateKeyError
@@ -441,58 +459,24 @@ func TestRepeatedSmallerSideKeyIsAnError(t *testing.T) {
 				!strings.Contains(err.Error(), op.Name+": ") {
 				t.Fatalf("run with key %d repeated gave %v, want a DuplicateKeyError from %s", col[0], err, op.Name)
 			}
-			if n, err := runAllocs(testEngine(), ds, s); err != nil || n != 0 {
-				t.Fatalf("clean run after a failed one allocated %d arena buffers (error %v), want 0", n, err)
-			}
+			checkCleanRun(t, ds, s, warm)
 		})
 	}
 }
 
-// TestArenaReuse checks the free-list round trip: a returned buffer
-// satisfies the next adequate request, capacities are rounded to powers
-// of two, and the reuse/alloc tallies track both outcomes.
-func TestArenaReuse(t *testing.T) {
-	ar := &arena{}
-	b := ar.getInt32(100)
-	if len(b) != 100 || cap(b) != 128 {
-		t.Fatalf("fresh buffer len %d cap %d, want 100/128", len(b), cap(b))
-	}
-	ar.putInt32(b)
-	c := ar.getInt32(120)
-	if len(c) != 120 || &c[:1][0] != &b[:1][0] {
-		t.Fatal("adequate free buffer not reused")
-	}
-	if ar.allocs != 1 || ar.reuses != 1 {
-		t.Fatalf("tallies allocs=%d reuses=%d, want 1/1", ar.allocs, ar.reuses)
-	}
-
-	// Best fit: the smallest adequate buffer wins.
-	ar.putInt32(make([]int32, 0, 256))
-	ar.putInt32(make([]int32, 0, 32))
-	got := ar.getInt32(20)
-	if cap(got) != 32 {
-		t.Fatalf("best-fit picked cap %d, want 32", cap(got))
-	}
-
-	ar.resetStats()
-	if ar.allocs != 0 || ar.reuses != 0 {
-		t.Fatal("resetStats left tallies set")
-	}
-}
-
-// TestWarmRunsStopAllocating is the arena's end-to-end payoff: after
-// cold runs prime the pooled buffers, repeat runs allocate a small,
-// plan-size-independent amount — the Report itself and fixed
-// per-run bookkeeping, where the reference path allocates O(tuples)
-// per operator. The ceilings are about 1.25× what a warm run read once
-// the exchanges counted instead of scattering and the meters came from
-// one slab per run (30 on the 8-join chain at P = 8, 28 on the
-// query_e2e shape at P = 16). Per-clone key sets and three meter
-// allocations per operator read 117 and 95; streams of (leaf, row)
-// tuples read 128 and 104 with the clones running serially; the clone
-// fan-out that preceded them read 378 and 293 at GOMAXPROCS 2 (277 and
-// 217 at 1, as AllocsPerRun measures), and the serial mode beside it
-// 227 and 179.
+// TestWarmRunsStopAllocating is the recycled run state's end-to-end
+// payoff: after cold runs grow the state to the plan, a repeat run
+// allocates only its Report (the struct, its map and its three slices),
+// where the reference path allocates O(tuples) per operator. The
+// ceilings are about 1.25× what a warm run read once the state came
+// whole from run to run (6 on the 8-join chain at P = 8 and on the
+// query_e2e shape at P = 16). A run-scoped buffer arena beside two maps
+// and per-phase site systems read 30 and 28; per-clone key sets and
+// three meter allocations per operator 117 and 95; streams of (leaf,
+// row) tuples 128 and 104 with the clones running serially; the clone
+// fan-out that preceded them 378 and 293 at GOMAXPROCS 2 (277 and 217
+// at 1, as AllocsPerRun measures), and the serial mode beside it 227
+// and 179.
 func TestWarmRunsStopAllocating(t *testing.T) {
 	for _, c := range []struct {
 		name  string
@@ -500,13 +484,13 @@ func TestWarmRunsStopAllocating(t *testing.T) {
 		sites int
 		max   float64
 	}{
-		{"chain8", chainPlan([]int{5000, 2000, 7000, 1200, 6400, 2800, 9000, 3300, 7500}), 8, 38},
-		{"e2e", e2ePlan(), 16, 35},
+		{"chain8", chainPlan([]int{5000, 2000, 7000, 1200, 6400, 2800, 9000, 3300, 7500}), 8, 8},
+		{"e2e", e2ePlan(), 16, 8},
 	} {
 		ds := MustGenerate(c.plan, 71)
 		s := scheduleFor(t, c.plan, c.sites)
 		eng := testEngine()
-		for i := 0; i < 3; i++ { // warm the idle arena
+		for i := 0; i < 3; i++ { // grow the recycled run state
 			if _, err := eng.Run(ds, s); err != nil {
 				t.Fatal(err)
 			}

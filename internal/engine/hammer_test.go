@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"mdrs/internal/plan"
@@ -69,8 +70,8 @@ func TestDegree512JoinMatchesReference(t *testing.T) {
 // the key domain grows by one and one key v of the smaller operand
 // moves to the new last key, so the one carrier row whose key is v finds
 // no match. The run must fail with the join's cardinality error, word
-// for word as the reference executor does, and give every buffer back
-// to the arena, so a clean run straight after allocates nothing.
+// for word as the reference executor does, and a clean run straight
+// after must allocate exactly as often as a warm run.
 func TestCarrierKeyMissIsACardinalityError(t *testing.T) {
 	const degree = 512
 	for name, p := range map[string]*query.PlanNode{
@@ -79,7 +80,7 @@ func TestCarrierKeyMissIsACardinalityError(t *testing.T) {
 	} {
 		ds := MustGenerate(p, 11)
 		s := degreeSchedule(t, p, degree)
-		warmArena(t, ds, s)
+		warm := warmMallocs(t, ds, s)
 		carrier, small := p.Outer, p.Inner
 		if !OuterIsCarrier(p) {
 			carrier, small = small, carrier
@@ -103,7 +104,7 @@ func TestCarrierKeyMissIsACardinalityError(t *testing.T) {
 		col[at] = int32(jc.domain)
 		jc.domain++
 		_, errRef := reference(testEngine()).Run(ds, s)
-		_, err = runAllocs(testEngine(), ds, s)
+		_, err = testEngine().Run(ds, s)
 		jc.domain--
 		col[at] = v
 		want := fmt.Sprintf("produced %d tuples, expected %d", carrier.Tuples-1, carrier.Tuples)
@@ -111,8 +112,53 @@ func TestCarrierKeyMissIsACardinalityError(t *testing.T) {
 			t.Fatalf("%s: run with carrier key %d missing gave %v (reference %v), want the join's error %q",
 				name, v, err, errRef, want)
 		}
-		if n, err := runAllocs(testEngine(), ds, s); err != nil || n != 0 {
-			t.Fatalf("%s: clean run after a failed one allocated %d arena buffers (error %v), want 0", name, n, err)
-		}
+		checkCleanRun(t, ds, s, warm)
 	}
+}
+
+// TestConcurrentRunsMatchSequential runs three plans of different site
+// counts and key domains from four goroutines at once, interleaved, over
+// datasets the runs share, so that recycled run states pass from plan to
+// plan and grow on the way: every Report must equal the plan's
+// sequential run. make race runs it under the race detector.
+func TestConcurrentRunsMatchSequential(t *testing.T) {
+	type job struct {
+		ds   *Dataset
+		s    *sched.Schedule
+		want *Report
+	}
+	var jobs []job
+	for _, c := range []struct {
+		plan  *query.PlanNode
+		sites int
+	}{
+		{join(leaf("A", 3000), leaf("B", 800)), 4},
+		{chainPlan([]int{5000, 2000, 7000, 1200, 6400, 2800}), 8},
+		{join(join(leaf("A", 4000), leaf("B", 1500)), join(leaf("C", 3500), leaf("D", 9000))), 16},
+	} {
+		ds := MustGenerate(c.plan, 3)
+		s := scheduleFor(t, c.plan, c.sites)
+		want, err := testEngine().Run(ds, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs = append(jobs, job{ds, s, want})
+	}
+	const goroutines, runs = 4, 30
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < runs; i++ {
+				j := jobs[(g+i)%len(jobs)]
+				rep, err := testEngine().Run(j.ds, j.s)
+				if err != nil || !reflect.DeepEqual(rep, j.want) {
+					t.Errorf("goroutine %d run %d (error %v):\ngot:  %+v\nwant: %+v", g, i, err, rep, j.want)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

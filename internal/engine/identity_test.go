@@ -200,9 +200,10 @@ func TestReportByteIdentityMaterialized(t *testing.T) {
 	checkOracle(t, ds, s, repRef)
 }
 
-// TestFlatRunsAreRepeatable pins arena recycling correctness: back-to-
-// back flat runs over the same dataset (reusing pooled arenas whose
-// buffers hold stale bytes) must keep producing the same Report.
+// TestFlatRunsAreRepeatable pins run-state recycling correctness:
+// back-to-back flat runs over the same dataset (reusing recycled run
+// states whose buffers hold stale bytes) must keep producing the same
+// Report.
 func TestFlatRunsAreRepeatable(t *testing.T) {
 	p := chainPlan([]int{5000, 2000, 7000, 1200})
 	ds := MustGenerate(p, 5)
@@ -263,12 +264,13 @@ func carrierLeaf(n *query.PlanNode) *query.PlanNode {
 // 0 plants none; 1 repeats a key of the smaller operand; 2 grows the key
 // domain by one and moves a smaller-side key to the new last key, so
 // the carrier rows holding the old key miss; 3 moves a carrier key
-// outside the domain.
-func corrupt(t *testing.T, ds *Dataset, fault uint8) {
+// outside the domain. It returns the function that takes the fault out
+// again.
+func corrupt(t *testing.T, ds *Dataset, fault uint8) (restore func()) {
 	t.Helper()
 	kind, at := fault&3, int(fault>>2)
 	if kind == 0 {
-		return
+		return func() {}
 	}
 	var joins []*query.PlanNode
 	var walk func(n *query.PlanNode)
@@ -296,18 +298,25 @@ func corrupt(t *testing.T, ds *Dataset, fault uint8) {
 	jc := ds.joins[j]
 	col := jc.cols[li]
 	i := at % len(col)
+	w := i // the row the fault writes
+	if kind == 1 {
+		w = (i + 1) % len(col) // a one-row side repeats nothing
+	}
+	key, domain := col[w], jc.domain
+	restore = func() { col[w], jc.domain = key, domain }
 	switch kind {
 	case 1:
-		col[(i+1)%len(col)] = col[i] // a one-row side repeats nothing
+		col[w] = col[i]
 	case 2:
-		col[i] = int32(jc.domain)
+		col[w] = int32(jc.domain)
 		jc.domain++
 	case 3:
-		col[i] = int32(jc.domain) + int32(at)
+		col[w] = int32(jc.domain) + int32(at)
 		if at%2 == 1 {
-			col[i] = -int32(at)
+			col[w] = -int32(at)
 		}
 	}
+	return restore
 }
 
 // FuzzFlatMatchesReference is the identity corpus as a generator: over
@@ -325,7 +334,10 @@ func corrupt(t *testing.T, ds *Dataset, fault uint8) {
 //     the semi-join's precondition, stricter than the hash join by
 //     design;
 //   - when both pass, the Reports are equal, and so is the metering
-//     oracle's.
+//     oracle's;
+//   - once the fault is taken out again, a flat run on the run state
+//     the faulty run handed back gives the reference's Report on the
+//     clean data.
 func FuzzFlatMatchesReference(f *testing.F) {
 	// The four shapes of identityPlans, chain8 cut to the six-join
 	// ceiling; the first argument is joins-1. Then one seed per fault.
@@ -346,7 +358,6 @@ func FuzzFlatMatchesReference(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		corrupt(t, ds, fault)
 		expand := plan.Expand
 		if skew&8 != 0 {
 			expand = plan.ExpandMaterialized
@@ -357,9 +368,17 @@ func FuzzFlatMatchesReference(f *testing.F) {
 		}
 		s := scheduleForTree(t, plan.MustNewTaskTree(ot), 1+int(sites)%16)
 
+		kind := fault & 3
+		var clean *Report
+		if kind != 0 {
+			if clean, err = reference(testEngine()).Run(ds, s); err != nil {
+				t.Fatalf("the reference fails on clean data: %v", err)
+			}
+		}
+		restore := corrupt(t, ds, fault)
 		repRef, errRef := reference(testEngine()).Run(ds, s)
 		repFlat, errFlat := testEngine().Run(ds, s)
-		switch kind := fault & 3; {
+		switch {
 		case errRef != nil:
 			if errFlat == nil {
 				t.Fatalf("the reference fails with %v, the flat path passes", errRef)
@@ -367,17 +386,23 @@ func FuzzFlatMatchesReference(f *testing.F) {
 			if (kind == 0 || kind == 2) && errRef.Error() != errFlat.Error() {
 				t.Fatalf("errors diverge:\nref:  %v\nflat: %v", errRef, errFlat)
 			}
-			return
 		case errFlat != nil:
 			var dup *DuplicateKeyError
 			if !errors.As(errFlat, &dup) {
 				t.Fatalf("only the flat path fails, with %v; want a DuplicateKeyError", errFlat)
 			}
-			return
+		default:
+			if !reflect.DeepEqual(repRef, repFlat) {
+				t.Fatalf("reports diverge:\nref:  %+v\nflat: %+v", repRef, repFlat)
+			}
+			checkOracle(t, ds, s, repRef)
 		}
-		if !reflect.DeepEqual(repRef, repFlat) {
-			t.Fatalf("reports diverge:\nref:  %+v\nflat: %+v", repRef, repFlat)
+		restore()
+		if clean != nil {
+			rep, err := testEngine().Run(ds, s)
+			if err != nil || !reflect.DeepEqual(rep, clean) {
+				t.Fatalf("clean re-run after the fault diverges (error %v):\nref:  %+v\nflat: %+v", err, clean, rep)
+			}
 		}
-		checkOracle(t, ds, s, repRef)
 	})
 }

@@ -42,7 +42,7 @@ func meteringOracle(e Engine) Engine {
 			if err != nil {
 				return nil, err
 			}
-			in = stream{leaf: leafOf[prod], n: st.outputs[prod].n}
+			in = stream{leaf: leafOf[prod], n: st.outputs[prod.ID].n}
 		}
 		out := stream{leaf: in.leaf}
 		switch op.Kind {
@@ -119,7 +119,7 @@ func meteringOracle(e Engine) Engine {
 			return nil, fmt.Errorf("unsupported operator kind %v", op.Kind)
 		}
 		leafOf[op] = out.leaf
-		st.outputs[op] = stream{n: out.n}
+		st.outputs[op.ID] = stream{n: out.n}
 		return meters, nil
 	}
 	return e

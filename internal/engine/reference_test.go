@@ -51,7 +51,7 @@ func reference(e Engine) Engine {
 	e.runOp = func(e Engine, pl *sched.OpPlacement, ds *Dataset, st *runState,
 		rep *Report) ([]*cloneMeter, error) {
 		meters, err := e.runOperatorRef(pl, ds, outputs, tables, rep)
-		st.outputs[pl.Op] = stream{n: len(outputs[pl.Op])}
+		st.outputs[pl.Op.ID] = stream{n: len(outputs[pl.Op])}
 		return meters, err
 	}
 	return e
